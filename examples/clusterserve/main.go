@@ -1,7 +1,10 @@
 // Cluster serve: the sharded scatter/gather distributed across
-// processes. Every shard server holds the same database and serves one
-// contiguous slice of it over the wire protocol; a coordinator splits
-// the database the same way, dials each server (verifying each slice's
+// processes — the paper's §IV master-slave model over real sockets, with
+// the coordinator as master and the shard servers as the workers that
+// "acquire the same sequences" locally, so only queries and results
+// cross the wire. Every shard server holds the same database and serves
+// one contiguous slice of it over the wire protocol; a coordinator
+// splits the database the same way, dials each server (verifying each slice's
 // checksum, so a server with skewed data is rejected), scatters every
 // search across the wire, and gathers hits byte-identical to a local
 // unsharded search — proven at the end against a local Searcher. One

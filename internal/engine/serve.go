@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"time"
 
 	"swdual/internal/alphabet"
 	"swdual/internal/master"
@@ -14,28 +15,14 @@ import (
 	"swdual/internal/wire"
 )
 
-// Serve mode: the Searcher exposed over the internal/wire protocol.
-// Unlike the cluster runtime — where the master pushes tasks to remote
-// workers — serve mode inverts the roles: remote clients push queries to
-// a long-lived master. Two client dialects share one listener; the
-// server tells them apart by the first frame after the handshake.
-//
-// The original stream dialect (one connection is one search request):
+// Serve mode: the Searcher exposed over the internal/wire protocol — the
+// paper's §IV long-lived master, with remote clients pushing queries to
+// it. After the handshake a connection is one multiplexed session: every
+// frame carries a request id and any number of requests are in flight.
 //
 //	client                               server
-//	Hello{Name, DBChecksum?}  ->
-//	                          <-  Welcome{QueryCount: 0, DBChecksum}
-//	Task{QueryIndex, Residues} -> (repeated)
-//	Done                      ->
-//	                          <-  Result (one per query, in order)
-//	                          <-  Done
-//
-// The multiplexed dialect (one connection is a session; every frame
-// carries a request id, any number of requests in flight):
-//
-//	client                               server
-//	Hello{Name, DBChecksum?}  ->
-//	                          <-  Welcome{QueryCount: 0, DBChecksum}
+//	Hello{Version, Name, DBChecksum?} ->
+//	                          <-  Welcome{Version, DBChecksum}
 //	SearchRequest{ID: 1, …}   ->
 //	StatsRequest{ID: 2}       ->
 //	                          <-  StatsResponse{ID: 2, …}
@@ -46,10 +33,10 @@ import (
 // A non-zero Hello.DBChecksum must match the server database, so a
 // client that also holds the database locally can verify both ends
 // search the same sequences. Residues cross the wire encoded in the
-// server database's alphabet. Concurrent requests — from one multiplexed
-// session or from many connections — are coalesced into shared
-// scheduling waves by the Searcher's dispatcher. When a connection dies,
-// its in-flight requests are canceled.
+// server database's alphabet. Concurrent requests — from one session or
+// from many connections — are coalesced into shared scheduling waves by
+// the Searcher's dispatcher. When a connection dies, its in-flight
+// requests are canceled.
 
 // Backend is the search service Serve exposes and remote clients stand
 // in for: the in-process Searcher, the sharded scatter/gather facade, or
@@ -80,7 +67,7 @@ func Serve(l net.Listener, s Backend) error {
 		}
 		go func() {
 			defer nc.Close()
-			serveConn(wire.NewConn(nc), s)
+			serveConn(wire.NewConn(nc), s, handshakeTimeout)
 		}()
 	}
 }
@@ -98,10 +85,19 @@ func checkResidues(alpha *alphabet.Alphabet, id string, residues []byte) error {
 	return nil
 }
 
-// serveConn answers one client. Protocol errors end the connection; the
-// client sees the ErrorMsg or the closed stream.
-func serveConn(c *wire.Conn, s Backend) {
+// handshakeTimeout bounds the Hello/Welcome exchange, so a peer that
+// connects and stays mute cannot pin a goroutine and a file descriptor
+// forever. It mirrors remote.DefaultDialTimeout on the client side.
+const handshakeTimeout = 10 * time.Second
+
+// serveConn answers one client: the handshake, bounded by the handshake
+// timeout, then the multiplexed session. Protocol errors end the
+// connection; the client sees the ErrorMsg or the closed stream.
+func serveConn(c *wire.Conn, s Backend, handshake time.Duration) {
 	fail := func(err error) { c.Send(&wire.ErrorMsg{Text: err.Error()}) }
+	if err := c.SetDeadline(time.Now().Add(handshake)); err != nil {
+		return
+	}
 	msg, err := c.Recv()
 	if err != nil {
 		return
@@ -122,60 +118,12 @@ func serveConn(c *wire.Conn, s Backend) {
 	if err := c.Send(&wire.Welcome{Version: wire.Version, DBChecksum: s.Checksum()}); err != nil {
 		return
 	}
-	// The first frame selects the dialect: Task (or an immediate Done)
-	// starts the original one-request stream, anything else the
-	// multiplexed session.
-	msg, err = c.Recv()
-	if err != nil {
+	// A session lives arbitrarily long; per-request bounds come from the
+	// client's Cancel frames.
+	if err := c.SetDeadline(time.Time{}); err != nil {
 		return
 	}
-	switch msg.(type) {
-	case *wire.Task, wire.Done:
-		serveStream(c, s, msg)
-	default:
-		serveMux(c, s, msg)
-	}
-}
-
-// serveStream runs the original dialect: collect the query stream, run
-// one Search, return the results in order.
-func serveStream(c *wire.Conn, s Backend, msg any) {
-	fail := func(err error) { c.Send(&wire.ErrorMsg{Text: err.Error()}) }
-	queries := seq.NewSet(s.Alphabet())
-	for {
-		if _, done := msg.(wire.Done); done {
-			break
-		}
-		t, ok := msg.(*wire.Task)
-		if !ok {
-			fail(fmt.Errorf("engine: expected Task or Done, got %T", msg))
-			return
-		}
-		if int(t.QueryIndex) != queries.Len() {
-			fail(fmt.Errorf("engine: query %d arrived out of order (want %d)", t.QueryIndex, queries.Len()))
-			return
-		}
-		if err := checkResidues(queries.Alpha, t.QueryID, t.Residues); err != nil {
-			fail(err)
-			return
-		}
-		queries.AddEncoded(t.QueryID, "", t.Residues)
-		var err error
-		if msg, err = c.Recv(); err != nil {
-			return
-		}
-	}
-	rep, err := s.Search(context.Background(), queries, SearchOptions{})
-	if err != nil {
-		fail(err)
-		return
-	}
-	for qi, res := range rep.Results {
-		if err := c.Send(resultFrame(qi, res)); err != nil {
-			return
-		}
-	}
-	c.Send(nil) // Done
+	serveMux(c, s)
 }
 
 // muxSession is one multiplexed connection: a read loop dispatching
@@ -205,24 +153,20 @@ func (m *muxSession) failReq(id uint64, err error) {
 	m.send(&wire.ReqError{ID: id, Text: err.Error()})
 }
 
-// serveMux runs the multiplexed dialect starting from the first
-// non-stream frame. When the loop exits — client Done, protocol error,
-// or a dead connection — every in-flight request is canceled and the
-// session waits for its goroutines before returning.
-func serveMux(c *wire.Conn, s Backend, first any) {
+// serveMux runs the session after the handshake. When the loop exits —
+// client Done, protocol error, or a dead connection — every in-flight
+// request is canceled and the session waits for its goroutines before
+// returning.
+func serveMux(c *wire.Conn, s Backend) {
 	m := &muxSession{c: c, s: s, inflight: map[uint64]context.CancelFunc{}}
 	m.ctx, m.cancel = context.WithCancel(context.Background())
 	defer func() {
 		m.cancel()
 		m.wg.Wait()
 	}()
-	msg := first
 	for {
-		if done := m.handle(msg); done {
-			return
-		}
-		var err error
-		if msg, err = c.Recv(); err != nil {
+		msg, err := c.Recv()
+		if err != nil || m.handle(msg) {
 			return
 		}
 	}
@@ -242,44 +186,13 @@ func (m *muxSession) handle(msg any) (done bool) {
 		}
 		m.mu.Unlock()
 	case *wire.StatsRequest:
-		st := m.s.Stats()
-		resp := &wire.StatsResponse{
-			ID:                t.ID,
-			DBSequences:       uint32(st.DBSequences),
-			DBResidues:        uint64(st.DBResidues),
-			DBChecksum:        st.DBChecksum,
-			Prepared:          uint32(st.Prepared),
-			WorkersStarted:    uint32(st.WorkersStarted),
-			Searches:          st.Searches,
-			Queries:           st.Queries,
-			Waves:             st.Waves,
-			BatchedWaves:      st.BatchedWaves,
-			PipelinedWaves:    st.PipelinedWaves,
-			OverlapNanos:      st.OverlapNanos,
-			CacheHits:         st.CacheHits,
-			CacheMisses:       st.CacheMisses,
-			CacheEvictions:    st.CacheEvictions,
-			CollapsedSearches: st.CollapsedSearches,
-			ProfileEntries:    uint32(st.ProfileEntries),
-			ProfileHits:       st.ProfileHits,
-			ProfileMisses:     st.ProfileMisses,
-			ProfileEvictions:  st.ProfileEvictions,
-			HedgedSearches:    st.HedgedSearches,
-			FailedOver:        st.FailedOver,
-			Redials:           st.Redials,
-			DegradedSearches:  st.DegradedSearches,
-			Workers:           make([]wire.WorkerRateInfo, len(st.Workers)),
-		}
-		for i, w := range st.Workers {
-			resp.Workers[i] = wire.WorkerRateInfo{
-				Name:            w.Name,
-				Kind:            uint8(w.Kind),
-				AdvertisedGCUPS: w.AdvertisedGCUPS,
-				ObservedGCUPS:   w.ObservedGCUPS,
-				Tasks:           w.Tasks,
-			}
-		}
-		m.send(resp)
+		// Off the read loop, like Plan: a coordinator backend's Stats is
+		// a network fan-out, and Cancel frames must keep flowing past it.
+		m.wg.Add(1)
+		go func() {
+			defer m.wg.Done()
+			m.send(statsFrame(t.ID, m.s.Stats()))
+		}()
 	case *wire.ChecksumRequest:
 		m.send(&wire.ChecksumResponse{ID: t.ID, Checksum: m.s.Checksum()})
 	case *wire.InfoRequest:
@@ -312,7 +225,7 @@ func (m *muxSession) handle(msg any) (done bool) {
 			m.send(resp)
 		}()
 	default:
-		m.send(&wire.ErrorMsg{Text: fmt.Sprintf("engine: unexpected %T in multiplexed session", msg)})
+		m.send(&wire.ErrorMsg{Text: fmt.Sprintf("engine: unexpected %T in session", msg)})
 		return true
 	}
 	return false
@@ -394,61 +307,43 @@ func resultFrame(qi int, res master.QueryResult) *wire.Result {
 	return out
 }
 
-// Query runs one search request against a serve-mode endpoint using the
-// original stream dialect: it registers, streams the queries, and
-// collects one result per query in order. A non-zero wantChecksum makes
-// the server reject a database mismatch. The queries must already be
-// encoded in the server database's alphabet. The multiplexed dialect
-// lives in internal/remote.
-func Query(nc net.Conn, queries *seq.Set, wantChecksum uint32) ([]wire.Result, error) {
-	c := wire.NewConn(nc)
-	if err := c.Send(&wire.Hello{Version: wire.Version, Name: "client", DBChecksum: wantChecksum}); err != nil {
-		return nil, err
+// statsFrame mirrors a Stats snapshot into its wire form.
+func statsFrame(id uint64, st Stats) *wire.StatsResponse {
+	resp := &wire.StatsResponse{
+		ID:                id,
+		DBSequences:       uint32(st.DBSequences),
+		DBResidues:        uint64(st.DBResidues),
+		DBChecksum:        st.DBChecksum,
+		Prepared:          uint32(st.Prepared),
+		WorkersStarted:    uint32(st.WorkersStarted),
+		Searches:          st.Searches,
+		Queries:           st.Queries,
+		Waves:             st.Waves,
+		BatchedWaves:      st.BatchedWaves,
+		PipelinedWaves:    st.PipelinedWaves,
+		OverlapNanos:      st.OverlapNanos,
+		CacheHits:         st.CacheHits,
+		CacheMisses:       st.CacheMisses,
+		CacheEvictions:    st.CacheEvictions,
+		CollapsedSearches: st.CollapsedSearches,
+		ProfileEntries:    uint32(st.ProfileEntries),
+		ProfileHits:       st.ProfileHits,
+		ProfileMisses:     st.ProfileMisses,
+		ProfileEvictions:  st.ProfileEvictions,
+		HedgedSearches:    st.HedgedSearches,
+		FailedOver:        st.FailedOver,
+		Redials:           st.Redials,
+		DegradedSearches:  st.DegradedSearches,
+		Workers:           make([]wire.WorkerRateInfo, len(st.Workers)),
 	}
-	msg, err := c.Recv()
-	if err != nil {
-		return nil, err
-	}
-	switch m := msg.(type) {
-	case *wire.Welcome:
-		if wantChecksum != 0 && m.DBChecksum != wantChecksum {
-			return nil, fmt.Errorf("engine: server database checksum %08x, want %08x", m.DBChecksum, wantChecksum)
-		}
-	case *wire.ErrorMsg:
-		return nil, fmt.Errorf("engine: server: %s", m.Text)
-	default:
-		return nil, fmt.Errorf("engine: expected Welcome, got %T", msg)
-	}
-	for qi := range queries.Seqs {
-		t := &wire.Task{QueryIndex: uint32(qi), QueryID: queries.Seqs[qi].ID, Residues: queries.Seqs[qi].Residues}
-		if err := c.Send(t); err != nil {
-			return nil, err
-		}
-	}
-	if err := c.Send(nil); err != nil { // Done
-		return nil, err
-	}
-	results := make([]wire.Result, 0, queries.Len())
-	for {
-		msg, err := c.Recv()
-		if err != nil {
-			return nil, err
-		}
-		switch m := msg.(type) {
-		case *wire.Result:
-			if int(m.QueryIndex) != len(results) {
-				return nil, fmt.Errorf("engine: result %d arrived out of order (want %d)", m.QueryIndex, len(results))
-			}
-			results = append(results, *m)
-		case wire.Done:
-			if len(results) != queries.Len() {
-				return nil, fmt.Errorf("engine: server returned %d results for %d queries", len(results), queries.Len())
-			}
-			return results, nil
-		case *wire.ErrorMsg:
-			return nil, fmt.Errorf("engine: server: %s", m.Text)
-		default:
-			return nil, fmt.Errorf("engine: unexpected %T", msg)
+	for i, w := range st.Workers {
+		resp.Workers[i] = wire.WorkerRateInfo{
+			Name:            w.Name,
+			Kind:            uint8(w.Kind),
+			AdvertisedGCUPS: w.AdvertisedGCUPS,
+			ObservedGCUPS:   w.ObservedGCUPS,
+			Tasks:           w.Tasks,
 		}
 	}
+	return resp
 }

@@ -10,11 +10,10 @@ import (
 	"swdual/internal/wire"
 )
 
-// TestServeRejectsOldProtocolVersion: version 4 moved the worker list
-// inside StatsResponse (the cache counters landed before it), so a
-// version-3 peer must be turned away at the handshake — with an error
-// that names both versions — instead of failing mid-session on a stats
-// poll.
+// TestServeRejectsOldProtocolVersion: every wire.Version bump changes a
+// frame layout, so a peer one version behind must be turned away at the
+// handshake — with an error that names the version — instead of
+// misreading a frame mid-session.
 func TestServeRejectsOldProtocolVersion(t *testing.T) {
 	db := synth.RandomSet(alphabet.Protein, 10, 10, 50, 61)
 	s, err := New(db, Config{CPUs: 1, GPUs: 0, TopK: 3})

@@ -74,7 +74,7 @@ func BuildInstance(dbResidues int64, queryLens []int, queryIDs []string, rates P
 }
 
 // InstanceFor generates the scheduling instance of a whole query set, the
-// per-process path used by Master and the cluster runtime.
+// per-process path used by Master.
 func InstanceFor(db, queries *seq.Set, workers []Worker) *sched.Instance {
 	lens := make([]int, queries.Len())
 	ids := make([]string, queries.Len())

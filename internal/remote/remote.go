@@ -1,13 +1,13 @@
-// Package remote backs a database shard with another process. A Backend
-// dials an engine.Serve endpoint, speaks the multiplexed wire dialect
-// (request ids, so any number of calls are in flight on one connection),
-// and implements the same engine.Backend interface the in-process
-// Searcher does — so the sharded scatter/gather facade cannot tell a
-// local shard from one living across the network. This is the transport
-// swap the paper's §IV master-slave model was built for: MUSIC runs the
-// same hybrid alignment environment distributed over a cluster, and
-// Nguyen & Lavenier's fine-grained search engine partitions the bank
-// across networked nodes the same way.
+// Package remote is the wire protocol's client. A Backend dials an
+// engine.Serve endpoint, opens the multiplexed session (request ids, so
+// any number of calls are in flight on one connection), and implements
+// the same engine.Backend interface the in-process Searcher does — so
+// the sharded scatter/gather facade cannot tell a local shard from one
+// living across the network. This is the transport swap the paper's §IV
+// master-slave model was built for: MUSIC runs the same hybrid alignment
+// environment distributed over a cluster, and Nguyen & Lavenier's
+// fine-grained search engine partitions the bank across networked nodes
+// the same way.
 package remote
 
 import (
@@ -145,8 +145,8 @@ func newBackend(addr string, nc net.Conn, wantChecksum uint32, deadline time.Tim
 	default:
 		return nil, fmt.Errorf("remote %s: expected Welcome, got %T", addr, msg)
 	}
-	// The InfoRequest doubles as the dialect switch: its id frame tells
-	// the server this connection is a multiplexed session.
+	// The database description comes first, synchronously, while the
+	// dial deadline still bounds the exchange.
 	if err := b.c.Send(&wire.InfoRequest{ID: b.nextID.Add(1)}); err != nil {
 		return nil, fmt.Errorf("remote %s: %w", addr, err)
 	}
@@ -232,7 +232,7 @@ func (b *Backend) read() {
 	}
 }
 
-// responseID extracts the request id of a multiplexed response frame.
+// responseID extracts the request id of a response frame.
 func responseID(msg any) (uint64, bool) {
 	switch m := msg.(type) {
 	case *wire.SearchResult:

@@ -77,9 +77,9 @@ func (st *Set) TotalResidues() int64 {
 
 // Checksum fingerprints the set: the CRC-32 (IEEE) of every sequence's
 // encoded residues, in order. This is the one database fingerprint the
-// whole module agrees on — the persistent engine, the sharding facade,
-// the cluster runtime and the wire protocol all compare this value to
-// guard against two ends holding different sequences.
+// whole module agrees on — the persistent engine, the sharding facade
+// and the wire protocol all compare this value to guard against two
+// ends holding different sequences.
 func (st *Set) Checksum() uint32 {
 	if st.hasChecksum {
 		return st.checksum

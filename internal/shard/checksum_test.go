@@ -1,4 +1,4 @@
-package cluster
+package shard
 
 import (
 	"testing"
@@ -6,15 +6,14 @@ import (
 	"swdual/internal/alphabet"
 	"swdual/internal/engine"
 	"swdual/internal/seq"
-	"swdual/internal/shard"
 )
 
 // TestDBChecksumUnified pins the module-wide database fingerprint. Every
-// subsystem that compares databases — the cluster master-worker
-// registration, the persistent engine's serve-mode handshake, and the
-// sharded coordinator's skew guard — must report the one seq.Set
-// checksum; the pinned constant catches any of them drifting to its own
-// definition (the bug this test retired: three hand-rolled CRC loops).
+// subsystem that compares databases — the persistent engine's serve-mode
+// handshake and the sharded coordinator's skew guard — must report the
+// one seq.Set checksum; the pinned constant catches any of them drifting
+// to its own definition (the bug this test retired: three hand-rolled
+// CRC loops).
 func TestDBChecksumUnified(t *testing.T) {
 	db := seq.NewSet(alphabet.Protein)
 	for _, s := range []struct{ id, res string }{
@@ -28,10 +27,7 @@ func TestDBChecksumUnified(t *testing.T) {
 	}
 	const pinned = uint32(0xed11face)
 	if got := db.Checksum(); got != pinned {
-		t.Fatalf("seq.Set.Checksum = %08x, pinned %08x (fingerprint definition changed — old serve clients and workers will be rejected)", got, pinned)
-	}
-	if got := DBChecksum(db); got != pinned {
-		t.Fatalf("cluster.DBChecksum = %08x, pinned %08x", got, pinned)
+		t.Fatalf("seq.Set.Checksum = %08x, pinned %08x (fingerprint definition changed — old serve clients and shard servers will be rejected)", got, pinned)
 	}
 	eng, err := engine.New(db, engine.Config{CPUs: 1, GPUs: 0})
 	if err != nil {
@@ -41,7 +37,7 @@ func TestDBChecksumUnified(t *testing.T) {
 	if got := eng.Checksum(); got != pinned {
 		t.Fatalf("engine.Searcher.Checksum = %08x, pinned %08x", got, pinned)
 	}
-	sh, err := shard.New(db, shard.Config{Shards: 2, Engine: engine.Config{CPUs: 1, GPUs: 0}})
+	sh, err := New(db, Config{Shards: 2, Engine: engine.Config{CPUs: 1, GPUs: 0}})
 	if err != nil {
 		t.Fatal(err)
 	}

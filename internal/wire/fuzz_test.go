@@ -19,23 +19,23 @@ func FuzzUnmarshal(f *testing.F) {
 		}
 		f.Add(typ, payload)
 	}
-	seed(&Hello{Version: Version, Name: "worker-1", Kind: 1, RateGCUPS: 24.8, DBChecksum: 0xdeadbeef})
-	seed(&Hello{Name: "nan-rate", RateGCUPS: math.NaN()}) // floats must round-trip bit-exactly, NaN included
-	seed(&Welcome{Version: Version, QueryCount: 3, DBChecksum: 7})
-	seed(&Task{QueryIndex: 2, QueryID: "q-2", Residues: []byte{0, 1, 2, 3, 19}})
-	seed(&Result{QueryIndex: 1, ElapsedNS: 5, SimSeconds: 0.25, Cells: 99,
-		Hits: []ResultHit{{SeqIndex: 4, Score: -3, SeqID: "hit"}, {SeqIndex: 0, Score: 120, SeqID: ""}}})
+	seed(&Hello{Version: Version, Name: "client-1", DBChecksum: 0xdeadbeef})
+	seed(&Hello{})
+	seed(&Welcome{Version: Version, DBChecksum: 7})
 	seed(&ErrorMsg{Text: "boom"})
 	seed(nil) // Done frame
-	// Multiplexed-dialect frames: request ids, nested result lists,
-	// float slices.
+	// Session frames: request ids, nested result lists, float slices
+	// (floats must round-trip bit-exactly, NaN included).
+	seed(&SearchRequest{ID: 6})
+	seed(&SearchResult{ID: 6, Results: []Result{{QueryIndex: 1, ElapsedNS: 5, SimSeconds: math.NaN(), Cells: 99,
+		Hits: []ResultHit{{SeqIndex: 4, Score: -3, SeqID: "hit"}, {SeqIndex: 0, Score: 120, SeqID: ""}}}}})
 	seed(&SearchRequest{ID: 7, TopK: 5, Queries: []Query{{ID: "q0", Residues: []byte{0, 1, 2}}, {ID: "", Residues: nil}}})
 	seed(&SearchResult{ID: 7, Results: []Result{
 		{QueryIndex: 0, ElapsedNS: 3, Cells: 12, Hits: []ResultHit{{SeqIndex: 1, Score: 44, SeqID: "s"}}},
 		{QueryIndex: 1},
 	}})
 	// A degraded answer: the trailing coverage block names the skipped
-	// ranges (version 6).
+	// ranges.
 	seed(&SearchResult{ID: 8, Results: []Result{{QueryIndex: 0}},
 		Coverage: &Coverage{RangesSearched: 1, RangesTotal: 2, ResiduesSearched: 500, ResiduesTotal: 1200,
 			Skipped: []SkippedRange{{Index: 1, Lo: 10, Hi: 20, Reason: "all 2 replicas down"}}}})
@@ -57,24 +57,28 @@ func FuzzUnmarshal(f *testing.F) {
 	// Malformed seeds: truncated fields, lying length prefixes, huge hit
 	// counts, unknown type codes.
 	f.Add(TypeHello, []byte{1})
-	f.Add(TypeTask, []byte{1, 0, 0, 0, 0xff, 0xff})
-	f.Add(TypeResult, []byte{0xff, 0xff, 0xff, 0xff})
-	f.Add(TypeResult, append(make([]byte, 28), 0xff, 0xff, 0xff, 0x7f))
+	// The codes the retired Task and Result frames used must stay
+	// unknown, whatever follows them.
+	f.Add(byte(3), []byte{1, 0, 0, 0, 0xff, 0xff})
+	f.Add(byte(4), []byte{0xff, 0xff, 0xff, 0xff})
 	f.Add(TypeError, []byte{0xff, 0xff, 'x'})
 	f.Add(byte(0), []byte{})
 	f.Add(byte(200), []byte("garbage"))
-	// Malformed multiplexed frames: truncated ids, lying query/result
+	// Malformed session frames: truncated ids, lying query/result
 	// counts (must error before allocating), huge float-slice counts,
 	// a result list whose inner hit count lies.
 	f.Add(TypeSearchRequest, []byte{1, 2, 3})
 	f.Add(TypeSearchRequest, append(make([]byte, 16), 0xff, 0xff, 0xff, 0x7f))
 	f.Add(TypeSearchResult, append(make([]byte, 8), 0xff, 0xff, 0xff, 0x7f))
 	f.Add(TypeSearchResult, append(make([]byte, 12), 0xff, 0xff, 0xff, 0x7f, 1, 2, 3))
+	// One result whose 28 bytes of fixed fields are followed by a hit
+	// count the payload cannot hold.
+	f.Add(TypeSearchResult, append(append(append(make([]byte, 8), 1, 0, 0, 0), make([]byte, 28)...), 0xff, 0xff, 0xff, 0x7f))
 	// A coverage block whose skipped-range count lies about the payload
 	// (8-byte id, zero result count, flag byte, 24 bytes of coverage
 	// counters, then a hostile count) — must error before allocating.
 	f.Add(TypeSearchResult, append(append(append(make([]byte, 8), 0, 0, 0, 0, 1), make([]byte, 24)...), 0xff, 0xff, 0xff, 0x7f))
-	// A SearchResult truncated before the version-6 flag byte.
+	// A SearchResult truncated before the coverage flag byte.
 	f.Add(TypeSearchResult, append(make([]byte, 8), 0, 0, 0, 0))
 	f.Add(TypeCancel, []byte{1, 2})
 	f.Add(TypeReqError, append(make([]byte, 8), 0xff, 0xff, 'x'))

@@ -1,8 +1,12 @@
-// Package wire defines the binary master-worker protocol of the
-// distributed SWDUAL runtime (paper §IV): length-prefixed frames with a
-// one-byte message type, little-endian integers, and explicit versioning.
-// The encoding is hand-rolled on encoding/binary so both ends allocate
-// exactly what the declared lengths demand.
+// Package wire defines the binary protocol between a serve-mode engine
+// and its clients (the paper's §IV master and the nodes that query it):
+// length-prefixed frames with a one-byte message type, little-endian
+// integers, and explicit versioning. A connection opens with a
+// Hello/Welcome handshake and then is one multiplexed session: every
+// frame carries a client-chosen request id, responses echo it, and any
+// number of requests may be in flight at once. The encoding is
+// hand-rolled on encoding/binary so both ends allocate exactly what the
+// declared lengths demand.
 package wire
 
 import (
@@ -18,39 +22,23 @@ import (
 // Protocol constants.
 const (
 	// Version gates the handshake: both ends must speak the same frame
-	// formats. 2 added the per-worker rate list to StatsResponse (an
-	// incompatible trailing extension, so version-1 peers are rejected
-	// at Hello/Welcome instead of failing mid-session on a stats poll);
-	// 3 added the wave-pipelining counters (PipelinedWaves,
-	// OverlapNanos) in the middle of StatsResponse, which shifts every
-	// later field — again rejected at handshake, not mid-session.
-	// 4 added the result-cache and profile-cache counters (CacheHits
-	// through ProfileEvictions) before the worker list in
-	// StatsResponse, shifting the list; version-3 peers are rejected at
-	// handshake, not mid-session on a stats poll.
-	// 5 added the replication counters (HedgedSearches, FailedOver,
-	// Redials) before the worker list in StatsResponse, again shifting
-	// the list; version-4 peers are rejected at handshake.
-	// 6 added DegradedSearches after Redials in StatsResponse (shifting
-	// the worker list) and the optional Coverage block trailing
-	// SearchResult, which a degraded coordinator fills in; version-5
-	// peers are rejected at handshake, not mid-session on a partial
-	// answer.
-	Version = 6
+	// layouts. Any change to a frame's layout bumps it, so a stale peer
+	// is rejected at Hello/Welcome instead of misreading a frame
+	// mid-session.
+	Version = 7
 	// MaxFrame bounds a frame payload (64 MiB) to fail fast on corrupt
 	// length prefixes.
 	MaxFrame = 64 << 20
 )
 
-// Message type codes. The first block is the original master-worker
-// protocol (one request per connection); the second block is the
-// multiplexed serve protocol, where every frame carries a request id so
-// any number of calls can be in flight on one connection.
+// Message type codes. Codes 3 and 4 belonged to frames retired in
+// version 7 and stay unassigned, so TypeError keeps the code a stale
+// peer decodes and can read why its handshake was refused.
 const (
 	TypeHello byte = iota + 1
 	TypeWelcome
-	TypeTask
-	TypeResult
+	_
+	_
 	TypeDone
 	TypeError
 
@@ -68,27 +56,18 @@ const (
 	TypeInfo
 )
 
-// Hello registers a worker with the master.
+// Hello opens a session. A non-zero DBChecksum asks the server to
+// refuse the session unless its database matches.
 type Hello struct {
 	Version    uint32
 	Name       string
-	Kind       uint8 // 0 = CPU pool, 1 = GPU pool
-	RateGCUPS  float64
-	DBChecksum uint32 // CRC of the worker's local database copy
-}
-
-// Welcome acknowledges registration.
-type Welcome struct {
-	Version    uint32
-	QueryCount uint32
 	DBChecksum uint32
 }
 
-// Task carries one query to compare against the worker's database copy.
-type Task struct {
-	QueryIndex uint32
-	QueryID    string
-	Residues   []byte
+// Welcome accepts a session and names the server's database.
+type Welcome struct {
+	Version    uint32
+	DBChecksum uint32
 }
 
 // ResultHit is one scored database hit inside a Result.
@@ -98,7 +77,7 @@ type ResultHit struct {
 	SeqID    string
 }
 
-// Result returns one task's outcome.
+// Result is one query's outcome inside a SearchResult.
 type Result struct {
 	QueryIndex uint32
 	ElapsedNS  uint64
@@ -107,16 +86,10 @@ type Result struct {
 	Hits       []ResultHit
 }
 
-// ErrorMsg reports a fatal condition to the peer.
+// ErrorMsg reports a fatal condition to the peer and ends the session.
 type ErrorMsg struct {
 	Text string
 }
-
-// Multiplexed serve protocol. After the Hello/Welcome handshake a client
-// may switch from the one-request-per-connection stream to request-id
-// framing: every message below carries the client-chosen ID, responses
-// echo it, and any number of requests may be in flight concurrently on
-// one connection.
 
 // Query is one query sequence inside a SearchRequest. Residues are
 // encoded in the server database's alphabet; query order within the
@@ -341,23 +314,12 @@ func Marshal(msg any) (byte, []byte, error) {
 	case *Hello:
 		e.u32(m.Version)
 		e.str(m.Name)
-		e.u8(m.Kind)
-		e.f64(m.RateGCUPS)
 		e.u32(m.DBChecksum)
 		return TypeHello, e.buf, nil
 	case *Welcome:
 		e.u32(m.Version)
-		e.u32(m.QueryCount)
 		e.u32(m.DBChecksum)
 		return TypeWelcome, e.buf, nil
-	case *Task:
-		e.u32(m.QueryIndex)
-		e.str(m.QueryID)
-		e.bytes(m.Residues)
-		return TypeTask, e.buf, nil
-	case *Result:
-		encodeResult(&e, m)
-		return TypeResult, e.buf, nil
 	case *ErrorMsg:
 		e.str(m.Text)
 		return TypeError, e.buf, nil
@@ -482,8 +444,7 @@ func Marshal(msg any) (byte, []byte, error) {
 	return 0, nil, fmt.Errorf("wire: cannot marshal %T", msg)
 }
 
-// encodeResult appends the Result body shared by TypeResult frames and
-// the per-query entries inside a SearchResult.
+// encodeResult appends one per-query entry of a SearchResult.
 func encodeResult(e *encoder, m *Result) {
 	e.u32(m.QueryIndex)
 	e.u64(m.ElapsedNS)
@@ -535,28 +496,13 @@ func Unmarshal(typ byte, payload []byte) (any, error) {
 		m := &Hello{}
 		m.Version = d.u32()
 		m.Name = d.str()
-		m.Kind = d.u8()
-		m.RateGCUPS = d.f64()
 		m.DBChecksum = d.u32()
 		return m, d.err
 	case TypeWelcome:
 		m := &Welcome{}
 		m.Version = d.u32()
-		m.QueryCount = d.u32()
 		m.DBChecksum = d.u32()
 		return m, d.err
-	case TypeTask:
-		m := &Task{}
-		m.QueryIndex = d.u32()
-		m.QueryID = d.str()
-		m.Residues = d.bytes()
-		return m, d.err
-	case TypeResult:
-		m, err := decodeResult(&d)
-		if err != nil {
-			return nil, err
-		}
-		return &m, nil
 	case TypeDone:
 		return Done{}, nil
 	case TypeError:

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"net"
 	"reflect"
 	"testing"
@@ -21,43 +22,36 @@ func roundTrip(t *testing.T, msg any) any {
 }
 
 func TestHelloRoundTrip(t *testing.T) {
-	in := &Hello{Version: 1, Name: "worker-é-1", Kind: 1, RateGCUPS: 24.8, DBChecksum: 0xDEADBEEF}
+	in := &Hello{Version: 1, Name: "client-é-1", DBChecksum: 0xDEADBEEF}
 	if got := roundTrip(t, in); !reflect.DeepEqual(got, in) {
 		t.Fatalf("got %+v want %+v", got, in)
 	}
 }
 
 func TestWelcomeRoundTrip(t *testing.T) {
-	in := &Welcome{Version: 1, QueryCount: 40, DBChecksum: 7}
+	in := &Welcome{Version: 1, DBChecksum: 7}
 	if got := roundTrip(t, in); !reflect.DeepEqual(got, in) {
 		t.Fatalf("got %+v", got)
 	}
 }
 
-func TestTaskRoundTrip(t *testing.T) {
-	in := &Task{QueryIndex: 3, QueryID: "q3", Residues: []byte{0, 1, 2, 19}}
-	if got := roundTrip(t, in); !reflect.DeepEqual(got, in) {
-		t.Fatalf("got %+v", got)
-	}
-	// Empty residues survive as empty (not nil mismatch).
-	in2 := &Task{QueryIndex: 0, QueryID: "", Residues: []byte{}}
-	got := roundTrip(t, in2).(*Task)
-	if got.QueryIndex != 0 || len(got.Residues) != 0 {
-		t.Fatalf("empty task %+v", got)
-	}
-}
-
+// TestResultRoundTrip covers the per-query Result entries — negative
+// scores, empty hit lists — inside the SearchResult frame that carries
+// them.
 func TestResultRoundTrip(t *testing.T) {
-	in := &Result{
-		QueryIndex: 9,
-		ElapsedNS:  123456789,
-		SimSeconds: 0.5,
-		Cells:      1 << 40,
-		Hits: []ResultHit{
-			{SeqIndex: 1, Score: 100, SeqID: "hit-1"},
-			{SeqIndex: 2, Score: -3, SeqID: "hit-2"},
+	in := &SearchResult{ID: 4, Results: []Result{
+		{
+			QueryIndex: 9,
+			ElapsedNS:  123456789,
+			SimSeconds: 0.5,
+			Cells:      1 << 40,
+			Hits: []ResultHit{
+				{SeqIndex: 1, Score: 100, SeqID: "hit-1"},
+				{SeqIndex: 2, Score: -3, SeqID: "hit-2"},
+			},
 		},
-	}
+		{QueryIndex: 10, Hits: []ResultHit{}},
+	}}
 	if got := roundTrip(t, in); !reflect.DeepEqual(got, in) {
 		t.Fatalf("got %+v", got)
 	}
@@ -83,7 +77,7 @@ func TestMarshalUnknownType(t *testing.T) {
 }
 
 func TestTruncatedPayloads(t *testing.T) {
-	typ, payload, err := Marshal(&Result{QueryIndex: 1, Hits: []ResultHit{{SeqIndex: 1, Score: 2, SeqID: "x"}}})
+	typ, payload, err := Marshal(&SearchResult{ID: 1, Results: []Result{{QueryIndex: 1, Hits: []ResultHit{{SeqIndex: 1, Score: 2, SeqID: "x"}}}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,12 +91,14 @@ func TestTruncatedPayloads(t *testing.T) {
 func TestHostileHitCount(t *testing.T) {
 	// A forged hit count must not cause a huge allocation.
 	var e encoder
+	e.u64(1)          // request id
+	e.u32(1)          // result count
 	e.u32(1)          // query index
 	e.u64(0)          // elapsed
 	e.f64(0)          // sim seconds
 	e.u64(0)          // cells
 	e.u32(0xFFFFFFFF) // hit count lie
-	if _, err := Unmarshal(TypeResult, e.buf); err == nil {
+	if _, err := Unmarshal(TypeSearchResult, e.buf); err == nil {
 		t.Fatal("hostile hit count must fail")
 	}
 }
@@ -114,7 +110,7 @@ func TestConnOverPipe(t *testing.T) {
 	ca, cb := NewConn(a), NewConn(b)
 	done := make(chan error, 1)
 	go func() {
-		done <- ca.Send(&Hello{Version: 1, Name: "w", RateGCUPS: 1})
+		done <- ca.Send(&Hello{Version: 1, Name: "w"})
 	}()
 	msg, err := cb.Recv()
 	if err != nil {
@@ -141,13 +137,14 @@ func TestConnOverPipe(t *testing.T) {
 	}
 }
 
-// Property: Task messages of arbitrary content round-trip exactly.
-func TestQuickTaskRoundTrip(t *testing.T) {
-	f := func(idx uint32, id string, residues []byte) bool {
-		if len(id) > 1000 {
-			id = id[:1000]
+// Property: queries of arbitrary content round-trip exactly inside a
+// SearchRequest.
+func TestQuickSearchRequestRoundTrip(t *testing.T) {
+	f := func(id uint64, topK uint32, qid string, residues []byte) bool {
+		if len(qid) > 1000 {
+			qid = qid[:1000]
 		}
-		in := &Task{QueryIndex: idx, QueryID: id, Residues: residues}
+		in := &SearchRequest{ID: id, TopK: topK, Queries: []Query{{ID: qid, Residues: residues}}}
 		typ, payload, err := Marshal(in)
 		if err != nil {
 			return false
@@ -156,19 +153,9 @@ func TestQuickTaskRoundTrip(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		out := outAny.(*Task)
-		if out.QueryIndex != in.QueryIndex || out.QueryID != in.QueryID {
-			return false
-		}
-		if len(out.Residues) != len(in.Residues) {
-			return false
-		}
-		for i := range in.Residues {
-			if out.Residues[i] != in.Residues[i] {
-				return false
-			}
-		}
-		return true
+		out := outAny.(*SearchRequest)
+		return out.ID == id && out.TopK == topK && len(out.Queries) == 1 &&
+			out.Queries[0].ID == qid && bytes.Equal(out.Queries[0].Residues, residues)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

@@ -2,11 +2,8 @@ package swdual
 
 import (
 	"fmt"
-	"net"
 
 	"swdual/internal/bench"
-	"swdual/internal/cluster"
-	"swdual/internal/master"
 	"swdual/internal/platform"
 	"swdual/internal/sched"
 	"swdual/internal/seq"
@@ -134,38 +131,4 @@ func PaperPlatformPlan(preset, querySet string, workers int) (*SchedulePlan, err
 		LowerBound:   sched.LowerBound(in),
 		Gantt:        s.Gantt(in, 96),
 	}, nil
-}
-
-// ServeMaster runs a cluster master on the listener: it waits for the
-// given number of workers, distributes the queries and returns per-query
-// results. Master and workers must load identical databases.
-func ServeMaster(l net.Listener, db, queries *Database, workers int, opt Options) (*cluster.Report, error) {
-	policy, err := opt.policy()
-	if err != nil {
-		return nil, err
-	}
-	return cluster.Serve(l, db.set, queries.set, cluster.MasterConfig{
-		Workers: workers,
-		Policy:  policy,
-		TopK:    opt.TopK,
-	})
-}
-
-// ConnectWorker connects a worker of the given kind ("cpu" or "gpu") to a
-// cluster master and serves tasks until the master finishes.
-func ConnectWorker(conn net.Conn, db *Database, kind, name string, opt Options) error {
-	params, err := opt.params()
-	if err != nil {
-		return err
-	}
-	var w master.Worker
-	switch kind {
-	case "cpu":
-		w = master.BuildWorkers(params, 1, 0, opt.TopK)[0]
-	case "gpu":
-		w = master.BuildWorkers(params, 0, 1, opt.TopK)[0]
-	default:
-		return fmt.Errorf("swdual: unknown worker kind %q", kind)
-	}
-	return cluster.RunWorker(conn, db.set, w, cluster.WorkerConfig{Name: name, TopK: opt.TopK})
 }

@@ -347,8 +347,10 @@ func (s *Searcher) Plan(queries *Database) (*SchedulePlan, error) {
 }
 
 // Serve exposes the Searcher over the wire protocol until the listener
-// closes: each client connection streams queries and receives one result
-// per query. Concurrent clients share scheduling waves.
+// closes: each client connection is a multiplexed session carrying any
+// number of concurrent requests (QueryServer, or a coordinator's
+// RemoteShards / ReplicaShards entry, is the client). Requests from all
+// sessions share scheduling waves.
 func (s *Searcher) Serve(l net.Listener) error {
 	return engine.Serve(l, s.inner)
 }
@@ -391,29 +393,10 @@ func QueryServer(addr string, queries *Database, checksum uint32) (*Report, erro
 	if queries == nil {
 		return nil, errNilSets
 	}
-	nc, err := net.Dial("tcp", addr)
+	b, err := remote.DialTimeout(addr, checksum, 0)
 	if err != nil {
 		return nil, err
 	}
-	defer nc.Close()
-	results, err := engine.Query(nc, queries.set, checksum)
-	if err != nil {
-		return nil, err
-	}
-	rep := &Report{Results: make([]QueryResult, len(results))}
-	for qi, res := range results {
-		qr := QueryResult{
-			QueryIndex: qi,
-			QueryID:    queries.set.Seqs[qi].ID,
-			Elapsed:    time.Duration(res.ElapsedNS),
-			SimSeconds: res.SimSeconds,
-			Cells:      int64(res.Cells),
-		}
-		for _, h := range res.Hits {
-			qr.Hits = append(qr.Hits, Hit{SeqIndex: int(h.SeqIndex), SeqID: h.SeqID, Score: int(h.Score)})
-		}
-		rep.Results[qi] = qr
-		rep.Cells += qr.Cells
-	}
-	return rep, nil
+	defer b.Close()
+	return b.Search(context.Background(), queries.set, engine.SearchOptions{})
 }

@@ -129,63 +129,6 @@ func TestPlanPaperScale(t *testing.T) {
 	}
 }
 
-func TestClusterEndToEnd(t *testing.T) {
-	db, err := swdual.GenerateDatabase("RefSeq Mouse Proteins", 4000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	queries, err := swdual.GenerateQueries("standard", 400)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := l.Addr().String()
-	opt := swdual.Options{TopK: 3}
-	var wg sync.WaitGroup
-	for i, kind := range []string{"cpu", "gpu"} {
-		wg.Add(1)
-		go func(i int, kind string) {
-			defer wg.Done()
-			conn, err := net.Dial("tcp", addr)
-			if err != nil {
-				t.Errorf("worker dial: %v", err)
-				return
-			}
-			if err := swdual.ConnectWorker(conn, db, kind, "", opt); err != nil {
-				t.Errorf("worker: %v", err)
-			}
-		}(i, kind)
-	}
-	rep, err := swdual.ServeMaster(l, db, queries, 2, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wg.Wait()
-	if len(rep.Results) != queries.Len() {
-		t.Fatalf("%d results for %d queries", len(rep.Results), queries.Len())
-	}
-	// Compare against an in-process run.
-	local, err := swdual.Search(db, queries, swdual.Options{CPUs: 1, GPUs: 1, TopK: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for qi := range rep.Results {
-		got := rep.Results[qi].Hits
-		want := local.Results[qi].Hits
-		if len(got) != len(want) {
-			t.Fatalf("query %d: %d hits vs %d", qi, len(got), len(want))
-		}
-		for i := range got {
-			if int(got[i].Score) != want[i].Score || int(got[i].SeqIndex) != want[i].SeqIndex {
-				t.Fatalf("query %d hit %d mismatch", qi, i)
-			}
-		}
-	}
-}
-
 // TestConcurrentSearcherMatchesSerialOneShot is the acceptance check of
 // the persistent engine: 8 concurrent Search calls on one Searcher must
 // return hits identical to 8 serial one-shot swdual.Search calls.
