@@ -168,15 +168,11 @@ func BenchmarkCachedSearch(b *testing.B) {
 	}
 }
 
-// BenchmarkSearchPersistentConcurrent measures the wave pipeline under
-// the load it was built for: many concurrent clients, each submitting
-// small requests against one Searcher — the serving workload, where the
-// engine runs a steady stream of small coalesced waves and per-wave
-// overhead (planning, the end-of-wave barrier) is what throughput leaks
-// through. pipeline=on plans wave N+1 while wave N executes and hands
-// workers their next queue without a barrier; pipeline=off is the
-// strict sequential-wave baseline. Hits are byte-identical across the
-// two modes — the delta is pure dispatcher latency.
+// BenchmarkSearchPersistentConcurrent measures the dispatcher under the
+// serving workload: many concurrent clients, each submitting small
+// requests against one Searcher, so the engine runs a steady stream of
+// small coalesced waves and per-wave overhead (planning, the
+// end-of-wave fence) is what throughput leaks through.
 func BenchmarkSearchPersistentConcurrent(b *testing.B) {
 	db, _ := benchSearchData(b)
 	full, err := swdual.GenerateQueries("standard", 400)
@@ -192,30 +188,26 @@ func BenchmarkSearchPersistentConcurrent(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	for _, mode := range []string{"off", "on"} {
-		b.Run("pipeline="+mode, func(b *testing.B) {
-			s, err := swdual.NewSearcher(db, swdual.Options{CPUs: 2, GPUs: 2, TopK: 5, Pipeline: mode})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer s.Close()
-			ctx := context.Background()
-			var client atomic.Int64
-			b.SetParallelism(4) // >= 4 concurrent clients regardless of GOMAXPROCS
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				n := int(client.Add(1))
-				for pb.Next() {
-					q := sets[n%len(sets)]
-					n++
-					if _, err := s.Search(ctx, q, swdual.SearchOptions{}); err != nil {
-						b.Error(err) // Fatal must not run off the benchmark goroutine
-						return
-					}
-				}
-			})
-		})
+	s, err := swdual.NewSearcher(db, swdual.Options{CPUs: 2, GPUs: 2, TopK: 5})
+	if err != nil {
+		b.Fatal(err)
 	}
+	defer s.Close()
+	ctx := context.Background()
+	var client atomic.Int64
+	b.SetParallelism(4) // >= 4 concurrent clients regardless of GOMAXPROCS
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		n := int(client.Add(1))
+		for pb.Next() {
+			q := sets[n%len(sets)]
+			n++
+			if _, err := s.Search(ctx, q, swdual.SearchOptions{}); err != nil {
+				b.Error(err) // Fatal must not run off the benchmark goroutine
+				return
+			}
+		}
+	})
 }
 
 // BenchmarkShardedSearch measures scatter/gather over per-shard engines
@@ -475,20 +467,9 @@ func BenchmarkEngineScalar(b *testing.B) {
 	benchEngine(b, sw.NewScalar(sw.DefaultParams()), 256, 32, 360)
 }
 
-// BenchmarkEngineProfiled measures the profile-driven scalar engine.
-func BenchmarkEngineProfiled(b *testing.B) {
-	benchEngine(b, sw.NewProfiled(sw.DefaultParams()), 256, 32, 360)
-}
-
 // BenchmarkEngineStriped measures the Farrar striped SWAR engine.
 func BenchmarkEngineStriped(b *testing.B) {
 	benchEngine(b, swvector.NewStriped(sw.DefaultParams()), 256, 32, 360)
-}
-
-// BenchmarkEngineStriped128 measures the 16-lane (SSE2-width) Farrar
-// engine.
-func BenchmarkEngineStriped128(b *testing.B) {
-	benchEngine(b, swvector.NewStriped128(sw.DefaultParams()), 256, 32, 360)
 }
 
 // BenchmarkEngineInterSeq measures the SWIPE-style inter-sequence engine.

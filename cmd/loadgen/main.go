@@ -1,9 +1,8 @@
 // Command loadgen drives offered-load sweeps against a swdual gateway
 // and reports goodput and latency percentiles as `go test -bench`-style
-// result lines, so a sweep folds into the same BENCH_N.json trajectory
-// as the engine benchmarks:
+// result lines, one per offered-load level:
 //
-//	loadgen -offered 1,2,4,8 -requests 40 | benchjson > bench.json
+//	loadgen -offered 1,2,4,8 -requests 40
 //
 // With -url it sweeps an already-running gateway; without, it starts an
 // in-process Searcher and Gateway over a synthetic database (-preset,
@@ -140,8 +139,8 @@ func main() {
 	}
 	for _, level := range levels {
 		res := sweep(base, body, level, *requests)
-		// One go-bench-format line per level; benchjson picks up every
-		// "<value> <unit>" pair as a metric.
+		// One go-bench-format line per level: every "<value> <unit>"
+		// pair is a metric.
 		fmt.Printf("BenchmarkGatewayLoad/offered=%d \t%8d\t%12.0f ns/op\t%8.2f goodput_rps\t%8.2f p50_ms\t%8.2f p99_ms\t%6.3f shed_ratio\t%6.3f partial_ratio\n",
 			level, res.completed, res.meanNS, res.goodputRPS, res.p50ms, res.p99ms, res.shedRatio, res.partialRatio)
 	}

@@ -75,7 +75,6 @@ func main() {
 		gapS     = flag.Int("gapstart", 10, "gap start penalty Gs")
 		gapE     = flag.Int("gapextend", 2, "gap extend penalty Ge")
 		policy   = flag.String("policy", "dual-approx", "allocation policy: dual-approx | dual-approx-dp | self-scheduling | round-robin")
-		pipeline = flag.String("pipeline", "auto", "wave pipelining: auto (on for multi-core hosts) | on (plan wave N+1 while wave N executes) | off (strict full-wave fence, the paper's idle-platform mode)")
 		planOnly = flag.Bool("plan", false, "print the modeled schedule instead of searching")
 		evalues  = flag.Bool("evalue", false, "report bit scores and E-values next to each hit")
 		serve    = flag.String("serve", "", "serve the database persistently on this address instead of searching")
@@ -111,7 +110,6 @@ func main() {
 		Pool:       *pool,
 		TopK:       *topk,
 		Policy:     *policy,
-		Pipeline:   *pipeline,
 		Shards:     *shards,
 		ShardSplit: *split,
 		Cache:      *cache,

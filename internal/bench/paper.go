@@ -71,7 +71,7 @@ type PaperApplication struct {
 var PaperTable1 = []PaperApplication{
 	{"SWIPE", "1.0", "./swipe -a $T -i $Q -d $D", "internal/swvector InterSeq (inter-sequence SWAR)"},
 	{"STRIPED", "-", "./striped -T $T $Q $D", "internal/swvector Striped (Farrar SWAR)"},
-	{"SWPS3", "20080605", "./swps3 -j $T $Q $D", "internal/sw Profiled (scalar, profile-driven)"},
+	{"SWPS3", "20080605", "./swps3 -j $T $Q $D", "internal/sw Scalar (scalar Gotoh reference)"},
 	{"CUDASW++", "2.0", "./cudasw -use_gpus $T -query $Q -db $D", "internal/cudasw on internal/gpusim"},
 	{"SWDUAL", "this work", "swdual -cpus $C -gpus $G -query $Q -db $D", "root package swdual (dual-approximation hybrid)"},
 }

@@ -24,7 +24,7 @@ import (
 func TestAllocsSteadyStateSearch(t *testing.T) {
 	db := synth.RandomSet(alphabet.Protein, 48, 10, 150, 65)
 	queries := synth.RandomSet(alphabet.Protein, 2, 40, 80, 66)
-	s, err := New(db, Config{Pool: master.PoolSpec{Striped: 1}, TopK: 5, BatchWindow: -1})
+	s, err := New(db, Config{Pool: master.PoolSpec{Striped: 1}, TopK: 5})
 	if err != nil {
 		t.Fatal(err)
 	}

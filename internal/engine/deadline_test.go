@@ -41,7 +41,6 @@ func TestDeadRequestNeverPlanned(t *testing.T) {
 		CPUs: 1, GPUs: 0, TopK: 3,
 		BatchWindow: time.Hour, // the wave closes on MaxBatch, not time
 		MaxBatch:    2,
-		Pipeline:    PipelineOff,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -101,7 +100,6 @@ func TestAllDeadBatchPlansNoWave(t *testing.T) {
 	s, err := New(db, Config{
 		CPUs: 1, GPUs: 0, TopK: 3,
 		BatchWindow: 5 * time.Millisecond,
-		Pipeline:    PipelineOff,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -13,20 +13,14 @@
 // the combined task set, dispatches per-worker queues through the pool,
 // and routes each result back to its originating request.
 //
-// Waves move through the dispatcher in two stages — plan (task
-// generation, policy run, per-query profile prefetch, all CPU-side) and
-// execute (per-worker queue feeds and result merging, worker-side). By
-// default consecutive waves pipeline: wave N+1 is planned while wave N's
-// workers are still computing, and each worker rolls from its wave-N
-// queue straight into its pre-planned wave-N+1 queue instead of
-// barriering on the whole wave. PR 4's measured-rate estimator is what
-// makes that sound — each wave is still planned with the freshest
-// observed rates, snapshotted when the wave is admitted. Config.Pipeline
-// = PipelineOff restores the strict one-wave-at-a-time fence, where
-// every wave sees an idle platform — the assumption behind the
-// scheduler's makespan guarantee and the mode the paper-reproduction
-// benchmarks run in. Hits are byte-identical either way; pipelining
-// moves work in time, never between result sets.
+// The dispatcher runs one wave at a time: coalesce, plan (task
+// generation and the policy run, with the pool's measured rates
+// snapshotted at that moment), feed the per-worker queues, wait for
+// every merge of the wave, then take the next. Every scheduling decision
+// therefore sees an idle platform — the paper's §III model and the
+// assumption the dual approximation's makespan bound rests on. Requests
+// that arrive while a wave executes wait on the submit channel and form
+// the next wave.
 package engine
 
 import (
@@ -34,7 +28,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -50,53 +43,6 @@ import (
 // DefaultTopK is the hits-per-query cap a zero Config.TopK selects; the
 // sharding facade caps its gather with the same value.
 const DefaultTopK = 10
-
-// PipelineMode selects how consecutive scheduling waves relate.
-type PipelineMode int
-
-const (
-	// PipelineAuto (the zero value) resolves at construction:
-	// PipelineOn when more than one CPU is available to the process,
-	// PipelineOff otherwise — overlapping planning with execution needs
-	// a core to plan on; on a single-core host the overlap cannot buy
-	// wall time and only adds scheduler churn.
-	PipelineAuto PipelineMode = iota
-	// PipelineOn overlaps the CPU-side planning of wave N+1 with the
-	// execution of wave N and hands each worker its next queue the
-	// moment it drains the current one.
-	PipelineOn
-	// PipelineOff runs waves strictly sequentially: every worker
-	// finishes wave N before wave N+1 is planned, so each scheduling
-	// decision sees an idle platform (the paper's §III model).
-	PipelineOff
-)
-
-// String names the mode the way ParsePipeline accepts it.
-func (m PipelineMode) String() string {
-	switch m {
-	case PipelineAuto:
-		return "auto"
-	case PipelineOn:
-		return "on"
-	case PipelineOff:
-		return "off"
-	}
-	return fmt.Sprintf("PipelineMode(%d)", int(m))
-}
-
-// ParsePipeline maps a user-facing name to a PipelineMode. The empty
-// string selects the default (auto).
-func ParsePipeline(name string) (PipelineMode, error) {
-	switch name {
-	case "", "auto":
-		return PipelineAuto, nil
-	case "on":
-		return PipelineOn, nil
-	case "off":
-		return PipelineOff, nil
-	}
-	return 0, fmt.Errorf("engine: unknown pipeline mode %q (want auto, on or off)", name)
-}
 
 // Config tunes a Searcher. The zero value works: 1 CPU + 1 GPU worker,
 // BLOSUM62 defaults from sw.DefaultParams, dual-approximation policy.
@@ -121,27 +67,15 @@ type Config struct {
 	// Parallelism bounds concurrently computing workers (default
 	// GOMAXPROCS).
 	Parallelism int
-	// BatchWindow controls online batching — the sign is the contract
-	// coalesce runs on:
-	//   - zero (the default) coalesces instantly: requests that queued up
-	//     while the previous wave ran are drained into the next wave
-	//     without waiting;
-	//   - positive additionally holds each wave open that long for late
-	//     arrivals (higher latency, bigger waves);
-	//   - negative disables coalescing entirely: every request is its own
-	//     wave (the one-shot path, which has no co-callers to wait for).
+	// BatchWindow controls online batching. Requests that queued up
+	// while the previous wave ran are always drained into the next wave
+	// without waiting; a positive BatchWindow additionally holds each
+	// wave open that long for late arrivals (higher latency, bigger
+	// waves). Zero and negative values hold nothing.
 	BatchWindow time.Duration
 	// MaxBatch caps the queries coalesced into one wave. Zero selects
 	// the default (1024); a negative value is rejected by New.
 	MaxBatch int
-	// Pipeline selects whether consecutive waves overlap (PipelineOn:
-	// wave N+1 is planned while wave N executes and workers hand off
-	// between queues without a barrier) or fence (PipelineOff: strict
-	// one-wave-at-a-time execution, the paper's idle-platform scheduling
-	// model). The default (PipelineAuto) picks On on multi-core hosts
-	// and Off on single-core ones. Results are byte-identical in every
-	// mode.
-	Pipeline PipelineMode
 	// Cache enables the result cache and singleflight collapsing in
 	// front of the dispatcher: a repeated search (same query residues,
 	// same effective TopK, same database) is answered from a bounded
@@ -176,13 +110,6 @@ func (c *Config) defaults() {
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 1024
 	}
-	if c.Pipeline == PipelineAuto {
-		if runtime.GOMAXPROCS(0) > 1 {
-			c.Pipeline = PipelineOn
-		} else {
-			c.Pipeline = PipelineOff
-		}
-	}
 }
 
 // SearchOptions tunes one Search call.
@@ -204,16 +131,12 @@ type Stats struct {
 	Queries        uint64
 	Waves          uint64
 	BatchedWaves   uint64 // waves that coalesced more than one request
-	// PipelinedWaves counts waves whose planning overlapped the previous
-	// wave's execution — the observable proof that the two-stage
-	// dispatcher is actually hiding scheduling latency, not just capable
-	// of it. Always 0 with Pipeline = PipelineOff.
+	// PipelinedWaves and OverlapNanos are always zero: the dispatcher
+	// runs one wave at a time. They are retained only because
+	// benchmark/'s engine.pipelined_ratio and engine.overlap_ms probes
+	// read them, and go when those probes do.
 	PipelinedWaves uint64
-	// OverlapNanos accumulates the CPU-side planning time (coalescing,
-	// task generation, policy run, profile prefetch) that ran while a
-	// previous wave was still executing — wall time the sequential
-	// dispatcher would have added to the critical path.
-	OverlapNanos uint64
+	OverlapNanos   uint64
 	// CacheHits / CacheMisses / CacheEvictions count result-cache
 	// traffic (all zero with Config.Cache off). CollapsedSearches
 	// counts searches answered as singleflight followers — identical
@@ -307,10 +230,10 @@ type Searcher struct {
 	once   func()        // idempotent close
 
 	// profiles shares per-query profile construction across workers and
-	// waves; scratch recycles the wave-planning slices (two waves may be
-	// in flight when pipelining, so a plain field is not enough).
+	// waves; scratch holds the plan-stage slices of the one wave in
+	// flight and is touched only by the dispatcher and that wave's feeds.
 	profiles *scoring.ProfileCache
-	scratch  sync.Pool // *waveScratch
+	scratch  waveScratch
 
 	// cache and flight implement the result cache and singleflight
 	// collapsing in front of the dispatcher; both are nil with
@@ -318,14 +241,12 @@ type Searcher struct {
 	cache  *resultcache.Cache
 	flight *resultcache.Flight
 
-	prepared       atomic.Int64
-	searches       atomic.Uint64
-	queries        atomic.Uint64
-	waves          atomic.Uint64
-	batchedWaves   atomic.Uint64
-	pipelinedWaves atomic.Uint64
-	overlapNanos   atomic.Uint64
-	collapsed      atomic.Uint64
+	prepared     atomic.Int64
+	searches     atomic.Uint64
+	queries      atomic.Uint64
+	waves        atomic.Uint64
+	batchedWaves atomic.Uint64
+	collapsed    atomic.Uint64
 	// admittedReqs counts requests the dispatcher has drained from the
 	// submit channel — the deterministic "this request is now part of a
 	// forming wave" signal the plan-stage cancellation tests synchronize
@@ -361,7 +282,6 @@ func New(db *seq.Set, cfg Config) (*Searcher, error) {
 		done:   make(chan struct{}),
 	}
 	s.profiles = scoring.NewProfileCache(cfg.Params.Matrix, 0)
-	s.scratch.New = func() any { return new(waveScratch) }
 	if cfg.Cache {
 		s.cache = resultcache.New(resultcache.Config{MaxEntries: cfg.CacheSize, MaxBytes: cfg.CacheBytes})
 		s.flight = resultcache.NewFlight()
@@ -463,8 +383,6 @@ func (s *Searcher) Stats() Stats {
 		Queries:           s.queries.Load(),
 		Waves:             s.waves.Load(),
 		BatchedWaves:      s.batchedWaves.Load(),
-		PipelinedWaves:    s.pipelinedWaves.Load(),
-		OverlapNanos:      s.overlapNanos.Load(),
 		CollapsedSearches: s.collapsed.Load(),
 		ProfileEntries:    ps.Entries,
 		ProfileHits:       ps.Hits,
@@ -595,28 +513,14 @@ func (s *Searcher) Close() error {
 	return s.pool.Close()
 }
 
-// dispatch is the service loop: collect a wave, plan it, start its
-// execution, repeat. Exactly one dispatcher runs per Searcher.
-//
-// With pipelining on, the loop keeps at most two waves in flight: while
-// wave N executes, the dispatcher coalesces and plans wave N+1 (the
-// whole CPU side of scheduling runs in the shadow of N's compute),
-// chains its per-worker queues behind N's, and only then waits for N —
-// so a worker that drains its wave-N queue rolls straight into its
-// wave-N+1 queue while slower workers are still on N. With PipelineOff
-// the loop degenerates to the strict plan-execute-fence sequence.
+// dispatch is the service loop: collect a wave, plan it, feed it, wait
+// for it, repeat. Exactly one dispatcher runs per Searcher. Close never
+// interrupts a dispatched wave — its tasks are fed while the pool is
+// still up and the loop waits for them before it sees quit — so
+// dispatched work completes and only never-admitted requests fail with
+// ErrClosed.
 func (s *Searcher) dispatch() {
-	var executing *wave // the previous wave, possibly still executing (pipeline depth <= 2)
-	defer func() {
-		// Drain the wave still in flight before announcing exit: its
-		// tasks are fed while the pool is still up, so Close keeps the
-		// guarantee waves always had — dispatched work completes, only
-		// never-admitted requests fail with ErrClosed.
-		if executing != nil {
-			s.retireWave(executing)
-		}
-		close(s.done)
-	}()
+	defer close(s.done)
 	for {
 		select {
 		case <-s.quit:
@@ -626,30 +530,9 @@ func (s *Searcher) dispatch() {
 			if batch == nil {
 				return // closed while batching; requests already failed
 			}
-			planStart := time.Now()
-			w := s.planWave(batch)
-			if w == nil {
-				continue // plan failed; batch already failed
+			if w := s.planWave(batch); w != nil {
+				s.runWave(w)
 			}
-			overlapped := executing != nil && !waveCompleted(executing)
-			s.startWave(w, executing)
-			if s.cfg.Pipeline == PipelineOff {
-				executing = nil
-				s.retireWave(w) // the strict fence: idle platform per wave
-				continue
-			}
-			if overlapped {
-				s.pipelinedWaves.Add(1)
-				s.overlapNanos.Add(uint64(time.Since(planStart)))
-			}
-			if executing != nil {
-				// Bound the pipeline at depth two: retire wave N before
-				// admitting wave N+2's batching, so planning stays
-				// exactly one wave ahead of execution. Workers are
-				// already rolling into wave N+1 while we wait here.
-				s.retireWave(executing)
-			}
-			executing = w
 		}
 	}
 }
@@ -661,9 +544,6 @@ func (s *Searcher) dispatch() {
 func (s *Searcher) coalesce(first *request) []*request {
 	s.admittedReqs.Add(1)
 	batch := []*request{first}
-	if s.cfg.BatchWindow < 0 {
-		return batch
-	}
 	n := first.queries.Len()
 	for n < s.cfg.MaxBatch {
 		select {
@@ -676,7 +556,7 @@ func (s *Searcher) coalesce(first *request) []*request {
 		}
 		break
 	}
-	if s.cfg.BatchWindow == 0 {
+	if s.cfg.BatchWindow <= 0 {
 		return batch
 	}
 	timer := time.NewTimer(s.cfg.BatchWindow)
@@ -715,10 +595,10 @@ type waveEntry struct {
 	prof  *scoring.QueryProfiles
 }
 
-// waveScratch holds the plan-stage slices of one wave. Scratches are
-// recycled through Searcher.scratch once the wave retires, so a
-// steady-state dispatcher stops paying the allocator per wave; capacity
-// is kept, length resliced to zero.
+// waveScratch holds the plan-stage slices of one wave. The Searcher
+// reuses its one scratch for every wave, so a steady-state dispatcher
+// stops paying the allocator per wave; capacity is kept, length resliced
+// to zero.
 type waveScratch struct {
 	entries []waveEntry
 	lens    []int
@@ -727,51 +607,31 @@ type waveScratch struct {
 }
 
 func (sc *waveScratch) reset() {
-	clear(sc.entries) // drop request/profile pointers so recycling can't pin them
+	clear(sc.entries) // drop request/profile pointers so reuse can't pin them
 	sc.entries = sc.entries[:0]
 	sc.lens = sc.lens[:0]
 	sc.ids = sc.ids[:0]
 	sc.all = sc.all[:0]
 }
 
-// closedGate is the pre-closed handoff gate of a wave with no
-// predecessor.
-var closedGate = func() chan struct{} {
-	ch := make(chan struct{})
-	close(ch)
-	return ch
-}()
-
-// wave is one scheduling wave moving through the two-stage dispatcher.
-// Plan (planWave) produced its entries, queues and schedule; execute
-// (startWave) feeds the queues; retire (retireWave, dispatcher-only)
-// waits out the merges and recycles the scratch.
+// wave is one planned scheduling wave: planWave produced its queues
+// over the Searcher's scratch, runWave feeds them and waits out the
+// merges.
 type wave struct {
-	batch    []*request
-	scratch  *waveScratch
-	queues   [][]int // per-worker queues of wave-global indices (static policies)
-	shared   bool    // self-scheduling: one shared queue (scratch.all) instead
-	schedule *sched.Schedule
-	// fed[wi] closes when this wave's feed to worker wi returned — the
-	// gate the next wave's feed to the same worker waits on, which is
-	// the whole handoff: per-worker FIFO order between waves without a
-	// global barrier. sharedFed is the analogue for the shared queue.
-	fed       []chan struct{}
-	sharedFed chan struct{}
+	batch  []*request
+	queues [][]int // per-worker queues of wave-global indices (static policies)
+	shared bool    // self-scheduling: one shared queue (scratch.all) instead
 }
 
 // planWave runs the CPU side of one wave: account it, assemble the
-// entry/length/id slices from recycled scratch, attach each query's
-// shared profile set, snapshot the pool's measured rates at admission
-// time and run the scheduling policy. With pipelining on, all of this
-// overlaps the previous wave's execution. On a scheduling error the
-// batch is failed and nil returned.
+// entry/length/id slices in the scratch, attach each query's shared
+// profile set, snapshot the pool's measured rates and run the scheduling
+// policy. On a scheduling error the batch is failed and nil returned.
 func (s *Searcher) planWave(batch []*request) *wave {
 	// Deadline propagation ends here: a request whose ctx died while it
-	// waited to coalesce (or while the previous wave pipelined ahead of
-	// it) is failed now instead of being planned — doomed work never
-	// reaches a worker queue, so an overloaded caller that gave up frees
-	// its wave share instead of wasting it.
+	// waited to coalesce is failed now instead of being planned — doomed
+	// work never reaches a worker queue, so an overloaded caller that
+	// gave up frees its wave share instead of wasting it.
 	live := batch[:0]
 	for _, r := range batch {
 		if err := r.ctx.Err(); err != nil {
@@ -791,7 +651,7 @@ func (s *Searcher) planWave(batch []*request) *wave {
 	if len(batch) > 1 {
 		s.batchedWaves.Add(1)
 	}
-	sc := s.scratch.Get().(*waveScratch)
+	sc := &s.scratch
 	sc.reset()
 	for _, r := range batch {
 		for qi := range r.queries.Seqs {
@@ -801,7 +661,7 @@ func (s *Searcher) planWave(batch []*request) *wave {
 			sc.ids = append(sc.ids, q.ID)
 		}
 	}
-	w := &wave{batch: batch, scratch: sc}
+	w := &wave{batch: batch}
 	if s.cfg.Policy == master.PolicySelfScheduling {
 		for i := range sc.entries {
 			sc.all = append(sc.all, i)
@@ -809,11 +669,9 @@ func (s *Searcher) planWave(batch []*request) *wave {
 		w.shared = true
 		return w
 	}
-	// Snapshot the pool's measured rates at admission: every wave is
-	// scheduled with the throughput the workers actually delivered so
-	// far — including, under pipelining, tasks of the wave currently
-	// executing — and tasks completing in this wave refine the rates
-	// the next wave sees.
+	// Snapshot the pool's measured rates: every wave is scheduled with
+	// the throughput the workers actually delivered so far, and tasks
+	// completing in this wave refine the rates the next wave sees.
 	in := master.BuildInstance(s.dbResidues, sc.lens, sc.ids, s.pool.Rates())
 	queues, schedule, err := master.Assign(s.cfg.Policy, in, s.pool.Workers())
 	if err != nil {
@@ -821,90 +679,42 @@ func (s *Searcher) planWave(batch []*request) *wave {
 			r.fail(err)
 			s.abandon(r)
 		}
-		s.scratch.Put(sc)
 		return nil
 	}
-	w.queues, w.schedule = queues, schedule
+	w.queues = queues
 	for _, r := range batch {
 		r.schedule = schedule
-	}
-	if s.cfg.Pipeline == PipelineOn {
-		// Prefetch the 8-bit striped profile of queries seen for the
-		// first time: under pipelining this construction runs in the
-		// shadow of the previous wave instead of on a worker's critical
-		// path. (Cache hits make it a no-op, and profiles are built
-		// lazily on demand either way.)
-		for i := range sc.entries {
-			sc.entries[i].prof.Striped8()
-		}
 	}
 	return w
 }
 
-// startWave begins executing a planned wave: one feed goroutine per
-// non-empty queue, each gated on the previous wave's feed to the same
-// destination. It never blocks on the workers.
-func (s *Searcher) startWave(w, prev *wave) {
+// runWave executes a planned wave: one feed goroutine per non-empty
+// queue (a feed blocks on its worker's queue, so the queues must fill
+// side by side), then the fence — block until every merge of the wave
+// completed, after which all Done/Canceled callbacks have fired and the
+// scratch is free for the next wave.
+func (s *Searcher) runWave(w *wave) {
 	if w.shared {
-		gate := closedGate
-		if prev != nil {
-			gate = prev.sharedFed
+		go s.feed(s.scratch.all, s.pool.SubmitShared)
+	} else {
+		for wi := range w.queues {
+			if len(w.queues[wi]) == 0 {
+				continue
+			}
+			wi := wi
+			go s.feed(w.queues[wi], func(t master.PoolTask) error { return s.pool.Submit(wi, t) })
 		}
-		w.sharedFed = make(chan struct{})
-		go s.feed(w, w.scratch.all, gate, w.sharedFed, s.pool.SubmitShared)
-		return
 	}
-	w.fed = make([]chan struct{}, len(w.queues))
-	for wi := range w.queues {
-		gate := closedGate
-		if prev != nil {
-			gate = prev.fed[wi]
-		}
-		if len(w.queues[wi]) == 0 {
-			// Nothing to feed: this wave's gate for the worker is
-			// the predecessor's, so the chain stays intact.
-			w.fed[wi] = gate
-			continue
-		}
-		w.fed[wi] = make(chan struct{})
-		wi := wi
-		go s.feed(w, w.queues[wi], gate, w.fed[wi], func(t master.PoolTask) error { return s.pool.Submit(wi, t) })
-	}
-}
-
-// retireWave blocks until every merge of the wave completed, then
-// recycles its scratch. Only the dispatcher calls it (at most once per
-// wave), keeping wave retirement off any extra goroutine — an added
-// scheduling hop here is paid on every wave of a small-request serving
-// workload.
-func (s *Searcher) retireWave(w *wave) {
 	for _, r := range w.batch {
 		<-r.merge.Done()
 	}
-	s.scratch.Put(w.scratch) // safe: all Done/Canceled callbacks have fired
-	w.scratch = nil
-}
-
-// waveCompleted is the non-blocking probe behind the overlap counters.
-func waveCompleted(w *wave) bool {
-	for _, r := range w.batch {
-		select {
-		case <-r.merge.Done():
-		default:
-			return false
-		}
-	}
-	return true
 }
 
 // feed hands one queue of wave-global indices to its destination in
-// order, after the handoff gate of the previous wave's feed to the same
-// destination closed. On pool shutdown the remainder is skipped so
-// merges still complete and callers observe the close.
-func (s *Searcher) feed(w *wave, queue []int, gate <-chan struct{}, fed chan struct{}, send func(master.PoolTask) error) {
-	defer close(fed)
-	<-gate
-	entries := w.scratch.entries
+// order. On pool shutdown the remainder is skipped so merges still
+// complete and callers observe the close.
+func (s *Searcher) feed(queue []int, send func(master.PoolTask) error) {
+	entries := s.scratch.entries
 	for i, gi := range queue {
 		e := &entries[gi]
 		t := master.PoolTask{

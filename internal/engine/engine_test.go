@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -249,6 +250,135 @@ func TestContextCancellation(t *testing.T) {
 	}
 }
 
+// waitSearches spins until the Searcher has counted n Search calls: the
+// n-th caller is then past the dead-context check and at (or about to
+// reach) the submit select.
+func waitSearches(t *testing.T, s *Searcher, n uint64) {
+	t.Helper()
+	deadline := time.After(10 * time.Second)
+	for s.Stats().Searches < n {
+		select {
+		case <-deadline:
+			t.Fatalf("search %d never entered the Searcher", n)
+		case <-time.After(time.Millisecond):
+		}
+	}
+}
+
+// TestCancelBehindPinnedWave cancels a request that waits behind a
+// still-executing wave (the dispatcher is fenced on wave 1, so request 2
+// sits on the submit channel): the caller must get its context error
+// promptly and the Searcher must answer the next search.
+func TestCancelBehindPinnedWave(t *testing.T) {
+	db := synth.RandomSet(alphabet.Protein, 10, 10, 50, 63)
+	gw := newGateWorker("gate-0")
+	s, err := New(db, Config{Workers: []master.Worker{gw}, TopK: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+
+	done1 := make(chan error, 1)
+	go func() {
+		q := synth.RandomSet(alphabet.Protein, 1, 20, 40, 400)
+		_, err := s.Search(context.Background(), q, SearchOptions{})
+		done1 <- err
+	}()
+	<-gw.started // wave 1 pinned
+
+	ctx, cancel := context.WithCancel(context.Background())
+	done2 := make(chan error, 1)
+	go func() {
+		q := synth.RandomSet(alphabet.Protein, 2, 20, 40, 401)
+		_, err := s.Search(ctx, q, SearchOptions{})
+		done2 <- err
+	}()
+	waitSearches(t, s, 2)
+	cancel()
+	select {
+	case err := <-done2:
+		if err != context.Canceled {
+			t.Fatalf("search canceled behind a pinned wave returned %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("search canceled behind a pinned wave did not return")
+	}
+	close(gw.release)
+	if err := <-done1; err != nil {
+		t.Fatalf("pinned search: %v", err)
+	}
+	q := synth.RandomSet(alphabet.Protein, 1, 20, 40, 402)
+	if _, err := s.Search(context.Background(), q, SearchOptions{}); err != nil {
+		t.Fatalf("search after cancellation behind a pinned wave: %v", err)
+	}
+	if st := s.Stats(); st.Waves != 2 {
+		t.Fatalf("the canceled request must never become a wave: %+v", st)
+	}
+}
+
+// TestCloseWithQueuedRequest closes the Searcher while wave 1 executes
+// and a second request is still blocked on submit, never admitted into a
+// wave. The dispatched wave must complete (its tasks are fed while the
+// pool is up); the unadmitted request must fail with ErrClosed promptly,
+// while Close is still waiting for the pinned wave.
+func TestCloseWithQueuedRequest(t *testing.T) {
+	db := synth.RandomSet(alphabet.Protein, 10, 10, 50, 64)
+	gw := newGateWorker("gate-0")
+	s, err := New(db, Config{Workers: []master.Worker{gw}, TopK: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	done1 := make(chan error, 1)
+	go func() {
+		q := synth.RandomSet(alphabet.Protein, 1, 20, 40, 500)
+		_, err := s.Search(context.Background(), q, SearchOptions{})
+		done1 <- err
+	}()
+	<-gw.started
+
+	done2 := make(chan error, 1)
+	go func() {
+		q := synth.RandomSet(alphabet.Protein, 1, 20, 40, 501)
+		_, err := s.Search(context.Background(), q, SearchOptions{})
+		done2 <- err
+	}()
+	waitSearches(t, s, 2)
+
+	closed := make(chan error, 1)
+	go func() { closed <- s.Close() }()
+	select {
+	case err := <-done2:
+		if err != ErrClosed {
+			t.Fatalf("unadmitted request returned %v, want ErrClosed", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("unadmitted request stranded by Close")
+	}
+	select {
+	case err := <-closed:
+		t.Fatalf("Close returned %v while its dispatched wave was still pinned", err)
+	default:
+	}
+	close(gw.release) // let the dispatched wave finish
+	select {
+	case err := <-done1:
+		if err != nil {
+			t.Fatalf("dispatched wave failed across Close: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("dispatched wave stranded by Close")
+	}
+	select {
+	case err := <-closed:
+		if err != nil {
+			t.Fatalf("close: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("close hung")
+	}
+}
+
 func TestCloseIdempotentAndFailsNewSearches(t *testing.T) {
 	db, queries := testSets(13, 14, 20, 4)
 	s, err := New(db, Config{CPUs: 1, GPUs: 0})
@@ -329,6 +459,24 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := s.Search(context.Background(), dna, SearchOptions{}); err == nil {
 		t.Fatal("alphabet mismatch must fail")
 	}
+}
+
+// TestNegativeMaxBatchRejected: a negative cap would wedge or starve the
+// coalescing loop, so New must refuse it outright instead of defaulting
+// it away.
+func TestNegativeMaxBatchRejected(t *testing.T) {
+	db := synth.RandomSet(alphabet.Protein, 5, 10, 40, 67)
+	if _, err := New(db, Config{CPUs: 1, MaxBatch: -3}); err == nil {
+		t.Fatal("negative MaxBatch accepted")
+	} else if !strings.Contains(err.Error(), "MaxBatch") {
+		t.Fatalf("error does not name MaxBatch: %v", err)
+	}
+	// Zero still selects the default.
+	s, err := New(db, Config{CPUs: 1, MaxBatch: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
 }
 
 // TestStatsReportsObservedWorkerRates drives the observe→estimate loop

@@ -21,9 +21,7 @@ import (
 func engines(p sw.Params) []sw.Engine {
 	return []sw.Engine{
 		sw.NewScalar(p),
-		sw.NewProfiled(p),
 		swvector.NewStriped(p),
-		swvector.NewStriped128(p),
 		swvector.NewInterSeq(p),
 		swpar.NewEngine(p, swpar.Config{Workers: 3, RowBand: 8}),
 		cudasw.New(gpusim.New(gpusim.TeslaC2050()), p),

@@ -72,13 +72,11 @@ func TestPersistentPoolMatchesOneShot(t *testing.T) {
 	}
 }
 
-// TestPipelinedWavesMatchOneShot closes the loop on wave pipelining:
-// whatever the policy, a Searcher that overlaps wave planning with
-// execution and hands workers their next queue without a barrier must
-// return hits byte-identical to the seed's strict one-shot master —
-// across enough rounds that waves actually chain through the handoff
-// path, and with concurrent callers so waves coalesce and overlap.
-func TestPipelinedWavesMatchOneShot(t *testing.T) {
+// TestConcurrentWavesMatchOneShot: whatever the policy, a Searcher whose
+// concurrent callers coalesce into shared waves must return hits
+// byte-identical to the seed's strict one-shot master — across enough
+// rounds that waves follow one another on the same pool.
+func TestConcurrentWavesMatchOneShot(t *testing.T) {
 	db := synth.RandomSet(alphabet.Protein, 55, 10, 190, 93)
 	params := sw.DefaultParams()
 	for _, policy := range []master.Policy{
@@ -87,7 +85,7 @@ func TestPipelinedWavesMatchOneShot(t *testing.T) {
 	} {
 		s, err := engine.New(db, engine.Config{
 			Params: params, CPUs: 2, GPUs: 1, TopK: 5, Policy: policy,
-			Pipeline: engine.PipelineOn, BatchWindow: time.Millisecond,
+			BatchWindow: time.Millisecond,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -123,7 +121,7 @@ func TestPipelinedWavesMatchOneShot(t *testing.T) {
 					t.Fatal(err)
 				}
 				if !bytes.Equal(hitBytes(t, reports[i].Results), hitBytes(t, want.Results)) {
-					t.Fatalf("%v round %d caller %d: pipelined hits differ from one-shot", policy, round, i)
+					t.Fatalf("%v round %d caller %d: coalesced-wave hits differ from one-shot", policy, round, i)
 				}
 			}
 		}

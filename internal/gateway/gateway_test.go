@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -375,6 +376,7 @@ func TestStatsHealthzMetrics(t *testing.T) {
 		t.Fatalf("engine stats: %+v", st.Engine)
 	}
 
+	runtime.GC() // at least one completed cycle for the process gauges below
 	resp, err = srv.Client().Get(srv.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
@@ -395,6 +397,13 @@ func TestStatsHealthzMetrics(t *testing.T) {
 	} {
 		if !strings.Contains(metrics, want) {
 			t.Fatalf("metrics missing %q:\n%s", want, metrics)
+		}
+	}
+	for _, name := range []string{"swdual_process_heap_inuse_bytes", "swdual_process_gc_pauses_total"} {
+		var v float64
+		_, line, _ := strings.Cut(metrics, "\n"+name+" ")
+		if _, err := fmt.Sscan(line, &v); err != nil || v <= 0 {
+			t.Fatalf("%s = %v (%v) after a forced GC, want > 0:\n%s", name, v, err, metrics)
 		}
 	}
 }

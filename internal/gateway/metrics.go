@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"runtime"
+	"runtime/metrics"
 	"strings"
 	"time"
 )
@@ -65,7 +65,6 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	p.counter("swdual_engine_queries_total", "Queries served by the backend.", st.Queries)
 	p.counter("swdual_engine_waves_total", "Scheduling waves dispatched.", st.Waves)
 	p.counter("swdual_engine_batched_waves_total", "Waves that coalesced more than one request.", st.BatchedWaves)
-	p.counter("swdual_engine_pipelined_waves_total", "Waves planned while the previous wave executed.", st.PipelinedWaves)
 	p.counter("swdual_engine_cache_hits_total", "Result-cache hits.", st.CacheHits)
 	p.counter("swdual_engine_cache_misses_total", "Result-cache misses.", st.CacheMisses)
 	p.counter("swdual_engine_cache_evictions_total", "Result-cache evictions.", st.CacheEvictions)
@@ -78,11 +77,16 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	// Process-level memory accounting: with a mapped .swdb the corpus
 	// lives outside the Go heap, and these three gauges are how an
 	// operator sees that split — heap shrinks, mapped bytes appear, GC
-	// pause growth slows.
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	p.gauge("swdual_process_heap_inuse_bytes", "Bytes in in-use heap spans (runtime.MemStats.HeapInuse).", float64(ms.HeapInuse))
-	p.counter("swdual_process_gc_pauses_total", "Completed GC cycles, each with a stop-the-world pause (runtime.MemStats.NumGC).", uint64(ms.NumGC))
+	// pause growth slows. They are read through runtime/metrics, which
+	// does not stop the world the way runtime.ReadMemStats does.
+	mem := []metrics.Sample{
+		{Name: "/memory/classes/heap/objects:bytes"},
+		{Name: "/memory/classes/heap/unused:bytes"},
+		{Name: "/gc/cycles/total:gc-cycles"},
+	}
+	metrics.Read(mem)
+	p.gauge("swdual_process_heap_inuse_bytes", "Bytes in in-use heap spans (live objects plus unused space inside them).", float64(mem[0].Value.Uint64()+mem[1].Value.Uint64()))
+	p.counter("swdual_process_gc_pauses_total", "Completed GC cycles, each with a stop-the-world pause.", mem[2].Value.Uint64())
 	p.gauge("swdual_process_db_mapped_bytes", "Bytes of database file memory-mapped into this process (0 when heap-backed).", float64(g.cfg.DBMappedBytes))
 
 	p.labeledHeader("swdual_worker_observed_gcups", "Live EWMA throughput per worker.", "gauge")

@@ -187,25 +187,18 @@ func TestBackendPlanStatsChecksum(t *testing.T) {
 	}
 }
 
-// TestPipelinedServerMatchesSequentialServer runs the same concurrent
-// client mix against two serve endpoints over the same database — one
-// whose engine pipelines waves, one running the strict fence — and
-// requires byte-identical hits from both. The pipelining counters must
-// also cross the wire in the Stats frame.
-func TestPipelinedServerMatchesSequentialServer(t *testing.T) {
+// TestServerRoundsMatchLocalEngine runs rounds of concurrent clients
+// against one serve endpoint, so the server's dispatcher coalesces them
+// into wave after wave on one session, and requires every answer to be
+// byte-identical to the serving engine's own local answer.
+func TestServerRoundsMatchLocalEngine(t *testing.T) {
 	db := synth.RandomSet(alphabet.Protein, 30, 10, 120, 4801)
-	onAddr, _ := startServer(t, db, engine.Config{CPUs: 1, GPUs: 1, TopK: 5, Pipeline: engine.PipelineOn})
-	offAddr, _ := startServer(t, db, engine.Config{CPUs: 1, GPUs: 1, TopK: 5, Pipeline: engine.PipelineOff})
-	on, err := Dial(onAddr, db.Checksum())
+	addr, eng := startServer(t, db, engine.Config{CPUs: 1, GPUs: 1, TopK: 5})
+	b, err := Dial(addr, db.Checksum())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer on.Close()
-	off, err := Dial(offAddr, db.Checksum())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer off.Close()
+	defer b.Close()
 
 	const concurrent = 6
 	for round := 0; round < 2; round++ {
@@ -218,11 +211,11 @@ func TestPipelinedServerMatchesSequentialServer(t *testing.T) {
 			wg.Add(2)
 			go func(i int) {
 				defer wg.Done()
-				gots[i], errs[2*i] = on.Search(context.Background(), queries, engine.SearchOptions{})
+				gots[i], errs[2*i] = b.Search(context.Background(), queries, engine.SearchOptions{})
 			}(i)
 			go func(i int) {
 				defer wg.Done()
-				wants[i], errs[2*i+1] = off.Search(context.Background(), queries, engine.SearchOptions{})
+				wants[i], errs[2*i+1] = eng.Search(context.Background(), queries, engine.SearchOptions{})
 			}(i)
 		}
 		wg.Wait()
@@ -233,17 +226,9 @@ func TestPipelinedServerMatchesSequentialServer(t *testing.T) {
 		}
 		for i := range gots {
 			if !bytes.Equal(hitBytes(t, gots[i].Results), hitBytes(t, wants[i].Results)) {
-				t.Fatalf("round %d client %d: pipelined-server hits differ from fenced-server", round, i)
+				t.Fatalf("round %d client %d: remote hits differ from local", round, i)
 			}
 		}
-	}
-	if st := off.Stats(); st.PipelinedWaves != 0 {
-		t.Fatalf("fenced server reported pipelined waves over the wire: %+v", st)
-	}
-	// The pipelined server may or may not have overlapped (scheduling
-	// races), but the counters must be consistent either way.
-	if st := on.Stats(); st.PipelinedWaves > 0 && st.OverlapNanos == 0 {
-		t.Fatalf("pipelined waves without overlap time over the wire: %+v", st)
 	}
 }
 

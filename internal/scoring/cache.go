@@ -7,11 +7,11 @@ import (
 )
 
 // QueryProfiles lazily builds and shares every profile representation of
-// one query against one matrix: the scalar profile, the 8-bit striped
-// profile and the 16-bit striped profile. A search wave constructs one
-// QueryProfiles per query and hands it to whichever engine runs the
-// task, so the striped, inter-sequence and simulated-GPU backends all
-// read the same construction instead of each rebuilding its own — the
+// one query against one matrix: the 8-bit striped profile and the
+// 16-bit striped profile. A search wave constructs one QueryProfiles per
+// query and hands it to whichever engine runs the task, so the striped,
+// inter-sequence and simulated-GPU backends all read the same
+// construction instead of each rebuilding its own — the
 // profile/buffer reuse SWIPE and Farrar's striped implementation both
 // identify as the real cost of database search once the inner loop is
 // vectorized. All accessors are safe for concurrent use; each profile
@@ -25,8 +25,6 @@ type QueryProfiles struct {
 	p8err  error
 	once16 sync.Once
 	p16    *StripedProfile16
-	onceSc sync.Once
-	scalar *Profile
 }
 
 // NewQueryProfiles prepares a (still empty) profile set for an encoded
@@ -56,12 +54,6 @@ func (q *QueryProfiles) Striped8() (*StripedProfile8, error) {
 func (q *QueryProfiles) Striped16() *StripedProfile16 {
 	q.once16.Do(func() { q.p16 = NewStripedProfile16(q.m, q.query) })
 	return q.p16
-}
-
-// Scalar returns the shared scalar profile, building it on first use.
-func (q *QueryProfiles) Scalar() *Profile {
-	q.onceSc.Do(func() { q.scalar = NewProfile(q.m, q.query) })
-	return q.scalar
 }
 
 // ProfileCache maps query residue content to its shared QueryProfiles,

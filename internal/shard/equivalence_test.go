@@ -238,26 +238,24 @@ func TestShardedAccountingSpansShards(t *testing.T) {
 	}
 }
 
-// TestShardedPipelinedMatchesSequential extends the equivalence suite to
-// wave pipelining: shards whose engines overlap wave planning with
-// execution must gather hits byte-identical to shards running the strict
-// full-wave fence — under concurrent clients, so shard dispatchers
-// actually coalesce and chain waves rather than trivially running one.
-func TestShardedPipelinedMatchesSequential(t *testing.T) {
+// TestShardedConcurrentMatchesUnsharded extends the equivalence suite to
+// concurrent clients: shard dispatchers that coalesce several callers
+// into shared waves, round after round, must gather hits byte-identical
+// to one unsharded engine serving the same callers.
+func TestShardedConcurrentMatchesUnsharded(t *testing.T) {
 	const topK = 5
 	db := synth.RandomSet(alphabet.Protein, 40, 10, 120, 2032)
-	mk := func(mode engine.PipelineMode) *Searcher {
-		s, err := New(db, Config{Shards: 3, Strategy: BalancedResidues, Engine: engine.Config{
-			CPUs: 1, GPUs: 1, TopK: topK, Pipeline: mode,
-		}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s
+	cfg := engine.Config{CPUs: 1, GPUs: 1, TopK: topK}
+	sharded, err := New(db, Config{Shards: 3, Strategy: BalancedResidues, Engine: cfg})
+	if err != nil {
+		t.Fatal(err)
 	}
-	on, off := mk(engine.PipelineOn), mk(engine.PipelineOff)
-	defer on.Close()
-	defer off.Close()
+	defer sharded.Close()
+	whole, err := engine.New(db, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer whole.Close()
 	const callers = 4
 	for round := 0; round < 2; round++ {
 		var wg sync.WaitGroup
@@ -269,11 +267,11 @@ func TestShardedPipelinedMatchesSequential(t *testing.T) {
 			wg.Add(2)
 			go func(i int) {
 				defer wg.Done()
-				gots[i], errs[2*i] = on.Search(context.Background(), queries, engine.SearchOptions{})
+				gots[i], errs[2*i] = sharded.Search(context.Background(), queries, engine.SearchOptions{})
 			}(i)
 			go func(i int) {
 				defer wg.Done()
-				wants[i], errs[2*i+1] = off.Search(context.Background(), queries, engine.SearchOptions{})
+				wants[i], errs[2*i+1] = whole.Search(context.Background(), queries, engine.SearchOptions{})
 			}(i)
 		}
 		wg.Wait()
@@ -284,13 +282,9 @@ func TestShardedPipelinedMatchesSequential(t *testing.T) {
 		}
 		for i := range gots {
 			if !bytes.Equal(hitBytes(t, gots[i].Results), hitBytes(t, wants[i].Results)) {
-				t.Fatalf("round %d caller %d: pipelined sharded hits differ from fenced", round, i)
+				t.Fatalf("round %d caller %d: sharded hits differ from unsharded", round, i)
 			}
 		}
-	}
-	// The facade must surface the shards' pipelining counters.
-	if st := off.Stats(); st.PipelinedWaves != 0 {
-		t.Fatalf("fenced shards reported pipelined waves: %+v", st)
 	}
 }
 

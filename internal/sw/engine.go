@@ -1,9 +1,6 @@
 package sw
 
-import (
-	"swdual/internal/scoring"
-	"swdual/internal/seq"
-)
+import "swdual/internal/seq"
 
 // Scalar is the reference engine: one scalar Gotoh DP per database
 // sequence. It is the oracle for all accelerated engines and the analogue
@@ -30,87 +27,3 @@ func (e *Scalar) Scores(query []byte, db *seq.Set) []int {
 
 // Params returns the engine's parameters.
 func (e *Scalar) Params() Params { return e.params }
-
-// Profiled is the scalar engine with a precomputed query profile, turning
-// the matrix lookup in the inner loop into a linear array read. It is
-// still scalar but measurably faster than Scalar; functionally identical.
-type Profiled struct {
-	params Params
-}
-
-// NewProfiled builds the engine.
-func NewProfiled(p Params) *Profiled { return &Profiled{params: p} }
-
-// Name implements Engine.
-func (e *Profiled) Name() string { return "scalar-profiled" }
-
-// Scores implements Engine.
-func (e *Profiled) Scores(query []byte, db *seq.Set) []int {
-	return e.scores(query, scoring.NewProfile(e.params.Matrix, query), db)
-}
-
-// ScoresProfiled implements ProfiledEngine: the scalar profile comes
-// from the shared per-query set instead of being rebuilt per call.
-func (e *Profiled) ScoresProfiled(query []byte, prof *scoring.QueryProfiles, db *seq.Set) []int {
-	return e.scores(query, prof.Scalar(), db)
-}
-
-func (e *Profiled) scores(query []byte, prof *scoring.Profile, db *seq.Set) []int {
-	out := make([]int, db.Len())
-	for i := range db.Seqs {
-		out[i] = scoreProfiled(prof, e.params.Gaps, db.Seqs[i].Residues)
-	}
-	return out
-}
-
-var _ ProfiledEngine = (*Profiled)(nil)
-
-// scoreProfiled is the Gotoh recurrence driven by a scalar query profile,
-// iterating subject-major so each subject residue selects one profile row.
-func scoreProfiled(p *scoring.Profile, gaps scoring.Gaps, subject []byte) int {
-	m := len(p.Query)
-	if m == 0 || len(subject) == 0 {
-		return 0
-	}
-	gs, ge := gaps.Start, gaps.Extend
-	h := make([]int, m+1) // H over query positions, previous column
-	e := make([]int, m+1) // E over query positions, previous column
-	for i := range e {
-		e[i] = negInf
-	}
-	best := 0
-	for _, d := range subject {
-		row := p.Rows[d]
-		diag := h[0]
-		f := negInf
-		for i := 1; i <= m; i++ {
-			old := h[i]
-			ev := e[i]
-			if v := old - gs; v > ev {
-				ev = v
-			}
-			ev -= ge
-			if v := h[i-1] - gs; v > f {
-				f = v
-			}
-			f -= ge
-			v := diag + int(row[i-1])
-			if ev > v {
-				v = ev
-			}
-			if f > v {
-				v = f
-			}
-			if v < 0 {
-				v = 0
-			}
-			diag = old
-			h[i] = v
-			e[i] = ev
-			if v > best {
-				best = v
-			}
-		}
-	}
-	return best
-}

@@ -54,23 +54,6 @@ func TestAllocsStripedKernel16(t *testing.T) {
 	}
 }
 
-func TestAllocsStripedKernel128(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	params := sw.DefaultParams()
-	query := randSeq(rng, 120)
-	subject := randSeq(rng, 200)
-	p, ok := newProfile128(params.Matrix, query)
-	if !ok {
-		t.Fatal("profile128 construction failed")
-	}
-	scoreStriped128(p, params.Gaps, subject)
-	if avg := testing.AllocsPerRun(50, func() {
-		scoreStriped128(p, params.Gaps, subject)
-	}); avg > kernelAllocCap {
-		t.Fatalf("scoreStriped128 allocates %.2f objects per call, want 0", avg)
-	}
-}
-
 // TestAllocsInterSeqSteadyState pins the whole-task allocation budget of
 // the inter-sequence engine: with the kernel pooled, a Scores call may
 // allocate only its output slice and overflow bookkeeping — a constant,

@@ -6,8 +6,8 @@ import "sync"
 // call needs three segLen-sized DP rows (H store/load and E). Taking
 // them from the allocator per subject is where a vectorized database
 // search leaks throughput — SWIPE and Farrar's striped implementation
-// both keep these rows resident — so the kernels draw them from
-// sync.Pools instead: one Get/Put pair per kernel invocation, zero
+// both keep these rows resident — so the kernels draw them from a
+// sync.Pool instead: one Get/Put pair per kernel invocation, zero
 // allocations in steady state.
 
 // resizeCleared returns a zeroed slice of length n, reusing buf's
@@ -37,16 +37,3 @@ func getRows(segLen int) (sc *rowScratch, hStore, hLoad, vE []uint64) {
 }
 
 func putRows(sc *rowScratch) { rowPool.Put(sc) }
-
-// rowScratch128 is the pooled backing array for the 128-bit kernels.
-type rowScratch128 struct{ buf []v128 }
-
-var rowPool128 = sync.Pool{New: func() any { return new(rowScratch128) }}
-
-func getRows128(segLen int) (sc *rowScratch128, hStore, hLoad, vE []v128) {
-	sc = rowPool128.Get().(*rowScratch128)
-	sc.buf = resizeCleared(sc.buf, 3*segLen)
-	return sc, sc.buf[0:segLen:segLen], sc.buf[segLen : 2*segLen : 2*segLen], sc.buf[2*segLen : 3*segLen]
-}
-
-func putRows128(sc *rowScratch128) { rowPool128.Put(sc) }

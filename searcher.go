@@ -57,10 +57,6 @@ type SearcherStats = engine.Stats
 // NewSearcher prepares db once and starts the persistent worker pool
 // described by opt (CPUs, GPUs, Matrix, gap penalties, Policy, TopK).
 func NewSearcher(db *Database, opt Options) (*Searcher, error) {
-	return newSearcher(db, opt, 0) // 0 = engine default batch window
-}
-
-func newSearcher(db *Database, opt Options, batchWindow int) (*Searcher, error) {
 	ownsDB := false
 	if db == nil && opt.DBPath != "" {
 		opened, err := OpenDatabase(opt.DBPath)
@@ -94,10 +90,6 @@ func newSearcher(db *Database, opt Options, batchWindow int) (*Searcher, error) 
 	if err != nil {
 		return nil, err
 	}
-	pipeline, err := opt.pipeline()
-	if err != nil {
-		return nil, err
-	}
 	cpus, gpus := opt.workers()
 	cfg := engine.Config{
 		Params:     params,
@@ -106,13 +98,9 @@ func newSearcher(db *Database, opt Options, batchWindow int) (*Searcher, error) 
 		Pool:       pool,
 		TopK:       opt.TopK,
 		Policy:     policy,
-		Pipeline:   pipeline,
 		Cache:      opt.Cache,
 		CacheSize:  opt.CacheSize,
 		CacheBytes: opt.CacheBytes,
-	}
-	if batchWindow < 0 {
-		cfg.BatchWindow = -1 // one-shot runs have no co-callers to wait for
 	}
 	strategy, err := shard.ParseStrategy(opt.ShardSplit)
 	if err != nil {
@@ -296,10 +284,6 @@ func ServeShard(l net.Listener, db *Database, index, count int, opt Options) err
 	if err != nil {
 		return err
 	}
-	pipeline, err := opt.pipeline()
-	if err != nil {
-		return err
-	}
 	r := shard.RangesFor(db.set, count, strategy)[index]
 	cpus, gpus := opt.workers()
 	eng, err := engine.New(db.set.Slice(r.Lo, r.Hi), engine.Config{
@@ -309,7 +293,6 @@ func ServeShard(l net.Listener, db *Database, index, count int, opt Options) err
 		Pool:       pool,
 		TopK:       opt.TopK,
 		Policy:     policy,
-		Pipeline:   pipeline,
 		Cache:      opt.Cache,
 		CacheSize:  opt.CacheSize,
 		CacheBytes: opt.CacheBytes,

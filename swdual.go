@@ -28,7 +28,6 @@ import (
 	"time"
 
 	"swdual/internal/alphabet"
-	"swdual/internal/engine"
 	"swdual/internal/fasta"
 	"swdual/internal/master"
 	"swdual/internal/scoring"
@@ -67,15 +66,6 @@ type Options struct {
 	// Policy selects the allocation policy: "dual-approx" (default),
 	// "dual-approx-dp", "self-scheduling" or "round-robin".
 	Policy string
-	// Pipeline selects wave pipelining: "on" (the engine plans wave N+1
-	// while wave N executes and workers hand off between waves without a
-	// barrier), "off" (strict one-wave-at-a-time execution, the paper's
-	// idle-platform scheduling model — use it to reproduce the paper's
-	// benchmarks exactly), or "auto" (the default: on for multi-core
-	// hosts, off on a single core, where there is no spare core to plan
-	// on). Hits are byte-identical in every mode. With sharding, every
-	// shard's engine uses this mode.
-	Pipeline string
 	// Shards splits the database into this many independent shards, each
 	// served by its own engine and worker pool (CPUs and GPUs are then
 	// per shard); searches scatter to every shard and gather through a
@@ -197,14 +187,6 @@ func (o Options) poolSpec() (master.PoolSpec, error) {
 		return master.PoolSpec{}, fmt.Errorf("swdual: %w", err)
 	}
 	return s, nil
-}
-
-func (o Options) pipeline() (engine.PipelineMode, error) {
-	m, err := engine.ParsePipeline(o.Pipeline)
-	if err != nil {
-		return 0, fmt.Errorf("swdual: %w", err)
-	}
-	return m, nil
 }
 
 func (o Options) workers() (cpus, gpus int) {
@@ -402,7 +384,7 @@ func Search(db, queries *Database, opt Options) (*Report, error) {
 	if db == nil || queries == nil {
 		return nil, errNilSets
 	}
-	s, err := newSearcher(db, opt, -1) // no batch window: nobody to wait for
+	s, err := NewSearcher(db, opt)
 	if err != nil {
 		return nil, err
 	}

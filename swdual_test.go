@@ -523,43 +523,6 @@ func TestOptionErrorsTeachValidValues(t *testing.T) {
 		!strings.Contains(err.Error(), "striped") {
 		t.Fatalf("bad pool error %v must list the valid backends", err)
 	}
-	if _, err := swdual.Search(db, queries, swdual.Options{Pipeline: "sideways"}); err == nil ||
-		!strings.Contains(err.Error(), "off") {
-		t.Fatalf("bad pipeline error %v must list the valid modes", err)
-	}
-}
-
-// TestPipelineOptionMatchesDefault: the public Pipeline knob must not
-// change results — "on" (the default) and "off" return identical hits
-// for the same search.
-func TestPipelineOptionMatchesDefault(t *testing.T) {
-	db, err := swdual.GenerateDatabase("UniProt", 50000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	queries, err := swdual.GenerateQueries("standard", 400)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := swdual.Search(db, queries, swdual.Options{Pipeline: "off", TopK: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := swdual.Search(db, queries, swdual.Options{Pipeline: "on", TopK: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for qi := range want.Results {
-		a, b := got.Results[qi].Hits, want.Results[qi].Hits
-		if len(a) != len(b) {
-			t.Fatalf("query %d: %d hits vs %d", qi, len(a), len(b))
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("query %d hit %d: %+v vs %+v", qi, i, a[i], b[i])
-			}
-		}
-	}
 }
 
 // TestCacheOptionMatchesDefault: the public Cache knob must not change
