@@ -9,9 +9,9 @@ import (
 // QueryProfiles lazily builds and shares every profile representation of
 // one query against one matrix: the 8-bit striped profile and the
 // 16-bit striped profile. A search wave constructs one QueryProfiles per
-// query and hands it to whichever engine runs the task, so the striped,
-// inter-sequence and simulated-GPU backends all read the same
-// construction instead of each rebuilding its own — the
+// query and hands it to whichever engine runs the task, so the striped
+// and simulated-GPU backends read the same construction instead of each
+// rebuilding its own (the inter-sequence backend needs none) — the
 // profile/buffer reuse SWIPE and Farrar's striped implementation both
 // identify as the real cost of database search once the inner loop is
 // vectorized. All accessors are safe for concurrent use; each profile

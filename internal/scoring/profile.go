@@ -2,30 +2,6 @@ package scoring
 
 import "fmt"
 
-// Profile is a scalar query profile: for each residue code r the slice
-// Rows[r] holds S(r, q[i]) for every query position i. Profiles turn the
-// matrix lookup in the Smith-Waterman inner loop into a linear scan, the
-// same trick CUDASW++ stores in texture/constant memory.
-type Profile struct {
-	Query  []byte // encoded query, retained for length and diagnostics
-	NCodes int
-	Rows   [][]int16
-}
-
-// NewProfile builds a scalar profile for an encoded query.
-func NewProfile(m *Matrix, query []byte) *Profile {
-	p := &Profile{Query: query, NCodes: m.Size(), Rows: make([][]int16, m.Size())}
-	flat := make([]int16, m.Size()*len(query))
-	for r := 0; r < m.Size(); r++ {
-		row := flat[r*len(query) : (r+1)*len(query) : (r+1)*len(query)]
-		for i, q := range query {
-			row[i] = int16(m.Score(byte(r), q))
-		}
-		p.Rows[r] = row
-	}
-	return p
-}
-
 // StripedProfile8 is a Farrar-style striped query profile with 8-bit biased
 // unsigned lanes packed into uint64 words (8 lanes per word, the SWAR
 // analogue of an SSE2 xmm register holding 16 lanes).

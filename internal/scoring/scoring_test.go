@@ -111,18 +111,6 @@ func TestNewMatrixErrors(t *testing.T) {
 	}
 }
 
-func TestScalarProfile(t *testing.T) {
-	q := alphabet.Protein.MustEncode("ARND")
-	p := NewProfile(BLOSUM62, q)
-	for r := 0; r < BLOSUM62.Size(); r++ {
-		for i, qr := range q {
-			if int(p.Rows[r][i]) != BLOSUM62.Score(byte(r), qr) {
-				t.Fatalf("profile[%d][%d] mismatch", r, i)
-			}
-		}
-	}
-}
-
 func TestStripedProfile8Layout(t *testing.T) {
 	q := alphabet.Protein.MustEncode("ARNDCQEGH") // length 9 -> segLen 2
 	p, err := NewStripedProfile8(BLOSUM62, q)

@@ -1,0 +1,148 @@
+package swvector
+
+import (
+	"bytes"
+	"slices"
+	"testing"
+
+	"swdual/internal/alphabet"
+	"swdual/internal/scoring"
+	"swdual/internal/seq"
+	"swdual/internal/sw"
+	"swdual/internal/swpar"
+)
+
+// kernelCase is one FuzzKernelsAgree input in decoded form.
+type kernelCase struct {
+	matrix          uint8 // 0 BLOSUM62, 1 BLOSUM50, 2 scoring.Simple(match, mismatch)
+	match, mismatch uint8
+	gapStart        uint32
+	gapExtend       uint32
+	query           []byte
+	subjects        []byte // residues, subjects separated by fuzzSep
+}
+
+// fuzzSep separates subjects in the fuzz input; two in a row make an
+// empty subject.
+const fuzzSep = 0xFF
+
+const (
+	fuzzMaxLen      = 1200 // per sequence: enough to reach 65535 with a strong matrix
+	fuzzMaxSubjects = 20
+	fuzzMaxGap      = 70000 // past the 16-bit lane ceiling
+)
+
+func (c kernelCase) params() sw.Params {
+	var m *scoring.Matrix
+	switch c.matrix % 3 {
+	case 0:
+		m = scoring.BLOSUM62
+	case 1:
+		m = scoring.BLOSUM50
+	default:
+		m = scoring.Simple("fuzz", alphabet.Protein.Len(), alphabet.Protein.Core(), 1+int(c.match%127), -1-int(c.mismatch%100))
+	}
+	return sw.Params{Matrix: m, Gaps: scoring.Gaps{
+		Start:  int(c.gapStart % (fuzzMaxGap + 1)),
+		Extend: 1 + int(c.gapExtend%fuzzMaxGap),
+	}}
+}
+
+func (c kernelCase) db() *seq.Set {
+	db := seq.NewSet(alphabet.Protein)
+	for i, s := range bytes.Split(c.subjects, []byte{fuzzSep}) {
+		if i == fuzzMaxSubjects {
+			break
+		}
+		db.AddEncoded("s", "", clampResidues(s, fuzzMaxLen))
+	}
+	return db
+}
+
+// ceilingCase builds a seed whose first subject scores exactly score
+// against the query (both are the same self-scoring sequence), beside an
+// empty subject and two weak ones.
+func ceilingCase(c kernelCase, score int) kernelCase {
+	q := selfScoring(c.params().Matrix, score)
+	c.query = q
+	c.subjects = slices.Concat(q, []byte{fuzzSep, fuzzSep}, q[:len(q)/2], []byte{fuzzSep}, q[len(q)/3:])
+	return c
+}
+
+// ceilingSeeds land exactly on, one below and one above each escalation
+// threshold: 127-K of the guard-bit lanes, 255-bias of the 8-bit striped
+// kernel and 65535-bias of the 16-bit one. want is the first subject's
+// score. The 16-bit seeds use match-only matrices whose match score
+// divides the target, so 1000 residues reach it.
+func ceilingSeeds() (cases []kernelCase, want []int) {
+	add := func(c kernelCase, score int) {
+		cases = append(cases, ceilingCase(c, score))
+		want = append(want, score)
+	}
+	for _, d := range []int{-1, 0, 1} {
+		for _, c := range []kernelCase{
+			{matrix: 0, gapStart: 10, gapExtend: 1}, // BLOSUM62 10/2: K = 14, bias 4
+			{matrix: 1, gapStart: 0, gapExtend: 3},  // BLOSUM50 Gs=0 Ge=4: K = 8, bias 5
+		} {
+			p := c.params()
+			add(c, 127-NewInterSeq(p).offset+d)
+			add(c, 255+p.Matrix.Min()+d)
+		}
+	}
+	// Simple(match, -1): bias 1, so the 16-bit ceiling is 65534.
+	add(kernelCase{matrix: 2, match: 71 - 1, gapStart: 10, gapExtend: 1}, 923*71)  // 65533
+	add(kernelCase{matrix: 2, match: 62 - 1, gapStart: 10, gapExtend: 1}, 1057*62) // 65534
+	add(kernelCase{matrix: 2, match: 85 - 1, gapStart: 10, gapExtend: 1}, 771*85)  // 65535
+	return cases, want
+}
+
+// TestCeilingSeedsLandOnCeilings keeps the fuzz seeds honest: each must
+// score what its name says, or it no longer sits on a threshold.
+func TestCeilingSeedsLandOnCeilings(t *testing.T) {
+	cases, want := ceilingSeeds()
+	for i, c := range cases {
+		if got := sw.Score(c.params(), c.query, c.db().Seqs[0].Residues); got != want[i] {
+			t.Errorf("seed %d (%s): first subject scores %d, want %d", i, c.params().Matrix.Name(), got, want[i])
+		}
+	}
+}
+
+// FuzzKernelsAgree is the differential fuzzer of every CPU engine
+// against the sw.Score oracle: fuzzed matrix choice, gap model (Gs == 0
+// and costs beyond every lane ceiling included), query and up to 20
+// subjects, empty ones included.
+func FuzzKernelsAgree(f *testing.F) {
+	seeds, _ := ceilingSeeds()
+	q := alphabet.Protein.MustEncode("MKWVTFISLLFLFSSAYSRGVFRRDAHKSEVAHRFKDLGEENFK")
+	some := slices.Concat(q[3:30], []byte{fuzzSep}, q[10:], []byte{fuzzSep, fuzzSep}, q[:5], q[9:])
+	seeds = append(seeds,
+		kernelCase{matrix: 0, gapStart: 10, gapExtend: 1, query: q, subjects: some},
+		kernelCase{matrix: 1, gapStart: 0, gapExtend: 3, query: q, subjects: some},                                                    // Gs == 0: exact-F striped path
+		kernelCase{matrix: 0, gapStart: 0, gapExtend: 0, query: q, subjects: some},                                                    // K set by the bias
+		kernelCase{matrix: 0, gapStart: 250, gapExtend: 9, query: q, subjects: some},                                                  // open cost past 8 bits
+		kernelCase{matrix: 0, gapStart: 10, gapExtend: 259, query: q, subjects: some},                                                 // extend cost past 8 bits
+		kernelCase{matrix: 0, gapStart: 69999, gapExtend: 1, query: q, subjects: some},                                                // past 16 bits
+		kernelCase{matrix: 2, match: 119, mismatch: 2, gapStart: 10, query: q, subjects: some},                                        // no 7-bit range left
+		kernelCase{matrix: 2, match: 4, mismatch: 3, gapStart: 3, query: q, subjects: []byte{}},                                       // one empty subject
+		kernelCase{matrix: 0, gapStart: 10, gapExtend: 1, query: nil, subjects: q},                                                    // empty query
+		kernelCase{matrix: 0, gapStart: 10, gapExtend: 1, query: q, subjects: bytes.Repeat(append(slices.Clone(q[:7]), fuzzSep), 19)}, // refills
+	)
+	for _, c := range seeds {
+		f.Add(c.matrix, c.match, c.mismatch, c.gapStart, c.gapExtend, c.query, c.subjects)
+	}
+	f.Fuzz(func(t *testing.T, matrix, match, mismatch uint8, gapStart, gapExtend uint32, query, subjects []byte) {
+		c := kernelCase{matrix, match, mismatch, gapStart, gapExtend, clampResidues(query, fuzzMaxLen), subjects}
+		p, db := c.params(), c.db()
+		want := make([]int, db.Len())
+		for i := range db.Seqs {
+			want[i] = sw.Score(p, c.query, db.Seqs[i].Residues)
+		}
+		for _, eng := range []sw.Engine{
+			sw.NewScalar(p), NewInterSeq(p), NewStriped(p), swpar.NewEngine(p, swpar.Config{}),
+		} {
+			if got := eng.Scores(c.query, db); !slices.Equal(got, want) {
+				t.Fatalf("%s disagrees with sw.Score under %s %+v:\n got  %v\n want %v", eng.Name(), p.Matrix.Name(), p.Gaps, got, want)
+			}
+		}
+	})
+}

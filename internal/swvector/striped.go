@@ -27,8 +27,7 @@ func ScoreStriped8(p *scoring.StripedProfile8, gaps scoring.Gaps, subject []byte
 		return best, best >= 255-int(p.Bias)
 	}
 	segLen := p.SegLen
-	vGapOpen := splat8(uint8(gaps.OpenCost()))
-	vGapExt := splat8(uint8(gaps.Extend))
+	vGapOpen, vGapExt := gapVectors8(gaps)
 	vBias := splat8(p.Bias)
 	sc, hStore, hLoad, vE := getRows(segLen)
 	defer putRows(sc)
@@ -71,6 +70,19 @@ func ScoreStriped8(p *scoring.StripedProfile8, gaps scoring.Gaps, subject []byte
 	return best, best >= 255-int(p.Bias)
 }
 
+// gapVectors8 splats the gap costs into 8-bit lanes. A cost beyond the
+// lane maximum is clamped to it, not truncated: lanes never exceed 255,
+// so a saturating subtraction of 255 already yields 0, exactly what the
+// larger cost would.
+func gapVectors8(gaps scoring.Gaps) (open, ext uint64) {
+	return splat8(uint8(min(gaps.OpenCost(), 0xFF))), splat8(uint8(min(gaps.Extend, 0xFF)))
+}
+
+// gapVectors16 is the 16-bit analogue of gapVectors8.
+func gapVectors16(gaps scoring.Gaps) (open, ext uint64) {
+	return splat16(uint16(min(gaps.OpenCost(), 0xFFFF))), splat16(uint16(min(gaps.Extend, 0xFFFF)))
+}
+
 // Lanes8Count and Lanes16Count mirror scoring.Lanes8/Lanes16 without
 // importing them in hot paths.
 const (
@@ -91,8 +103,7 @@ func ScoreStriped16(p *scoring.StripedProfile16, gaps scoring.Gaps, subject []by
 		return best, best >= 65535-int(p.Bias)
 	}
 	segLen := p.SegLen
-	vGapOpen := splat16(uint16(gaps.OpenCost()))
-	vGapExt := splat16(uint16(gaps.Extend))
+	vGapOpen, vGapExt := gapVectors16(gaps)
 	vBias := splat16(p.Bias)
 	sc, hStore, hLoad, vE := getRows(segLen)
 	defer putRows(sc)
@@ -206,8 +217,7 @@ func scoreStriped8Exact(p *scoring.StripedProfile8, gaps scoring.Gaps, subject [
 		return 0
 	}
 	segLen := p.SegLen
-	vGapOpen := splat8(uint8(gaps.OpenCost()))
-	vGapExt := splat8(uint8(gaps.Extend))
+	vGapOpen, vGapExt := gapVectors8(gaps)
 	vBias := splat8(p.Bias)
 	sc, hStore, hLoad, vE := getRows(segLen)
 	defer putRows(sc)
@@ -249,8 +259,7 @@ func scoreStriped16Exact(p *scoring.StripedProfile16, gaps scoring.Gaps, subject
 		return 0
 	}
 	segLen := p.SegLen
-	vGapOpen := splat16(uint16(gaps.OpenCost()))
-	vGapExt := splat16(uint16(gaps.Extend))
+	vGapOpen, vGapExt := gapVectors16(gaps)
 	vBias := splat16(p.Bias)
 	sc, hStore, hLoad, vE := getRows(segLen)
 	defer putRows(sc)

@@ -2,19 +2,93 @@
 // the paper's baselines rely on, using SWAR (SIMD Within A Register) on
 // uint64 words in place of SSE2 registers:
 //
+//   - the Rognes SWIPE inter-sequence vectorization (InterSeq), the kernel
+//     the worker pool runs: one query against 8 database sequences, one
+//     per byte lane;
 //   - the Farrar "striped" intra-sequence vectorization (STRIPED, SWPS3),
 //     with the lazy-F correction loop and 8-bit -> 16-bit -> scalar
-//     overflow escalation;
-//   - the Rognes SWIPE inter-sequence vectorization, aligning one query
-//     against 8 database sequences per vector lane.
+//     overflow escalation.
+//
+// The two kernels use different lane arithmetic.
+//
+// InterSeq keeps a 7-bit payload in each byte and bit 7 as a guard, and
+// stores H, E and F offset by K = max(OpenCost+Extend, bias). In that
+// domain H' >= K and E', F' >= K-OpenCost >= Extend hold in every lane
+// whatever happened before, so the gap recurrences are plain word
+// subtractions that cannot borrow, a maximum is 7 ALU ops through the
+// guard bit (max7), and nothing in the inner loop saturates. The one
+// value that can leave the 7-bit range is the diagonal term; its bit 7
+// is OR-accumulated as the lane's overflow flag and then masked off, so
+// a saturated lane computes garbage but never carries into a neighbour.
+// A lane therefore holds exact scores up to 127-K (113 with BLOSUM62 and
+// the default 10/2 gaps); a subject that scores more retires flagged and
+// is rescored by the scalar oracle.
+//
+// The striped kernels keep full 8- and 16-bit unsigned lanes with
+// saturating add/subtract built from an even/odd split into double-width
+// sub-lanes (addSat8 and friends below): slower per operation, but they
+// reach 255-bias and 65535-bias.
 //
 // Both produce scores identical to the scalar oracle in package sw.
 package swvector
 
-// 8-bit unsigned lanes, 8 per uint64 word. The helpers split a word into
-// even and odd bytes widened to 16-bit sub-lanes; within a sub-lane the
-// arithmetic cannot carry across lanes, which keeps every operation
-// branch-free and obviously correct.
+// 7-bit guard lanes (the inter-sequence kernel).
+
+const (
+	guard8 = 0x8080808080808080 // bit 7 of every byte: the guard
+	low7   = 0x7F7F7F7F7F7F7F7F // the 7-bit payloads
+)
+
+// max7 returns the per-byte maximum of two words whose lanes all hold
+// 7-bit values (guard bits clear). Setting a's guard bits makes every
+// lane of the difference non-negative, so the subtraction cannot borrow
+// across lanes, and leaves the guard set exactly where a >= b; that bit
+// is widened to a 0x7F mask selecting a-b, which is added back to b.
+func max7(a, b uint64) uint64 {
+	d := (a | guard8) - b
+	m := d & guard8
+	m -= m >> 7
+	return b + d&m
+}
+
+// anyGT7 reports whether any 7-bit lane of a is strictly greater than
+// the corresponding lane of b.
+func anyGT7(a, b uint64) bool {
+	return ((b|guard8)-a)&guard8 != guard8
+}
+
+// swapBits exchanges the bits of a selected by m<<s with the bits of b
+// selected by m.
+func swapBits(a, b, m uint64, s uint) (uint64, uint64) {
+	t := (a>>s ^ b) & m
+	return a ^ t<<s, b ^ t
+}
+
+// transpose8x8 transposes an 8x8 byte matrix held one row per word: byte
+// j of w[i] becomes byte i of w[j]. Three rounds of block swaps (4x4,
+// 2x2, 1x1) cost about one ALU op per byte, a third of gathering the
+// bytes one by one.
+func transpose8x8(w *[8]uint64) {
+	w0, w1, w2, w3, w4, w5, w6, w7 := w[0], w[1], w[2], w[3], w[4], w[5], w[6], w[7]
+	w0, w4 = swapBits(w0, w4, 0x00000000FFFFFFFF, 32)
+	w1, w5 = swapBits(w1, w5, 0x00000000FFFFFFFF, 32)
+	w2, w6 = swapBits(w2, w6, 0x00000000FFFFFFFF, 32)
+	w3, w7 = swapBits(w3, w7, 0x00000000FFFFFFFF, 32)
+	w0, w2 = swapBits(w0, w2, 0x0000FFFF0000FFFF, 16)
+	w1, w3 = swapBits(w1, w3, 0x0000FFFF0000FFFF, 16)
+	w4, w6 = swapBits(w4, w6, 0x0000FFFF0000FFFF, 16)
+	w5, w7 = swapBits(w5, w7, 0x0000FFFF0000FFFF, 16)
+	w0, w1 = swapBits(w0, w1, 0x00FF00FF00FF00FF, 8)
+	w2, w3 = swapBits(w2, w3, 0x00FF00FF00FF00FF, 8)
+	w4, w5 = swapBits(w4, w5, 0x00FF00FF00FF00FF, 8)
+	w6, w7 = swapBits(w6, w7, 0x00FF00FF00FF00FF, 8)
+	w[0], w[1], w[2], w[3], w[4], w[5], w[6], w[7] = w0, w1, w2, w3, w4, w5, w6, w7
+}
+
+// 8-bit unsigned lanes, 8 per uint64 word (the striped kernel). The
+// helpers split a word into even and odd bytes widened to 16-bit
+// sub-lanes; within a sub-lane the arithmetic cannot carry across lanes,
+// which keeps every operation branch-free and obviously correct.
 
 const (
 	evenMask = 0x00FF00FF00FF00FF
@@ -173,13 +247,4 @@ func splat16(v uint16) uint64 { return uint64(v) * ones16 }
 // laneShiftUp16 shifts the word up by one 16-bit lane, filling lane 0.
 func laneShiftUp16(x uint64, fill uint16) uint64 {
 	return x<<16 | uint64(fill)
-}
-
-// lane16At extracts 16-bit lane l.
-func lane16At(x uint64, l int) uint16 { return uint16(x >> (16 * l)) }
-
-// withLane16 returns x with 16-bit lane l replaced by v.
-func withLane16(x uint64, l int, v uint16) uint64 {
-	sh := uint(16 * l)
-	return x&^(uint64(0xFFFF)<<sh) | uint64(v)<<sh
 }

@@ -61,6 +61,12 @@ func TestSWARPrimitives8(t *testing.T) {
 	}
 }
 
+// withLane16 returns x with 16-bit lane l replaced by v.
+func withLane16(x uint64, l int, v uint16) uint64 {
+	sh := uint(16 * l)
+	return x&^(uint64(0xFFFF)<<sh) | uint64(v)<<sh
+}
+
 func TestSWARPrimitives16(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for iter := 0; iter < 2000; iter++ {
@@ -195,24 +201,6 @@ func TestInterSeqEmptyAndTiny(t *testing.T) {
 	q := alphabet.Protein.MustEncode("ARNDA")
 	got := NewInterSeq(p).Scores(q, db)
 	want := sw.NewScalar(p).Scores(q, db)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("seq %d: got %d want %d", i, got[i], want[i])
-		}
-	}
-}
-
-func TestInterSeqOverflowRescore(t *testing.T) {
-	p := params()
-	long := make([]byte, 500)
-	for i := range long {
-		long[i] = byte(i % 20)
-	}
-	db := seq.NewSet(alphabet.Protein)
-	db.AddEncoded("self", "", long)
-	db.AddEncoded("short", "", long[:10])
-	want := sw.NewScalar(p).Scores(long, db)
-	got := NewInterSeq(p).Scores(long, db)
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("seq %d: got %d want %d", i, got[i], want[i])
