@@ -1,5 +1,10 @@
 package bench
 
+import (
+	"swdual/internal/sw"
+	"swdual/internal/swvector"
+)
+
 // The paper's published measurements, embedded so every regenerated table
 // can print paper-vs-model deltas (EXPERIMENTS.md records them too).
 
@@ -67,9 +72,10 @@ type PaperApplication struct {
 	OurAnalogue string
 }
 
-// PaperTable1 holds Table I with the reproduction mapping appended.
+// PaperTable1 holds Table I with the reproduction mapping appended. The
+// SWIPE row names the column kernel InterSeq runs on this machine.
 var PaperTable1 = []PaperApplication{
-	{"SWIPE", "1.0", "./swipe -a $T -i $Q -d $D", "internal/swvector InterSeq (inter-sequence SWAR)"},
+	{"SWIPE", "1.0", "./swipe -a $T -i $Q -d $D", "internal/swvector InterSeq (" + swvector.NewInterSeq(sw.DefaultParams()).Name() + ")"},
 	{"STRIPED", "-", "./striped -T $T $Q $D", "internal/swvector Striped (Farrar SWAR)"},
 	{"SWPS3", "20080605", "./swps3 -j $T $Q $D", "internal/sw Scalar (scalar Gotoh reference)"},
 	{"CUDASW++", "2.0", "./cudasw -use_gpus $T -query $Q -db $D", "internal/cudasw on internal/gpusim"},

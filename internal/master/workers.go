@@ -28,8 +28,9 @@ func BuildWorkers(params sw.Params, cpus, gpus, topK int) []Worker {
 // different engines, so mixing them changes throughput and scheduling,
 // never results.
 type PoolSpec struct {
-	// CPU workers run the SWIPE-style inter-sequence SWAR engine
-	// (swvector.InterSeq), the paper's CPU backend.
+	// CPU workers run the SWIPE-style inter-sequence engine
+	// (swvector.InterSeq: AVX2 on amd64, SWAR elsewhere), the paper's
+	// CPU backend.
 	CPU int
 	// Striped workers run the Farrar-style striped SWAR engine
 	// (swvector.Striped).
@@ -84,7 +85,7 @@ func (s PoolSpec) count(backend string) int {
 
 // ParsePoolSpec parses a worker-pool spec like "cpu=4,striped=2,gpu=1":
 // comma-separated backend=count pairs, where backend is one of cpu
-// (inter-sequence SWAR), striped (striped SWAR), fine (fine-grained
+// (inter-sequence AVX2 or SWAR), striped (striped SWAR), fine (fine-grained
 // wavefront) or gpu (simulated Tesla C2050), and count is a
 // non-negative integer. Repeated backends accumulate. The empty string
 // parses to the zero spec (no pool requested); a non-empty spec must

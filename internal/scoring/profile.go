@@ -49,7 +49,7 @@ func NewStripedProfile8(m *Matrix, query []byte) (*StripedProfile8, error) {
 				pos := s + l*segLen
 				v := 0 // biased "minus infinity": raw score -bias
 				if pos < len(query) {
-					v = m.Score(byte(r), query[pos]) + int(bias)
+					v = m.Score(query[pos], byte(r)) + int(bias)
 				}
 				w |= uint64(uint8(v)) << (8 * l)
 			}
@@ -90,7 +90,7 @@ func NewStripedProfile16(m *Matrix, query []byte) *StripedProfile16 {
 				pos := s + l*segLen
 				v := 0
 				if pos < len(query) {
-					v = m.Score(byte(r), query[pos]) + int(bias)
+					v = m.Score(query[pos], byte(r)) + int(bias)
 				}
 				w |= uint64(uint16(v)) << (16 * l)
 			}

@@ -55,23 +55,26 @@ func TestAllocsStripedKernel16(t *testing.T) {
 }
 
 // TestAllocsInterSeqSteadyState pins the whole-task allocation budget of
-// the inter-sequence engine: with the kernel pooled, a Scores call may
-// allocate only its output slice and overflow bookkeeping — a constant,
-// not a function of the subject count.
+// the inter-sequence engine on both column kernels: with the kernel
+// pooled, a Scores call may allocate only its output slice, the driver's
+// lane table and overflow bookkeeping — a constant, not a function of the
+// subject count.
 func TestAllocsInterSeqSteadyState(t *testing.T) {
 	db := synth.RandomSet(alphabet.Protein, 64, 10, 150, 41)
 	query := synth.RandomSet(alphabet.Protein, 1, 80, 80, 42).Seqs[0].Residues
-	e := NewInterSeq(sw.DefaultParams())
-	e.Scores(query, db) // warm the kernel pool
-	// Budget: the out slice plus small escalation bookkeeping. The cap is
-	// deliberately a hard small constant — before pooling, this path cost
-	// O(queryLen) words per call.
-	const interAllocCap = 8
-	if avg := testing.AllocsPerRun(20, func() {
-		e.Scores(query, db)
-	}); avg > interAllocCap {
-		t.Fatalf("InterSeq.Scores allocates %.1f objects per call, cap %d", avg, interAllocCap)
-	}
+	eachKernel(t, func(t *testing.T, newEngine func(sw.Params) *InterSeq) {
+		e := newEngine(sw.DefaultParams())
+		e.Scores(query, db) // warm the kernel pool
+		// Budget: the out slice plus small escalation bookkeeping. The cap is
+		// deliberately a hard small constant — before pooling, this path cost
+		// O(queryLen) words per call.
+		const interAllocCap = 8
+		if avg := testing.AllocsPerRun(20, func() {
+			e.Scores(query, db)
+		}); avg > interAllocCap {
+			t.Fatalf("%s.Scores allocates %.1f objects per call, cap %d", e.Name(), avg, interAllocCap)
+		}
+	})
 }
 
 // TestAllocsStripedEngineSteadyState is the same budget for the striped

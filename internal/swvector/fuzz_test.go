@@ -14,7 +14,7 @@ import (
 
 // kernelCase is one FuzzKernelsAgree input in decoded form.
 type kernelCase struct {
-	matrix          uint8 // 0 BLOSUM62, 1 BLOSUM50, 2 scoring.Simple(match, mismatch)
+	matrix          uint8 // 0 BLOSUM62, 1 BLOSUM50, 2 scoring.Simple(match, mismatch), 3 asymmetricMatrix(match, mismatch)
 	match, mismatch uint8
 	gapStart        uint32
 	gapExtend       uint32
@@ -27,25 +27,49 @@ type kernelCase struct {
 const fuzzSep = 0xFF
 
 const (
-	fuzzMaxLen      = 1200 // per sequence: enough to reach 65535 with a strong matrix
-	fuzzMaxSubjects = 20
+	fuzzMaxLen      = 1200  // per sequence: enough to reach 65535 with a strong matrix
+	fuzzMaxSubjects = 40    // past the widest kernel's 32 lanes, so they refill
 	fuzzMaxGap      = 70000 // past the 16-bit lane ceiling
 )
 
 func (c kernelCase) params() sw.Params {
 	var m *scoring.Matrix
-	switch c.matrix % 3 {
+	switch c.matrix % 4 {
 	case 0:
 		m = scoring.BLOSUM62
 	case 1:
 		m = scoring.BLOSUM50
-	default:
+	case 2:
 		m = scoring.Simple("fuzz", alphabet.Protein.Len(), alphabet.Protein.Core(), 1+int(c.match%127), -1-int(c.mismatch%100))
+	default:
+		m = asymmetricMatrix(alphabet.Protein.Len(), c.match, c.mismatch)
 	}
 	return sw.Params{Matrix: m, Gaps: scoring.Gaps{
 		Start:  int(c.gapStart % (fuzzMaxGap + 1)),
 		Extend: 1 + int(c.gapExtend%fuzzMaxGap),
 	}}
+}
+
+// asymmetricMatrix returns an n x n matrix of pseudo-random scores in
+// [-1-b%16, 1+a%16], drawn independently on both sides of the diagonal:
+// S(x, y) != S(y, x) almost everywhere, so a kernel that swaps query and
+// subject when it indexes the matrix disagrees with the oracle.
+func asymmetricMatrix(n int, a, b uint8) *scoring.Matrix {
+	lo, hi := -1-int(b%16), 1+int(a%16)
+	x := uint32(a)<<8 | uint32(b)
+	table := make([][]int8, n)
+	for i := range table {
+		table[i] = make([]int8, n)
+		for j := range table[i] {
+			x = x*1664525 + 1013904223
+			table[i][j] = int8(lo + int(x>>16)%(hi-lo+1))
+		}
+	}
+	m, err := scoring.NewMatrix("fuzz-asym", table)
+	if err != nil {
+		panic(err)
+	}
+	return m
 }
 
 func (c kernelCase) db() *seq.Set {
@@ -69,23 +93,27 @@ func ceilingCase(c kernelCase, score int) kernelCase {
 	return c
 }
 
-// ceilingSeeds land exactly on, one below and one above each escalation
-// threshold: 127-K of the guard-bit lanes, 255-bias of the 8-bit striped
-// kernel and 65535-bias of the 16-bit one. want is the first subject's
-// score. The 16-bit seeds use match-only matrices whose match score
-// divides the target, so 1000 residues reach it.
+// ceilingSeeds land exactly on and either side of each escalation
+// threshold: 127-K of the guard-bit SWAR lanes, 254-bias of the AVX2
+// lanes (253-bias, 254-bias, 255-bias), 255-bias of the 8-bit striped
+// kernel — the same seeds, plus 256-bias — and 65535-bias of the 16-bit
+// one. want is the first subject's score. The 16-bit seeds use
+// match-only matrices whose match score divides the target, so 1000
+// residues reach it.
 func ceilingSeeds() (cases []kernelCase, want []int) {
 	add := func(c kernelCase, score int) {
 		cases = append(cases, ceilingCase(c, score))
 		want = append(want, score)
 	}
-	for _, d := range []int{-1, 0, 1} {
-		for _, c := range []kernelCase{
-			{matrix: 0, gapStart: 10, gapExtend: 1}, // BLOSUM62 10/2: K = 14, bias 4
-			{matrix: 1, gapStart: 0, gapExtend: 3},  // BLOSUM50 Gs=0 Ge=4: K = 8, bias 5
-		} {
-			p := c.params()
-			add(c, 127-NewInterSeq(p).offset+d)
+	for _, c := range []kernelCase{
+		{matrix: 0, gapStart: 10, gapExtend: 1}, // BLOSUM62 10/2: K = 14, bias 4
+		{matrix: 1, gapStart: 0, gapExtend: 3},  // BLOSUM50 Gs=0 Ge=4: K = 8, bias 5
+	} {
+		p := c.params()
+		for _, d := range []int{-1, 0, 1} {
+			add(c, newInterSeq(p, false).ceiling()+d)
+		}
+		for _, d := range []int{-2, -1, 0, 1} {
 			add(c, 255+p.Matrix.Min()+d)
 		}
 	}
@@ -107,10 +135,11 @@ func TestCeilingSeedsLandOnCeilings(t *testing.T) {
 	}
 }
 
-// FuzzKernelsAgree is the differential fuzzer of every CPU engine
-// against the sw.Score oracle: fuzzed matrix choice, gap model (Gs == 0
-// and costs beyond every lane ceiling included), query and up to 20
-// subjects, empty ones included.
+// FuzzKernelsAgree is the differential fuzzer of every CPU engine, and
+// both column kernels of the inter-sequence one, against the sw.Score
+// oracle: fuzzed matrix choice (an asymmetric one included), gap model
+// (Gs == 0 and costs beyond every lane ceiling included), query and up
+// to 40 subjects, empty ones included.
 func FuzzKernelsAgree(f *testing.F) {
 	seeds, _ := ceilingSeeds()
 	q := alphabet.Protein.MustEncode("MKWVTFISLLFLFSSAYSRGVFRRDAHKSEVAHRFKDLGEENFK")
@@ -125,7 +154,9 @@ func FuzzKernelsAgree(f *testing.F) {
 		kernelCase{matrix: 2, match: 119, mismatch: 2, gapStart: 10, query: q, subjects: some},                                        // no 7-bit range left
 		kernelCase{matrix: 2, match: 4, mismatch: 3, gapStart: 3, query: q, subjects: []byte{}},                                       // one empty subject
 		kernelCase{matrix: 0, gapStart: 10, gapExtend: 1, query: nil, subjects: q},                                                    // empty query
-		kernelCase{matrix: 0, gapStart: 10, gapExtend: 1, query: q, subjects: bytes.Repeat(append(slices.Clone(q[:7]), fuzzSep), 19)}, // refills
+		kernelCase{matrix: 0, gapStart: 10, gapExtend: 1, query: q, subjects: bytes.Repeat(append(slices.Clone(q[:7]), fuzzSep), 39)}, // refills
+		kernelCase{matrix: 3, match: 5, mismatch: 9, gapStart: 3, gapExtend: 0, query: q, subjects: some},                             // S(x, y) != S(y, x)
+		kernelCase{matrix: 3, match: 200, mismatch: 1, gapStart: 0, gapExtend: 1, query: q[:20], subjects: some},                      // asymmetric and mostly positive: lanes overflow
 	)
 	for _, c := range seeds {
 		f.Add(c.matrix, c.match, c.mismatch, c.gapStart, c.gapExtend, c.query, c.subjects)
@@ -137,8 +168,11 @@ func FuzzKernelsAgree(f *testing.F) {
 		for i := range db.Seqs {
 			want[i] = sw.Score(p, c.query, db.Seqs[i].Residues)
 		}
+		// NewInterSeq is the dispatching engine; newInterSeq(p, false) is
+		// the SWAR column it falls back to, which an AVX2 machine would
+		// otherwise never run.
 		for _, eng := range []sw.Engine{
-			sw.NewScalar(p), NewInterSeq(p), NewStriped(p), swpar.NewEngine(p, swpar.Config{}),
+			sw.NewScalar(p), NewInterSeq(p), newInterSeq(p, false), NewStriped(p), swpar.NewEngine(p, swpar.Config{}),
 		} {
 			if got := eng.Scores(c.query, db); !slices.Equal(got, want) {
 				t.Fatalf("%s disagrees with sw.Score under %s %+v:\n got  %v\n want %v", eng.Name(), p.Matrix.Name(), p.Gaps, got, want)

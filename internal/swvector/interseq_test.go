@@ -10,6 +10,8 @@ import (
 	"swdual/internal/scoring"
 	"swdual/internal/seq"
 	"swdual/internal/sw"
+	"swdual/internal/swpar"
+	"swdual/internal/synth"
 )
 
 // TestGuardLanePrimitives checks max7 and anyGT7 over all 128 x 128
@@ -90,13 +92,31 @@ func selfScoring(m *scoring.Matrix, target int) []byte {
 	return out
 }
 
+// lanes and ceiling describe the column kernel an engine was built on: how
+// many subjects it aligns at once and the largest score a lane holds
+// exactly.
+func (e *InterSeq) lanes() int {
+	if e.vector {
+		return avx2Lanes
+	}
+	return Lanes8Count
+}
+
+func (e *InterSeq) ceiling() int {
+	if e.vector {
+		return 254 - int(e.avx2.consts[0])
+	}
+	return 127 - e.swar.offset
+}
+
+// oracleOnly reports whether the parameters left the engine's kernel no
+// usable lane range.
+func (e *InterSeq) oracleOnly() bool { return e.avx2 == nil && e.swar == nil }
+
 // flaggedBy runs the inter-sequence kernel alone and returns the subject
 // indexes it retired with the overflow flag set, in database order.
 func flaggedBy(e *InterSeq, query []byte, db *seq.Set) []int {
-	var flagged []int
-	k := newInterKernel(e, query)
-	k.run(db, make([]int, db.Len()), &flagged)
-	k.release()
+	flagged := e.scoreLanes(query, db, make([]int, db.Len()))
 	slices.Sort(flagged)
 	return flagged
 }
@@ -111,127 +131,146 @@ func checkAgainstOracle(t *testing.T, p sw.Params, eng sw.Engine, query []byte, 
 	}
 }
 
-// TestInterSeqOverflowRescore pins the 127-K escalation threshold from
-// both sides — a subject scoring exactly 127-K stays in its lane, one
-// scoring 127-K+1 retires flagged — and then runs a self-match far beyond
-// it. Either way the engine's answer is the oracle's.
+// TestInterSeqOverflowRescore pins each kernel's escalation threshold
+// (127-K, 254-bias) from both sides — a subject scoring exactly the
+// ceiling stays in its lane, one scoring a point more retires flagged —
+// and then runs a self-match far beyond it. Either way the engine's
+// answer is the oracle's.
 func TestInterSeqOverflowRescore(t *testing.T) {
-	for _, p := range []sw.Params{
-		params(), // K = 14
-		{Matrix: scoring.BLOSUM50, Gaps: scoring.Gaps{Start: 0, Extend: 4}}, // Gs == 0, K = 8
-		{Matrix: scoring.BLOSUM62, Gaps: scoring.Gaps{Start: 0, Extend: 1}}, // K = bias = 4 > OpenCost+Extend
-	} {
-		e := NewInterSeq(p)
-		if e.narrow {
-			t.Fatalf("%s %+v: lanes unexpectedly narrow", p.Matrix.Name(), p.Gaps)
+	eachKernel(t, func(t *testing.T, newEngine func(sw.Params) *InterSeq) {
+		for _, p := range []sw.Params{
+			params(), // K = 14, bias 4
+			{Matrix: scoring.BLOSUM50, Gaps: scoring.Gaps{Start: 0, Extend: 4}}, // Gs == 0, K = 8, bias 5
+			{Matrix: scoring.BLOSUM62, Gaps: scoring.Gaps{Start: 0, Extend: 1}}, // K = bias = 4 > OpenCost+Extend
+		} {
+			e := newEngine(p)
+			if e.oracleOnly() {
+				t.Fatalf("%s %+v: lanes unexpectedly without range", p.Matrix.Name(), p.Gaps)
+			}
+			ceiling := e.ceiling()
+			for _, score := range []int{ceiling - 1, ceiling, ceiling + 1} {
+				q := selfScoring(p.Matrix, score)
+				db := seq.NewSet(alphabet.Protein)
+				db.AddEncoded("short", "", q[:2])
+				db.AddEncoded("self", "", q)
+				db.AddEncoded("short2", "", q[1:3])
+				if got := sw.Score(p, q, q); got != score {
+					t.Fatalf("self score %d, built for %d", got, score)
+				}
+				var wantFlagged []int
+				if score > ceiling {
+					wantFlagged = []int{1}
+				}
+				if got := flaggedBy(e, q, db); !slices.Equal(got, wantFlagged) {
+					t.Fatalf("%s ceiling %d score %d: flagged %v want %v", p.Matrix.Name(), ceiling, score, got, wantFlagged)
+				}
+				checkAgainstOracle(t, p, e, q, db)
+			}
 		}
-		ceiling := 127 - e.offset
-		for _, score := range []int{ceiling - 1, ceiling, ceiling + 1} {
-			q := selfScoring(p.Matrix, score)
-			db := seq.NewSet(alphabet.Protein)
-			db.AddEncoded("short", "", q[:2])
-			db.AddEncoded("self", "", q)
-			db.AddEncoded("short2", "", q[1:3])
-			if got := sw.Score(p, q, q); got != score {
-				t.Fatalf("self score %d, built for %d", got, score)
-			}
-			var wantFlagged []int
-			if score > ceiling {
-				wantFlagged = []int{1}
-			}
-			if got := flaggedBy(e, q, db); !slices.Equal(got, wantFlagged) {
-				t.Fatalf("%s K=%d score %d: flagged %v want %v", p.Matrix.Name(), e.offset, score, got, wantFlagged)
-			}
-			checkAgainstOracle(t, p, e, q, db)
+		p := params()
+		long := make([]byte, 500)
+		for i := range long {
+			long[i] = byte(i % 20)
 		}
-	}
-	p := params()
-	long := make([]byte, 500)
-	for i := range long {
-		long[i] = byte(i % 20)
-	}
-	db := seq.NewSet(alphabet.Protein)
-	db.AddEncoded("self", "", long)
-	db.AddEncoded("short", "", long[:10])
-	checkAgainstOracle(t, p, NewInterSeq(p), long, db)
+		db := seq.NewSet(alphabet.Protein)
+		db.AddEncoded("self", "", long)
+		db.AddEncoded("short", "", long[:10])
+		checkAgainstOracle(t, p, newEngine(p), long, db)
+	})
 }
 
 // TestInterSeqLaneIsolation saturates one lane — far past the point
-// where its masked garbage wraps — while the seven neighbours hold
-// low-scoring subjects, in every lane position: the saturated lane must
-// be the only one flagged and all eight scores must equal the oracle.
+// where the SWAR kernel's masked garbage wraps — while its neighbours
+// hold low-scoring subjects, in every lane position: the saturated lane
+// must be the only one flagged and all scores must equal the oracle.
 func TestInterSeqLaneIsolation(t *testing.T) {
-	p := params()
-	e := NewInterSeq(p)
-	rng := rand.New(rand.NewSource(17))
-	long := make([]byte, 300)
-	for i := range long {
-		long[i] = byte(i % 20)
-	}
-	for hot := 0; hot < Lanes8Count; hot++ {
-		db := seq.NewSet(alphabet.Protein)
-		for l := 0; l < Lanes8Count; l++ {
-			if l == hot {
-				db.AddEncoded("hot", "", long)
-			} else {
-				db.AddEncoded("cold", "", randSeq(rng, 250+rng.Intn(100)))
+	eachKernel(t, func(t *testing.T, newEngine func(sw.Params) *InterSeq) {
+		p := params()
+		e := newEngine(p)
+		rng := rand.New(rand.NewSource(17))
+		long := make([]byte, 300)
+		for i := range long {
+			long[i] = byte(i % 20)
+		}
+		for hot := 0; hot < e.lanes(); hot++ {
+			db := seq.NewSet(alphabet.Protein)
+			for l := 0; l < e.lanes(); l++ {
+				if l == hot {
+					db.AddEncoded("hot", "", long)
+				} else {
+					db.AddEncoded("cold", "", randSeq(rng, 250+rng.Intn(100)))
+				}
 			}
+			if got := flaggedBy(e, long, db); !slices.Equal(got, []int{hot}) {
+				t.Fatalf("hot lane %d: flagged %v", hot, got)
+			}
+			checkAgainstOracle(t, p, e, long, db)
 		}
-		if got := flaggedBy(e, long, db); !slices.Equal(got, []int{hot}) {
-			t.Fatalf("hot lane %d: flagged %v", hot, got)
-		}
-		checkAgainstOracle(t, p, e, long, db)
-	}
+	})
 }
 
 // TestInterSeqDatabaseShapes runs databases around the lane count, with
-// empty sequences where the kernel primes and refills its lanes.
+// empty sequences where the driver primes and refills its lanes.
 func TestInterSeqDatabaseShapes(t *testing.T) {
-	p := params()
-	e := NewInterSeq(p)
-	rng := rand.New(rand.NewSource(23))
-	q := randSeq(rng, 60)
-	for _, n := range []int{0, 1, 7, 8, 9} {
-		// empties are the database indexes that hold an empty sequence:
-		// first, last, around the first refill (index 8), and in a run.
-		for _, empties := range [][]int{nil, {0}, {n}, {0, 1, n + 2}, {7, 8, 9}} {
-			db := seq.NewSet(alphabet.Protein)
-			for i, real := 0, 0; real < n || slices.Contains(empties, i); i++ {
-				if slices.Contains(empties, i) {
-					db.AddEncoded("empty", "", nil)
-					continue
+	eachKernel(t, func(t *testing.T, newEngine func(sw.Params) *InterSeq) {
+		p := params()
+		e := newEngine(p)
+		L := e.lanes()
+		rng := rand.New(rand.NewSource(23))
+		q := randSeq(rng, 60)
+		for _, n := range []int{0, 1, L - 1, L, L + 1} {
+			// empties are the database indexes that hold an empty sequence:
+			// first, last, around the first refill (index L), and in a run.
+			for _, empties := range [][]int{nil, {0}, {n}, {0, 1, n + 2}, {L - 1, L, L + 1}} {
+				db := seq.NewSet(alphabet.Protein)
+				for i, real := 0, 0; real < n || slices.Contains(empties, i); i++ {
+					if slices.Contains(empties, i) {
+						db.AddEncoded("empty", "", nil)
+						continue
+					}
+					// Unequal lengths, so lanes retire and refill one at a time.
+					db.AddEncoded("s", "", randSeq(rng, 5+rng.Intn(40)))
+					real++
 				}
-				// Unequal lengths, so lanes retire and refill one at a time.
-				db.AddEncoded("s", "", randSeq(rng, 5+rng.Intn(40)))
-				real++
+				checkAgainstOracle(t, p, e, q, db)
 			}
-			checkAgainstOracle(t, p, e, q, db)
 		}
-	}
+	})
 }
 
-// TestInterSeqNarrowLanes covers parameter sets that leave the 7-bit
+// TestInterSeqNarrowLanes covers parameter sets that leave a kernel's
 // lanes no usable range: every subject must take the escalation route
 // and still equal the oracle.
 func TestInterSeqNarrowLanes(t *testing.T) {
-	rng := rand.New(rand.NewSource(29))
-	wide := scoring.Simple("wide", alphabet.Protein.Len(), alphabet.Protein.Core(), 120, -3)
-	for _, p := range []sw.Params{
-		{Matrix: wide, Gaps: scoring.DefaultGaps},
-		{Matrix: scoring.BLOSUM62, Gaps: scoring.Gaps{Start: 100, Extend: 10}},
+	core := alphabet.Protein.Core()
+	for _, tc := range []struct {
+		p          sw.Params
+		swar, avx2 bool // the kernel has no range
+	}{
+		{sw.Params{Matrix: scoring.Simple("wide", alphabet.Protein.Len(), core, 120, -3), Gaps: scoring.DefaultGaps}, true, false},
+		{sw.Params{Matrix: scoring.BLOSUM62, Gaps: scoring.Gaps{Start: 100, Extend: 10}}, true, false},
+		{sw.Params{Matrix: scoring.Simple("full", alphabet.Protein.Len(), core, 127, -128), Gaps: scoring.DefaultGaps}, true, true},
+		{sw.Params{Matrix: scoring.BLOSUM62, Gaps: scoring.Gaps{Start: -1, Extend: 2}}, true, true},
 	} {
-		e := NewInterSeq(p)
-		if !e.narrow {
-			t.Fatalf("%s %+v: expected narrow lanes", p.Matrix.Name(), p.Gaps)
-		}
-		q := randSeq(rng, 70)
-		db := seq.NewSet(alphabet.Protein)
-		db.AddEncoded("self", "", q)
-		db.AddEncoded("empty", "", nil)
-		for i := 0; i < 10; i++ {
-			db.AddEncoded("s", "", randSeq(rng, 1+rng.Intn(90)))
-		}
-		checkAgainstOracle(t, p, e, q, db)
+		eachKernel(t, func(t *testing.T, newEngine func(sw.Params) *InterSeq) {
+			e := newEngine(tc.p)
+			want := tc.swar
+			if e.vector {
+				want = tc.avx2
+			}
+			if e.oracleOnly() != want {
+				t.Fatalf("%s %+v: oracle-only = %v, want %v", tc.p.Matrix.Name(), tc.p.Gaps, e.oracleOnly(), want)
+			}
+			rng := rand.New(rand.NewSource(29))
+			q := randSeq(rng, 70)
+			db := seq.NewSet(alphabet.Protein)
+			db.AddEncoded("self", "", q)
+			db.AddEncoded("empty", "", nil)
+			for i := 0; i < 40; i++ {
+				db.AddEncoded("s", "", randSeq(rng, 1+rng.Intn(90)))
+			}
+			checkAgainstOracle(t, tc.p, e, q, db)
+		})
 	}
 }
 
@@ -259,8 +298,87 @@ func TestHugeGapCosts(t *testing.T) {
 		p := sw.Params{Matrix: scoring.BLOSUM62, Gaps: tc.gaps}
 		db := seq.NewSet(alphabet.Protein)
 		db.AddEncoded("gapped", "", tc.subject)
-		for _, eng := range []sw.Engine{NewInterSeq(p), NewStriped(p)} {
+		for _, eng := range append(interSeqs(p), NewStriped(p)) {
 			checkAgainstOracle(t, p, eng, tc.query, db)
 		}
+	}
+}
+
+// TestAsymmetricMatrix is the regression test for the vector kernels
+// indexing the substitution matrix transposed — row = subject residue,
+// where the oracle has row = query residue. Every shipped matrix is
+// symmetric, so only a user-supplied one showed it: the kernels used to
+// answer 12 here, the score with query and subject swapped.
+func TestAsymmetricMatrix(t *testing.T) {
+	m, err := scoring.NewMatrix("asym", [][]int8{{2, -3, 5, -1}, {-1, 3, -2, -3}, {-4, 1, 2, 4}, {-2, -2, -1, 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := sw.Params{Matrix: m, Gaps: scoring.Gaps{Start: 2, Extend: 1}}
+	q := []byte{0, 0, 2, 1, 3, 0, 2, 2, 1}
+	db := seq.NewSet(alphabet.DNA)
+	db.AddEncoded("d", "", []byte{2, 2, 3, 1, 0, 2, 3, 3, 1, 0})
+	if got := sw.Score(p, q, db.Seqs[0].Residues); got != 31 {
+		t.Fatalf("oracle scores %d, the case was built for 31", got)
+	}
+	for _, eng := range append(interSeqs(p), NewStriped(p), sw.NewScalar(p), swpar.NewEngine(p, swpar.Config{})) {
+		checkAgainstOracle(t, p, eng, q, db)
+	}
+}
+
+// TestAVX2ProfileGather checks the column profile avx2Columns builds
+// against the matrix: every residue code, the idle code included, in
+// every lane, for every query code.
+func TestAVX2ProfileGather(t *testing.T) {
+	if !hasAVX2 {
+		t.Skip("this CPU has no AVX2")
+	}
+	m := asymmetricMatrix(32, 5, 9)
+	tab := newAVX2Tables(sw.Params{Matrix: m, Gaps: scoring.DefaultGaps})
+	bias := -m.Min()
+	// A query holding the largest code makes a column build all 32 rows.
+	k := newAVX2Kernel(tab, []byte{31})
+	defer k.release()
+	for shift := 0; shift <= idleCode; shift++ {
+		var res [maxLanes][]byte
+		for l := range res {
+			res[l] = []byte{byte((l + shift) % (idleCode + 1))}
+		}
+		k.advance(&res, 1)
+		for q := range k.prof {
+			for l, got := range k.prof[q] {
+				want := 0 // an idle lane: the most negative score, biased
+				if d := res[l][0]; d != idleCode {
+					want = m.Score(byte(q), d) + bias
+				}
+				if int(got) != want {
+					t.Fatalf("prof[%d][lane %d] with residue %d = %d, want %d", q, l, res[l][0], got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestInterSeqDispatch checks that the CPUID answer only chooses the
+// column kernel: the engine NewInterSeq builds says which one runs, and
+// one built with the vector path forced off returns identical scores,
+// through lane overflow and refill.
+func TestInterSeqDispatch(t *testing.T) {
+	p := params()
+	e := NewInterSeq(p)
+	want := "interseq-swar"
+	if hasAVX2 {
+		want = "interseq-avx2"
+	}
+	if e.Name() != want {
+		t.Fatalf("NewInterSeq built %s on a CPU with AVX2 = %v", e.Name(), hasAVX2)
+	}
+	rng := rand.New(rand.NewSource(43))
+	q := randSeq(rng, 200)
+	db := synth.RandomSet(alphabet.Protein, 150, 1, 300, 44)
+	db.AddEncoded("self", "", q)
+	db.AddEncoded("half", "", q[:100])
+	if got, want := e.Scores(q, db), newInterSeq(p, false).Scores(q, db); !slices.Equal(got, want) {
+		t.Fatalf("%s and the SWAR column disagree:\n got  %v\n want %v", e.Name(), got, want)
 	}
 }

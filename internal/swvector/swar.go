@@ -1,38 +1,56 @@
 // Package swvector implements the two CPU SIMD Smith-Waterman strategies
-// the paper's baselines rely on, using SWAR (SIMD Within A Register) on
-// uint64 words in place of SSE2 registers:
+// the paper's baselines rely on:
 //
 //   - the Rognes SWIPE inter-sequence vectorization (InterSeq), the kernel
-//     the worker pool runs: one query against 8 database sequences, one
-//     per byte lane;
+//     the worker pool runs: one query against one database sequence per
+//     byte lane, finished lanes refilled from the rest of the database;
 //   - the Farrar "striped" intra-sequence vectorization (STRIPED, SWPS3),
 //     with the lazy-F correction loop and 8-bit -> 16-bit -> scalar
 //     overflow escalation.
 //
-// The two kernels use different lane arithmetic.
+// InterSeq has one lane driver and two column kernels under it. Which one
+// runs is decided once, when the package is initialised, from CPUID; no
+// option, flag or build tag selects it.
 //
-// InterSeq keeps a 7-bit payload in each byte and bit 7 as a guard, and
-// stores H, E and F offset by K = max(OpenCost+Extend, bias). In that
-// domain H' >= K and E', F' >= K-OpenCost >= Extend hold in every lane
-// whatever happened before, so the gap recurrences are plain word
+// The AVX2 column (amd64 with AVX2; Go assembler, swipe_avx2_amd64.s)
+// holds 32 lanes of plain unsigned bytes in a YMM register. VPADDUSB,
+// VPSUBUSB and VPMAXUB saturate per byte, so H, E and F need no offset
+// and no guard: a value that would be negative is 0, which loses to
+// H >= 0 exactly as the negative value would. The diagonal term is
+// diag + (S + bias) saturated at 255, less bias; a lane whose running
+// maximum stays below 255-bias therefore never saturated, and is exact
+// for scores up to 254-bias (250 with BLOSUM62). The column profile —
+// S(q, d) + bias for the 32 residues d the lanes consume, one row per
+// query residue code q — is two PSHUFB lookups per code into a 32 x 32
+// table.
+//
+// The SWAR column (everywhere else; pure Go, swipe_swar.go) emulates 8
+// lanes in a uint64. It keeps a 7-bit payload in each byte and bit 7 as a
+// guard, and stores H, E and F offset by K = max(OpenCost+Extend, bias).
+// In that domain H' >= K and E', F' >= K-OpenCost >= Extend hold in every
+// lane whatever happened before, so the gap recurrences are plain word
 // subtractions that cannot borrow, a maximum is 7 ALU ops through the
 // guard bit (max7), and nothing in the inner loop saturates. The one
 // value that can leave the 7-bit range is the diagonal term; its bit 7
 // is OR-accumulated as the lane's overflow flag and then masked off, so
 // a saturated lane computes garbage but never carries into a neighbour.
 // A lane therefore holds exact scores up to 127-K (113 with BLOSUM62 and
-// the default 10/2 gaps); a subject that scores more retires flagged and
-// is rescored by the scalar oracle.
+// the default 10/2 gaps).
 //
-// The striped kernels keep full 8- and 16-bit unsigned lanes with
-// saturating add/subtract built from an even/odd split into double-width
-// sub-lanes (addSat8 and friends below): slower per operation, but they
-// reach 255-bias and 65535-bias.
+// Under either column a subject that scores more than its lane holds
+// retires flagged and is rescored by the scalar oracle. The SWAR column
+// is also the AVX2 one's differential oracle: every kernel test and
+// FuzzKernelsAgree run both.
 //
-// Both produce scores identical to the scalar oracle in package sw.
+// The striped kernels keep full 8- and 16-bit unsigned lanes in uint64
+// words with saturating add/subtract built from an even/odd split into
+// double-width sub-lanes (addSat8 and friends below): slower per
+// operation, but they reach 255-bias and 65535-bias.
+//
+// All of them produce scores identical to the scalar oracle in package sw.
 package swvector
 
-// 7-bit guard lanes (the inter-sequence kernel).
+// 7-bit guard lanes (the inter-sequence SWAR column).
 
 const (
 	guard8 = 0x8080808080808080 // bit 7 of every byte: the guard

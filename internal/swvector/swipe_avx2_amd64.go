@@ -1,0 +1,38 @@
+package swvector
+
+// hasAVX2 reports whether avx2Columns can run here: the CPU has AVX2 and
+// the operating system saves the YMM registers across context switches.
+var hasAVX2 = detectAVX2()
+
+func detectAVX2() bool {
+	const (
+		osxsave = 1 << 27 // CPUID.1:ECX
+		avx     = 1 << 28 // CPUID.1:ECX
+		avx2    = 1 << 5  // CPUID.7.0:EBX
+		ymmXMM  = 0b110   // XCR0: SSE and AVX state enabled
+	)
+	if maxLeaf, _, _, _ := cpuid(0, 0); maxLeaf < 7 {
+		return false
+	}
+	if _, _, c, _ := cpuid(1, 0); c&osxsave == 0 || c&avx == 0 {
+		return false
+	}
+	if xcr0, _ := xgetbv(); xcr0&ymmXMM != ymmXMM {
+		return false
+	}
+	_, b, _, _ := cpuid(7, 0)
+	return b&avx2 != 0
+}
+
+func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
+
+func xgetbv() (eax, edx uint32)
+
+// avx2Columns advances the 32-lane DP by n >= 1 columns: in column j
+// lane l consumes res[l][j], so every res[l] must hold n residues. cells
+// is rows 64-byte {H, E} rows, query the rows residue codes, all below
+// codes <= 32; prof is scratch for the column profile; laneMax is read
+// and updated. See swipe_avx2.go for the layouts.
+//
+//go:noescape
+func avx2Columns(cells, query *byte, rows int, table *[32][32]byte, codes int, prof *[32][32]byte, consts *[3]byte, laneMax *[32]byte, res *[maxLanes][]byte, n int)

@@ -2,6 +2,7 @@ package swvector
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -175,21 +176,31 @@ func TestStripedOverflowEscalation(t *testing.T) {
 	}
 }
 
-func TestInterSeqMatchesScalar(t *testing.T) {
-	p := params()
-	rng := rand.New(rand.NewSource(5))
-	for iter := 0; iter < 20; iter++ {
-		q := randSeq(rng, 1+rng.Intn(80))
-		db := synth.RandomSet(alphabet.Protein, 1+rng.Intn(30), 1, 150, int64(iter))
-		want := sw.NewScalar(p).Scores(q, db)
-		got := NewInterSeq(p).Scores(q, db)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("iter %d seq %d: interseq=%d scalar=%d (|q|=%d |d|=%d)",
-					iter, i, got[i], want[i], len(q), db.Seqs[i].Len())
-			}
+// eachKernel runs f once per column kernel of the inter-sequence engine,
+// as subtests swar and avx2; the latter skips on a CPU without AVX2.
+// newEngine builds the engine on that kernel.
+func eachKernel(t *testing.T, f func(t *testing.T, newEngine func(sw.Params) *InterSeq)) {
+	t.Run("swar", func(t *testing.T) {
+		f(t, func(p sw.Params) *InterSeq { return newInterSeq(p, false) })
+	})
+	t.Run("avx2", func(t *testing.T) {
+		if !hasAVX2 {
+			t.Skip("this CPU has no AVX2")
 		}
-	}
+		f(t, func(p sw.Params) *InterSeq { return newInterSeq(p, true) })
+	})
+}
+
+func TestInterSeqMatchesScalar(t *testing.T) {
+	eachKernel(t, func(t *testing.T, newEngine func(sw.Params) *InterSeq) {
+		p := params()
+		rng := rand.New(rand.NewSource(5))
+		for iter := 0; iter < 20; iter++ {
+			q := randSeq(rng, 1+rng.Intn(80))
+			db := synth.RandomSet(alphabet.Protein, 1+rng.Intn(70), 1, 150, int64(iter))
+			checkAgainstOracle(t, p, newEngine(p), q, db)
+		}
+	})
 }
 
 func TestInterSeqEmptyAndTiny(t *testing.T) {
@@ -199,13 +210,9 @@ func TestInterSeqEmptyAndTiny(t *testing.T) {
 	db.AddEncoded("one", "", []byte{0})
 	db.AddEncoded("empty2", "", nil)
 	q := alphabet.Protein.MustEncode("ARNDA")
-	got := NewInterSeq(p).Scores(q, db)
-	want := sw.NewScalar(p).Scores(q, db)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("seq %d: got %d want %d", i, got[i], want[i])
-		}
-	}
+	eachKernel(t, func(t *testing.T, newEngine func(sw.Params) *InterSeq) {
+		checkAgainstOracle(t, p, newEngine(p), q, db)
+	})
 }
 
 func TestStripedAndInterSeqAgree(t *testing.T) {
@@ -213,12 +220,14 @@ func TestStripedAndInterSeqAgree(t *testing.T) {
 	db := synth.RandomSet(alphabet.Protein, 30, 1, 200, 63)
 	q := randSeq(rand.New(rand.NewSource(64)), 90)
 	striped := NewStriped(p).Scores(q, db)
-	inter := NewInterSeq(p).Scores(q, db)
-	for i := range striped {
-		if striped[i] != inter[i] {
-			t.Fatalf("seq %d: striped=%d interseq=%d", i, striped[i], inter[i])
+	eachKernel(t, func(t *testing.T, newEngine func(sw.Params) *InterSeq) {
+		inter := newEngine(p).Scores(q, db)
+		for i := range striped {
+			if striped[i] != inter[i] {
+				t.Fatalf("seq %d: striped=%d interseq=%d", i, striped[i], inter[i])
+			}
 		}
-	}
+	})
 }
 
 // TestQuickStripedEqualsScalar is the module's central property-based
@@ -243,35 +252,30 @@ func TestQuickStripedEqualsScalar(t *testing.T) {
 
 // TestQuickInterSeqEqualsScalar property-checks the inter-sequence engine.
 func TestQuickInterSeqEqualsScalar(t *testing.T) {
-	p := params()
-	eng := NewInterSeq(p)
-	f := func(qr []byte, subjects [][]byte) bool {
-		q := clampResidues(qr, 100)
-		if len(q) == 0 {
-			return true
-		}
-		db := seq.NewSet(alphabet.Protein)
-		for i, s := range subjects {
-			if i == 12 {
-				break
+	eachKernel(t, func(t *testing.T, newEngine func(sw.Params) *InterSeq) {
+		p := params()
+		eng := newEngine(p)
+		f := func(qr []byte, subjects [][]byte) bool {
+			q := clampResidues(qr, 100)
+			if len(q) == 0 {
+				return true
 			}
-			db.AddEncoded("s", "", clampResidues(s, 140))
-		}
-		if db.Len() == 0 {
-			return true
-		}
-		got := eng.Scores(q, db)
-		want := sw.NewScalar(p).Scores(q, db)
-		for i := range want {
-			if got[i] != want[i] {
-				return false
+			db := seq.NewSet(alphabet.Protein)
+			for i, s := range subjects {
+				if i == 40 {
+					break
+				}
+				db.AddEncoded("s", "", clampResidues(s, 140))
 			}
+			if db.Len() == 0 {
+				return true
+			}
+			return slices.Equal(eng.Scores(q, db), sw.NewScalar(p).Scores(q, db))
 		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
+		if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 // clampResidues maps arbitrary fuzz bytes into valid residue codes and
@@ -298,11 +302,21 @@ func TestZeroOpenGapRegression(t *testing.T) {
 	want := sw.Score(p, q, d)
 	db := seq.NewSet(alphabet.Protein)
 	db.AddEncoded("x", "", d)
-	for _, eng := range []sw.Engine{NewStriped(p), NewInterSeq(p)} {
+	for _, eng := range append(interSeqs(p), NewStriped(p)) {
 		if got := eng.Scores(q, db)[0]; got != want {
 			t.Fatalf("%s: got %d want %d", eng.Name(), got, want)
 		}
 	}
+}
+
+// interSeqs returns the inter-sequence engine on every column kernel this
+// CPU can run, for tests that loop over engines.
+func interSeqs(p sw.Params) []sw.Engine {
+	engines := []sw.Engine{newInterSeq(p, false)}
+	if hasAVX2 {
+		engines = append(engines, newInterSeq(p, true))
+	}
+	return engines
 }
 
 // TestQuickStripedZeroOpenGap fuzzes the exact-propagation path.

@@ -52,8 +52,8 @@ type Options struct {
 	GPUs int
 	// Pool selects a heterogeneous worker pool as a spec string of
 	// comma-separated backend=count pairs, e.g. "cpu=2,striped=1,gpu=1".
-	// Valid backends: "cpu" (inter-sequence SWAR, the paper's CPU
-	// engine), "striped" (striped SWAR), "fine" (fine-grained
+	// Valid backends: "cpu" (inter-sequence AVX2 or SWAR, the paper's
+	// CPU engine), "striped" (striped SWAR), "fine" (fine-grained
 	// wavefront), "gpu" (simulated Tesla C2050). All backends compute
 	// exact scores, so mixing them changes throughput and scheduling,
 	// never results; each worker's advertised rate only seeds a live
