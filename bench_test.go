@@ -1,8 +1,8 @@
 package swdual_test
 
 // Benchmarks regenerating every table and figure of the paper's
-// evaluation (§V), plus kernel micro-benchmarks measuring the native Go
-// throughput of each alignment engine. Run with:
+// evaluation (§V), plus search-path and micro-benchmarks of what
+// benchmark/ does not gate or probe. Run with:
 //
 //	go test -bench=. -benchmem
 //
@@ -13,7 +13,6 @@ package swdual_test
 import (
 	"context"
 	"fmt"
-	"net"
 	"path/filepath"
 	"runtime"
 	"sync/atomic"
@@ -27,8 +26,6 @@ import (
 	"swdual/internal/platform"
 	"swdual/internal/sched"
 	"swdual/internal/sw"
-	"swdual/internal/swpar"
-	"swdual/internal/swvector"
 	"swdual/internal/synth"
 )
 
@@ -236,68 +233,6 @@ func BenchmarkShardedSearch(b *testing.B) {
 	}
 }
 
-// BenchmarkRemoteShardedSearch prices the transport swap: the same
-// scatter/gather once over localhost TCP shard servers (cluster serve)
-// and once over in-process shards, for 1, 2 and 4 shards. The hits are
-// byte-identical either way; the delta is pure wire cost (framing,
-// syscalls, one coalescing hop per shard).
-func BenchmarkRemoteShardedSearch(b *testing.B) {
-	db, queries := benchSearchData(b)
-	for _, shards := range []int{1, 2, 4} {
-		opt := swdual.Options{CPUs: 1, GPUs: 1, TopK: 5, ShardSplit: "balanced"}
-
-		b.Run(fmt.Sprintf("remote/shards=%d", shards), func(b *testing.B) {
-			addrs := make([]string, shards)
-			listeners := make([]net.Listener, shards)
-			for i := 0; i < shards; i++ {
-				l, err := net.Listen("tcp", "127.0.0.1:0")
-				if err != nil {
-					b.Fatal(err)
-				}
-				listeners[i] = l
-				addrs[i] = l.Addr().String()
-				go swdual.ServeShard(l, db, i, shards, opt)
-			}
-			defer func() {
-				for _, l := range listeners {
-					l.Close()
-				}
-			}()
-			coordOpt := opt
-			coordOpt.RemoteShards = addrs
-			s, err := swdual.NewSearcher(db, coordOpt)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer s.Close()
-			ctx := context.Background()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := s.Search(ctx, queries, swdual.SearchOptions{}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-
-		b.Run(fmt.Sprintf("inproc/shards=%d", shards), func(b *testing.B) {
-			inOpt := opt
-			inOpt.Shards = shards
-			s, err := swdual.NewSearcher(db, inOpt)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer s.Close()
-			ctx := context.Background()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := s.Search(ctx, queries, swdual.SearchOptions{}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkMixedPoolSearch compares homogeneous worker pools against
 // heterogeneous pool specs mixing the inter-sequence, striped,
 // fine-grained and GPU backends. Hits are byte-identical across specs
@@ -443,7 +378,10 @@ func sanitize(s string) string {
 	return string(out)
 }
 
-// Engine micro-benchmarks: native Go GCUPS of each kernel.
+// Kernel micro-benchmarks the gate has no probe for. (The CPU kernels'
+// Gcell/s are benchmark/'s sw.scalar_gcups, swvector.*_gcups and
+// swpar.fine_gcups probes; the networked scatter is its cluster_scatter
+// workload.)
 
 func benchEngine(b *testing.B, engine sw.Engine, queryLen, dbSeqs, dbLen int) {
 	b.Helper()
@@ -460,27 +398,6 @@ func benchEngine(b *testing.B, engine sw.Engine, queryLen, dbSeqs, dbLen int) {
 	if secs > 0 {
 		b.ReportMetric(float64(cells)/secs/1e9, "GCUPS")
 	}
-}
-
-// BenchmarkEngineScalar measures the scalar Gotoh oracle.
-func BenchmarkEngineScalar(b *testing.B) {
-	benchEngine(b, sw.NewScalar(sw.DefaultParams()), 256, 32, 360)
-}
-
-// BenchmarkEngineStriped measures the Farrar striped SWAR engine.
-func BenchmarkEngineStriped(b *testing.B) {
-	benchEngine(b, swvector.NewStriped(sw.DefaultParams()), 256, 32, 360)
-}
-
-// BenchmarkEngineInterSeq measures the SWIPE-style inter-sequence engine.
-func BenchmarkEngineInterSeq(b *testing.B) {
-	benchEngine(b, swvector.NewInterSeq(sw.DefaultParams()), 256, 32, 360)
-}
-
-// BenchmarkEngineFineGrained measures the paper's §II.C fine-grained
-// wavefront (one comparison split across goroutines, Figure 2).
-func BenchmarkEngineFineGrained(b *testing.B) {
-	benchEngine(b, swpar.NewEngine(sw.DefaultParams(), swpar.Config{Workers: 4, RowBand: 64}), 2048, 4, 2048)
 }
 
 // BenchmarkAlignHirschberg measures linear-space traceback alignment.
@@ -558,51 +475,3 @@ type nopWarp struct{}
 
 func (nopWarp) Run()           {}
 func (nopWarp) Cycles() uint64 { return 1000 }
-
-// BenchmarkReplicatedSearch prices the replication facade: the same
-// cluster-serve scatter/gather with one replica per range (plain
-// failover-capable routing) and with two (failover plus hedge
-// machinery armed). Hits are byte-identical in every configuration —
-// the replica suite proves it — so the delta is the availability
-// layer's overhead on the happy path.
-func BenchmarkReplicatedSearch(b *testing.B) {
-	db, queries := benchSearchData(b)
-	const shards = 2
-	opt := swdual.Options{CPUs: 1, GPUs: 1, TopK: 5, ShardSplit: "balanced"}
-	for _, replicas := range []int{1, 2} {
-		b.Run(fmt.Sprintf("shards=%d/replicas=%d", shards, replicas), func(b *testing.B) {
-			groups := make([][]string, shards)
-			var listeners []net.Listener
-			for i := 0; i < shards; i++ {
-				for r := 0; r < replicas; r++ {
-					l, err := net.Listen("tcp", "127.0.0.1:0")
-					if err != nil {
-						b.Fatal(err)
-					}
-					listeners = append(listeners, l)
-					groups[i] = append(groups[i], l.Addr().String())
-					go swdual.ServeShard(l, db, i, shards, opt)
-				}
-			}
-			defer func() {
-				for _, l := range listeners {
-					l.Close()
-				}
-			}()
-			coordOpt := opt
-			coordOpt.ReplicaShards = groups
-			s, err := swdual.NewSearcher(db, coordOpt)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer s.Close()
-			ctx := context.Background()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := s.Search(ctx, queries, swdual.SearchOptions{}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}

@@ -18,23 +18,24 @@
 // -gateway-capacity executing and -gateway-queue waiting requests,
 // arrivals are shed immediately with 429 and a Retry-After estimated
 // from live search latency. It can front any backend below — add
-// -shards, -remote-shards or -replica-shards to put the same HTTP
-// surface over a sharded or replicated cluster.
+// -shards or -replica-shards to put the same HTTP surface over a
+// sharded or clustered database.
 //
 // Cluster serve distributes the shards across processes: each shard
 // server holds the same database and serves one slice of it, and a
 // coordinator scatters every query over the network, gathering hits
-// byte-identical to a local search:
+// byte-identical to a local search. -replica-shards names the servers:
+// semicolons separate ranges, commas separate interchangeable replicas
+// of one range.
 //
 //	swdual -db db.fasta -shard-serve :4016 -shard-index 0 -shard-count 2
 //	swdual -db db.fasta -shard-serve :4017 -shard-index 1 -shard-count 2
-//	swdual -db db.fasta -query q.fasta -remote-shards host:4016,host:4017
+//	swdual -db db.fasta -query q.fasta -replica-shards 'host:4016;host:4017'
 //
-// With -replica-shards each range is held by several interchangeable
-// shard servers (semicolons separate ranges, commas separate replicas):
-// the coordinator fails over on lost connections, re-dials dead
-// replicas in the background, and hedges slow searches on a sibling, so
-// a search survives any one replica dying per range:
+// The coordinator re-dials a dead server in the background; when a range
+// is held by several servers it also fails over on lost connections and
+// hedges slow searches on a sibling, so a search survives any one
+// replica dying per range:
 //
 //	swdual -db db.fasta -query q.fasta \
 //	    -replica-shards 'a:4016,b:4016;a:4017,b:4017' -dial-timeout 5s
@@ -95,8 +96,7 @@ func main() {
 		shardServe = flag.String("shard-serve", "", "serve one shard of the database on this address (cluster serve)")
 		shardIndex = flag.Int("shard-index", 0, "which shard -shard-serve exposes")
 		shardCount = flag.Int("shard-count", 1, "how many shards the database is split into for -shard-serve")
-		remShards  = flag.String("remote-shards", "", "comma-separated shard server addresses; search as the coordinator, scattering over them")
-		repShards  = flag.String("replica-shards", "", "replicated shard servers: semicolons separate shard ranges, commas separate replicas of one range, e.g. 'a:4016,b:4016;a:4017,b:4017' (each replica runs -shard-serve for its range; overrides -remote-shards)")
+		repShards  = flag.String("replica-shards", "", "shard servers to search as the coordinator: semicolons separate shard ranges, commas separate replicas of one range, e.g. 'a:4016;a:4017' or 'a:4016,b:4016;a:4017,b:4017' (each server runs -shard-serve for its range)")
 		dialTO     = flag.Duration("dial-timeout", 0, "bound on dialing one shard or replica server, TCP connect plus handshake (0 = default 10s)")
 	)
 	flag.Parse()
@@ -121,9 +121,6 @@ func main() {
 	opt.GatewayClientSlots = *gwClients
 	opt.GatewayTimeout = *gwTimeout
 	opt.GatewayMaxBodyBytes = *gwMaxBody
-	if *remShards != "" {
-		opt.RemoteShards = strings.Split(*remShards, ",")
-	}
 	if *repShards != "" {
 		for _, group := range strings.Split(*repShards, ";") {
 			opt.ReplicaShards = append(opt.ReplicaShards, strings.Split(group, ","))

@@ -52,10 +52,14 @@ func main() {
 	}
 
 	// The coordinator: a Searcher whose shards live behind those
-	// addresses. It still loads the database locally — that is what lets
-	// it verify every server's slice checksum before the first query.
+	// addresses, one server per range (list several per range and the
+	// range survives a server dying). It still loads the database
+	// locally — that is what lets it verify every server's slice
+	// checksum before the first query.
 	coordOpt := opt
-	coordOpt.RemoteShards = addrs
+	for _, addr := range addrs {
+		coordOpt.ReplicaShards = append(coordOpt.ReplicaShards, []string{addr})
+	}
 	coordinator, err := swdual.NewSearcher(db, coordOpt)
 	if err != nil {
 		log.Fatal(err)

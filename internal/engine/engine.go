@@ -134,7 +134,8 @@ type Stats struct {
 	// PipelinedWaves and OverlapNanos are always zero: the dispatcher
 	// runs one wave at a time. They are retained only because
 	// benchmark/'s engine.pipelined_ratio and engine.overlap_ms probes
-	// read them, and go when those probes do.
+	// read them, and go when those probes do; nothing sets, sums or
+	// sends them (they left StatsResponse in wire version 8).
 	PipelinedWaves uint64
 	OverlapNanos   uint64
 	// CacheHits / CacheMisses / CacheEvictions count result-cache
@@ -220,7 +221,6 @@ type Searcher struct {
 	// Prepared once at New, shared by every request.
 	db         *seq.Set
 	dbResidues int64
-	dbLengths  []int
 	checksum   uint32
 
 	pool   *master.Pool
@@ -310,16 +310,12 @@ func New(db *seq.Set, cfg Config) (*Searcher, error) {
 	return s, nil
 }
 
-// prepare runs the once-per-database work every request reuses: length
-// statistics for the scheduler and a content checksum for serve-mode
-// client verification. Residue encoding already happened when the set
-// was built; keeping the set resident amortizes it.
+// prepare runs the once-per-database work every request reuses: the
+// residue volume the scheduler prices tasks with and a content checksum
+// for serve-mode client verification. Residue encoding already happened
+// when the set was built; keeping the set resident amortizes it.
 func (s *Searcher) prepare() {
 	s.dbResidues = s.db.TotalResidues()
-	s.dbLengths = make([]int, s.db.Len())
-	for i := range s.db.Seqs {
-		s.dbLengths[i] = s.db.Seqs[i].Len()
-	}
 	s.checksum = s.db.Checksum()
 	s.prepared.Add(1)
 }
@@ -329,31 +325,6 @@ func (s *Searcher) DB() *seq.Set { return s.db }
 
 // Alphabet returns the database alphabet.
 func (s *Searcher) Alphabet() *alphabet.Alphabet { return s.db.Alpha }
-
-// DBLengths returns the precomputed database sequence lengths.
-func (s *Searcher) DBLengths() []int { return s.dbLengths }
-
-// Plan runs only the Searcher's scheduling policy over hypothetical
-// queries of the given lengths, against the prepared database statistics
-// and the pool's live measured rates — no search runs. A dynamic
-// policy (self-scheduling) produces no static schedule and returns
-// (nil, nil); serve mode answers Plan frames with this.
-func (s *Searcher) Plan(queryLens []int) (*sched.Schedule, error) {
-	switch s.cfg.Policy {
-	case master.PolicySelfScheduling, master.PolicyRoundRobin:
-		return nil, nil
-	}
-	ids := make([]string, len(queryLens))
-	for i := range ids {
-		ids[i] = fmt.Sprintf("q%d", i)
-	}
-	in := master.BuildInstance(s.dbResidues, queryLens, ids, s.pool.Rates())
-	_, schedule, err := master.Assign(s.cfg.Policy, in, s.pool.Workers())
-	if err != nil {
-		return nil, err
-	}
-	return schedule, nil
-}
 
 // Checksum fingerprints the loaded database (CRC-32 of all residues).
 func (s *Searcher) Checksum() uint32 { return s.checksum }
@@ -424,42 +395,11 @@ func (s *Searcher) Search(ctx context.Context, queries *seq.Set, opts SearchOpti
 	}
 	s.searches.Add(1)
 	s.queries.Add(uint64(queries.Len()))
-	// A dead context never gets an answer — cached, collapsed or waved:
-	// callers rely on cancellation meaning "stop", and a doomed request
-	// must not occupy a wave slot (the gateway propagates client
-	// deadlines down this ctx precisely so expired work is never
-	// planned).
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
 	if s.cache == nil || queries.Len() == 0 {
 		return s.searchWave(ctx, queries, topK)
 	}
-	key := resultcache.Key(s.checksum, topK, queries)
-	if hits, ok := s.cache.Get(key); ok {
-		return resultcache.Report(s.cfg.Policy, queries, hits), nil
-	}
-	call, leader := s.flight.Join(key)
-	if !leader {
-		s.collapsed.Add(1)
-		hits, err := call.Wait(ctx)
-		if err != nil {
-			return nil, err
-		}
-		return resultcache.Report(s.cfg.Policy, queries, resultcache.CopyHits(hits)), nil
-	}
-	rep, err := s.searchWave(ctx, queries, topK)
-	if err != nil {
-		s.flight.Finish(key, call, nil, err)
-		return nil, err
-	}
-	hits := make([][]master.Hit, len(rep.Results))
-	for i := range rep.Results {
-		hits[i] = rep.Results[i].Hits
-	}
-	s.cache.Put(key, hits)
-	s.flight.Finish(key, call, resultcache.CopyHits(hits), nil)
-	return rep, nil
+	return resultcache.Do(ctx, s.cache, s.flight, &s.collapsed, resultcache.Key(s.checksum, topK, queries),
+		s.cfg.Policy, queries, func() (*master.Report, error) { return s.searchWave(ctx, queries, topK) })
 }
 
 // searchWave runs one real search through the dispatcher: submit the
@@ -467,6 +407,13 @@ func (s *Searcher) Search(ctx context.Context, queries *seq.Set, opts SearchOpti
 // per-request TopK truncation. This is the whole of Search when the
 // result cache is off.
 func (s *Searcher) searchWave(ctx context.Context, queries *seq.Set, topK int) (*master.Report, error) {
+	// A dead context never gets a wave: callers rely on cancellation
+	// meaning "stop", and a doomed request must not occupy a wave slot
+	// (the gateway propagates client deadlines down this ctx precisely so
+	// expired work is never planned).
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	req := &request{
 		ctx:     ctx,
 		queries: queries,

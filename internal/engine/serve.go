@@ -10,7 +10,6 @@ import (
 
 	"swdual/internal/alphabet"
 	"swdual/internal/master"
-	"swdual/internal/sched"
 	"swdual/internal/seq"
 	"swdual/internal/wire"
 )
@@ -22,7 +21,7 @@ import (
 //
 //	client                               server
 //	Hello{Version, Name, DBChecksum?} ->
-//	                          <-  Welcome{Version, DBChecksum}
+//	                          <-  Welcome{Version, DBChecksum, Alphabet}
 //	SearchRequest{ID: 1, …}   ->
 //	StatsRequest{ID: 2}       ->
 //	                          <-  StatsResponse{ID: 2, …}
@@ -33,10 +32,10 @@ import (
 // A non-zero Hello.DBChecksum must match the server database, so a
 // client that also holds the database locally can verify both ends
 // search the same sequences. Residues cross the wire encoded in the
-// server database's alphabet. Concurrent requests — from one session or
-// from many connections — are coalesced into shared scheduling waves by
-// the Searcher's dispatcher. When a connection dies, its in-flight
-// requests are canceled.
+// server database's alphabet, which the Welcome names. Concurrent
+// requests — from one session or from many connections — are coalesced
+// into shared scheduling waves by the Searcher's dispatcher. When a
+// connection dies, its in-flight requests are canceled.
 
 // Backend is the search service Serve exposes and remote clients stand
 // in for: the in-process Searcher, the sharded scatter/gather facade, or
@@ -44,10 +43,8 @@ import (
 // byte-identical to one Searcher over the whole database.
 type Backend interface {
 	Search(ctx context.Context, queries *seq.Set, opts SearchOptions) (*master.Report, error)
-	Plan(queryLens []int) (*sched.Schedule, error)
 	Stats() Stats
 	Checksum() uint32
-	DBLengths() []int
 	Alphabet() *alphabet.Alphabet
 	Close() error
 }
@@ -115,7 +112,7 @@ func serveConn(c *wire.Conn, s Backend, handshake time.Duration) {
 		fail(fmt.Errorf("engine: database checksum mismatch (client %08x, server %08x)", hello.DBChecksum, s.Checksum()))
 		return
 	}
-	if err := c.Send(&wire.Welcome{Version: wire.Version, DBChecksum: s.Checksum()}); err != nil {
+	if err := c.Send(&wire.Welcome{Version: wire.Version, DBChecksum: s.Checksum(), Alphabet: s.Alphabet().Name()}); err != nil {
 		return
 	}
 	// A session lives arbitrarily long; per-request bounds come from the
@@ -186,8 +183,8 @@ func (m *muxSession) handle(msg any) (done bool) {
 		}
 		m.mu.Unlock()
 	case *wire.StatsRequest:
-		// Off the read loop, like Plan: a coordinator backend's Stats is
-		// a network fan-out, and Cancel frames must keep flowing past it.
+		// Off the read loop: a coordinator backend's Stats is a network
+		// fan-out, and Cancel frames must keep flowing past it.
 		m.wg.Add(1)
 		go func() {
 			defer m.wg.Done()
@@ -195,35 +192,6 @@ func (m *muxSession) handle(msg any) (done bool) {
 		}()
 	case *wire.ChecksumRequest:
 		m.send(&wire.ChecksumResponse{ID: t.ID, Checksum: m.s.Checksum()})
-	case *wire.InfoRequest:
-		lengths := m.s.DBLengths()
-		info := &wire.Info{ID: t.ID, Alphabet: m.s.Alphabet().Name(), Checksum: m.s.Checksum(), Lengths: make([]uint32, len(lengths))}
-		for i, l := range lengths {
-			info.Lengths[i] = uint32(l)
-		}
-		m.send(info)
-	case *wire.PlanRequest:
-		lens := make([]int, len(t.QueryLens))
-		for i, l := range t.QueryLens {
-			lens[i] = int(l)
-		}
-		m.wg.Add(1)
-		go func() {
-			defer m.wg.Done()
-			sch, err := m.s.Plan(lens)
-			if err != nil {
-				m.failReq(t.ID, err)
-				return
-			}
-			resp := &wire.PlanResponse{ID: t.ID}
-			if sch != nil {
-				resp.Algorithm = sch.Algorithm
-				resp.Makespan = sch.Makespan
-				resp.CPULoads = sch.CPULoads
-				resp.GPULoads = sch.GPULoads
-			}
-			m.send(resp)
-		}()
 	default:
 		m.send(&wire.ErrorMsg{Text: fmt.Sprintf("engine: unexpected %T in session", msg)})
 		return true
@@ -320,8 +288,6 @@ func statsFrame(id uint64, st Stats) *wire.StatsResponse {
 		Queries:           st.Queries,
 		Waves:             st.Waves,
 		BatchedWaves:      st.BatchedWaves,
-		PipelinedWaves:    st.PipelinedWaves,
-		OverlapNanos:      st.OverlapNanos,
 		CacheHits:         st.CacheHits,
 		CacheMisses:       st.CacheMisses,
 		CacheEvictions:    st.CacheEvictions,

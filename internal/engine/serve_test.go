@@ -12,7 +12,6 @@ import (
 
 	"swdual/internal/alphabet"
 	"swdual/internal/master"
-	"swdual/internal/sched"
 	"swdual/internal/seq"
 	"swdual/internal/synth"
 	"swdual/internal/wire"
@@ -66,8 +65,8 @@ func openSession(t *testing.T, l net.Listener, checksum uint32) *wire.Conn {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := msg.(*wire.Welcome); !ok {
-		t.Fatalf("expected Welcome, got %#v", msg)
+	if w, ok := msg.(*wire.Welcome); !ok || w.Version != wire.Version || w.Alphabet != alphabet.Protein.Name() {
+		t.Fatalf("expected a version %d Welcome naming the protein alphabet, got %#v", wire.Version, msg)
 	}
 	return c
 }
@@ -182,6 +181,29 @@ func TestServeRejectsDuplicateRequestID(t *testing.T) {
 	}
 }
 
+// TestServeRefusesStaleVersion: a peer one protocol version behind
+// still sends a Hello this server decodes (the Hello layout and the
+// ErrorMsg type code are the fixed points of the protocol), and is told
+// why it is refused instead of misreading a later frame.
+func TestServeRefusesStaleVersion(t *testing.T) {
+	l, _ := startServe(t, newStubBackend())
+	c := rawDial(t, l)
+	if err := c.Send(&wire.Hello{Version: wire.Version - 1, Name: "stale"}); err != nil {
+		t.Fatal(err)
+	}
+	msg, err := c.Recv()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("protocol version %d, want %d", wire.Version-1, wire.Version)
+	if em, ok := msg.(*wire.ErrorMsg); !ok || !strings.Contains(em.Text, want) {
+		t.Fatalf("expected ErrorMsg saying %q, got %#v", want, msg)
+	}
+	if _, err := c.Recv(); err != io.EOF {
+		t.Fatalf("connection still open after a refused handshake: %v", err)
+	}
+}
+
 // TestServeEndsSessionOnNonSessionFrame: a frame that is not part of
 // the session vocabulary — here a second Hello — ends the session with
 // an ErrorMsg and a closed connection.
@@ -290,21 +312,19 @@ func (b *stubBackend) Search(ctx context.Context, _ *seq.Set, _ SearchOptions) (
 	<-ctx.Done()
 	return nil, ctx.Err()
 }
-func (b *stubBackend) Plan([]int) (*sched.Schedule, error) { return nil, nil }
 func (b *stubBackend) Stats() Stats {
 	close(b.statsEntered)
 	<-b.statsRelease
 	return Stats{Searches: 42}
 }
 func (b *stubBackend) Checksum() uint32             { return 7 }
-func (b *stubBackend) DBLengths() []int             { return []int{3} }
 func (b *stubBackend) Alphabet() *alphabet.Alphabet { return alphabet.Protein }
 func (b *stubBackend) Close() error                 { return nil }
 
 // TestServeStatsDoesNotBlockSession: Stats on a coordinator backend is a
 // network fan-out, so the server answers it off the read loop. While a
-// StatsRequest is stuck in the backend, an InfoRequest is answered and a
-// Cancel reaches the search it names, on the same connection.
+// StatsRequest is stuck in the backend, a ChecksumRequest is answered and
+// a Cancel reaches the search it names, on the same connection.
 func TestServeStatsDoesNotBlockSession(t *testing.T) {
 	b := newStubBackend()
 	l, _ := startServe(t, b)
@@ -314,15 +334,15 @@ func TestServeStatsDoesNotBlockSession(t *testing.T) {
 	}
 	<-b.statsEntered
 
-	if err := c.Send(&wire.InfoRequest{ID: 2}); err != nil {
+	if err := c.Send(&wire.ChecksumRequest{ID: 2}); err != nil {
 		t.Fatal(err)
 	}
 	msg, err := c.Recv()
 	if err != nil {
-		t.Fatalf("InfoRequest stuck behind a blocked Stats: %v", err)
+		t.Fatalf("ChecksumRequest stuck behind a blocked Stats: %v", err)
 	}
-	if info, ok := msg.(*wire.Info); !ok || info.ID != 2 {
-		t.Fatalf("expected Info{ID: 2}, got %#v", msg)
+	if cr, ok := msg.(*wire.ChecksumResponse); !ok || cr.ID != 2 || cr.Checksum != 7 {
+		t.Fatalf("expected ChecksumResponse{ID: 2, Checksum: 7}, got %#v", msg)
 	}
 
 	if err := c.Send(&wire.SearchRequest{ID: 3, Queries: []wire.Query{{ID: "q", Residues: []byte{0, 1, 2}}}}); err != nil {
@@ -400,7 +420,7 @@ func TestServeClearsHandshakeDeadline(t *testing.T) {
 	} else if _, ok := msg.(*wire.Welcome); !ok {
 		t.Fatalf("expected Welcome, got %#v", msg)
 	}
-	if err := c.Send(&wire.InfoRequest{ID: 1}); err != nil {
+	if err := c.Send(&wire.ChecksumRequest{ID: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.Recv(); err != nil {

@@ -33,7 +33,6 @@ import (
 	"swdual/internal/alphabet"
 	"swdual/internal/engine"
 	"swdual/internal/master"
-	"swdual/internal/sched"
 	"swdual/internal/seq"
 )
 
@@ -42,10 +41,8 @@ type Op uint8
 
 const (
 	OpSearch Op = iota
-	OpPlan
 	OpStats
 	OpChecksum
-	OpDBLengths
 	OpAlphabet
 	opCount
 )
@@ -55,14 +52,10 @@ func (o Op) String() string {
 	switch o {
 	case OpSearch:
 		return "Search"
-	case OpPlan:
-		return "Plan"
 	case OpStats:
 		return "Stats"
 	case OpChecksum:
 		return "Checksum"
-	case OpDBLengths:
-		return "DBLengths"
 	case OpAlphabet:
 		return "Alphabet"
 	}
@@ -256,16 +249,6 @@ func (b *Backend) Search(ctx context.Context, queries *seq.Set, opts engine.Sear
 	return b.inner.Search(ctx, queries, opts)
 }
 
-// Plan applies the schedule, then delegates.
-func (b *Backend) Plan(queryLens []int) (*sched.Schedule, error) {
-	if f, ok := b.match(OpPlan); ok {
-		if err := b.apply(context.Background(), f); err != nil {
-			return nil, err
-		}
-	}
-	return b.inner.Plan(queryLens)
-}
-
 // Stats applies the schedule (a faulted call reports a zero snapshot —
 // the op has no error channel), then delegates.
 func (b *Backend) Stats() engine.Stats {
@@ -286,17 +269,6 @@ func (b *Backend) Checksum() uint32 {
 		}
 	}
 	return b.inner.Checksum()
-}
-
-// DBLengths applies the schedule (a faulted call reports nil), then
-// delegates.
-func (b *Backend) DBLengths() []int {
-	if f, ok := b.match(OpDBLengths); ok {
-		if err := b.apply(context.Background(), f); err != nil {
-			return nil
-		}
-	}
-	return b.inner.DBLengths()
 }
 
 // Alphabet applies the schedule (a faulted call reports nil), then

@@ -12,6 +12,7 @@ import (
 	"swdual/internal/engine"
 	"swdual/internal/master"
 	"swdual/internal/synth"
+	"swdual/internal/wire"
 )
 
 // Regression: Dial used net.Dial with no deadline, so a server that
@@ -101,5 +102,94 @@ func TestDialTimeoutLeavesConnectionUndeadlined(t *testing.T) {
 	}()
 	if _, err := b.Search(context.Background(), queries, engine.SearchOptions{}); err != nil {
 		t.Fatalf("search slower than the dial timeout failed: %v", err)
+	}
+}
+
+// scriptedServer accepts one connection, reads the client's Hello, and
+// answers it with reply. It yields the Hello and then every later frame
+// the client sends, as the server saw them.
+func scriptedServer(t *testing.T, reply any) (addr string, frames <-chan any) {
+	t.Helper()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { l.Close() })
+	seen := make(chan any, 8) // a dial and one call send two frames; room to spare so the server never blocks
+	go func() {
+		defer close(seen)
+		nc, err := l.Accept()
+		if err != nil {
+			return
+		}
+		defer nc.Close()
+		c := wire.NewConn(nc)
+		for first := true; ; first = false {
+			msg, err := c.Recv()
+			if err != nil {
+				return
+			}
+			seen <- msg
+			if first {
+				if err := c.Send(reply); err != nil {
+					return
+				}
+			} else if cr, ok := msg.(*wire.ChecksumRequest); ok {
+				c.Send(&wire.ChecksumResponse{ID: cr.ID, Checksum: 0xfeed})
+			}
+		}
+	}()
+	return l.Addr().String(), seen
+}
+
+// TestDialIsOneRoundTrip plays the server by hand: a dial is exactly
+// Hello → Welcome — the Welcome's checksum and alphabet name describe
+// the database, nothing else is fetched — so the next frame the server
+// sees is the caller's own first call.
+func TestDialIsOneRoundTrip(t *testing.T) {
+	addr, frames := scriptedServer(t, &wire.Welcome{Version: wire.Version, DBChecksum: 0xfeed, Alphabet: alphabet.DNA.Name()})
+	b, err := DialTimeout(addr, 0xfeed, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	if b.Alphabet() != alphabet.DNA || b.Checksum() != 0xfeed {
+		t.Fatalf("backend describes %s/%08x, the Welcome said %s/%08x", b.Alphabet().Name(), b.Checksum(), alphabet.DNA.Name(), 0xfeed)
+	}
+	first := <-frames
+	if hello, ok := first.(*wire.Hello); !ok || hello.Version != wire.Version || hello.DBChecksum != 0xfeed {
+		t.Fatalf("first frame %#v, want the Hello carrying the version and the expected checksum", first)
+	}
+	if sum, err := b.ServerChecksum(context.Background()); err != nil || sum != 0xfeed {
+		t.Fatalf("health probe: %08x, %v", sum, err)
+	}
+	second := <-frames
+	if _, ok := second.(*wire.ChecksumRequest); !ok {
+		t.Fatalf("second frame the server saw is %#v, want the caller's own ChecksumRequest", second)
+	}
+}
+
+// TestDialRefusesBadWelcome: a server whose Welcome names an alphabet
+// this build does not know, or a database other than the expected one,
+// is refused at the dial — before any query could be encoded for it.
+func TestDialRefusesBadWelcome(t *testing.T) {
+	for _, c := range []struct {
+		name    string
+		welcome wire.Welcome
+		want    string
+	}{
+		{"unknown alphabet", wire.Welcome{Version: wire.Version, DBChecksum: 0xfeed, Alphabet: "klingon"}, `unknown server alphabet "klingon"`},
+		{"no alphabet", wire.Welcome{Version: wire.Version, DBChecksum: 0xfeed}, `unknown server alphabet ""`},
+		{"checksum mismatch", wire.Welcome{Version: wire.Version, DBChecksum: 0xbeef, Alphabet: alphabet.Protein.Name()}, "checksum 0000beef, want 0000feed"},
+	} {
+		addr, _ := scriptedServer(t, &c.welcome)
+		b, err := DialTimeout(addr, 0xfeed, 5*time.Second)
+		if err == nil {
+			b.Close()
+			t.Fatalf("%s: dial succeeded", c.name)
+		}
+		if !strings.Contains(err.Error(), c.want) || !strings.Contains(err.Error(), addr) {
+			t.Fatalf("%s: error %q, want it to name the address and say %q", c.name, err, c.want)
+		}
 	}
 }

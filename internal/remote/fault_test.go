@@ -2,6 +2,7 @@ package remote
 
 import (
 	"context"
+	"errors"
 	"net"
 	"runtime"
 	"strings"
@@ -253,8 +254,8 @@ func TestBackendCloseIsIdempotent(t *testing.T) {
 	if _, err := b.Search(context.Background(), queries, engine.SearchOptions{}); err == nil {
 		t.Fatal("search on closed backend succeeded")
 	}
-	if _, err := b.Plan([]int{10}); err == nil {
-		t.Fatal("plan on closed backend succeeded")
+	if _, err := b.ServerChecksum(context.Background()); !errors.Is(err, ErrConnectionLost) {
+		t.Fatalf("health probe on closed backend: %v, want ErrConnectionLost", err)
 	}
 }
 

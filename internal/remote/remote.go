@@ -39,9 +39,9 @@ type Backend struct {
 	c    *wire.Conn
 	wmu  sync.Mutex // guards c.Send
 
-	// Database description fetched at Dial, immutable afterwards.
+	// Database description from the server's Welcome, immutable
+	// afterwards.
 	alpha    *alphabet.Alphabet
-	lengths  []int
 	checksum uint32
 
 	nextID  atomic.Uint64
@@ -56,14 +56,14 @@ type Backend struct {
 
 var _ engine.Backend = (*Backend)(nil)
 
-// rpcTimeout bounds the interface calls that carry no caller context
-// (Plan, Stats): a wedged server whose TCP connection stays open must
-// not block a coordinator forever. Generous — scheduling a plan is
-// subsecond work; only a stalled peer ever gets near it.
+// rpcTimeout bounds Stats, the interface call that carries no caller
+// context: a wedged server whose TCP connection stays open must not
+// block a coordinator forever. Generous — a snapshot is subsecond work;
+// only a stalled peer ever gets near it.
 const rpcTimeout = 30 * time.Second
 
-// DefaultDialTimeout bounds Dial — TCP connect plus the whole
-// handshake (Hello/Welcome and the Info exchange). A blackholed
+// DefaultDialTimeout bounds Dial — TCP connect plus the Hello/Welcome
+// handshake. A blackholed
 // endpoint, or one that accepts the connection and then never speaks,
 // must fail the dial instead of hanging coordinator construction.
 const DefaultDialTimeout = 10 * time.Second
@@ -76,8 +76,8 @@ const DefaultDialTimeout = 10 * time.Second
 // on every replica (bad queries, alphabet mismatch, cancellation).
 var ErrConnectionLost = errors.New("connection lost")
 
-// Dial connects to an engine.Serve endpoint and fetches the database
-// description (alphabet, sequence lengths, checksum). A non-zero
+// Dial connects to an engine.Serve endpoint; the server's Welcome
+// describes its database (checksum, alphabet). A non-zero
 // wantChecksum is the skew guard: both ends verify it against the
 // server's database and the dial fails on mismatch, so a coordinator
 // never scatters queries to a shard holding different sequences.
@@ -110,8 +110,8 @@ func DialTimeout(addr string, wantChecksum uint32, timeout time.Duration) (*Back
 	return b, nil
 }
 
-// newBackend runs the handshake and the synchronous Info exchange under
-// the dial deadline, then clears the deadline and starts the read loop.
+// newBackend runs the one-round-trip handshake under the dial deadline,
+// then clears the deadline and starts the read loop.
 func newBackend(addr string, nc net.Conn, wantChecksum uint32, deadline time.Time) (*Backend, error) {
 	b := &Backend{
 		addr:     addr,
@@ -120,9 +120,9 @@ func newBackend(addr string, nc net.Conn, wantChecksum uint32, deadline time.Tim
 		pending:  map[uint64]chan any{},
 		readDone: make(chan struct{}),
 	}
-	// The dial deadline covers the whole handshake: every Send and Recv
-	// below fails once it passes, so a server that accepted the
-	// connection and went mute cannot wedge the caller.
+	// The dial deadline covers the handshake: the Send and Recv below
+	// fail once it passes, so a server that accepted the connection and
+	// went mute cannot wedge the caller.
 	if !deadline.IsZero() {
 		if err := nc.SetDeadline(deadline); err != nil {
 			return nil, fmt.Errorf("remote %s: %w", addr, err)
@@ -140,34 +140,14 @@ func newBackend(addr string, nc net.Conn, wantChecksum uint32, deadline time.Tim
 		if wantChecksum != 0 && m.DBChecksum != wantChecksum {
 			return nil, fmt.Errorf("remote %s: server database checksum %08x, want %08x", addr, m.DBChecksum, wantChecksum)
 		}
+		if b.alpha, err = alphabetByName(m.Alphabet); err != nil {
+			return nil, fmt.Errorf("remote %s: %w", addr, err)
+		}
+		b.checksum = m.DBChecksum
 	case *wire.ErrorMsg:
 		return nil, fmt.Errorf("remote %s: server: %s", addr, m.Text)
 	default:
 		return nil, fmt.Errorf("remote %s: expected Welcome, got %T", addr, msg)
-	}
-	// The database description comes first, synchronously, while the
-	// dial deadline still bounds the exchange.
-	if err := b.c.Send(&wire.InfoRequest{ID: b.nextID.Add(1)}); err != nil {
-		return nil, fmt.Errorf("remote %s: %w", addr, err)
-	}
-	msg, err = b.c.Recv()
-	if err != nil {
-		return nil, fmt.Errorf("remote %s: %w", addr, err)
-	}
-	info, ok := msg.(*wire.Info)
-	if !ok {
-		return nil, fmt.Errorf("remote %s: expected Info, got %T", addr, msg)
-	}
-	if b.alpha, err = alphabetByName(info.Alphabet); err != nil {
-		return nil, fmt.Errorf("remote %s: %w", addr, err)
-	}
-	if wantChecksum != 0 && info.Checksum != wantChecksum {
-		return nil, fmt.Errorf("remote %s: server database checksum %08x, want %08x", addr, info.Checksum, wantChecksum)
-	}
-	b.checksum = info.Checksum
-	b.lengths = make([]int, len(info.Lengths))
-	for i, l := range info.Lengths {
-		b.lengths[i] = int(l)
 	}
 	// Clear the deadline before the read loop starts: a session lives
 	// arbitrarily long, and per-call bounds come from caller contexts.
@@ -192,10 +172,6 @@ func (b *Backend) Addr() string { return b.addr }
 
 // Alphabet returns the server database's alphabet.
 func (b *Backend) Alphabet() *alphabet.Alphabet { return b.alpha }
-
-// DBLengths returns the server database's sequence lengths, fetched once
-// at Dial.
-func (b *Backend) DBLengths() []int { return b.lengths }
 
 // Checksum fingerprints the server's database — the value verified
 // against the coordinator's local slice at Dial, cached so the sharding
@@ -241,11 +217,7 @@ func responseID(msg any) (uint64, bool) {
 		return m.ID, true
 	case *wire.StatsResponse:
 		return m.ID, true
-	case *wire.PlanResponse:
-		return m.ID, true
 	case *wire.ChecksumResponse:
-		return m.ID, true
-	case *wire.Info:
 		return m.ID, true
 	}
 	return 0, false
@@ -398,34 +370,6 @@ func (b *Backend) Search(ctx context.Context, queries *seq.Set, opts engine.Sear
 	return nil, fmt.Errorf("remote %s: unexpected %T", b.addr, resp)
 }
 
-// Plan asks the server to run its scheduling policy over hypothetical
-// queries of the given lengths. The summary schedule carries the
-// algorithm, makespan and per-PE loads; placements stay server-side. A
-// server running a dynamic policy returns (nil, nil).
-func (b *Backend) Plan(queryLens []int) (*sched.Schedule, error) {
-	id := b.nextID.Add(1)
-	req := &wire.PlanRequest{ID: id, QueryLens: make([]uint32, len(queryLens))}
-	for i, l := range queryLens {
-		req.QueryLens[i] = uint32(l)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), rpcTimeout)
-	defer cancel()
-	resp, err := b.call(ctx, id, req)
-	if err != nil {
-		return nil, err
-	}
-	switch m := resp.(type) {
-	case *wire.PlanResponse:
-		if m.Algorithm == "" {
-			return nil, nil
-		}
-		return &sched.Schedule{Algorithm: m.Algorithm, Makespan: m.Makespan, CPULoads: m.CPULoads, GPULoads: m.GPULoads}, nil
-	case *wire.ReqError:
-		return nil, fmt.Errorf("remote %s: %s", b.addr, m.Text)
-	}
-	return nil, fmt.Errorf("remote %s: unexpected %T", b.addr, resp)
-}
-
 // Stats fetches the server engine's counters. A dead connection reports
 // zero counters — Stats has no error channel, and an aggregating caller
 // (the sharding facade) must keep working while a shard is down.
@@ -451,8 +395,6 @@ func (b *Backend) Stats() engine.Stats {
 		Queries:           m.Queries,
 		Waves:             m.Waves,
 		BatchedWaves:      m.BatchedWaves,
-		PipelinedWaves:    m.PipelinedWaves,
-		OverlapNanos:      m.OverlapNanos,
 		CacheHits:         m.CacheHits,
 		CacheMisses:       m.CacheMisses,
 		CacheEvictions:    m.CacheEvictions,

@@ -38,7 +38,6 @@ import (
 	"swdual/internal/engine"
 	"swdual/internal/master"
 	"swdual/internal/remote"
-	"swdual/internal/sched"
 	"swdual/internal/seq"
 	"swdual/internal/stats"
 )
@@ -95,8 +94,8 @@ type Config struct {
 	Index int
 }
 
-// ErrRangeUnavailable is the typed error Search and Plan return when
-// every replica of the set is unavailable: the range itself is dark,
+// ErrRangeUnavailable is the typed error Search returns when every
+// replica of the set is unavailable: the range itself is dark,
 // not just one server. A sharded coordinator detects it with errors.As
 // to decide between failing the whole search and degrading to partial
 // coverage.
@@ -170,7 +169,6 @@ type Set struct {
 	name     string
 	cfg      Config
 	checksum uint32
-	lengths  []int
 	alpha    *alphabet.Alphabet
 
 	slots []*slot
@@ -237,7 +235,6 @@ func NewSet(name string, wantChecksum uint32, replicas []Replica, cfg Config) (*
 		name:     name,
 		cfg:      cfg,
 		checksum: checksum,
-		lengths:  append([]int(nil), ref.DBLengths()...),
 		alpha:    ref.Alphabet(),
 		slots:    make([]*slot, len(replicas)),
 		closed:   make(chan struct{}),
@@ -278,9 +275,6 @@ func (s *Set) Healthy() int {
 
 // Checksum fingerprints the slice every replica serves.
 func (s *Set) Checksum() uint32 { return s.checksum }
-
-// DBLengths returns the slice's sequence lengths.
-func (s *Set) DBLengths() []int { return s.lengths }
 
 // Alphabet returns the slice's alphabet.
 func (s *Set) Alphabet() *alphabet.Alphabet { return s.alpha }
@@ -573,51 +567,22 @@ func (s *Set) hedgeDelay() (time.Duration, bool) {
 	return d, true
 }
 
-// Plan asks a live replica for the modeled schedule, failing over on
-// lost connections like Search (no hedging — planning runs no search).
-func (s *Set) Plan(queryLens []int) (*sched.Schedule, error) {
-	if s.isClosed() {
-		return nil, engine.ErrClosed
-	}
-	tried := make([]bool, len(s.slots))
-	var lastErr error
-	for {
-		idx, b, ok := s.pick(tried)
-		if !ok {
-			break
-		}
-		tried[idx] = true
-		sch, err := b.Plan(queryLens)
-		if err == nil {
-			return sch, nil
-		}
-		if !failover(err) {
-			return nil, err
-		}
-		s.markDown(idx, b)
-		lastErr = err
-	}
-	return nil, s.rangeUnavailable(lastErr)
-}
-
-// Stats describes the slice once (every replica serves the same one)
-// and sums the engine counters across live replicas — each prepared its
-// own copy and served its own share of the traffic — with worker names
-// prefixed r0/, r1/ by slot. The replica-layer counters say how often
-// the availability machinery fired: searches hedged, calls failed over,
-// dead replicas revived.
+// Stats describes the slice once (every replica serves the same one,
+// so the first live replica's description stands for all; a set with
+// every replica down reports zero sequences, as a dead remote backend
+// does) and sums the engine counters across live replicas — each
+// prepared its own copy and served its own share of the traffic — with
+// worker names prefixed r0/, r1/ by slot. The replica-layer counters say
+// how often the availability machinery fired: searches hedged, calls
+// failed over, dead replicas revived.
 func (s *Set) Stats() engine.Stats {
 	agg := engine.Stats{
-		DBSequences:    len(s.lengths),
 		DBChecksum:     s.checksum,
 		Searches:       s.searches.Load(),
 		Queries:        s.queries.Load(),
 		HedgedSearches: s.hedged.Load(),
 		FailedOver:     s.failedOver.Load(),
 		Redials:        s.redials.Load(),
-	}
-	for _, l := range s.lengths {
-		agg.DBResidues += int64(l)
 	}
 	for i, sl := range s.slots {
 		sl.mu.Lock()
@@ -627,12 +592,13 @@ func (s *Set) Stats() engine.Stats {
 			continue
 		}
 		st := b.Stats()
+		if agg.DBSequences == 0 {
+			agg.DBSequences, agg.DBResidues = st.DBSequences, st.DBResidues
+		}
 		agg.Prepared += st.Prepared
 		agg.WorkersStarted += st.WorkersStarted
 		agg.Waves += st.Waves
 		agg.BatchedWaves += st.BatchedWaves
-		agg.PipelinedWaves += st.PipelinedWaves
-		agg.OverlapNanos += st.OverlapNanos
 		agg.CacheHits += st.CacheHits
 		agg.CacheMisses += st.CacheMisses
 		agg.CacheEvictions += st.CacheEvictions

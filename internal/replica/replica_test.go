@@ -525,9 +525,6 @@ func TestSetCloseIsIdempotent(t *testing.T) {
 	if _, err := set.Search(context.Background(), queries, engine.SearchOptions{}); !errors.Is(err, engine.ErrClosed) {
 		t.Fatalf("search after close: %v, want ErrClosed", err)
 	}
-	if _, err := set.Plan([]int{10}); !errors.Is(err, engine.ErrClosed) {
-		t.Fatalf("plan after close: %v, want ErrClosed", err)
-	}
 }
 
 // TestNewSetRequiresALiveReplica: a set whose every member starts down

@@ -250,6 +250,59 @@ func Report(policy master.Policy, queries *seq.Set, hits [][]master.Hit) *master
 	return rep
 }
 
+// Do answers one search through the cache and the flight — the whole
+// sequence a cached dispatcher runs in front of its real search. A hit
+// on key is answered from c without calling run. On a miss the first
+// caller becomes the leader: it runs the real search, stores a
+// full-coverage answer in c and publishes it to the flight. Callers
+// that miss while the leader is in flight bump collapsed (before
+// blocking, so tests and operators can see them parked) and wait for
+// its answer; a follower's ctx abandons only that follower. A leader
+// error reaches every follower and is never cached. A degraded answer
+// (non-nil Coverage) crosses the flight, coverage and all, so collapsed
+// callers get the same labeled partial answer — but never enters the
+// cache, so a later search is not answered from a partial one. A dead
+// ctx never gets an answer, warm cache or not: cancellation means
+// "stop".
+func Do(ctx context.Context, c *Cache, f *Flight, collapsed *atomic.Uint64, key string,
+	policy master.Policy, queries *seq.Set, run func() (*master.Report, error)) (*master.Report, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	if hits, ok := c.Get(key); ok {
+		return Report(policy, queries, hits), nil
+	}
+	call, leader := f.Join(key)
+	if !leader {
+		collapsed.Add(1)
+		hits, err := call.Wait(ctx)
+		if err != nil {
+			return nil, err
+		}
+		rep := Report(policy, queries, CopyHits(hits))
+		if cov := call.Coverage(); cov != nil {
+			rep.Coverage = cov.Clone()
+		}
+		return rep, nil
+	}
+	rep, err := run()
+	if err != nil {
+		f.Finish(key, call, nil, err)
+		return nil, err
+	}
+	hits := make([][]master.Hit, len(rep.Results))
+	for i := range rep.Results {
+		hits[i] = rep.Results[i].Hits
+	}
+	if rep.Coverage != nil {
+		f.FinishPartial(key, call, CopyHits(hits), rep.Coverage.Clone())
+		return rep, nil
+	}
+	c.Put(key, hits)
+	f.Finish(key, call, CopyHits(hits), nil)
+	return rep, nil
+}
+
 // Flight collapses concurrent identical searches: the first Join on a
 // key is the leader, later Joins before Finish are followers.
 type Flight struct {

@@ -13,7 +13,6 @@ import (
 	"swdual/internal/engine"
 	"swdual/internal/master"
 	"swdual/internal/resultcache"
-	"swdual/internal/sched"
 	"swdual/internal/seq"
 )
 
@@ -88,7 +87,6 @@ type Searcher struct {
 	degraded DegradedPolicy
 
 	dbResidues int64
-	dbLengths  []int
 	// rangeResidues holds each range's residue volume, precomputed so a
 	// degraded gather prices skipped ranges without rescanning the
 	// database.
@@ -209,13 +207,12 @@ func WithBackends(db *seq.Set, strategy Strategy, ranges []Range, backends []eng
 		topK:          topK,
 		ranges:        ranges,
 		backends:      backends,
-		dbLengths:     make([]int, db.Len()),
 		rangeResidues: make([]int64, len(ranges)),
 	}
 	// One sweep over the residues computes everything the facade needs:
 	// the whole-database fingerprint, each slice's fingerprint for the
 	// skew guard (Checksum() is cached on both engine and remote
-	// backends, so the comparisons are free), and the length statistics.
+	// backends, so the comparisons are free), and the residue volumes.
 	// The ranges are a verified partition, so the sweep covers every
 	// sequence exactly once.
 	crcAll := crc32.NewIEEE()
@@ -224,7 +221,6 @@ func WithBackends(db *seq.Set, strategy Strategy, ranges []Range, backends []eng
 		for j := r.Lo; j < r.Hi; j++ {
 			crcSlice.Write(db.Seqs[j].Residues)
 			crcAll.Write(db.Seqs[j].Residues)
-			s.dbLengths[j] = db.Seqs[j].Len()
 			s.dbResidues += int64(db.Seqs[j].Len())
 			s.rangeResidues[i] += int64(db.Seqs[j].Len())
 		}
@@ -251,9 +247,6 @@ func (s *Searcher) DB() *seq.Set { return s.db }
 
 // Alphabet returns the database alphabet.
 func (s *Searcher) Alphabet() *alphabet.Alphabet { return s.db.Alpha }
-
-// DBLengths returns the precomputed whole-database sequence lengths.
-func (s *Searcher) DBLengths() []int { return s.dbLengths }
 
 // Checksum fingerprints the whole database (CRC-32 of all residues, the
 // same value an unsharded engine.Searcher reports), so serve-mode
@@ -287,8 +280,6 @@ func (s *Searcher) Stats() engine.Stats {
 		agg.WorkersStarted += st.WorkersStarted
 		agg.Waves += st.Waves
 		agg.BatchedWaves += st.BatchedWaves
-		agg.PipelinedWaves += st.PipelinedWaves
-		agg.OverlapNanos += st.OverlapNanos
 		// Backend cache counters fold into the same totals: per-shard
 		// engines run uncached under this facade, but a backend may be a
 		// remote engine serving other clients with its own cache.
@@ -324,24 +315,6 @@ func (s *Searcher) PerShardStats() []engine.Stats {
 	return out
 }
 
-// Plan models the scatter: every shard plans the same queries over its
-// own slice concurrently, and the gather waits for the slowest shard —
-// so the modeled schedule of a sharded search is the per-shard schedule
-// with the largest makespan.
-func (s *Searcher) Plan(queryLens []int) (*sched.Schedule, error) {
-	var worst *sched.Schedule
-	for i, b := range s.backends {
-		sch, err := b.Plan(queryLens)
-		if err != nil {
-			return nil, fmt.Errorf("shard %d: %w", i, err)
-		}
-		if sch != nil && (worst == nil || sch.Makespan > worst.Makespan) {
-			worst = sch
-		}
-	}
-	return worst, nil
-}
-
 // Search scatters the query set to every shard concurrently, waits for
 // all of them, and gathers each query's hits through the deterministic
 // TopK merge. It is safe for any number of goroutines and honors ctx the
@@ -367,54 +340,20 @@ func (s *Searcher) Search(ctx context.Context, queries *seq.Set, opts engine.Sea
 	}
 	s.searches.Add(1)
 	s.queries.Add(uint64(queries.Len()))
+	run := func() (*master.Report, error) { return s.scatter(ctx, queries, topK) }
+	var rep *master.Report
+	var err error
 	if s.cache == nil || queries.Len() == 0 {
-		return s.scatter(ctx, queries, topK)
+		rep, err = run()
+	} else {
+		rep, err = resultcache.Do(ctx, s.cache, s.flight, &s.collapsed, resultcache.Key(s.checksum, topK, queries), s.policy, queries, run)
 	}
-	// A dead context never gets a cached answer: callers rely on
-	// cancellation meaning "stop", warm cache or not.
-	if err := ctx.Err(); err != nil {
-		return nil, err
+	if err == nil && rep.Coverage != nil {
+		// Counted here, not in scatter, so a collapsed caller handed the
+		// leader's partial answer is counted as the degraded search it is.
+		s.degradedCount.Add(1)
 	}
-	key := resultcache.Key(s.checksum, topK, queries)
-	if hits, ok := s.cache.Get(key); ok {
-		return resultcache.Report(s.policy, queries, hits), nil
-	}
-	call, leader := s.flight.Join(key)
-	if !leader {
-		s.collapsed.Add(1)
-		hits, err := call.Wait(ctx)
-		if err != nil {
-			return nil, err
-		}
-		rep := resultcache.Report(s.policy, queries, resultcache.CopyHits(hits))
-		if cov := call.Coverage(); cov != nil {
-			// The leader's answer was partial; a collapsed caller's answer
-			// is the same partial answer and must say so.
-			rep.Coverage = cov.Clone()
-			s.degradedCount.Add(1)
-		}
-		return rep, nil
-	}
-	rep, err := s.scatter(ctx, queries, topK)
-	if err != nil {
-		s.flight.Finish(key, call, nil, err)
-		return nil, err
-	}
-	hits := make([][]master.Hit, len(rep.Results))
-	for i := range rep.Results {
-		hits[i] = rep.Results[i].Hits
-	}
-	if rep.Coverage != nil {
-		// A degraded answer never enters the cache — a later full-coverage
-		// search must not be answered from a partial one — but it does
-		// cross the flight, coverage and all, so collapsed callers get the
-		// same labeled partial answer the leader got.
-		s.flight.FinishPartial(key, call, resultcache.CopyHits(hits), rep.Coverage.Clone())
-		return rep, nil
-	}
-	s.cache.Put(key, hits)
-	s.flight.Finish(key, call, resultcache.CopyHits(hits), nil)
-	return rep, nil
+	return rep, err
 }
 
 // scatter runs one real sharded search: fan out to every backend, wait,
@@ -517,10 +456,7 @@ func (s *Searcher) scatter(ctx context.Context, queries *seq.Set, topK int) (*ma
 		}
 	}
 	rep := s.gather(queries, reps, topK, start)
-	if cov := s.coverage(skipped, errs); cov != nil {
-		rep.Coverage = cov
-		s.degradedCount.Add(1)
-	}
+	rep.Coverage = s.coverage(skipped, errs)
 	return rep, nil
 }
 

@@ -63,8 +63,8 @@ func Max(xs []float64) float64 {
 }
 
 // Percentile returns the p'th percentile (0 < p <= 100) of xs by
-// nearest-rank on a sorted copy (0 for empty input). The load harness
-// reports p50/p99 latency with it.
+// nearest-rank on a sorted copy (0 for empty input). The gateway
+// overload tests compare p50/p99 latency with it.
 func Percentile(xs []float64, p float64) float64 {
 	if len(xs) == 0 {
 		return 0

@@ -11,6 +11,10 @@ import (
 // come back as errors — never a panic or runaway allocation — and any
 // frame that does decode must survive a marshal/unmarshal round trip
 // unchanged (the decoder and encoder agree on the format).
+// retiredV8 lists the type codes version 8 retired; they must decode as
+// unknown types forever.
+var retiredV8 = []byte{13, 14, 17, 18}
+
 func FuzzUnmarshal(f *testing.F) {
 	seed := func(msg any) {
 		typ, payload, err := Marshal(msg)
@@ -21,7 +25,7 @@ func FuzzUnmarshal(f *testing.F) {
 	}
 	seed(&Hello{Version: Version, Name: "client-1", DBChecksum: 0xdeadbeef})
 	seed(&Hello{})
-	seed(&Welcome{Version: Version, DBChecksum: 7})
+	seed(&Welcome{Version: Version, DBChecksum: 7, Alphabet: "protein"})
 	seed(&ErrorMsg{Text: "boom"})
 	seed(nil) // Done frame
 	// Session frames: request ids, nested result lists, float slices
@@ -43,17 +47,12 @@ func FuzzUnmarshal(f *testing.F) {
 	seed(&ReqError{ID: 9, Text: "engine: searcher is closed"})
 	seed(&StatsRequest{ID: 2})
 	seed(&StatsResponse{ID: 2, DBSequences: 10, DBResidues: 1234, DBChecksum: 0xfeed, Prepared: 1, WorkersStarted: 2, Searches: 3, Queries: 4, Waves: 5, BatchedWaves: 1,
-		PipelinedWaves: 4, OverlapNanos: 987654321,
 		CacheHits: 11, CacheMisses: 12, CacheEvictions: 13, CollapsedSearches: 14,
 		ProfileEntries: 15, ProfileHits: 16, ProfileMisses: 17, ProfileEvictions: 18,
 		HedgedSearches: 19, FailedOver: 20, Redials: 21, DegradedSearches: 22,
 		Workers: []WorkerRateInfo{{Name: "gpu-0", Kind: 1, AdvertisedGCUPS: 24.8, ObservedGCUPS: math.NaN(), Tasks: 7}, {Name: "", Kind: 0}}})
-	seed(&PlanRequest{ID: 3, QueryLens: []uint32{30, 80, 120}})
-	seed(&PlanResponse{ID: 3, Algorithm: "dual-approx", Makespan: 1.5, CPULoads: []float64{1.5, 1.25}, GPULoads: []float64{math.NaN()}})
 	seed(&ChecksumRequest{ID: 4})
 	seed(&ChecksumResponse{ID: 4, Checksum: 0xdeadbeef})
-	seed(&InfoRequest{ID: 5})
-	seed(&Info{ID: 5, Alphabet: "protein", Checksum: 0xbeef, Lengths: []uint32{10, 0, 300}})
 	// Malformed seeds: truncated fields, lying length prefixes, huge hit
 	// counts, unknown type codes.
 	f.Add(TypeHello, []byte{1})
@@ -61,6 +60,14 @@ func FuzzUnmarshal(f *testing.F) {
 	// unknown, whatever follows them.
 	f.Add(byte(3), []byte{1, 0, 0, 0, 0xff, 0xff})
 	f.Add(byte(4), []byte{0xff, 0xff, 0xff, 0xff})
+	// So must the four codes version 8 retired (the plan pair, 13 and 14,
+	// and the database-description pair, 17 and 18): well-formed version 7
+	// payloads for each, and a lying length prefix.
+	for _, code := range retiredV8 {
+		f.Add(code, make([]byte, 8))
+		f.Add(code, append(make([]byte, 8), 3, 0, 0, 0, 30, 0, 0, 0, 80, 0, 0, 0, 120, 0, 0, 0))
+		f.Add(code, append(make([]byte, 8), 0xff, 0xff, 0xff, 0x7f))
+	}
 	f.Add(TypeError, []byte{0xff, 0xff, 'x'})
 	f.Add(byte(0), []byte{})
 	f.Add(byte(200), []byte("garbage"))
@@ -84,18 +91,19 @@ func FuzzUnmarshal(f *testing.F) {
 	f.Add(TypeReqError, append(make([]byte, 8), 0xff, 0xff, 'x'))
 	f.Add(TypeStatsResponse, make([]byte, 10))
 	// StatsResponse whose trailing worker count lies about the payload
-	// (the fixed fields occupy exactly 172 bytes since DegradedSearches
-	// joined the replication counters, so the appended u32 is read as
-	// the worker count).
-	f.Add(TypeStatsResponse, append(make([]byte, 172), 0xff, 0xff, 0xff, 0x7f))
-	f.Add(TypePlanRequest, append(make([]byte, 8), 0xff, 0xff, 0xff, 0xff))
-	f.Add(TypePlanResponse, append(make([]byte, 10), 0xff, 0xff, 0xff, 0x7f))
-	f.Add(TypeInfo, append(make([]byte, 8), 0, 0, 0xde, 0xad, 0xbe, 0xef, 0xff, 0xff, 0xff, 0xff))
+	// (the fixed fields occupy exactly 156 bytes in version 8, so the
+	// appended u32 is read as the worker count).
+	f.Add(TypeStatsResponse, append(make([]byte, 156), 0xff, 0xff, 0xff, 0x7f))
+	// A Welcome whose alphabet-name prefix lies about the payload.
+	f.Add(TypeWelcome, append(make([]byte, 8), 0xff, 0xff, 'x'))
 
 	f.Fuzz(func(t *testing.T, typ byte, payload []byte) {
 		msg, err := Unmarshal(typ, payload) // must never panic
 		if err != nil {
 			return
+		}
+		if bytes.IndexByte(retiredV8, typ) >= 0 {
+			t.Fatalf("retired type code %d decoded as %T", typ, msg)
 		}
 		typ2, p2, err := Marshal(msg)
 		if err != nil {

@@ -25,15 +25,17 @@ const (
 	// layouts. Any change to a frame's layout bumps it, so a stale peer
 	// is rejected at Hello/Welcome instead of misreading a frame
 	// mid-session.
-	Version = 7
+	Version = 8
 	// MaxFrame bounds a frame payload (64 MiB) to fail fast on corrupt
 	// length prefixes.
 	MaxFrame = 64 << 20
 )
 
-// Message type codes. Codes 3 and 4 belonged to frames retired in
-// version 7 and stay unassigned, so TypeError keeps the code a stale
-// peer decodes and can read why its handshake was refused.
+// Message type codes. Codes 3 and 4 (retired in version 7) and 13, 14,
+// 17 and 18 (the plan and database-description frames, retired in
+// version 8) stay unassigned, so TypeError keeps the code a stale peer
+// decodes and can read why its handshake was refused, and a retired
+// frame is an unknown type, never a misread one.
 const (
 	TypeHello byte = iota + 1
 	TypeWelcome
@@ -48,12 +50,10 @@ const (
 	TypeReqError
 	TypeStatsRequest
 	TypeStatsResponse
-	TypePlanRequest
-	TypePlanResponse
+	_
+	_
 	TypeChecksumRequest
 	TypeChecksumResponse
-	TypeInfoRequest
-	TypeInfo
 )
 
 // Hello opens a session. A non-zero DBChecksum asks the server to
@@ -64,10 +64,12 @@ type Hello struct {
 	DBChecksum uint32
 }
 
-// Welcome accepts a session and names the server's database.
+// Welcome accepts a session and names the server's database: its
+// checksum and the alphabet queries must be encoded with (version 8).
 type Welcome struct {
 	Version    uint32
 	DBChecksum uint32
+	Alphabet   string
 }
 
 // ResultHit is one scored database hit inside a Result.
@@ -180,8 +182,6 @@ type StatsResponse struct {
 	Queries        uint64
 	Waves          uint64
 	BatchedWaves   uint64
-	PipelinedWaves uint64 // waves planned while the previous wave executed
-	OverlapNanos   uint64 // planning time hidden behind execution
 	// Result-cache counters (version 4): all zero when the server runs
 	// uncached.
 	CacheHits         uint64
@@ -207,25 +207,6 @@ type StatsResponse struct {
 	Workers          []WorkerRateInfo
 }
 
-// PlanRequest asks the server to run its scheduling policy over
-// hypothetical queries of the given lengths (no search runs).
-type PlanRequest struct {
-	ID        uint64
-	QueryLens []uint32
-}
-
-// PlanResponse summarizes the modeled schedule: the algorithm, its
-// makespan, and the per-PE loads (placements stay server-side). A
-// dynamic policy that produces no static schedule returns all-zero
-// fields with an empty Algorithm.
-type PlanResponse struct {
-	ID        uint64
-	Algorithm string
-	Makespan  float64
-	CPULoads  []float64
-	GPULoads  []float64
-}
-
 // ChecksumRequest asks for the server database's fingerprint.
 type ChecksumRequest struct {
 	ID uint64
@@ -235,23 +216,6 @@ type ChecksumRequest struct {
 type ChecksumResponse struct {
 	ID       uint64
 	Checksum uint32
-}
-
-// InfoRequest asks for the database description a remote backend needs
-// to stand in for a local engine.
-type InfoRequest struct {
-	ID uint64
-}
-
-// Info describes the server's database: the alphabet name (queries must
-// be encoded with the same alphabet), the checksum, and every sequence
-// length in database order (what the scheduler's instance builder and
-// the planner consume).
-type Info struct {
-	ID       uint64
-	Alphabet string
-	Checksum uint32
-	Lengths  []uint32
 }
 
 // Conn frames messages over a net.Conn.
@@ -319,6 +283,7 @@ func Marshal(msg any) (byte, []byte, error) {
 	case *Welcome:
 		e.u32(m.Version)
 		e.u32(m.DBChecksum)
+		e.str(m.Alphabet)
 		return TypeWelcome, e.buf, nil
 	case *ErrorMsg:
 		e.str(m.Text)
@@ -376,8 +341,6 @@ func Marshal(msg any) (byte, []byte, error) {
 		e.u64(m.Queries)
 		e.u64(m.Waves)
 		e.u64(m.BatchedWaves)
-		e.u64(m.PipelinedWaves)
-		e.u64(m.OverlapNanos)
 		e.u64(m.CacheHits)
 		e.u64(m.CacheMisses)
 		e.u64(m.CacheEvictions)
@@ -399,26 +362,6 @@ func Marshal(msg any) (byte, []byte, error) {
 			e.u64(w.Tasks)
 		}
 		return TypeStatsResponse, e.buf, nil
-	case *PlanRequest:
-		e.u64(m.ID)
-		e.u32(uint32(len(m.QueryLens)))
-		for _, l := range m.QueryLens {
-			e.u32(l)
-		}
-		return TypePlanRequest, e.buf, nil
-	case *PlanResponse:
-		e.u64(m.ID)
-		e.str(m.Algorithm)
-		e.f64(m.Makespan)
-		e.u32(uint32(len(m.CPULoads)))
-		for _, l := range m.CPULoads {
-			e.f64(l)
-		}
-		e.u32(uint32(len(m.GPULoads)))
-		for _, l := range m.GPULoads {
-			e.f64(l)
-		}
-		return TypePlanResponse, e.buf, nil
 	case *ChecksumRequest:
 		e.u64(m.ID)
 		return TypeChecksumRequest, e.buf, nil
@@ -426,18 +369,6 @@ func Marshal(msg any) (byte, []byte, error) {
 		e.u64(m.ID)
 		e.u32(m.Checksum)
 		return TypeChecksumResponse, e.buf, nil
-	case *InfoRequest:
-		e.u64(m.ID)
-		return TypeInfoRequest, e.buf, nil
-	case *Info:
-		e.u64(m.ID)
-		e.str(m.Alphabet)
-		e.u32(m.Checksum)
-		e.u32(uint32(len(m.Lengths)))
-		for _, l := range m.Lengths {
-			e.u32(l)
-		}
-		return TypeInfo, e.buf, nil
 	case Done, nil:
 		return TypeDone, nil, nil
 	}
@@ -502,6 +433,7 @@ func Unmarshal(typ byte, payload []byte) (any, error) {
 		m := &Welcome{}
 		m.Version = d.u32()
 		m.DBChecksum = d.u32()
+		m.Alphabet = d.str()
 		return m, d.err
 	case TypeDone:
 		return Done{}, nil
@@ -599,8 +531,6 @@ func Unmarshal(typ byte, payload []byte) (any, error) {
 		m.Queries = d.u64()
 		m.Waves = d.u64()
 		m.BatchedWaves = d.u64()
-		m.PipelinedWaves = d.u64()
-		m.OverlapNanos = d.u64()
 		m.CacheHits = d.u64()
 		m.CacheMisses = d.u64()
 		m.CacheEvictions = d.u64()
@@ -635,19 +565,6 @@ func Unmarshal(typ byte, payload []byte) (any, error) {
 			m.Workers = append(m.Workers, w)
 		}
 		return m, d.err
-	case TypePlanRequest:
-		m := &PlanRequest{}
-		m.ID = d.u64()
-		m.QueryLens = d.u32s()
-		return m, d.err
-	case TypePlanResponse:
-		m := &PlanResponse{}
-		m.ID = d.u64()
-		m.Algorithm = d.str()
-		m.Makespan = d.f64()
-		m.CPULoads = d.f64s()
-		m.GPULoads = d.f64s()
-		return m, d.err
 	case TypeChecksumRequest:
 		m := &ChecksumRequest{}
 		m.ID = d.u64()
@@ -656,17 +573,6 @@ func Unmarshal(typ byte, payload []byte) (any, error) {
 		m := &ChecksumResponse{}
 		m.ID = d.u64()
 		m.Checksum = d.u32()
-		return m, d.err
-	case TypeInfoRequest:
-		m := &InfoRequest{}
-		m.ID = d.u64()
-		return m, d.err
-	case TypeInfo:
-		m := &Info{}
-		m.ID = d.u64()
-		m.Alphabet = d.str()
-		m.Checksum = d.u32()
-		m.Lengths = d.u32s()
 		return m, d.err
 	}
 	return nil, fmt.Errorf("wire: unknown message type %d", typ)
@@ -751,37 +657,6 @@ func (d *decoder) str() string {
 	s := string(d.buf[:n])
 	d.buf = d.buf[n:]
 	return s
-}
-
-// u32s decodes a count-prefixed []uint32, validating the count against
-// the remaining payload before allocating (division, not
-// multiplication — 4*n would wrap on 32-bit platforms and let a lying
-// count through to makeslice).
-func (d *decoder) u32s() []uint32 {
-	n := int(d.u32())
-	if d.err != nil || n < 0 || len(d.buf)/4 < n {
-		d.fail()
-		return nil
-	}
-	out := make([]uint32, n)
-	for i := range out {
-		out[i] = d.u32()
-	}
-	return out
-}
-
-// f64s decodes a count-prefixed []float64 with the same guard.
-func (d *decoder) f64s() []float64 {
-	n := int(d.u32())
-	if d.err != nil || n < 0 || len(d.buf)/8 < n {
-		d.fail()
-		return nil
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = d.f64()
-	}
-	return out
 }
 
 func (d *decoder) bytes() []byte {

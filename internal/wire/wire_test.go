@@ -29,7 +29,7 @@ func TestHelloRoundTrip(t *testing.T) {
 }
 
 func TestWelcomeRoundTrip(t *testing.T) {
-	in := &Welcome{Version: 1, DBChecksum: 7}
+	in := &Welcome{Version: 1, DBChecksum: 7, Alphabet: "protein"}
 	if got := roundTrip(t, in); !reflect.DeepEqual(got, in) {
 		t.Fatalf("got %+v", got)
 	}
@@ -166,7 +166,6 @@ func TestStatsResponseRoundTrip(t *testing.T) {
 	in := &StatsResponse{
 		ID: 9, DBSequences: 10, DBResidues: 1234, DBChecksum: 0xfeed,
 		Prepared: 1, WorkersStarted: 3, Searches: 4, Queries: 5, Waves: 6, BatchedWaves: 2,
-		PipelinedWaves: 3, OverlapNanos: 1_500_000,
 		HedgedSearches: 7, FailedOver: 2, Redials: 1,
 		Workers: []WorkerRateInfo{
 			{Name: "gpu-0", Kind: 1, AdvertisedGCUPS: 24.8, ObservedGCUPS: 31.5, Tasks: 12},

@@ -165,7 +165,9 @@ func TestMappedSearchMatchesHeap(t *testing.T) {
 		}(i, l, srvDB)
 	}
 	coordOpt := opt
-	coordOpt.RemoteShards = addrs
+	for _, addr := range addrs {
+		coordOpt.ReplicaShards = append(coordOpt.ReplicaShards, []string{addr})
+	}
 	s, err := swdual.NewSearcher(mdb, coordOpt)
 	if err != nil {
 		t.Fatal(err)

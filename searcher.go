@@ -28,11 +28,11 @@ import (
 // independent per-shard engines; Search scatters to all of them and
 // gathers the per-query hits through a deterministic TopK merge, so the
 // results stay byte-identical to the unsharded engine. With
-// Options.RemoteShards the same scatter/gather runs over the network:
-// every shard is a serve process (see ServeShard) and this process is
-// the coordinator. With Options.ReplicaShards every range is held by
-// several interchangeable servers behind a failover/hedging facade, so
-// a search survives a replica dying mid-flight.
+// Options.ReplicaShards the same scatter/gather runs over the network:
+// this process is the coordinator and every range is held by one or
+// more interchangeable serve processes (see ServeShard) behind a
+// failover/redial/hedging facade, so a range with several servers
+// survives one dying mid-flight.
 type Searcher struct {
 	inner  engine.Backend
 	db     *Database
@@ -78,29 +78,9 @@ func NewSearcher(db *Database, opt Options) (*Searcher, error) {
 	if db == nil {
 		return nil, errNilSets
 	}
-	params, err := opt.params()
+	cfg, err := opt.engineConfig()
 	if err != nil {
 		return nil, err
-	}
-	policy, err := opt.policy()
-	if err != nil {
-		return nil, err
-	}
-	pool, err := opt.poolSpec()
-	if err != nil {
-		return nil, err
-	}
-	cpus, gpus := opt.workers()
-	cfg := engine.Config{
-		Params:     params,
-		CPUs:       cpus,
-		GPUs:       gpus,
-		Pool:       pool,
-		TopK:       opt.TopK,
-		Policy:     policy,
-		Cache:      opt.Cache,
-		CacheSize:  opt.CacheSize,
-		CacheBytes: opt.CacheBytes,
 	}
 	strategy, err := shard.ParseStrategy(opt.ShardSplit)
 	if err != nil {
@@ -115,25 +95,13 @@ func NewSearcher(db *Database, opt Options) (*Searcher, error) {
 			return nil, err
 		}
 		if opt.Cache {
+			// The cache belongs in the coordinator: a cached answer skips
+			// the network scatter entirely.
 			sh.EnableCache(opt.CacheSize, opt.CacheBytes)
 		}
 		if opt.Degraded {
 			// This is where degraded mode earns its keep: a range whose
 			// every replica died answers partial instead of failing.
-			sh.SetDegradedPolicy(shard.DegradedPartial)
-		}
-		inner, shards = sh, sh.Shards()
-	case len(opt.RemoteShards) > 0:
-		sh, err := dialRemoteShards(db, opt.RemoteShards, strategy, cfg.TopK, opt.DialTimeout)
-		if err != nil {
-			return nil, err
-		}
-		if opt.Cache {
-			// The cache belongs in the coordinator: a cached answer
-			// skips the network scatter entirely.
-			sh.EnableCache(opt.CacheSize, opt.CacheBytes)
-		}
-		if opt.Degraded {
 			sh.SetDegradedPolicy(shard.DegradedPartial)
 		}
 		inner, shards = sh, sh.Shards()
@@ -165,41 +133,13 @@ func NewSearcher(db *Database, opt Options) (*Searcher, error) {
 	return &Searcher{inner: inner, db: db, opt: opt, shards: shards, ownsDB: ownsDB}, nil
 }
 
-// dialRemoteShards assembles the coordinator side of a cluster serve:
-// split the local database the same way the shard servers did, dial each
-// address with the expected slice checksum (the skew guard), and wrap
-// the connections in the scatter/gather facade.
-func dialRemoteShards(db *Database, addrs []string, strategy shard.Strategy, topK int, dialTimeout time.Duration) (*shard.Searcher, error) {
-	ranges := shard.RangesFor(db.set, len(addrs), strategy)
-	backends := make([]engine.Backend, 0, len(addrs))
-	fail := func(err error) (*shard.Searcher, error) {
-		for _, b := range backends {
-			b.Close()
-		}
-		return nil, err
-	}
-	for i, addr := range addrs {
-		want := db.set.Slice(ranges[i].Lo, ranges[i].Hi).Checksum()
-		b, err := remote.DialTimeout(addr, want, dialTimeout)
-		if err != nil {
-			return fail(fmt.Errorf("swdual: shard %d [%d,%d): %w", i, ranges[i].Lo, ranges[i].Hi, err))
-		}
-		backends = append(backends, b)
-	}
-	sh, err := shard.WithBackends(db.set, strategy, ranges, backends, topK)
-	if err != nil {
-		return fail(err)
-	}
-	return sh, nil
-}
-
-// dialReplicaShards assembles the replicated coordinator: each range's
-// addresses are dialed with the slice checksum as the skew guard and
-// wrapped in a replica.Set — the facade that fails over, re-dials and
-// hedges — and the sets feed the same scatter/gather as plain remote
-// shards. A replica that is down at construction is tolerated (its set
-// starts re-dialing immediately) as long as at least one replica of the
-// range answers.
+// dialReplicaShards assembles the coordinator side of a cluster: split
+// the local database the same way the shard servers did, dial each
+// range's addresses with the slice checksum as the skew guard, wrap them
+// in a replica.Set — the facade that fails over, re-dials and hedges —
+// and feed the sets to the scatter/gather. A replica that is down at
+// construction is tolerated (its set starts re-dialing immediately) as
+// long as at least one replica of the range answers.
 func dialReplicaShards(db *Database, groups [][]string, strategy shard.Strategy, topK int, dialTimeout time.Duration) (*shard.Searcher, error) {
 	ranges := shard.RangesFor(db.set, len(groups), strategy)
 	backends := make([]engine.Backend, 0, len(groups))
@@ -253,12 +193,12 @@ func dialReplicaShards(db *Database, groups [][]string, strategy shard.Strategy,
 	return sh, nil
 }
 
-// ServeShard serves one shard of db on l for a remote-sharded
-// coordinator: the database is split into count ranges with
-// opt.ShardSplit (the coordinator must use the same strategy and count)
-// and slice index gets its own persistent engine, exposed over the wire
-// protocol until the listener closes. A coordinator built with
-// Options.RemoteShards verifies the slice checksum at dial, so serving
+// ServeShard serves one shard of db on l for a cluster coordinator: the
+// database is split into count ranges with opt.ShardSplit (the
+// coordinator must use the same strategy and count) and slice index gets
+// its own persistent engine, exposed over the wire protocol until the
+// listener closes. A coordinator built with
+// Options.ReplicaShards verifies the slice checksum at dial, so serving
 // the wrong index, count, strategy or database fails fast instead of
 // corrupting merged results.
 func ServeShard(l net.Listener, db *Database, index, count int, opt Options) error {
@@ -268,11 +208,7 @@ func ServeShard(l net.Listener, db *Database, index, count int, opt Options) err
 	if count < 1 || index < 0 || index >= count {
 		return fmt.Errorf("swdual: shard index %d of %d out of range", index, count)
 	}
-	params, err := opt.params()
-	if err != nil {
-		return err
-	}
-	policy, err := opt.policy()
+	cfg, err := opt.engineConfig()
 	if err != nil {
 		return err
 	}
@@ -280,23 +216,8 @@ func ServeShard(l net.Listener, db *Database, index, count int, opt Options) err
 	if err != nil {
 		return err
 	}
-	pool, err := opt.poolSpec()
-	if err != nil {
-		return err
-	}
 	r := shard.RangesFor(db.set, count, strategy)[index]
-	cpus, gpus := opt.workers()
-	eng, err := engine.New(db.set.Slice(r.Lo, r.Hi), engine.Config{
-		Params:     params,
-		CPUs:       cpus,
-		GPUs:       gpus,
-		Pool:       pool,
-		TopK:       opt.TopK,
-		Policy:     policy,
-		Cache:      opt.Cache,
-		CacheSize:  opt.CacheSize,
-		CacheBytes: opt.CacheBytes,
-	})
+	eng, err := engine.New(db.set.Slice(r.Lo, r.Hi), cfg)
 	if err != nil {
 		return err
 	}
@@ -316,8 +237,8 @@ func (s *Searcher) Search(ctx context.Context, queries *Database, opts SearchOpt
 }
 
 // Plan runs only the scheduler for the given queries on the calibrated
-// paper-scale platform model, reusing the Searcher's prepared database
-// statistics.
+// paper-scale platform model over the Searcher's database — the same
+// SchedulePlan the package-level Plan reports, sharded or not.
 func (s *Searcher) Plan(queries *Database) (*SchedulePlan, error) {
 	if queries == nil {
 		return nil, errNilSets
@@ -326,13 +247,13 @@ func (s *Searcher) Plan(queries *Database) (*SchedulePlan, error) {
 	if pool, err := s.opt.poolSpec(); err == nil && pool.Total() > 0 {
 		cpus, gpus = pool.CPUWorkers(), pool.GPUWorkers()
 	}
-	return planModel(s.inner.DBLengths(), queryLengths(queries), cpus, gpus, s.opt.Policy)
+	return planModel(setLengths(s.db.set), queryLengths(queries), cpus, gpus, s.opt.Policy)
 }
 
 // Serve exposes the Searcher over the wire protocol until the listener
 // closes: each client connection is a multiplexed session carrying any
 // number of concurrent requests (QueryServer, or a coordinator's
-// RemoteShards / ReplicaShards entry, is the client). Requests from all
+// ReplicaShards entry, is the client). Requests from all
 // sessions share scheduling waves.
 func (s *Searcher) Serve(l net.Listener) error {
 	return engine.Serve(l, s.inner)

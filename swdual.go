@@ -28,6 +28,7 @@ import (
 	"time"
 
 	"swdual/internal/alphabet"
+	"swdual/internal/engine"
 	"swdual/internal/fasta"
 	"swdual/internal/master"
 	"swdual/internal/scoring"
@@ -75,28 +76,24 @@ type Options struct {
 	// ShardSplit selects the shard boundaries: "contiguous" (default,
 	// equal sequence counts) or "balanced" (equal residue volume).
 	ShardSplit string
-	// RemoteShards backs each shard with a serve process instead of an
-	// in-process engine: the database is split into len(RemoteShards)
-	// ranges with ShardSplit, and the i'th address must run ServeShard
-	// (or `swdual -shard-serve`) for slice i of the same database —
+	// ReplicaShards makes this process the coordinator of a cluster:
+	// the database is split into len(ReplicaShards) ranges with
+	// ShardSplit, and ReplicaShards[i] lists the addresses of the serve
+	// processes holding slice i, every one running ServeShard (or
+	// `swdual -shard-serve`) for that slice of the same database —
 	// verified by checksum at dial, so a server holding different
-	// sequences is rejected before any query runs. Searches scatter over
-	// the network and gather exactly like in-process sharding, so hits
-	// stay byte-identical to an unsharded search. When set, Shards is
-	// ignored.
-	RemoteShards []string
-	// ReplicaShards backs each shard range with several interchangeable
-	// serve processes: ReplicaShards[i] lists the addresses of the
-	// servers for slice i, every one running ServeShard for that same
-	// slice (verified by checksum at dial — replicas proven identical is
-	// what makes failover and hedging answer-preserving). Searches route
-	// to one replica per range; a replica whose connection dies is
-	// failed over, re-dialed in the background with capped backoff, and
-	// searches running past an adaptive latency threshold are hedged on
-	// a sibling, first answer wins. Hits stay byte-identical to an
-	// unsharded search. A replica that is down at construction is
-	// tolerated as long as at least one replica of its range is up. When
-	// set, RemoteShards and Shards are ignored.
+	// sequences is rejected before any query runs. One address per range
+	// is a plain (non-replicated) cluster; several make the range
+	// survive a server dying mid-flight. Searches scatter over the
+	// network, one replica per range, and gather exactly like in-process
+	// sharding, so hits stay byte-identical to an unsharded search. A
+	// replica whose connection dies is failed over to a sibling (when
+	// the range has one) and re-dialed in the background with capped
+	// backoff; searches running past an adaptive latency threshold are
+	// hedged on a sibling, first answer wins — replicas proven identical
+	// is what makes both answer-preserving. A replica that is down at
+	// construction is tolerated as long as at least one replica of its
+	// range is up. When set, Shards is ignored.
 	ReplicaShards [][]string
 	// DialTimeout bounds dialing one remote shard or replica — TCP
 	// connect and protocol handshake together — so a hung server cannot
@@ -106,14 +103,15 @@ type Options struct {
 	// repeated search (same query residues, same TopK, same database)
 	// is answered from a bounded LRU without running a scheduling wave,
 	// and concurrent identical searches collapse into one wave. With
-	// sharding (local or remote) the cache lives in the coordinator, so
-	// a cached answer never reaches a shard. Off by default — the
+	// sharding (Shards or ReplicaShards) the cache lives in the
+	// coordinator, so a cached answer never reaches a shard. Off by default — the
 	// paper's benchmarks measure scheduling, so reproduction runs pay
 	// every wave. Hits are byte-identical with the cache on or off.
 	Cache bool
 	// CacheSize caps cached search fingerprints (0 selects the default,
 	// 1024); CacheBytes caps the cache's estimated memory (0 selects
-	// the default, 64 MiB).
+	// the default, 64 MiB). Negative values are rejected by NewSearcher
+	// and ServeShard on every topology.
 	CacheSize  int
 	CacheBytes int64
 	// GatewayCapacity bounds concurrently executing searches behind the
@@ -140,15 +138,56 @@ type Options struct {
 	// FASTA. The Searcher owns the resulting database and releases the
 	// mapping on Close. Ignored when an explicit db is passed.
 	DBPath string
-	// Degraded selects partial-result search on a sharded coordinator
-	// (Shards > 1, RemoteShards, ReplicaShards): when every replica of
-	// a database range is unavailable, Search answers from the
-	// surviving ranges and the Report carries Coverage naming what was
-	// skipped, instead of failing outright. Full-coverage answers are
-	// byte-identical with the option on or off; degraded answers never
-	// enter the result cache. Ignored by an unsharded Searcher — there
-	// is no surviving subset of one engine.
+	// Degraded selects partial-result search on a sharded coordinator:
+	// when every replica of a database range is unavailable, Search
+	// answers from the surviving ranges and the Report carries Coverage
+	// naming what was skipped, instead of failing outright. It is live
+	// on every ReplicaShards topology — with one address per range a
+	// single dead shard server darkens its range, and the range is
+	// searched again once the background redial brings the server back.
+	// Full-coverage answers are byte-identical with the option on or
+	// off; degraded answers never enter the result cache. It has
+	// nothing to act on with in-process Shards (an in-process engine has
+	// no connection to lose) or on an unsharded Searcher (there is no
+	// surviving subset of one engine).
 	Degraded bool
+}
+
+// engineConfig validates the options an engine is built from and
+// assembles its configuration — the one place NewSearcher (every
+// topology) and ServeShard read them, so both refuse the same inputs
+// with the same errors.
+func (o Options) engineConfig() (engine.Config, error) {
+	params, err := o.params()
+	if err != nil {
+		return engine.Config{}, err
+	}
+	policy, err := o.policy()
+	if err != nil {
+		return engine.Config{}, err
+	}
+	pool, err := o.poolSpec()
+	if err != nil {
+		return engine.Config{}, err
+	}
+	if o.CacheSize < 0 {
+		return engine.Config{}, fmt.Errorf("swdual: negative CacheSize %d (0 selects the default)", o.CacheSize)
+	}
+	if o.CacheBytes < 0 {
+		return engine.Config{}, fmt.Errorf("swdual: negative CacheBytes %d (0 selects the default)", o.CacheBytes)
+	}
+	cpus, gpus := o.workers()
+	return engine.Config{
+		Params:     params,
+		CPUs:       cpus,
+		GPUs:       gpus,
+		Pool:       pool,
+		TopK:       o.TopK,
+		Policy:     policy,
+		Cache:      o.Cache,
+		CacheSize:  o.CacheSize,
+		CacheBytes: o.CacheBytes,
+	}, nil
 }
 
 func (o Options) params() (sw.Params, error) {

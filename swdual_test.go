@@ -5,12 +5,14 @@ import (
 	"errors"
 	"net"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"swdual"
+	"swdual/internal/replica"
 )
 
 func TestAlignPair(t *testing.T) {
@@ -352,8 +354,9 @@ func TestShardedSearcherMatchesUnsharded(t *testing.T) {
 
 // TestRemoteShardedSearcherMatchesUnsharded is the public cluster-serve
 // acceptance test: two ServeShard processes (played by goroutines) plus
-// a coordinator built with Options.RemoteShards must return hits
-// byte-identical to a single-process unsharded search of the same
+// a coordinator built with one ReplicaShards address per range must
+// return hits byte-identical to a single-process unsharded search of the
+// same database, its Plan must be the package-level Plan of that
 // database, and a coordinator pointed at a skewed database must be
 // refused at construction.
 func TestRemoteShardedSearcherMatchesUnsharded(t *testing.T) {
@@ -387,7 +390,9 @@ func TestRemoteShardedSearcherMatchesUnsharded(t *testing.T) {
 	}
 
 	coordOpt := opt
-	coordOpt.RemoteShards = addrs
+	for _, addr := range addrs {
+		coordOpt.ReplicaShards = append(coordOpt.ReplicaShards, []string{addr})
+	}
 	s, err := swdual.NewSearcher(db, coordOpt)
 	if err != nil {
 		t.Fatal(err)
@@ -399,19 +404,22 @@ func TestRemoteShardedSearcherMatchesUnsharded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for qi := range got.Results {
-		a, b := got.Results[qi].Hits, want.Results[qi].Hits
-		if len(a) != len(b) {
-			t.Fatalf("query %d: %d hits vs %d", qi, len(a), len(b))
-		}
-		for hi := range a {
-			if a[hi] != b[hi] {
-				t.Fatalf("query %d hit %d: %+v vs %+v", qi, hi, a[hi], b[hi])
-			}
-		}
-	}
+	sameReports(t, "cluster", got, want)
 	if st := s.Stats(); st.Prepared != shardCount {
 		t.Fatalf("%d preparation passes, want one per shard server", st.Prepared)
+	}
+	// The coordinator plans from the database it holds, not from its
+	// shard servers: field for field the package-level Plan.
+	gotPlan, err := s.Plan(queries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantPlan, err := swdual.Plan(db, queries, coordOpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(gotPlan, wantPlan) {
+		t.Fatalf("coordinator plan %+v, want %+v", gotPlan, wantPlan)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
@@ -434,6 +442,199 @@ func TestRemoteShardedSearcherMatchesUnsharded(t *testing.T) {
 	}
 	if err := swdual.ServeShard(nil, nil, 0, 2, opt); err == nil {
 		t.Fatal("nil database accepted")
+	}
+}
+
+// shardServer is a ServeShard goroutine whose accepted connections are
+// tracked, so a test can sever them all — the observable effect of the
+// server process dying.
+type shardServer struct {
+	net.Listener
+	mu    sync.Mutex
+	conns []net.Conn
+}
+
+func (s *shardServer) Accept() (net.Conn, error) {
+	nc, err := s.Listener.Accept()
+	if err == nil {
+		s.mu.Lock()
+		s.conns = append(s.conns, nc)
+		s.mu.Unlock()
+	}
+	return nc, err
+}
+
+// kill closes the listener and severs every accepted connection.
+func (s *shardServer) kill() {
+	s.Listener.Close()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, nc := range s.conns {
+		nc.Close()
+	}
+	s.conns = nil
+}
+
+// startShardServer serves slice index of db on addr until killed.
+func startShardServer(t *testing.T, addr string, db *swdual.Database, index, count int, opt swdual.Options) *shardServer {
+	t.Helper()
+	l, err := net.Listen("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := &shardServer{Listener: l}
+	go swdual.ServeShard(s, db, index, count, opt)
+	t.Cleanup(s.kill)
+	return s
+}
+
+// TestDegradedRidesOverDeadShardServer: on a non-replicated cluster —
+// one ReplicaShards address per range — a dead shard server darkens
+// exactly its range. The default policy fails the search with the typed
+// replica.ErrRangeUnavailable; Options.Degraded answers from the
+// survivors, labeled with exact Coverage and with hits equal to a search
+// of the surviving slice alone; and once the server is back on the same
+// address the background redial restores full answers.
+func TestDegradedRidesOverDeadShardServer(t *testing.T) {
+	const shardCount = 2
+	db, err := swdual.GenerateDatabase("UniProt", 20000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	queries, err := swdual.GenerateQueries("standard", 400)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := swdual.Options{CPUs: 1, GPUs: 1, TopK: 5, DialTimeout: 5 * time.Second}
+	want, err := swdual.Search(db, queries, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	servers := make([]*shardServer, shardCount)
+	coordOpt := opt
+	for i := range servers {
+		servers[i] = startShardServer(t, "127.0.0.1:0", db, i, shardCount, opt)
+		coordOpt.ReplicaShards = append(coordOpt.ReplicaShards, []string{servers[i].Addr().String()})
+	}
+	strict, err := swdual.NewSearcher(db, coordOpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer strict.Close()
+	coordOpt.Degraded = true
+	s, err := swdual.NewSearcher(db, coordOpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ctx := context.Background()
+	got, err := s.Search(ctx, queries, swdual.SearchOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Coverage != nil {
+		t.Fatalf("healthy cluster answered partial: %+v", got.Coverage)
+	}
+	sameReports(t, "healthy", got, want)
+
+	servers[1].kill()
+
+	var down *replica.ErrRangeUnavailable
+	if _, err := strict.Search(ctx, queries, swdual.SearchOptions{}); !errors.As(err, &down) || down.Index != 1 || down.Replicas != 1 {
+		t.Fatalf("default policy over a dead shard server: %v, want a replica.ErrRangeUnavailable for range 1 of 1 replica", err)
+	}
+	part, err := s.Search(ctx, queries, swdual.SearchOptions{})
+	if err != nil {
+		t.Fatalf("degraded search over a dead shard server failed: %v", err)
+	}
+	cov := part.Coverage
+	if cov == nil || cov.RangesSearched != 1 || cov.RangesTotal != shardCount || len(cov.Skipped) != 1 {
+		t.Fatalf("coverage %+v, want 1 of %d ranges searched and one skipped", cov, shardCount)
+	}
+	sk := cov.Skipped[0]
+	if sk.Index != 1 || sk.Lo <= 0 || sk.Hi != db.Len() || !strings.Contains(sk.Reason, "shard 1") {
+		t.Fatalf("skipped range %+v, want range 1 ending at sequence %d", sk, db.Len())
+	}
+	// The survivors are the prefix [0, Lo), so their indices are the
+	// whole database's: the answer must be a search of that slice alone.
+	var ids, residues []string
+	for i := 0; i < sk.Lo; i++ {
+		id, r := db.Sequence(i)
+		ids, residues = append(ids, id), append(residues, r)
+	}
+	surviving, err := swdual.FromSequences(ids, residues)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cov.ResiduesSearched != surviving.TotalResidues() || cov.ResiduesTotal != db.TotalResidues() {
+		t.Fatalf("coverage prices %d of %d residues, want %d of %d", cov.ResiduesSearched, cov.ResiduesTotal, surviving.TotalResidues(), db.TotalResidues())
+	}
+	wantPart, err := swdual.Search(surviving, queries, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameReports(t, "survivors", part, wantPart)
+
+	// Same address, new process: the redial loop finds it.
+	startShardServer(t, servers[1].Addr().String(), db, 1, shardCount, opt)
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		got, err = s.Search(ctx, queries, swdual.SearchOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Coverage == nil {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("still partial 30s after the shard server came back: %+v", got.Coverage)
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	sameReports(t, "recovered", got, want)
+	if st := s.Stats(); st.Redials < 1 || st.DegradedSearches < 1 {
+		t.Fatalf("stats after recovery: %d redials, %d degraded searches, want at least one of each", st.Redials, st.DegradedSearches)
+	}
+}
+
+// TestNegativeCacheBoundsRefusedEverywhere: a negative CacheSize or
+// CacheBytes is refused with the same error by every topology's
+// constructor and by ServeShard, before anything is dialed or served.
+func TestNegativeCacheBoundsRefusedEverywhere(t *testing.T) {
+	db, err := swdual.GenerateDatabase("UniProt", 50000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range []struct {
+		opt  swdual.Options
+		want string
+	}{
+		{swdual.Options{Cache: true, CacheSize: -1}, "negative CacheSize -1"},
+		{swdual.Options{Cache: true, CacheBytes: -1}, "negative CacheBytes -1"},
+	} {
+		for _, topo := range []struct {
+			name string
+			set  func(*swdual.Options)
+		}{
+			{"unsharded", func(*swdual.Options) {}},
+			{"Shards", func(o *swdual.Options) { o.Shards = 2 }},
+			{"ReplicaShards", func(o *swdual.Options) { o.ReplicaShards = [][]string{{"127.0.0.1:1"}, {"127.0.0.1:1"}} }},
+		} {
+			opt := bad.opt
+			topo.set(&opt)
+			s, err := swdual.NewSearcher(db, opt)
+			if err == nil {
+				s.Close()
+				t.Fatalf("%s accepted %s", topo.name, bad.want)
+			}
+			if !strings.Contains(err.Error(), bad.want) {
+				t.Fatalf("%s: error %q, want it to say %q", topo.name, err, bad.want)
+			}
+		}
+		if err := swdual.ServeShard(nil, db, 0, 2, bad.opt); err == nil || !strings.Contains(err.Error(), bad.want) {
+			t.Fatalf("ServeShard: error %v, want it to say %q", err, bad.want)
+		}
 	}
 }
 
