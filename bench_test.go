@@ -168,8 +168,9 @@ func BenchmarkCachedSearch(b *testing.B) {
 // BenchmarkSearchPersistentConcurrent measures the dispatcher under the
 // serving workload: many concurrent clients, each submitting small
 // requests against one Searcher, so the engine runs a steady stream of
-// small coalesced waves and per-wave overhead (planning, the
-// end-of-wave fence) is what throughput leaks through.
+// small overlapping waves and per-wave overhead (the any-idle gate,
+// planning on the idle workers, the per-kind feeds) is what throughput
+// leaks through.
 func BenchmarkSearchPersistentConcurrent(b *testing.B) {
 	db, _ := benchSearchData(b)
 	full, err := swdual.GenerateQueries("standard", 400)

@@ -7,20 +7,35 @@
 // the way fine-grained parallel search engines amortize database setup
 // across queries (Nguyen & Lavenier 2008).
 //
-// Concurrent requests are coalesced: a dispatcher goroutine collects
-// queries arriving within a short batching window into one wave, runs
-// the configured scheduling policy (dual-approximation by default) over
-// the combined task set, dispatches per-worker queues through the pool,
-// and routes each result back to its originating request.
+// Concurrent requests are coalesced: a dispatcher goroutine collects the
+// queries that are waiting into one wave, runs the configured scheduling
+// policy (dual-approximation by default) over the combined task set,
+// feeds the pool one ordered queue per worker kind, and routes each
+// result back to its originating request.
 //
-// The dispatcher runs one wave at a time: coalesce, plan (task
-// generation and the policy run, with the pool's measured rates
-// snapshotted at that moment), feed the per-worker queues, wait for
-// every merge of the wave, then take the next. Every scheduling decision
-// therefore sees an idle platform — the paper's §III model and the
-// assumption the dual approximation's makespan bound rests on. Requests
-// that arrive while a wave executes wait on the submit channel and form
-// the next wave.
+// The dispatcher is work-conserving. Its gate opens as soon as any
+// worker is idle — nothing running and nothing queued for its kind —
+// not when all are: it then coalesces whatever waits on the submit
+// channel, builds the scheduling instance over the idle part of the
+// platform (the pool's measured rates, with the CPU and GPU counts set
+// to the idle workers of each kind), plans it, and hands each kind's
+// tasks in planned start order to that kind's FIFO in the pool, from
+// which whichever worker of the kind frees first pulls — the paper's
+// list-scheduling step (§III), "next task to the least-loaded PE of the
+// class", executed with real instead of estimated times. Waves therefore
+// overlap: a one-query wave occupies one worker and the next request
+// runs beside it on another instead of waiting for it. Requests that
+// arrive while every worker is busy wait on the submit channel, where
+// cancellation and Close still reach them, and form the next wave.
+//
+// Every scheduling decision still sees an idle platform, just not always
+// the whole one. With every worker idle the instance is the paper's §III
+// model and the dual approximation's makespan bound holds for the wave;
+// a wave planned while some workers are busy is bounded on the idle
+// sub-platform only, and not at all against the whole platform — the
+// busy workers join in from the kind's FIFO when they free, which the
+// plan did not count on. That guarantee is what is given up for never
+// leaving a worker idle beside a waiting request.
 package engine
 
 import (
@@ -28,6 +43,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -131,11 +147,11 @@ type Stats struct {
 	Queries        uint64
 	Waves          uint64
 	BatchedWaves   uint64 // waves that coalesced more than one request
-	// PipelinedWaves and OverlapNanos are always zero: the dispatcher
-	// runs one wave at a time. They are retained only because
-	// benchmark/'s engine.pipelined_ratio and engine.overlap_ms probes
-	// read them, and go when those probes do; nothing sets, sums or
-	// sends them (they left StatsResponse in wire version 8).
+	// PipelinedWaves and OverlapNanos are always zero. They are retained
+	// only because benchmark/'s engine.pipelined_ratio and
+	// engine.overlap_ms probes read them, and go when those probes do;
+	// nothing sets, sums or sends them (they left StatsResponse in wire
+	// version 8).
 	PipelinedWaves uint64
 	OverlapNanos   uint64
 	// CacheHits / CacheMisses / CacheEvictions count result-cache
@@ -230,10 +246,21 @@ type Searcher struct {
 	once   func()        // idempotent close
 
 	// profiles shares per-query profile construction across workers and
-	// waves; scratch holds the plan-stage slices of the one wave in
-	// flight and is touched only by the dispatcher and that wave's feeds.
+	// waves.
 	profiles *scoring.ProfileCache
-	scratch  waveScratch
+
+	// The dispatcher's view of the pool, per pool queue (sched.CPU,
+	// sched.GPU, sharedQueue): slots counts the workers pulling from the
+	// queue, inflight the tasks fed to it and not yet Done — a queue with
+	// inflight < slots has a worker with nothing running and nothing
+	// queued. Done signals freed (the gate's wake-up) and fed (Close waits
+	// out every fed task); free recycles the waves whose tasks are all Done.
+	slots    [3]int
+	mu       sync.Mutex
+	inflight [3]int
+	free     []*wave
+	freed    chan struct{}
+	fed      sync.WaitGroup
 
 	// cache and flight implement the result cache and singleflight
 	// collapsing in front of the dispatcher; both are nil with
@@ -280,6 +307,7 @@ func New(db *seq.Set, cfg Config) (*Searcher, error) {
 		submit: make(chan *request),
 		quit:   make(chan struct{}),
 		done:   make(chan struct{}),
+		freed:  make(chan struct{}, 1),
 	}
 	s.profiles = scoring.NewProfileCache(cfg.Params.Matrix, 0)
 	if cfg.Cache {
@@ -300,6 +328,13 @@ func New(db *seq.Set, cfg Config) (*Searcher, error) {
 		return nil, err
 	}
 	s.pool = pool
+	if cfg.Policy == master.PolicySelfScheduling {
+		s.slots[sharedQueue] = len(workers)
+	} else {
+		for _, w := range workers {
+			s.slots[w.Kind()]++
+		}
+	}
 	var closeOnce atomic.Bool
 	s.once = func() {
 		if closeOnce.CompareAndSwap(false, true) {
@@ -451,24 +486,28 @@ func (s *Searcher) searchWave(ctx context.Context, queries *seq.Set, topK int) (
 	return rep, nil
 }
 
-// Close stops the dispatcher, fails pending requests with ErrClosed and
-// shuts the worker pool down. It is idempotent and safe to call
-// concurrently; tasks already accepted by a worker still complete.
+// Close stops admitting requests (pending ones fail with ErrClosed),
+// waits for every task already fed to the pool and then shuts the pool
+// down, so dispatched work completes and no Search caller sees the
+// pool's own close error. It is idempotent and safe to call concurrently.
 func (s *Searcher) Close() error {
 	s.once()
 	<-s.done
+	s.fed.Wait()
 	return s.pool.Close()
 }
 
-// dispatch is the service loop: collect a wave, plan it, feed it, wait
-// for it, repeat. Exactly one dispatcher runs per Searcher. Close never
-// interrupts a dispatched wave — its tasks are fed while the pool is
-// still up and the loop waits for them before it sees quit — so
-// dispatched work completes and only never-admitted requests fail with
-// ErrClosed.
+// sharedQueue indexes the pool's shared (self-scheduling) queue in
+// Searcher.slots and Searcher.inflight, after the two sched.Kind queues.
+const sharedQueue = 2
+
+// dispatch is the service loop: wait until a worker is idle, collect a
+// wave, plan it on the idle workers, feed it, repeat. Exactly one
+// dispatcher runs per Searcher. Requests that arrive while every worker
+// is busy wait on the submit channel and form the next wave.
 func (s *Searcher) dispatch() {
 	defer close(s.done)
-	for {
+	for s.awaitIdle() {
 		select {
 		case <-s.quit:
 			return
@@ -477,10 +516,48 @@ func (s *Searcher) dispatch() {
 			if batch == nil {
 				return // closed while batching; requests already failed
 			}
-			if w := s.planWave(batch); w != nil {
-				s.runWave(w)
-			}
+			s.planWave(batch)
 		}
+	}
+}
+
+// idle counts, per pool queue, the workers with nothing running and
+// nothing queued.
+func (s *Searcher) idle() (n [3]int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for q := range n {
+		n[q] = max(0, s.slots[q]-s.inflight[q])
+	}
+	return n
+}
+
+// awaitIdle is the dispatcher's gate: it blocks until some worker is
+// idle and reports false once the Searcher closes.
+func (s *Searcher) awaitIdle() bool {
+	for s.idle() == [3]int{} {
+		select {
+		case <-s.freed:
+		case <-s.quit:
+			return false
+		}
+	}
+	return true
+}
+
+// taskDone retires one fed task of wave w from pool queue q, recycles
+// the wave after its last task and wakes the gate.
+func (s *Searcher) taskDone(w *wave, q int) {
+	s.mu.Lock()
+	s.inflight[q]--
+	if w.pending--; w.pending == 0 {
+		s.free = append(s.free, w)
+	}
+	s.mu.Unlock()
+	s.fed.Done()
+	select {
+	case s.freed <- struct{}{}:
+	default:
 	}
 }
 
@@ -542,39 +619,41 @@ type waveEntry struct {
 	prof  *scoring.QueryProfiles
 }
 
-// waveScratch holds the plan-stage slices of one wave. The Searcher
-// reuses its one scratch for every wave, so a steady-state dispatcher
-// stops paying the allocator per wave; capacity is kept, length resliced
-// to zero.
-type waveScratch struct {
+// wave holds the plan-stage slices of one scheduling wave. Waves
+// overlap, so each owns its slices until its last task is Done; the
+// Searcher then recycles it through its free list, so a steady-state
+// dispatcher stops paying the allocator per wave — capacity is kept,
+// length resliced to zero.
+type wave struct {
 	entries []waveEntry
 	lens    []int
 	ids     []string
 	all     []int // identity queue (self-scheduling)
+	pending int   // tasks not yet Done (under Searcher.mu)
 }
 
-func (sc *waveScratch) reset() {
-	clear(sc.entries) // drop request/profile pointers so reuse can't pin them
-	sc.entries = sc.entries[:0]
-	sc.lens = sc.lens[:0]
-	sc.ids = sc.ids[:0]
-	sc.all = sc.all[:0]
+// newWave takes a recycled wave off the free list, or a fresh one.
+func (s *Searcher) newWave() *wave {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	n := len(s.free)
+	if n == 0 {
+		return new(wave)
+	}
+	w := s.free[n-1]
+	s.free = s.free[:n-1]
+	clear(w.entries) // drop request/profile pointers so reuse can't pin them
+	w.entries, w.lens, w.ids, w.all = w.entries[:0], w.lens[:0], w.ids[:0], w.all[:0]
+	return w
 }
 
-// wave is one planned scheduling wave: planWave produced its queues
-// over the Searcher's scratch, runWave feeds them and waits out the
-// merges.
-type wave struct {
-	batch  []*request
-	queues [][]int // per-worker queues of wave-global indices (static policies)
-	shared bool    // self-scheduling: one shared queue (scratch.all) instead
-}
-
-// planWave runs the CPU side of one wave: account it, assemble the
-// entry/length/id slices in the scratch, attach each query's shared
-// profile set, snapshot the pool's measured rates and run the scheduling
-// policy. On a scheduling error the batch is failed and nil returned.
-func (s *Searcher) planWave(batch []*request) *wave {
+// planWave runs the CPU side of one wave and starts it: account it,
+// assemble the entry/length/id slices, attach each query's shared
+// profile set, build the instance over the idle part of the pool with
+// the measured rates snapshotted now, run the scheduling policy and feed
+// each pool queue its tasks in planned start order. On a scheduling
+// error the batch is failed.
+func (s *Searcher) planWave(batch []*request) {
 	// Deadline propagation ends here: a request whose ctx died while it
 	// waited to coalesce is failed now instead of being planned — doomed
 	// work never reaches a worker queue, so an overloaded caller that
@@ -591,98 +670,100 @@ func (s *Searcher) planWave(batch []*request) *wave {
 		live = append(live, r)
 	}
 	if len(live) == 0 {
-		return nil
+		return
 	}
 	batch = live
 	s.waves.Add(1)
 	if len(batch) > 1 {
 		s.batchedWaves.Add(1)
 	}
-	sc := &s.scratch
-	sc.reset()
+	w := s.newWave()
 	for _, r := range batch {
 		for qi := range r.queries.Seqs {
 			q := &r.queries.Seqs[qi]
-			sc.entries = append(sc.entries, waveEntry{req: r, local: qi, prof: s.profiles.Get(q.Residues)})
-			sc.lens = append(sc.lens, q.Len())
-			sc.ids = append(sc.ids, q.ID)
+			w.entries = append(w.entries, waveEntry{req: r, local: qi, prof: s.profiles.Get(q.Residues)})
+			w.lens = append(w.lens, q.Len())
+			w.ids = append(w.ids, q.ID)
 		}
 	}
-	w := &wave{batch: batch}
+	var queues [3][]int
 	if s.cfg.Policy == master.PolicySelfScheduling {
-		for i := range sc.entries {
-			sc.all = append(sc.all, i)
+		for i := range w.entries {
+			w.all = append(w.all, i)
 		}
-		w.shared = true
-		return w
-	}
-	// Snapshot the pool's measured rates: every wave is scheduled with
-	// the throughput the workers actually delivered so far, and tasks
-	// completing in this wave refine the rates the next wave sees.
-	in := master.BuildInstance(s.dbResidues, sc.lens, sc.ids, s.pool.Rates())
-	queues, schedule, err := master.Assign(s.cfg.Policy, in, s.pool.Workers())
-	if err != nil {
-		for _, r := range batch {
-			r.fail(err)
-			s.abandon(r)
-		}
-		return nil
-	}
-	w.queues = queues
-	for _, r := range batch {
-		r.schedule = schedule
-	}
-	return w
-}
-
-// runWave executes a planned wave: one feed goroutine per non-empty
-// queue (a feed blocks on its worker's queue, so the queues must fill
-// side by side), then the fence — block until every merge of the wave
-// completed, after which all Done/Canceled callbacks have fired and the
-// scratch is free for the next wave.
-func (s *Searcher) runWave(w *wave) {
-	if w.shared {
-		go s.feed(s.scratch.all, s.pool.SubmitShared)
+		queues[sharedQueue] = w.all
 	} else {
-		for wi := range w.queues {
-			if len(w.queues[wi]) == 0 {
-				continue
+		// The instance is the idle part of the platform at its measured
+		// rates: every scheduling decision sees idle PEs only, and tasks
+		// completing now refine the rates the next wave sees. Busy
+		// workers still pull from their kind's queue when they free.
+		idle, rates := s.idle(), s.pool.Rates()
+		rates.CPUs, rates.GPUs = idle[sched.CPU], idle[sched.GPU]
+		in := master.BuildInstance(s.dbResidues, w.lens, w.ids, rates)
+		kinds, schedule, err := master.Assign(s.cfg.Policy, in, s.pool.Workers())
+		if err != nil {
+			for _, r := range batch {
+				r.fail(err)
+				s.abandon(r)
 			}
-			wi := wi
-			go s.feed(w.queues[wi], func(t master.PoolTask) error { return s.pool.Submit(wi, t) })
+			return
+		}
+		copy(queues[:], kinds[:])
+		for _, r := range batch {
+			r.schedule = schedule
 		}
 	}
-	for _, r := range w.batch {
-		<-r.merge.Done()
+	s.mu.Lock()
+	w.pending = len(w.entries)
+	for q := range queues {
+		s.inflight[q] += len(queues[q])
+	}
+	s.mu.Unlock()
+	s.fed.Add(len(w.entries))
+	// One feed per non-empty queue: a feed blocks on its pool queue, so
+	// the queues must fill side by side.
+	for q := range queues {
+		if len(queues[q]) > 0 {
+			go s.feed(w, q, queues[q])
+		}
 	}
 }
 
-// feed hands one queue of wave-global indices to its destination in
-// order. On pool shutdown the remainder is skipped so merges still
-// complete and callers observe the close.
-func (s *Searcher) feed(queue []int, send func(master.PoolTask) error) {
-	entries := s.scratch.entries
+// feed hands one queue of wave-global indices to pool queue q in order.
+// The pool outlives every fed task (Close waits for them), so a failed
+// send is not expected; the remainder is then failed as ErrClosed so
+// merges still complete.
+func (s *Searcher) feed(w *wave, q int, queue []int) {
+	send := s.pool.SubmitShared
+	if q != sharedQueue {
+		send = func(t master.PoolTask) error { return s.pool.Submit(sched.Kind(q), t) }
+	}
 	for i, gi := range queue {
-		e := &entries[gi]
+		req, local := w.entries[gi].req, w.entries[gi].local
 		t := master.PoolTask{
-			QueryIndex: e.local,
-			Query:      &e.req.queries.Seqs[e.local],
+			QueryIndex: local,
+			Query:      &req.queries.Seqs[local],
 			DB:         s.db,
-			Profiles:   e.prof,
-			Canceled:   func() bool { return e.req.ctx.Err() != nil },
+			Profiles:   w.entries[gi].prof,
+			Canceled:   func() bool { return req.ctx.Err() != nil },
 			Done: func(res master.QueryResult, ran bool) {
-				if !ran {
-					e.req.fail(e.req.ctx.Err())
-					e.req.merge.Skip(e.local)
-					return
+				// Retire first: the worker must count as idle before its
+				// caller can wake and submit again.
+				s.taskDone(w, q)
+				if ran {
+					req.merge.Add(local, res)
+				} else {
+					req.fail(req.ctx.Err())
+					req.merge.Skip(local)
 				}
-				e.req.merge.Add(e.local, res)
 			},
 		}
-		if err := send(t); err != nil {
+		if send(t) != nil {
 			for _, rest := range queue[i:] {
-				entries[rest].req.fail(err)
-				entries[rest].req.merge.Skip(entries[rest].local)
+				e := w.entries[rest]
+				s.taskDone(w, q)
+				e.req.fail(ErrClosed)
+				e.req.merge.Skip(e.local)
 			}
 			return
 		}

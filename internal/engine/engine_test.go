@@ -266,9 +266,9 @@ func waitSearches(t *testing.T, s *Searcher, n uint64) {
 }
 
 // TestCancelBehindPinnedWave cancels a request that waits behind a
-// still-executing wave (the dispatcher is fenced on wave 1, so request 2
-// sits on the submit channel): the caller must get its context error
-// promptly and the Searcher must answer the next search.
+// still-executing wave (the only worker is busy, so the dispatcher's gate
+// is shut and request 2 sits on the submit channel): the caller must get
+// its context error promptly and the Searcher must answer the next search.
 func TestCancelBehindPinnedWave(t *testing.T) {
 	db := synth.RandomSet(alphabet.Protein, 10, 10, 50, 63)
 	gw := newGateWorker("gate-0")

@@ -249,14 +249,13 @@ func RunOn(pool *Pool, db, queries *seq.Set, cfg Config) (*Report, error) {
 			return nil, err
 		}
 		schedule = s
-		// Feed each worker's queue from its own goroutine so one busy
-		// worker never delays another's first task.
-		for wi, queue := range queues {
-			if len(queue) == 0 {
-				continue
+		// Feed each kind's queue from its own goroutine so a busy kind
+		// never delays the other's first task.
+		for kind, queue := range queues {
+			if len(queue) > 0 {
+				kind := sched.Kind(kind)
+				go feed(queue, func(t PoolTask) error { return pool.Submit(kind, t) })
 			}
-			wi := wi
-			go feed(queue, func(t PoolTask) error { return pool.Submit(wi, t) })
 		}
 	}
 	<-merge.Done()

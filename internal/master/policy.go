@@ -9,7 +9,7 @@ import (
 )
 
 // Scheduling policy: the second of the master's three roles. A policy
-// turns a scheduling instance into per-worker task queues; the paper's
+// turns a scheduling instance into per-kind task queues; the paper's
 // dual-approximation scheduler is the default.
 
 // Policy selects how the master allocates tasks to workers.
@@ -65,18 +65,26 @@ func ParsePolicy(name string) (Policy, error) {
 // run time (self-scheduling) instead of producing static queues.
 var ErrDynamicPolicy = errors.New("master: policy allocates dynamically")
 
-// Assign runs a static policy over the instance and maps the resulting
-// placements onto the given workers: queues[w] lists the task indices of
-// worker w in schedule start order. The schedule is non-nil for the
-// dual-approximation policies. Self-scheduling returns ErrDynamicPolicy:
-// its allocation happens while workers run.
-func Assign(policy Policy, in *sched.Instance, workers []Worker) (queues [][]int, s *sched.Schedule, err error) {
-	queues = make([][]int, len(workers))
+// Assign runs a static policy over the instance and returns, per
+// sched.Kind, the task indices in planned start order — the order a
+// Pool's per-kind FIFO hands them to whichever worker of the kind frees
+// first. The instance may span fewer PEs than workers has (the engine
+// plans on the idle part of its pool) but never more of a kind: a task
+// fed to a kind no worker serves would never run. The schedule is
+// non-nil for the dual-approximation policies. Self-scheduling returns
+// ErrDynamicPolicy: its allocation happens while workers run.
+func Assign(policy Policy, in *sched.Instance, workers []Worker) (queues [2][]int, s *sched.Schedule, err error) {
+	if r := RatesOf(workers); in.CPUs > r.CPUs || in.GPUs > r.GPUs {
+		return queues, nil, fmt.Errorf("master: instance spans %d CPUs + %d GPUs, the pool has %d + %d", in.CPUs, in.GPUs, r.CPUs, r.GPUs)
+	}
 	switch policy {
 	case PolicyRoundRobin:
 		for i := range in.Tasks {
-			w := i % len(workers)
-			queues[w] = append(queues[w], i)
+			if i%(in.CPUs+in.GPUs) < in.CPUs {
+				queues[sched.CPU] = append(queues[sched.CPU], i)
+			} else {
+				queues[sched.GPU] = append(queues[sched.GPU], i)
+			}
 		}
 		return queues, nil, nil
 	case PolicyDualApprox, PolicyDualApproxDP:
@@ -86,40 +94,16 @@ func Assign(policy Policy, in *sched.Instance, workers []Worker) (queues [][]int
 			s, err = sched.DualApprox(in)
 		}
 		if err != nil {
-			return nil, nil, err
+			return queues, nil, err
 		}
-		// Map (kind, pe) pairs onto concrete workers.
-		cpuIdx, gpuIdx := []int{}, []int{}
-		for wi, w := range workers {
-			if w.Kind() == sched.CPU {
-				cpuIdx = append(cpuIdx, wi)
-			} else {
-				gpuIdx = append(gpuIdx, wi)
-			}
-		}
-		type job struct {
-			task  int
-			start float64
-		}
-		perPE := map[int][]job{}
-		for _, pl := range s.Placements {
-			var wi int
-			if pl.Kind == sched.CPU {
-				wi = cpuIdx[pl.PE]
-			} else {
-				wi = gpuIdx[pl.PE]
-			}
-			perPE[wi] = append(perPE[wi], job{task: pl.Task, start: pl.Start})
-		}
-		for wi, jobs := range perPE {
-			sort.Slice(jobs, func(a, b int) bool { return jobs[a].start < jobs[b].start })
-			for _, j := range jobs {
-				queues[wi] = append(queues[wi], j.task)
-			}
+		byStart := append([]sched.Placement(nil), s.Placements...)
+		sort.SliceStable(byStart, func(a, b int) bool { return byStart[a].Start < byStart[b].Start })
+		for _, pl := range byStart {
+			queues[pl.Kind] = append(queues[pl.Kind], pl.Task)
 		}
 		return queues, s, nil
 	case PolicySelfScheduling:
-		return nil, nil, ErrDynamicPolicy
+		return queues, nil, ErrDynamicPolicy
 	}
-	return nil, nil, fmt.Errorf("master: unknown policy %v", policy)
+	return queues, nil, fmt.Errorf("master: unknown policy %v", policy)
 }

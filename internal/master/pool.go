@@ -5,16 +5,19 @@ import (
 	"fmt"
 	"sync"
 
+	"swdual/internal/sched"
 	"swdual/internal/scoring"
 	"swdual/internal/seq"
 )
 
 // Pool is a long-lived set of worker goroutines, one per registered
-// Worker, each owning its engine exclusively. Tasks are handed to a
-// specific worker (static policies) or to a shared queue any idle worker
-// pulls from (self-scheduling). A Pool outlives individual requests: the
-// engine layer keeps one Pool per loaded database and routes many
-// concurrent searches through it.
+// Worker, each owning its engine exclusively. Tasks are handed to the
+// FIFO of one worker kind (static policies), from which whichever worker
+// of that kind frees first pulls — the paper's "next task to the
+// least-loaded PE of the class", executed with real times — or to a
+// shared queue any idle worker pulls from (self-scheduling). A Pool
+// outlives individual requests: the engine layer keeps one Pool per
+// loaded database and routes many concurrent searches through it.
 //
 // All task channels are unbuffered: a Submit either hands the task to a
 // live worker goroutine (which always calls Done) or fails with
@@ -22,7 +25,7 @@ import (
 // cannot leak goroutines or strand callers.
 type Pool struct {
 	workers []Worker
-	own     []chan PoolTask
+	kind    [2]chan PoolTask // indexed by sched.Kind
 	shared  chan PoolTask
 	quit    chan struct{}
 	sem     chan struct{}
@@ -67,17 +70,16 @@ func NewPool(workers []Worker, cfg PoolConfig) (*Pool, error) {
 	}
 	p := &Pool{
 		workers: workers,
-		own:     make([]chan PoolTask, len(workers)),
+		kind:    [2]chan PoolTask{make(chan PoolTask), make(chan PoolTask)},
 		shared:  make(chan PoolTask),
 		quit:    make(chan struct{}),
 	}
 	if cfg.Parallelism > 0 {
 		p.sem = make(chan struct{}, cfg.Parallelism)
 	}
-	for i := range workers {
-		p.own[i] = make(chan PoolTask)
+	for _, w := range workers {
 		p.wg.Add(1)
-		go p.serve(workers[i], p.own[i])
+		go p.serve(w, p.kind[w.Kind()])
 	}
 	return p, nil
 }
@@ -95,13 +97,13 @@ func (p *Pool) Size() int { return len(p.workers) }
 // the freshest observed rates.
 func (p *Pool) Rates() PoolRates { return RatesOf(p.workers) }
 
-func (p *Pool) serve(w Worker, own chan PoolTask) {
+func (p *Pool) serve(w Worker, queue chan PoolTask) {
 	defer p.wg.Done()
 	for {
 		select {
 		case <-p.quit:
 			return
-		case t := <-own:
+		case t := <-queue:
 			p.run(w, t)
 		case t := <-p.shared:
 			p.run(w, t)
@@ -131,11 +133,12 @@ func (p *Pool) run(w Worker, t PoolTask) {
 	t.Done(res, true)
 }
 
-// Submit hands a task to worker wi, blocking until the worker accepts it.
-// Tasks submitted to one worker run in submission order.
-func (p *Pool) Submit(wi int, t PoolTask) error {
+// Submit hands a task to the workers of one kind, blocking until one of
+// them accepts it (until Close when the pool has none). Tasks submitted
+// to one kind start in submission order.
+func (p *Pool) Submit(kind sched.Kind, t PoolTask) error {
 	select {
-	case p.own[wi] <- t:
+	case p.kind[kind] <- t:
 		return nil
 	case <-p.quit:
 		return ErrPoolClosed

@@ -7,6 +7,8 @@ import (
 	"time"
 
 	"swdual/internal/alphabet"
+	"swdual/internal/sched"
+	"swdual/internal/seq"
 	"swdual/internal/sw"
 	"swdual/internal/synth"
 )
@@ -59,7 +61,7 @@ func TestPoolCloseDoesNotLeakGoroutines(t *testing.T) {
 func TestPoolSubmitAfterCloseFails(t *testing.T) {
 	p := testPool(t, 1, 0)
 	p.Close()
-	err := p.Submit(0, PoolTask{Done: func(QueryResult, bool) { t.Error("done called") }})
+	err := p.Submit(sched.CPU, PoolTask{Done: func(QueryResult, bool) { t.Error("done called") }})
 	if err != ErrPoolClosed {
 		t.Fatalf("submit after close: %v", err)
 	}
@@ -72,7 +74,7 @@ func TestPoolAcceptedTasksCompleteDespiteClose(t *testing.T) {
 	p := testPool(t, 1, 0)
 	db := synth.RandomSet(alphabet.Protein, 10, 10, 50, 41)
 	done := make(chan QueryResult, 1)
-	err := p.Submit(0, PoolTask{
+	err := p.Submit(sched.CPU, PoolTask{
 		QueryIndex: 0,
 		Query:      &db.Seqs[0],
 		DB:         db,
@@ -97,7 +99,7 @@ func TestPoolCanceledTaskSkipsCompute(t *testing.T) {
 	defer p.Close()
 	db := synth.RandomSet(alphabet.Protein, 10, 10, 50, 42)
 	done := make(chan bool, 1)
-	err := p.Submit(0, PoolTask{
+	err := p.Submit(sched.CPU, PoolTask{
 		QueryIndex: 0,
 		Query:      &db.Seqs[0],
 		DB:         db,
@@ -109,6 +111,80 @@ func TestPoolCanceledTaskSkipsCompute(t *testing.T) {
 	}
 	if ran := <-done; ran {
 		t.Fatal("canceled task still computed")
+	}
+}
+
+// pinWorker announces each task it starts and holds it until the test
+// sends on step.
+type pinWorker struct {
+	*RateEstimator
+	name    string
+	started chan<- int
+	step    <-chan struct{}
+}
+
+func (w *pinWorker) Name() string       { return w.name }
+func (w *pinWorker) Kind() sched.Kind   { return sched.CPU }
+func (w *pinWorker) RateGCUPS() float64 { return 1 }
+func (w *pinWorker) Run(qi int, _ *seq.Sequence, _ *seq.Set) QueryResult {
+	w.started <- qi
+	<-w.step
+	return QueryResult{QueryIndex: qi, Worker: w.name}
+}
+
+// TestPoolKindQueueIsFIFO: tasks submitted to a kind start in submission
+// order on whichever of its workers frees first — the first two on the
+// two idle workers in either order, every later one exactly when a
+// worker is released, whichever that is — and all of them, accepted
+// before Close, complete despite it.
+func TestPoolKindQueueIsFIFO(t *testing.T) {
+	const tasks = 7
+	started, step := make(chan int, tasks), make(chan struct{})
+	var workers []Worker
+	for _, name := range []string{"a", "b"} {
+		workers = append(workers, &pinWorker{RateEstimator: NewRateEstimator(1), name: name, started: started, step: step})
+	}
+	p, err := NewPool(workers, PoolConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seqs := synth.RandomSet(alphabet.Protein, 1, 10, 10, 48)
+	ranOn := make(chan string, tasks)
+	submitted := make(chan error, 1)
+	go func() {
+		for i := 0; i < tasks; i++ {
+			err := p.Submit(sched.CPU, PoolTask{QueryIndex: i, Query: &seqs.Seqs[0], DB: seqs,
+				Done: func(res QueryResult, _ bool) { ranOn <- res.Worker }})
+			if err != nil {
+				submitted <- err
+				return
+			}
+		}
+		submitted <- nil
+	}()
+	if first, second := <-started, <-started; first+second != 1 {
+		t.Fatalf("the two idle workers started tasks %d and %d, want 0 and 1", first, second)
+	}
+	for want := 2; want < tasks; want++ {
+		step <- struct{}{} // whichever pinned worker takes it frees and pulls
+		if got := <-started; got != want {
+			t.Fatalf("task %d started when task %d was next in the queue", got, want)
+		}
+	}
+	if err := <-submitted; err != nil {
+		t.Fatal(err)
+	}
+	closed := make(chan struct{})
+	go func() { p.Close(); close(closed) }()
+	step <- struct{}{}
+	step <- struct{}{}
+	<-closed
+	byWorker := map[string]int{}
+	for i := 0; i < tasks; i++ {
+		byWorker[<-ranOn]++
+	}
+	if byWorker["a"]+byWorker["b"] != tasks {
+		t.Fatalf("accepted tasks completed %v, want %d in all", byWorker, tasks)
 	}
 }
 

@@ -85,7 +85,7 @@ func TestMisadvertisedWorkerShiftsAssignments(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return len(queues[1])
+		return len(queues[sched.GPU])
 	}
 
 	before := gpuTasks()
@@ -109,6 +109,59 @@ func TestMisadvertisedWorkerShiftsAssignments(t *testing.T) {
 		t.Fatalf("assignments did not shift: GPU held %d tasks before convergence, %d after", before, after)
 	}
 	t.Logf("GPU tasks %d -> %d of %d after the CPU rate converged", before, after, len(queryLens))
+}
+
+// TestAssignOnIdleSubPlatform: the engine plans on the idle part of its
+// pool, so Assign must take an instance spanning fewer PEs than there
+// are workers — every task then lands on the kinds the instance has, in
+// planned start order — and refuse one spanning more, whose tasks would
+// wait on a queue nobody serves.
+func TestAssignOnIdleSubPlatform(t *testing.T) {
+	workers := []Worker{
+		NewEngineWorker("cpu-0", sched.CPU, nil, 2, 5),
+		NewEngineWorker("cpu-1", sched.CPU, nil, 2, 5),
+		NewEngineWorker("gpu-0", sched.GPU, nil, 20, 5),
+	}
+	lens := []int{300, 100, 500, 200, 400}
+	rates := RatesOf(workers)
+	for _, idle := range []struct {
+		cpus, gpus int
+		kind       sched.Kind
+	}{{1, 0, sched.CPU}, {0, 1, sched.GPU}} { // one kind idle, the other busy
+		rates.CPUs, rates.GPUs = idle.cpus, idle.gpus
+		in := BuildInstance(1<<20, lens, nil, rates)
+		for _, policy := range []Policy{PolicyDualApprox, PolicyDualApproxDP, PolicyRoundRobin} {
+			queues, s, err := Assign(policy, in, workers)
+			if err != nil {
+				t.Fatalf("%v on %d+%d: %v", policy, idle.cpus, idle.gpus, err)
+			}
+			queue := queues[idle.kind]
+			if len(queue) != len(lens) || len(queues[1-idle.kind]) != 0 {
+				t.Fatalf("%v on %d+%d: queues %v", policy, idle.cpus, idle.gpus, queues)
+			}
+			if s == nil {
+				continue
+			}
+			for i, task := range queue[1:] {
+				if prev := queue[i]; s.Placements[prev].Start > s.Placements[task].Start {
+					t.Fatalf("%v: task %d (start %g) queued before task %d (start %g)", policy,
+						prev, s.Placements[prev].Start, task, s.Placements[task].Start)
+				}
+			}
+		}
+	}
+	// Whole platform: both kinds are used and every task is queued once.
+	queues, _, err := Assign(PolicyDualApprox, BuildInstance(1<<20, lens, nil, RatesOf(workers)), workers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(queues[sched.CPU])+len(queues[sched.GPU]) != len(lens) || len(queues[sched.GPU]) == 0 {
+		t.Fatalf("whole-platform queues %v", queues)
+	}
+	rates.CPUs, rates.GPUs = 2, 2
+	if _, _, err := Assign(PolicyDualApprox, BuildInstance(1<<20, lens, nil, rates), workers); err == nil {
+		t.Fatal("an instance with more GPUs than the pool has was accepted")
+	}
 }
 
 // TestBuildWorkersRatesComeFromCalibration pins both worker-construction
