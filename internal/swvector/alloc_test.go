@@ -58,12 +58,18 @@ func TestAllocsStripedKernel16(t *testing.T) {
 // the inter-sequence engine on both column kernels: with the kernel
 // pooled, a Scores call may allocate only its output slice, the driver's
 // lane table and overflow bookkeeping — a constant, not a function of the
-// subject count.
+// subject count. The query carries a planted homolog of one subject, so
+// the rescue rung — the pooled pair kernel behind the AVX2 column,
+// sw.Score's two rows behind the SWAR one — is inside the budget.
 func TestAllocsInterSeqSteadyState(t *testing.T) {
 	db := synth.RandomSet(alphabet.Protein, 64, 10, 150, 41)
-	query := synth.RandomSet(alphabet.Protein, 1, 80, 80, 42).Seqs[0].Residues
+	db.AddEncoded("long", "", randSeq(rand.New(rand.NewSource(45)), 400))
+	query := plantedQuery(rand.New(rand.NewSource(42)), db, db.Len()-1, 240)
 	eachKernel(t, func(t *testing.T, newEngine func(sw.Params) *InterSeq) {
 		e := newEngine(sw.DefaultParams())
+		if got := flaggedBy(e, query, db); len(got) != 1 {
+			t.Fatalf("%s flagged %v, want the planted subject alone", e.Name(), got)
+		}
 		e.Scores(query, db) // warm the kernel pool
 		// Budget: the out slice plus small escalation bookkeeping. The cap is
 		// deliberately a hard small constant — before pooling, this path cost
@@ -75,6 +81,26 @@ func TestAllocsInterSeqSteadyState(t *testing.T) {
 			t.Fatalf("%s.Scores allocates %.1f objects per call, cap %d", e.Name(), avg, interAllocCap)
 		}
 	})
+}
+
+// TestAllocsRescuePairKernel pins the rescue rung itself: with its pool
+// warm, building the striped profile of a query and scoring a subject
+// against it allocates nothing (the sw.Score call it replaces costs two
+// rows a subject).
+func TestAllocsRescuePairKernel(t *testing.T) {
+	skipWithoutAVX2(t)
+	rng := rand.New(rand.NewSource(46))
+	query, subject := randSeq(rng, 270), randSeq(rng, 400)
+	tab := newAVX2Tables(sw.DefaultParams())
+	rescue := func() {
+		k := newPairKernel(tab, query)
+		k.score(subject)
+		k.release()
+	}
+	rescue() // warm the kernel pool
+	if avg := testing.AllocsPerRun(50, rescue); avg > kernelAllocCap {
+		t.Fatalf("the pair kernel allocates %.2f objects per rescue, want 0", avg)
+	}
 }
 
 // TestAllocsStripedEngineSteadyState is the same budget for the striped

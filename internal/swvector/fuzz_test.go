@@ -97,9 +97,12 @@ func ceilingCase(c kernelCase, score int) kernelCase {
 // threshold: 127-K of the guard-bit SWAR lanes, 254-bias of the AVX2
 // lanes (253-bias, 254-bias, 255-bias), 255-bias of the 8-bit striped
 // kernel — the same seeds, plus 256-bias — and 65535-bias of the 16-bit
-// one. want is the first subject's score. The 16-bit seeds use
+// kernels. want is the first subject's score. The 16-bit seeds use
 // match-only matrices whose match score divides the target, so 1000
-// residues reach it.
+// residues reach it; through NewInterSeq on an AVX2 machine they land
+// on the pair kernel, which answers the first (65533, its last exact
+// score) and hands the other two on to sw.Score — as they land on
+// ScoreStriped16 through Striped everywhere.
 func ceilingSeeds() (cases []kernelCase, want []int) {
 	add := func(c kernelCase, score int) {
 		cases = append(cases, ceilingCase(c, score))
@@ -125,21 +128,33 @@ func ceilingSeeds() (cases []kernelCase, want []int) {
 }
 
 // TestCeilingSeedsLandOnCeilings keeps the fuzz seeds honest: each must
-// score what its name says, or it no longer sits on a threshold.
+// score what its name says, or it no longer sits on a threshold — and a
+// seed past the AVX2 lanes' ceiling under Gs > 0 must be one the pair
+// kernel takes (and overflows on exactly from 65535-bias), or the three
+// 16-bit seeds no longer exercise the rung they were kept for.
 func TestCeilingSeedsLandOnCeilings(t *testing.T) {
 	cases, want := ceilingSeeds()
 	for i, c := range cases {
-		if got := sw.Score(c.params(), c.query, c.db().Seqs[0].Residues); got != want[i] {
-			t.Errorf("seed %d (%s): first subject scores %d, want %d", i, c.params().Matrix.Name(), got, want[i])
+		p, d := c.params(), c.db().Seqs[0].Residues
+		if got := sw.Score(p, c.query, d); got != want[i] {
+			t.Errorf("seed %d (%s): first subject scores %d, want %d", i, p.Matrix.Name(), got, want[i])
+		}
+		if !hasAVX2 || p.Gaps.Start == 0 || want[i] < 255+p.Matrix.Min() {
+			continue
+		}
+		got, over, ok := pairScore(p, c.query, d)
+		if wantOver := want[i] >= 65535+p.Matrix.Min(); !ok || over != wantOver || (!over && got != want[i]) {
+			t.Errorf("seed %d (%s): pair kernel %d, overflow %v, served %v; oracle %d", i, p.Matrix.Name(), got, over, ok, want[i])
 		}
 	}
 }
 
-// FuzzKernelsAgree is the differential fuzzer of every CPU engine, and
-// both column kernels of the inter-sequence one, against the sw.Score
-// oracle: fuzzed matrix choice (an asymmetric one included), gap model
-// (Gs == 0 and costs beyond every lane ceiling included), query and up
-// to 40 subjects, empty ones included.
+// FuzzKernelsAgree is the differential fuzzer of every CPU engine, both
+// column kernels of the inter-sequence one and, run on every pair of a
+// case, the 16-bit pair kernel that rescues its flagged subjects, against
+// the sw.Score oracle: fuzzed matrix choice (an asymmetric one included),
+// gap model (Gs == 0 and costs beyond every lane ceiling included), query
+// and up to 40 subjects, empty ones included.
 func FuzzKernelsAgree(f *testing.F) {
 	seeds, _ := ceilingSeeds()
 	q := alphabet.Protein.MustEncode("MKWVTFISLLFLFSSAYSRGVFRRDAHKSEVAHRFKDLGEENFK")
@@ -158,6 +173,14 @@ func FuzzKernelsAgree(f *testing.F) {
 		kernelCase{matrix: 3, match: 5, mismatch: 9, gapStart: 3, gapExtend: 0, query: q, subjects: some},                             // S(x, y) != S(y, x)
 		kernelCase{matrix: 3, match: 200, mismatch: 1, gapStart: 0, gapExtend: 1, query: q[:20], subjects: some},                      // asymmetric and mostly positive: lanes overflow
 	)
+	// 40 self-matches of 283 against a lane ceiling of 250: every subject is
+	// flagged in one call, so the pair kernel's profile is reused 40 times,
+	// and its pooled scratch across the engines and execs that follow.
+	self := selfScoring(scoring.BLOSUM62, 283)
+	seeds = append(seeds, kernelCase{matrix: 0, gapStart: 10, gapExtend: 1, query: self, subjects: bytes.Repeat(append(slices.Clone(self), fuzzSep), 40)})
+	// 75 segments of 16 lanes, the planted half far past the lanes' ceiling.
+	long := bytes.Repeat(q, 28)[:fuzzMaxLen]
+	seeds = append(seeds, kernelCase{matrix: 1, gapStart: 12, gapExtend: 1, query: long, subjects: slices.Concat(long[300:900], []byte{fuzzSep}, q)})
 	for _, c := range seeds {
 		f.Add(c.matrix, c.match, c.mismatch, c.gapStart, c.gapExtend, c.query, c.subjects)
 	}
@@ -176,6 +199,26 @@ func FuzzKernelsAgree(f *testing.F) {
 		} {
 			if got := eng.Scores(c.query, db); !slices.Equal(got, want) {
 				t.Fatalf("%s disagrees with sw.Score under %s %+v:\n got  %v\n want %v", eng.Name(), p.Matrix.Name(), p.Gaps, got, want)
+			}
+		}
+		if !hasAVX2 {
+			return
+		}
+		// The pair kernel on every pair, not only the flagged ones: one
+		// profile, reused. It serves exactly the AVX2 column's parameter
+		// sets with Gs > 0; the rest must be routed to the oracle.
+		bias := max(0, -p.Matrix.Min())
+		tab := newAVX2Tables(p)
+		if served := tab != nil && tab.pairExact; served != (p.Gaps.Start > 0 && bias+p.Matrix.Max() < 255) {
+			t.Fatalf("pair kernel serves %s %+v = %v", p.Matrix.Name(), p.Gaps, served)
+		} else if !served {
+			return
+		}
+		k := newPairKernel(tab, c.query)
+		defer k.release()
+		for i := range db.Seqs {
+			if got, over := k.score(db.Seqs[i].Residues); over != (want[i] >= 65535-bias) || (!over && got != want[i]) {
+				t.Fatalf("pair kernel scores subject %d %d (overflow %v) under %s %+v, oracle %d", i, got, over, p.Matrix.Name(), p.Gaps, want[i])
 			}
 		}
 	})

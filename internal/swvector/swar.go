@@ -38,9 +38,18 @@
 // the default 10/2 gaps).
 //
 // Under either column a subject that scores more than its lane holds
-// retires flagged and is rescored by the scalar oracle. The SWAR column
-// is also the AVX2 one's differential oracle: every kernel test and
-// FuzzKernelsAgree run both.
+// retires flagged. Behind the AVX2 column it is rescored by the pair
+// kernel (pair16.go, pair16_amd64.s): Farrar's striped layout in 16
+// unsigned 16-bit lanes, VPADDUSW / VPSUBUSW / VPMAXUW, the lazy-F loop
+// left on VPSUBUSW + VPTEST — ScoreStriped16's recurrence at four times
+// the lanes, exact to 65534-bias, and only past that (or with Gs == 0,
+// where leaving the lazy-F loop early is not exact) by the scalar
+// oracle; behind the SWAR column by the oracle directly. Its lanes run
+// along the query because flagged subjects come one to a query — a
+// second, 16-bit-wide column would run 1 lane in 16 — and its query
+// profile is scratch of one Scores call, never cached. The SWAR column
+// is the AVX2 one's differential oracle and ScoreStriped16 the pair
+// kernel's: every kernel test and FuzzKernelsAgree run both pairs.
 //
 // The striped kernels keep full 8- and 16-bit unsigned lanes in uint64
 // words with saturating add/subtract built from an even/odd split into

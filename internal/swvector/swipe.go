@@ -24,17 +24,28 @@ import (
 //     is exact up to 127-K (113 with BLOSUM62 and 10/2 gaps).
 //
 // Both index the matrix as the oracle does, row = query residue. A
-// subject whose score leaves its lane's range retires flagged and is
-// rescored by the scalar oracle — not by the 16-bit striped kernel, which
-// runs at half the oracle's speed and needs a 16-bit query profile, 50
-// bytes per query residue, that a profile cache would then keep for the
-// sake of one subject. Parameters that leave a kernel no usable range
-// (negative gap penalties; a matrix too wide for the lane) send every
-// subject to the oracle: exact, just slow.
+// subject whose score leaves its lane's range retires flagged and climbs
+// one ladder: on the AVX2 path the 16-bit striped pair kernel
+// (pairKernel: Farrar's intra-sequence layout, 16 lanes along the query,
+// exact to 65534-bias), and sw.Score only for what saturates that too.
+// Striped, not the same column 16 bits wide: a benchmark-shaped query of
+// 160 residues or more flags exactly one subject, its homolog, which
+// would fill 1 lane of 16 (the AVX2 column on a one-subject set runs 0.55
+// Gcell/s; the pair kernel 2.7-3.1, the oracle 0.19 — its one call was 21 %
+// of such a task). With Gaps.Start == 0 the pair kernel's lazy-F early
+// exit is not exact, so those models skip it; so does the SWAR path,
+// whose 16-bit striped kernel (ScoreStriped16, the pair kernel's
+// reference) is half the oracle's speed. Parameters that leave a column
+// no usable range (negative gap penalties; a matrix too wide for the
+// lane) send every subject to the oracle: exact, just slow.
 //
-// InterSeq reads no per-query profile — the column profile is rebuilt
-// from the biased matrix for every database column — so it does not
-// implement sw.ProfiledEngine.
+// InterSeq reads no per-query profile, so it does not implement
+// sw.ProfiledEngine: the column profile is rebuilt from the biased
+// matrix for every database column, and the pair kernel's striped
+// profile (64 bytes per query residue) is built in pooled scratch at the
+// first flagged subject of a Scores call and dropped at its end — a
+// profile cache retaining it per query cost serve_http 47 % of its RSS
+// when that was tried.
 type InterSeq struct {
 	params sw.Params
 	vector bool // the AVX2 column was chosen
@@ -77,8 +88,22 @@ func (e *InterSeq) Scores(query []byte, db *seq.Set) []int {
 	if len(query) == 0 || db.Len() == 0 {
 		return out
 	}
+	var pair *pairKernel // built at the first flagged subject
 	for _, i := range e.scoreLanes(query, db, out) {
-		out[i] = sw.Score(e.params, query, db.Seqs[i].Residues)
+		subject := db.Seqs[i].Residues
+		if e.avx2 != nil && e.avx2.pairExact {
+			if pair == nil {
+				pair = newPairKernel(e.avx2, query)
+			}
+			if s, overflow := pair.score(subject); !overflow {
+				out[i] = s
+				continue
+			}
+		}
+		out[i] = sw.Score(e.params, query, subject)
+	}
+	if pair != nil {
+		pair.release()
 	}
 	return out
 }

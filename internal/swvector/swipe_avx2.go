@@ -18,6 +18,13 @@ type avx2Tables struct {
 	// The bytes avx2Columns broadcasts: bias, OpenCost, Extend, the gap
 	// costs clamped to 255 as gapVectors8 clamps them.
 	consts [3]byte
+	// pair is consts at the 16-bit pair kernel's width, the gap costs
+	// clamped to 65535 as gapVectors16 clamps them, and pairExact whether
+	// that kernel may run: with Gaps.Start == 0 its lazy-F early exit is
+	// not exact. (Its other limits, non-negative gap penalties and
+	// bias + max(matrix) < 65535, are narrower here already.)
+	pair      [3]uint16
+	pairExact bool
 }
 
 // newAVX2Tables returns nil when the biased matrix does not fit a byte
@@ -30,7 +37,11 @@ func newAVX2Tables(p sw.Params) *avx2Tables {
 		return nil
 	}
 	open, ext := gapVectors8(p.Gaps)
-	t := &avx2Tables{consts: [3]byte{byte(bias), byte(open), byte(ext)}}
+	open16, ext16 := gapVectors16(p.Gaps)
+	t := &avx2Tables{
+		consts: [3]byte{byte(bias), byte(open), byte(ext)},
+		pair:   [3]uint16{uint16(bias), uint16(open16), uint16(ext16)}, pairExact: p.Gaps.Start > 0,
+	}
 	for q := range t.table {
 		for d := range t.table[q] {
 			t.table[q][d] = byte(m.Score(byte(q), byte(d)) + bias)

@@ -36,3 +36,12 @@ func xgetbv() (eax, edx uint32)
 //
 //go:noescape
 func avx2Columns(cells, query *byte, rows int, table *[32][32]byte, codes int, prof *[32][32]byte, consts *[3]byte, laneMax *[32]byte, res *[maxLanes][]byte, n int)
+
+// striped16Pair runs the 16-lane, 16-bit striped DP of one query, given
+// as its striped profile of segLen >= 1 vectors a residue code, against
+// the n >= 1 residues of subject, all below the profile's row count. rows
+// is three zeroed rows of segLen vectors; best receives the per-lane
+// maxima. See pair16.go for the layouts.
+//
+//go:noescape
+func striped16Pair(prof *uint16, segLen int, subject *byte, n int, rows *uint16, consts *[3]uint16, best *[16]uint16)

@@ -8,3 +8,7 @@ const hasAVX2 = false
 func avx2Columns(cells, query *byte, rows int, table *[32][32]byte, codes int, prof *[32][32]byte, consts *[3]byte, laneMax *[32]byte, res *[maxLanes][]byte, n int) {
 	panic("swvector: the AVX2 column exists on amd64 only")
 }
+
+func striped16Pair(prof *uint16, segLen int, subject *byte, n int, rows *uint16, consts *[3]uint16, best *[16]uint16) {
+	panic("swvector: the AVX2 pair kernel exists on amd64 only")
+}
