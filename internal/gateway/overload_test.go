@@ -198,11 +198,15 @@ func TestRetryAfterClamped(t *testing.T) {
 // host, where every concurrent goroutine's timeslice lands in the
 // admitted request's wall clock.
 func TestAdmittedLatencyStaysBounded(t *testing.T) {
-	// Big enough that the search itself dominates scheduling noise.
-	db := testDB(100, 970)
+	// Big enough that the search itself dominates scheduling noise: two
+	// queries of about 400 residues against 280 000, one per CPU worker,
+	// are 5 ms or more a request at the AVX2 column's 20 Gcell/s a core. A
+	// request of 0.2 ms would leave the p99 of the ~16 admitted samples to
+	// a single 1 ms scheduler hiccup.
+	db := synth.RandomSet(alphabet.Protein, 800, 200, 500, 970)
 	e := testEngine(t, db)
 	_, srv := newTestGateway(t, e, Config{Capacity: 1, Queue: -1, ClientSlots: 100})
-	body := queriesJSON(t, synth.RandomSet(alphabet.Protein, 2, 40, 80, 971), 0)
+	body := queriesJSON(t, synth.RandomSet(alphabet.Protein, 2, 380, 420, 971), 0)
 
 	measure := func() float64 {
 		start := time.Now()

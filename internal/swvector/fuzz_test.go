@@ -94,31 +94,42 @@ func ceilingCase(c kernelCase, score int) kernelCase {
 }
 
 // ceilingSeeds land exactly on and either side of each escalation
-// threshold: 127-K of the guard-bit SWAR lanes, 254-bias of the AVX2
-// lanes (253-bias, 254-bias, 255-bias), 255-bias of the 8-bit striped
-// kernel — the same seeds, plus 256-bias — and 65535-bias of the 16-bit
-// kernels. want is the first subject's score. The 16-bit seeds use
-// match-only matrices whose match score divides the target, so 1000
-// residues reach it; through NewInterSeq on an AVX2 machine they land
-// on the pair kernel, which answers the first (65533, its last exact
-// score) and hands the other two on to sw.Score — as they land on
-// ScoreStriped16 through Striped everywhere.
+// threshold: 127-K of the guard-bit SWAR lanes, 255 - max S - K of the
+// AVX2 lanes, 255-bias of the 8-bit striped kernel (253-bias to 256-bias)
+// and 65535-bias of the 16-bit kernels. want is the first subject's score.
+// The AVX2 threshold is also seeded where K is the bias (Gs = 0, Ge = 1
+// under BLOSUM62) and where the lanes hold one score only, OpenCost +
+// Extend + max S = 254. The 16-bit seeds use match-only matrices whose
+// match score divides the target, so 1000 residues reach it; through
+// NewInterSeq on an AVX2 machine they land on the pair kernel, which
+// answers the first (65533, its last exact score) and hands the other two
+// on to sw.Score — as they land on ScoreStriped16 through Striped
+// everywhere.
 func ceilingSeeds() (cases []kernelCase, want []int) {
 	add := func(c kernelCase, score int) {
 		cases = append(cases, ceilingCase(c, score))
 		want = append(want, score)
 	}
 	for _, c := range []kernelCase{
-		{matrix: 0, gapStart: 10, gapExtend: 1}, // BLOSUM62 10/2: K = 14, bias 4
-		{matrix: 1, gapStart: 0, gapExtend: 3},  // BLOSUM50 Gs=0 Ge=4: K = 8, bias 5
+		{matrix: 0, gapStart: 10, gapExtend: 1}, // BLOSUM62 10/2: K = 14, bias 4, max S 11
+		{matrix: 1, gapStart: 0, gapExtend: 3},  // BLOSUM50 Gs=0 Ge=4: K = 8, bias 5, max S 15
 	} {
 		p := c.params()
 		for _, d := range []int{-1, 0, 1} {
 			add(c, newInterSeq(p, false).ceiling()+d)
+			add(c, newInterSeq(p, true).ceiling()+d)
 		}
 		for _, d := range []int{-2, -1, 0, 1} {
 			add(c, 255+p.Matrix.Min()+d)
 		}
+	}
+	for _, c := range []kernelCase{
+		{matrix: 0, gapStart: 0, gapExtend: 0},                              // BLOSUM62 0/1: K = bias = 4, ceiling 240
+		{matrix: 2, match: 1 - 1, mismatch: 0, gapStart: 251, gapExtend: 0}, // Simple(1, -1) 251/1: K = 253, ceiling 1
+	} {
+		ceiling := newInterSeq(c.params(), true).ceiling()
+		add(c, ceiling)
+		add(c, ceiling+1)
 	}
 	// Simple(match, -1): bias 1, so the 16-bit ceiling is 65534.
 	add(kernelCase{matrix: 2, match: 71 - 1, gapStart: 10, gapExtend: 1}, 923*71)  // 65533
@@ -139,7 +150,7 @@ func TestCeilingSeedsLandOnCeilings(t *testing.T) {
 		if got := sw.Score(p, c.query, d); got != want[i] {
 			t.Errorf("seed %d (%s): first subject scores %d, want %d", i, p.Matrix.Name(), got, want[i])
 		}
-		if !hasAVX2 || p.Gaps.Start == 0 || want[i] < 255+p.Matrix.Min() {
+		if !hasAVX2 || p.Gaps.Start == 0 || want[i] <= newInterSeq(p, true).ceiling() {
 			continue
 		}
 		got, over, ok := pairScore(p, c.query, d)
@@ -173,7 +184,7 @@ func FuzzKernelsAgree(f *testing.F) {
 		kernelCase{matrix: 3, match: 5, mismatch: 9, gapStart: 3, gapExtend: 0, query: q, subjects: some},                             // S(x, y) != S(y, x)
 		kernelCase{matrix: 3, match: 200, mismatch: 1, gapStart: 0, gapExtend: 1, query: q[:20], subjects: some},                      // asymmetric and mostly positive: lanes overflow
 	)
-	// 40 self-matches of 283 against a lane ceiling of 250: every subject is
+	// 40 self-matches of 283 against a lane ceiling of 230: every subject is
 	// flagged in one call, so the pair kernel's profile is reused 40 times,
 	// and its pooled scratch across the engines and execs that follow.
 	self := selfScoring(scoring.BLOSUM62, 283)

@@ -104,7 +104,7 @@ func (e *InterSeq) lanes() int {
 
 func (e *InterSeq) ceiling() int {
 	if e.vector {
-		return 254 - int(e.avx2.consts[0])
+		return e.avx2.limit - int(e.avx2.consts[0])
 	}
 	return 127 - e.swar.offset
 }
@@ -131,23 +131,49 @@ func checkAgainstOracle(t *testing.T, p sw.Params, eng sw.Engine, query []byte, 
 	}
 }
 
-// TestInterSeqOverflowRescore pins each kernel's escalation threshold
-// (127-K, 254-bias) from both sides — a subject scoring exactly the
-// ceiling stays in its lane, one scoring a point more retires flagged —
-// and then runs a self-match far beyond it. Either way the engine's
-// answer is the oracle's.
+// positiveMatrix is an all-positive matrix — bias 0, so K is set by the gap
+// costs alone — whose diagonal (2, 3 or 4) dominates its rows of 1.
+func positiveMatrix() *scoring.Matrix {
+	table := make([][]int8, alphabet.Protein.Len())
+	for i := range table {
+		table[i] = slices.Repeat([]int8{1}, len(table))
+		table[i][i] = int8(2 + i%3)
+	}
+	m, err := scoring.NewMatrix("positive", table)
+	if err != nil {
+		panic(err)
+	}
+	return m
+}
+
+// TestInterSeqOverflowRescore pins each kernel's escalation threshold —
+// 127-K under the SWAR column, 255 - max S - K under the AVX2 one, written
+// out per parameter set — from both sides: a subject scoring exactly the
+// ceiling stays in its lane, one scoring a point more retires flagged.
+// Then it runs a self-match far beyond it. Either way the engine's answer
+// is the oracle's.
 func TestInterSeqOverflowRescore(t *testing.T) {
 	eachKernel(t, func(t *testing.T, newEngine func(sw.Params) *InterSeq) {
-		for _, p := range []sw.Params{
-			params(), // K = 14, bias 4
-			{Matrix: scoring.BLOSUM50, Gaps: scoring.Gaps{Start: 0, Extend: 4}}, // Gs == 0, K = 8, bias 5
-			{Matrix: scoring.BLOSUM62, Gaps: scoring.Gaps{Start: 0, Extend: 1}}, // K = bias = 4 > OpenCost+Extend
+		for _, tc := range []struct {
+			p          sw.Params
+			swar, avx2 int // the ceilings
+		}{
+			{params(), 113, 230}, // K = 14, bias 4, max S 11
+			{sw.Params{Matrix: scoring.BLOSUM50, Gaps: scoring.Gaps{Start: 0, Extend: 4}}, 119, 232}, // Gs == 0, K = 8, bias 5, max S 15
+			{sw.Params{Matrix: scoring.BLOSUM62, Gaps: scoring.Gaps{Start: 0, Extend: 1}}, 123, 240}, // K = bias = 4 > OpenCost+Extend
+			{sw.Params{Matrix: positiveMatrix(), Gaps: scoring.Gaps{Start: 5, Extend: 3}}, 116, 240}, // bias 0: K = 11 from the gaps, max S 4
 		} {
-			e := newEngine(p)
+			p, e := tc.p, newEngine(tc.p)
 			if e.oracleOnly() {
 				t.Fatalf("%s %+v: lanes unexpectedly without range", p.Matrix.Name(), p.Gaps)
 			}
-			ceiling := e.ceiling()
+			ceiling, want := e.ceiling(), tc.swar
+			if e.vector {
+				want = tc.avx2
+			}
+			if ceiling != want {
+				t.Fatalf("%s %s %+v: ceiling %d, want %d", e.Name(), p.Matrix.Name(), p.Gaps, ceiling, want)
+			}
 			for _, score := range []int{ceiling - 1, ceiling, ceiling + 1} {
 				q := selfScoring(p.Matrix, score)
 				db := seq.NewSet(alphabet.Protein)
@@ -177,6 +203,108 @@ func TestInterSeqOverflowRescore(t *testing.T) {
 		db.AddEncoded("short", "", long[:10])
 		checkAgainstOracle(t, p, newEngine(p), long, db)
 	})
+}
+
+// TestInterSeqNothingPositive: under a matrix with max S <= 0 every score
+// is 0 and the AVX2 ceiling is 255 - K, max S counting as 0 — a residue
+// code past the matrix scores 0. Nothing is flagged.
+func TestInterSeqNothingPositive(t *testing.T) {
+	m := scoring.Simple("nothing", alphabet.Protein.Len(), alphabet.Protein.Core(), 0, -2)
+	p := sw.Params{Matrix: m, Gaps: scoring.DefaultGaps}
+	eachKernel(t, func(t *testing.T, newEngine func(sw.Params) *InterSeq) {
+		e := newEngine(p)
+		if e.vector && e.ceiling() != 255-14 {
+			t.Fatalf("ceiling %d, want %d", e.ceiling(), 255-14)
+		}
+		rng := rand.New(rand.NewSource(47))
+		q := randSeq(rng, 90)
+		db := synth.RandomSet(alphabet.Protein, 50, 1, 120, 48)
+		db.AddEncoded("self", "", q)
+		if got := flaggedBy(e, q, db); len(got) != 0 {
+			t.Fatalf("flagged %v", got)
+		}
+		checkAgainstOracle(t, p, e, q, db)
+	})
+}
+
+// TestInterSeqBlocks drives the lane driver's rounding to whole blocks
+// of columns: subjects of every length 1..41, more than either kernel has
+// lanes, so lanes retire at every length mod 4 and are refilled at block
+// boundaries behind up to three idle columns; then each length alone in
+// the database, the subject a suffix of the query, so that its score is
+// reached in its last column and the idle columns behind it must not move
+// it.
+func TestInterSeqBlocks(t *testing.T) {
+	eachKernel(t, func(t *testing.T, newEngine func(sw.Params) *InterSeq) {
+		p := params()
+		e := newEngine(p)
+		rng := rand.New(rand.NewSource(53))
+		q := randSeq(rng, 64)
+		db := seq.NewSet(alphabet.Protein)
+		for _, n := range rng.Perm(82) {
+			n = 1 + n%41
+			off := rng.Intn(len(q) - n + 1)
+			s := slices.Clone(q[off : off+n])
+			s[rng.Intn(n)] = byte(rng.Intn(alphabet.Protein.Core()))
+			db.AddEncoded("s", "", s)
+		}
+		checkAgainstOracle(t, p, e, q, db)
+		for n := 1; n <= 9; n++ {
+			db := seq.NewSet(alphabet.Protein)
+			db.AddEncoded("suffix", "", q[len(q)-n:])
+			if got, want := e.Scores(q, db)[0], p.Matrix.SelfScore(q[len(q)-n:]); got != want {
+				t.Fatalf("%s: a suffix of %d residues scores %d, want %d", e.Name(), n, got, want)
+			}
+		}
+	})
+}
+
+// TestAVX2ColumnNeedsRoom walks the boundary K + max S = 254 | 255: the
+// last parameter set with a column (ceiling 1: only a subject scoring 0
+// stays in its lane) and the first without. Without a column — so with
+// every gap cost past a byte — every non-empty subject is handed on as
+// if flagged, to the pair kernel, which still serves those sets, and the
+// answer is the oracle's.
+func TestAVX2ColumnNeedsRoom(t *testing.T) {
+	rng := rand.New(rand.NewSource(59))
+	q := randSeq(rng, 50)
+	db := seq.NewSet(alphabet.Protein)
+	db.AddEncoded("self", "", q)
+	db.AddEncoded("empty", "", nil)
+	db.AddEncoded("zero", "", []byte{17, 17}) // W, which the query is cleared of whatever scores with
+	for i, r := range q {
+		if scoring.BLOSUM62.Score(r, 17) > 0 {
+			q[i] = 0
+		}
+	}
+	db.AddEncoded("gapped", "", append(slices.Clone(q[:20]), q[24:]...))
+	for _, tc := range []struct {
+		gaps    scoring.Gaps
+		column  bool
+		flagged []int
+	}{
+		{scoring.Gaps{Start: 241, Extend: 1}, true, []int{0, 3}}, // K = 243, + 11 = 254
+		{scoring.Gaps{Start: 242, Extend: 1}, false, []int{0, 2, 3}},
+		{scoring.Gaps{Start: 250, Extend: 10}, false, []int{0, 2, 3}},
+		{scoring.Gaps{Start: 10, Extend: 260}, false, []int{0, 2, 3}},
+		{scoring.Gaps{Start: 69999, Extend: 2}, false, []int{0, 2, 3}},
+	} {
+		p := sw.Params{Matrix: scoring.BLOSUM62, Gaps: tc.gaps}
+		e := newInterSeq(p, true)
+		if e.avx2.column != tc.column {
+			t.Fatalf("%+v: column = %v, want %v", tc.gaps, e.avx2.column, tc.column)
+		}
+		if !hasAVX2 {
+			continue
+		}
+		if got := flaggedBy(e, q, db); !slices.Equal(got, tc.flagged) {
+			t.Fatalf("%+v: flagged %v, want %v", tc.gaps, got, tc.flagged)
+		}
+		if s, over, ok := pairScore(p, q, q); !ok || over || s != sw.Score(p, q, q) {
+			t.Fatalf("%+v: pair kernel %d (overflow %v, served %v)", tc.gaps, s, over, ok)
+		}
+		checkAgainstOracle(t, p, e, q, db)
+	}
 }
 
 // TestInterSeqLaneIsolation saturates one lane — far past the point
@@ -326,33 +454,41 @@ func TestAsymmetricMatrix(t *testing.T) {
 	}
 }
 
-// TestAVX2ProfileGather checks the column profile avx2Columns builds
-// against the matrix: every residue code, the idle code included, in
-// every lane, for every query code.
+// TestAVX2ProfileGather checks the four column profiles avx2Columns
+// builds for a block against the matrix. The four columns of a lane hold
+// different residues, and over the 33 blocks every lane sees every residue
+// code, the idle code included, in every column, for every query code: a
+// transposition slip — lane for column, a 128-bit half swapped — reads
+// some other cell of an asymmetric matrix.
 func TestAVX2ProfileGather(t *testing.T) {
 	if !hasAVX2 {
 		t.Skip("this CPU has no AVX2")
 	}
 	m := asymmetricMatrix(32, 5, 9)
-	tab := newAVX2Tables(sw.Params{Matrix: m, Gaps: scoring.DefaultGaps})
-	bias := -m.Min()
-	// A query holding the largest code makes a column build all 32 rows.
+	p := sw.Params{Matrix: m, Gaps: scoring.DefaultGaps}
+	tab := newAVX2Tables(p)
+	// A query holding the largest code makes a block build all 32 rows.
 	k := newAVX2Kernel(tab, []byte{31})
 	defer k.release()
 	for shift := 0; shift <= idleCode; shift++ {
 		var res [maxLanes][]byte
 		for l := range res {
-			res[l] = []byte{byte((l + shift) % (idleCode + 1))}
+			res[l] = make([]byte, avx2Block)
+			for c := range res[l] {
+				res[l][c] = byte((l + 7*c + shift) % (idleCode + 1))
+			}
 		}
-		k.advance(&res, 1)
-		for q := range k.prof {
-			for l, got := range k.prof[q] {
-				want := 0 // an idle lane: the most negative score, biased
-				if d := res[l][0]; d != idleCode {
-					want = m.Score(byte(q), d) + bias
-				}
-				if int(got) != want {
-					t.Fatalf("prof[%d][lane %d] with residue %d = %d, want %d", q, l, res[l][0], got, want)
+		k.advance(&res, avx2Block)
+		for c := range k.prof {
+			for q := range k.prof[c] {
+				for l, got := range k.prof[c][q] {
+					want := byte(0) // an idle lane: S = -OpenCost
+					if d := res[l][c]; d != idleCode {
+						want = byte(m.Score(byte(q), d) + p.Gaps.OpenCost())
+					}
+					if got != want {
+						t.Fatalf("prof[column %d][%d][lane %d] with residue %d = %d, want %d", c, q, l, res[l][c], got, want)
+					}
 				}
 			}
 		}

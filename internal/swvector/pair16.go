@@ -27,14 +27,14 @@ type pairKernel struct {
 var pairKernelPool = sync.Pool{New: func() any { return new(pairKernel) }}
 
 // newPairKernel builds the striped profile of query, whose residue codes
-// index t.table.
+// index t.biased.
 func newPairKernel(t *avx2Tables, query []byte) *pairKernel {
 	k := pairKernelPool.Get().(*pairKernel)
 	k.tab, k.segLen = t, (len(query)+pairLanes-1)/pairLanes
-	k.prof = resizeCleared(k.prof, len(t.table[0])*k.segLen*pairLanes)
+	k.prof = resizeCleared(k.prof, len(t.biased[0])*k.segLen*pairLanes)
 	for pos, q := range query {
 		at := pos%k.segLen*pairLanes + pos/k.segLen
-		for d, s := range &t.table[q] {
+		for d, s := range &t.biased[q] {
 			k.prof[d*k.segLen*pairLanes+at] = uint16(s)
 		}
 	}
@@ -53,7 +53,7 @@ func (k *pairKernel) score(subject []byte) (score int, overflow bool) {
 	if k.segLen == 0 || len(subject) == 0 {
 		return 0, false
 	}
-	if int(slices.Max(subject)) >= len(k.tab.table[0]) {
+	if int(slices.Max(subject)) >= len(k.tab.biased[0]) {
 		// striped16Pair indexes prof by subject residue with no bounds check.
 		panic("swvector: subject residue code out of range")
 	}

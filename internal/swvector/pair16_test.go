@@ -173,7 +173,7 @@ func plantedQuery(rng *rand.Rand, db *seq.Set, src, n int) []byte {
 
 // TestInterSeqRescuesPlantedHomolog drives the rung through the engine:
 // a benchmark-shaped query flags exactly its planted homolog, whose
-// score is past the lanes' 254-bias, and every subject equals the oracle.
+// score is past the lanes' ceiling, and every subject equals the oracle.
 func TestInterSeqRescuesPlantedHomolog(t *testing.T) {
 	skipWithoutAVX2(t)
 	p := params()
@@ -209,5 +209,24 @@ func BenchmarkPairKernel(b *testing.B) {
 				pairScore(p, q, d)
 			}
 		})
+	}
+}
+
+// BenchmarkInterSeq times whole tasks — lane driver, column kernel and the
+// rescue of the planted homolog — on the benchmark's corpus, one thread.
+func BenchmarkInterSeq(b *testing.B) {
+	p := params()
+	db := benchCorpus()
+	rng := rand.New(rand.NewSource(83))
+	for _, n := range []int{120, 270, 480} {
+		q := plantedQuery(rng, db, rng.Intn(db.Len()), n)
+		for _, e := range interSeqs(p) {
+			b.Run(fmt.Sprintf("%s/q%d", e.Name(), n), func(b *testing.B) {
+				b.SetBytes(int64(n) * db.TotalResidues()) // MB/s reads as Mcell/s
+				for b.Loop() {
+					e.Scores(q, db)
+				}
+			})
+		}
 	}
 }

@@ -13,16 +13,51 @@
 // option, flag or build tag selects it.
 //
 // The AVX2 column (amd64 with AVX2; Go assembler, swipe_avx2_amd64.s)
-// holds 32 lanes of plain unsigned bytes in a YMM register. VPADDUSB,
-// VPSUBUSB and VPMAXUB saturate per byte, so H, E and F need no offset
-// and no guard: a value that would be negative is 0, which loses to
-// H >= 0 exactly as the negative value would. The diagonal term is
-// diag + (S + bias) saturated at 255, less bias; a lane whose running
-// maximum stays below 255-bias therefore never saturated, and is exact
-// for scores up to 254-bias (250 with BLOSUM62). The column profile —
-// S(q, d) + bias for the 32 residues d the lanes consume, one row per
-// query residue code q — is two PSHUFB lookups per code into a 32 x 32
-// table.
+// holds 32 byte lanes in a YMM register and works in the SWAR column's
+// offset domain, below, at a byte's width: H' = H + K, E' = E + K,
+// F' = F + K with K = max(OpenCost+Extend, bias). On the Xeon this was
+// tuned on, saturating and min/max byte ops issue on two ports (6.0
+// op/ns each for VPADDUSB, VPSUBUSB, VPMAXUB at 256 bits), plain VPADDB,
+// VPSUBB and VPOR on three (8.8), and a column of ten of the former ran
+// at exactly their port bound, 5.0 cycles a row; at 512 bits they have
+// one port (3.0 op/ns), so 64 lanes buy nothing. In the offset domain
+// only the six maxima are left on the two ports. A cell row keeps
+// G = H' - OpenCost of the previous column and E' of this one, the
+// lookup table byte(S + OpenCost), so that a cell is
+//
+//	t  = G(diagonal) + table      VPADDB, = H'(diagonal) + S
+//	H' = max(t, K, F', E')        M = max(M, H')
+//	G  = H' - OpenCost            VPSUBB
+//	E' = max(E' - Extend, G)      F' = max(F' - Extend, G)
+//
+// and nothing saturates: H' >= K, G >= K-OpenCost >= Extend and E', F' >=
+// Extend hold whatever happened before, so no subtraction wraps, and t >=
+// K-bias >= 0. E' enters the maximum last because it is the value a row
+// carries from cell to cell: the chain through it stays three ops a cell. t
+// wraps past 255 only from an H' above 255 - max S, which the running
+// maximum M has seen by then: a lane is flagged iff M > 255 - max(0, max S),
+// scores M - K, and is exact to 255 - max S - K (230 with BLOSUM62 and 10/2
+// gaps; the saturating column reached 250). A parameter set with K + max S
+// >= 255 leaves no such room and gets no column at all: its subjects all
+// take the ladder below. The column profile — byte(S(q, d) + OpenCost) for
+// the 32 residues d the lanes consume, one row per query residue code q — is
+// two PSHUFB lookups per code into a 32 x 32 table; an idle lane reads 0, S
+// = -OpenCost, so its t = G < H' raises nothing.
+//
+// Ten ALU ops a cell would still share a row's two loads, two stores and its
+// scalar ops, so the column runs four database columns per pass over the
+// query rows, as SWIPE does: four diagonals, four F' and the E' that walks
+// across the block stay in registers, G and E' are loaded and stored once
+// per four cells, and the row's first three G become the next row's
+// diagonals. What scalar work is left shows: an ADDQ and a second loop
+// counter in the row loop cost 8-10 %. One thread, a 270-residue query on
+// the benchmark corpus: 21.3 Gcell/s, from 17.4. The lane driver therefore
+// advances in whole blocks; a subject that ends inside one is followed by
+// idle columns, which raise nothing, as above, and are 0.4 % of the benchmark
+// corpus. The block's residues are one 4-byte load per lane and a 16-op
+// vector transpose, not 128 byte loads — which is why a stream that ends
+// inside the call is first copied, idle-padded, into the kernel: subjects
+// are memory-mapped, and the assembler must not read past one.
 //
 // The SWAR column (everywhere else; pure Go, swipe_swar.go) emulates 8
 // lanes in a uint64. It keeps a 7-bit payload in each byte and bit 7 as a

@@ -16,9 +16,11 @@ import (
 // One lane driver (runLanes) feeds one of two column kernels, chosen when
 // the engine is built and named by Name:
 //
-//   - interseq-avx2, on amd64 CPUs with AVX2: 32 lanes of plain unsigned
-//     bytes in a YMM register, saturating natively. A lane is exact for
-//     scores up to 254-bias (250 with BLOSUM62).
+//   - interseq-avx2, on amd64 CPUs with AVX2: 32 byte lanes in a YMM
+//     register, offset by K like the SWAR lanes so that nothing in the
+//     column needs a saturating instruction, four database columns per
+//     pass over the query rows. A lane is exact for scores up to
+//     255 - max S - K (230 with BLOSUM62 and 10/2 gaps).
 //   - interseq-swar, everywhere else: 8 lanes of 7-bit values offset by
 //     K = max(OpenCost+Extend, bias) under a guard bit in a uint64. A lane
 //     is exact up to 127-K (113 with BLOSUM62 and 10/2 gaps).
@@ -35,9 +37,11 @@ import (
 // of such a task). With Gaps.Start == 0 the pair kernel's lazy-F early
 // exit is not exact, so those models skip it; so does the SWAR path,
 // whose 16-bit striped kernel (ScoreStriped16, the pair kernel's
-// reference) is half the oracle's speed. Parameters that leave a column
-// no usable range (negative gap penalties; a matrix too wide for the
-// lane) send every subject to the oracle: exact, just slow.
+// reference) is half the oracle's speed. Parameters that leave the AVX2
+// lanes no room above K (K + max S >= 255: gap costs near or past a
+// byte) send every subject up the same ladder, and those no kernel can
+// serve (negative gap penalties; a matrix too wide for a lane) to the
+// oracle: exact, just slow.
 //
 // InterSeq reads no per-query profile, so it does not implement
 // sw.ProfiledEngine: the column profile is rebuilt from the biased
@@ -114,10 +118,18 @@ func (e *InterSeq) Scores(query []byte, db *seq.Set) []int {
 // kernel.
 func (e *InterSeq) scoreLanes(query []byte, db *seq.Set, out []int) (overflowed []int) {
 	var k laneKernel
-	if e.avx2 != nil {
-		k = newAVX2Kernel(e.avx2, query)
-	} else {
+	switch {
+	case e.avx2 == nil:
 		k = newSWARKernel(e.swar, query)
+	case e.avx2.column:
+		k = newAVX2Kernel(e.avx2, query)
+	default: // no lane has a range: as if every subject had left it
+		for i := range db.Seqs {
+			if db.Seqs[i].Len() > 0 {
+				overflowed = append(overflowed, i)
+			}
+		}
+		return overflowed
 	}
 	runLanes(k, db, out, &overflowed)
 	k.release()
@@ -144,10 +156,14 @@ var idleResidues = bytes.Repeat([]byte{idleCode}, 256)
 // query, and the column arithmetic on it.
 type laneKernel interface {
 	lanes() int
+	// block is the number of columns the kernel runs at a time: advance
+	// takes multiples of it, 1 if it runs them singly.
+	block() int
 	// reset gives lane l an empty DP column — H = E = 0 in every query
 	// row — and clears its running maximum and overflow flag.
 	reset(l int)
-	// advance runs n DP columns; lane l consumes res[l][:n].
+	// advance runs n DP columns; lane l consumes res[l][:n], and where
+	// res[l] is shorter — by less than a block — idleCode behind it.
 	advance(res *[maxLanes][]byte, n int)
 	// score returns lane l's running maximum, or overflow = true if the
 	// lane left its exact range since its last reset.
@@ -179,7 +195,7 @@ func runLanes(k laneKernel, db *seq.Set, out []int, overflowed *[]int) {
 	for i := range db.Seqs {
 		class = max(class, bits.Len(uint(db.Seqs[i].Len())))
 	}
-	lanes := k.lanes()
+	lanes, block := k.lanes(), k.block()
 	next, active := 0, 0
 	fill := func(l int) {
 		for ; class > 0; class, next = class-1, 0 {
@@ -203,12 +219,16 @@ func runLanes(k laneKernel, db *seq.Set, out []int, overflowed *[]int) {
 		for _, r := range res[:lanes] {
 			n = min(n, len(r))
 		}
+		// Rounded up to whole blocks, at most block-1 columns run past a
+		// subject's end. They are idle ones, whose diagonal term G < H'
+		// cannot raise the lane's maximum: the score stays exact.
+		n = (n + block - 1) / block * block
 		k.advance(&res, n)
 		for l := 0; l < lanes; l++ {
 			if subject[l] < 0 {
 				continue
 			}
-			if res[l] = res[l][n:]; len(res[l]) > 0 {
+			if res[l] = res[l][min(n, len(res[l])):]; len(res[l]) > 0 {
 				continue
 			}
 			if s, overflow := k.score(l); overflow {

@@ -6,45 +6,61 @@ import (
 	"swdual/internal/sw"
 )
 
-// avx2Lanes is the AVX2 column's lane count: the bytes of a YMM register.
-const avx2Lanes = 32
+const (
+	avx2Lanes = 32 // the AVX2 column's lane count: the bytes of a YMM register
+	avx2Block = 4  // database columns avx2Columns runs per pass over the query rows
+)
 
-// avx2Tables is the AVX2 column's view of the scoring parameters.
+// avx2Tables is the AVX2 kernels' view of the scoring parameters.
 type avx2Tables struct {
-	// table[q][d] is S(q, d) + bias for all 32 residue codes, the source
-	// of the column profile: avx2Columns looks row q up by the 32
+	// column says the lanes have a range, K + max S < 255; without it
+	// every subject goes to the pair kernel or the oracle, consts is unset
+	// and table holds nothing usable.
+	column bool
+	// table[q][d] is byte(S(q, d) + OpenCost) for all 32 residue codes, the
+	// source of the column profile: avx2Columns looks row q up by the 32
 	// residues the lanes consume.
 	table [32][32]byte
-	// The bytes avx2Columns broadcasts: bias, OpenCost, Extend, the gap
-	// costs clamped to 255 as gapVectors8 clamps them.
+	// The bytes avx2Columns broadcasts: K = max(OpenCost + Extend, bias),
+	// OpenCost, Extend.
 	consts [3]byte
-	// pair is consts at the 16-bit pair kernel's width, the gap costs
-	// clamped to 65535 as gapVectors16 clamps them, and pairExact whether
-	// that kernel may run: with Gaps.Start == 0 its lazy-F early exit is
-	// not exact. (Its other limits, non-negative gap penalties and
-	// bias + max(matrix) < 65535, are narrower here already.)
+	// limit is 255 - max(0, max S): a lane whose maximum H' stayed at or
+	// below it never wrapped a diagonal term.
+	limit int
+	// The pair kernel's parameters: biased[q][d] is S(q, d) + bias, the
+	// source of its profile; pair is {bias, OpenCost, Extend} at 16 bits,
+	// the gap costs clamped to 65535 as gapVectors16 clamps them; and
+	// pairExact is whether that kernel may run: with Gaps.Start == 0 its
+	// lazy-F early exit is not exact. (Its other limits, non-negative gap
+	// penalties and bias + max(matrix) < 65535, are narrower here already.)
+	biased    [32][32]byte
 	pair      [3]uint16
 	pairExact bool
 }
 
 // newAVX2Tables returns nil when the biased matrix does not fit a byte
-// below the saturation value, or a gap penalty is negative (the kernel
-// relies on open >= ext >= 0): the lanes then have no usable range.
+// below the saturation value, or a gap penalty is negative (the kernels
+// rely on open >= ext >= 0): neither AVX2 kernel can then serve.
 func newAVX2Tables(p sw.Params) *avx2Tables {
 	m := p.Matrix
 	bias := max(0, -m.Min())
 	if p.Gaps.Start < 0 || p.Gaps.Extend < 0 || bias+m.Max() >= 255 {
 		return nil
 	}
-	open, ext := gapVectors8(p.Gaps)
+	open, ext := p.Gaps.OpenCost(), p.Gaps.Extend
 	open16, ext16 := gapVectors16(p.Gaps)
 	t := &avx2Tables{
-		consts: [3]byte{byte(bias), byte(open), byte(ext)},
-		pair:   [3]uint16{uint16(bias), uint16(open16), uint16(ext16)}, pairExact: p.Gaps.Start > 0,
+		limit: 255 - max(0, m.Max()),
+		pair:  [3]uint16{uint16(bias), uint16(open16), uint16(ext16)}, pairExact: p.Gaps.Start > 0,
+	}
+	if offset := max(open+ext, bias); offset < t.limit {
+		t.column = true
+		t.consts = [3]byte{byte(offset), byte(open), byte(ext)}
 	}
 	for q := range t.table {
 		for d := range t.table[q] {
-			t.table[q][d] = byte(m.Score(byte(q), byte(d)) + bias)
+			s := m.Score(byte(q), byte(d))
+			t.table[q][d], t.biased[q][d] = byte(s+open), byte(s+bias)
 		}
 	}
 	return t
@@ -54,13 +70,18 @@ func newAVX2Tables(p sw.Params) *avx2Tables {
 type avx2Kernel struct {
 	tab   *avx2Tables
 	query []byte
-	codes int // rows of prof a column builds: 1 + the query's largest residue code
-	// One 64-byte row per query residue: H of the previous column, then
-	// E of the current one, a byte per lane. Values are plain scores.
+	codes int // rows of prof a block builds: 1 + the query's largest residue code
+	// One 64-byte row per query residue, a byte per lane: G = H' - OpenCost
+	// of the previous column, then E' of the current one.
 	cells []byte
-	// prof[q][l] is S(q, lane l's residue) + bias in the current column.
-	prof    [32][32]byte
-	laneMax [avx2Lanes]byte // running maximum of the diagonal term per lane
+	// prof[c][q][l] is byte(S(q, lane l's residue) + OpenCost) in column c
+	// of the current block.
+	prof    [avx2Block][32][32]byte
+	laneMax [avx2Lanes]byte // running maximum of H' per lane
+	// pad[l] is lane l's stream for the call in which its subject ends,
+	// filled up with idleCode: avx2Columns reads a block of a stream at
+	// once and must not read past a subject, which may end its mapping.
+	pad [avx2Lanes][256]byte
 }
 
 // avx2KernelPool recycles kernels across tasks, as swarKernelPool does.
@@ -79,12 +100,14 @@ func newAVX2Kernel(t *avx2Tables, query []byte) *avx2Kernel {
 	k.tab = t
 	k.query = query
 	k.codes = codes
+	// reset arms a lane before the driver gives it a subject; until then
+	// it computes on zeros, outside the invariants, and nothing reads it.
 	k.cells = resizeCleared(k.cells, 2*avx2Lanes*len(query))
-	k.laneMax = [avx2Lanes]byte{}
 	return k
 }
 
 func (k *avx2Kernel) lanes() int { return avx2Lanes }
+func (k *avx2Kernel) block() int { return avx2Block }
 
 func (k *avx2Kernel) release() {
 	k.tab = nil
@@ -92,22 +115,31 @@ func (k *avx2Kernel) release() {
 	avx2KernelPool.Put(k)
 }
 
+// reset writes H = E = 0: lane l's G byte is at 64i + l and its E' byte 32
+// further on.
 func (k *avx2Kernel) reset(l int) {
-	// Lane l's H byte is at 64i + l and its E byte 32 further on.
-	for i := l; i < len(k.cells); i += avx2Lanes {
-		k.cells[i] = 0
+	offset, open := k.tab.consts[0], k.tab.consts[1]
+	for i := l; i < len(k.cells); i += 2 * avx2Lanes {
+		k.cells[i], k.cells[i+avx2Lanes] = offset-open, offset
 	}
-	k.laneMax[l] = 0
+	k.laneMax[l] = offset
 }
 
-// score flags a lane whose maximum reached 255-bias: the diagonal term
-// is diag + (S + bias) saturated at 255, less bias, so below that value
-// nothing saturated and every score in the lane was exact.
+// score flags a lane whose maximum passed limit: the diagonal term H' + S
+// wraps only from an H' above it, which the maximum has then seen.
 func (k *avx2Kernel) score(l int) (score int, overflow bool) {
-	s := int(k.laneMax[l])
-	return s, s >= 255-int(k.tab.consts[0])
+	m := int(k.laneMax[l])
+	return m - int(k.tab.consts[0]), m > k.tab.limit
 }
 
 func (k *avx2Kernel) advance(res *[maxLanes][]byte, n int) {
-	avx2Columns(&k.cells[0], &k.query[0], len(k.query), &k.tab.table, k.codes, &k.prof, &k.tab.consts, &k.laneMax, res, n)
+	streams := *res
+	for l := range streams {
+		if r := streams[l]; len(r) < n {
+			p := k.pad[l][:n]
+			copy(p[copy(p, r):], idleResidues)
+			streams[l] = p
+		}
+	}
+	avx2Columns(&k.cells[0], &k.query[0], len(k.query), &k.tab.table, k.codes, &k.prof, &k.tab.consts, &k.laneMax, &streams, n)
 }

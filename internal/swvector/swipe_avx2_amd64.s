@@ -23,43 +23,93 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-8
 // the low nibble, so a 32-entry table takes two lookups: code + 0x70
 // selects from entries 0-15 and zeroes for codes 16 and up, (code ^ 0x10)
 // + 0x70 selects from entries 16-31 and zeroes for codes below 16. Code
-// 32, an idle lane, has bit 7 set in both and reads 0.
+// 32, an idle lane, has bit 7 set in both and reads 0: S = -OpenCost.
 DATA x70<>+0(SB)/8, $0x7070707070707070
 GLOBL x70<>(SB), RODATA|NOPTR, $8
 DATA x10<>+0(SB)/8, $0x1010101010101010
 GLOBL x10<>(SB), RODATA|NOPTR, $8
 
-// LANE moves residue j of lane l's stream into byte l of the frame.
+// The 32 x 4 -> 4 x 32 transpose of a block's residues. bytes4<> turns
+// the four dwords of a 128-bit half, one per lane, into one dword per
+// column; dwords8<> brings the two halves' dwords of a column together,
+// leaving a register of 8 lanes as four qwords, one per column.
+DATA bytes4<>+0(SB)/8, $0x0D0905010C080400
+DATA bytes4<>+8(SB)/8, $0x0F0B07030E0A0602
+GLOBL bytes4<>(SB), RODATA|NOPTR, $16
+DATA dwords8<>+0(SB)/8, $0x0000000400000000
+DATA dwords8<>+8(SB)/8, $0x0000000500000001
+DATA dwords8<>+16(SB)/8, $0x0000000600000002
+DATA dwords8<>+24(SB)/8, $0x0000000700000003
+GLOBL dwords8<>(SB), RODATA|NOPTR, $32
+
+// LANE moves residues j..j+3 of lane l's stream into dword l of the frame.
 #define LANE(l) \
 	MOVQ (24*l)(R11), DX; \
-	MOVB (DX)(AX*1), CX;  \
-	MOVB CX, l(SP)
+	MOVL (DX)(AX*1), CX;  \
+	MOVL CX, (4*l)(SP)
 
 #define LANE4(a, b, c, d) LANE(a); LANE(b); LANE(c); LANE(d)
 
-// func avx2Columns(cells, query *byte, rows int, table *[32][32]byte, codes int, prof *[32][32]byte, consts *[3]byte, laneMax *[32]byte, res *[32][]byte, n int)
+// LANES8 makes y, 8 lanes x 4 columns, 4 columns x 8 lanes.
+#define LANES8(y) \
+	VPSHUFB Y14, y, y; \
+	VPERMD  y, Y15, y
+
+// INDEXES turns the residues of a column in lo into its two PSHUFB index
+// vectors, lo and hi.
+#define INDEXES(lo, hi) \
+	VPXOR  Y15, lo, hi; \
+	VPADDB Y14, lo, lo; \
+	VPADDB Y14, hi, hi
+
+// PROFILE stores row (R10) of table, looked up by a column's indexes, as
+// the row (R8) of the column's profile at byte offset col of prof.
+#define PROFILE(lo, hi, col) \
+	VPSHUFB lo, Y8, Y14;   \
+	VPSHUFB hi, Y9, Y15;   \
+	VPOR    Y15, Y14, Y14; \
+	VMOVDQU Y14, col(R8)
+
+// CELL is one DP cell in every lane: d holds G of the diagonal neighbour
+// and leaves as G of this cell, f is F' entering and leaving the cell
+// downwards, Y8 is E' entering and leaving it rightwards, col(R9)(DX*1)
+// the profile row. E' is the value a row carries from cell to cell, so it
+// enters the maximum last.
+#define CELL(d, f, col) \
+	VPADDB  col(R9)(DX*1), d, d; \
+	VPMAXUB Y10, d, d;     \
+	VPMAXUB f, d, d;       \
+	VPMAXUB Y8, d, d;      \
+	VPMAXUB d, Y13, Y13;   \
+	VPSUBB  Y11, d, d;     \
+	VPSUBB  Y12, Y8, Y8;   \
+	VPSUBB  Y12, f, f;     \
+	VPMAXUB d, Y8, Y8;     \
+	VPMAXUB d, f, f
+
+// func avx2Columns(cells, query *byte, rows int, table *[32][32]byte, codes int, prof *[4][32][32]byte, consts *[3]byte, laneMax *[32]byte, res *[32][]byte, n int)
 //
-// Y0 diag  Y1 F  Y2 max  Y3 bias  Y4 open  Y5 ext  Y6 t, then H
-// Y7 E  Y11 low-half indexes  Y12 high-half indexes  Y13 0x70  Y14 0x10
-// AX column  BX n  R9 prof  R11 res
-TEXT ·avx2Columns(SB), NOSPLIT, $32-80
+// In the row loop: Y0-Y3 G of the diagonal neighbour in the block's four
+// columns, then t, H', G in place  Y4-Y7 F' of the four  Y8 E'  Y9 G of
+// the previous block  Y10 K  Y11 open  Y12 ext  Y13 max
+// AX column  BX n  CX row - rows  DX 32 * the row's residue  DI query + rows
+// R8 the row's cells  R9 prof  R11 res
+TEXT ·avx2Columns(SB), NOSPLIT, $128-80
 	MOVQ n+72(FP), BX
 	TESTQ BX, BX
 	JLE  done
 	MOVQ consts+48(FP), AX
-	VPBROADCASTB 0(AX), Y3
-	VPBROADCASTB 1(AX), Y4
-	VPBROADCASTB 2(AX), Y5
+	VPBROADCASTB 0(AX), Y10
+	VPBROADCASTB 1(AX), Y11
+	VPBROADCASTB 2(AX), Y12
 	MOVQ laneMax+56(FP), AX
-	VMOVDQU (AX), Y2
-	VPBROADCASTQ x70<>(SB), Y13
-	VPBROADCASTQ x10<>(SB), Y14
+	VMOVDQU (AX), Y13
 	MOVQ prof+40(FP), R9
 	MOVQ res+64(FP), R11
 	XORQ AX, AX
 
-column:
-	// The residue each lane consumes in this column.
+block:
+	// The residues each lane consumes in this block, a register a column.
 	LANE4(0, 1, 2, 3)
 	LANE4(4, 5, 6, 7)
 	LANE4(8, 9, 10, 11)
@@ -68,62 +118,88 @@ column:
 	LANE4(20, 21, 22, 23)
 	LANE4(24, 25, 26, 27)
 	LANE4(28, 29, 30, 31)
-	VMOVDQU (SP), Y11
-	VPXOR   Y14, Y11, Y12
-	VPADDB  Y13, Y11, Y11
-	VPADDB  Y13, Y12, Y12
+	VBROADCASTI128 bytes4<>(SB), Y14
+	VMOVDQU dwords8<>(SB), Y15
+	VMOVDQU (SP), Y0
+	VMOVDQU 32(SP), Y1
+	VMOVDQU 64(SP), Y2
+	VMOVDQU 96(SP), Y3
+	LANES8(Y0)
+	LANES8(Y1)
+	LANES8(Y2)
+	LANES8(Y3)
+	VPUNPCKLQDQ Y1, Y0, Y4   // columns 0 and 2 of lanes 0-15
+	VPUNPCKHQDQ Y1, Y0, Y5   // columns 1 and 3
+	VPUNPCKLQDQ Y3, Y2, Y6   // the same of lanes 16-31
+	VPUNPCKHQDQ Y3, Y2, Y7
+	VPERM2I128 $0x20, Y6, Y4, Y0
+	VPERM2I128 $0x20, Y7, Y5, Y1
+	VPERM2I128 $0x31, Y6, Y4, Y2
+	VPERM2I128 $0x31, Y7, Y5, Y3
+	VPBROADCASTQ x70<>(SB), Y14
+	VPBROADCASTQ x10<>(SB), Y15
+	INDEXES(Y0, Y4)
+	INDEXES(Y1, Y5)
+	INDEXES(Y2, Y6)
+	INDEXES(Y3, Y7)
 
-	// prof[q][l] = table[q][residue of lane l] for every code the query holds.
+	// prof[c][q][l] = table[q][residue of lane l in column c] for every
+	// code q the query holds.
 	MOVQ table+24(FP), R10
 	MOVQ codes+32(FP), CX
 	MOVQ R9, R8
 profile:
-	VBROADCASTI128 (R10), Y6
-	VBROADCASTI128 16(R10), Y7
-	VPSHUFB Y11, Y6, Y6
-	VPSHUFB Y12, Y7, Y7
-	VPOR    Y7, Y6, Y6
-	VMOVDQU Y6, (R8)
+	VBROADCASTI128 (R10), Y8
+	VBROADCASTI128 16(R10), Y9
+	PROFILE(Y0, Y4, 0)
+	PROFILE(Y1, Y5, 1024)
+	PROFILE(Y2, Y6, 2048)
+	PROFILE(Y3, Y7, 3072)
 	ADDQ $32, R10
 	ADDQ $32, R8
 	DECQ CX
 	JNZ  profile
 
-	// One DP column. The running maximum is taken on the diagonal term
-	// only: E and F derive from earlier H values, which it already saw.
+	// Four DP columns in one pass over the query rows: a row loads G and
+	// E' once and stores them once. Row 0 and column 0 hold H = 0.
 	MOVQ cells+0(FP), R8
 	MOVQ query+8(FP), DI
 	MOVQ rows+16(FP), CX
-	VPXOR Y0, Y0, Y0         // H[0][j-1] = 0
-	VPXOR Y1, Y1, Y1         // F[1][j] <= 0
+	ADDQ CX, DI
+	NEGQ CX
+	VPSUBB Y11, Y10, Y0
+	VMOVDQA Y0, Y1
+	VMOVDQA Y0, Y2
+	VMOVDQA Y0, Y3
+	VMOVDQA Y10, Y4
+	VMOVDQA Y10, Y5
+	VMOVDQA Y10, Y6
+	VMOVDQA Y10, Y7
 row:
-	MOVBLZX (DI), DX
+	MOVBLZX (DI)(CX*1), DX
 	SHLQ $5, DX
-	VPADDUSB (R9)(DX*1), Y0, Y6
-	VPSUBUSB Y3, Y6, Y6      // t = H[i-1][j-1] + S, floored at 0
-	VPMAXUB Y6, Y2, Y2
-	VMOVDQU (R8), Y0         // H[i][j-1], the next row's diagonal
-	VMOVDQU 32(R8), Y7       // E[i][j]
-	VPMAXUB Y7, Y6, Y6
-	VPMAXUB Y1, Y6, Y6       // H[i][j] = max(t, E, F)
-	VMOVDQU Y6, (R8)
-	VPSUBUSB Y4, Y6, Y6      // H - open
-	VPSUBUSB Y5, Y7, Y7
-	VPSUBUSB Y5, Y1, Y1
-	VPMAXUB Y6, Y7, Y7       // E[i][j+1] = max(E - ext, H - open)
-	VPMAXUB Y6, Y1, Y1       // F[i+1][j] = max(F - ext, H - open)
-	VMOVDQU Y7, 32(R8)
-	INCQ DI
+	VMOVDQU (R8), Y9
+	VMOVDQU 32(R8), Y8
+	CELL(Y0, Y4, 0)
+	CELL(Y1, Y5, 1024)
+	CELL(Y2, Y6, 2048)
+	CELL(Y3, Y7, 3072)
+	VMOVDQU Y3, (R8)
+	VMOVDQU Y8, 32(R8)
+	VMOVDQA Y2, Y3           // this row's G are the next row's diagonals
+	VMOVDQA Y1, Y2
+	VMOVDQA Y0, Y1
+	VMOVDQA Y9, Y0
 	ADDQ $64, R8
-	DECQ CX
+	INCQ CX
 	JNZ  row
 
-	INCQ AX
+	ADDQ $4, AX
 	CMPQ AX, BX
-	JLT  column
+	JLT  block
 
 	MOVQ laneMax+56(FP), AX
-	VMOVDQU Y2, (AX)
+	VMOVDQU Y13, (AX)
 	VZEROUPPER
 done:
 	RET

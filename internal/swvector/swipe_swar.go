@@ -91,6 +91,7 @@ func newSWARKernel(t *swarTables, query []byte) *swarKernel {
 }
 
 func (k *swarKernel) lanes() int { return Lanes8Count }
+func (k *swarKernel) block() int { return 1 }
 
 func (k *swarKernel) release() {
 	k.tab = nil
