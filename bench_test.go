@@ -12,7 +12,6 @@ package swdual_test
 
 import (
 	"context"
-	"fmt"
 	"path/filepath"
 	"runtime"
 	"sync/atomic"
@@ -206,32 +205,6 @@ func BenchmarkSearchPersistentConcurrent(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkShardedSearch measures scatter/gather over per-shard engines
-// against the single-engine baseline (shards=1 runs unsharded): same
-// database, same queries, byte-identical results, shard count scaling
-// the worker pools.
-func BenchmarkShardedSearch(b *testing.B) {
-	db, queries := benchSearchData(b)
-	for _, shards := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			s, err := swdual.NewSearcher(db, swdual.Options{
-				CPUs: 1, GPUs: 1, TopK: 5, Shards: shards, ShardSplit: "balanced",
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer s.Close()
-			ctx := context.Background()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := s.Search(ctx, queries, swdual.SearchOptions{}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }
 
 // BenchmarkMixedPoolSearch compares homogeneous worker pools against

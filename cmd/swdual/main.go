@@ -9,7 +9,6 @@
 //	swdual -db db.swdb -query q.fasta -policy self-scheduling -topk 5
 //	swdual -db db.fasta -query q.fasta -plan        # schedule only
 //	swdual -db db.fasta -serve :4015                # persistent engine
-//	swdual -db db.fasta -serve :4015 -shards 4      # sharded scatter/gather
 //	swdual -remote host:4015 -query q.fasta         # query a served engine
 //	swdual -db db.fasta -gateway :8080              # HTTP/JSON front door
 //
@@ -18,10 +17,10 @@
 // -gateway-capacity executing and -gateway-queue waiting requests,
 // arrivals are shed immediately with 429 and a Retry-After estimated
 // from live search latency. It can front any backend below — add
-// -shards or -replica-shards to put the same HTTP surface over a
-// sharded or clustered database.
+// -replica-shards to put the same HTTP surface over a clustered
+// database.
 //
-// Cluster serve distributes the shards across processes: each shard
+// Cluster serve distributes the database across processes: each shard
 // server holds the same database and serves one slice of it, and a
 // coordinator scatters every query over the network, gathering hits
 // byte-identical to a local search. -replica-shards names the servers:
@@ -80,11 +79,10 @@ func main() {
 		evalues  = flag.Bool("evalue", false, "report bit scores and E-values next to each hit")
 		serve    = flag.String("serve", "", "serve the database persistently on this address instead of searching")
 		remote   = flag.String("remote", "", "send the queries to a serve-mode engine at this address")
-		shards   = flag.Int("shards", 1, "split the database into this many shards, each with its own worker pool")
 		split    = flag.String("shard-split", "contiguous", "shard boundary strategy: contiguous | balanced")
 		cache    = flag.Bool("cache", false, "cache search results: repeated queries are answered without a scheduling wave and concurrent identical queries collapse into one (hits stay byte-identical)")
 		cacheSz  = flag.Int("cache-size", 0, "max cached search fingerprints with -cache (0 = default 1024)")
-		degraded = flag.Bool("degraded", false, "sharded coordinators answer partial when every replica of a range is down, reporting coverage, instead of failing the search (HTTP gateways answer 206)")
+		degraded = flag.Bool("degraded", false, "-replica-shards coordinators answer partial when every replica of a range is down, reporting coverage, instead of failing the search (HTTP gateways answer 206)")
 
 		gatewayAddr = flag.String("gateway", "", "serve the database over HTTP/JSON on this address, with admission control and load shedding (POST /v1/search, GET /v1/stats, /healthz, /metrics)")
 		gwCapacity  = flag.Int("gateway-capacity", 0, "concurrently executing gateway searches (0 = default 2×GOMAXPROCS)")
@@ -110,7 +108,6 @@ func main() {
 		Pool:       *pool,
 		TopK:       *topk,
 		Policy:     *policy,
-		Shards:     *shards,
 		ShardSplit: *split,
 		Cache:      *cache,
 		CacheSize:  *cacheSz,
@@ -165,6 +162,10 @@ func main() {
 	if *pool != "" {
 		workersDesc = fmt.Sprintf("worker pool %s", *pool)
 	}
+	backendDesc := workersDesc
+	if len(opt.ReplicaShards) > 0 {
+		backendDesc = fmt.Sprintf("%d shard server range(s)", len(opt.ReplicaShards))
+	}
 
 	if *shardServe != "" {
 		l, err := net.Listen("tcp", *shardServe)
@@ -196,8 +197,8 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			log.Printf("gateway: %d sequences (checksum %08x) over HTTP on %s with %s per shard across %d shard(s)",
-				db.Len(), s.Checksum(), gl.Addr(), workersDesc, s.Shards())
+			log.Printf("gateway: %d sequences (checksum %08x) over HTTP on %s with %s",
+				db.Len(), s.Checksum(), gl.Addr(), backendDesc)
 			go func() { errc <- gw.Serve(gl) }()
 		}
 		if *serve != "" {
@@ -205,8 +206,8 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			log.Printf("serving %d sequences (%d residues, checksum %08x) on %s with %s per shard across %d shard(s)",
-				db.Len(), db.TotalResidues(), s.Checksum(), l.Addr(), workersDesc, s.Shards())
+			log.Printf("serving %d sequences (%d residues, checksum %08x) on %s with %s",
+				db.Len(), db.TotalResidues(), s.Checksum(), l.Addr(), backendDesc)
 			go func() { errc <- s.Serve(l) }()
 		}
 		if err := <-errc; err != nil {

@@ -11,6 +11,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -22,14 +23,34 @@ import (
 	"swdual/internal/shard"
 )
 
+// serveShards serves every slice of a count-way split of db from its own
+// ServeShard goroutine on a loopback listener, closed at test cleanup,
+// and returns the one-address-per-range ReplicaShards that reaches them.
+func serveShards(t *testing.T, db *Database, count int, opt Options) [][]string {
+	t.Helper()
+	var groups [][]string
+	for i := 0; i < count; i++ {
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { l.Close() })
+		go ServeShard(l, db, i, count, opt)
+		groups = append(groups, []string{l.Addr().String()})
+	}
+	return groups
+}
+
 // TestDegradedOptionPlumbsToCoordinator pins the Options → policy
-// wiring: Degraded selects DegradedPartial on a sharded coordinator,
-// stays off by default, and is ignored (harmlessly) when unsharded.
+// wiring: Degraded selects DegradedPartial on a ReplicaShards
+// coordinator, stays off by default, and is ignored (harmlessly) when
+// unsharded.
 func TestDegradedOptionPlumbsToCoordinator(t *testing.T) {
 	db, err := GenerateDatabase("UniProt", 40000)
 	if err != nil {
 		t.Fatal(err)
 	}
+	groups := serveShards(t, db, 2, Options{CPUs: 1, TopK: 3})
 	for _, tc := range []struct {
 		degraded bool
 		want     shard.DegradedPolicy
@@ -37,7 +58,7 @@ func TestDegradedOptionPlumbsToCoordinator(t *testing.T) {
 		{degraded: false, want: shard.DegradedFail},
 		{degraded: true, want: shard.DegradedPartial},
 	} {
-		s, err := NewSearcher(db, Options{Shards: 2, CPUs: 1, TopK: 3, Degraded: tc.degraded})
+		s, err := NewSearcher(db, Options{ReplicaShards: groups, CPUs: 1, TopK: 3, Degraded: tc.degraded})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -67,7 +88,7 @@ func TestDegradedOptionPlumbsToCoordinator(t *testing.T) {
 }
 
 // TestDegradedOptionKeepsFullAnswersIdentical is the public no-fault
-// equivalence bar: with every shard healthy, Degraded on and off
+// equivalence bar: with every shard server healthy, Degraded on and off
 // produce byte-identical hits (and both match unsharded), and neither
 // answer carries Coverage.
 func TestDegradedOptionKeepsFullAnswersIdentical(t *testing.T) {
@@ -79,11 +100,12 @@ func TestDegradedOptionKeepsFullAnswersIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	groups := serveShards(t, db, 3, Options{CPUs: 1, TopK: 5})
 	var ref *Report
 	for _, opt := range []Options{
 		{CPUs: 1, TopK: 5},
-		{Shards: 3, CPUs: 1, TopK: 5},
-		{Shards: 3, CPUs: 1, TopK: 5, Degraded: true},
+		{ReplicaShards: groups, CPUs: 1, TopK: 5},
+		{ReplicaShards: groups, CPUs: 1, TopK: 5, Degraded: true},
 	} {
 		s, err := NewSearcher(db, opt)
 		if err != nil {

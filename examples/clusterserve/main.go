@@ -1,5 +1,5 @@
-// Cluster serve: the sharded scatter/gather distributed across
-// processes — the paper's §IV master-slave model over real sockets, with
+// Cluster serve: the scatter/gather over database ranges, distributed
+// across processes — the paper's §IV master-slave model over real sockets, with
 // the coordinator as master and the shard servers as the workers that
 // "acquire the same sequences" locally, so only queries and results
 // cross the wire. Every shard server holds the same database and serves

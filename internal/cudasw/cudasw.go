@@ -115,27 +115,14 @@ func (e *Engine) Scores(query []byte, db *seq.Set) []int {
 	return scores
 }
 
-// ScoresProfiled implements sw.ProfiledEngine.
-func (e *Engine) ScoresProfiled(query []byte, prof *scoring.QueryProfiles, db *seq.Set) []int {
-	scores, _ := e.SearchProfiled(query, prof, db)
-	return scores
-}
-
 // Search computes all scores and returns the simulated timing statistics.
 func (e *Engine) Search(query []byte, db *seq.Set) ([]int, Stats) {
-	return e.SearchProfiled(query, nil, db)
-}
-
-// SearchProfiled is Search drawing the striped profiles from a shared
-// per-query set (CUDASW++ keeps its query profile resident in texture
-// memory for the same reason); a nil prof builds them locally.
-func (e *Engine) SearchProfiled(query []byte, prof *scoring.QueryProfiles, db *seq.Set) ([]int, Stats) {
 	out := make([]int, db.Len())
 	var st Stats
 	if len(query) == 0 || db.Len() == 0 {
 		return out, st
 	}
-	scorer := newScorer(e.params, query, prof)
+	scorer := newScorer(e.params, query)
 	var weightedUtil float64
 	var cycleSum uint64
 	for _, pl := range e.plan(len(query), lengthsOf(db)) {
@@ -299,23 +286,18 @@ func (e *Engine) plan(qlen int, lengths []int) []planLaunch {
 }
 
 // scorer escalates striped 8-bit -> 16-bit -> scalar, sharing profiles
-// across all warps of a search — and, when a shared per-query profile
-// set is supplied, across every engine that touches the query.
+// across all warps of a search (CUDASW++ keeps its query profile resident
+// in texture memory for the same reason).
 type scorer struct {
 	params sw.Params
 	query  []byte
-	prof   *scoring.QueryProfiles // nil = build profiles locally
 	p8     *scoring.StripedProfile8
 	p16    *scoring.StripedProfile16
 }
 
-func newScorer(params sw.Params, query []byte, prof *scoring.QueryProfiles) *scorer {
-	s := &scorer{params: params, query: query, prof: prof}
-	if prof != nil {
-		s.p8, _ = prof.Striped8()
-	} else {
-		s.p8, _ = scoring.NewStripedProfile8(params.Matrix, query)
-	}
+func newScorer(params sw.Params, query []byte) *scorer {
+	s := &scorer{params: params, query: query}
+	s.p8, _ = scoring.NewStripedProfile8(params.Matrix, query)
 	return s
 }
 
@@ -326,11 +308,7 @@ func (s *scorer) score(subject []byte) int {
 		}
 	}
 	if s.p16 == nil {
-		if s.prof != nil {
-			s.p16 = s.prof.Striped16()
-		} else {
-			s.p16 = scoring.NewStripedProfile16(s.params.Matrix, s.query)
-		}
+		s.p16 = scoring.NewStripedProfile16(s.params.Matrix, s.query)
 	}
 	if v, over := swvector.ScoreStriped16(s.p16, s.params.Gaps, subject); !over {
 		return v
@@ -356,8 +334,6 @@ func (w *scoreWarp) Run() {
 
 // Cycles implements gpusim.Warp.
 func (w *scoreWarp) Cycles() uint64 { return w.cycles }
-
-var _ sw.ProfiledEngine = (*Engine)(nil)
 
 func lengthsOf(db *seq.Set) []int {
 	out := make([]int, db.Len())

@@ -16,21 +16,21 @@ import (
 )
 
 // TestAllocsSteadyStateSearch pins the allocation budget of a warm
-// striped-engine search: profiles cached, kernel rows pooled, wave
-// scratch recycled. The cap is a hard constant — the steady-state cost
-// of a search must not scale with how many waves came before it, and
-// regressions that reintroduce per-wave or per-subject allocation blow
-// straight through it.
+// search on the pool the gate runs (the inter-sequence CPU engine):
+// kernel scratch pooled, wave scratch recycled. The cap is a hard
+// constant — the steady-state cost of a search must not scale with how
+// many waves came before it, and regressions that reintroduce per-wave
+// or per-subject allocation blow straight through it.
 func TestAllocsSteadyStateSearch(t *testing.T) {
 	db := synth.RandomSet(alphabet.Protein, 48, 10, 150, 65)
 	queries := synth.RandomSet(alphabet.Protein, 2, 40, 80, 66)
-	s, err := New(db, Config{Pool: master.PoolSpec{Striped: 1}, TopK: 5})
+	s, err := New(db, Config{Pool: master.PoolSpec{CPU: 1}, TopK: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
 	ctx := context.Background()
-	for i := 0; i < 3; i++ { // warm profile cache, row pools, wave scratch
+	for i := 0; i < 3; i++ { // warm kernel pools and wave scratch
 		if _, err := s.Search(ctx, queries, SearchOptions{}); err != nil {
 			t.Fatal(err)
 		}
@@ -40,7 +40,7 @@ func TestAllocsSteadyStateSearch(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	// Measured ~60 objects per 2-query search (request + merger + wave +
+	// Measured ~57 objects per 2-query search (request + merger + wave +
 	// channels + schedule + report + per-task hit lists); the cap gives
 	// ~2x headroom while still catching any per-subject or per-wave
 	// regression, which adds hundreds.

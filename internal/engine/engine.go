@@ -51,7 +51,6 @@ import (
 	"swdual/internal/master"
 	"swdual/internal/resultcache"
 	"swdual/internal/sched"
-	"swdual/internal/scoring"
 	"swdual/internal/seq"
 	"swdual/internal/sw"
 )
@@ -164,14 +163,6 @@ type Stats struct {
 	CacheMisses       uint64
 	CacheEvictions    uint64
 	CollapsedSearches uint64
-	// ProfileEntries / ProfileHits / ProfileMisses / ProfileEvictions
-	// expose the per-query profile cache (PR 5), which amortizes
-	// striped-profile construction across waves — previously invisible
-	// to operators.
-	ProfileEntries   int
-	ProfileHits      uint64
-	ProfileMisses    uint64
-	ProfileEvictions uint64
 	// Replication counters (internal/replica; always zero on a plain
 	// engine). FailedOver counts calls retried on a sibling replica
 	// after the first choice failed with a lost connection;
@@ -245,10 +236,6 @@ type Searcher struct {
 	done   chan struct{} // dispatcher exited
 	once   func()        // idempotent close
 
-	// profiles shares per-query profile construction across workers and
-	// waves.
-	profiles *scoring.ProfileCache
-
 	// The dispatcher's view of the pool, per pool queue (sched.CPU,
 	// sched.GPU, sharedQueue): slots counts the workers pulling from the
 	// queue, inflight the tasks fed to it and not yet Done — a queue with
@@ -309,7 +296,6 @@ func New(db *seq.Set, cfg Config) (*Searcher, error) {
 		done:   make(chan struct{}),
 		freed:  make(chan struct{}, 1),
 	}
-	s.profiles = scoring.NewProfileCache(cfg.Params.Matrix, 0)
 	if cfg.Cache {
 		s.cache = resultcache.New(resultcache.Config{MaxEntries: cfg.CacheSize, MaxBytes: cfg.CacheBytes})
 		s.flight = resultcache.NewFlight()
@@ -364,6 +350,10 @@ func (s *Searcher) Alphabet() *alphabet.Alphabet { return s.db.Alpha }
 // Checksum fingerprints the loaded database (CRC-32 of all residues).
 func (s *Searcher) Checksum() uint32 { return s.checksum }
 
+// TopK returns the hits-per-query cap: a Search asking for more gets
+// this many.
+func (s *Searcher) TopK() int { return s.cfg.TopK }
+
 // Stats reports the Searcher's cumulative counters and a live snapshot
 // of every worker's observed throughput.
 func (s *Searcher) Stats() Stats {
@@ -378,7 +368,6 @@ func (s *Searcher) Stats() Stats {
 			Tasks:           w.ObservedTasks(),
 		}
 	}
-	ps := s.profiles.Stats()
 	st := Stats{
 		DBSequences:       s.db.Len(),
 		DBResidues:        s.dbResidues,
@@ -390,10 +379,6 @@ func (s *Searcher) Stats() Stats {
 		Waves:             s.waves.Load(),
 		BatchedWaves:      s.batchedWaves.Load(),
 		CollapsedSearches: s.collapsed.Load(),
-		ProfileEntries:    ps.Entries,
-		ProfileHits:       ps.Hits,
-		ProfileMisses:     ps.Misses,
-		ProfileEvictions:  ps.Evictions,
 		Workers:           rates,
 	}
 	if s.cache != nil {
@@ -611,12 +596,10 @@ func (s *Searcher) abandon(r *request) {
 	}
 }
 
-// waveEntry addresses one query of one request within a wave and
-// carries the query's shared profile set.
+// waveEntry addresses one query of one request within a wave.
 type waveEntry struct {
 	req   *request
 	local int // query index within the request
-	prof  *scoring.QueryProfiles
 }
 
 // wave holds the plan-stage slices of one scheduling wave. Waves
@@ -642,17 +625,16 @@ func (s *Searcher) newWave() *wave {
 	}
 	w := s.free[n-1]
 	s.free = s.free[:n-1]
-	clear(w.entries) // drop request/profile pointers so reuse can't pin them
+	clear(w.entries) // drop request pointers so reuse can't pin them
 	w.entries, w.lens, w.ids, w.all = w.entries[:0], w.lens[:0], w.ids[:0], w.all[:0]
 	return w
 }
 
 // planWave runs the CPU side of one wave and starts it: account it,
-// assemble the entry/length/id slices, attach each query's shared
-// profile set, build the instance over the idle part of the pool with
-// the measured rates snapshotted now, run the scheduling policy and feed
-// each pool queue its tasks in planned start order. On a scheduling
-// error the batch is failed.
+// assemble the entry/length/id slices, build the instance over the idle
+// part of the pool with the measured rates snapshotted now, run the
+// scheduling policy and feed each pool queue its tasks in planned start
+// order. On a scheduling error the batch is failed.
 func (s *Searcher) planWave(batch []*request) {
 	// Deadline propagation ends here: a request whose ctx died while it
 	// waited to coalesce is failed now instead of being planned — doomed
@@ -681,7 +663,7 @@ func (s *Searcher) planWave(batch []*request) {
 	for _, r := range batch {
 		for qi := range r.queries.Seqs {
 			q := &r.queries.Seqs[qi]
-			w.entries = append(w.entries, waveEntry{req: r, local: qi, prof: s.profiles.Get(q.Residues)})
+			w.entries = append(w.entries, waveEntry{req: r, local: qi})
 			w.lens = append(w.lens, q.Len())
 			w.ids = append(w.ids, q.ID)
 		}
@@ -744,7 +726,6 @@ func (s *Searcher) feed(w *wave, q int, queue []int) {
 			QueryIndex: local,
 			Query:      &req.queries.Seqs[local],
 			DB:         s.db,
-			Profiles:   w.entries[gi].prof,
 			Canceled:   func() bool { return req.ctx.Err() != nil },
 			Done: func(res master.QueryResult, ran bool) {
 				// Retire first: the worker must count as idle before its

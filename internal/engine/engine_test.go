@@ -76,8 +76,8 @@ func TestSearchMatchesOneShot(t *testing.T) {
 }
 
 // TestSequentialSearchesSkipPreparation is the amortization guarantee:
-// the second Search on the same Searcher must not rebuild profiles,
-// length statistics or workers.
+// the second Search on the same Searcher must not rebuild the length
+// statistics or the workers.
 func TestSequentialSearchesSkipPreparation(t *testing.T) {
 	db, queries := testSets(3, 4, 40, 8)
 	s, err := New(db, Config{CPUs: 1, GPUs: 1, TopK: 5})

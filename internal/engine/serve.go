@@ -21,7 +21,7 @@ import (
 //
 //	client                               server
 //	Hello{Version, Name, DBChecksum?} ->
-//	                          <-  Welcome{Version, DBChecksum, Alphabet}
+//	                          <-  Welcome{Version, DBChecksum, Alphabet, TopK}
 //	SearchRequest{ID: 1, …}   ->
 //	StatsRequest{ID: 2}       ->
 //	                          <-  StatsResponse{ID: 2, …}
@@ -32,10 +32,13 @@ import (
 // A non-zero Hello.DBChecksum must match the server database, so a
 // client that also holds the database locally can verify both ends
 // search the same sequences. Residues cross the wire encoded in the
-// server database's alphabet, which the Welcome names. Concurrent
-// requests — from one session or from many connections — are coalesced
-// into shared scheduling waves by the Searcher's dispatcher. When a
-// connection dies, its in-flight requests are canceled.
+// server database's alphabet, which the Welcome names together with the
+// most hits per query the server returns (TopK, when the backend has a
+// TopK method; 0 otherwise), so a coordinator can refuse a server that
+// would truncate its merge. Concurrent requests — from one session or
+// from many connections — are coalesced into shared scheduling waves by
+// the Searcher's dispatcher. When a connection dies, its in-flight
+// requests are canceled.
 
 // Backend is the search service Serve exposes and remote clients stand
 // in for: the in-process Searcher, the sharded scatter/gather facade, or
@@ -112,7 +115,11 @@ func serveConn(c *wire.Conn, s Backend, handshake time.Duration) {
 		fail(fmt.Errorf("engine: database checksum mismatch (client %08x, server %08x)", hello.DBChecksum, s.Checksum()))
 		return
 	}
-	if err := c.Send(&wire.Welcome{Version: wire.Version, DBChecksum: s.Checksum(), Alphabet: s.Alphabet().Name()}); err != nil {
+	welcome := &wire.Welcome{Version: wire.Version, DBChecksum: s.Checksum(), Alphabet: s.Alphabet().Name()}
+	if capped, ok := s.(interface{ TopK() int }); ok {
+		welcome.TopK = uint32(capped.TopK())
+	}
+	if err := c.Send(welcome); err != nil {
 		return
 	}
 	// A session lives arbitrarily long; per-request bounds come from the
@@ -292,10 +299,6 @@ func statsFrame(id uint64, st Stats) *wire.StatsResponse {
 		CacheMisses:       st.CacheMisses,
 		CacheEvictions:    st.CacheEvictions,
 		CollapsedSearches: st.CollapsedSearches,
-		ProfileEntries:    uint32(st.ProfileEntries),
-		ProfileHits:       st.ProfileHits,
-		ProfileMisses:     st.ProfileMisses,
-		ProfileEvictions:  st.ProfileEvictions,
 		HedgedSearches:    st.HedgedSearches,
 		FailedOver:        st.FailedOver,
 		Redials:           st.Redials,

@@ -173,7 +173,12 @@ func TestGatewayMatchesDirectSearch(t *testing.T) {
 	}{
 		{"engine", func(t *testing.T) engine.Backend { return testEngine(t, db) }},
 		{"sharded", func(t *testing.T) engine.Backend {
-			s, err := shard.New(db, shard.Config{Shards: 3, Engine: engine.Config{CPUs: 1, GPUs: 1, TopK: 5}})
+			ranges := shard.RangesFor(db, 3, shard.Contiguous)
+			backends := make([]engine.Backend, len(ranges))
+			for i, r := range ranges {
+				backends[i] = testEngine(t, db.Slice(r.Lo, r.Hi))
+			}
+			s, err := shard.WithBackends(db, shard.Contiguous, ranges, backends, 5)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -46,16 +46,8 @@ func (w *GPUWorker) Engine() *cudasw.Engine { return w.engine }
 
 // Run implements Worker.
 func (w *GPUWorker) Run(queryIndex int, query *seq.Sequence, db *seq.Set) QueryResult {
-	return w.RunProfiled(queryIndex, query, nil, db)
-}
-
-// RunProfiled implements ProfiledWorker: the simulated device draws the
-// query's striped profiles from the shared set (nil builds them
-// locally), the way CUDASW++ keeps the query profile resident in
-// texture memory across kernel launches.
-func (w *GPUWorker) RunProfiled(queryIndex int, query *seq.Sequence, prof *scoring.QueryProfiles, db *seq.Set) QueryResult {
 	start := time.Now()
-	scores, stats := w.engine.SearchProfiled(query.Residues, prof, db)
+	scores, stats := w.engine.Search(query.Residues, db)
 	elapsed := time.Since(start)
 	return QueryResult{
 		QueryIndex: queryIndex,
@@ -67,4 +59,9 @@ func (w *GPUWorker) RunProfiled(queryIndex int, query *seq.Sequence, prof *scori
 		SimSeconds: stats.TotalSec,
 		Cells:      sw.SetCells(query.Len(), db),
 	}
+}
+
+// RunProfiled implements ProfiledWorker by running the task as Run does.
+func (w *GPUWorker) RunProfiled(queryIndex int, query *seq.Sequence, _ *scoring.QueryProfiles, db *seq.Set) QueryResult {
+	return w.Run(queryIndex, query, db)
 }

@@ -4,9 +4,9 @@
 // estimated from worker-advertised rates), a pluggable scheduling policy
 // (policy.go — the dual-approximation scheduler by default), and result
 // merge (merge.go). Workers run as a persistent Pool (pool.go) of
-// goroutines, each owning a real engine — the SWIPE-style SWAR engine on
-// CPU workers, the simulated-GPU CUDASW++ engine on GPU workers — so a
-// run produces exact alignment scores.
+// goroutines, each owning a real engine — the SWIPE-style inter-sequence
+// engine (swvector.InterSeq) on CPU workers, the simulated-GPU CUDASW++
+// engine on GPU workers — so a run produces exact alignment scores.
 //
 // The Master type composes the three roles into the seed's one-shot
 // run; the internal/engine package composes the same pieces into a
@@ -82,10 +82,12 @@ type Worker interface {
 	ObservedTasks() uint64
 }
 
-// ProfiledWorker is a Worker that can reuse a prepared per-query profile
-// set. The Pool routes a task through RunProfiled when the task carries
-// Profiles and the worker implements this; results must be identical to
-// Run — the profiles are a construction cache, not an input.
+// ProfiledWorker is a Worker with the RunProfiled method the Pool used
+// to route tasks through when they carried a shared profile set. Nothing
+// in the module calls RunProfiled any more: it forwards to Run (prof was
+// a construction cache, never an input). The interface stays only
+// because benchmark/trace.go type-asserts every pool worker to it, and
+// goes with the item-2 benchmark PR.
 type ProfiledWorker interface {
 	Worker
 	RunProfiled(queryIndex int, query *seq.Sequence, prof *scoring.QueryProfiles, db *seq.Set) QueryResult
@@ -319,24 +321,8 @@ func (w *EngineWorker) RateGCUPS() float64 { return w.rate }
 
 // Run implements Worker.
 func (w *EngineWorker) Run(queryIndex int, query *seq.Sequence, db *seq.Set) QueryResult {
-	return w.run(queryIndex, query, nil, db)
-}
-
-// RunProfiled implements ProfiledWorker: when the wrapped engine
-// understands shared profiles, the task's prepared set replaces the
-// engine's own per-call construction.
-func (w *EngineWorker) RunProfiled(queryIndex int, query *seq.Sequence, prof *scoring.QueryProfiles, db *seq.Set) QueryResult {
-	return w.run(queryIndex, query, prof, db)
-}
-
-func (w *EngineWorker) run(queryIndex int, query *seq.Sequence, prof *scoring.QueryProfiles, db *seq.Set) QueryResult {
 	start := time.Now()
-	var scores []int
-	if pe, ok := w.engine.(sw.ProfiledEngine); ok && prof != nil {
-		scores = pe.ScoresProfiled(query.Residues, prof, db)
-	} else {
-		scores = w.engine.Scores(query.Residues, db)
-	}
+	scores := w.engine.Scores(query.Residues, db)
 	elapsed := time.Since(start)
 	return QueryResult{
 		QueryIndex: queryIndex,
@@ -347,4 +333,9 @@ func (w *EngineWorker) run(queryIndex int, query *seq.Sequence, prof *scoring.Qu
 		Elapsed:    elapsed,
 		Cells:      sw.SetCells(query.Len(), db),
 	}
+}
+
+// RunProfiled implements ProfiledWorker by running the task as Run does.
+func (w *EngineWorker) RunProfiled(queryIndex int, query *seq.Sequence, _ *scoring.QueryProfiles, db *seq.Set) QueryResult {
+	return w.Run(queryIndex, query, db)
 }

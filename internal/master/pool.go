@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"swdual/internal/sched"
-	"swdual/internal/scoring"
 	"swdual/internal/seq"
 )
 
@@ -40,11 +39,6 @@ type PoolTask struct {
 	QueryIndex int
 	Query      *seq.Sequence
 	DB         *seq.Set
-	// Profiles, if non-nil, is the query's shared profile set: a worker
-	// whose engine understands profiles (ProfiledWorker) reuses it
-	// instead of rebuilding its profiles per task. Purely a cache —
-	// results are identical with or without it.
-	Profiles *scoring.QueryProfiles
 	// Canceled, if non-nil, is consulted right before compute; a true
 	// return skips the alignment and reports ran=false.
 	Canceled func() bool
@@ -120,12 +114,7 @@ func (p *Pool) run(w Worker, t PoolTask) {
 		p.sem <- struct{}{}
 		defer func() { <-p.sem }()
 	}
-	var res QueryResult
-	if pw, ok := w.(ProfiledWorker); ok && t.Profiles != nil {
-		res = pw.RunProfiled(t.QueryIndex, t.Query, t.Profiles, t.DB)
-	} else {
-		res = w.Run(t.QueryIndex, t.Query, t.DB)
-	}
+	res := w.Run(t.QueryIndex, t.Query, t.DB)
 	// The observe half of the observe→estimate→schedule loop: every
 	// completed task refines the worker's rate before the next wave is
 	// planned. Simulated-device workers observe modeled device time.

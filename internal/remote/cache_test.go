@@ -48,9 +48,9 @@ func TestCachedServerMatchesUncached(t *testing.T) {
 		}
 	}
 
-	// The new counters cross the wire: the cached server reports its
-	// misses and hits; the uncached server reports zeros. Both report
-	// their profile-cache occupancy.
+	// The counters cross the wire: the cached server reports its misses
+	// and hits; the uncached server reports zeros. The Welcome carried
+	// the servers' TopK cap.
 	cst := cached.Stats()
 	if cst.CacheMisses != 1 || cst.CacheHits != 2 {
 		t.Fatalf("cached server misses/hits over the wire %d/%d, want 1/2", cst.CacheMisses, cst.CacheHits)
@@ -58,8 +58,8 @@ func TestCachedServerMatchesUncached(t *testing.T) {
 	if cst.Waves != 1 {
 		t.Fatalf("cached server waves %d, want 1", cst.Waves)
 	}
-	if cst.ProfileEntries != queries.Len() || cst.ProfileMisses == 0 {
-		t.Fatalf("profile counters lost in transit: %+v", cst)
+	if cached.TopK() != 5 || plain.TopK() != 5 {
+		t.Fatalf("server TopK over the wire %d/%d, want 5", cached.TopK(), plain.TopK())
 	}
 	pst := plain.Stats()
 	if pst.CacheHits != 0 || pst.CacheMisses != 0 || pst.CollapsedSearches != 0 {

@@ -43,6 +43,7 @@ type Backend struct {
 	// afterwards.
 	alpha    *alphabet.Alphabet
 	checksum uint32
+	topK     int
 
 	nextID  atomic.Uint64
 	mu      sync.Mutex
@@ -77,7 +78,7 @@ const DefaultDialTimeout = 10 * time.Second
 var ErrConnectionLost = errors.New("connection lost")
 
 // Dial connects to an engine.Serve endpoint; the server's Welcome
-// describes its database (checksum, alphabet). A non-zero
+// describes its database (checksum, alphabet) and its TopK cap. A non-zero
 // wantChecksum is the skew guard: both ends verify it against the
 // server's database and the dial fails on mismatch, so a coordinator
 // never scatters queries to a shard holding different sequences.
@@ -144,6 +145,7 @@ func newBackend(addr string, nc net.Conn, wantChecksum uint32, deadline time.Tim
 			return nil, fmt.Errorf("remote %s: %w", addr, err)
 		}
 		b.checksum = m.DBChecksum
+		b.topK = int(m.TopK)
 	case *wire.ErrorMsg:
 		return nil, fmt.Errorf("remote %s: server: %s", addr, m.Text)
 	default:
@@ -177,6 +179,11 @@ func (b *Backend) Alphabet() *alphabet.Alphabet { return b.alpha }
 // against the coordinator's local slice at Dial, cached so the sharding
 // facade's skew guard needs no round trip.
 func (b *Backend) Checksum() uint32 { return b.checksum }
+
+// TopK returns the server's hits-per-query cap, as its Welcome named it:
+// a SearchRequest asking for more gets this many. 0 means the server did
+// not say.
+func (b *Backend) TopK() int { return b.topK }
 
 // read is the connection's single reader: it routes every response frame
 // to the call that registered its id. Responses for retired ids (the
@@ -399,10 +406,6 @@ func (b *Backend) Stats() engine.Stats {
 		CacheMisses:       m.CacheMisses,
 		CacheEvictions:    m.CacheEvictions,
 		CollapsedSearches: m.CollapsedSearches,
-		ProfileEntries:    int(m.ProfileEntries),
-		ProfileHits:       m.ProfileHits,
-		ProfileMisses:     m.ProfileMisses,
-		ProfileEvictions:  m.ProfileEvictions,
 		HedgedSearches:    m.HedgedSearches,
 		FailedOver:        m.FailedOver,
 		Redials:           m.Redials,

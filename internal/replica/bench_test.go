@@ -9,7 +9,6 @@ import (
 	"swdual/internal/engine"
 	"swdual/internal/master"
 	"swdual/internal/sched"
-	"swdual/internal/scoring"
 	"swdual/internal/seq"
 	"swdual/internal/sw"
 	"swdual/internal/swvector"
@@ -27,13 +26,6 @@ type slowWorker struct {
 func (w *slowWorker) Run(qi int, q *seq.Sequence, db *seq.Set) master.QueryResult {
 	time.Sleep(w.delay)
 	return w.EngineWorker.Run(qi, q, db)
-}
-
-// RunProfiled must stall too: the pool routes through the profiled path
-// whenever the task carries prepared profiles.
-func (w *slowWorker) RunProfiled(qi int, q *seq.Sequence, prof *scoring.QueryProfiles, db *seq.Set) master.QueryResult {
-	time.Sleep(w.delay)
-	return w.EngineWorker.RunProfiled(qi, q, prof, db)
 }
 
 // BenchmarkHedgedSearchLatency measures what hedging buys: replica 0

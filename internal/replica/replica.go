@@ -603,10 +603,6 @@ func (s *Set) Stats() engine.Stats {
 		agg.CacheMisses += st.CacheMisses
 		agg.CacheEvictions += st.CacheEvictions
 		agg.CollapsedSearches += st.CollapsedSearches
-		agg.ProfileEntries += st.ProfileEntries
-		agg.ProfileHits += st.ProfileHits
-		agg.ProfileMisses += st.ProfileMisses
-		agg.ProfileEvictions += st.ProfileEvictions
 		agg.HedgedSearches += st.HedgedSearches
 		agg.FailedOver += st.FailedOver
 		agg.Redials += st.Redials

@@ -12,8 +12,7 @@
 // request, not to the cached answer. Entries are bounded by an LRU
 // with both an entry budget and a byte budget, and every value is
 // defensively copied on the way in and out, so no caller can corrupt
-// a cached slice (the ProfileCache ownership discipline, applied to
-// results).
+// a cached slice.
 //
 // Flight is the collapsing layer under the cache: the first caller to
 // miss on a key becomes the leader and runs the real search; callers

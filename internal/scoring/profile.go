@@ -71,6 +71,45 @@ type StripedProfile16 struct {
 	Rows     [][]uint64 // Rows[r][s] packs 4 uint16 lanes
 }
 
+// QueryProfiles lazily builds the striped profiles of one query against
+// one matrix: the 8-bit one first, the 16-bit one only when some subject
+// overflows 8 bits. An engine makes one per Scores call and reads it
+// from one goroutine.
+type QueryProfiles struct {
+	m     *Matrix
+	query []byte
+
+	p8    *StripedProfile8
+	p8err error
+	built bool
+	p16   *StripedProfile16
+}
+
+// NewQueryProfiles prepares a (still empty) profile set for an encoded
+// query.
+func NewQueryProfiles(m *Matrix, query []byte) *QueryProfiles {
+	return &QueryProfiles{m: m, query: query}
+}
+
+// Striped8 returns the 8-bit striped profile, building it on first use.
+// The error mirrors NewStripedProfile8 (matrix range too wide for 8-bit
+// biasing) and is sticky.
+func (q *QueryProfiles) Striped8() (*StripedProfile8, error) {
+	if !q.built {
+		q.p8, q.p8err = NewStripedProfile8(q.m, q.query)
+		q.built = true
+	}
+	return q.p8, q.p8err
+}
+
+// Striped16 returns the 16-bit striped profile, building it on first use.
+func (q *QueryProfiles) Striped16() *StripedProfile16 {
+	if q.p16 == nil {
+		q.p16 = NewStripedProfile16(q.m, q.query)
+	}
+	return q.p16
+}
+
 // NewStripedProfile16 builds the biased 16-bit striped profile.
 func NewStripedProfile16(m *Matrix, query []byte) *StripedProfile16 {
 	bias := uint16(0)

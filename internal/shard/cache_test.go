@@ -32,11 +32,9 @@ func TestCachedShardedMatchesUnsharded(t *testing.T) {
 	defer whole.Close()
 	want := searchHits(t, whole, queries, topK)
 
-	sharded, err := New(db, Config{Shards: 3, Engine: ecfg, Cache: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sharded := localSharded(t, db, 3, Contiguous, ecfg)
 	defer sharded.Close()
+	sharded.EnableCache(0, 0)
 
 	for round := 0; round < 3; round++ {
 		if got := searchHits(t, sharded, queries, topK); !bytes.Equal(got, want) {
@@ -54,38 +52,10 @@ func TestCachedShardedMatchesUnsharded(t *testing.T) {
 			t.Fatalf("shard %d ran %d searches, want 1 (cached answers must skip the scatter)", si, shardStats.Searches)
 		}
 	}
-	// Under sharding the engines run uncached even though Engine.Cache
-	// was inherited from the coordinator config elsewhere: no per-shard
-	// cache traffic beyond the coordinator's own counters.
+	// The range engines run uncached: no per-range cache traffic beyond
+	// the coordinator's own counters.
 	if st.Waves != 3 {
 		t.Fatalf("waves %d, want 3 (one per shard, once)", st.Waves)
-	}
-}
-
-// TestShardConfigCacheDisablesEngineCache: New must strip Engine.Cache
-// so answers are cached once (coordinator), not per shard.
-func TestShardConfigCacheDisablesEngineCache(t *testing.T) {
-	db := synth.RandomSet(alphabet.Protein, 20, 10, 100, 2003)
-	queries := synth.RandomSet(alphabet.Protein, 3, 20, 60, 2004)
-	ecfg := engine.Config{CPUs: 1, TopK: 3, Cache: true}
-	s, err := New(db, Config{Shards: 2, Engine: ecfg, Cache: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if _, err := s.Search(context.Background(), queries, engine.SearchOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Search(context.Background(), queries, engine.SearchOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	for si, st := range s.PerShardStats() {
-		if st.CacheHits != 0 || st.CacheMisses != 0 {
-			t.Fatalf("shard %d engine cached (%d hits, %d misses); the coordinator owns the cache", si, st.CacheHits, st.CacheMisses)
-		}
-	}
-	if st := s.Stats(); st.CacheHits != 1 {
-		t.Fatalf("coordinator stats: %+v", st)
 	}
 }
 

@@ -37,10 +37,7 @@ func TestDBChecksumUnified(t *testing.T) {
 	if got := eng.Checksum(); got != pinned {
 		t.Fatalf("engine.Searcher.Checksum = %08x, pinned %08x", got, pinned)
 	}
-	sh, err := New(db, Config{Shards: 2, Engine: engine.Config{CPUs: 1, GPUs: 0}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sh := localSharded(t, db, 2, Contiguous, engine.Config{CPUs: 1, GPUs: 0})
 	defer sh.Close()
 	if got := sh.Checksum(); got != pinned {
 		t.Fatalf("shard.Searcher.Checksum = %08x, pinned %08x", got, pinned)

@@ -53,6 +53,34 @@ func searchHits(t *testing.T, s interface {
 	return hitBytes(t, rep.Results)
 }
 
+// localSharded assembles the scatter/gather over in-process engines:
+// RangesFor, one engine.Searcher per slice, WithBackends — what a
+// cluster coordinator builds, minus the network. Tests that need the
+// coordinator cache or a degradation policy set them on the result.
+func localSharded(t *testing.T, db *seq.Set, shards int, strategy Strategy, ecfg engine.Config) *Searcher {
+	t.Helper()
+	ranges := RangesFor(db, shards, strategy)
+	backends := make([]engine.Backend, 0, len(ranges))
+	fail := func(err error) {
+		for _, b := range backends {
+			b.Close()
+		}
+		t.Fatal(err)
+	}
+	for _, r := range ranges {
+		eng, err := engine.New(db.Slice(r.Lo, r.Hi), ecfg)
+		if err != nil {
+			fail(err)
+		}
+		backends = append(backends, eng)
+	}
+	s, err := WithBackends(db, strategy, ranges, backends, ecfg.TopK)
+	if err != nil {
+		fail(err)
+	}
+	return s
+}
+
 func TestShardedMatchesUnshardedAcrossSizesAndStrategies(t *testing.T) {
 	const topK = 5
 	queries := synth.RandomSet(alphabet.Protein, 3, 20, 90, 1001)
@@ -70,10 +98,7 @@ func TestShardedMatchesUnshardedAcrossSizesAndStrategies(t *testing.T) {
 		for _, strategy := range []Strategy{Contiguous, BalancedResidues} {
 			for shards := 1; shards <= 8; shards++ {
 				t.Run(fmt.Sprintf("db=%d/%v/shards=%d", dbSize, strategy, shards), func(t *testing.T) {
-					s, err := New(db, Config{Shards: shards, Strategy: strategy, Engine: ecfg})
-					if err != nil {
-						t.Fatal(err)
-					}
+					s := localSharded(t, db, shards, strategy, ecfg)
 					defer s.Close()
 					if got := s.Shards(); got != shards {
 						t.Fatalf("built %d shards, want %d", got, shards)
@@ -100,10 +125,7 @@ func TestShardedChecksumMatchesUnsharded(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ref.Close()
-	s, err := New(db, Config{Shards: 4, Strategy: BalancedResidues, Engine: engine.Config{CPUs: 1, GPUs: 0}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := localSharded(t, db, 4, BalancedResidues, engine.Config{CPUs: 1, GPUs: 0})
 	defer s.Close()
 	if s.Checksum() != ref.Checksum() {
 		t.Fatalf("sharded checksum %08x != unsharded %08x", s.Checksum(), ref.Checksum())
@@ -136,10 +158,7 @@ func TestTopKTieBreakAcrossShardBoundaries(t *testing.T) {
 	ref.Close()
 	for _, strategy := range []Strategy{Contiguous, BalancedResidues} {
 		for _, shards := range []int{2, 3, 5, 7} {
-			s, err := New(db, Config{Shards: shards, Strategy: strategy, Engine: ecfg})
-			if err != nil {
-				t.Fatal(err)
-			}
+			s := localSharded(t, db, shards, strategy, ecfg)
 			rep, err := s.Search(context.Background(), queries, engine.SearchOptions{})
 			if err != nil {
 				t.Fatal(err)
@@ -170,10 +189,7 @@ func TestTopKTieBreakAcrossShardBoundaries(t *testing.T) {
 func TestShardedTopKOption(t *testing.T) {
 	db := synth.RandomSet(alphabet.Protein, 20, 10, 80, 88)
 	queries := synth.RandomSet(alphabet.Protein, 2, 20, 60, 89)
-	s, err := New(db, Config{Shards: 3, Engine: engine.Config{CPUs: 1, GPUs: 0, TopK: 6}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := localSharded(t, db, 3, Contiguous, engine.Config{CPUs: 1, GPUs: 0, TopK: 6})
 	defer s.Close()
 	rep, err := s.Search(context.Background(), queries, engine.SearchOptions{TopK: 2})
 	if err != nil {
@@ -200,10 +216,7 @@ func TestShardedTopKOption(t *testing.T) {
 func TestShardedAccountingSpansShards(t *testing.T) {
 	db := synth.RandomSet(alphabet.Protein, 24, 10, 100, 90)
 	queries := synth.RandomSet(alphabet.Protein, 2, 30, 60, 91)
-	s, err := New(db, Config{Shards: 4, Engine: engine.Config{CPUs: 1, GPUs: 0, TopK: 3}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := localSharded(t, db, 4, Contiguous, engine.Config{CPUs: 1, GPUs: 0, TopK: 3})
 	defer s.Close()
 	rep, err := s.Search(context.Background(), queries, engine.SearchOptions{})
 	if err != nil {
@@ -246,10 +259,7 @@ func TestShardedConcurrentMatchesUnsharded(t *testing.T) {
 	const topK = 5
 	db := synth.RandomSet(alphabet.Protein, 40, 10, 120, 2032)
 	cfg := engine.Config{CPUs: 1, GPUs: 1, TopK: topK}
-	sharded, err := New(db, Config{Shards: 3, Strategy: BalancedResidues, Engine: cfg})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sharded := localSharded(t, db, 3, BalancedResidues, cfg)
 	defer sharded.Close()
 	whole, err := engine.New(db, cfg)
 	if err != nil {
@@ -308,10 +318,7 @@ func TestShardedMixedPoolMatchesUnsharded(t *testing.T) {
 
 	spec := master.PoolSpec{CPU: 1, Striped: 1, GPU: 1}
 	for _, shards := range []int{1, 3} {
-		s, err := New(db, Config{Shards: shards, Engine: engine.Config{Pool: spec, TopK: topK}})
-		if err != nil {
-			t.Fatal(err)
-		}
+		s := localSharded(t, db, shards, Contiguous, engine.Config{Pool: spec, TopK: topK})
 		// Two rounds so wave 2 schedules with rates observed in wave 1.
 		for round := 0; round < 2; round++ {
 			if got := searchHits(t, s, queries, 0); !bytes.Equal(got, want) {

@@ -18,11 +18,7 @@ import (
 func testSharded(t *testing.T, dbSize, shards int) *Searcher {
 	t.Helper()
 	db := synth.RandomSet(alphabet.Protein, dbSize, 10, 100, int64(500+dbSize))
-	s, err := New(db, Config{Shards: shards, Engine: engine.Config{CPUs: 1, GPUs: 1, TopK: 3}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return s
+	return localSharded(t, db, shards, Contiguous, engine.Config{CPUs: 1, GPUs: 1, TopK: 3})
 }
 
 func TestShardedCloseIdempotentAndConcurrent(t *testing.T) {
@@ -104,12 +100,9 @@ func TestShardedScatterCancellation(t *testing.T) {
 	const shards = 3
 	db := synth.RandomSet(alphabet.Protein, 12, 10, 60, 700)
 	gw := newGateWorker()
-	s, err := New(db, Config{Shards: shards, Engine: engine.Config{
+	s := localSharded(t, db, shards, Contiguous, engine.Config{
 		Workers: []master.Worker{gw}, TopK: 3, Policy: master.PolicySelfScheduling,
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	})
 	queries := synth.RandomSet(alphabet.Protein, 5, 20, 50, 701)
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -150,12 +143,9 @@ func TestShardedScatterCancellation(t *testing.T) {
 func TestShardedCloseUnblocksInFlightSearch(t *testing.T) {
 	gw := newGateWorker()
 	db := synth.RandomSet(alphabet.Protein, 8, 10, 60, 702)
-	s, err := New(db, Config{Shards: 2, Engine: engine.Config{
+	s := localSharded(t, db, 2, Contiguous, engine.Config{
 		Workers: []master.Worker{gw}, TopK: 3, Policy: master.PolicySelfScheduling,
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	})
 	queries := synth.RandomSet(alphabet.Protein, 4, 20, 50, 703)
 	done := make(chan error, 1)
 	go func() {

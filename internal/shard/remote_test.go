@@ -85,10 +85,7 @@ func TestRemoteShardsMatchLocalAndUnsharded(t *testing.T) {
 		ref.Close()
 		for _, shards := range []int{1, 2, 4} {
 			t.Run(fmt.Sprintf("db=%d/shards=%d", dbSize, shards), func(t *testing.T) {
-				local, err := New(db, Config{Shards: shards, Strategy: BalancedResidues, Engine: ecfg})
-				if err != nil {
-					t.Fatal(err)
-				}
+				local := localSharded(t, db, shards, BalancedResidues, ecfg)
 				defer local.Close()
 				rem := remoteSharded(t, db, shards, BalancedResidues, ecfg)
 				defer rem.Close()

@@ -16,38 +16,8 @@ import (
 	"swdual/internal/seq"
 )
 
-// Config tunes a sharded Searcher.
-type Config struct {
-	// Shards is the number of database partitions (default 1). Shards may
-	// exceed the sequence count; the surplus shards are empty.
-	Shards int
-	// Strategy selects the split (Contiguous default).
-	Strategy Strategy
-	// Engine configures each per-shard engine.Searcher: worker counts are
-	// per shard, so Shards×(CPUs+GPUs) workers run in total.
-	Engine engine.Config
-	// Cache enables a coordinator-side result cache with singleflight
-	// collapsing: a repeated search is answered before the scatter — no
-	// shard sees it at all, which is what lets the cluster keep
-	// answering hot queries while shards restart — and concurrent
-	// identical searches collapse into one scatter. The per-shard
-	// engines do NOT additionally cache (Engine.Cache is ignored under
-	// sharding): one answer cached twice would double the memory for
-	// zero extra hits. CacheSize and CacheBytes bound the coordinator
-	// cache exactly like their engine.Config counterparts.
-	Cache      bool
-	CacheSize  int
-	CacheBytes int64
-	// Degraded selects what a scatter does when a range reports every
-	// replica unavailable (replica.ErrRangeUnavailable): fail the whole
-	// search (DegradedFail, the default and the historical behavior) or
-	// answer from the surviving ranges with Coverage metadata
-	// (DegradedPartial).
-	Degraded DegradedPolicy
-}
-
 // DegradedPolicy selects how a scatter treats a range whose every
-// replica is unavailable.
+// replica is unavailable (replica.ErrRangeUnavailable).
 type DegradedPolicy int
 
 const (
@@ -76,11 +46,6 @@ type Searcher struct {
 	db       *seq.Set
 	strategy Strategy
 	topK     int
-	// policy labels cached reports (New copies it from Engine.Policy;
-	// zero — the dual-approximation default — after WithBackends). It
-	// never affects hits, only the Report.Policy field of answers that
-	// ran no scatter.
-	policy master.Policy
 
 	ranges   []Range
 	backends []engine.Backend
@@ -107,59 +72,19 @@ type Searcher struct {
 	closeErr  error
 }
 
-// New splits db into cfg.Shards contiguous shards with cfg.Strategy and
-// prepares one engine.Searcher (with its own worker pool) per shard.
-// Callers own the returned Searcher and must Close it to release every
-// shard's workers.
-func New(db *seq.Set, cfg Config) (*Searcher, error) {
-	if db == nil {
-		return nil, fmt.Errorf("shard: nil database")
-	}
-	if cfg.Shards < 1 {
-		cfg.Shards = 1
-	}
-	ranges := RangesFor(db, cfg.Shards, cfg.Strategy)
-	// The coordinator caches whole-database answers; a second cache of
-	// the same answer's slices inside each shard engine would only
-	// duplicate memory, so sharded engines always run uncached.
-	cfg.Engine.Cache = false
-	backends := make([]engine.Backend, 0, len(ranges))
-	for _, r := range ranges {
-		sh, err := engine.New(db.Slice(r.Lo, r.Hi), cfg.Engine)
-		if err != nil {
-			for _, prev := range backends {
-				prev.Close()
-			}
-			return nil, fmt.Errorf("shard %d [%d,%d): %w", len(backends), r.Lo, r.Hi, err)
-		}
-		backends = append(backends, sh)
-	}
-	s, err := WithBackends(db, cfg.Strategy, ranges, backends, cfg.Engine.TopK)
-	if err != nil {
-		for _, b := range backends {
-			b.Close()
-		}
-		return nil, err
-	}
-	s.policy = cfg.Engine.Policy
-	s.degraded = cfg.Degraded
-	if cfg.Cache {
-		s.EnableCache(cfg.CacheSize, cfg.CacheBytes)
-	}
-	return s, nil
-}
-
-// SetDegradedPolicy selects the degradation policy (see Config.Degraded)
-// for a Searcher assembled with WithBackends. Call before serving
-// traffic: like EnableCache, it is not synchronized with concurrent
-// Search calls.
+// SetDegradedPolicy selects the degradation policy (DegradedFail until
+// called). Call before serving traffic: like EnableCache, it is not
+// synchronized with concurrent Search calls.
 func (s *Searcher) SetDegradedPolicy(p DegradedPolicy) { s.degraded = p }
 
 // DegradedPolicy reports the configured degradation policy.
 func (s *Searcher) DegradedPolicy() DegradedPolicy { return s.degraded }
 
 // EnableCache attaches the coordinator-side result cache and
-// singleflight collapsing (see Config.Cache). maxEntries and maxBytes
+// singleflight collapsing: a repeated search is answered before the
+// scatter — no range sees it at all, which is what lets the cluster keep
+// answering hot queries while shard servers restart — and concurrent
+// identical searches collapse into one scatter. maxEntries and maxBytes
 // bound it (0 selects the resultcache defaults). Call before serving
 // traffic: enabling is not synchronized with concurrent Search calls.
 func (s *Searcher) EnableCache(maxEntries int, maxBytes int64) {
@@ -168,14 +93,15 @@ func (s *Searcher) EnableCache(maxEntries int, maxBytes int64) {
 }
 
 // WithBackends assembles a sharded Searcher over pre-built backends, one
-// per contiguous range of db — the transport-agnostic constructor behind
-// New. Backends may be in-process engine.Searchers, remote clients, or
-// any mix; the coordinator still holds the whole database locally, which
-// is what lets it verify every backend: backends[i].Checksum() must
-// equal the checksum of db.Slice(ranges[i]), so a shard server that
-// loaded a different database (skew) is rejected before any query runs.
-// topK is the gather cap and must agree with each backend's own cap
-// (engine.DefaultTopK when zero). On success the Searcher owns the
+// per contiguous range of db. Backends may be in-process
+// engine.Searchers, remote clients, or any mix; the coordinator still
+// holds the whole database locally, which is what lets it verify every
+// backend: backends[i].Checksum() must equal the checksum of
+// db.Slice(ranges[i]), so a shard server that loaded a different
+// database (skew) is rejected before any query runs. topK is the gather
+// cap (engine.DefaultTopK when zero) and must not exceed any backend's
+// own cap: a backend returning fewer hits than the gather keeps would
+// make the merged top-k wrong. On success the Searcher owns the
 // backends and Close closes all of them; on error the caller keeps
 // ownership and must close them itself.
 func WithBackends(db *seq.Set, strategy Strategy, ranges []Range, backends []engine.Backend, topK int) (*Searcher, error) {
@@ -233,6 +159,9 @@ func WithBackends(db *seq.Set, strategy Strategy, ranges []Range, backends []eng
 	return s, nil
 }
 
+// TopK returns the gather cap: a Search asking for more gets this many.
+func (s *Searcher) TopK() int { return s.topK }
+
 // Shards returns the number of shards.
 func (s *Searcher) Shards() int { return len(s.backends) }
 
@@ -287,10 +216,6 @@ func (s *Searcher) Stats() engine.Stats {
 		agg.CacheMisses += st.CacheMisses
 		agg.CacheEvictions += st.CacheEvictions
 		agg.CollapsedSearches += st.CollapsedSearches
-		agg.ProfileEntries += st.ProfileEntries
-		agg.ProfileHits += st.ProfileHits
-		agg.ProfileMisses += st.ProfileMisses
-		agg.ProfileEvictions += st.ProfileEvictions
 		// Replication counters: a backend may be a replica.Set facade,
 		// whose hedges, failovers and redials roll up here so one Stats
 		// call shows availability events across every range.
@@ -323,10 +248,10 @@ func (s *Searcher) PerShardStats() []engine.Stats {
 // is necessarily in its own shard's top-k, merging the per-shard lists
 // loses nothing.
 //
-// With the coordinator cache on (Config.Cache, EnableCache), a repeated
-// search is answered before the scatter — no backend is touched — and
-// concurrent identical searches collapse into one scatter, with the
-// same leader/follower semantics as the engine-level cache.
+// With the coordinator cache on (EnableCache), a repeated search is
+// answered before the scatter — no backend is touched — and concurrent
+// identical searches collapse into one scatter, with the same
+// leader/follower semantics as the engine-level cache.
 func (s *Searcher) Search(ctx context.Context, queries *seq.Set, opts engine.SearchOptions) (*master.Report, error) {
 	if queries == nil {
 		return nil, fmt.Errorf("shard: nil query set")
@@ -346,7 +271,7 @@ func (s *Searcher) Search(ctx context.Context, queries *seq.Set, opts engine.Sea
 	if s.cache == nil || queries.Len() == 0 {
 		rep, err = run()
 	} else {
-		rep, err = resultcache.Do(ctx, s.cache, s.flight, &s.collapsed, resultcache.Key(s.checksum, topK, queries), s.policy, queries, run)
+		rep, err = resultcache.Do(ctx, s.cache, s.flight, &s.collapsed, resultcache.Key(s.checksum, topK, queries), master.PolicyDualApprox, queries, run)
 	}
 	if err == nil && rep.Coverage != nil {
 		// Counted here, not in scatter, so a collapsed caller handed the

@@ -1,16 +1,15 @@
-// Package shard scales the persistent engine beyond one scheduling
-// horizon by partitioning the database across independent per-shard
-// Searchers: a Search call is scattered to every shard concurrently and
-// the per-query hits are gathered through a deterministic TopK merge, so
-// results are byte-identical to the unsharded engine. Related work makes
-// the same move to scale similarity search past one node — fine-grained
-// parallel search engines partition the bank across workers (Nguyen &
-// Lavenier 2008), and large-scale genomic accelerators partition the
-// data the same way (BioSEAL). Because each shard sits behind the
-// narrow engine.Backend interface, a shard is a transport choice, not
-// an architecture: New builds in-process engine.Searchers, while
-// WithBackends accepts any mix of those and internal/remote clients —
-// the same scatter/gather distributed across machines (cluster serve).
+// Package shard scales the persistent engine past one machine by
+// partitioning the database across shard servers: a Search call is
+// scattered to every range concurrently and the per-query hits are
+// gathered through a deterministic TopK merge, so results are
+// byte-identical to the unsharded engine. Related work makes the same
+// move to scale similarity search past one node — fine-grained parallel
+// search engines partition the bank across workers (Nguyen & Lavenier
+// 2008), and large-scale genomic accelerators partition the data the
+// same way (BioSEAL). Each range sits behind the narrow engine.Backend
+// interface, so WithBackends accepts internal/remote clients (through
+// internal/replica sets in the cluster coordinator) and in-process
+// engine.Searchers alike.
 package shard
 
 import (
@@ -66,8 +65,8 @@ type Range struct {
 func (r Range) Len() int { return r.Hi - r.Lo }
 
 // RangesFor splits a database into shards ranges — the one split every
-// party to a sharded deployment must compute identically: the in-process
-// facade, a remote coordinator, and each shard server. They all call
+// party to a sharded deployment must compute identically: the
+// coordinator and each shard server. They all call
 // this, so the boundaries can never drift apart.
 func RangesFor(db *seq.Set, shards int, strategy Strategy) []Range {
 	lengths := make([]int, db.Len())

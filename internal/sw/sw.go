@@ -36,19 +36,6 @@ type Engine interface {
 	Scores(query []byte, db *seq.Set) []int
 }
 
-// ProfiledEngine is an Engine that can reuse a prepared per-query
-// profile set (scoring.QueryProfiles) instead of rebuilding its profiles
-// on every call. The wave dispatcher builds one profile set per query
-// and hands it to whichever engine runs the task, so backends stop
-// paying profile construction per task; ScoresProfiled must return
-// exactly what Scores would (prof is a cache, never an input that
-// changes results). prof describes the same query and matrix the engine
-// was built with.
-type ProfiledEngine interface {
-	Engine
-	ScoresProfiled(query []byte, prof *scoring.QueryProfiles, db *seq.Set) []int
-}
-
 // Cells returns the number of dynamic-programming cells for one comparison.
 func Cells(queryLen, subjectLen int) int64 {
 	return int64(queryLen) * int64(subjectLen)

@@ -104,20 +104,19 @@ func TestAllocsRescuePairKernel(t *testing.T) {
 }
 
 // TestAllocsStripedEngineSteadyState is the same budget for the striped
-// engine fed a shared profile set, the configuration the wave dispatcher
-// runs: profile construction amortized away, rows pooled, so each task
-// pays the output slice and nothing per subject.
+// engine's rows: with the profiles built once outside the measured call,
+// each call pays the output slice and nothing per subject.
 func TestAllocsStripedEngineSteadyState(t *testing.T) {
 	db := synth.RandomSet(alphabet.Protein, 64, 10, 150, 43)
 	query := synth.RandomSet(alphabet.Protein, 1, 80, 80, 44).Seqs[0].Residues
 	params := sw.DefaultParams()
 	e := NewStriped(params)
 	prof := scoring.NewQueryProfiles(params.Matrix, query)
-	e.ScoresProfiled(query, prof, db) // warm pools and build the profiles once
+	e.scores(query, prof, db) // warm pools and build the profiles once
 	const stripedAllocCap = 8
 	if avg := testing.AllocsPerRun(20, func() {
-		e.ScoresProfiled(query, prof, db)
+		e.scores(query, prof, db)
 	}); avg > stripedAllocCap {
-		t.Fatalf("Striped.ScoresProfiled allocates %.1f objects per call, cap %d", avg, stripedAllocCap)
+		t.Fatalf("Striped.scores allocates %.1f objects per call, cap %d", avg, stripedAllocCap)
 	}
 }

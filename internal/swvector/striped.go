@@ -163,14 +163,6 @@ func (e *Striped) Scores(query []byte, db *seq.Set) []int {
 	return e.scores(query, scoring.NewQueryProfiles(e.params.Matrix, query), db)
 }
 
-// ScoresProfiled implements sw.ProfiledEngine: the striped profiles come
-// from the shared per-query set (built once per query per wave, or once
-// per query lifetime behind a profile cache) instead of being rebuilt on
-// every task.
-func (e *Striped) ScoresProfiled(query []byte, prof *scoring.QueryProfiles, db *seq.Set) []int {
-	return e.scores(query, prof, db)
-}
-
 func (e *Striped) scores(query []byte, prof *scoring.QueryProfiles, db *seq.Set) []int {
 	out := make([]int, db.Len())
 	var p8 *scoring.StripedProfile8
@@ -203,8 +195,6 @@ func (e *Striped) scores(query []byte, prof *scoring.QueryProfiles, db *seq.Set)
 	}
 	return out
 }
-
-var _ sw.ProfiledEngine = (*Striped)(nil)
 
 // scoreStriped8Exact is the striped kernel with the lazy-F early
 // termination replaced by full F/E propagation: each of the Lanes8Count

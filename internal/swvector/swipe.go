@@ -43,13 +43,12 @@ import (
 // serve (negative gap penalties; a matrix too wide for a lane) to the
 // oracle: exact, just slow.
 //
-// InterSeq reads no per-query profile, so it does not implement
-// sw.ProfiledEngine: the column profile is rebuilt from the biased
-// matrix for every database column, and the pair kernel's striped
-// profile (64 bytes per query residue) is built in pooled scratch at the
-// first flagged subject of a Scores call and dropped at its end — a
-// profile cache retaining it per query cost serve_http 47 % of its RSS
-// when that was tried.
+// InterSeq reads no per-query profile: the column profile is rebuilt
+// from the biased matrix for every database column, and the pair
+// kernel's striped profile (64 bytes per query residue) is built in
+// pooled scratch at the first flagged subject of a Scores call and
+// dropped at its end — a profile cache retaining it per query cost
+// serve_http 47 % of its RSS when that was tried.
 type InterSeq struct {
 	params sw.Params
 	vector bool // the AVX2 column was chosen

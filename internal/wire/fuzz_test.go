@@ -25,7 +25,8 @@ func FuzzUnmarshal(f *testing.F) {
 	}
 	seed(&Hello{Version: Version, Name: "client-1", DBChecksum: 0xdeadbeef})
 	seed(&Hello{})
-	seed(&Welcome{Version: Version, DBChecksum: 7, Alphabet: "protein"})
+	seed(&Welcome{Version: Version, DBChecksum: 7, Alphabet: "protein", TopK: 10})
+	seed(&Welcome{Version: Version, DBChecksum: 7, Alphabet: "dna"}) // a server that names no cap
 	seed(&ErrorMsg{Text: "boom"})
 	seed(nil) // Done frame
 	// Session frames: request ids, nested result lists, float slices
@@ -48,7 +49,6 @@ func FuzzUnmarshal(f *testing.F) {
 	seed(&StatsRequest{ID: 2})
 	seed(&StatsResponse{ID: 2, DBSequences: 10, DBResidues: 1234, DBChecksum: 0xfeed, Prepared: 1, WorkersStarted: 2, Searches: 3, Queries: 4, Waves: 5, BatchedWaves: 1,
 		CacheHits: 11, CacheMisses: 12, CacheEvictions: 13, CollapsedSearches: 14,
-		ProfileEntries: 15, ProfileHits: 16, ProfileMisses: 17, ProfileEvictions: 18,
 		HedgedSearches: 19, FailedOver: 20, Redials: 21, DegradedSearches: 22,
 		Workers: []WorkerRateInfo{{Name: "gpu-0", Kind: 1, AdvertisedGCUPS: 24.8, ObservedGCUPS: math.NaN(), Tasks: 7}, {Name: "", Kind: 0}}})
 	seed(&ChecksumRequest{ID: 4})
@@ -91,11 +91,14 @@ func FuzzUnmarshal(f *testing.F) {
 	f.Add(TypeReqError, append(make([]byte, 8), 0xff, 0xff, 'x'))
 	f.Add(TypeStatsResponse, make([]byte, 10))
 	// StatsResponse whose trailing worker count lies about the payload
-	// (the fixed fields occupy exactly 156 bytes in version 8, so the
+	// (the fixed fields occupy exactly 128 bytes in version 9, so the
 	// appended u32 is read as the worker count).
-	f.Add(TypeStatsResponse, append(make([]byte, 156), 0xff, 0xff, 0xff, 0x7f))
+	f.Add(TypeStatsResponse, append(make([]byte, 128), 0xff, 0xff, 0xff, 0x7f))
 	// A Welcome whose alphabet-name prefix lies about the payload.
 	f.Add(TypeWelcome, append(make([]byte, 8), 0xff, 0xff, 'x'))
+	// A version 8 Welcome: the alphabet name ends the payload, where
+	// version 9 reads the TopK cap — must fail as truncated.
+	f.Add(TypeWelcome, append(make([]byte, 8), 7, 0, 'p', 'r', 'o', 't', 'e', 'i', 'n'))
 
 	f.Fuzz(func(t *testing.T, typ byte, payload []byte) {
 		msg, err := Unmarshal(typ, payload) // must never panic

@@ -25,7 +25,7 @@ const (
 	// layouts. Any change to a frame's layout bumps it, so a stale peer
 	// is rejected at Hello/Welcome instead of misreading a frame
 	// mid-session.
-	Version = 8
+	Version = 9
 	// MaxFrame bounds a frame payload (64 MiB) to fail fast on corrupt
 	// length prefixes.
 	MaxFrame = 64 << 20
@@ -65,11 +65,14 @@ type Hello struct {
 }
 
 // Welcome accepts a session and names the server's database: its
-// checksum and the alphabet queries must be encoded with (version 8).
+// checksum and the alphabet queries must be encoded with (version 8),
+// and TopK, the most hits per query the server returns whatever a
+// SearchRequest asks for (version 9; 0 when the server does not say).
 type Welcome struct {
 	Version    uint32
 	DBChecksum uint32
 	Alphabet   string
+	TopK       uint32
 }
 
 // ResultHit is one scored database hit inside a Result.
@@ -170,7 +173,8 @@ type WorkerRateInfo struct {
 
 // StatsResponse mirrors engine.Stats over the wire, including the
 // per-worker observed rates a coordinator aggregates into cluster
-// throughput.
+// throughput. Version 9 dropped the four profile-cache counters that
+// followed CollapsedSearches.
 type StatsResponse struct {
 	ID             uint64
 	DBSequences    uint32
@@ -188,12 +192,6 @@ type StatsResponse struct {
 	CacheMisses       uint64
 	CacheEvictions    uint64
 	CollapsedSearches uint64 // searches answered as singleflight followers
-	// Profile-cache counters (version 4): occupancy and traffic of the
-	// per-query profile cache.
-	ProfileEntries   uint32
-	ProfileHits      uint64
-	ProfileMisses    uint64
-	ProfileEvictions uint64
 	// Replication counters (version 5): hedges issued, failovers taken
 	// and successful redials across the server's replica sets. All zero
 	// when the server fronts a plain engine.
@@ -284,6 +282,7 @@ func Marshal(msg any) (byte, []byte, error) {
 		e.u32(m.Version)
 		e.u32(m.DBChecksum)
 		e.str(m.Alphabet)
+		e.u32(m.TopK)
 		return TypeWelcome, e.buf, nil
 	case *ErrorMsg:
 		e.str(m.Text)
@@ -345,10 +344,6 @@ func Marshal(msg any) (byte, []byte, error) {
 		e.u64(m.CacheMisses)
 		e.u64(m.CacheEvictions)
 		e.u64(m.CollapsedSearches)
-		e.u32(m.ProfileEntries)
-		e.u64(m.ProfileHits)
-		e.u64(m.ProfileMisses)
-		e.u64(m.ProfileEvictions)
 		e.u64(m.HedgedSearches)
 		e.u64(m.FailedOver)
 		e.u64(m.Redials)
@@ -434,6 +429,7 @@ func Unmarshal(typ byte, payload []byte) (any, error) {
 		m.Version = d.u32()
 		m.DBChecksum = d.u32()
 		m.Alphabet = d.str()
+		m.TopK = d.u32()
 		return m, d.err
 	case TypeDone:
 		return Done{}, nil
@@ -535,10 +531,6 @@ func Unmarshal(typ byte, payload []byte) (any, error) {
 		m.CacheMisses = d.u64()
 		m.CacheEvictions = d.u64()
 		m.CollapsedSearches = d.u64()
-		m.ProfileEntries = d.u32()
-		m.ProfileHits = d.u64()
-		m.ProfileMisses = d.u64()
-		m.ProfileEvictions = d.u64()
 		m.HedgedSearches = d.u64()
 		m.FailedOver = d.u64()
 		m.Redials = d.u64()

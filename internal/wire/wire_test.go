@@ -29,7 +29,7 @@ func TestHelloRoundTrip(t *testing.T) {
 }
 
 func TestWelcomeRoundTrip(t *testing.T) {
-	in := &Welcome{Version: 1, DBChecksum: 7, Alphabet: "protein"}
+	in := &Welcome{Version: 1, DBChecksum: 7, Alphabet: "protein", TopK: 20}
 	if got := roundTrip(t, in); !reflect.DeepEqual(got, in) {
 		t.Fatalf("got %+v", got)
 	}

@@ -100,9 +100,9 @@ func TestOpenDatabaseMapped(t *testing.T) {
 }
 
 // TestMappedSearchMatchesHeap is the end-to-end equivalence suite: the
-// same .swdb searched from the heap and from the mapping — unsharded,
-// locally sharded, and remote-sharded with every server mapping the
-// file — must produce byte-identical hits.
+// same .swdb searched from the heap and from the mapping — unsharded and
+// remote-sharded with every server mapping the file — must produce
+// byte-identical hits.
 func TestMappedSearchMatchesHeap(t *testing.T) {
 	path, _ := saveSWDB(t, "UniProt", 20000)
 	queries, err := swdual.GenerateQueries("standard", 400)
@@ -132,16 +132,6 @@ func TestMappedSearchMatchesHeap(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameReports(t, "mapped unsharded", got, want)
-
-	// Local scatter/gather: shard slices are shallow, so every shard
-	// engine reads the same mapping.
-	shardOpt := opt
-	shardOpt.Shards = 3
-	got, err = swdual.Search(mdb, queries, shardOpt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameReports(t, "mapped sharded", got, want)
 
 	// Remote scatter/gather: each shard server opens its own mapping of
 	// the same file — the one-copy-per-host deployment in miniature —

@@ -13,8 +13,8 @@ import (
 )
 
 // Searcher is a persistent search service over one database: it loads
-// the database once (sequences, residue encoding, score profiles, length
-// statistics), keeps a long-lived pool of CPU and GPU workers, and
+// the database once (sequences, residue encoding, length statistics,
+// checksum), keeps a long-lived pool of CPU and GPU workers, and
 // serves any number of concurrent Search calls. Concurrent requests are
 // coalesced into shared dual-approximation scheduling waves, so the
 // cost of preparation and scheduling is amortized across callers — the
@@ -24,15 +24,13 @@ import (
 // the package-level Search remains the simplest entry point; it is now
 // a thin wrapper over a temporary Searcher.
 //
-// With Options.Shards > 1 the database is partitioned across that many
-// independent per-shard engines; Search scatters to all of them and
-// gathers the per-query hits through a deterministic TopK merge, so the
-// results stay byte-identical to the unsharded engine. With
-// Options.ReplicaShards the same scatter/gather runs over the network:
-// this process is the coordinator and every range is held by one or
+// With Options.ReplicaShards this process is the coordinator of a
+// cluster: the database is partitioned into ranges, each held by one or
 // more interchangeable serve processes (see ServeShard) behind a
 // failover/redial/hedging facade, so a range with several servers
-// survives one dying mid-flight.
+// survives one dying mid-flight. Search scatters to every range and
+// gathers the per-query hits through a deterministic TopK merge, so the
+// results stay byte-identical to the unsharded engine.
 type Searcher struct {
 	inner  engine.Backend
 	db     *Database
@@ -88,8 +86,7 @@ func NewSearcher(db *Database, opt Options) (*Searcher, error) {
 	}
 	var inner engine.Backend
 	shards := 1
-	switch {
-	case len(opt.ReplicaShards) > 0:
+	if len(opt.ReplicaShards) > 0 {
 		sh, err := dialReplicaShards(db, opt.ReplicaShards, strategy, cfg.TopK, opt.DialTimeout)
 		if err != nil {
 			return nil, err
@@ -105,24 +102,7 @@ func NewSearcher(db *Database, opt Options) (*Searcher, error) {
 			sh.SetDegradedPolicy(shard.DegradedPartial)
 		}
 		inner, shards = sh, sh.Shards()
-	case opt.Shards > 1:
-		// shard.New moves the cache to the coordinator and runs the
-		// per-shard engines uncached (one answer cached twice would
-		// double the memory for zero extra hits).
-		degraded := shard.DegradedFail
-		if opt.Degraded {
-			degraded = shard.DegradedPartial
-		}
-		sh, err := shard.New(db.set, shard.Config{
-			Shards: opt.Shards, Strategy: strategy, Engine: cfg,
-			Cache: opt.Cache, CacheSize: opt.CacheSize, CacheBytes: opt.CacheBytes,
-			Degraded: degraded,
-		})
-		if err != nil {
-			return nil, err
-		}
-		inner, shards = sh, sh.Shards()
-	default:
+	} else {
 		eng, err := engine.New(db.set, cfg)
 		if err != nil {
 			return nil, err
@@ -139,8 +119,14 @@ func NewSearcher(db *Database, opt Options) (*Searcher, error) {
 // in a replica.Set — the facade that fails over, re-dials and hedges —
 // and feed the sets to the scatter/gather. A replica that is down at
 // construction is tolerated (its set starts re-dialing immediately) as
-// long as at least one replica of the range answers.
+// long as at least one replica of the range answers. A server whose TopK
+// cap is below the gather's is refused, at the first dial and at every
+// redial alike: it would return fewer hits per range than the merge
+// keeps, and the merged top-k would silently be wrong.
 func dialReplicaShards(db *Database, groups [][]string, strategy shard.Strategy, topK int, dialTimeout time.Duration) (*shard.Searcher, error) {
+	if topK <= 0 {
+		topK = engine.DefaultTopK
+	}
 	ranges := shard.RangesFor(db.set, len(groups), strategy)
 	backends := make([]engine.Backend, 0, len(groups))
 	fail := func(err error) (*shard.Searcher, error) {
@@ -153,25 +139,34 @@ func dialReplicaShards(db *Database, groups [][]string, strategy shard.Strategy,
 		if len(addrs) == 0 {
 			return fail(fmt.Errorf("swdual: shard %d has no replica addresses", i))
 		}
+		name := fmt.Sprintf("shard %d [%d,%d)", i, ranges[i].Lo, ranges[i].Hi)
 		want := db.set.Slice(ranges[i].Lo, ranges[i].Hi).Checksum()
 		reps := make([]replica.Replica, 0, len(addrs))
 		var firstErr error
 		for _, addr := range addrs {
-			redial := func() (engine.Backend, error) {
-				return remote.DialTimeout(addr, want, dialTimeout)
+			dial := func() (engine.Backend, error) {
+				b, err := remote.DialTimeout(addr, want, dialTimeout)
+				if err != nil {
+					return nil, err
+				}
+				// 0: the server did not name its cap.
+				if c := b.TopK(); c != 0 && c < topK {
+					b.Close()
+					return nil, fmt.Errorf("swdual: %s: server %s caps hits at TopK %d, below the coordinator's TopK %d", name, addr, c, topK)
+				}
+				return b, nil
 			}
-			b, err := remote.DialTimeout(addr, want, dialTimeout)
+			b, err := dial()
 			if err != nil {
 				// Down at startup: the set's redial loop keeps trying.
 				if firstErr == nil {
 					firstErr = err
 				}
-				reps = append(reps, replica.Replica{Redial: redial})
+				reps = append(reps, replica.Replica{Redial: dial})
 				continue
 			}
-			reps = append(reps, replica.Replica{Backend: b, Redial: redial})
+			reps = append(reps, replica.Replica{Backend: b, Redial: dial})
 		}
-		name := fmt.Sprintf("shard %d [%d,%d)", i, ranges[i].Lo, ranges[i].Hi)
 		set, err := replica.NewSet(name, want, reps, replica.Config{Index: i})
 		if err != nil {
 			for _, r := range reps {
@@ -260,13 +255,13 @@ func (s *Searcher) Serve(l net.Listener) error {
 }
 
 // Stats reports the Searcher's cumulative counters (preparation passes,
-// workers started, searches, waves). On a sharded Searcher the counters
-// span every shard: preparation passes and workers sum across shards
+// workers started, searches, waves). On a coordinator the counters span
+// every shard server: preparation passes and workers sum across them
 // while Searches counts each scatter/gather call once.
 func (s *Searcher) Stats() SearcherStats { return s.inner.Stats() }
 
-// Shards reports how many database shards back the Searcher (1 when
-// unsharded).
+// Shards reports how many database ranges back the Searcher (1 unless
+// it coordinates ReplicaShards).
 func (s *Searcher) Shards() int { return s.shards }
 
 // Database returns the loaded database.

@@ -59,20 +59,14 @@ type Options struct {
 	// exact scores, so mixing them changes throughput and scheduling,
 	// never results; each worker's advertised rate only seeds a live
 	// estimate measured from its completed tasks. When set, Pool
-	// overrides CPUs and GPUs; with sharding every shard gets its own
-	// pool of this shape.
+	// overrides CPUs and GPUs; ServeShard gives its slice a pool of this
+	// shape.
 	Pool string
 	// TopK bounds reported hits per query (default 10).
 	TopK int
 	// Policy selects the allocation policy: "dual-approx" (default),
 	// "dual-approx-dp", "self-scheduling" or "round-robin".
 	Policy string
-	// Shards splits the database into this many independent shards, each
-	// served by its own engine and worker pool (CPUs and GPUs are then
-	// per shard); searches scatter to every shard and gather through a
-	// deterministic TopK merge, so results are byte-identical to an
-	// unsharded search. 0 or 1 disables sharding.
-	Shards int
 	// ShardSplit selects the shard boundaries: "contiguous" (default,
 	// equal sequence counts) or "balanced" (equal residue volume).
 	ShardSplit string
@@ -85,15 +79,17 @@ type Options struct {
 	// sequences is rejected before any query runs. One address per range
 	// is a plain (non-replicated) cluster; several make the range
 	// survive a server dying mid-flight. Searches scatter over the
-	// network, one replica per range, and gather exactly like in-process
-	// sharding, so hits stay byte-identical to an unsharded search. A
+	// network, one replica per range, and gather through a deterministic
+	// TopK merge, so hits stay byte-identical to an unsharded search.
+	// Every server's TopK must be at least this process's: a server
+	// capping hits below the gather's cap is refused at dial. A
 	// replica whose connection dies is failed over to a sibling (when
 	// the range has one) and re-dialed in the background with capped
 	// backoff; searches running past an adaptive latency threshold are
 	// hedged on a sibling, first answer wins — replicas proven identical
 	// is what makes both answer-preserving. A replica that is down at
 	// construction is tolerated as long as at least one replica of its
-	// range is up. When set, Shards is ignored.
+	// range is up.
 	ReplicaShards [][]string
 	// DialTimeout bounds dialing one remote shard or replica — TCP
 	// connect and protocol handshake together — so a hung server cannot
@@ -103,8 +99,8 @@ type Options struct {
 	// repeated search (same query residues, same TopK, same database)
 	// is answered from a bounded LRU without running a scheduling wave,
 	// and concurrent identical searches collapse into one wave. With
-	// sharding (Shards or ReplicaShards) the cache lives in the
-	// coordinator, so a cached answer never reaches a shard. Off by default — the
+	// ReplicaShards the cache lives in the coordinator, so a cached
+	// answer never reaches a shard server. Off by default — the
 	// paper's benchmarks measure scheduling, so reproduction runs pay
 	// every wave. Hits are byte-identical with the cache on or off.
 	Cache bool
@@ -147,9 +143,8 @@ type Options struct {
 	// searched again once the background redial brings the server back.
 	// Full-coverage answers are byte-identical with the option on or
 	// off; degraded answers never enter the result cache. It has
-	// nothing to act on with in-process Shards (an in-process engine has
-	// no connection to lose) or on an unsharded Searcher (there is no
-	// surviving subset of one engine).
+	// nothing to act on without ReplicaShards (there is no surviving
+	// subset of one engine).
 	Degraded bool
 }
 

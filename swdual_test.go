@@ -272,9 +272,11 @@ func TestSearcherServe(t *testing.T) {
 }
 
 // TestShardedSearcherMatchesUnsharded is the public-API acceptance check
-// of the sharding layer: Options.Shards with either split strategy must
-// return hits identical to the unsharded engine, over the serve wire too.
+// of the sharding layer: a ReplicaShards coordinator over ServeShard
+// servers, with either split strategy, must return hits identical to the
+// unsharded engine, over the serve wire too.
 func TestShardedSearcherMatchesUnsharded(t *testing.T) {
+	const shardCount = 3
 	db, err := swdual.GenerateDatabase("UniProt", 20000)
 	if err != nil {
 		t.Fatal(err)
@@ -288,35 +290,29 @@ func TestShardedSearcherMatchesUnsharded(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, split := range []string{"contiguous", "balanced"} {
-		s, err := swdual.NewSearcher(db, swdual.Options{
-			CPUs: 1, GPUs: 1, TopK: 5, Shards: 3, ShardSplit: split,
-		})
+		opt := swdual.Options{CPUs: 1, GPUs: 1, TopK: 5, ShardSplit: split}
+		coordOpt := opt
+		for i := 0; i < shardCount; i++ {
+			srv := startShardServer(t, "127.0.0.1:0", db, i, shardCount, opt)
+			coordOpt.ReplicaShards = append(coordOpt.ReplicaShards, []string{srv.Addr().String()})
+		}
+		s, err := swdual.NewSearcher(db, coordOpt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if s.Shards() != 3 {
-			t.Fatalf("%s: %d shards, want 3", split, s.Shards())
+		if s.Shards() != shardCount {
+			t.Fatalf("%s: %d shards, want %d", split, s.Shards(), shardCount)
 		}
 		got, err := s.Search(context.Background(), queries, swdual.SearchOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for qi := range got.Results {
-			a, b := got.Results[qi].Hits, want.Results[qi].Hits
-			if len(a) != len(b) {
-				t.Fatalf("%s query %d: %d hits vs %d", split, qi, len(a), len(b))
-			}
-			for hi := range a {
-				if a[hi] != b[hi] {
-					t.Fatalf("%s query %d hit %d: %+v vs %+v", split, qi, hi, a[hi], b[hi])
-				}
-			}
-		}
-		if st := s.Stats(); st.Prepared != 3 {
-			t.Fatalf("%s: %d preparation passes, want one per shard", split, st.Prepared)
+		sameReports(t, split, got, want)
+		if st := s.Stats(); st.Prepared != shardCount {
+			t.Fatalf("%s: %d preparation passes, want one per shard server", split, st.Prepared)
 		}
 
-		// Serve mode over a sharded backend: remote clients see the same
+		// Serve mode over the coordinator: remote clients see the same
 		// hits and the same whole-database checksum.
 		l, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
@@ -328,17 +324,7 @@ func TestShardedSearcherMatchesUnsharded(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for qi := range remote.Results {
-			a, b := remote.Results[qi].Hits, want.Results[qi].Hits
-			if len(a) != len(b) {
-				t.Fatalf("%s remote query %d: %d hits vs %d", split, qi, len(a), len(b))
-			}
-			for hi := range a {
-				if a[hi].SeqIndex != b[hi].SeqIndex || a[hi].Score != b[hi].Score {
-					t.Fatalf("%s remote query %d hit %d mismatch", split, qi, hi)
-				}
-			}
-		}
+		sameReports(t, split+" remote", remote, want)
 		l.Close()
 		if err := <-serveDone; err != nil {
 			t.Fatalf("serve: %v", err)
@@ -347,8 +333,9 @@ func TestShardedSearcherMatchesUnsharded(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := swdual.NewSearcher(db, swdual.Options{Shards: 2, ShardSplit: "bogus"}); err == nil {
-		t.Fatal("bogus shard split accepted")
+	// An unknown split is refused before anything is dialed.
+	if _, err := swdual.NewSearcher(db, swdual.Options{ReplicaShards: [][]string{{"127.0.0.1:1"}, {"127.0.0.1:1"}}, ShardSplit: "bogus"}); err == nil || !strings.Contains(err.Error(), "bogus") {
+		t.Fatalf("bogus shard split: %v, want it refused by name", err)
 	}
 }
 
@@ -443,6 +430,58 @@ func TestRemoteShardedSearcherMatchesUnsharded(t *testing.T) {
 	if err := swdual.ServeShard(nil, nil, 0, 2, opt); err == nil {
 		t.Fatal("nil database accepted")
 	}
+}
+
+// TestCoordinatorRefusesShardServersCappedBelowItsTopK: a shard server
+// returns at most its own TopK hits per query, so a coordinator
+// gathering more would merge truncated lists into a wrong top-k. Such a
+// server is refused at construction, with an error naming the range, the
+// address and both caps; with equal caps the cluster stays byte-identical
+// to an unsharded search.
+func TestCoordinatorRefusesShardServersCappedBelowItsTopK(t *testing.T) {
+	const shardCount = 2
+	db, err := swdual.GenerateDatabase("UniProt", 20000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	queries, err := swdual.GenerateQueries("standard", 400)
+	if err != nil {
+		t.Fatal(err)
+	}
+	serverOpt := swdual.Options{CPUs: 1, GPUs: 0, TopK: 5}
+	var groups [][]string
+	for i := 0; i < shardCount; i++ {
+		srv := startShardServer(t, "127.0.0.1:0", db, i, shardCount, serverOpt)
+		groups = append(groups, []string{srv.Addr().String()})
+	}
+
+	coordOpt := swdual.Options{CPUs: 1, GPUs: 0, TopK: 20, ReplicaShards: groups, DialTimeout: 5 * time.Second}
+	s, err := swdual.NewSearcher(db, coordOpt)
+	if err == nil {
+		s.Close()
+		t.Fatal("coordinator with TopK 20 accepted shard servers capped at 5")
+	}
+	for _, want := range []string{"shard 0 [0,", groups[0][0], "TopK 5", "TopK 20"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("refusal %q does not name %q", err, want)
+		}
+	}
+
+	coordOpt.TopK = serverOpt.TopK
+	s, err = swdual.NewSearcher(db, coordOpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	got, err := s.Search(context.Background(), queries, swdual.SearchOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := swdual.Search(db, queries, serverOpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameReports(t, "equal caps", got, want)
 }
 
 // shardServer is a ServeShard goroutine whose accepted connections are
@@ -618,7 +657,6 @@ func TestNegativeCacheBoundsRefusedEverywhere(t *testing.T) {
 			set  func(*swdual.Options)
 		}{
 			{"unsharded", func(*swdual.Options) {}},
-			{"Shards", func(o *swdual.Options) { o.Shards = 2 }},
 			{"ReplicaShards", func(o *swdual.Options) { o.ReplicaShards = [][]string{{"127.0.0.1:1"}, {"127.0.0.1:1"}} }},
 		} {
 			opt := bad.opt
