@@ -32,7 +32,7 @@ import (
 // rebuilds workers, profiles and scheduler state from scratch.
 func BenchmarkSearchOneShot(b *testing.B) {
 	db, queries := benchSearchData(b)
-	opt := swdual.Options{CPUs: 2, GPUs: 2, TopK: 5}
+	opt := swdual.Options{Pool: "cpu=2,gpu=2", TopK: 5}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := swdual.Search(db, queries, opt); err != nil {
@@ -46,7 +46,7 @@ func BenchmarkSearchOneShot(b *testing.B) {
 // outside the loop.
 func BenchmarkSearchPersistent(b *testing.B) {
 	db, queries := benchSearchData(b)
-	s, err := swdual.NewSearcher(db, swdual.Options{CPUs: 2, GPUs: 2, TopK: 5})
+	s, err := swdual.NewSearcher(db, swdual.Options{Pool: "cpu=2,gpu=2", TopK: 5})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func BenchmarkMappedVsHeapMemory(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		s, err := swdual.NewSearcher(db, swdual.Options{CPUs: 2, GPUs: 1, TopK: 5})
+		s, err := swdual.NewSearcher(db, swdual.Options{Pool: "cpu=2,gpu=1", TopK: 5})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -134,7 +134,7 @@ func BenchmarkCachedSearch(b *testing.B) {
 	for _, mode := range []string{"off", "on"} {
 		b.Run("cache="+mode, func(b *testing.B) {
 			s, err := swdual.NewSearcher(db, swdual.Options{
-				CPUs: 2, GPUs: 2, TopK: 5, Cache: mode == "on",
+				Pool: "cpu=2,gpu=2", TopK: 5, Cache: mode == "on",
 			})
 			if err != nil {
 				b.Fatal(err)
@@ -185,7 +185,7 @@ func BenchmarkSearchPersistentConcurrent(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	s, err := swdual.NewSearcher(db, swdual.Options{CPUs: 2, GPUs: 2, TopK: 5})
+	s, err := swdual.NewSearcher(db, swdual.Options{Pool: "cpu=2,gpu=2", TopK: 5})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	swdual -db db.fasta -query q.fasta -cpus 2 -gpus 2
+//	swdual -db db.fasta -query q.fasta -pool cpu=2,gpu=2
 //	swdual -db db.fasta -query q.fasta -pool cpu=2,striped=1,fine=1,gpu=1
 //	swdual -db db.swdb -query q.fasta -policy self-scheduling -topk 5
 //	swdual -db db.fasta -query q.fasta -plan        # schedule only
@@ -67,9 +67,7 @@ func main() {
 	var (
 		dbPath   = flag.String("db", "", "database file (.fasta/.fa parsed into memory; .swdb memory-mapped read-only — zero-copy, and every process mapping the same file on a host shares one physical copy)")
 		qPath    = flag.String("query", "", "query file (.fasta/.fa or .swdb binary)")
-		cpus     = flag.Int("cpus", 1, "CPU workers")
-		gpus     = flag.Int("gpus", 1, "GPU workers (simulated Tesla C2050)")
-		pool     = flag.String("pool", "", "heterogeneous worker pool spec, e.g. cpu=2,striped=1,fine=1,gpu=1 (overrides -cpus/-gpus)")
+		pool     = flag.String("pool", "cpu=1,gpu=1", "worker pool spec: backend=count pairs over cpu, striped, fine and gpu (simulated Tesla C2050), e.g. cpu=2,gpu=2 or cpu=2,striped=1,fine=1,gpu=1")
 		topk     = flag.Int("topk", 10, "hits reported per query")
 		matrix   = flag.String("matrix", "BLOSUM62", "substitution matrix")
 		gapS     = flag.Int("gapstart", 10, "gap start penalty Gs")
@@ -103,8 +101,6 @@ func main() {
 		Matrix:     *matrix,
 		GapStart:   *gapS,
 		GapExtend:  *gapE,
-		CPUs:       *cpus,
-		GPUs:       *gpus,
 		Pool:       *pool,
 		TopK:       *topk,
 		Policy:     *policy,
@@ -158,10 +154,7 @@ func main() {
 	}
 	defer db.Close()
 
-	workersDesc := fmt.Sprintf("%d CPU + %d GPU workers", *cpus, *gpus)
-	if *pool != "" {
-		workersDesc = fmt.Sprintf("worker pool %s", *pool)
-	}
+	workersDesc := "worker pool " + *pool
 	backendDesc := workersDesc
 	if len(opt.ReplicaShards) > 0 {
 		backendDesc = fmt.Sprintf("%d shard server range(s)", len(opt.ReplicaShards))
@@ -228,8 +221,8 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("algorithm: %s\nmodeled makespan: %.2f s (lower bound %.2f s)\nmodeled GCUPS: %.2f\nidle fraction: %.2f%%\n",
-			plan.Algorithm, plan.Makespan, plan.LowerBound, plan.GCUPS, 100*plan.IdleFraction)
+		fmt.Printf("pool: %s\nalgorithm: %s\nmodeled makespan: %.2f s (lower bound %.2f s)\nmodeled GCUPS: %.2f\nidle fraction: %.2f%%\n",
+			*pool, plan.Algorithm, plan.Makespan, plan.LowerBound, plan.GCUPS, 100*plan.IdleFraction)
 		for _, tp := range plan.Tasks {
 			fmt.Printf("  q%02d (len %5d) -> %s%d  [%8.2f, %8.2f)\n",
 				tp.QueryIndex, tp.QueryLen, tp.Kind, tp.PE, tp.Start, tp.End)

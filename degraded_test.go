@@ -19,6 +19,7 @@ import (
 
 	"swdual/internal/engine"
 	"swdual/internal/faultinject"
+	"swdual/internal/master"
 	"swdual/internal/replica"
 	"swdual/internal/shard"
 )
@@ -50,7 +51,7 @@ func TestDegradedOptionPlumbsToCoordinator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	groups := serveShards(t, db, 2, Options{CPUs: 1, TopK: 3})
+	groups := serveShards(t, db, 2, Options{Pool: "cpu=1", TopK: 3})
 	for _, tc := range []struct {
 		degraded bool
 		want     shard.DegradedPolicy
@@ -58,7 +59,7 @@ func TestDegradedOptionPlumbsToCoordinator(t *testing.T) {
 		{degraded: false, want: shard.DegradedFail},
 		{degraded: true, want: shard.DegradedPartial},
 	} {
-		s, err := NewSearcher(db, Options{ReplicaShards: groups, CPUs: 1, TopK: 3, Degraded: tc.degraded})
+		s, err := NewSearcher(db, Options{ReplicaShards: groups, Pool: "cpu=1", TopK: 3, Degraded: tc.degraded})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -73,7 +74,7 @@ func TestDegradedOptionPlumbsToCoordinator(t *testing.T) {
 	}
 	// Unsharded: the option has nothing to select and must not break
 	// construction or search.
-	s, err := NewSearcher(db, Options{CPUs: 1, TopK: 3, Degraded: true})
+	s, err := NewSearcher(db, Options{Pool: "cpu=1", TopK: 3, Degraded: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,12 +101,12 @@ func TestDegradedOptionKeepsFullAnswersIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	groups := serveShards(t, db, 3, Options{CPUs: 1, TopK: 5})
+	groups := serveShards(t, db, 3, Options{Pool: "cpu=1", TopK: 5})
 	var ref *Report
 	for _, opt := range []Options{
-		{CPUs: 1, TopK: 5},
-		{ReplicaShards: groups, CPUs: 1, TopK: 5},
-		{ReplicaShards: groups, CPUs: 1, TopK: 5, Degraded: true},
+		{Pool: "cpu=1", TopK: 5},
+		{ReplicaShards: groups, Pool: "cpu=1", TopK: 5},
+		{ReplicaShards: groups, Pool: "cpu=1", TopK: 5, Degraded: true},
 	} {
 		s, err := NewSearcher(db, opt)
 		if err != nil {
@@ -156,7 +157,7 @@ func TestDegradedCoverageSurfacesThroughPublicAPI(t *testing.T) {
 	wrappers := make([]*faultinject.Backend, len(ranges))
 	backends := make([]engine.Backend, len(ranges))
 	for i, r := range ranges {
-		eng, err := engine.New(db.set.Slice(r.Lo, r.Hi), engine.Config{CPUs: 1, TopK: topK})
+		eng, err := engine.New(db.set.Slice(r.Lo, r.Hi), engine.Config{Pool: master.PoolSpec{CPU: 1}, TopK: topK})
 		if err != nil {
 			t.Fatal(err)
 		}

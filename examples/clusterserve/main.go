@@ -31,7 +31,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	opt := swdual.Options{CPUs: 1, GPUs: 1, TopK: 5, ShardSplit: "balanced"}
+	opt := swdual.Options{Pool: "cpu=1,gpu=1", TopK: 5, ShardSplit: "balanced"}
 
 	// Shard servers: each serves its slice of the database on its own
 	// listener — stand-ins for `swdual -db db.fasta -shard-serve :401N

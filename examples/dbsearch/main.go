@@ -30,7 +30,7 @@ func main() {
 
 	// The database is prepared once; the 4 CPU + 4 GPU workers live for
 	// every request below.
-	searcher, err := swdual.NewSearcher(db, swdual.Options{CPUs: 4, GPUs: 4, TopK: 3})
+	searcher, err := swdual.NewSearcher(db, swdual.Options{Pool: "cpu=4,gpu=4", TopK: 3})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -27,7 +27,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		rep, err := swdual.Search(db, queries, swdual.Options{CPUs: 2, GPUs: 2, TopK: 1})
+		rep, err := swdual.Search(db, queries, swdual.Options{Pool: "cpu=2,gpu=2", TopK: 1})
 		if err != nil {
 			log.Fatal(err)
 		}

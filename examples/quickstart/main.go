@@ -39,7 +39,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	searcher, err := swdual.NewSearcher(db, swdual.Options{CPUs: 1, GPUs: 1, TopK: 3})
+	searcher, err := swdual.NewSearcher(db, swdual.Options{Pool: "cpu=1,gpu=1", TopK: 3})
 	if err != nil {
 		log.Fatal(err)
 	}

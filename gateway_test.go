@@ -24,7 +24,7 @@ func TestGatewayServesSearcher(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := swdual.NewSearcher(db, swdual.Options{CPUs: 1, GPUs: 1, TopK: 5})
+	s, err := swdual.NewSearcher(db, swdual.Options{Pool: "cpu=1,gpu=1", TopK: 5})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,11 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
+	"swdual/internal/engine"
 	"swdual/internal/master"
 	"swdual/internal/platform"
 	"swdual/internal/sched"
@@ -399,8 +401,9 @@ func genInstance(rng *rand.Rand, n, m, k int, gpuOf func(cpu float64) float64) *
 }
 
 // FunctionalValidation runs the whole pipeline with real engines on a
-// scaled UniProt: a hybrid master-slave search whose scores must agree
-// with the striped oracle-checked engine, reporting native Go GCUPS.
+// scaled UniProt: a hybrid search through the persistent engine — the
+// path users run — whose scores must agree with the striped
+// oracle-checked engine, reporting native Go GCUPS.
 func (r *Runner) FunctionalValidation() (*Table, error) {
 	t := &Table{
 		ID:      "Functional validation",
@@ -414,12 +417,12 @@ func (r *Runner) FunctionalValidation() (*Table, error) {
 
 	params := sw.DefaultParams()
 	gpus, cpus := WorkerSplit(r.cfg.FunctionalWorkers)
-	workers := master.BuildWorkers(params, cpus, gpus, 10)
-	m, err := master.New(db, queries, workers, master.Config{Policy: master.PolicyDualApprox, TopK: 10})
+	s, err := engine.New(db, engine.Config{Params: params, Pool: master.PoolSpec{CPU: cpus, GPU: gpus}, TopK: 10})
 	if err != nil {
 		return nil, err
 	}
-	rep, err := m.Run()
+	defer s.Close()
+	rep, err := s.Search(context.Background(), queries, engine.SearchOptions{})
 	if err != nil {
 		return nil, err
 	}

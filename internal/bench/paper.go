@@ -79,7 +79,7 @@ var PaperTable1 = []PaperApplication{
 	{"STRIPED", "-", "./striped -T $T $Q $D", "internal/swvector Striped (Farrar SWAR)"},
 	{"SWPS3", "20080605", "./swps3 -j $T $Q $D", "internal/sw Scalar (scalar Gotoh reference)"},
 	{"CUDASW++", "2.0", "./cudasw -use_gpus $T -query $Q -db $D", "internal/cudasw on internal/gpusim"},
-	{"SWDUAL", "this work", "swdual -cpus $C -gpus $G -query $Q -db $D", "root package swdual (dual-approximation hybrid)"},
+	{"SWDUAL", "this work", "swdual -pool cpu=$C,gpu=$G -query $Q -db $D", "root package swdual (dual-approximation hybrid)"},
 }
 
 // WorkerSplit returns the paper's worker composition for SWDUAL: "the

@@ -30,12 +30,12 @@ func waitStats(t *testing.T, s *Searcher, desc string, cond func(Stats) bool) {
 // the repeats never reached the dispatcher.
 func TestCachedSearchMatchesUncached(t *testing.T) {
 	db, queries := testSets(21, 22, 50, 8)
-	plain, err := New(db, Config{CPUs: 2, GPUs: 2, TopK: 5})
+	plain, err := New(db, Config{Pool: master.PoolSpec{CPU: 2, GPU: 2}, TopK: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer plain.Close()
-	cached, err := New(db, Config{CPUs: 2, GPUs: 2, TopK: 5, Cache: true})
+	cached, err := New(db, Config{Pool: master.PoolSpec{CPU: 2, GPU: 2}, TopK: 5, Cache: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestCachedSearchMatchesUncached(t *testing.T) {
 // checks the cached answer is unharmed.
 func TestCacheHitReturnsDefensiveCopies(t *testing.T) {
 	db, queries := testSets(23, 24, 40, 6)
-	s, err := New(db, Config{CPUs: 2, GPUs: 2, TopK: 5, Cache: true})
+	s, err := New(db, Config{Pool: master.PoolSpec{CPU: 2, GPU: 2}, TopK: 5, Cache: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestCacheHitReturnsDefensiveCopies(t *testing.T) {
 // and each cap's answer replays correctly.
 func TestCacheTopKInvalidates(t *testing.T) {
 	db, queries := testSets(25, 26, 40, 6)
-	s, err := New(db, Config{CPUs: 2, GPUs: 2, TopK: 5, Cache: true})
+	s, err := New(db, Config{Pool: master.PoolSpec{CPU: 2, GPU: 2}, TopK: 5, Cache: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +318,7 @@ func TestLeaderErrorPropagatesUncached(t *testing.T) {
 // hits, still one wave ever.
 func TestWarmCacheConcurrentHits(t *testing.T) {
 	db, queries := testSets(33, 34, 50, 6)
-	s, err := New(db, Config{CPUs: 2, GPUs: 2, TopK: 5, Cache: true})
+	s, err := New(db, Config{Pool: master.PoolSpec{CPU: 2, GPU: 2}, TopK: 5, Cache: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,8 +351,8 @@ func TestWarmCacheConcurrentHits(t *testing.T) {
 	}
 }
 
-// TestCacheConfigValidation mirrors the MaxBatch teaching error for the
-// new knobs.
+// TestCacheConfigValidation: New refuses negative cache bounds instead
+// of defaulting them away.
 func TestCacheConfigValidation(t *testing.T) {
 	db, _ := testSets(35, 36, 10, 1)
 	if _, err := New(db, Config{Cache: true, CacheSize: -1}); err == nil {

@@ -1,11 +1,12 @@
-// Package engine turns the one-shot master-slave search into a
-// persistent service. A Searcher loads a database once — sequences,
-// residue encoding, length statistics, checksum — and owns a long-lived
-// master.Pool of CPU and GPU workers; many goroutines may then call
-// Search concurrently and share that preparation, the way the paper's
-// long-lived master keeps its workers busy across task waves (§IV) and
-// the way fine-grained parallel search engines amortize database setup
-// across queries (Nguyen & Lavenier 2008).
+// Package engine runs the paper's master-slave search as a persistent
+// service, the one search path in the module. A Searcher loads a
+// database once — sequences, residue encoding, length statistics,
+// checksum — and owns a long-lived master.Pool of CPU and GPU workers;
+// many goroutines may then call Search concurrently and share that
+// preparation, the way the paper's long-lived master keeps its workers
+// busy across task waves (§IV) and the way fine-grained parallel search
+// engines amortize database setup across queries (Nguyen & Lavenier
+// 2008).
 //
 // Concurrent requests are coalesced: a dispatcher goroutine collects the
 // queries that are waiting into one wave, runs the configured scheduling
@@ -42,10 +43,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"swdual/internal/alphabet"
 	"swdual/internal/master"
@@ -64,33 +63,18 @@ const DefaultTopK = 10
 type Config struct {
 	// Params are the alignment parameters shared by all workers.
 	Params sw.Params
-	// CPUs and GPUs size the worker pools (defaults 1 and 1). Ignored
-	// when Workers or Pool is set.
-	CPUs, GPUs int
-	// Pool, when it names at least one worker, selects a heterogeneous
-	// worker set mixing CPU backends (inter-sequence, striped,
-	// fine-grained) and GPUs — see master.PoolSpec. It overrides CPUs
-	// and GPUs; Workers still wins over both.
+	// Pool counts the workers of each backend — CPU backends
+	// (inter-sequence, striped, fine-grained) and GPUs, see
+	// master.PoolSpec. An empty Pool selects 1 CPU + 1 GPU worker.
 	Pool master.PoolSpec
-	// Workers overrides the built-in worker construction.
+	// Workers overrides the built-in worker construction; Pool is then
+	// ignored.
 	Workers []master.Worker
 	// TopK bounds hits kept per query (default 10). Per-request TopK may
 	// be lower, never higher.
 	TopK int
 	// Policy selects the wave scheduling policy (dual-approx default).
 	Policy master.Policy
-	// Parallelism bounds concurrently computing workers (default
-	// GOMAXPROCS).
-	Parallelism int
-	// BatchWindow controls online batching. Requests that queued up
-	// while the previous wave ran are always drained into the next wave
-	// without waiting; a positive BatchWindow additionally holds each
-	// wave open that long for late arrivals (higher latency, bigger
-	// waves). Zero and negative values hold nothing.
-	BatchWindow time.Duration
-	// MaxBatch caps the queries coalesced into one wave. Zero selects
-	// the default (1024); a negative value is rejected by New.
-	MaxBatch int
 	// Cache enables the result cache and singleflight collapsing in
 	// front of the dispatcher: a repeated search (same query residues,
 	// same effective TopK, same database) is answered from a bounded
@@ -113,19 +97,16 @@ func (c *Config) defaults() {
 	if c.Params.Matrix == nil {
 		c.Params = sw.DefaultParams()
 	}
-	if c.Workers == nil && c.Pool.Total() == 0 && c.CPUs == 0 && c.GPUs == 0 {
-		c.CPUs, c.GPUs = 1, 1
+	if c.Workers == nil && c.Pool.Total() == 0 {
+		c.Pool = master.PoolSpec{CPU: 1, GPU: 1}
 	}
 	if c.TopK <= 0 {
 		c.TopK = DefaultTopK
 	}
-	if c.Parallelism <= 0 {
-		c.Parallelism = runtime.GOMAXPROCS(0)
-	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 1024
-	}
 }
+
+// maxBatch caps the queries coalesced into one wave.
+const maxBatch = 1024
 
 // SearchOptions tunes one Search call.
 type SearchOptions struct {
@@ -221,6 +202,14 @@ func (r *request) fail(err error) {
 	r.err.CompareAndSwap(nil, &err)
 }
 
+// abandon fails a request that will never be dispatched.
+func (r *request) abandon(err error) {
+	r.fail(err)
+	for i := 0; i < r.queries.Len(); i++ {
+		r.merge.Skip(i)
+	}
+}
+
 // Searcher is a persistent hybrid search service over one database.
 type Searcher struct {
 	cfg Config
@@ -261,11 +250,6 @@ type Searcher struct {
 	waves        atomic.Uint64
 	batchedWaves atomic.Uint64
 	collapsed    atomic.Uint64
-	// admittedReqs counts requests the dispatcher has drained from the
-	// submit channel — the deterministic "this request is now part of a
-	// forming wave" signal the plan-stage cancellation tests synchronize
-	// on (not exported: Stats derives nothing from it).
-	admittedReqs atomic.Uint64
 }
 
 // New prepares the database once and starts the persistent worker pool
@@ -274,12 +258,6 @@ type Searcher struct {
 func New(db *seq.Set, cfg Config) (*Searcher, error) {
 	if db == nil {
 		return nil, fmt.Errorf("engine: nil database")
-	}
-	if cfg.MaxBatch < 0 {
-		// A negative cap would make every coalesce loop terminate
-		// immediately at best and spin at worst; reject it here instead
-		// of wedging the dispatcher.
-		return nil, fmt.Errorf("engine: negative MaxBatch %d (0 selects the default)", cfg.MaxBatch)
 	}
 	if cfg.CacheSize < 0 {
 		return nil, fmt.Errorf("engine: negative CacheSize %d (0 selects the default)", cfg.CacheSize)
@@ -303,13 +281,9 @@ func New(db *seq.Set, cfg Config) (*Searcher, error) {
 	s.prepare()
 	workers := cfg.Workers
 	if workers == nil {
-		if cfg.Pool.Total() > 0 {
-			workers = master.BuildPoolWorkers(cfg.Params, cfg.Pool, cfg.TopK)
-		} else {
-			workers = master.BuildWorkers(cfg.Params, cfg.CPUs, cfg.GPUs, cfg.TopK)
-		}
+		workers = master.BuildPoolWorkers(cfg.Params, cfg.Pool, cfg.TopK)
 	}
-	pool, err := master.NewPool(workers, master.PoolConfig{Parallelism: cfg.Parallelism})
+	pool, err := master.NewPool(workers)
 	if err != nil {
 		return nil, err
 	}
@@ -389,10 +363,11 @@ func (s *Searcher) Stats() Stats {
 }
 
 // Search compares every query against the database and returns merged,
-// score-sorted hits per query, exactly as a one-shot master run would.
-// It is safe for any number of goroutines to call Search concurrently;
-// concurrent calls may share a scheduling wave. Search honors ctx: on
-// cancellation it returns ctx.Err() and unstarted tasks are skipped.
+// score-sorted hits per query: for each query, the TopK of sw.Score over
+// every subject, in master.HitBefore order. It is safe for any number of
+// goroutines to call Search concurrently; concurrent calls may share a
+// scheduling wave. Search honors ctx: on cancellation it returns
+// ctx.Err() and unstarted tasks are skipped.
 //
 // With Config.Cache on, a search whose fingerprint (query residues,
 // effective TopK, database checksum) was answered before returns the
@@ -497,11 +472,7 @@ func (s *Searcher) dispatch() {
 		case <-s.quit:
 			return
 		case req := <-s.submit:
-			batch := s.coalesce(req)
-			if batch == nil {
-				return // closed while batching; requests already failed
-			}
-			s.planWave(batch)
+			s.planWave(s.coalesce(req))
 		}
 	}
 }
@@ -546,54 +517,21 @@ func (s *Searcher) taskDone(w *wave, q int) {
 	}
 }
 
-// coalesce implements online batching: requests already waiting (they
-// arrived while the previous wave ran) are drained into this wave
-// immediately; a positive BatchWindow additionally holds the wave open
-// for late arrivals. Coalescing stops at MaxBatch queries.
+// coalesce implements online batching without waiting: the requests
+// already on the submit channel (they arrived while every worker was
+// busy) join first's wave, up to maxBatch queries.
 func (s *Searcher) coalesce(first *request) []*request {
-	s.admittedReqs.Add(1)
 	batch := []*request{first}
-	n := first.queries.Len()
-	for n < s.cfg.MaxBatch {
+	for n := first.queries.Len(); n < maxBatch; {
 		select {
 		case r := <-s.submit:
-			s.admittedReqs.Add(1)
 			batch = append(batch, r)
 			n += r.queries.Len()
-			continue
 		default:
-		}
-		break
-	}
-	if s.cfg.BatchWindow <= 0 {
-		return batch
-	}
-	timer := time.NewTimer(s.cfg.BatchWindow)
-	defer timer.Stop()
-	for n < s.cfg.MaxBatch {
-		select {
-		case r := <-s.submit:
-			s.admittedReqs.Add(1)
-			batch = append(batch, r)
-			n += r.queries.Len()
-		case <-timer.C:
 			return batch
-		case <-s.quit:
-			for _, r := range batch {
-				s.abandon(r)
-			}
-			return nil
 		}
 	}
 	return batch
-}
-
-// abandon fails a request that will never be dispatched.
-func (s *Searcher) abandon(r *request) {
-	r.fail(ErrClosed)
-	for i := 0; i < r.queries.Len(); i++ {
-		r.merge.Skip(i)
-	}
 }
 
 // waveEntry addresses one query of one request within a wave.
@@ -643,10 +581,7 @@ func (s *Searcher) planWave(batch []*request) {
 	live := batch[:0]
 	for _, r := range batch {
 		if err := r.ctx.Err(); err != nil {
-			r.fail(err)
-			for i := 0; i < r.queries.Len(); i++ {
-				r.merge.Skip(i)
-			}
+			r.abandon(err)
 			continue
 		}
 		live = append(live, r)
@@ -685,8 +620,7 @@ func (s *Searcher) planWave(batch []*request) {
 		kinds, schedule, err := master.Assign(s.cfg.Policy, in, s.pool.Workers())
 		if err != nil {
 			for _, r := range batch {
-				r.fail(err)
-				s.abandon(r)
+				r.abandon(err)
 			}
 			return
 		}

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"context"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -21,18 +20,17 @@ func testSets(dbSeed, qSeed int64, dbN, qN int) (db, queries *seq.Set) {
 	return db, queries
 }
 
-// oneShot runs the seed's per-call path: fresh workers, fresh master,
-// full teardown.
-func oneShot(t *testing.T, db, queries *seq.Set, topK int) *master.Report {
-	t.Helper()
-	workers := master.BuildWorkers(sw.DefaultParams(), 2, 2, topK)
-	m, err := master.New(db, queries, workers, master.Config{TopK: topK})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := m.Run()
-	if err != nil {
-		t.Fatal(err)
+// oracle is the reference every search is checked against: sw.Score of
+// each query against every subject, ranked by master.TopHits.
+func oracle(db, queries *seq.Set, topK int) *master.Report {
+	params := sw.DefaultParams()
+	rep := &master.Report{Results: make([]master.QueryResult, queries.Len())}
+	for qi := range queries.Seqs {
+		scores := make([]int, db.Len())
+		for i := range db.Seqs {
+			scores[i] = sw.Score(params, queries.Seqs[qi].Residues, db.Seqs[i].Residues)
+		}
+		rep.Results[qi].Hits = master.TopHits(db, scores, topK)
 	}
 	return rep
 }
@@ -57,7 +55,7 @@ func sameHits(t *testing.T, label string, got, want *master.Report) {
 
 func TestSearchMatchesOneShot(t *testing.T) {
 	db, queries := testSets(1, 2, 50, 10)
-	s, err := New(db, Config{CPUs: 2, GPUs: 2, TopK: 5})
+	s, err := New(db, Config{Pool: master.PoolSpec{CPU: 2, GPU: 2}, TopK: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +64,7 @@ func TestSearchMatchesOneShot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameHits(t, "persistent", rep, oneShot(t, db, queries, 5))
+	sameHits(t, "persistent", rep, oracle(db, queries, 5))
 	if rep.Schedule == nil {
 		t.Fatal("dual-approx wave must carry a schedule")
 	}
@@ -80,7 +78,7 @@ func TestSearchMatchesOneShot(t *testing.T) {
 // statistics or the workers.
 func TestSequentialSearchesSkipPreparation(t *testing.T) {
 	db, queries := testSets(3, 4, 40, 8)
-	s, err := New(db, Config{CPUs: 1, GPUs: 1, TopK: 5})
+	s, err := New(db, Config{Pool: master.PoolSpec{CPU: 1, GPU: 1}, TopK: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,11 +109,11 @@ func TestSequentialSearchesSkipPreparation(t *testing.T) {
 }
 
 // TestConcurrentCallers hammers one Searcher from 8 goroutines (run
-// under -race) and checks every caller gets exactly the hits a serial
-// one-shot search of its query set produces.
+// under -race) and checks every caller gets exactly the oracle's hits
+// for its query set.
 func TestConcurrentCallers(t *testing.T) {
 	db := synth.RandomSet(alphabet.Protein, 50, 10, 200, 7)
-	s, err := New(db, Config{CPUs: 2, GPUs: 2, TopK: 5, BatchWindow: time.Millisecond})
+	s, err := New(db, Config{Pool: master.PoolSpec{CPU: 2, GPU: 2}, TopK: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +138,7 @@ func TestConcurrentCallers(t *testing.T) {
 		if errs[i] != nil {
 			t.Fatalf("caller %d: %v", i, errs[i])
 		}
-		sameHits(t, "caller", reports[i], oneShot(t, db, querySets[i], 5))
+		sameHits(t, "caller", reports[i], oracle(db, querySets[i], 5))
 	}
 	if st := s.Stats(); st.Searches != callers {
 		t.Fatalf("stats: %+v", st)
@@ -176,7 +174,7 @@ func (w *gateWorker) Run(qi int, q *seq.Sequence, db *seq.Set) master.QueryResul
 func TestBatchingCoalescesConcurrentRequests(t *testing.T) {
 	db := synth.RandomSet(alphabet.Protein, 10, 10, 50, 9)
 	gw := newGateWorker("gate-0")
-	s, err := New(db, Config{Workers: []master.Worker{gw}, TopK: 3, BatchWindow: 500 * time.Millisecond})
+	s, err := New(db, Config{Workers: []master.Worker{gw}, TopK: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +195,11 @@ func TestBatchingCoalescesConcurrentRequests(t *testing.T) {
 		wg.Add(1)
 		go search(i)
 	}
-	time.Sleep(10 * time.Millisecond) // let the callers reach the submit queue
+	// Wait until every caller is past its Search entry, then give each
+	// the few instructions left to block on the submit channel, where
+	// coalesce drains them without waiting once the worker frees.
+	waitSearches(t, s, 1+queued)
+	time.Sleep(10 * time.Millisecond)
 	close(gw.release)
 	wg.Wait()
 	st := s.Stats()
@@ -381,7 +383,7 @@ func TestCloseWithQueuedRequest(t *testing.T) {
 
 func TestCloseIdempotentAndFailsNewSearches(t *testing.T) {
 	db, queries := testSets(13, 14, 20, 4)
-	s, err := New(db, Config{CPUs: 1, GPUs: 0})
+	s, err := New(db, Config{Pool: master.PoolSpec{CPU: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -400,7 +402,7 @@ func TestCloseIdempotentAndFailsNewSearches(t *testing.T) {
 
 func TestSearchOptionsTopK(t *testing.T) {
 	db, queries := testSets(15, 16, 30, 3)
-	s, err := New(db, Config{CPUs: 1, GPUs: 1, TopK: 10})
+	s, err := New(db, Config{Pool: master.PoolSpec{CPU: 1, GPU: 1}, TopK: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -428,7 +430,7 @@ func TestSearchOptionsTopK(t *testing.T) {
 
 func TestEmptyQuerySet(t *testing.T) {
 	db, _ := testSets(17, 18, 20, 0)
-	s, err := New(db, Config{CPUs: 1, GPUs: 0})
+	s, err := New(db, Config{Pool: master.PoolSpec{CPU: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -461,31 +463,13 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
-// TestNegativeMaxBatchRejected: a negative cap would wedge or starve the
-// coalescing loop, so New must refuse it outright instead of defaulting
-// it away.
-func TestNegativeMaxBatchRejected(t *testing.T) {
-	db := synth.RandomSet(alphabet.Protein, 5, 10, 40, 67)
-	if _, err := New(db, Config{CPUs: 1, MaxBatch: -3}); err == nil {
-		t.Fatal("negative MaxBatch accepted")
-	} else if !strings.Contains(err.Error(), "MaxBatch") {
-		t.Fatalf("error does not name MaxBatch: %v", err)
-	}
-	// Zero still selects the default.
-	s, err := New(db, Config{CPUs: 1, MaxBatch: 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Close()
-}
-
 // TestStatsReportsObservedWorkerRates drives the observe→estimate loop
 // end to end: after a search, Stats must carry one rate snapshot per
 // worker, with the completed tasks spread across them summing to the
 // query count and every observed worker's estimate moved off its seed.
 func TestStatsReportsObservedWorkerRates(t *testing.T) {
 	db, queries := testSets(23, 24, 40, 8)
-	s, err := New(db, Config{CPUs: 1, GPUs: 1, TopK: 3})
+	s, err := New(db, Config{Pool: master.PoolSpec{CPU: 1, GPU: 1}, TopK: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -532,7 +516,7 @@ func TestStatsReportsObservedWorkerRates(t *testing.T) {
 // throughput, never results.
 func TestMixedPoolConfig(t *testing.T) {
 	db, queries := testSets(25, 26, 35, 6)
-	ref, err := New(db, Config{CPUs: 2, GPUs: 2, TopK: 5})
+	ref, err := New(db, Config{Pool: master.PoolSpec{CPU: 2, GPU: 2}, TopK: 5})
 	if err != nil {
 		t.Fatal(err)
 	}

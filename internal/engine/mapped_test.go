@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"swdual/internal/alphabet"
+	"swdual/internal/master"
 	"swdual/internal/seqdb"
 	"swdual/internal/synth"
 )
@@ -49,12 +50,12 @@ func TestMappedSetSearch(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	me, err := New(mset, Config{CPUs: 2, GPUs: 1, TopK: 5})
+	me, err := New(mset, Config{Pool: master.PoolSpec{CPU: 2, GPU: 1}, TopK: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer me.Close()
-	he, err := New(heapSet, Config{CPUs: 2, GPUs: 1, TopK: 5})
+	he, err := New(heapSet, Config{Pool: master.PoolSpec{CPU: 2, GPU: 1}, TopK: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +95,7 @@ func TestMappedCloseOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := New(mset, Config{CPUs: 2, GPUs: 1, TopK: 3})
+	eng, err := New(mset, Config{Pool: master.PoolSpec{CPU: 2, GPU: 1}, TopK: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -104,7 +104,7 @@ func sameWireHits(res *wire.SearchResult, local *master.Report) error {
 // same session must go on answering well-formed requests.
 func TestServeRejectsInvalidResidues(t *testing.T) {
 	db := synth.RandomSet(alphabet.Protein, 10, 10, 50, 53)
-	s, err := New(db, Config{CPUs: 1, GPUs: 0, TopK: 3})
+	s, err := New(db, Config{Pool: master.PoolSpec{CPU: 1}, TopK: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +231,7 @@ func TestServeEndsSessionOnNonSessionFrame(t *testing.T) {
 // closes.
 func TestServeEndToEnd(t *testing.T) {
 	db := synth.RandomSet(alphabet.Protein, 40, 10, 150, 51)
-	s, err := New(db, Config{CPUs: 1, GPUs: 1, TopK: 5})
+	s, err := New(db, Config{Pool: master.PoolSpec{CPU: 1, GPU: 1}, TopK: 5})
 	if err != nil {
 		t.Fatal(err)
 	}

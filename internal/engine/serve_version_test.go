@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"swdual/internal/alphabet"
+	"swdual/internal/master"
 	"swdual/internal/synth"
 	"swdual/internal/wire"
 )
@@ -16,7 +17,7 @@ import (
 // misreading a frame mid-session.
 func TestServeRejectsOldProtocolVersion(t *testing.T) {
 	db := synth.RandomSet(alphabet.Protein, 10, 10, 50, 61)
-	s, err := New(db, Config{CPUs: 1, GPUs: 0, TopK: 3})
+	s, err := New(db, Config{Pool: master.PoolSpec{CPU: 1}, TopK: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

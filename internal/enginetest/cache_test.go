@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"testing"
-	"time"
 
 	"swdual/internal/alphabet"
 	"swdual/internal/engine"
@@ -16,9 +15,9 @@ import (
 
 // TestCachedSearcherMatchesOneShot is the caching equivalence proof at
 // the cross-check layer: a Searcher with the result cache and request
-// collapsing on must stay byte-identical to the seed's
-// build-everything-per-call master — on the cold miss, on warm hits,
-// and when distinct query sets interleave so cache entries compete.
+// collapsing on must stay byte-identical to a one-shot oracle pass over
+// the database — on the cold miss, on warm hits, and when distinct query
+// sets interleave so cache entries compete.
 func TestCachedSearcherMatchesOneShot(t *testing.T) {
 	db := synth.RandomSet(alphabet.Protein, 50, 10, 180, 95)
 	params := sw.DefaultParams()
@@ -26,27 +25,18 @@ func TestCachedSearcherMatchesOneShot(t *testing.T) {
 		master.PolicyDualApprox, master.PolicySelfScheduling,
 	} {
 		s, err := engine.New(db, engine.Config{
-			Params: params, CPUs: 2, GPUs: 1, TopK: 5, Policy: policy,
-			BatchWindow: time.Millisecond, Cache: true,
+			Params: params, Pool: master.PoolSpec{CPU: 2, GPU: 1}, TopK: 5, Policy: policy,
+			Cache: true,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		const sets = 3
 		querySets := make([]*seq.Set, sets)
-		oneShot := make([][]byte, sets)
+		want := make([][]byte, sets)
 		for i := range querySets {
 			querySets[i] = synth.RandomSet(alphabet.Protein, 6, 20, 110, int64(900+i))
-			m, err := master.New(db, querySets[i], master.BuildWorkers(params, 2, 1, 5),
-				master.Config{Policy: policy, TopK: 5})
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := m.Run()
-			if err != nil {
-				t.Fatal(err)
-			}
-			oneShot[i] = hitBytes(t, want.Results)
+			want[i] = hitBytes(t, oracle(db, querySets[i], 5))
 		}
 		// Interleave the sets so every one is a cold miss once and a warm
 		// hit twice, with other entries inserted in between.
@@ -56,8 +46,8 @@ func TestCachedSearcherMatchesOneShot(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%v round %d set %d: %v", policy, round, i, err)
 				}
-				if !bytes.Equal(hitBytes(t, got.Results), oneShot[i]) {
-					t.Fatalf("%v round %d set %d: cached hits differ from one-shot", policy, round, i)
+				if !bytes.Equal(hitBytes(t, got.Results), want[i]) {
+					t.Fatalf("%v round %d set %d: cached hits differ from the oracle", policy, round, i)
 				}
 			}
 		}

@@ -31,13 +31,12 @@ func TestOverlappingWavesMatchOracle(t *testing.T) {
 	const callers, searches, topK, inputs = 8, 25, 5, 12
 	params := sw.DefaultParams()
 	db := synth.RandomSet(alphabet.Protein, 40, 10, 120, 95)
-	oracle := sw.NewScalar(params)
 	queries := make([]*seq.Set, inputs)
 	want := make([][][]master.Hit, inputs)
 	for i := range queries {
 		queries[i] = synth.RandomSet(alphabet.Protein, 1+i%3, 20, 90, int64(950+i))
-		for _, q := range queries[i].Seqs {
-			want[i] = append(want[i], master.TopHits(db, oracle.Scores(q.Residues, db), topK))
+		for _, res := range oracle(db, queries[i], topK) {
+			want[i] = append(want[i], res.Hits)
 		}
 	}
 	before := runtime.NumGoroutine()

@@ -6,7 +6,6 @@ import (
 	"encoding/binary"
 	"sync"
 	"testing"
-	"time"
 
 	"swdual/internal/alphabet"
 	"swdual/internal/engine"
@@ -32,9 +31,27 @@ func hitBytes(t *testing.T, results []master.QueryResult) []byte {
 	return buf.Bytes()
 }
 
+// oracle is the reference every Searcher answer in this package is
+// checked against: sw.Score of each query against every subject, ranked
+// by master.TopHits. It shares no code with the Pool, the policies or
+// the Merger under test.
+func oracle(db, queries *seq.Set, k int) []master.QueryResult {
+	params := sw.DefaultParams()
+	results := make([]master.QueryResult, queries.Len())
+	for qi := range queries.Seqs {
+		scores := make([]int, db.Len())
+		for i := range db.Seqs {
+			scores[i] = sw.Score(params, queries.Seqs[qi].Residues, db.Seqs[i].Residues)
+		}
+		results[qi] = master.QueryResult{QueryIndex: qi, Hits: master.TopHits(db, scores, k)}
+	}
+	return results
+}
+
 // TestPersistentPoolMatchesOneShot is the engine-layer cross-check: a
-// persistent Searcher serving many requests must hand back byte-identical
-// hits to the seed's build-everything-per-call master, for every policy.
+// persistent Searcher serving many requests must hand back hits
+// byte-identical to a one-shot oracle pass over the database, for every
+// policy.
 func TestPersistentPoolMatchesOneShot(t *testing.T) {
 	db := synth.RandomSet(alphabet.Protein, 60, 10, 200, 91)
 	params := sw.DefaultParams()
@@ -43,8 +60,7 @@ func TestPersistentPoolMatchesOneShot(t *testing.T) {
 		master.PolicySelfScheduling, master.PolicyRoundRobin,
 	} {
 		s, err := engine.New(db, engine.Config{
-			Params: params, CPUs: 2, GPUs: 2, TopK: 5, Policy: policy,
-			BatchWindow: time.Millisecond,
+			Params: params, Pool: master.PoolSpec{CPU: 2, GPU: 2}, TopK: 5, Policy: policy,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -55,16 +71,7 @@ func TestPersistentPoolMatchesOneShot(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%v round %d: %v", policy, round, err)
 			}
-			m, err := master.New(db, queries, master.BuildWorkers(params, 2, 2, 5),
-				master.Config{Policy: policy, TopK: 5})
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := m.Run()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(hitBytes(t, got.Results), hitBytes(t, want.Results)) {
+			if !bytes.Equal(hitBytes(t, got.Results), hitBytes(t, oracle(db, queries, 5))) {
 				t.Fatalf("%v round %d: persistent-pool hits differ from one-shot", policy, round)
 			}
 		}
@@ -74,8 +81,8 @@ func TestPersistentPoolMatchesOneShot(t *testing.T) {
 
 // TestConcurrentWavesMatchOneShot: whatever the policy, a Searcher whose
 // concurrent callers coalesce into shared waves must return hits
-// byte-identical to the seed's strict one-shot master — across enough
-// rounds that waves follow one another on the same pool.
+// byte-identical to a one-shot oracle pass over the database — across
+// enough rounds that waves follow one another on the same pool.
 func TestConcurrentWavesMatchOneShot(t *testing.T) {
 	db := synth.RandomSet(alphabet.Protein, 55, 10, 190, 93)
 	params := sw.DefaultParams()
@@ -84,8 +91,7 @@ func TestConcurrentWavesMatchOneShot(t *testing.T) {
 		master.PolicySelfScheduling, master.PolicyRoundRobin,
 	} {
 		s, err := engine.New(db, engine.Config{
-			Params: params, CPUs: 2, GPUs: 1, TopK: 5, Policy: policy,
-			BatchWindow: time.Millisecond,
+			Params: params, Pool: master.PoolSpec{CPU: 2, GPU: 1}, TopK: 5, Policy: policy,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -111,16 +117,7 @@ func TestConcurrentWavesMatchOneShot(t *testing.T) {
 				if errs[i] != nil {
 					t.Fatalf("%v round %d caller %d: %v", policy, round, i, errs[i])
 				}
-				m, err := master.New(db, querySets[i], master.BuildWorkers(params, 2, 1, 5),
-					master.Config{Policy: policy, TopK: 5})
-				if err != nil {
-					t.Fatal(err)
-				}
-				want, err := m.Run()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(hitBytes(t, reports[i].Results), hitBytes(t, want.Results)) {
+				if !bytes.Equal(hitBytes(t, reports[i].Results), hitBytes(t, oracle(db, querySets[i], 5))) {
 					t.Fatalf("%v round %d caller %d: coalesced-wave hits differ from one-shot", policy, round, i)
 				}
 			}
@@ -133,23 +130,15 @@ func TestConcurrentWavesMatchOneShot(t *testing.T) {
 // equivalence guarantee: whatever pool spec backs the Searcher — pure
 // inter-sequence, striped, fine-grained, GPUs, or any mix — and however
 // far its measured rates drift from the advertised seeds over repeated
-// waves, the hits must stay byte-identical to the seed's static-rate
-// one-shot path. Rates move tasks between workers; they never touch
+// waves, the hits must stay byte-identical to the oracle, which knows
+// no rates at all. Rates move tasks between workers; they never touch
 // what a worker computes.
 func TestMixedPoolsMatchStaticRatePath(t *testing.T) {
 	db := synth.RandomSet(alphabet.Protein, 50, 10, 180, 92)
 	params := sw.DefaultParams()
 	queries := synth.RandomSet(alphabet.Protein, 10, 20, 120, 903)
 
-	m, err := master.New(db, queries, master.BuildWorkers(params, 2, 2, 5), master.Config{TopK: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := m.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := hitBytes(t, ref.Results)
+	want := hitBytes(t, oracle(db, queries, 5))
 
 	for _, spec := range []master.PoolSpec{
 		{CPU: 2},
@@ -170,7 +159,7 @@ func TestMixedPoolsMatchStaticRatePath(t *testing.T) {
 				t.Fatalf("pool %v round %d: %v", spec, round, err)
 			}
 			if !bytes.Equal(hitBytes(t, got.Results), want) {
-				t.Fatalf("pool %v round %d: hits differ from the static-rate path", spec, round)
+				t.Fatalf("pool %v round %d: hits differ from the oracle", spec, round)
 			}
 		}
 		s.Close()

@@ -11,6 +11,7 @@ import (
 
 	"swdual/internal/alphabet"
 	"swdual/internal/engine"
+	"swdual/internal/master"
 	"swdual/internal/synth"
 )
 
@@ -30,7 +31,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 func testEngine(t *testing.T, seed int64) *engine.Searcher {
 	t.Helper()
 	db := synth.RandomSet(alphabet.Protein, 20, 10, 60, seed)
-	e, err := engine.New(db, engine.Config{CPUs: 1, GPUs: 0, TopK: 5})
+	e, err := engine.New(db, engine.Config{Pool: master.PoolSpec{CPU: 1}, TopK: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +162,7 @@ func TestCloseUnblocksHangAndLeaksNothing(t *testing.T) {
 	})
 
 	db := synth.RandomSet(alphabet.Protein, 20, 10, 60, 141)
-	inner, err := engine.New(db, engine.Config{CPUs: 1, GPUs: 0, TopK: 5})
+	inner, err := engine.New(db, engine.Config{Pool: master.PoolSpec{CPU: 1}, TopK: 5})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -42,7 +42,7 @@ func testDB(n int, seed int64) *seq.Set {
 
 func testEngine(t *testing.T, db *seq.Set) *engine.Searcher {
 	t.Helper()
-	e, err := engine.New(db, engine.Config{CPUs: 2, GPUs: 0, TopK: 5})
+	e, err := engine.New(db, engine.Config{Pool: master.PoolSpec{CPU: 2}, TopK: 5})
 	if err != nil {
 		t.Fatal(err)
 	}

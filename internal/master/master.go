@@ -8,16 +8,13 @@
 // engine (swvector.InterSeq) on CPU workers, the simulated-GPU CUDASW++
 // engine on GPU workers — so a run produces exact alignment scores.
 //
-// The Master type composes the three roles into the seed's one-shot
-// run; the internal/engine package composes the same pieces into a
-// long-lived service that amortizes preparation across requests.
+// The internal/engine package composes the three roles into the one
+// search path: a long-lived service that amortizes preparation across
+// requests.
 package master
 
 import (
-	"fmt"
-	"runtime"
 	"sort"
-	"sync/atomic"
 	"time"
 
 	"swdual/internal/sched"
@@ -93,16 +90,7 @@ type ProfiledWorker interface {
 	RunProfiled(queryIndex int, query *seq.Sequence, prof *scoring.QueryProfiles, db *seq.Set) QueryResult
 }
 
-// Config tunes a master run.
-type Config struct {
-	Policy Policy
-	// TopK bounds the hits kept per query (default 10).
-	TopK int
-	// Parallelism bounds concurrently running workers (default: all).
-	Parallelism int
-}
-
-// Report is the outcome of a master run.
+// Report is the outcome of one search request.
 type Report struct {
 	Policy       Policy
 	Results      []QueryResult // indexed by query
@@ -166,114 +154,6 @@ func (c *Coverage) Clone() *Coverage {
 	out := *c
 	out.Skipped = append([]SkippedRange(nil), c.Skipped...)
 	return &out
-}
-
-// Master coordinates a one-shot search: it builds a Pool, runs one
-// request through the three roles, and tears the pool down.
-type Master struct {
-	db      *seq.Set
-	queries *seq.Set
-	workers []Worker
-	cfg     Config
-}
-
-// New builds a master. Workers register by being passed here, mirroring
-// the registration step of Figure 6.
-func New(db, queries *seq.Set, workers []Worker, cfg Config) (*Master, error) {
-	if db == nil || queries == nil {
-		return nil, fmt.Errorf("master: nil database or query set")
-	}
-	if len(workers) == 0 {
-		return nil, fmt.Errorf("master: no workers registered")
-	}
-	if cfg.TopK <= 0 {
-		cfg.TopK = 10
-	}
-	if cfg.Parallelism <= 0 {
-		cfg.Parallelism = runtime.GOMAXPROCS(0)
-	}
-	return &Master{db: db, queries: queries, workers: workers, cfg: cfg}, nil
-}
-
-// Instance builds the scheduling instance from worker-advertised rates.
-func (m *Master) Instance() *sched.Instance {
-	return InstanceFor(m.db, m.queries, m.workers)
-}
-
-// Run executes the search: allocate, dispatch, merge (Figure 6).
-func (m *Master) Run() (*Report, error) {
-	pool, err := NewPool(m.workers, PoolConfig{Parallelism: m.cfg.Parallelism})
-	if err != nil {
-		return nil, err
-	}
-	defer pool.Close()
-	return RunOn(pool, m.db, m.queries, m.cfg)
-}
-
-// RunOn executes one request on an existing pool: generate tasks, assign
-// them with the configured policy, dispatch, and merge. It never closes
-// the pool, so a persistent caller can run many requests through one
-// pool. RunOn returns ErrPoolClosed if the pool shuts down mid-request.
-func RunOn(pool *Pool, db, queries *seq.Set, cfg Config) (*Report, error) {
-	workers := pool.Workers()
-	merge := NewMerger(queries.Len())
-	var schedule *sched.Schedule
-	var failed atomic.Bool
-
-	task := func(qi int) PoolTask {
-		return PoolTask{
-			QueryIndex: qi,
-			Query:      &queries.Seqs[qi],
-			DB:         db,
-			Done:       func(res QueryResult, _ bool) { merge.Add(res.QueryIndex, res) },
-		}
-	}
-	// feed submits one queue in order; on pool shutdown it skips the
-	// remainder so the merge still completes.
-	feed := func(queue []int, send func(PoolTask) error) {
-		for i, qi := range queue {
-			if err := send(task(qi)); err != nil {
-				failed.Store(true)
-				for _, rest := range queue[i:] {
-					merge.Skip(rest)
-				}
-				return
-			}
-		}
-	}
-
-	if cfg.Policy == PolicySelfScheduling {
-		go feed(identity(queries.Len()), pool.SubmitShared)
-	} else {
-		in := InstanceFor(db, queries, workers)
-		queues, s, err := Assign(cfg.Policy, in, workers)
-		if err != nil {
-			return nil, err
-		}
-		schedule = s
-		// Feed each kind's queue from its own goroutine so a busy kind
-		// never delays the other's first task.
-		for kind, queue := range queues {
-			if len(queue) > 0 {
-				kind := sched.Kind(kind)
-				go feed(queue, func(t PoolTask) error { return pool.Submit(kind, t) })
-			}
-		}
-	}
-	<-merge.Done()
-	if failed.Load() {
-		return nil, ErrPoolClosed
-	}
-	return merge.Report(cfg.Policy, schedule), nil
-}
-
-// identity returns [0, 1, ..., n-1].
-func identity(n int) []int {
-	ix := make([]int, n)
-	for i := range ix {
-		ix[i] = i
-	}
-	return ix
 }
 
 // TopHits converts raw scores into the capped, sorted hit list.

@@ -31,83 +31,116 @@ func testData(t *testing.T) (db, queries *seq.Set) {
 	return db, queries
 }
 
+// instance builds the scheduling instance of a whole query set from the
+// workers' advertised rates.
+func instance(db, queries *seq.Set, workers []Worker) *sched.Instance {
+	lens := make([]int, queries.Len())
+	ids := make([]string, queries.Len())
+	for i := range queries.Seqs {
+		lens[i] = queries.Seqs[i].Len()
+		ids[i] = queries.Seqs[i].ID
+	}
+	return BuildInstance(db.TotalResidues(), lens, ids, RatesOf(workers))
+}
+
+// runRequest composes the three roles over a Pool for one query set, as
+// the engine's dispatcher does for one wave on an idle pool: assign with
+// the policy (self-scheduling: the shared queue), feed, merge.
+func runRequest(t *testing.T, db, queries *seq.Set, workers []Worker, policy Policy) *Report {
+	t.Helper()
+	p, err := NewPool(workers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	merge := NewMerger(queries.Len())
+	task := func(qi int) PoolTask {
+		return PoolTask{QueryIndex: qi, Query: &queries.Seqs[qi], DB: db,
+			Done: func(res QueryResult, _ bool) { merge.Add(qi, res) }}
+	}
+	var s *sched.Schedule
+	if policy == PolicySelfScheduling {
+		go func() {
+			for qi := range queries.Seqs {
+				if err := p.SubmitShared(task(qi)); err != nil {
+					t.Error(err)
+				}
+			}
+		}()
+	} else {
+		var queues [2][]int
+		queues, s, err = Assign(policy, instance(db, queries, workers), workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for kind, queue := range queues {
+			go func() {
+				for _, qi := range queue {
+					if err := p.Submit(sched.Kind(kind), task(qi)); err != nil {
+						t.Error(err)
+					}
+				}
+			}()
+		}
+	}
+	<-merge.Done()
+	return merge.Report(policy, s)
+}
+
+// oracleHits is the reference every merged result is checked against:
+// sw.Score per subject, ranked by TopHits.
+func oracleHits(db *seq.Set, q *seq.Sequence, k int) []Hit {
+	params := sw.DefaultParams()
+	scores := make([]int, db.Len())
+	for i := range db.Seqs {
+		scores[i] = sw.Score(params, q.Residues, db.Seqs[i].Residues)
+	}
+	return TopHits(db, scores, k)
+}
+
+func checkOracle(t *testing.T, label string, db, queries *seq.Set, rep *Report, k int) {
+	t.Helper()
+	if len(rep.Results) != queries.Len() {
+		t.Fatalf("%s: %d results for %d queries", label, len(rep.Results), queries.Len())
+	}
+	for qi, res := range rep.Results {
+		if res.QueryID != queries.Seqs[qi].ID {
+			t.Fatalf("%s: result %d answers query %q", label, qi, res.QueryID)
+		}
+		want := oracleHits(db, &queries.Seqs[qi], k)
+		if len(res.Hits) != len(want) {
+			t.Fatalf("%s query %d: %d hits, oracle %d", label, qi, len(res.Hits), len(want))
+		}
+		for i := range want {
+			if res.Hits[i] != want[i] {
+				t.Fatalf("%s query %d hit %d: %+v, oracle %+v", label, qi, i, res.Hits[i], want[i])
+			}
+		}
+	}
+}
+
 func TestRunDualApprox(t *testing.T) {
 	db, queries := testData(t)
-	m, err := New(db, queries, testWorkers(5), Config{Policy: PolicyDualApprox, TopK: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := m.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Results) != queries.Len() {
-		t.Fatalf("%d results", len(rep.Results))
-	}
+	rep := runRequest(t, db, queries, testWorkers(5), PolicyDualApprox)
 	if rep.Schedule == nil {
 		t.Fatal("dual approx must report a schedule")
 	}
 	if rep.Cells <= 0 || rep.Wall <= 0 {
 		t.Fatalf("accounting: cells %d wall %v", rep.Cells, rep.Wall)
 	}
-	// Every query answered with sorted hits.
-	oracle := sw.NewScalar(sw.DefaultParams())
-	for qi, res := range rep.Results {
-		if res.QueryID == "" || len(res.Hits) == 0 {
-			t.Fatalf("query %d missing results", qi)
-		}
-		for i := 1; i < len(res.Hits); i++ {
-			if res.Hits[i].Score > res.Hits[i-1].Score {
-				t.Fatalf("query %d hits not sorted", qi)
-			}
-		}
-		want := TopHits(db, oracle.Scores(queries.Seqs[qi].Residues, db), 5)
-		for i := range want {
-			if res.Hits[i].Score != want[i].Score || res.Hits[i].SeqIndex != want[i].SeqIndex {
-				t.Fatalf("query %d hit %d: got (%d,%d) want (%d,%d)", qi, i,
-					res.Hits[i].SeqIndex, res.Hits[i].Score, want[i].SeqIndex, want[i].Score)
-			}
-		}
-	}
+	checkOracle(t, "dual-approx", db, queries, rep, 5)
 }
 
 func TestAllPoliciesProduceIdenticalHits(t *testing.T) {
 	db, queries := testData(t)
-	var ref *Report
 	for _, policy := range []Policy{PolicyDualApprox, PolicyDualApproxDP, PolicySelfScheduling, PolicyRoundRobin} {
-		m, err := New(db, queries, testWorkers(5), Config{Policy: policy, TopK: 5})
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep, err := m.Run()
-		if err != nil {
-			t.Fatalf("%v: %v", policy, err)
-		}
-		if ref == nil {
-			ref = rep
-			continue
-		}
-		for qi := range rep.Results {
-			a, b := rep.Results[qi].Hits, ref.Results[qi].Hits
-			if len(a) != len(b) {
-				t.Fatalf("%v query %d: %d hits vs %d", policy, qi, len(a), len(b))
-			}
-			for i := range a {
-				if a[i] != b[i] {
-					t.Fatalf("%v query %d hit %d differs", policy, qi, i)
-				}
-			}
-		}
+		checkOracle(t, policy.String(), db, queries, runRequest(t, db, queries, testWorkers(5), policy), 5)
 	}
 }
 
 func TestInstanceFromWorkerRates(t *testing.T) {
 	db, queries := testData(t)
-	m, err := New(db, queries, testWorkers(3), Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	in := m.Instance()
+	in := instance(db, queries, testWorkers(3))
 	if in.CPUs != 2 || in.GPUs != 2 {
 		t.Fatalf("pools %d/%d", in.CPUs, in.GPUs)
 	}
@@ -127,14 +160,7 @@ func TestInstanceFromWorkerRates(t *testing.T) {
 
 func TestWorkerAccounting(t *testing.T) {
 	db, queries := testData(t)
-	m, err := New(db, queries, testWorkers(2), Config{Policy: PolicySelfScheduling})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := m.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := runRequest(t, db, queries, testWorkers(2), PolicySelfScheduling)
 	total := 0
 	for _, n := range rep.WorkerTasks {
 		total += n
@@ -171,17 +197,11 @@ func TestTopHits(t *testing.T) {
 
 func TestConfigErrors(t *testing.T) {
 	db, queries := testData(t)
-	if _, err := New(nil, queries, testWorkers(1), Config{}); err == nil {
-		t.Fatal("nil db must fail")
+	if _, err := NewPool(nil); err == nil {
+		t.Fatal("a pool without workers must fail")
 	}
-	if _, err := New(db, queries, nil, Config{}); err == nil {
-		t.Fatal("no workers must fail")
-	}
-	m, err := New(db, queries, testWorkers(1), Config{Policy: Policy(99)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Run(); err == nil {
+	workers := testWorkers(1)
+	if _, _, err := Assign(Policy(99), instance(db, queries, workers), workers); err == nil {
 		t.Fatal("unknown policy must fail")
 	}
 	if Policy(99).String() == "" || PolicyDualApprox.String() != "dual-approx" {

@@ -3,6 +3,7 @@ package master
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 
 	"swdual/internal/sched"
@@ -50,15 +51,10 @@ type PoolTask struct {
 // ErrPoolClosed is returned by Submit after Close.
 var ErrPoolClosed = errors.New("master: pool is closed")
 
-// PoolConfig tunes a Pool.
-type PoolConfig struct {
-	// Parallelism bounds concurrently computing workers (default: no
-	// bound beyond the worker count).
-	Parallelism int
-}
-
-// NewPool starts one goroutine per worker.
-func NewPool(workers []Worker, cfg PoolConfig) (*Pool, error) {
+// NewPool starts one goroutine per worker. At most GOMAXPROCS of them
+// compute at once: a pool larger than the machine queues its surplus
+// instead of oversubscribing the CPUs.
+func NewPool(workers []Worker) (*Pool, error) {
 	if len(workers) == 0 {
 		return nil, fmt.Errorf("master: pool needs at least one worker")
 	}
@@ -67,9 +63,7 @@ func NewPool(workers []Worker, cfg PoolConfig) (*Pool, error) {
 		kind:    [2]chan PoolTask{make(chan PoolTask), make(chan PoolTask)},
 		shared:  make(chan PoolTask),
 		quit:    make(chan struct{}),
-	}
-	if cfg.Parallelism > 0 {
-		p.sem = make(chan struct{}, cfg.Parallelism)
+		sem:     make(chan struct{}, runtime.GOMAXPROCS(0)),
 	}
 	for _, w := range workers {
 		p.wg.Add(1)
@@ -110,10 +104,8 @@ func (p *Pool) run(w Worker, t PoolTask) {
 		t.Done(QueryResult{QueryIndex: t.QueryIndex, Worker: w.Name(), WorkerKind: w.Kind()}, false)
 		return
 	}
-	if p.sem != nil {
-		p.sem <- struct{}{}
-		defer func() { <-p.sem }()
-	}
+	p.sem <- struct{}{}
+	defer func() { <-p.sem }()
 	res := w.Run(t.QueryIndex, t.Query, t.DB)
 	// The observe half of the observe→estimate→schedule loop: every
 	// completed task refines the worker's rate before the next wave is

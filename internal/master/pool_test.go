@@ -15,7 +15,7 @@ import (
 
 func testPool(t *testing.T, cpus, gpus int) *Pool {
 	t.Helper()
-	p, err := NewPool(BuildWorkers(sw.DefaultParams(), cpus, gpus, 5), PoolConfig{})
+	p, err := NewPool(BuildPoolWorkers(sw.DefaultParams(), PoolSpec{CPU: cpus, GPU: gpus}, 5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestPoolKindQueueIsFIFO(t *testing.T) {
 	for _, name := range []string{"a", "b"} {
 		workers = append(workers, &pinWorker{RateEstimator: NewRateEstimator(1), name: name, started: started, step: step})
 	}
-	p, err := NewPool(workers, PoolConfig{})
+	p, err := NewPool(workers)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,72 +185,5 @@ func TestPoolKindQueueIsFIFO(t *testing.T) {
 	}
 	if byWorker["a"]+byWorker["b"] != tasks {
 		t.Fatalf("accepted tasks completed %v, want %d in all", byWorker, tasks)
-	}
-}
-
-// TestRunOnReusesPoolAcrossRequests drives two sequential and several
-// concurrent requests through one pool — the persistence contract the
-// engine layer builds on.
-func TestRunOnReusesPoolAcrossRequests(t *testing.T) {
-	p := testPool(t, 2, 2)
-	defer p.Close()
-	db := synth.RandomSet(alphabet.Protein, 50, 10, 150, 43)
-	var wg sync.WaitGroup
-	for i := 0; i < 6; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			queries := synth.RandomSet(alphabet.Protein, 4, 20, 100, int64(300+i))
-			rep, err := RunOn(p, db, queries, Config{TopK: 5})
-			if err != nil {
-				t.Errorf("request %d: %v", i, err)
-				return
-			}
-			if len(rep.Results) != queries.Len() {
-				t.Errorf("request %d: %d results", i, len(rep.Results))
-			}
-		}(i)
-	}
-	wg.Wait()
-}
-
-// TestRunOnSelfSchedulingOnPool exercises the shared-queue path.
-func TestRunOnSelfSchedulingOnPool(t *testing.T) {
-	p := testPool(t, 1, 1)
-	defer p.Close()
-	db := synth.RandomSet(alphabet.Protein, 30, 10, 100, 44)
-	queries := synth.RandomSet(alphabet.Protein, 6, 20, 80, 45)
-	rep, err := RunOn(p, db, queries, Config{Policy: PolicySelfScheduling, TopK: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := 0
-	for _, n := range rep.WorkerTasks {
-		total += n
-	}
-	if total != queries.Len() {
-		t.Fatalf("self-scheduling ran %d tasks for %d queries", total, queries.Len())
-	}
-}
-
-// TestRunOnClosedPoolFails must not hang: feeders skip their queues and
-// the request reports ErrPoolClosed.
-func TestRunOnClosedPoolFails(t *testing.T) {
-	p := testPool(t, 1, 1)
-	p.Close()
-	db := synth.RandomSet(alphabet.Protein, 10, 10, 50, 46)
-	queries := synth.RandomSet(alphabet.Protein, 3, 20, 60, 47)
-	done := make(chan error, 1)
-	go func() {
-		_, err := RunOn(p, db, queries, Config{TopK: 5})
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		if err != ErrPoolClosed {
-			t.Fatalf("run on closed pool: %v", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("RunOn hung on closed pool")
 	}
 }

@@ -164,32 +164,25 @@ func TestAssignOnIdleSubPlatform(t *testing.T) {
 	}
 }
 
-// TestBuildWorkersRatesComeFromCalibration pins both worker-construction
-// paths to platform.PaperCalibration: the GPU rate is no longer a
-// hardcoded constant in BuildWorkers, and BuildPoolWorkers builds the
-// identical hybrid set for the equivalent spec.
+// TestBuildWorkersRatesComeFromCalibration pins worker construction to
+// platform.PaperCalibration: the paper's hybrid pool advertises the
+// Table II rates, not hardcoded constants.
 func TestBuildWorkersRatesComeFromCalibration(t *testing.T) {
 	cal := platform.PaperCalibration()
 	if cal.GPUWorkerGCUPS != 24.8 {
 		t.Fatalf("GPUWorkerGCUPS %.3f, want the Table II 24.8", cal.GPUWorkerGCUPS)
 	}
-	params := sw.DefaultParams()
-	ws := BuildWorkers(params, 2, 2, 5)
-	specWs := BuildPoolWorkers(params, PoolSpec{CPU: 2, GPU: 2}, 5)
-	if len(ws) != 4 || len(specWs) != 4 {
-		t.Fatalf("worker counts %d / %d, want 4", len(ws), len(specWs))
+	ws := BuildPoolWorkers(sw.DefaultParams(), PoolSpec{CPU: 2, GPU: 2}, 5)
+	if len(ws) != 4 {
+		t.Fatalf("%d workers, want 4", len(ws))
 	}
-	for i := range ws {
+	for _, w := range ws {
 		want := cal.CPUWorkerGCUPS
-		if ws[i].Kind() == sched.GPU {
+		if w.Kind() == sched.GPU {
 			want = cal.GPUWorkerGCUPS
 		}
-		if got := ws[i].RateGCUPS(); got != want {
-			t.Errorf("BuildWorkers %s advertises %.3f, want calibration %.3f", ws[i].Name(), got, want)
-		}
-		if ws[i].Name() != specWs[i].Name() || ws[i].Kind() != specWs[i].Kind() || ws[i].RateGCUPS() != specWs[i].RateGCUPS() {
-			t.Errorf("worker %d: BuildWorkers (%s %v %.3f) != BuildPoolWorkers (%s %v %.3f)",
-				i, ws[i].Name(), ws[i].Kind(), ws[i].RateGCUPS(), specWs[i].Name(), specWs[i].Kind(), specWs[i].RateGCUPS())
+		if got := w.RateGCUPS(); got != want {
+			t.Errorf("%s advertises %.3f, want calibration %.3f", w.Name(), got, want)
 		}
 	}
 }

@@ -1,9 +1,6 @@
 package master
 
-import (
-	"swdual/internal/sched"
-	"swdual/internal/seq"
-)
+import "swdual/internal/sched"
 
 // Task generation: the first of the master's three roles (§IV, Figure 6).
 // One search task is generated per query sequence; its processing-time
@@ -71,16 +68,4 @@ func BuildInstance(dbResidues int64, queryLens []int, queryIDs []string, rates P
 		in.Tasks = append(in.Tasks, t)
 	}
 	return in
-}
-
-// InstanceFor generates the scheduling instance of a whole query set, the
-// per-process path used by Master.
-func InstanceFor(db, queries *seq.Set, workers []Worker) *sched.Instance {
-	lens := make([]int, queries.Len())
-	ids := make([]string, queries.Len())
-	for i := range queries.Seqs {
-		lens[i] = queries.Seqs[i].Len()
-		ids[i] = queries.Seqs[i].ID
-	}
-	return BuildInstance(db.TotalResidues(), lens, ids, RatesOf(workers))
 }

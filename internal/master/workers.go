@@ -14,15 +14,6 @@ import (
 	"swdual/internal/swvector"
 )
 
-// BuildWorkers assembles the standard hybrid worker set: CPU workers run
-// the SWIPE-style inter-sequence engine, GPU workers run the CUDASW++-
-// style engine each on its own simulated Tesla C2050. Advertised rates
-// come from the paper calibration (Table II) and seed each worker's
-// measured-rate estimate.
-func BuildWorkers(params sw.Params, cpus, gpus, topK int) []Worker {
-	return BuildPoolWorkers(params, PoolSpec{CPU: cpus, GPU: gpus}, topK)
-}
-
 // PoolSpec counts the workers of each backend in a (possibly
 // heterogeneous) pool. All CPU-side backends compute exact scores with
 // different engines, so mixing them changes throughput and scheduling,

@@ -7,6 +7,7 @@ import (
 
 	"swdual/internal/alphabet"
 	"swdual/internal/engine"
+	"swdual/internal/master"
 	"swdual/internal/synth"
 )
 
@@ -19,8 +20,8 @@ func TestCachedServerMatchesUncached(t *testing.T) {
 	db := synth.RandomSet(alphabet.Protein, 40, 10, 150, 71)
 	queries := synth.RandomSet(alphabet.Protein, 5, 20, 90, 72)
 
-	plainAddr, _ := startServer(t, db, engine.Config{CPUs: 1, GPUs: 1, TopK: 5})
-	cachedAddr, _ := startServer(t, db, engine.Config{CPUs: 1, GPUs: 1, TopK: 5, Cache: true})
+	plainAddr, _ := startServer(t, db, engine.Config{Pool: master.PoolSpec{CPU: 1, GPU: 1}, TopK: 5})
+	cachedAddr, _ := startServer(t, db, engine.Config{Pool: master.PoolSpec{CPU: 1, GPU: 1}, TopK: 5, Cache: true})
 
 	plain, err := Dial(plainAddr, db.Checksum())
 	if err != nil {

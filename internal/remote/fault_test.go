@@ -116,7 +116,7 @@ func TestCoordinatorSurvivesShardServerDeath(t *testing.T) {
 	ranges := shard.RangesFor(db, 2, shard.Contiguous)
 	// Shard 0 is a healthy in-process engine; shard 1 is remote and will
 	// die mid-search, its gate worker pinning the request in flight.
-	eng0, err := engine.New(db.Slice(ranges[0].Lo, ranges[0].Hi), engine.Config{CPUs: 1, GPUs: 0, TopK: 3})
+	eng0, err := engine.New(db.Slice(ranges[0].Lo, ranges[0].Hi), engine.Config{Pool: master.PoolSpec{CPU: 1}, TopK: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +231,7 @@ func TestRemoteSearchHonorsContext(t *testing.T) {
 // goroutines, then checks calls fail cleanly afterwards.
 func TestBackendCloseIsIdempotent(t *testing.T) {
 	db := synth.RandomSet(alphabet.Protein, 8, 10, 40, 5201)
-	srv := startKillableServer(t, db, engine.Config{CPUs: 1, GPUs: 0, TopK: 3})
+	srv := startKillableServer(t, db, engine.Config{Pool: master.PoolSpec{CPU: 1}, TopK: 3})
 	b, err := Dial(srv.addr(), 0)
 	if err != nil {
 		t.Fatal(err)
@@ -264,7 +264,7 @@ func TestBackendCloseIsIdempotent(t *testing.T) {
 // loop and the server-side session goroutines must all exit.
 func TestDialBackendsDoNotLeakGoroutines(t *testing.T) {
 	db := synth.RandomSet(alphabet.Protein, 10, 10, 60, 5301)
-	srv := startKillableServer(t, db, engine.Config{CPUs: 1, GPUs: 1, TopK: 3})
+	srv := startKillableServer(t, db, engine.Config{Pool: master.PoolSpec{CPU: 1, GPU: 1}, TopK: 3})
 	before := runtime.NumGoroutine()
 	for i := 0; i < 5; i++ {
 		b, err := Dial(srv.addr(), db.Checksum())
@@ -301,7 +301,7 @@ func TestTwoShardDeathsAttributeTheRealCause(t *testing.T) {
 		queries := synth.RandomSet(alphabet.Protein, 3, 20, 50, int64(6101+round))
 		gw0, gw1 := newGateWorker(), newGateWorker()
 		ranges := shard.RangesFor(db, 3, shard.Contiguous)
-		eng0, err := engine.New(db.Slice(ranges[0].Lo, ranges[0].Hi), engine.Config{CPUs: 1, GPUs: 0, TopK: 3})
+		eng0, err := engine.New(db.Slice(ranges[0].Lo, ranges[0].Hi), engine.Config{Pool: master.PoolSpec{CPU: 1}, TopK: 3})
 		if err != nil {
 			t.Fatal(err)
 		}

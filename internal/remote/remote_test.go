@@ -55,7 +55,7 @@ func hitBytes(t *testing.T, results []master.QueryResult) []byte {
 // serving engine's own local answer.
 func TestBackendMatchesLocalEngine(t *testing.T) {
 	db := synth.RandomSet(alphabet.Protein, 30, 10, 120, 4001)
-	addr, eng := startServer(t, db, engine.Config{CPUs: 1, GPUs: 1, TopK: 5})
+	addr, eng := startServer(t, db, engine.Config{Pool: master.PoolSpec{CPU: 1, GPU: 1}, TopK: 5})
 	b, err := Dial(addr, db.Checksum())
 	if err != nil {
 		t.Fatal(err)
@@ -100,7 +100,7 @@ func TestBackendMatchesLocalEngine(t *testing.T) {
 // TestBackendTopKOption: the per-request cap crosses the wire.
 func TestBackendTopKOption(t *testing.T) {
 	db := synth.RandomSet(alphabet.Protein, 20, 10, 80, 4201)
-	addr, _ := startServer(t, db, engine.Config{CPUs: 1, GPUs: 0, TopK: 6})
+	addr, _ := startServer(t, db, engine.Config{Pool: master.PoolSpec{CPU: 1}, TopK: 6})
 	b, err := Dial(addr, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -123,7 +123,7 @@ func TestBackendTopKOption(t *testing.T) {
 // wire version 8, which retired the Plan frames.)
 func TestBackendPlanStatsChecksum(t *testing.T) {
 	db := synth.RandomSet(alphabet.Protein, 25, 20, 150, 4301)
-	addr, eng := startServer(t, db, engine.Config{CPUs: 2, GPUs: 1, TopK: 5})
+	addr, eng := startServer(t, db, engine.Config{Pool: master.PoolSpec{CPU: 2, GPU: 1}, TopK: 5})
 	b, err := Dial(addr, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -164,7 +164,7 @@ func TestBackendPlanStatsChecksum(t *testing.T) {
 // byte-identical to the serving engine's own local answer.
 func TestServerRoundsMatchLocalEngine(t *testing.T) {
 	db := synth.RandomSet(alphabet.Protein, 30, 10, 120, 4801)
-	addr, eng := startServer(t, db, engine.Config{CPUs: 1, GPUs: 1, TopK: 5})
+	addr, eng := startServer(t, db, engine.Config{Pool: master.PoolSpec{CPU: 1, GPU: 1}, TopK: 5})
 	b, err := Dial(addr, db.Checksum())
 	if err != nil {
 		t.Fatal(err)
@@ -208,7 +208,7 @@ func TestServerRoundsMatchLocalEngine(t *testing.T) {
 // Welcome — either way Dial errors).
 func TestDialRejectsChecksumMismatch(t *testing.T) {
 	db := synth.RandomSet(alphabet.Protein, 10, 10, 60, 4401)
-	addr, _ := startServer(t, db, engine.Config{CPUs: 1, GPUs: 0})
+	addr, _ := startServer(t, db, engine.Config{Pool: master.PoolSpec{CPU: 1}})
 	if _, err := Dial(addr, db.Checksum()+1); err == nil {
 		t.Fatal("checksum mismatch accepted at dial")
 	}
@@ -224,7 +224,7 @@ func TestDialRejectsChecksumMismatch(t *testing.T) {
 // alphabet than the server database must be refused client-side.
 func TestBackendRejectsForeignAlphabet(t *testing.T) {
 	db := synth.RandomSet(alphabet.Protein, 8, 10, 40, 4501)
-	addr, _ := startServer(t, db, engine.Config{CPUs: 1, GPUs: 0})
+	addr, _ := startServer(t, db, engine.Config{Pool: master.PoolSpec{CPU: 1}})
 	b, err := Dial(addr, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -244,7 +244,7 @@ func TestBackendRejectsForeignAlphabet(t *testing.T) {
 // the request that asked for it (the query count is the witness).
 func TestConcurrentRequestIDsStayDistinct(t *testing.T) {
 	db := synth.RandomSet(alphabet.Protein, 12, 10, 60, 4601)
-	addr, _ := startServer(t, db, engine.Config{CPUs: 2, GPUs: 0, TopK: 3})
+	addr, _ := startServer(t, db, engine.Config{Pool: master.PoolSpec{CPU: 2}, TopK: 3})
 	b, err := Dial(addr, 0)
 	if err != nil {
 		t.Fatal(err)

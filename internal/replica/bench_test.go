@@ -57,7 +57,7 @@ func BenchmarkHedgedSearchLatency(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			fast, err := engine.New(db, engine.Config{CPUs: 1, GPUs: 0, TopK: topK})
+			fast, err := engine.New(db, engine.Config{Pool: master.PoolSpec{CPU: 1}, TopK: topK})
 			if err != nil {
 				b.Fatal(err)
 			}

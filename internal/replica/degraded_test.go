@@ -12,6 +12,7 @@ import (
 	"swdual/internal/alphabet"
 	"swdual/internal/engine"
 	"swdual/internal/faultinject"
+	"swdual/internal/master"
 	"swdual/internal/remote"
 	"swdual/internal/seq"
 	"swdual/internal/synth"
@@ -26,7 +27,7 @@ func faultedSet(t *testing.T, name string, index int) (*Set, []*faultinject.Back
 	wrappers := make([]*faultinject.Backend, 2)
 	reps := make([]Replica, 2)
 	for i := range wrappers {
-		eng, err := engine.New(db, engine.Config{CPUs: 1, GPUs: 0, TopK: 3})
+		eng, err := engine.New(db, engine.Config{Pool: master.PoolSpec{CPU: 1}, TopK: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -49,7 +50,7 @@ func faultedSet(t *testing.T, name string, index int) (*Set, []*faultinject.Back
 func TestIdleFaultInjectKeepsReplicaByteIdentical(t *testing.T) {
 	set, wrappers, db := faultedSet(t, "idle", 0)
 	queries := synth.RandomSet(alphabet.Protein, 3, 20, 50, 7405)
-	ref, err := engine.New(db, engine.Config{CPUs: 1, GPUs: 0, TopK: 3})
+	ref, err := engine.New(db, engine.Config{Pool: master.PoolSpec{CPU: 1}, TopK: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -156,7 +156,7 @@ func TestReplicatedShardedMatchesUnsharded(t *testing.T) {
 	const topK = 5
 	db := synth.RandomSet(alphabet.Protein, 26, 10, 110, 7001)
 	queries := synth.RandomSet(alphabet.Protein, 3, 20, 90, 7002)
-	ecfg := engine.Config{CPUs: 1, GPUs: 1, TopK: topK}
+	ecfg := engine.Config{Pool: master.PoolSpec{CPU: 1, GPU: 1}, TopK: topK}
 
 	ref, err := engine.New(db, ecfg)
 	if err != nil {
@@ -223,7 +223,7 @@ func TestSearchSurvivesReplicaDeathMidSearch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	local, err := engine.New(db, engine.Config{CPUs: 1, GPUs: 0, TopK: 3})
+	local, err := engine.New(db, engine.Config{Pool: master.PoolSpec{CPU: 1}, TopK: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +239,7 @@ func TestSearchSurvivesReplicaDeathMidSearch(t *testing.T) {
 	}
 	defer s.Close()
 
-	ref, err := engine.New(db, engine.Config{CPUs: 1, GPUs: 0, TopK: 3})
+	ref, err := engine.New(db, engine.Config{Pool: master.PoolSpec{CPU: 1}, TopK: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +303,7 @@ func TestSearchSurvivesReplicaDeathMidSearch(t *testing.T) {
 func TestAllReplicasDeadNamesTheRange(t *testing.T) {
 	db := synth.RandomSet(alphabet.Protein, 12, 10, 60, 7201)
 	queries := synth.RandomSet(alphabet.Protein, 2, 20, 50, 7202)
-	ecfg := engine.Config{CPUs: 1, GPUs: 0, TopK: 3}
+	ecfg := engine.Config{Pool: master.PoolSpec{CPU: 1}, TopK: 3}
 
 	srv0 := startKillableServer(t, db, ecfg)
 	srv1 := startKillableServer(t, db, ecfg)
@@ -365,7 +365,7 @@ func TestHedgeFiresOnSlowReplica(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fast, err := engine.New(db, engine.Config{CPUs: 1, GPUs: 0, TopK: 3})
+	fast, err := engine.New(db, engine.Config{Pool: master.PoolSpec{CPU: 1}, TopK: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -375,7 +375,7 @@ func TestHedgeFiresOnSlowReplica(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ref, err := engine.New(db, engine.Config{CPUs: 1, GPUs: 0, TopK: 3})
+	ref, err := engine.New(db, engine.Config{Pool: master.PoolSpec{CPU: 1}, TopK: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -411,7 +411,7 @@ func TestHedgeFiresOnSlowReplica(t *testing.T) {
 func TestRedialRevivesDeadReplica(t *testing.T) {
 	db := synth.RandomSet(alphabet.Protein, 12, 10, 60, 7401)
 	queries := synth.RandomSet(alphabet.Protein, 2, 20, 50, 7402)
-	ecfg := engine.Config{CPUs: 1, GPUs: 0, TopK: 3}
+	ecfg := engine.Config{Pool: master.PoolSpec{CPU: 1}, TopK: 3}
 
 	srv := startKillableServer(t, db, ecfg)
 	var addr atomic.Value
@@ -472,12 +472,12 @@ func TestRedialRevivesDeadReplica(t *testing.T) {
 // answers, not preserve them.
 func TestNewSetRejectsSkewedReplicas(t *testing.T) {
 	db := synth.RandomSet(alphabet.Protein, 10, 10, 60, 7501)
-	a, err := engine.New(db.Slice(0, 5), engine.Config{CPUs: 1, GPUs: 0})
+	a, err := engine.New(db.Slice(0, 5), engine.Config{Pool: master.PoolSpec{CPU: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer a.Close()
-	b, err := engine.New(db.Slice(5, 10), engine.Config{CPUs: 1, GPUs: 0})
+	b, err := engine.New(db.Slice(5, 10), engine.Config{Pool: master.PoolSpec{CPU: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -497,11 +497,11 @@ func TestNewSetRejectsSkewedReplicas(t *testing.T) {
 // requires later calls to fail with the closed sentinel, not hang.
 func TestSetCloseIsIdempotent(t *testing.T) {
 	db := synth.RandomSet(alphabet.Protein, 8, 10, 40, 7601)
-	a, err := engine.New(db, engine.Config{CPUs: 1, GPUs: 0, TopK: 3})
+	a, err := engine.New(db, engine.Config{Pool: master.PoolSpec{CPU: 1}, TopK: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := engine.New(db, engine.Config{CPUs: 1, GPUs: 0, TopK: 3})
+	b, err := engine.New(db, engine.Config{Pool: master.PoolSpec{CPU: 1}, TopK: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -99,38 +99,3 @@ func TestGanttRendering(t *testing.T) {
 		t.Fatal("empty schedule rendering")
 	}
 }
-
-func TestMultiRound(t *testing.T) {
-	rng := rand.New(rand.NewSource(52))
-	for iter := 0; iter < 30; iter++ {
-		in := randInstance(rng, 40, 3, 3)
-		one, err := MultiRound(in, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		four, err := MultiRound(in, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := four.Verify(in); err != nil {
-			t.Fatal(err)
-		}
-		// Multi-round trades optimality for adaptivity: it must stay
-		// within a reasonable factor of one-round (batches are scheduled
-		// greedily one after another).
-		if four.Makespan > 3*one.Makespan {
-			t.Fatalf("iter %d: 4-round makespan %g vs one-round %g", iter, four.Makespan, one.Makespan)
-		}
-	}
-}
-
-func TestMultiRoundDegenerate(t *testing.T) {
-	in := &Instance{CPUs: 1, GPUs: 1, Tasks: []Task{{ID: 0, CPUTime: 2, GPUTime: 1}}}
-	s, err := MultiRound(in, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Makespan != 1 {
-		t.Fatalf("makespan %g", s.Makespan)
-	}
-}

@@ -23,7 +23,7 @@ func TestCachedShardedMatchesUnsharded(t *testing.T) {
 	const topK = 5
 	db := synth.RandomSet(alphabet.Protein, 41, 10, 150, 2001)
 	queries := synth.RandomSet(alphabet.Protein, 6, 20, 90, 2002)
-	ecfg := engine.Config{CPUs: 1, GPUs: 1, TopK: topK}
+	ecfg := engine.Config{Pool: master.PoolSpec{CPU: 1, GPU: 1}, TopK: topK}
 
 	whole, err := engine.New(db, ecfg)
 	if err != nil {
@@ -120,7 +120,7 @@ func TestCoordinatorCollapsesConcurrentSearches(t *testing.T) {
 	gates := make([]*gateBackend, 2)
 	backends := make([]engine.Backend, 2)
 	for i, r := range ranges {
-		eng, err := engine.New(db.Slice(r.Lo, r.Hi), engine.Config{CPUs: 1, TopK: topK})
+		eng, err := engine.New(db.Slice(r.Lo, r.Hi), engine.Config{Pool: master.PoolSpec{CPU: 1}, TopK: topK})
 		if err != nil {
 			t.Fatal(err)
 		}

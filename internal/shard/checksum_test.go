@@ -5,6 +5,7 @@ import (
 
 	"swdual/internal/alphabet"
 	"swdual/internal/engine"
+	"swdual/internal/master"
 	"swdual/internal/seq"
 )
 
@@ -29,7 +30,7 @@ func TestDBChecksumUnified(t *testing.T) {
 	if got := db.Checksum(); got != pinned {
 		t.Fatalf("seq.Set.Checksum = %08x, pinned %08x (fingerprint definition changed — old serve clients and shard servers will be rejected)", got, pinned)
 	}
-	eng, err := engine.New(db, engine.Config{CPUs: 1, GPUs: 0})
+	eng, err := engine.New(db, engine.Config{Pool: master.PoolSpec{CPU: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +38,7 @@ func TestDBChecksumUnified(t *testing.T) {
 	if got := eng.Checksum(); got != pinned {
 		t.Fatalf("engine.Searcher.Checksum = %08x, pinned %08x", got, pinned)
 	}
-	sh := localSharded(t, db, 2, Contiguous, engine.Config{CPUs: 1, GPUs: 0})
+	sh := localSharded(t, db, 2, Contiguous, engine.Config{Pool: master.PoolSpec{CPU: 1}})
 	defer sh.Close()
 	if got := sh.Checksum(); got != pinned {
 		t.Fatalf("shard.Searcher.Checksum = %08x, pinned %08x", got, pinned)

@@ -50,7 +50,7 @@ func faultedSearcher(t *testing.T, db *seq.Set, shards, topK int) (*Searcher, []
 	wrappers := make([]*faultinject.Backend, len(ranges))
 	backends := make([]engine.Backend, len(ranges))
 	for i, r := range ranges {
-		eng, err := engine.New(db.Slice(r.Lo, r.Hi), engine.Config{CPUs: 1, GPUs: 1, TopK: topK})
+		eng, err := engine.New(db.Slice(r.Lo, r.Hi), engine.Config{Pool: master.PoolSpec{CPU: 1, GPU: 1}, TopK: topK})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -77,7 +77,7 @@ func survivorHits(t *testing.T, db *seq.Set, ranges []Range, skipped map[int]boo
 		if skipped[i] {
 			continue
 		}
-		eng, err := engine.New(db.Slice(r.Lo, r.Hi), engine.Config{CPUs: 1, GPUs: 1, TopK: topK})
+		eng, err := engine.New(db.Slice(r.Lo, r.Hi), engine.Config{Pool: master.PoolSpec{CPU: 1, GPU: 1}, TopK: topK})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -129,7 +129,7 @@ func TestIdleFaultInjectKeepsShardedByteIdentical(t *testing.T) {
 	db := synth.RandomSet(alphabet.Protein, 31, 10, 120, 4001)
 	queries := synth.RandomSet(alphabet.Protein, 4, 20, 80, 4002)
 
-	ref, err := engine.New(db, engine.Config{CPUs: 1, GPUs: 1, TopK: topK})
+	ref, err := engine.New(db, engine.Config{Pool: master.PoolSpec{CPU: 1, GPU: 1}, TopK: topK})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +240,7 @@ func TestDegradedPartialRidesOverDarkRange(t *testing.T) {
 
 	// Recovery: the rule fired once, so the next search sees every
 	// range and must be a full answer again.
-	ref, err := engine.New(db, engine.Config{CPUs: 1, GPUs: 1, TopK: topK})
+	ref, err := engine.New(db, engine.Config{Pool: master.PoolSpec{CPU: 1, GPU: 1}, TopK: topK})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +280,7 @@ func TestDegradedAnswerNeverEntersCache(t *testing.T) {
 		Fault: faultinject.Fault{Err: rangeDownErr(1, ranges[1])},
 	})
 
-	ref, err := engine.New(db, engine.Config{CPUs: 1, GPUs: 1, TopK: topK})
+	ref, err := engine.New(db, engine.Config{Pool: master.PoolSpec{CPU: 1, GPU: 1}, TopK: topK})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -468,7 +468,7 @@ func TestDegradedCoverageCrossesTheWire(t *testing.T) {
 
 	// Recovery over the same connection: full answer, zero coverage
 	// bytes on the wire (the flag byte says full, nothing follows).
-	ref, err := engine.New(db, engine.Config{CPUs: 1, GPUs: 1, TopK: topK})
+	ref, err := engine.New(db, engine.Config{Pool: master.PoolSpec{CPU: 1, GPU: 1}, TopK: topK})
 	if err != nil {
 		t.Fatal(err)
 	}

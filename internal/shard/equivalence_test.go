@@ -84,7 +84,7 @@ func localSharded(t *testing.T, db *seq.Set, shards int, strategy Strategy, ecfg
 func TestShardedMatchesUnshardedAcrossSizesAndStrategies(t *testing.T) {
 	const topK = 5
 	queries := synth.RandomSet(alphabet.Protein, 3, 20, 90, 1001)
-	ecfg := engine.Config{CPUs: 1, GPUs: 1, TopK: topK}
+	ecfg := engine.Config{Pool: master.PoolSpec{CPU: 1, GPU: 1}, TopK: topK}
 	// 0: empty; 1: single; 3, 7: fewer sequences than high shard counts;
 	// 13, 31: prime-sized (never divide evenly); 50: a few per shard.
 	for _, dbSize := range []int{0, 1, 3, 7, 13, 31, 50} {
@@ -120,12 +120,12 @@ func TestShardedMatchesUnshardedAcrossSizesAndStrategies(t *testing.T) {
 // an unsharded one.
 func TestShardedChecksumMatchesUnsharded(t *testing.T) {
 	db := synth.RandomSet(alphabet.Protein, 23, 10, 100, 77)
-	ref, err := engine.New(db, engine.Config{CPUs: 1, GPUs: 0})
+	ref, err := engine.New(db, engine.Config{Pool: master.PoolSpec{CPU: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ref.Close()
-	s := localSharded(t, db, 4, BalancedResidues, engine.Config{CPUs: 1, GPUs: 0})
+	s := localSharded(t, db, 4, BalancedResidues, engine.Config{Pool: master.PoolSpec{CPU: 1}})
 	defer s.Close()
 	if s.Checksum() != ref.Checksum() {
 		t.Fatalf("sharded checksum %08x != unsharded %08x", s.Checksum(), ref.Checksum())
@@ -149,7 +149,7 @@ func TestTopKTieBreakAcrossShardBoundaries(t *testing.T) {
 	if err := queries.Add("q", "", []byte(res)); err != nil {
 		t.Fatal(err)
 	}
-	ecfg := engine.Config{CPUs: 1, GPUs: 1, TopK: topK}
+	ecfg := engine.Config{Pool: master.PoolSpec{CPU: 1, GPU: 1}, TopK: topK}
 	ref, err := engine.New(db, ecfg)
 	if err != nil {
 		t.Fatal(err)
@@ -189,7 +189,7 @@ func TestTopKTieBreakAcrossShardBoundaries(t *testing.T) {
 func TestShardedTopKOption(t *testing.T) {
 	db := synth.RandomSet(alphabet.Protein, 20, 10, 80, 88)
 	queries := synth.RandomSet(alphabet.Protein, 2, 20, 60, 89)
-	s := localSharded(t, db, 3, Contiguous, engine.Config{CPUs: 1, GPUs: 0, TopK: 6})
+	s := localSharded(t, db, 3, Contiguous, engine.Config{Pool: master.PoolSpec{CPU: 1}, TopK: 6})
 	defer s.Close()
 	rep, err := s.Search(context.Background(), queries, engine.SearchOptions{TopK: 2})
 	if err != nil {
@@ -216,7 +216,7 @@ func TestShardedTopKOption(t *testing.T) {
 func TestShardedAccountingSpansShards(t *testing.T) {
 	db := synth.RandomSet(alphabet.Protein, 24, 10, 100, 90)
 	queries := synth.RandomSet(alphabet.Protein, 2, 30, 60, 91)
-	s := localSharded(t, db, 4, Contiguous, engine.Config{CPUs: 1, GPUs: 0, TopK: 3})
+	s := localSharded(t, db, 4, Contiguous, engine.Config{Pool: master.PoolSpec{CPU: 1}, TopK: 3})
 	defer s.Close()
 	rep, err := s.Search(context.Background(), queries, engine.SearchOptions{})
 	if err != nil {
@@ -258,7 +258,7 @@ func TestShardedAccountingSpansShards(t *testing.T) {
 func TestShardedConcurrentMatchesUnsharded(t *testing.T) {
 	const topK = 5
 	db := synth.RandomSet(alphabet.Protein, 40, 10, 120, 2032)
-	cfg := engine.Config{CPUs: 1, GPUs: 1, TopK: topK}
+	cfg := engine.Config{Pool: master.PoolSpec{CPU: 1, GPU: 1}, TopK: topK}
 	sharded := localSharded(t, db, 3, BalancedResidues, cfg)
 	defer sharded.Close()
 	whole, err := engine.New(db, cfg)
@@ -309,7 +309,7 @@ func TestShardedMixedPoolMatchesUnsharded(t *testing.T) {
 	db := synth.RandomSet(alphabet.Protein, 31, 10, 120, 2031)
 	queries := synth.RandomSet(alphabet.Protein, 3, 20, 90, 1002)
 
-	ref, err := engine.New(db, engine.Config{CPUs: 1, GPUs: 1, TopK: topK})
+	ref, err := engine.New(db, engine.Config{Pool: master.PoolSpec{CPU: 1, GPU: 1}, TopK: topK})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,7 +18,7 @@ import (
 func testSharded(t *testing.T, dbSize, shards int) *Searcher {
 	t.Helper()
 	db := synth.RandomSet(alphabet.Protein, dbSize, 10, 100, int64(500+dbSize))
-	return localSharded(t, db, shards, Contiguous, engine.Config{CPUs: 1, GPUs: 1, TopK: 3})
+	return localSharded(t, db, shards, Contiguous, engine.Config{Pool: master.PoolSpec{CPU: 1, GPU: 1}, TopK: 3})
 }
 
 func TestShardedCloseIdempotentAndConcurrent(t *testing.T) {

@@ -73,7 +73,7 @@ func remoteSharded(t *testing.T, db *seq.Set, shards int, strategy Strategy, ecf
 func TestRemoteShardsMatchLocalAndUnsharded(t *testing.T) {
 	const topK = 5
 	queries := synth.RandomSet(alphabet.Protein, 3, 20, 90, 1101)
-	ecfg := engine.Config{CPUs: 1, GPUs: 1, TopK: topK}
+	ecfg := engine.Config{Pool: master.PoolSpec{CPU: 1, GPU: 1}, TopK: topK}
 	// 0: every shard empty; 13, 31: prime-sized (never divide evenly).
 	for _, dbSize := range []int{0, 13, 31} {
 		db := synth.RandomSet(alphabet.Protein, dbSize, 10, 120, int64(3000+dbSize))
@@ -111,7 +111,7 @@ func TestMixedLocalAndRemoteShards(t *testing.T) {
 	const topK = 4
 	db := synth.RandomSet(alphabet.Protein, 29, 10, 120, 3301)
 	queries := synth.RandomSet(alphabet.Protein, 3, 20, 80, 3302)
-	ecfg := engine.Config{CPUs: 1, GPUs: 1, TopK: topK}
+	ecfg := engine.Config{Pool: master.PoolSpec{CPU: 1, GPU: 1}, TopK: topK}
 
 	ref, err := engine.New(db, ecfg)
 	if err != nil {
@@ -164,7 +164,7 @@ func TestRemoteTopKTieBreakAcrossShardBoundaries(t *testing.T) {
 	if err := queries.Add("q", "", []byte(res)); err != nil {
 		t.Fatal(err)
 	}
-	ecfg := engine.Config{CPUs: 1, GPUs: 1, TopK: topK}
+	ecfg := engine.Config{Pool: master.PoolSpec{CPU: 1, GPU: 1}, TopK: topK}
 	ref, err := engine.New(db, ecfg)
 	if err != nil {
 		t.Fatal(err)
@@ -189,7 +189,7 @@ func TestWithBackendsRejectsChecksumSkew(t *testing.T) {
 	skewed.Seqs[7].Residues[0] ^= 1 // one residue differs, in shard 1's range
 
 	ranges := RangesFor(db, 2, Contiguous)
-	ecfg := engine.Config{CPUs: 1, GPUs: 0, TopK: 3}
+	ecfg := engine.Config{Pool: master.PoolSpec{CPU: 1}, TopK: 3}
 	backends := make([]engine.Backend, len(ranges))
 	for i, r := range ranges {
 		// Servers load the skewed database; the coordinator holds db.
@@ -222,7 +222,7 @@ func TestRemoteMixedPoolShardsMatchUnsharded(t *testing.T) {
 	db := synth.RandomSet(alphabet.Protein, 26, 10, 120, 3207)
 	queries := synth.RandomSet(alphabet.Protein, 3, 20, 90, 1103)
 
-	ref, err := engine.New(db, engine.Config{CPUs: 1, GPUs: 1, TopK: topK})
+	ref, err := engine.New(db, engine.Config{Pool: master.PoolSpec{CPU: 1, GPU: 1}, TopK: topK})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,24 +5,19 @@ import (
 	"time"
 )
 
-// DefaultEWMAAlpha weights the newest observation in a LatencyEWMA,
+// latencyEWMAAlpha weights the newest observation in a LatencyEWMA,
 // mirroring the worker rate estimator's constant: recent enough to
 // track a slowing service, smooth enough not to chase single-sample
 // jitter.
-const DefaultEWMAAlpha = 0.3
+const latencyEWMAAlpha = 0.3
 
 // LatencyEWMA is an exponentially weighted moving average over
 // wall-clock durations — the master.RateEstimator shape applied to
 // latency. The replica hedging trigger and the gateway's Retry-After
 // estimate both read it: one asks "is this search running long?", the
 // other "how long until a queue slot frees up?". The zero value is
-// ready to use with DefaultEWMAAlpha; it is safe for concurrent
-// Observe and Snapshot calls.
+// ready to use; it is safe for concurrent Observe and Snapshot calls.
 type LatencyEWMA struct {
-	// Alpha weights the newest observation (0 selects
-	// DefaultEWMAAlpha). Set it before the first Observe, if at all.
-	Alpha float64
-
 	mu   sync.Mutex
 	mean time.Duration
 	n    uint64
@@ -35,15 +30,11 @@ func (l *LatencyEWMA) Observe(d time.Duration) {
 	if d <= 0 {
 		return
 	}
-	alpha := l.Alpha
-	if alpha <= 0 || alpha > 1 {
-		alpha = DefaultEWMAAlpha
-	}
 	l.mu.Lock()
 	if l.n == 0 {
 		l.mean = d
 	} else {
-		l.mean = time.Duration(alpha*float64(d) + (1-alpha)*float64(l.mean))
+		l.mean = time.Duration(latencyEWMAAlpha*float64(d) + (1-latencyEWMAAlpha)*float64(l.mean))
 	}
 	l.n++
 	l.mu.Unlock()

@@ -109,7 +109,7 @@ func TestMappedSearchMatchesHeap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := swdual.Options{CPUs: 1, GPUs: 1, TopK: 5, ShardSplit: "balanced"}
+	opt := swdual.Options{Pool: "cpu=1,gpu=1", TopK: 5, ShardSplit: "balanced"}
 
 	heap, err := swdual.LoadBinary(path)
 	if err != nil {
@@ -169,72 +169,5 @@ func TestMappedSearchMatchesHeap(t *testing.T) {
 	sameReports(t, "mapped remote-sharded", got, want)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestSearcherOwnsDBPath covers Options.DBPath: NewSearcher(nil, ...)
-// opens the database itself, searches match an explicit heap database,
-// and Close releases the mapping after the engines.
-func TestSearcherOwnsDBPath(t *testing.T) {
-	path, _ := saveSWDB(t, "RefSeq Mouse Proteins", 8000)
-	queries, err := swdual.GenerateQueries("standard", 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt := swdual.Options{CPUs: 1, GPUs: 1, TopK: 5}
-
-	heap, err := swdual.LoadBinary(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := swdual.Search(heap, queries, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	pathOpt := opt
-	pathOpt.DBPath = path
-	s, err := swdual.NewSearcher(nil, pathOpt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	db := s.Database()
-	if db == nil || db.MappedBytes() <= 0 {
-		t.Fatal("DBPath searcher did not map the database")
-	}
-	got, err := s.Search(context.Background(), queries, swdual.SearchOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameReports(t, "DBPath", got, want)
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if db.MappedBytes() != 0 {
-		t.Fatal("Searcher.Close left the owned mapping open")
-	}
-
-	// An explicit database argument wins over DBPath, and the Searcher
-	// then does not own it.
-	s2, err := swdual.NewSearcher(heap, pathOpt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s2.Database() != heap {
-		t.Fatal("explicit db argument ignored in favor of DBPath")
-	}
-	if err := s2.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// No database and no path stays an error.
-	if _, err := swdual.NewSearcher(nil, opt); err == nil {
-		t.Fatal("nil database with no DBPath accepted")
-	}
-	// A bad path surfaces the open error instead of a nil-set error.
-	badOpt := opt
-	badOpt.DBPath = filepath.Join(t.TempDir(), "missing.swdb")
-	if _, err := swdual.NewSearcher(nil, badOpt); err == nil {
-		t.Fatal("missing DBPath accepted")
 	}
 }

@@ -43,20 +43,23 @@ func Plan(db, queries *Database, opt Options) (*SchedulePlan, error) {
 	if db == nil || queries == nil {
 		return nil, errNilSets
 	}
-	cpus, gpus := opt.workers()
-	return planModel(setLengths(db.set), queryLengths(queries), cpus, gpus, opt.Policy)
+	return planModel(setLengths(db.set), queryLengths(queries), opt)
 }
 
 // planModel is the shared scheduling-only path behind Plan and
-// Searcher.Plan: model the database on the calibrated platform, run the
-// selected dual-approximation variant, and render the plan.
-func planModel(dbLengths, queryLens []int, cpus, gpus int, policy string) (*SchedulePlan, error) {
-	p := platform.New(cpus, gpus)
+// Searcher.Plan: model the database on the calibrated platform with the
+// CPU and GPU counts of opt's pool, run the selected dual-approximation
+// variant, and render the plan.
+func planModel(dbLengths, queryLens []int, opt Options) (*SchedulePlan, error) {
+	pool, err := opt.pool()
+	if err != nil {
+		return nil, err
+	}
+	p := platform.New(pool.CPUWorkers(), pool.GPUWorkers())
 	model := p.ModelDB("db", dbLengths)
 	in := p.Instance(model, queryLens)
 	var s *sched.Schedule
-	var err error
-	if policy == "dual-approx-dp" {
+	if opt.Policy == "dual-approx-dp" {
 		s, err = sched.DualApproxDP(in)
 	} else {
 		s, err = sched.DualApprox(in)

@@ -36,10 +36,6 @@ type Searcher struct {
 	db     *Database
 	opt    Options
 	shards int
-	// ownsDB marks a database the Searcher opened itself from
-	// Options.DBPath; Close then also releases its file mapping, after
-	// the engines that alias it have stopped.
-	ownsDB bool
 }
 
 // SearchOptions tunes one Searcher.Search call.
@@ -53,26 +49,8 @@ type SearchOptions struct {
 type SearcherStats = engine.Stats
 
 // NewSearcher prepares db once and starts the persistent worker pool
-// described by opt (CPUs, GPUs, Matrix, gap penalties, Policy, TopK).
+// described by opt (Pool, Matrix, gap penalties, Policy, TopK).
 func NewSearcher(db *Database, opt Options) (*Searcher, error) {
-	ownsDB := false
-	if db == nil && opt.DBPath != "" {
-		opened, err := OpenDatabase(opt.DBPath)
-		if err != nil {
-			return nil, err
-		}
-		db, ownsDB = opened, true
-	}
-	constructed := false
-	if ownsDB {
-		// Any construction error below must release the mapping we just
-		// created, or every failed NewSearcher leaks one mmap.
-		defer func() {
-			if !constructed {
-				db.Close()
-			}
-		}()
-	}
 	if db == nil {
 		return nil, errNilSets
 	}
@@ -109,8 +87,7 @@ func NewSearcher(db *Database, opt Options) (*Searcher, error) {
 		}
 		inner = eng
 	}
-	constructed = true
-	return &Searcher{inner: inner, db: db, opt: opt, shards: shards, ownsDB: ownsDB}, nil
+	return &Searcher{inner: inner, db: db, opt: opt, shards: shards}, nil
 }
 
 // dialReplicaShards assembles the coordinator side of a cluster: split
@@ -238,11 +215,7 @@ func (s *Searcher) Plan(queries *Database) (*SchedulePlan, error) {
 	if queries == nil {
 		return nil, errNilSets
 	}
-	cpus, gpus := s.opt.workers()
-	if pool, err := s.opt.poolSpec(); err == nil && pool.Total() > 0 {
-		cpus, gpus = pool.CPUWorkers(), pool.GPUWorkers()
-	}
-	return planModel(setLengths(s.db.set), queryLengths(queries), cpus, gpus, s.opt.Policy)
+	return planModel(setLengths(s.db.set), queryLengths(queries), s.opt)
 }
 
 // Serve exposes the Searcher over the wire protocol until the listener
@@ -272,18 +245,9 @@ func (s *Searcher) Database() *Database { return s.db }
 func (s *Searcher) Checksum() uint32 { return s.inner.Checksum() }
 
 // Close stops the dispatcher and worker pool. It is idempotent; Search
-// calls after Close fail. A Searcher built from Options.DBPath also
-// releases the database file mapping — strictly after the engines whose
-// residue slices alias it have stopped.
-func (s *Searcher) Close() error {
-	err := s.inner.Close()
-	if s.ownsDB {
-		if cerr := s.db.Close(); err == nil {
-			err = cerr
-		}
-	}
-	return err
-}
+// calls after Close fail. A Database opened by OpenDatabase stays open:
+// its owner closes it after the last Searcher over it.
+func (s *Searcher) Close() error { return s.inner.Close() }
 
 // QueryServer runs one search request against a serve-mode Searcher
 // listening at addr and returns its merged results. A non-zero checksum

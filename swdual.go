@@ -14,7 +14,7 @@
 //
 //	db, _ := swdual.GenerateDatabase("UniProt", 2000) // 1/2000 scale
 //	queries, _ := swdual.GenerateQueries("standard", 50)
-//	report, _ := swdual.Search(db, queries, swdual.Options{CPUs: 2, GPUs: 2})
+//	report, _ := swdual.Search(db, queries, swdual.Options{Pool: "cpu=2,gpu=2"})
 //	for _, r := range report.Results {
 //		fmt.Println(r.QueryID, r.Hits[0].SeqID, r.Hits[0].Score)
 //	}
@@ -48,19 +48,16 @@ type Options struct {
 	// Defaults: 10 and 2.
 	GapStart  int
 	GapExtend int
-	// CPUs and GPUs set the worker pools (defaults 1 and 1).
-	CPUs int
-	GPUs int
-	// Pool selects a heterogeneous worker pool as a spec string of
-	// comma-separated backend=count pairs, e.g. "cpu=2,striped=1,gpu=1".
+	// Pool describes the worker pool as a spec string of comma-separated
+	// backend=count pairs, e.g. "cpu=2,gpu=2" or "cpu=2,striped=1,gpu=1".
 	// Valid backends: "cpu" (inter-sequence AVX2 or SWAR, the paper's
 	// CPU engine), "striped" (striped SWAR), "fine" (fine-grained
 	// wavefront), "gpu" (simulated Tesla C2050). All backends compute
 	// exact scores, so mixing them changes throughput and scheduling,
 	// never results; each worker's advertised rate only seeds a live
-	// estimate measured from its completed tasks. When set, Pool
-	// overrides CPUs and GPUs; ServeShard gives its slice a pool of this
-	// shape.
+	// estimate measured from its completed tasks. The empty spec selects
+	// "cpu=1,gpu=1". Plan models the pool's CPU and GPU counts, and
+	// ServeShard gives its slice a pool of this shape.
 	Pool string
 	// TopK bounds reported hits per query (default 10).
 	TopK int
@@ -127,13 +124,6 @@ type Options struct {
 	// GatewayMaxBodyBytes bounds a gateway request body (0 selects the
 	// default, 8 MiB).
 	GatewayMaxBodyBytes int64
-	// DBPath opens the database from a file when the db argument to
-	// NewSearcher is nil: a .swdb path is memory-mapped (OpenDatabase
-	// semantics — zero-copy, off-heap, one physical copy per host
-	// across every process mapping it), anything else is parsed as
-	// FASTA. The Searcher owns the resulting database and releases the
-	// mapping on Close. Ignored when an explicit db is passed.
-	DBPath string
 	// Degraded selects partial-result search on a sharded coordinator:
 	// when every replica of a database range is unavailable, Search
 	// answers from the surviving ranges and the Report carries Coverage
@@ -161,7 +151,7 @@ func (o Options) engineConfig() (engine.Config, error) {
 	if err != nil {
 		return engine.Config{}, err
 	}
-	pool, err := o.poolSpec()
+	pool, err := o.pool()
 	if err != nil {
 		return engine.Config{}, err
 	}
@@ -171,11 +161,8 @@ func (o Options) engineConfig() (engine.Config, error) {
 	if o.CacheBytes < 0 {
 		return engine.Config{}, fmt.Errorf("swdual: negative CacheBytes %d (0 selects the default)", o.CacheBytes)
 	}
-	cpus, gpus := o.workers()
 	return engine.Config{
 		Params:     params,
-		CPUs:       cpus,
-		GPUs:       gpus,
 		Pool:       pool,
 		TopK:       o.TopK,
 		Policy:     policy,
@@ -215,20 +202,17 @@ func (o Options) policy() (master.Policy, error) {
 	return p, nil
 }
 
-func (o Options) poolSpec() (master.PoolSpec, error) {
+// pool is the one reading of Options.Pool: the engine built by
+// NewSearcher and ServeShard runs it, and Plan models it.
+func (o Options) pool() (master.PoolSpec, error) {
+	if o.Pool == "" {
+		return master.PoolSpec{CPU: 1, GPU: 1}, nil
+	}
 	s, err := master.ParsePoolSpec(o.Pool)
 	if err != nil {
 		return master.PoolSpec{}, fmt.Errorf("swdual: %w", err)
 	}
 	return s, nil
-}
-
-func (o Options) workers() (cpus, gpus int) {
-	cpus, gpus = o.CPUs, o.GPUs
-	if cpus == 0 && gpus == 0 {
-		cpus, gpus = 1, 1
-	}
-	return cpus, gpus
 }
 
 // Database is a set of sequences usable as search subjects or queries.

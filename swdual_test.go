@@ -49,7 +49,7 @@ func TestSearchPoliciesAgree(t *testing.T) {
 	}
 	var ref *swdual.Report
 	for _, policy := range []string{"dual-approx", "dual-approx-dp", "self-scheduling", "round-robin"} {
-		rep, err := swdual.Search(db, queries, swdual.Options{CPUs: 2, GPUs: 2, TopK: 5, Policy: policy})
+		rep, err := swdual.Search(db, queries, swdual.Options{Pool: "cpu=2,gpu=2", TopK: 5, Policy: policy})
 		if err != nil {
 			t.Fatalf("%s: %v", policy, err)
 		}
@@ -131,6 +131,43 @@ func TestPlanPaperScale(t *testing.T) {
 	}
 }
 
+// TestPlanUsesPool: Plan and Searcher.Plan read Options.Pool the same
+// way — both model its 4 CPU + 2 GPU PEs — and return the same plan.
+func TestPlanUsesPool(t *testing.T) {
+	db, err := swdual.GenerateDatabase("UniProt", 20000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	queries, err := swdual.GenerateQueries("standard", 50)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := swdual.Options{Pool: "cpu=4,gpu=2"}
+	plan, err := swdual.Plan(db, queries, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := swdual.NewSearcher(db, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	searcherPlan, err := s.Plan(queries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(plan, searcherPlan) {
+		t.Fatalf("Plan %+v, Searcher.Plan %+v", plan, searcherPlan)
+	}
+	pes := map[string]int{}
+	for _, tp := range plan.Tasks {
+		pes[tp.Kind] = max(pes[tp.Kind], tp.PE+1)
+	}
+	if pes["CPU"] != 4 || pes["GPU"] != 2 {
+		t.Fatalf("planned on %d CPU + %d GPU PEs, want 4 + 2", pes["CPU"], pes["GPU"])
+	}
+}
+
 // TestConcurrentSearcherMatchesSerialOneShot is the acceptance check of
 // the persistent engine: 8 concurrent Search calls on one Searcher must
 // return hits identical to 8 serial one-shot swdual.Search calls.
@@ -139,7 +176,7 @@ func TestConcurrentSearcherMatchesSerialOneShot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := swdual.Options{CPUs: 2, GPUs: 2, TopK: 5}
+	opt := swdual.Options{Pool: "cpu=2,gpu=2", TopK: 5}
 	const callers = 8
 	querySets := make([]*swdual.Database, callers)
 	serial := make([]*swdual.Report, callers)
@@ -202,7 +239,7 @@ func TestSearcherSkipsRePreparation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := swdual.NewSearcher(db, swdual.Options{CPUs: 1, GPUs: 1, TopK: 3})
+	s, err := swdual.NewSearcher(db, swdual.Options{Pool: "cpu=1,gpu=1", TopK: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +272,7 @@ func TestSearcherServe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := swdual.NewSearcher(db, swdual.Options{CPUs: 1, GPUs: 1, TopK: 3})
+	s, err := swdual.NewSearcher(db, swdual.Options{Pool: "cpu=1,gpu=1", TopK: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,12 +322,12 @@ func TestShardedSearcherMatchesUnsharded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := swdual.Search(db, queries, swdual.Options{CPUs: 1, GPUs: 1, TopK: 5})
+	want, err := swdual.Search(db, queries, swdual.Options{Pool: "cpu=1,gpu=1", TopK: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, split := range []string{"contiguous", "balanced"} {
-		opt := swdual.Options{CPUs: 1, GPUs: 1, TopK: 5, ShardSplit: split}
+		opt := swdual.Options{Pool: "cpu=1,gpu=1", TopK: 5, ShardSplit: split}
 		coordOpt := opt
 		for i := 0; i < shardCount; i++ {
 			srv := startShardServer(t, "127.0.0.1:0", db, i, shardCount, opt)
@@ -356,7 +393,7 @@ func TestRemoteShardedSearcherMatchesUnsharded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := swdual.Options{CPUs: 1, GPUs: 1, TopK: 5, ShardSplit: "balanced"}
+	opt := swdual.Options{Pool: "cpu=1,gpu=1", TopK: 5, ShardSplit: "balanced"}
 	want, err := swdual.Search(db, queries, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -448,14 +485,14 @@ func TestCoordinatorRefusesShardServersCappedBelowItsTopK(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serverOpt := swdual.Options{CPUs: 1, GPUs: 0, TopK: 5}
+	serverOpt := swdual.Options{Pool: "cpu=1", TopK: 5}
 	var groups [][]string
 	for i := 0; i < shardCount; i++ {
 		srv := startShardServer(t, "127.0.0.1:0", db, i, shardCount, serverOpt)
 		groups = append(groups, []string{srv.Addr().String()})
 	}
 
-	coordOpt := swdual.Options{CPUs: 1, GPUs: 0, TopK: 20, ReplicaShards: groups, DialTimeout: 5 * time.Second}
+	coordOpt := swdual.Options{Pool: "cpu=1", TopK: 20, ReplicaShards: groups, DialTimeout: 5 * time.Second}
 	s, err := swdual.NewSearcher(db, coordOpt)
 	if err == nil {
 		s.Close()
@@ -544,7 +581,7 @@ func TestDegradedRidesOverDeadShardServer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := swdual.Options{CPUs: 1, GPUs: 1, TopK: 5, DialTimeout: 5 * time.Second}
+	opt := swdual.Options{Pool: "cpu=1,gpu=1", TopK: 5, DialTimeout: 5 * time.Second}
 	want, err := swdual.Search(db, queries, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -690,7 +727,7 @@ func TestGenerateErrors(t *testing.T) {
 
 // TestPoolOptionMatchesDefaultWorkers pins the public adaptive-pool
 // surface: a heterogeneous Options.Pool search returns hits identical
-// to the default homogeneous worker set, and the Searcher's Stats
+// to the default worker set (the empty Pool), and the Searcher's Stats
 // expose every worker's observed (measured) GCUPS after the search.
 func TestPoolOptionMatchesDefaultWorkers(t *testing.T) {
 	db, err := swdual.GenerateDatabase("UniProt", 20000)
@@ -701,7 +738,7 @@ func TestPoolOptionMatchesDefaultWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := swdual.Search(db, queries, swdual.Options{CPUs: 1, GPUs: 1, TopK: 5})
+	ref, err := swdual.Search(db, queries, swdual.Options{TopK: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -777,11 +814,11 @@ func TestCacheOptionMatchesDefault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := swdual.Search(db, queries, swdual.Options{CPUs: 1, GPUs: 1, TopK: 5})
+	want, err := swdual.Search(db, queries, swdual.Options{Pool: "cpu=1,gpu=1", TopK: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := swdual.NewSearcher(db, swdual.Options{CPUs: 1, GPUs: 1, TopK: 5, Cache: true})
+	s, err := swdual.NewSearcher(db, swdual.Options{Pool: "cpu=1,gpu=1", TopK: 5, Cache: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -823,7 +860,7 @@ func TestCacheServesConcurrentRepeats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := swdual.NewSearcher(db, swdual.Options{CPUs: 2, TopK: 5, Cache: true})
+	s, err := swdual.NewSearcher(db, swdual.Options{Pool: "cpu=2", TopK: 5, Cache: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -880,7 +917,7 @@ func TestCacheSearchHonorsCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := swdual.NewSearcher(db, swdual.Options{CPUs: 1, TopK: 3, Cache: true})
+	s, err := swdual.NewSearcher(db, swdual.Options{Pool: "cpu=1", TopK: 3, Cache: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -912,7 +949,7 @@ func TestReplicaShardedSearcherMatchesUnsharded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := swdual.Options{CPUs: 1, GPUs: 1, TopK: 5, ShardSplit: "balanced", DialTimeout: 5 * time.Second}
+	opt := swdual.Options{Pool: "cpu=1,gpu=1", TopK: 5, ShardSplit: "balanced", DialTimeout: 5 * time.Second}
 	want, err := swdual.Search(db, queries, opt)
 	if err != nil {
 		t.Fatal(err)
