@@ -208,19 +208,19 @@ func BenchmarkSearchPersistentConcurrent(b *testing.B) {
 }
 
 // BenchmarkMixedPoolSearch compares homogeneous worker pools against
-// heterogeneous pool specs mixing the inter-sequence, striped,
-// fine-grained and GPU backends. Hits are byte-identical across specs
-// (the equivalence suite proves it); the delta is pure throughput, and
-// repeated iterations let the rate estimator steer each wave's schedule
-// with the rates measured on the previous one.
+// pool specs mixing inter-sequence CPU and GPU workers in different
+// ratios. Hits are byte-identical across specs (the equivalence suite
+// proves it); the delta is pure throughput, and repeated iterations let
+// the rate estimator steer each wave's schedule with the rates measured
+// on the previous one.
 func BenchmarkMixedPoolSearch(b *testing.B) {
 	db, queries := benchSearchData(b)
 	for _, spec := range []string{
 		"cpu=4",
-		"striped=4",
+		"gpu=4",
 		"cpu=2,gpu=2",
-		"cpu=1,striped=1,fine=1,gpu=1",
-		"striped=2,gpu=2",
+		"cpu=3,gpu=1",
+		"cpu=1,gpu=3",
 	} {
 		b.Run("pool="+spec, func(b *testing.B) {
 			s, err := swdual.NewSearcher(db, swdual.Options{Pool: spec, TopK: 5})

@@ -5,7 +5,7 @@
 // Usage:
 //
 //	swdual -db db.fasta -query q.fasta -pool cpu=2,gpu=2
-//	swdual -db db.fasta -query q.fasta -pool cpu=2,striped=1,fine=1,gpu=1
+//	swdual -db db.fasta -query q.fasta -pool cpu=4
 //	swdual -db db.swdb -query q.fasta -policy self-scheduling -topk 5
 //	swdual -db db.fasta -query q.fasta -plan        # schedule only
 //	swdual -db db.fasta -serve :4015                # persistent engine
@@ -67,7 +67,7 @@ func main() {
 	var (
 		dbPath   = flag.String("db", "", "database file (.fasta/.fa parsed into memory; .swdb memory-mapped read-only — zero-copy, and every process mapping the same file on a host shares one physical copy)")
 		qPath    = flag.String("query", "", "query file (.fasta/.fa or .swdb binary)")
-		pool     = flag.String("pool", "cpu=1,gpu=1", "worker pool spec: backend=count pairs over cpu, striped, fine and gpu (simulated Tesla C2050), e.g. cpu=2,gpu=2 or cpu=2,striped=1,fine=1,gpu=1")
+		pool     = flag.String("pool", "cpu=1,gpu=1", "worker pool spec: backend=count pairs over cpu (inter-sequence) and gpu (simulated Tesla C2050), e.g. cpu=2,gpu=2 or cpu=4")
 		topk     = flag.Int("topk", 10, "hits reported per query")
 		matrix   = flag.String("matrix", "BLOSUM62", "substitution matrix")
 		gapS     = flag.Int("gapstart", 10, "gap start penalty Gs")
@@ -86,8 +86,6 @@ func main() {
 		gwCapacity  = flag.Int("gateway-capacity", 0, "concurrently executing gateway searches (0 = default 2×GOMAXPROCS)")
 		gwQueue     = flag.Int("gateway-queue", 0, "admitted gateway requests that may wait for a slot; past capacity+queue arrivals are shed with 429 (0 = default 4×capacity, negative = no queue)")
 		gwClients   = flag.Int("gateway-client-slots", 0, "slots one client (X-API-Key, else remote address) may hold at once (0 = default (capacity+queue)/4)")
-		gwTimeout   = flag.Duration("gateway-timeout", 0, "search deadline for gateway requests that carry none of their own (0 = none)")
-		gwMaxBody   = flag.Int64("gateway-max-body", 0, "max gateway request body in bytes (0 = default 8 MiB)")
 
 		shardServe = flag.String("shard-serve", "", "serve one shard of the database on this address (cluster serve)")
 		shardIndex = flag.Int("shard-index", 0, "which shard -shard-serve exposes")
@@ -112,8 +110,6 @@ func main() {
 	opt.GatewayCapacity = *gwCapacity
 	opt.GatewayQueue = *gwQueue
 	opt.GatewayClientSlots = *gwClients
-	opt.GatewayTimeout = *gwTimeout
-	opt.GatewayMaxBodyBytes = *gwMaxBody
 	if *repShards != "" {
 		for _, group := range strings.Split(*repShards, ";") {
 			opt.ReplicaShards = append(opt.ReplicaShards, strings.Split(group, ","))
@@ -132,7 +128,7 @@ func main() {
 		if err != nil {
 			log.Fatalf("loading queries: %v", err)
 		}
-		rep, err := swdual.QueryServer(*remote, queries, 0)
+		rep, err := swdual.QueryServer(*remote, queries, 0, swdual.SearchOptions{TopK: *topk})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -254,8 +250,8 @@ func main() {
 	})
 	fmt.Printf("\n%d queries, %d cells, wall %v, %.3f GCUPS, policy %v\n",
 		len(rep.Results), rep.Cells, rep.Wall, rep.GCUPS, rep.Policy)
-	if rep.Schedule != nil {
-		fmt.Printf("modeled makespan %.2f s, idle %.2f%%\n", rep.SimMakespan, 100*rep.IdleFraction)
+	if sc := rep.Schedule; sc != nil {
+		fmt.Printf("modeled makespan %.2f s, idle %.2f%%\n", sc.Makespan, 100*sc.IdleFraction())
 	}
 }
 

@@ -46,9 +46,13 @@ func main() {
 			r.QueryID, r.Hits[0].SeqID, r.Hits[0].Score, r.Worker)
 	}
 	fmt.Printf("\nwall %v, %.3f native GCUPS, %d cells\n", rep.Wall, rep.GCUPS, rep.Cells)
-	fmt.Printf("tasks per worker: %v\n", rep.WorkerTasks)
-	if rep.Schedule != nil {
-		fmt.Printf("modeled makespan %.3f s, idle %.2f%%\n\n", rep.SimMakespan, 100*rep.IdleFraction)
+	tasks := map[string]int{}
+	for _, r := range rep.Results {
+		tasks[r.Worker]++
+	}
+	fmt.Printf("tasks per worker: %v\n", tasks)
+	if sc := rep.Schedule; sc != nil {
+		fmt.Printf("modeled makespan %.3f s, idle %.2f%%\n\n", sc.Makespan, 100*sc.IdleFraction())
 	}
 
 	// Eight concurrent clients hammer the same Searcher; requests landing

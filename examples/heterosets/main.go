@@ -31,8 +31,11 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("%s set (scaled, functional): wall %v, %.3f GCUPS, idle %.2f%%\n",
-			kind, rep.Wall, rep.GCUPS, 100*rep.IdleFraction)
+		fmt.Printf("%s set (scaled, functional): wall %v, %.3f GCUPS", kind, rep.Wall, rep.GCUPS)
+		if sc := rep.Schedule; sc != nil {
+			fmt.Printf(", idle %.2f%%", 100*sc.IdleFraction())
+		}
+		fmt.Println()
 		for wi, w := range []int{2, 4, 8} {
 			plan, err := swdual.PaperPlatformPlan("UniProt", kind, w)
 			if err != nil {

@@ -15,7 +15,9 @@ import (
 // (X-API-Key header, else remote address) keeps one client from
 // occupying the whole queue. Client deadlines — a Request-Timeout
 // header or the timeout_ms body field — propagate into the search
-// context, so abandoned work is never planned into a scheduling wave.
+// context, so abandoned work is never planned into a scheduling wave; a
+// request carrying neither runs without a deadline. Request bodies are
+// capped at 8 MiB.
 //
 // Endpoints:
 //
@@ -44,12 +46,10 @@ func NewGateway(s *Searcher, opt Options) (*Gateway, error) {
 		return nil, errNilSets
 	}
 	g, err := gateway.New(s.inner, gateway.Config{
-		Capacity:       opt.GatewayCapacity,
-		Queue:          opt.GatewayQueue,
-		ClientSlots:    opt.GatewayClientSlots,
-		DefaultTimeout: opt.GatewayTimeout,
-		MaxBodyBytes:   opt.GatewayMaxBodyBytes,
-		DBMappedBytes:  s.db.MappedBytes(),
+		Capacity:      opt.GatewayCapacity,
+		Queue:         opt.GatewayQueue,
+		ClientSlots:   opt.GatewayClientSlots,
+		DBMappedBytes: s.db.MappedBytes(),
 	})
 	if err != nil {
 		return nil, err

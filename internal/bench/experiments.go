@@ -450,8 +450,10 @@ func (r *Runner) FunctionalValidation() (*Table, error) {
 	t.AddRow("wall time", rep.Wall.String())
 	t.AddRow("native GCUPS", fmt.Sprintf("%.3f", rep.GCUPS))
 	t.AddRow("score mismatches vs striped oracle", fmt.Sprintf("%d", mismatches))
-	t.AddRow("scheduled makespan (modeled s)", stats.FmtSeconds(rep.SimMakespan))
-	t.AddRow("scheduled idle fraction", fmt.Sprintf("%.2f%%", 100*rep.IdleFraction))
+	if sc := rep.Schedule; sc != nil {
+		t.AddRow("scheduled makespan (modeled s)", stats.FmtSeconds(sc.Makespan))
+		t.AddRow("scheduled idle fraction", fmt.Sprintf("%.2f%%", 100*sc.IdleFraction()))
+	}
 	if mismatches > 0 {
 		return t, fmt.Errorf("bench: functional validation found %d mismatching queries", mismatches)
 	}

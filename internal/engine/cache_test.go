@@ -351,14 +351,11 @@ func TestWarmCacheConcurrentHits(t *testing.T) {
 	}
 }
 
-// TestCacheConfigValidation: New refuses negative cache bounds instead
-// of defaulting them away.
+// TestCacheConfigValidation: New refuses a negative cache bound instead
+// of defaulting it away.
 func TestCacheConfigValidation(t *testing.T) {
 	db, _ := testSets(35, 36, 10, 1)
 	if _, err := New(db, Config{Cache: true, CacheSize: -1}); err == nil {
 		t.Fatal("negative CacheSize accepted")
-	}
-	if _, err := New(db, Config{Cache: true, CacheBytes: -1}); err == nil {
-		t.Fatal("negative CacheBytes accepted")
 	}
 }

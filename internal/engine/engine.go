@@ -63,9 +63,8 @@ const DefaultTopK = 10
 type Config struct {
 	// Params are the alignment parameters shared by all workers.
 	Params sw.Params
-	// Pool counts the workers of each backend — CPU backends
-	// (inter-sequence, striped, fine-grained) and GPUs, see
-	// master.PoolSpec. An empty Pool selects 1 CPU + 1 GPU worker.
+	// Pool counts the CPU and GPU workers, see master.PoolSpec. An empty
+	// Pool selects 1 CPU + 1 GPU worker.
 	Pool master.PoolSpec
 	// Workers overrides the built-in worker construction; Pool is then
 	// ignored.
@@ -85,12 +84,9 @@ type Config struct {
 	Cache bool
 	// CacheSize caps cached search fingerprints when Cache is on (0
 	// selects resultcache.DefaultMaxEntries); a negative value is
-	// rejected by New.
+	// rejected by New. The cache's memory cap is always
+	// resultcache.DefaultMaxBytes.
 	CacheSize int
-	// CacheBytes caps the result cache's estimated memory when Cache is
-	// on (0 selects resultcache.DefaultMaxBytes); a negative value is
-	// rejected by New.
-	CacheBytes int64
 }
 
 func (c *Config) defaults() {
@@ -262,9 +258,6 @@ func New(db *seq.Set, cfg Config) (*Searcher, error) {
 	if cfg.CacheSize < 0 {
 		return nil, fmt.Errorf("engine: negative CacheSize %d (0 selects the default)", cfg.CacheSize)
 	}
-	if cfg.CacheBytes < 0 {
-		return nil, fmt.Errorf("engine: negative CacheBytes %d (0 selects the default)", cfg.CacheBytes)
-	}
 	cfg.defaults()
 	s := &Searcher{
 		cfg:    cfg,
@@ -275,7 +268,7 @@ func New(db *seq.Set, cfg Config) (*Searcher, error) {
 		freed:  make(chan struct{}, 1),
 	}
 	if cfg.Cache {
-		s.cache = resultcache.New(resultcache.Config{MaxEntries: cfg.CacheSize, MaxBytes: cfg.CacheBytes})
+		s.cache = resultcache.New(resultcache.Config{MaxEntries: cfg.CacheSize})
 		s.flight = resultcache.NewFlight()
 	}
 	s.prepare()

@@ -510,10 +510,10 @@ func TestStatsReportsObservedWorkerRates(t *testing.T) {
 	}
 }
 
-// TestMixedPoolConfig builds a Searcher from a heterogeneous PoolSpec
-// and checks the pool shape lands in Stats, the search succeeds, and
-// hits match the homogeneous engine byte for byte — backends change
-// throughput, never results.
+// TestMixedPoolConfig builds a Searcher from a differently mixed
+// PoolSpec and checks the pool shape lands in Stats, the search
+// succeeds, and hits match the cpu=2,gpu=2 engine byte for byte — the
+// mix changes throughput, never results.
 func TestMixedPoolConfig(t *testing.T) {
 	db, queries := testSets(25, 26, 35, 6)
 	ref, err := New(db, Config{Pool: master.PoolSpec{CPU: 2, GPU: 2}, TopK: 5})
@@ -526,7 +526,7 @@ func TestMixedPoolConfig(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	spec := master.PoolSpec{CPU: 1, Striped: 1, Fine: 1, GPU: 1}
+	spec := master.PoolSpec{CPU: 3, GPU: 1}
 	s, err := New(db, Config{Pool: spec, TopK: 5})
 	if err != nil {
 		t.Fatal(err)
@@ -544,12 +544,12 @@ func TestMixedPoolConfig(t *testing.T) {
 			gpus++
 		}
 	}
-	if cpus != spec.CPUWorkers() || gpus != spec.GPUWorkers() {
-		t.Fatalf("pool kinds %d CPU + %d GPU, want %d + %d", cpus, gpus, spec.CPUWorkers(), spec.GPUWorkers())
+	if cpus != spec.CPU || gpus != spec.GPU {
+		t.Fatalf("pool kinds %d CPU + %d GPU, want %d + %d", cpus, gpus, spec.CPU, spec.GPU)
 	}
 	got, err := s.Search(context.Background(), queries, SearchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameHits(t, "mixed pool vs homogeneous", got, want)
+	sameHits(t, "cpu=3,gpu=1 vs cpu=2,gpu=2", got, want)
 }

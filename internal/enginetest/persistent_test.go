@@ -128,7 +128,7 @@ func TestConcurrentWavesMatchOneShot(t *testing.T) {
 
 // TestMixedPoolsMatchStaticRatePath is the adaptive-scheduling
 // equivalence guarantee: whatever pool spec backs the Searcher — pure
-// inter-sequence, striped, fine-grained, GPUs, or any mix — and however
+// inter-sequence CPUs, GPUs, or any mix of the two — and however
 // far its measured rates drift from the advertised seeds over repeated
 // waves, the hits must stay byte-identical to the oracle, which knows
 // no rates at all. Rates move tasks between workers; they never touch
@@ -142,10 +142,10 @@ func TestMixedPoolsMatchStaticRatePath(t *testing.T) {
 
 	for _, spec := range []master.PoolSpec{
 		{CPU: 2},
-		{Striped: 2},
-		{Fine: 1},
-		{CPU: 1, Striped: 1, Fine: 1, GPU: 1},
-		{Striped: 1, GPU: 2},
+		{GPU: 1},
+		{CPU: 1, GPU: 1},
+		{CPU: 3, GPU: 1},
+		{CPU: 1, GPU: 2},
 	} {
 		s, err := engine.New(db, engine.Config{Params: params, Pool: spec, TopK: 5})
 		if err != nil {

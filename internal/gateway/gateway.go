@@ -63,9 +63,6 @@ type Config struct {
 	// hold at once (default: a quarter of Capacity+Queue, minimum 1). A
 	// client is its X-API-Key header, else its remote address.
 	ClientSlots int
-	// DefaultTimeout is applied to searches whose client sent no
-	// deadline (0 = none).
-	DefaultTimeout time.Duration
 	// MaxBodyBytes bounds the request body (default 8 MiB).
 	MaxBodyBytes int64
 	// MaxQueries bounds queries per request (default 1024, the engine's
@@ -188,9 +185,6 @@ func New(be engine.Backend, cfg Config) (*Gateway, error) {
 	if cfg.MaxBodyBytes < 0 || cfg.MaxQueries < 0 || cfg.MaxQueryResidues < 0 {
 		return nil, fmt.Errorf("gateway: negative request limit (body %d, queries %d, residues %d)",
 			cfg.MaxBodyBytes, cfg.MaxQueries, cfg.MaxQueryResidues)
-	}
-	if cfg.DefaultTimeout < 0 {
-		return nil, fmt.Errorf("gateway: negative DefaultTimeout %v", cfg.DefaultTimeout)
 	}
 	cfg.defaults()
 	g := &Gateway{
@@ -409,15 +403,12 @@ func (g *Gateway) handleSearch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Deadline: body field wins, then header, then the server default.
+	// Deadline: body field wins, then header; neither means none.
 	// The ctx descends from the request's, so a client disconnect
 	// cancels the search all the way into the wave planner.
 	timeout := time.Duration(req.TimeoutMillis) * time.Millisecond
 	if timeout == 0 {
 		timeout = hdrTimeout
-	}
-	if timeout == 0 {
-		timeout = g.cfg.DefaultTimeout
 	}
 	ctx := r.Context()
 	if timeout > 0 {

@@ -422,7 +422,6 @@ func TestConfigValidation(t *testing.T) {
 	for _, cfg := range []Config{
 		{Capacity: -1}, {ClientSlots: -1},
 		{MaxBodyBytes: -1}, {MaxQueries: -1}, {MaxQueryResidues: -1},
-		{DefaultTimeout: -time.Second},
 	} {
 		if _, err := New(e, cfg); err == nil {
 			t.Fatalf("config %+v accepted", cfg)

@@ -92,16 +92,14 @@ type ProfiledWorker interface {
 
 // Report is the outcome of one search request.
 type Report struct {
-	Policy       Policy
-	Results      []QueryResult // indexed by query
-	Wall         time.Duration
-	Cells        int64
-	GCUPS        float64 // based on wall time
-	Schedule     *sched.Schedule
-	WorkerBusy   map[string]time.Duration
-	WorkerTasks  map[string]int
-	SimMakespan  float64 // simulated makespan from the schedule, if any
-	IdleFraction float64
+	Policy  Policy
+	Results []QueryResult // indexed by query; each names its worker and time
+	Wall    time.Duration
+	Cells   int64
+	GCUPS   float64 // based on wall time
+	// Schedule is the wave's modeled schedule (makespan, idle fraction)
+	// on a single engine; nil on a cached or sharded answer.
+	Schedule *sched.Schedule
 	// Coverage is non-nil only on a degraded answer: a sharded
 	// coordinator running with a partial degradation policy searched
 	// some ranges of the database but skipped others whose every

@@ -161,16 +161,21 @@ func TestInstanceFromWorkerRates(t *testing.T) {
 func TestWorkerAccounting(t *testing.T) {
 	db, queries := testData(t)
 	rep := runRequest(t, db, queries, testWorkers(2), PolicySelfScheduling)
+	tasks := map[string]int{}
+	var busy time.Duration
+	for _, r := range rep.Results {
+		if r.Worker == "" {
+			t.Fatalf("query %d names no worker", r.QueryIndex)
+		}
+		tasks[r.Worker]++
+		busy += r.Elapsed
+	}
 	total := 0
-	for _, n := range rep.WorkerTasks {
+	for _, n := range tasks {
 		total += n
 	}
 	if total != queries.Len() {
 		t.Fatalf("task accounting: %d vs %d", total, queries.Len())
-	}
-	var busy time.Duration
-	for _, d := range rep.WorkerBusy {
-		busy += d
 	}
 	if busy <= 0 {
 		t.Fatal("no busy time recorded")

@@ -8,9 +8,8 @@ import (
 )
 
 // Result merge: the third of the master's three roles. A Merger gathers
-// worker results for one request (one query set), keeps per-worker
-// accounting, and finalizes the Report. It is safe for concurrent Add
-// calls from many workers.
+// worker results for one request (one query set) and finalizes the
+// Report. It is safe for concurrent Add calls from many workers.
 
 // HitBefore is the canonical hit order every merge in the module agrees
 // on: descending score, then ascending SeqIndex. TopHits sorts with it
@@ -67,8 +66,6 @@ func MergeTopK(lists [][]Hit, offsets []int, k int) []Hit {
 type Merger struct {
 	mu      sync.Mutex
 	results []QueryResult
-	busy    map[string]time.Duration
-	tasks   map[string]int
 	pending int
 	done    chan struct{}
 	start   time.Time
@@ -79,8 +76,6 @@ type Merger struct {
 func NewMerger(n int) *Merger {
 	g := &Merger{
 		results: make([]QueryResult, n),
-		busy:    map[string]time.Duration{},
-		tasks:   map[string]int{},
 		pending: n,
 		done:    make(chan struct{}),
 		start:   time.Now(),
@@ -97,8 +92,6 @@ func NewMerger(n int) *Merger {
 func (g *Merger) Add(index int, res QueryResult) {
 	g.mu.Lock()
 	g.results[index] = res
-	g.busy[res.Worker] += res.Elapsed
-	g.tasks[res.Worker]++
 	g.pending--
 	last := g.pending == 0
 	g.mu.Unlock()
@@ -128,22 +121,16 @@ func (g *Merger) Report(policy Policy, s *sched.Schedule) *Report {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	rep := &Report{
-		Policy:      policy,
-		Results:     g.results,
-		Wall:        time.Since(g.start),
-		WorkerBusy:  g.busy,
-		WorkerTasks: g.tasks,
-		Schedule:    s,
+		Policy:   policy,
+		Results:  g.results,
+		Wall:     time.Since(g.start),
+		Schedule: s,
 	}
 	for i := range rep.Results {
 		rep.Cells += rep.Results[i].Cells
 	}
 	if sec := rep.Wall.Seconds(); sec > 0 {
 		rep.GCUPS = float64(rep.Cells) / sec / 1e9
-	}
-	if s != nil {
-		rep.SimMakespan = s.Makespan
-		rep.IdleFraction = s.IdleFraction()
 	}
 	return rep
 }

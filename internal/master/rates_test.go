@@ -188,20 +188,20 @@ func TestBuildWorkersRatesComeFromCalibration(t *testing.T) {
 }
 
 func TestBuildPoolWorkersComposition(t *testing.T) {
-	spec := PoolSpec{CPU: 1, Striped: 2, Fine: 1, GPU: 1}
+	spec := PoolSpec{CPU: 2, GPU: 1}
 	ws := BuildPoolWorkers(sw.DefaultParams(), spec, 5)
 	if len(ws) != spec.Total() {
 		t.Fatalf("%d workers for spec %v (total %d)", len(ws), spec, spec.Total())
 	}
-	wantNames := []string{"gpu-0", "cpu-0", "striped-0", "striped-1", "fine-0"}
+	wantNames := []string{"gpu-0", "cpu-0", "cpu-1"}
 	for i, w := range ws {
 		if w.Name() != wantNames[i] {
 			t.Errorf("worker %d named %q, want %q", i, w.Name(), wantNames[i])
 		}
 	}
 	r := RatesOf(ws)
-	if r.CPUs != spec.CPUWorkers() || r.GPUs != spec.GPUWorkers() {
-		t.Fatalf("RatesOf pools %d CPU + %d GPU, want %d + %d", r.CPUs, r.GPUs, spec.CPUWorkers(), spec.GPUWorkers())
+	if r.CPUs != spec.CPU || r.GPUs != spec.GPU {
+		t.Fatalf("RatesOf pools %d CPU + %d GPU, want %d + %d", r.CPUs, r.GPUs, spec.CPU, spec.GPU)
 	}
 }
 
@@ -211,8 +211,8 @@ func TestParsePoolSpec(t *testing.T) {
 		want PoolSpec
 	}{
 		{"", PoolSpec{}},
-		{"cpu=4,striped=2,gpu=1", PoolSpec{CPU: 4, Striped: 2, GPU: 1}},
-		{"fine=1", PoolSpec{Fine: 1}},
+		{"cpu=4,gpu=1", PoolSpec{CPU: 4, GPU: 1}},
+		{"gpu=1", PoolSpec{GPU: 1}},
 		{" cpu=1 , gpu=2 ", PoolSpec{CPU: 1, GPU: 2}},
 		{"cpu=1,cpu=2", PoolSpec{CPU: 3}}, // repeated backends accumulate
 		{"cpu=0,gpu=1", PoolSpec{GPU: 1}},
@@ -235,6 +235,8 @@ func TestParsePoolSpec(t *testing.T) {
 		"cpu=x",        // non-numeric count
 		"cpu=-1",       // negative count
 		"tpu=1",        // unknown backend
+		"striped=1",    // a Table I baseline, not a serving backend
+		"fine=1",       // likewise
 		"cpu=0",        // no workers at all
 		"cpu=1,,gpu=1", // empty entry
 		"cpu=1;gpu=1",  // wrong separator
@@ -246,10 +248,9 @@ func TestParsePoolSpec(t *testing.T) {
 	}
 
 	// The unknown-backend error must teach the valid grammar.
-	_, err := ParsePoolSpec("tpu=1")
-	for _, backend := range poolSpecBackends {
-		if !strings.Contains(err.Error(), backend) {
-			t.Errorf("error %q does not list valid backend %q", err, backend)
+	for _, in := range []string{"tpu=1", "striped=1", "fine=1"} {
+		if _, err := ParsePoolSpec(in); !strings.Contains(err.Error(), "valid backends: cpu, gpu") {
+			t.Errorf("ParsePoolSpec(%q) error %q does not list the valid backends cpu, gpu", in, err)
 		}
 	}
 }
@@ -261,7 +262,7 @@ func TestPoolSpecString(t *testing.T) {
 	}{
 		{PoolSpec{}, ""},
 		{PoolSpec{CPU: 2, GPU: 1}, "cpu=2,gpu=1"},
-		{PoolSpec{CPU: 1, Striped: 2, Fine: 3, GPU: 4}, "cpu=1,striped=2,fine=3,gpu=4"},
+		{PoolSpec{GPU: 4}, "gpu=4"},
 	} {
 		if got := tc.spec.String(); got != tc.want {
 			t.Errorf("String(%+v) = %q, want %q", tc.spec, got, tc.want)

@@ -29,7 +29,6 @@ import (
 	"encoding/binary"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"swdual/internal/master"
 	"swdual/internal/seq"
@@ -230,14 +229,12 @@ func (c *Cache) Stats() Stats {
 // Report assembles a fresh report around per-query hits: QueryIndex and
 // QueryID come from the request's query set, and the hit slices are
 // owned by the report (pass a copy; Cache.Get already returns one).
-// Cells, timing and worker accounting stay zero — a cached answer did
-// no work, and Stats counters are where operators see that.
+// Cells, timing and workers stay zero — a cached answer did no work,
+// and Stats counters are where operators see that.
 func Report(policy master.Policy, queries *seq.Set, hits [][]master.Hit) *master.Report {
 	rep := &master.Report{
-		Policy:      policy,
-		Results:     make([]master.QueryResult, len(queries.Seqs)),
-		WorkerBusy:  map[string]time.Duration{},
-		WorkerTasks: map[string]int{},
+		Policy:  policy,
+		Results: make([]master.QueryResult, len(queries.Seqs)),
 	}
 	for i := range rep.Results {
 		rep.Results[i].QueryIndex = i

@@ -212,11 +212,11 @@ func TestWithBackendsRejectsChecksumSkew(t *testing.T) {
 }
 
 // TestRemoteMixedPoolShardsMatchUnsharded runs the transport-equivalence
-// suite over heterogeneous pools: shard servers whose engines mix
-// backends (with measured rates drifting from the advertised seeds over
-// repeated waves) must stay byte-identical to one homogeneous unsharded
-// engine, and their per-worker observed rates must cross the wire into
-// the coordinator's aggregated Stats.
+// suite over mixed pools: shard servers whose engines mix CPU and GPU
+// workers in another ratio (with measured rates drifting from the
+// advertised seeds over repeated waves) must stay byte-identical to one
+// cpu=1,gpu=1 unsharded engine, and their per-worker observed rates
+// must cross the wire into the coordinator's aggregated Stats.
 func TestRemoteMixedPoolShardsMatchUnsharded(t *testing.T) {
 	const topK = 5
 	db := synth.RandomSet(alphabet.Protein, 26, 10, 120, 3207)
@@ -229,7 +229,7 @@ func TestRemoteMixedPoolShardsMatchUnsharded(t *testing.T) {
 	want := searchHits(t, ref, queries, 0)
 	ref.Close()
 
-	spec := master.PoolSpec{Striped: 1, Fine: 1, GPU: 1}
+	spec := master.PoolSpec{CPU: 2, GPU: 1}
 	const shards = 2
 	s := remoteSharded(t, db, shards, Contiguous, engine.Config{Pool: spec, TopK: topK})
 	defer s.Close()

@@ -425,19 +425,16 @@ func (s *Searcher) coverage(skipped []bool, errs []error) *master.Coverage {
 }
 
 // gather merges the per-shard reports into one whole-database Report:
-// hits via MergeTopK with each shard's index offset, accounting by sum,
-// and worker tallies under shard-prefixed names (every shard has its own
-// cpu-0). No single Schedule spans the shards — each ran its own wave —
-// so Schedule stays nil. A nil entry in reps is a skipped range (a
+// hits via MergeTopK with each shard's index offset and accounting by
+// sum. No single Schedule spans the shards — each ran its own wave — so
+// Schedule stays nil. A nil entry in reps is a skipped range (a
 // degraded scatter): it contributes nothing — an empty hit list merges
 // as the absence it is — and skipping means the merged order of the
 // surviving hits is exactly what a full search would have produced for
 // those ranges.
 func (s *Searcher) gather(queries *seq.Set, reps []*master.Report, topK int, start time.Time) *master.Report {
 	rep := &master.Report{
-		Results:     make([]master.QueryResult, queries.Len()),
-		WorkerBusy:  map[string]time.Duration{},
-		WorkerTasks: map[string]int{},
+		Results: make([]master.QueryResult, queries.Len()),
 	}
 	for _, r := range reps {
 		if r != nil {
@@ -464,22 +461,6 @@ func (s *Searcher) gather(queries *seq.Set, reps []*master.Report, topK int, sta
 		qr.Hits = master.MergeTopK(lists, offsets, topK)
 		rep.Results[qi] = qr
 		rep.Cells += qr.Cells
-	}
-	for si, r := range reps {
-		if r == nil {
-			continue
-		}
-		for name, d := range r.WorkerBusy {
-			rep.WorkerBusy[fmt.Sprintf("shard%d/%s", si, name)] += d
-		}
-		for name, n := range r.WorkerTasks {
-			rep.WorkerTasks[fmt.Sprintf("shard%d/%s", si, name)] += n
-		}
-		// Shards run concurrently, so the modeled makespan of the sharded
-		// search is the slowest shard's wave, not the sum.
-		if r.SimMakespan > rep.SimMakespan {
-			rep.SimMakespan = r.SimMakespan
-		}
 	}
 	rep.Wall = time.Since(start)
 	if sec := rep.Wall.Seconds(); sec > 0 {

@@ -55,7 +55,7 @@ func planModel(dbLengths, queryLens []int, opt Options) (*SchedulePlan, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := platform.New(pool.CPUWorkers(), pool.GPUWorkers())
+	p := platform.New(pool.CPU, pool.GPU)
 	model := p.ModelDB("db", dbLengths)
 	in := p.Instance(model, queryLens)
 	var s *sched.Schedule

@@ -21,8 +21,8 @@ import (
 // paper's long-lived master (§IV) as a service.
 //
 // A Searcher must be Closed to release its workers. For a single search
-// the package-level Search remains the simplest entry point; it is now
-// a thin wrapper over a temporary Searcher.
+// the package-level Search is the simplest entry point; it runs one
+// request through a temporary Searcher.
 //
 // With Options.ReplicaShards this process is the coordinator of a
 // cluster: the database is partitioned into ranges, each held by one or
@@ -72,7 +72,7 @@ func NewSearcher(db *Database, opt Options) (*Searcher, error) {
 		if opt.Cache {
 			// The cache belongs in the coordinator: a cached answer skips
 			// the network scatter entirely.
-			sh.EnableCache(opt.CacheSize, opt.CacheBytes)
+			sh.EnableCache(opt.CacheSize, 0)
 		}
 		if opt.Degraded {
 			// This is where degraded mode earns its keep: a range whose
@@ -252,7 +252,9 @@ func (s *Searcher) Close() error { return s.inner.Close() }
 // QueryServer runs one search request against a serve-mode Searcher
 // listening at addr and returns its merged results. A non-zero checksum
 // makes the server refuse the request unless its database matches.
-func QueryServer(addr string, queries *Database, checksum uint32) (*Report, error) {
+// opts.TopK bounds hits per query as in Searcher.Search: 0 selects the
+// server's TopK, and the server caps larger values to its own.
+func QueryServer(addr string, queries *Database, checksum uint32, opts SearchOptions) (*Report, error) {
 	if queries == nil {
 		return nil, errNilSets
 	}
@@ -261,5 +263,5 @@ func QueryServer(addr string, queries *Database, checksum uint32) (*Report, erro
 		return nil, err
 	}
 	defer b.Close()
-	return b.Search(context.Background(), queries.set, engine.SearchOptions{})
+	return b.Search(context.Background(), queries.set, engine.SearchOptions{TopK: opts.TopK})
 }

@@ -49,15 +49,14 @@ type Options struct {
 	GapStart  int
 	GapExtend int
 	// Pool describes the worker pool as a spec string of comma-separated
-	// backend=count pairs, e.g. "cpu=2,gpu=2" or "cpu=2,striped=1,gpu=1".
-	// Valid backends: "cpu" (inter-sequence AVX2 or SWAR, the paper's
-	// CPU engine), "striped" (striped SWAR), "fine" (fine-grained
-	// wavefront), "gpu" (simulated Tesla C2050). All backends compute
-	// exact scores, so mixing them changes throughput and scheduling,
-	// never results; each worker's advertised rate only seeds a live
-	// estimate measured from its completed tasks. The empty spec selects
-	// "cpu=1,gpu=1". Plan models the pool's CPU and GPU counts, and
-	// ServeShard gives its slice a pool of this shape.
+	// backend=count pairs, e.g. "cpu=2,gpu=2": the paper's m CPUs and
+	// k GPUs. Valid backends: "cpu" (inter-sequence AVX2 or SWAR, the
+	// paper's CPU engine) and "gpu" (simulated Tesla C2050). Both
+	// compute exact scores, so the mix changes throughput and
+	// scheduling, never results; each worker's advertised rate only
+	// seeds a live estimate measured from its completed tasks. The
+	// empty spec selects "cpu=1,gpu=1". Plan models the pool's CPU and
+	// GPU counts, and ServeShard gives its slice a pool of this shape.
 	Pool string
 	// TopK bounds reported hits per query (default 10).
 	TopK int
@@ -102,11 +101,10 @@ type Options struct {
 	// every wave. Hits are byte-identical with the cache on or off.
 	Cache bool
 	// CacheSize caps cached search fingerprints (0 selects the default,
-	// 1024); CacheBytes caps the cache's estimated memory (0 selects
-	// the default, 64 MiB). Negative values are rejected by NewSearcher
-	// and ServeShard on every topology.
-	CacheSize  int
-	CacheBytes int64
+	// 1024); the cache's estimated memory is capped at 64 MiB. A
+	// negative value is rejected by NewSearcher and ServeShard on every
+	// topology.
+	CacheSize int
 	// GatewayCapacity bounds concurrently executing searches behind the
 	// HTTP gateway (0 selects the default, 2×GOMAXPROCS); see NewGateway.
 	GatewayCapacity int
@@ -118,12 +116,6 @@ type Options struct {
 	// else remote address) may hold at once (0 selects the default, a
 	// quarter of capacity+queue).
 	GatewayClientSlots int
-	// GatewayTimeout is the search deadline applied to gateway requests
-	// that carry none of their own (0 = none).
-	GatewayTimeout time.Duration
-	// GatewayMaxBodyBytes bounds a gateway request body (0 selects the
-	// default, 8 MiB).
-	GatewayMaxBodyBytes int64
 	// Degraded selects partial-result search on a sharded coordinator:
 	// when every replica of a database range is unavailable, Search
 	// answers from the surviving ranges and the Report carries Coverage
@@ -158,17 +150,13 @@ func (o Options) engineConfig() (engine.Config, error) {
 	if o.CacheSize < 0 {
 		return engine.Config{}, fmt.Errorf("swdual: negative CacheSize %d (0 selects the default)", o.CacheSize)
 	}
-	if o.CacheBytes < 0 {
-		return engine.Config{}, fmt.Errorf("swdual: negative CacheBytes %d (0 selects the default)", o.CacheBytes)
-	}
 	return engine.Config{
-		Params:     params,
-		Pool:       pool,
-		TopK:       o.TopK,
-		Policy:     policy,
-		Cache:      o.Cache,
-		CacheSize:  o.CacheSize,
-		CacheBytes: o.CacheBytes,
+		Params:    params,
+		Pool:      pool,
+		TopK:      o.TopK,
+		Policy:    policy,
+		Cache:     o.Cache,
+		CacheSize: o.CacheSize,
 	}, nil
 }
 

@@ -283,7 +283,7 @@ func TestSearcherServe(t *testing.T) {
 	}
 	serveDone := make(chan error, 1)
 	go func() { serveDone <- s.Serve(l) }()
-	remote, err := swdual.QueryServer(l.Addr().String(), queries, s.Checksum())
+	remote, err := swdual.QueryServer(l.Addr().String(), queries, s.Checksum(), swdual.SearchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,6 +299,54 @@ func TestSearcherServe(t *testing.T) {
 		for hi := range got {
 			if got[hi].SeqIndex != want[hi].SeqIndex || got[hi].Score != want[hi].Score {
 				t.Fatalf("query %d hit %d mismatch", qi, hi)
+			}
+		}
+	}
+	l.Close()
+	if err := <-serveDone; err != nil {
+		t.Fatalf("serve: %v", err)
+	}
+}
+
+// TestQueryServerHonorsTopK: QueryServer's TopK reaches the server, so a
+// client asking a TopK 10 server for 3 hits gets exactly the first 3 of
+// a local search, not the server's 10.
+func TestQueryServerHonorsTopK(t *testing.T) {
+	db, err := swdual.GenerateDatabase("UniProt", 20000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	queries, err := swdual.GenerateQueries("standard", 400)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := swdual.NewSearcher(db, swdual.Options{Pool: "cpu=1", TopK: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	serveDone := make(chan error, 1)
+	go func() { serveDone <- s.Serve(l) }()
+	remote, err := swdual.QueryServer(l.Addr().String(), queries, s.Checksum(), swdual.SearchOptions{TopK: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	local, err := s.Search(context.Background(), queries, swdual.SearchOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for qi := range local.Results {
+		got, want := remote.Results[qi].Hits, local.Results[qi].Hits
+		if len(want) < 3 || len(got) != 3 {
+			t.Fatalf("query %d: %d remote hits (want 3), %d local", qi, len(got), len(want))
+		}
+		for hi := range got {
+			if got[hi] != want[hi] {
+				t.Fatalf("query %d hit %d: %+v, local %+v", qi, hi, got[hi], want[hi])
 			}
 		}
 	}
@@ -357,7 +405,7 @@ func TestShardedSearcherMatchesUnsharded(t *testing.T) {
 		}
 		serveDone := make(chan error, 1)
 		go func() { serveDone <- s.Serve(l) }()
-		remote, err := swdual.QueryServer(l.Addr().String(), queries, s.Checksum())
+		remote, err := swdual.QueryServer(l.Addr().String(), queries, s.Checksum(), swdual.SearchOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -674,9 +722,9 @@ func TestDegradedRidesOverDeadShardServer(t *testing.T) {
 	}
 }
 
-// TestNegativeCacheBoundsRefusedEverywhere: a negative CacheSize or
-// CacheBytes is refused with the same error by every topology's
-// constructor and by ServeShard, before anything is dialed or served.
+// TestNegativeCacheBoundsRefusedEverywhere: a negative CacheSize is
+// refused with the same error by every topology's constructor and by
+// ServeShard, before anything is dialed or served.
 func TestNegativeCacheBoundsRefusedEverywhere(t *testing.T) {
 	db, err := swdual.GenerateDatabase("UniProt", 50000)
 	if err != nil {
@@ -687,7 +735,6 @@ func TestNegativeCacheBoundsRefusedEverywhere(t *testing.T) {
 		want string
 	}{
 		{swdual.Options{Cache: true, CacheSize: -1}, "negative CacheSize -1"},
-		{swdual.Options{Cache: true, CacheBytes: -1}, "negative CacheBytes -1"},
 	} {
 		for _, topo := range []struct {
 			name string
@@ -726,9 +773,10 @@ func TestGenerateErrors(t *testing.T) {
 }
 
 // TestPoolOptionMatchesDefaultWorkers pins the public adaptive-pool
-// surface: a heterogeneous Options.Pool search returns hits identical
-// to the default worker set (the empty Pool), and the Searcher's Stats
-// expose every worker's observed (measured) GCUPS after the search.
+// surface: a differently mixed Options.Pool search returns hits
+// identical to the default worker set (the empty Pool), and the
+// Searcher's Stats expose every worker's observed (measured) GCUPS
+// after the search.
 func TestPoolOptionMatchesDefaultWorkers(t *testing.T) {
 	db, err := swdual.GenerateDatabase("UniProt", 20000)
 	if err != nil {
@@ -743,7 +791,7 @@ func TestPoolOptionMatchesDefaultWorkers(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s, err := swdual.NewSearcher(db, swdual.Options{Pool: "cpu=1,striped=1,fine=1,gpu=1", TopK: 5})
+	s, err := swdual.NewSearcher(db, swdual.Options{Pool: "cpu=3,gpu=1", TopK: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -795,9 +843,12 @@ func TestOptionErrorsTeachValidValues(t *testing.T) {
 		!strings.Contains(err.Error(), "dual-approx-dp") {
 		t.Fatalf("bad policy error %v must list the valid policies", err)
 	}
-	if _, err := swdual.Search(db, queries, swdual.Options{Pool: "tpu=1"}); err == nil ||
-		!strings.Contains(err.Error(), "striped") {
-		t.Fatalf("bad pool error %v must list the valid backends", err)
+	// striped and fine are Table I baselines, not serving backends.
+	for _, pool := range []string{"tpu=1", "striped=1", "fine=1"} {
+		if _, err := swdual.Search(db, queries, swdual.Options{Pool: pool}); err == nil ||
+			!strings.Contains(err.Error(), "valid backends: cpu, gpu") {
+			t.Fatalf("bad pool %q: error %v must list the valid backends cpu, gpu", pool, err)
+		}
 	}
 }
 
