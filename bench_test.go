@@ -65,8 +65,8 @@ func BenchmarkSearchPersistent(b *testing.B) {
 }
 
 // BenchmarkMappedVsHeapMemory prices where the corpus lives during
-// sustained searching: the same .swdb searched from a heap copy
-// (LoadBinary) and from a read-only mapping (OpenDatabase). ns/op shows
+// sustained searching: the same corpus searched from a heap copy
+// (LoadFASTA) and from a read-only .swdb mapping (OpenDatabase). ns/op shows
 // steady-state search parity — the mapping costs nothing per search —
 // while the custom metrics show the memory story: heap-inuse-bytes
 // drops by roughly the corpus size under mmap (residues live in the
@@ -77,8 +77,12 @@ func BenchmarkMappedVsHeapMemory(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	path := filepath.Join(b.TempDir(), "bench.swdb")
-	if err := gen.SaveBinary(path); err != nil {
+	dir := b.TempDir()
+	swdbPath, fastaPath := filepath.Join(dir, "bench.swdb"), filepath.Join(dir, "bench.fasta")
+	if err := gen.SaveBinary(swdbPath); err != nil {
+		b.Fatal(err)
+	}
+	if err := gen.SaveFASTA(fastaPath); err != nil {
 		b.Fatal(err)
 	}
 	gen = nil
@@ -86,7 +90,7 @@ func BenchmarkMappedVsHeapMemory(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	run := func(b *testing.B, open func(string) (*swdual.Database, error)) {
+	run := func(b *testing.B, open func(string) (*swdual.Database, error), path string) {
 		db, err := open(path)
 		if err != nil {
 			b.Fatal(err)
@@ -119,8 +123,8 @@ func BenchmarkMappedVsHeapMemory(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	b.Run("heap", func(b *testing.B) { run(b, swdual.LoadBinary) })
-	b.Run("mmap", func(b *testing.B) { run(b, swdual.OpenDatabase) })
+	b.Run("heap", func(b *testing.B) { run(b, swdual.LoadFASTA, fastaPath) })
+	b.Run("mmap", func(b *testing.B) { run(b, swdual.OpenDatabase, swdbPath) })
 }
 
 // BenchmarkCachedSearch prices the result cache against the persistent
@@ -374,25 +378,13 @@ func benchEngine(b *testing.B, engine sw.Engine, queryLen, dbSeqs, dbLen int) {
 	}
 }
 
-// BenchmarkAlignHirschberg measures linear-space traceback alignment.
-func BenchmarkAlignHirschberg(b *testing.B) {
-	db := synth.RandomSet(alphabet.Protein, 2, 1500, 1500, 3)
-	q, d := db.Seqs[0].Residues, db.Seqs[1].Residues
-	p := sw.DefaultParams()
-	b.SetBytes(sw.Cells(len(q), len(d)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sw.AlignHirschberg(p, q, d)
-	}
-}
-
 // BenchmarkAlignFullMatrix measures quadratic-space traceback alignment
-// (the memory-hungry alternative Hirschberg replaces).
+// (sw.Align, the traceback behind AlignPair).
 func BenchmarkAlignFullMatrix(b *testing.B) {
 	db := synth.RandomSet(alphabet.Protein, 2, 1500, 1500, 3)
 	q, d := db.Seqs[0].Residues, db.Seqs[1].Residues
 	p := sw.DefaultParams()
-	b.SetBytes(sw.Cells(len(q), len(d)))
+	b.SetBytes(int64(len(q)) * int64(len(d)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sw.Align(p, q, d)

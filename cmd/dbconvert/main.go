@@ -1,10 +1,17 @@
 // Command dbconvert converts between FASTA and the binary sequence
 // database format of §IV (random-access index + known sizes).
 //
+// The input format follows the extension: a .swdb input is memory-mapped
+// (swdual.OpenDatabase), anything else is parsed as FASTA; the output is
+// .swdb if its name ends so, FASTA otherwise. The output is written to a
+// temporary file and renamed into place, so -in and -out may name the
+// same file.
+//
 // Usage:
 //
 //	dbconvert -in db.fasta -out db.swdb
 //	dbconvert -in db.swdb -out db.fasta
+//	dbconvert -in db.swdb -out db.swdb   # rewrite in place
 //	dbconvert -in db.swdb -verify        # full index + data CRC check
 package main
 
@@ -48,18 +55,11 @@ func main() {
 	if *out == "" {
 		log.Fatal("-out is required")
 	}
-	var (
-		db  *swdual.Database
-		err error
-	)
-	if strings.HasSuffix(*in, ".swdb") {
-		db, err = swdual.LoadBinary(*in)
-	} else {
-		db, err = swdual.LoadFASTA(*in)
-	}
+	db, err := swdual.OpenDatabase(*in)
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer db.Close()
 	if strings.HasSuffix(*out, ".swdb") {
 		err = db.SaveBinary(*out)
 	} else {

@@ -124,10 +124,11 @@ func main() {
 		if *planOnly || *evalues {
 			log.Fatal("-plan and -evalue run locally and do not apply to -remote")
 		}
-		queries, err := load(*qPath)
+		queries, err := swdual.OpenDatabase(*qPath)
 		if err != nil {
 			log.Fatalf("loading queries: %v", err)
 		}
+		defer queries.Close()
 		rep, err := swdual.QueryServer(*remote, queries, 0, swdual.SearchOptions{TopK: *topk})
 		if err != nil {
 			log.Fatal(err)
@@ -140,10 +141,8 @@ func main() {
 	if *dbPath == "" {
 		log.Fatal("-db is required")
 	}
-	// The database goes through OpenDatabase so a .swdb file is
-	// memory-mapped instead of copied: serve fleets on one host share a
-	// single physical copy through the page cache. Queries stay on the
-	// load() heap path — they are small and short-lived.
+	// A .swdb database is memory-mapped instead of copied: serve fleets
+	// on one host share a single physical copy through the page cache.
 	db, err := swdual.OpenDatabase(*dbPath)
 	if err != nil {
 		log.Fatalf("loading database: %v", err)
@@ -208,10 +207,11 @@ func main() {
 	if *qPath == "" {
 		log.Fatal("both -db and -query are required")
 	}
-	queries, err := load(*qPath)
+	queries, err := swdual.OpenDatabase(*qPath)
 	if err != nil {
 		log.Fatalf("loading queries: %v", err)
 	}
+	defer queries.Close()
 	if *planOnly {
 		plan, err := swdual.Plan(db, queries, opt)
 		if err != nil {
@@ -273,11 +273,4 @@ func printResults(rep *swdual.Report, queries *swdual.Database, extra func(score
 			fmt.Printf("  %-24s score %5d%s\n", h.SeqID, h.Score, suffix)
 		}
 	}
-}
-
-func load(path string) (*swdual.Database, error) {
-	if strings.HasSuffix(path, ".swdb") {
-		return swdual.LoadBinary(path)
-	}
-	return swdual.LoadFASTA(path)
 }

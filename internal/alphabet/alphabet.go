@@ -25,7 +25,7 @@ type Alphabet struct {
 	core int
 }
 
-// Unknown is returned by Code for letters outside the alphabet.
+// Unknown marks letters outside the alphabet in the code table.
 const Unknown = -1
 
 // New builds an Alphabet from the canonical letter set. Lower-case input
@@ -81,19 +81,6 @@ func (a *Alphabet) Letter(code byte) byte {
 		return '?'
 	}
 	return a.letters[code]
-}
-
-// Code returns the residue code for an ASCII letter, or Unknown.
-func (a *Alphabet) Code(letter byte) int8 { return a.codes[letter] }
-
-// Valid reports whether every byte of s is a letter of the alphabet.
-func (a *Alphabet) Valid(s []byte) bool {
-	for _, b := range s {
-		if a.codes[b] == Unknown {
-			return false
-		}
-	}
-	return true
 }
 
 // Encode converts ASCII residues into dense codes. Letters outside the

@@ -16,17 +16,11 @@ func TestProteinBasics(t *testing.T) {
 	if Protein.Name() != "protein" {
 		t.Fatalf("name %q", Protein.Name())
 	}
-	if c := Protein.Code('A'); c != 0 {
-		t.Fatalf("code of A = %d, want 0", c)
+	if c := Protein.MustEncode("Aa*"); c[0] != 0 || c[1] != 0 || c[2] != 23 {
+		t.Fatalf("codes of A, a, * = %v, want [0 0 23]", c)
 	}
-	if c := Protein.Code('a'); c != 0 {
-		t.Fatalf("lowercase a = %d, want 0", c)
-	}
-	if c := Protein.Code('*'); c != 23 {
-		t.Fatalf("code of * = %d, want 23", c)
-	}
-	if c := Protein.Code('J'); c != Unknown {
-		t.Fatalf("code of J = %d, want Unknown", c)
+	if _, err := Protein.Encode([]byte("J")); err == nil {
+		t.Fatal("J encoded; it is not a protein letter")
 	}
 	if l := Protein.Letter(0); l != 'A' {
 		t.Fatalf("letter(0) = %c", l)
@@ -40,10 +34,10 @@ func TestDNAAndRNA(t *testing.T) {
 	if DNA.Len() != 5 || DNA.Core() != 4 {
 		t.Fatalf("DNA %d/%d", DNA.Len(), DNA.Core())
 	}
-	if RNA.Code('U') == Unknown {
+	if _, err := RNA.Encode([]byte("U")); err != nil {
 		t.Fatal("RNA should accept U")
 	}
-	if DNA.Code('U') != Unknown {
+	if _, err := DNA.Encode([]byte("U")); err == nil {
 		t.Fatal("DNA should reject U")
 	}
 	n, ok := DNA.AnyCode()
@@ -92,15 +86,6 @@ func TestEncodeLossy(t *testing.T) {
 	}
 	if out[2] != x || out[5] != x {
 		t.Fatalf("substitutes not applied: %v", out)
-	}
-}
-
-func TestValid(t *testing.T) {
-	if !Protein.Valid([]byte("ARNDarnd")) {
-		t.Fatal("mixed case should be valid")
-	}
-	if Protein.Valid([]byte("ARND5")) {
-		t.Fatal("digit should be invalid")
 	}
 }
 

@@ -106,9 +106,6 @@ func NewWithConfig(dev *gpusim.Device, params sw.Params, cfg Config) *Engine {
 // Name implements sw.Engine.
 func (e *Engine) Name() string { return "cudasw-sim" }
 
-// Device returns the underlying simulated device.
-func (e *Engine) Device() *gpusim.Device { return e.dev }
-
 // Scores implements sw.Engine.
 func (e *Engine) Scores(query []byte, db *seq.Set) []int {
 	scores, _ := e.Search(query, db)

@@ -8,12 +8,14 @@ import (
 
 	"swdual/internal/alphabet"
 	"swdual/internal/master"
+	"swdual/internal/seq"
 	"swdual/internal/seqdb"
 	"swdual/internal/synth"
 )
 
-// mappedDB writes a synthetic corpus as .swdb and memory-maps it back.
-func mappedDB(t *testing.T, n int, seed int64) (*seqdb.Mapped, string) {
+// mappedDB writes a synthetic corpus as .swdb and memory-maps it back,
+// returning the mapping and the in-memory set it was written from.
+func mappedDB(t *testing.T, n int, seed int64) (*seqdb.Mapped, *seq.Set) {
 	t.Helper()
 	set := synth.RandomSet(alphabet.Protein, n, 10, 200, seed)
 	path := filepath.Join(t.TempDir(), "db.swdb")
@@ -25,27 +27,17 @@ func mappedDB(t *testing.T, n int, seed int64) (*seqdb.Mapped, string) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { m.Close() })
-	return m, path
+	return m, set
 }
 
 // TestMappedSetSearch is the engine half of the zero-copy contract: an
 // engine over a memory-mapped set must adopt the set without copying
 // it, trust the header checksum instead of rescanning residues, and
-// produce hits byte-identical to an engine over the same database read
-// into the heap.
+// produce hits byte-identical to an engine over the heap set the file
+// was written from.
 func TestMappedSetSearch(t *testing.T) {
-	m, path := mappedDB(t, 50, 61)
+	m, heapSet := mappedDB(t, 50, 61)
 	mset, err := m.Set()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	f, err := seqdb.OpenFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	heapSet, err := f.ReadAll()
-	f.Close()
 	if err != nil {
 		t.Fatal(err)
 	}

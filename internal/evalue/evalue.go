@@ -71,20 +71,6 @@ func UngappedLambda(m *scoring.Matrix) (float64, error) {
 	return (lo + hi) / 2, nil
 }
 
-// Entropy returns the relative entropy H (nats per aligned pair) of the
-// matrix at the given lambda.
-func Entropy(m *scoring.Matrix, lambda float64) float64 {
-	h := 0.0
-	for i := 0; i < 20; i++ {
-		for j := 0; j < 20; j++ {
-			s := float64(m.Score(byte(i), byte(j)))
-			q := background[i] * background[j] * math.Exp(lambda*s)
-			h += q * lambda * s
-		}
-	}
-	return h
-}
-
 // Params are the Karlin-Altschul parameters used for score conversion.
 type Params struct {
 	Lambda float64

@@ -47,19 +47,6 @@ func TestLambdaRejectsPositiveExpectation(t *testing.T) {
 	}
 }
 
-func TestEntropyPositive(t *testing.T) {
-	lambda, err := UngappedLambda(scoring.BLOSUM62)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := Entropy(scoring.BLOSUM62, lambda)
-	// BLOSUM62 relative entropy is ~0.7 bits = ~0.48 nats per pair...
-	// with Robinson frequencies the value lands near 0.40-0.55 nats.
-	if h < 0.2 || h > 0.8 {
-		t.Fatalf("entropy %.4f nats outside plausible band", h)
-	}
-}
-
 func TestForParamsGappedLookup(t *testing.T) {
 	p, err := ForParams(scoring.BLOSUM62, scoring.Gaps{Start: 10, Extend: 2})
 	if err != nil {

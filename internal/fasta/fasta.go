@@ -118,22 +118,6 @@ func truncate(b []byte) string {
 	return string(b)
 }
 
-// ReadAll reads every record from r.
-func ReadAll(r io.Reader) ([]*Record, error) {
-	fr := NewReader(r)
-	var out []*Record
-	for {
-		rec, err := fr.Next()
-		if err == io.EOF {
-			return out, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, rec)
-	}
-}
-
 // ReadSet reads FASTA text and encodes it into a seq.Set over the given
 // alphabet. Unknown residues are replaced by the alphabet's catch-all code
 // (X or N) when lossy is true, otherwise they are an error.
@@ -182,14 +166,6 @@ type Writer struct {
 // NewWriter returns a Writer with the conventional 60-column wrap.
 func NewWriter(w io.Writer) *Writer {
 	return &Writer{bw: bufio.NewWriterSize(w, 1<<16), Wrap: 60}
-}
-
-// WriteRecord writes one raw record.
-func (w *Writer) WriteRecord(rec *Record) error {
-	if _, err := fmt.Fprintf(w.bw, ">%s\n", rec.Header); err != nil {
-		return err
-	}
-	return w.writeWrapped(rec.Seq)
 }
 
 // WriteSequence writes one encoded sequence, decoding it with the alphabet.

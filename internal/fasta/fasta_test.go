@@ -8,12 +8,29 @@ import (
 	"testing/quick"
 
 	"swdual/internal/alphabet"
+	"swdual/internal/seq"
 	"swdual/internal/synth"
 )
 
+// readAll reads every record from r.
+func readAll(r io.Reader) ([]*Record, error) {
+	fr := NewReader(r)
+	var out []*Record
+	for {
+		rec, err := fr.Next()
+		if err == io.EOF {
+			return out, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, rec)
+	}
+}
+
 func TestReaderBasic(t *testing.T) {
 	in := ">seq1 first sequence\nARND\nCQEG\n>seq2\nHILK\n"
-	recs, err := ReadAll(strings.NewReader(in))
+	recs, err := readAll(strings.NewReader(in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +50,7 @@ func TestReaderBasic(t *testing.T) {
 
 func TestReaderCRLFAndBlankLines(t *testing.T) {
 	in := ">a desc\r\nAR\r\n\r\nND\r\n\r\n>b\r\nCQ\r\n"
-	recs, err := ReadAll(strings.NewReader(in))
+	recs, err := readAll(strings.NewReader(in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,17 +60,17 @@ func TestReaderCRLFAndBlankLines(t *testing.T) {
 }
 
 func TestReaderErrors(t *testing.T) {
-	if _, err := ReadAll(strings.NewReader("ARND\n")); err == nil {
+	if _, err := readAll(strings.NewReader("ARND\n")); err == nil {
 		t.Fatal("residues before any header must fail")
 	}
-	recs, err := ReadAll(strings.NewReader(""))
+	recs, err := readAll(strings.NewReader(""))
 	if err != nil || len(recs) != 0 {
 		t.Fatalf("empty input: %v %v", recs, err)
 	}
 }
 
 func TestReaderEOFWithoutNewline(t *testing.T) {
-	recs, err := ReadAll(strings.NewReader(">x\nARND"))
+	recs, err := readAll(strings.NewReader(">x\nARND"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,11 +109,13 @@ func TestReadSetStrictAndLossy(t *testing.T) {
 	}
 }
 
+var nine = seq.Sequence{ID: "x", Residues: alphabet.Protein.MustEncode("ARNDCQEGH")}
+
 func TestWriterWrapping(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
 	w.Wrap = 4
-	if err := w.WriteRecord(&Record{Header: "x", Seq: []byte("ARNDCQEGH")}); err != nil {
+	if err := w.WriteSequence(alphabet.Protein, &nine); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Flush(); err != nil {
@@ -112,7 +131,7 @@ func TestWriterNoWrap(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
 	w.Wrap = 0
-	w.WriteRecord(&Record{Header: "x", Seq: []byte("ARNDCQEGH")})
+	w.WriteSequence(alphabet.Protein, &nine)
 	w.Flush()
 	if buf.String() != ">x\nARNDCQEGH\n" {
 		t.Fatalf("unwrapped output %q", buf.String())

@@ -10,7 +10,7 @@
 // Queue more may wait, and past that arrivals are rejected immediately
 // with 429 and a Retry-After computed from the live EWMA search
 // latency — the same estimator shape the replica hedger uses
-// (stats.LatencyEWMA) applied to the drain rate of the queue. A
+// (stats.EWMA) applied to the drain rate of the queue. A
 // per-client slot bound (API key, else remote address) keeps one
 // client from occupying the whole queue, so overload by one tenant
 // degrades that tenant, not everyone.
@@ -160,7 +160,7 @@ type Gateway struct {
 	closed    chan struct{} // closes when Close begins; queue waiters stop waiting
 	closeOnce sync.Once
 
-	lat stats.LatencyEWMA
+	lat stats.EWMA // search latency, nanoseconds
 
 	admitted   atomic.Uint64
 	shedQueue  atomic.Uint64
@@ -289,7 +289,8 @@ const maxRetryAfterSeconds = 3600
 // that is already shedding them, and a huge queue over a slow backend
 // must not overflow through the int conversion into a negative header.
 func (g *Gateway) retryAfter(held int) int {
-	mean, n := g.lat.Snapshot()
+	ns, n := g.lat.Snapshot()
+	mean := time.Duration(ns)
 	if n == 0 || mean <= 0 {
 		mean = time.Second
 	}
@@ -421,7 +422,7 @@ func (g *Gateway) handleSearch(w http.ResponseWriter, r *http.Request) {
 	rep, err := g.be.Search(ctx, queries, engine.SearchOptions{TopK: req.TopK})
 	switch {
 	case err == nil:
-		g.lat.Observe(time.Since(start))
+		g.lat.Observe(float64(time.Since(start)))
 		g.completed.Add(1)
 		// A degraded backend answer is a 206: the body is the usual
 		// response plus the coverage block, so clients that only check

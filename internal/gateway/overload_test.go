@@ -146,7 +146,7 @@ func TestOverloadRetryAfterTracksLatency(t *testing.T) {
 	if got := g.retryAfter(0); got != 1 {
 		t.Fatalf("empty EWMA retryAfter = %d, want the 1s floor", got)
 	}
-	g.lat.Observe(2 * time.Second)
+	g.lat.Observe(float64(2 * time.Second))
 	// held 4 slots / capacity 2 → 3 rounds × 2s EWMA = 6s.
 	if got := g.retryAfter(4); got != 6 {
 		t.Fatalf("retryAfter(4) = %d, want 6", got)
@@ -180,7 +180,7 @@ func TestRetryAfterClamped(t *testing.T) {
 	// Overflow: an hour-long EWMA mean times a absurd held count would
 	// overflow int64 nanoseconds under Duration math; the estimate must
 	// saturate at the ceiling, never wrap.
-	g.lat.Observe(time.Hour)
+	g.lat.Observe(float64(time.Hour))
 	if got := g.retryAfter(1 << 40); got != maxRetryAfterSeconds {
 		t.Fatalf("saturated retryAfter = %d, want the %d-second ceiling", got, maxRetryAfterSeconds)
 	}

@@ -14,10 +14,7 @@
 // single-GPU numbers pins down.
 package gpusim
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // DeviceConfig describes a simulated device.
 type DeviceConfig struct {
@@ -72,12 +69,6 @@ func TeslaK20() DeviceConfig {
 	}
 }
 
-// Presets maps device preset names for harnesses and CLIs.
-var Presets = map[string]func() DeviceConfig{
-	"c2050": TeslaC2050,
-	"k20":   TeslaK20,
-}
-
 // Validate reports configuration errors.
 func (c DeviceConfig) Validate() error {
 	if c.SMs <= 0 || c.WarpSize <= 0 || c.ClockHz <= 0 {
@@ -124,14 +115,12 @@ type LaunchStats struct {
 	CyclesSlowSM uint64
 }
 
-// Device is a simulated GPU. It is not safe for concurrent launches; the
-// master-slave runtime gives each GPU worker its own Device, matching the
-// one-context-per-worker structure of the paper's implementation.
+// Device is a simulated GPU. It keeps no state between launches; the
+// master-slave runtime still gives each GPU worker its own Device,
+// matching the one-context-per-worker structure of the paper's
+// implementation.
 type Device struct {
-	cfg       DeviceConfig
-	allocated int64
-	busySec   float64
-	launches  int
+	cfg DeviceConfig
 }
 
 // New builds a Device; it panics on invalid configurations, which are
@@ -145,36 +134,6 @@ func New(cfg DeviceConfig) *Device {
 
 // Config returns the device configuration.
 func (d *Device) Config() DeviceConfig { return d.cfg }
-
-// BusySeconds returns accumulated simulated busy time.
-func (d *Device) BusySeconds() float64 { return d.busySec }
-
-// Launches returns the number of kernel launches so far.
-func (d *Device) Launches() int { return d.launches }
-
-// Alloc reserves device memory, failing when capacity is exceeded. The
-// CUDASW++-style engine uses this to decide database chunking.
-func (d *Device) Alloc(bytes int64) error {
-	if bytes < 0 {
-		return fmt.Errorf("gpusim: negative allocation %d", bytes)
-	}
-	if d.allocated+bytes > d.cfg.MemBytes {
-		return fmt.Errorf("gpusim: out of device memory: %d + %d > %d", d.allocated, bytes, d.cfg.MemBytes)
-	}
-	d.allocated += bytes
-	return nil
-}
-
-// Free releases device memory.
-func (d *Device) Free(bytes int64) {
-	d.allocated -= bytes
-	if d.allocated < 0 {
-		d.allocated = 0
-	}
-}
-
-// Allocated returns the current allocation level.
-func (d *Device) Allocated() int64 { return d.allocated }
 
 // Launch executes the blocks functionally and charges virtual time:
 // transfers for the given byte volume, the launch overhead, and the
@@ -216,8 +175,6 @@ func (d *Device) Launch(blocks []*Block, transferBytes int64) LaunchStats {
 		st.Utilization = float64(st.CyclesTotal) / (float64(d.cfg.SMs) * float64(st.CyclesSlowSM))
 	}
 	st.TotalSec = st.KernelSec + st.TransferSec + st.LaunchSec
-	d.busySec += st.TotalSec
-	d.launches++
 	return st
 }
 
@@ -245,12 +202,4 @@ func (d *Device) PredictKernelSec(blockCycles []uint64) float64 {
 		}
 	}
 	return float64(max) / d.cfg.ClockHz
-}
-
-// SortBlocksByCycles orders blocks by decreasing cost (an LPT layout a
-// kernel author can opt into before launching to improve balance).
-func SortBlocksByCycles(blocks []*Block) {
-	sort.SliceStable(blocks, func(i, j int) bool {
-		return blocks[i].cycles() > blocks[j].cycles()
-	})
 }

@@ -69,12 +69,6 @@ func TestLaunchRunsEveryWarp(t *testing.T) {
 	if st.TotalSec <= 0 || st.KernelSec <= 0 || st.TransferSec <= 0 {
 		t.Fatalf("times %+v", st)
 	}
-	if dev.Launches() != 1 {
-		t.Fatal("launch count")
-	}
-	if dev.BusySeconds() != st.TotalSec {
-		t.Fatal("busy accounting")
-	}
 }
 
 func TestBalancedGridHasHighUtilization(t *testing.T) {
@@ -123,26 +117,6 @@ func TestTransferModel(t *testing.T) {
 	}
 }
 
-func TestAllocFree(t *testing.T) {
-	dev := New(TeslaC2050())
-	if err := dev.Alloc(dev.Config().MemBytes + 1); err == nil {
-		t.Fatal("over-allocation must fail")
-	}
-	if err := dev.Alloc(1 << 20); err != nil {
-		t.Fatal(err)
-	}
-	if dev.Allocated() != 1<<20 {
-		t.Fatalf("allocated %d", dev.Allocated())
-	}
-	dev.Free(1 << 30) // over-free clamps at zero
-	if dev.Allocated() != 0 {
-		t.Fatalf("allocated after free %d", dev.Allocated())
-	}
-	if err := dev.Alloc(-1); err == nil {
-		t.Fatal("negative allocation must fail")
-	}
-}
-
 func TestPredictMatchesLaunch(t *testing.T) {
 	// PredictKernelSec must agree exactly with Launch for the same block
 	// cycle sequence.
@@ -169,27 +143,14 @@ func TestPredictMatchesLaunch(t *testing.T) {
 	}
 }
 
-func TestSortBlocksByCycles(t *testing.T) {
-	blocks := []*Block{
-		{Warps: []Warp{&testWarp{cycles: 10}}},
-		{Warps: []Warp{&testWarp{cycles: 1000}}},
-		{Warps: []Warp{&testWarp{cycles: 100}}},
-	}
-	SortBlocksByCycles(blocks)
-	if blocks[0].cycles() != 1000 || blocks[2].cycles() != 10 {
-		t.Fatal("not sorted descending")
-	}
-}
-
 func TestPresets(t *testing.T) {
-	for name, f := range Presets {
-		cfg := f()
-		if err := cfg.Validate(); err != nil {
-			t.Fatalf("preset %s: %v", name, err)
-		}
-	}
 	k20 := TeslaK20()
 	c2050 := TeslaC2050()
+	for _, cfg := range []DeviceConfig{c2050, k20} {
+		if err := cfg.Validate(); err != nil {
+			t.Fatalf("preset %s: %v", cfg.Name, err)
+		}
+	}
 	// The Kepler model's aggregate issue rate must exceed Fermi's.
 	if float64(k20.SMs)*k20.ClockHz <= float64(c2050.SMs)*c2050.ClockHz {
 		t.Fatal("K20 model is not faster than C2050")

@@ -1,8 +1,9 @@
 package master
 
 import (
-	"sync"
 	"time"
+
+	"swdual/internal/stats"
 )
 
 // Rate estimation: the paper's scheduler is only as good as its
@@ -18,11 +19,6 @@ import (
 // between workers, never change what a worker computes — so search
 // results stay byte-identical whatever the estimates say.
 
-// rateEWMAAlpha weights the newest observation. 0.3 forgets a 100×
-// mis-advertised seed to within 5% in ~21 tasks while still smoothing
-// per-task jitter (cache effects, host load) by ~3×.
-const rateEWMAAlpha = 0.3
-
 // RateEstimator tracks one worker's live throughput in GCUPS. It is
 // safe for concurrent use: workers observe from their pool goroutine
 // while the dispatcher snapshots rates for the next scheduling wave.
@@ -30,15 +26,13 @@ const rateEWMAAlpha = 0.3
 // Workers embed a *RateEstimator to satisfy the observation side of the
 // Worker interface (ObserveTask, MeasuredRateGCUPS, ObservedTasks).
 type RateEstimator struct {
-	mu    sync.Mutex
-	rate  float64 // current estimate, GCUPS
-	tasks uint64  // observations folded in
+	ewma *stats.EWMA
 }
 
 // NewRateEstimator seeds an estimator with the worker's advertised
 // rate; until the first ObserveTask, MeasuredRateGCUPS returns the seed.
 func NewRateEstimator(seedGCUPS float64) *RateEstimator {
-	return &RateEstimator{rate: seedGCUPS}
+	return &RateEstimator{ewma: stats.NewEWMA(seedGCUPS)}
 }
 
 // ObserveTask folds one completed task — cells of dynamic-programming
@@ -48,25 +42,19 @@ func (e *RateEstimator) ObserveTask(cells int64, elapsed time.Duration) {
 	if cells <= 0 || elapsed <= 0 {
 		return
 	}
-	measured := float64(cells) / elapsed.Seconds() / 1e9
-	e.mu.Lock()
-	e.rate = rateEWMAAlpha*measured + (1-rateEWMAAlpha)*e.rate
-	e.tasks++
-	e.mu.Unlock()
+	e.ewma.Observe(float64(cells) / elapsed.Seconds() / 1e9)
 }
 
 // MeasuredRateGCUPS returns the live estimate: the advertised seed
 // before any observation, the EWMA over measured task rates after.
 func (e *RateEstimator) MeasuredRateGCUPS() float64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.rate
+	rate, _ := e.ewma.Snapshot()
+	return rate
 }
 
 // ObservedTasks returns how many completed tasks the estimate has
 // absorbed (0 means the estimate is still the advertised seed).
 func (e *RateEstimator) ObservedTasks() uint64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.tasks
+	_, n := e.ewma.Snapshot()
+	return n
 }

@@ -82,17 +82,6 @@ func New(cpus, gpus int) *Platform {
 	return p
 }
 
-// Validate reports an unusable platform.
-func (p *Platform) Validate() error {
-	if p.CPUs < 0 || p.GPUs < 0 || p.CPUs+p.GPUs == 0 {
-		return fmt.Errorf("platform: need at least one worker (m=%d k=%d)", p.CPUs, p.GPUs)
-	}
-	return nil
-}
-
-// Workers returns the total worker count.
-func (p *Platform) Workers() int { return p.CPUs + p.GPUs }
-
 // String implements fmt.Stringer.
 func (p *Platform) String() string {
 	return fmt.Sprintf("%d CPU + %d GPU", p.CPUs, p.GPUs)

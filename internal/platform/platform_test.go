@@ -122,18 +122,8 @@ func TestCellsAndGCUPS(t *testing.T) {
 	}
 }
 
-func TestValidate(t *testing.T) {
-	if err := New(0, 0).Validate(); err == nil {
-		t.Fatal("empty platform must fail validation")
-	}
-	p := New(2, 2)
-	if err := p.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if p.Workers() != 4 {
-		t.Fatalf("workers %d", p.Workers())
-	}
-	if p.String() == "" {
-		t.Fatal("empty String()")
+func TestString(t *testing.T) {
+	if got := New(2, 1).String(); got != "2 CPU + 1 GPU" {
+		t.Fatalf("String() = %q", got)
 	}
 }

@@ -169,9 +169,6 @@ func alphabetByName(name string) (*alphabet.Alphabet, error) {
 	return nil, fmt.Errorf("unknown server alphabet %q", name)
 }
 
-// Addr returns the dialed address.
-func (b *Backend) Addr() string { return b.addr }
-
 // Alphabet returns the server database's alphabet.
 func (b *Backend) Alphabet() *alphabet.Alphabet { return b.alpha }
 

@@ -11,8 +11,8 @@
 //     the live cached-checksum ping when the backend supports it).
 //
 //   - Hedging: a search that runs past a latency threshold — an EWMA of
-//     recent replica latencies, the master.RateEstimator pattern applied
-//     to wall time — issues the same search to a second replica and
+//     recent replica latencies (stats.EWMA, the average the worker rate
+//     estimate also keeps) — issues the same search to a second replica and
 //     returns the first answer. Because replicas are checksum-proven
 //     identical and the merge is deterministic, every answer is
 //     byte-identical, so racing two replicas can only shave latency,
@@ -68,15 +68,6 @@ type Config struct {
 	// the workload's latency is known (and in tests, where the EWMA
 	// has no history to learn from).
 	HedgeAfter time.Duration
-	// HedgeFactor scales the EWMA latency into the hedge threshold: a
-	// search is hedged once it runs HedgeFactor times longer than the
-	// recent average (default 3 — past 3× the mean, the replica is an
-	// outlier worth racing).
-	HedgeFactor float64
-	// MinHedgeDelay floors the EWMA trigger (default 1ms) so a burst of
-	// microsecond cache-warm searches cannot make every subsequent
-	// search hedge instantly.
-	MinHedgeDelay time.Duration
 	// DisableHedge turns hedging off; failover and redial still run.
 	DisableHedge bool
 	// RedialBase and RedialMax bound the reconnect backoff (defaults
@@ -85,8 +76,6 @@ type Config struct {
 	// replicas do not re-dial in lockstep.
 	RedialBase time.Duration
 	RedialMax  time.Duration
-	// ProbeTimeout bounds the post-redial health ping (default 5s).
-	ProbeTimeout time.Duration
 	// Index is the shard index the coordinator assigned this set (0 for
 	// a standalone set). It is informational: ErrRangeUnavailable
 	// carries it so a degraded coordinator can say which range of its
@@ -131,22 +120,26 @@ func (e *ErrRangeUnavailable) Error() string {
 func (e *ErrRangeUnavailable) RangeUnavailable() bool { return true }
 
 func (c *Config) setDefaults() {
-	if c.HedgeFactor <= 0 {
-		c.HedgeFactor = 3
-	}
-	if c.MinHedgeDelay <= 0 {
-		c.MinHedgeDelay = time.Millisecond
-	}
 	if c.RedialBase <= 0 {
 		c.RedialBase = 50 * time.Millisecond
 	}
 	if c.RedialMax <= 0 {
 		c.RedialMax = 5 * time.Second
 	}
-	if c.ProbeTimeout <= 0 {
-		c.ProbeTimeout = 5 * time.Second
-	}
 }
+
+const (
+	// hedgeFactor scales the EWMA latency into the hedge threshold: a
+	// search is hedged once it runs 3× longer than the recent average —
+	// past that the replica is an outlier worth racing.
+	hedgeFactor = 3
+	// minHedgeDelay floors the EWMA trigger so a burst of microsecond
+	// cache-warm searches cannot make every subsequent search hedge
+	// instantly.
+	minHedgeDelay = time.Millisecond
+	// probeTimeout bounds the post-redial health ping.
+	probeTimeout = 5 * time.Second
+)
 
 // hedgeMinObservations is how many completed searches the latency EWMA
 // must absorb before the adaptive trigger arms: hedging off a sample of
@@ -172,7 +165,7 @@ type Set struct {
 	alpha    *alphabet.Alphabet
 
 	slots []*slot
-	lat   stats.LatencyEWMA
+	lat   stats.EWMA // search latency, nanoseconds
 
 	searches   atomic.Uint64
 	queries    atomic.Uint64
@@ -253,12 +246,6 @@ func NewSet(name string, wantChecksum uint32, replicas []Replica, cfg Config) (*
 	}
 	return s, nil
 }
-
-// Name returns the label errors carry (the shard range, typically).
-func (s *Set) Name() string { return s.name }
-
-// Replicas returns the number of replica slots (live or down).
-func (s *Set) Replicas() int { return len(s.slots) }
 
 // Healthy returns how many replicas are currently live.
 func (s *Set) Healthy() int {
@@ -386,7 +373,7 @@ func (s *Set) verify(b engine.Backend) error {
 		return fmt.Errorf("replica %s: re-dialed backend checksum %08x, want %08x", s.name, got, s.checksum)
 	}
 	if p, ok := b.(Prober); ok {
-		ctx, cancel := context.WithTimeout(context.Background(), s.cfg.ProbeTimeout)
+		ctx, cancel := context.WithTimeout(context.Background(), probeTimeout)
 		defer cancel()
 		got, err := p.ServerChecksum(ctx)
 		if err != nil {
@@ -495,7 +482,7 @@ func (s *Set) searchHedged(ctx context.Context, idx int, b engine.Backend, tried
 		start := time.Now()
 		rep, err := b.Search(armCtx, queries, opts)
 		if err == nil {
-			s.lat.Observe(time.Since(start))
+			s.lat.Observe(float64(time.Since(start)))
 		}
 		results <- armResult{idx: idx, b: b, rep: rep, err: err}
 	}
@@ -560,9 +547,9 @@ func (s *Set) hedgeDelay() (time.Duration, bool) {
 	if n < hedgeMinObservations {
 		return 0, false
 	}
-	d := time.Duration(s.cfg.HedgeFactor * float64(mean))
-	if d < s.cfg.MinHedgeDelay {
-		d = s.cfg.MinHedgeDelay
+	d := time.Duration(hedgeFactor * mean)
+	if d < minHedgeDelay {
+		d = minHedgeDelay
 	}
 	return d, true
 }

@@ -205,13 +205,6 @@ func (c *Cache) Put(key string, hits [][]master.Hit) {
 	}
 }
 
-// Len reports the number of cached entries.
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.order.Len()
-}
-
 // Stats snapshots the cache's counters.
 func (c *Cache) Stats() Stats {
 	c.mu.Lock()

@@ -70,7 +70,7 @@ func TestCacheLRUBound(t *testing.T) {
 	}
 	c.Put("k3", hitsFor(1))
 	c.Put("k4", hitsFor(1))
-	if n := c.Len(); n != 3 {
+	if n := c.Stats().Entries; n != 3 {
 		t.Fatalf("Len %d after overfill, want 3", n)
 	}
 	if _, ok := c.Get("k0"); !ok {
@@ -103,7 +103,7 @@ func TestCacheByteBudget(t *testing.T) {
 	c.Put("k0", small)
 	c.Put("k1", small)
 	c.Put("k2", small) // must evict k0 on bytes alone
-	if n := c.Len(); n != 2 {
+	if n := c.Stats().Entries; n != 2 {
 		t.Fatalf("Len %d under byte budget for 2, want 2", n)
 	}
 	if _, ok := c.Get("k0"); ok {
@@ -116,7 +116,7 @@ func TestCacheByteBudget(t *testing.T) {
 	if _, ok := c.Get("huge"); ok {
 		t.Fatal("oversized answer was cached")
 	}
-	if n := c.Len(); n != 2 {
+	if n := c.Stats().Entries; n != 2 {
 		t.Fatalf("oversized Put disturbed the cache: Len %d, want 2", n)
 	}
 }

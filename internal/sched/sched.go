@@ -231,13 +231,3 @@ func LowerBound(in *Instance) float64 {
 	lbArea := work / float64(in.CPUs+in.GPUs)
 	return math.Max(lbMax, lbArea)
 }
-
-// AreaLowerBound returns the refined area bound used to seed the binary
-// search: the fractional knapsack split of work between the pools.
-func AreaLowerBound(in *Instance) float64 {
-	// Fractional relaxation: tasks sorted by ratio, GPU pool absorbs the
-	// best-accelerated work first. We binary search the smallest λ for
-	// which the fractional assignment fits; this is cheap and dominated
-	// by LowerBound anyway, so LowerBound(in) is the seed in practice.
-	return LowerBound(in)
-}

@@ -99,19 +99,6 @@ func (m *Matrix) SelfScore(seq []byte) int {
 	return s
 }
 
-// Symmetric reports whether the matrix is symmetric (all standard
-// substitution matrices are).
-func (m *Matrix) Symmetric() bool {
-	for i := 0; i < m.n; i++ {
-		for j := i + 1; j < m.n; j++ {
-			if m.cells[i*32+j] != m.cells[j*32+i] {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // Gaps is the affine gap model of the paper: starting a gap costs Gs+Ge and
 // each extension costs Ge. Both values are non-negative penalties.
 type Gaps struct {
@@ -155,20 +142,6 @@ func Simple(name string, n, core, match, mismatch int) *Matrix {
 
 // DNASimple is the classic +1/-1 nucleotide matrix of the paper's example.
 var DNASimple = Simple("DNA+1/-1", alphabet.DNA.Len(), alphabet.DNA.Core(), 1, -1)
-
-// ForAlphabet returns the default matrix for an alphabet: BLOSUM62 for
-// proteins, +1/-1 for nucleic acids.
-func ForAlphabet(a *alphabet.Alphabet) *Matrix {
-	switch a.Name() {
-	case "protein":
-		return BLOSUM62
-	case "dna":
-		return DNASimple
-	case "rna":
-		return Simple("RNA+1/-1", a.Len(), a.Core(), 1, -1)
-	}
-	return nil
-}
 
 // ByName returns a built-in matrix by its canonical name.
 func ByName(name string) (*Matrix, error) {

@@ -6,7 +6,6 @@ package seq
 import (
 	"fmt"
 	"hash/crc32"
-	"sort"
 
 	"swdual/internal/alphabet"
 )
@@ -31,7 +30,7 @@ type Set struct {
 	// checksum caches the Checksum value when it is known without
 	// scanning — a memory-mapped .swdb header records exactly this CRC,
 	// and trusting it is what keeps opening a huge corpus O(index)
-	// instead of O(data). Mutating or reordering the set clears it.
+	// instead of O(data). Add and AddEncoded clear it.
 	checksum    uint32
 	hasChecksum bool
 }
@@ -94,7 +93,7 @@ func (st *Set) Checksum() uint32 {
 // SetPrecomputedChecksum installs a known Checksum value so later calls
 // skip the residue scan. The caller vouches that c is the CRC-32 (IEEE)
 // of the set's residues in order — a .swdb header stores exactly that.
-// Any mutation of the set clears it.
+// Add and AddEncoded clear it.
 func (st *Set) SetPrecomputedChecksum(c uint32) {
 	st.checksum, st.hasChecksum = c, true
 }
@@ -127,30 +126,6 @@ func (st *Set) Stats() Stats {
 	}
 	s.MeanLen = float64(s.TotalResidues) / float64(s.Count)
 	return s
-}
-
-// SortByLengthAsc orders sequences by increasing length (stable on ID).
-// CUDASW++-style GPU kernels sort subjects this way to minimize divergence
-// inside warps.
-func (st *Set) SortByLengthAsc() {
-	st.hasChecksum = false // Checksum is order-sensitive
-	sort.SliceStable(st.Seqs, func(i, j int) bool {
-		if li, lj := st.Seqs[i].Len(), st.Seqs[j].Len(); li != lj {
-			return li < lj
-		}
-		return st.Seqs[i].ID < st.Seqs[j].ID
-	})
-}
-
-// SortByLengthDesc orders sequences by decreasing length.
-func (st *Set) SortByLengthDesc() {
-	st.hasChecksum = false // Checksum is order-sensitive
-	sort.SliceStable(st.Seqs, func(i, j int) bool {
-		if li, lj := st.Seqs[i].Len(), st.Seqs[j].Len(); li != lj {
-			return li > lj
-		}
-		return st.Seqs[i].ID < st.Seqs[j].ID
-	})
 }
 
 // Slice returns a shallow sub-set covering Seqs[lo:hi].

@@ -53,25 +53,6 @@ func TestStats(t *testing.T) {
 	}
 }
 
-func TestSortByLength(t *testing.T) {
-	s := build(t)
-	s.SortByLengthAsc()
-	// Ties break on ID: "a" before "d".
-	wantAsc := []string{"a", "d", "b", "c"}
-	for i, id := range wantAsc {
-		if s.Seqs[i].ID != id {
-			t.Fatalf("asc order %v, want %v at %d", s.Seqs[i].ID, id, i)
-		}
-	}
-	s.SortByLengthDesc()
-	wantDesc := []string{"c", "b", "a", "d"}
-	for i, id := range wantDesc {
-		if s.Seqs[i].ID != id {
-			t.Fatalf("desc order %v, want %v at %d", s.Seqs[i].ID, id, i)
-		}
-	}
-}
-
 func TestSliceAndClone(t *testing.T) {
 	s := build(t)
 	sub := s.Slice(1, 3)
@@ -94,8 +75,8 @@ func TestTotalResidues(t *testing.T) {
 
 // TestPrecomputedChecksum pins the contract the mapped database relies
 // on: a checksum installed by SetPrecomputedChecksum is returned as-is,
-// any mutation (append or reorder) invalidates it back to the scanned
-// value, and Clone carries it over.
+// either way of appending invalidates it back to the scanned value, and
+// Clone carries it over.
 func TestPrecomputedChecksum(t *testing.T) {
 	s := build(t)
 	scanned := s.Checksum()
@@ -112,8 +93,7 @@ func TestPrecomputedChecksum(t *testing.T) {
 		t.Fatalf("precomputed checksum %08x, want %08x", got, scanned+1)
 	}
 
-	// Mutation invalidates: Add changes content, Sort changes order, and
-	// the checksum is order-sensitive.
+	// Mutation invalidates: Add and AddEncoded both change content.
 	s.SetPrecomputedChecksum(scanned)
 	if err := s.Add("e", "", []byte("ARN")); err != nil {
 		t.Fatal(err)
@@ -124,9 +104,9 @@ func TestPrecomputedChecksum(t *testing.T) {
 
 	s2 := build(t)
 	s2.SetPrecomputedChecksum(12345)
-	s2.SortByLengthAsc()
+	s2.AddEncoded("e", "", alphabet.Protein.MustEncode("ARN"))
 	if got := s2.Checksum(); got == 12345 {
-		t.Fatal("sort did not invalidate the precomputed checksum")
+		t.Fatal("AddEncoded did not invalidate the precomputed checksum")
 	}
 
 	// Clone propagates the trusted value (same content, same order).

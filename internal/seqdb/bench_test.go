@@ -64,18 +64,6 @@ func BenchmarkDBOpen(b *testing.B) {
 			m.Close()
 		}
 	})
-	b.Run("swdb-heap", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			f, err := OpenFile(swdbPath)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := f.ReadAll(); err != nil {
-				b.Fatal(err)
-			}
-			f.Close()
-		}
-	})
 	b.Run("fasta-parse", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := fasta.ReadFile(fastaPath, alphabet.Protein, true); err != nil {

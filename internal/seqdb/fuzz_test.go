@@ -1,7 +1,6 @@
 package seqdb
 
 import (
-	"bytes"
 	"encoding/binary"
 	"io"
 	"testing"
@@ -49,12 +48,13 @@ func validDBBytes(tb testing.TB, count int, seed int64) []byte {
 	return w.buf
 }
 
-// FuzzReadSWDB feeds hostile database images to both readers. The
-// contract under fuzzing: parsing either errors with a message or
-// yields a database whose every sequence is readable — it never
-// panics, never reads out of range, and never sizes an allocation from
-// a count the file's real length cannot back (the fuzzer would OOM on
-// that long before an assertion fired).
+// FuzzReadSWDB feeds hostile database images to the parser Open trusts
+// and then reads them the way a mapped database is read. The contract
+// under fuzzing: parsing either errors with a message or yields a
+// database whose every sequence and name is readable — it never panics,
+// never reads out of range, and never sizes an allocation from a count
+// the file's real length cannot back (the fuzzer would OOM on that long
+// before an assertion fired).
 func FuzzReadSWDB(f *testing.F) {
 	valid := validDBBytes(f, 6, 21)
 	f.Add(valid)
@@ -73,30 +73,20 @@ func FuzzReadSWDB(f *testing.F) {
 	f.Add(overlap)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// The mapped parser: one shot over the whole image.
-		if hdr, entries, err := parseDB(data); err == nil {
-			// Accepted: every entry must be slice-safe against the image.
-			for _, e := range entries {
-				_ = data[e.dataOff : e.dataOff+uint64(e.dataLen)]
-				_ = splitNameCopy(data[e.nameOff : e.nameOff+uint64(e.nameLen)])
-			}
-			_ = hdr
-		}
-		// The pread reader: open plus a full read of every sequence.
-		fl, err := NewFile(bytes.NewReader(data), int64(len(data)))
+		hdr, entries, err := parseDB(data)
 		if err != nil {
 			return
 		}
-		if err := fl.VerifyIndex(); err != nil {
-			return
+		// Accepted: Set and Verify over the image must be slice-safe,
+		// exactly as they are over a mapping of the same bytes.
+		m := &Mapped{data: data, hdr: hdr, entries: entries}
+		set, err := m.Set()
+		if err != nil {
+			t.Fatal(err)
 		}
-		if _, err := fl.ReadAll(); err != nil {
-			return
+		if set.Len() != hdr.count {
+			t.Fatalf("%d sequences from a header declaring %d", set.Len(), hdr.count)
 		}
+		_ = m.Verify()
 	})
-}
-
-func splitNameCopy(b []byte) string {
-	id, _ := splitName(b)
-	return id
 }

@@ -32,7 +32,6 @@ var ErrMappedClosed = errors.New("seqdb: mapped database is closed")
 // swdual.Searcher sequences exactly that). Method calls after Close
 // fail with ErrMappedClosed instead of faulting.
 type Mapped struct {
-	path    string
 	data    []byte
 	hdr     header
 	entries []indexEntry
@@ -72,22 +71,7 @@ func Open(path string) (*Mapped, error) {
 		unmapFile(data)
 		return nil, fmt.Errorf("seqdb: %s: %w", path, err)
 	}
-	return &Mapped{path: path, data: data, hdr: hdr, entries: entries}, nil
-}
-
-// OpenVerify is the eager mode of Open: it additionally rescans the
-// whole data region against the header CRC before returning, so a
-// corrupted file is rejected at open instead of serving wrong residues.
-func OpenVerify(path string) (*Mapped, error) {
-	m, err := Open(path)
-	if err != nil {
-		return nil, err
-	}
-	if err := m.Verify(); err != nil {
-		m.Close()
-		return nil, err
-	}
-	return m, nil
+	return &Mapped{data: data, hdr: hdr, entries: entries}, nil
 }
 
 // parseDB decodes and fully validates a database image: the header
@@ -95,8 +79,7 @@ func OpenVerify(path string) (*Mapped, error) {
 // the header established, then the per-entry residue total against the
 // header's declared total. The entry slice is the only count-driven
 // allocation, and it happens only after parseHeader proved the count
-// fits the index bytes actually present. This is the one parser both
-// the mapped and the pread reader trust.
+// fits the index bytes actually present. Open trusts nothing else.
 func parseDB(data []byte) (header, []indexEntry, error) {
 	if len(data) < headerSize {
 		return header{}, nil, fmt.Errorf("seqdb: image of %d bytes is shorter than the %d-byte header", len(data), headerSize)
@@ -207,10 +190,3 @@ func (m *Mapped) MappedBytes() int64 {
 	defer m.mu.RUnlock()
 	return int64(len(m.data))
 }
-
-// OffHeap reports whether the mapping lives outside the Go heap (true
-// on unix, false on the portability fallback that reads into heap).
-func (m *Mapped) OffHeap() bool { return mappedOffHeap }
-
-// Path returns the path the database was opened from.
-func (m *Mapped) Path() string { return m.path }

@@ -1,7 +1,6 @@
 package seqdb
 
 import (
-	"bytes"
 	"os"
 	"runtime"
 	"sync"
@@ -13,53 +12,27 @@ import (
 )
 
 // TestMappedMatchesFile is the format-level equivalence proof: the
-// zero-copy mapped view and the copying pread reader must expose
-// byte-identical residues, names and metadata for the same file.
+// zero-copy mapped view must expose byte-identical residues, names and
+// metadata to the in-memory set the file was written from, and its
+// trusted header checksum must equal the scanned one.
 func TestMappedMatchesFile(t *testing.T) {
 	set := synth.RandomSet(alphabet.Protein, 60, 0, 250, 7)
 	set.Seqs[5].Desc = "a description, with punctuation"
-	path := tempDB(t, set)
+	m, mapped := openSet(t, tempDB(t, set))
 
-	m, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
+	if m.Count() != set.Len() || int64(m.TotalResidues()) != set.TotalResidues() {
+		t.Fatalf("metadata mismatch: mapped (%d,%d) vs written (%d,%d)",
+			m.Count(), m.TotalResidues(), set.Len(), set.TotalResidues())
 	}
-	defer m.Close()
-	f, err := OpenFile(path)
-	if err != nil {
-		t.Fatal(err)
+	if m.Alphabet() != set.Alpha || m.Checksum() != set.Checksum() {
+		t.Fatal("alphabet or checksum mismatch between the file and the written set")
 	}
-	defer f.Close()
-
-	if m.Count() != f.Count() || m.TotalResidues() != f.TotalResidues() {
-		t.Fatalf("metadata mismatch: mapped (%d,%d) vs file (%d,%d)",
-			m.Count(), m.TotalResidues(), f.Count(), f.TotalResidues())
+	if diff := sameSet(mapped, set); diff != "" {
+		t.Fatal(diff)
 	}
-	if m.Alphabet() != f.Alphabet() || m.Checksum() != f.DataChecksum() {
-		t.Fatal("alphabet or checksum mismatch between readers")
-	}
-	mapped, err := m.Set()
-	if err != nil {
-		t.Fatal(err)
-	}
-	heap, err := f.ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mapped.Len() != heap.Len() {
-		t.Fatalf("mapped %d sequences, heap %d", mapped.Len(), heap.Len())
-	}
-	for i := range heap.Seqs {
-		if mapped.Seqs[i].ID != heap.Seqs[i].ID || mapped.Seqs[i].Desc != heap.Seqs[i].Desc {
-			t.Fatalf("name mismatch at %d", i)
-		}
-		if !bytes.Equal(mapped.Seqs[i].Residues, heap.Seqs[i].Residues) {
-			t.Fatalf("residue mismatch at %d", i)
-		}
-	}
-	if mapped.Checksum() != heap.Checksum() {
+	if mapped.Checksum() != set.Checksum() {
 		t.Fatalf("checksum mismatch: mapped (trusted) %08x vs heap (scanned) %08x",
-			mapped.Checksum(), heap.Checksum())
+			mapped.Checksum(), set.Checksum())
 	}
 }
 
@@ -102,14 +75,13 @@ func TestMappedZeroCopy(t *testing.T) {
 	}
 }
 
-// TestMappedVerify covers both verification modes: a clean file passes
-// lazily and eagerly, and a corrupted residue byte fails Verify and
-// OpenVerify while plain Open (which trusts the header CRC) still
-// succeeds — the documented trade.
+// TestMappedVerify covers the verification trade: a clean file passes
+// Verify, and a corrupted residue byte fails it while Open (which trusts
+// the header CRC) still succeeds.
 func TestMappedVerify(t *testing.T) {
 	set := synth.RandomSet(alphabet.Protein, 25, 1, 90, 9)
 	path := tempDB(t, set)
-	m, err := OpenVerify(path)
+	m, err := Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,9 +106,6 @@ func TestMappedVerify(t *testing.T) {
 		t.Fatal("Verify must catch the corrupted residue")
 	}
 	lazy.Close()
-	if _, err := OpenVerify(path); err == nil {
-		t.Fatal("OpenVerify must refuse the corrupted file")
-	}
 }
 
 // TestMappedCloseLifecycle: Close is idempotent under concurrency, and
@@ -252,15 +221,6 @@ func TestMappedRejectsHostileHeaders(t *testing.T) {
 		if m, err := Open(path); err == nil {
 			m.Close()
 			t.Fatalf("%s: hostile file accepted", name)
-		}
-		if f, err := OpenFile(path); err == nil {
-			// OpenFile validates lazily per entry; a full index walk
-			// must catch whatever the header check could not.
-			err := f.VerifyIndex()
-			f.Close()
-			if err == nil {
-				t.Fatalf("%s: hostile file accepted by pread reader", name)
-			}
 		}
 	}
 	mutate("truncated header", func(b []byte) []byte { return b[:headerSize-1] })

@@ -8,15 +8,11 @@ import (
 	"os"
 )
 
-// mappedOffHeap is false here: the portability fallback reads the file
-// into an ordinary heap slice, so the "mapping" is GC-scanned memory
-// and nothing is shared between processes. The Mapped API behaves
-// identically either way; only the memory economics differ.
-const mappedOffHeap = false
-
 // mapFile reads size bytes of f into a heap buffer — the portable
-// stand-in for mmap on platforms without one. Read-only enforcement is
-// by convention only on this path.
+// stand-in for mmap on platforms without one. The "mapping" is then
+// GC-scanned memory shared with no other process, and read-only
+// enforcement is by convention only; the Mapped API behaves identically
+// either way, only the memory economics differ.
 func mapFile(f *os.File, size int64) ([]byte, error) {
 	if size <= 0 {
 		return nil, fmt.Errorf("seqdb: cannot map %d bytes", size)

@@ -8,11 +8,6 @@ import (
 	"syscall"
 )
 
-// mappedOffHeap reports whether mapFile returns memory outside the Go
-// heap (true on unix: a real PROT_READ mmap the garbage collector never
-// scans and the kernel shares across processes via the page cache).
-const mappedOffHeap = true
-
 // mapFile maps size bytes of f read-only. The mapping survives the file
 // descriptor being closed, and MAP_SHARED means every process mapping
 // the same file on a host shares one physical copy through the page

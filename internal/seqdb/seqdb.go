@@ -12,12 +12,10 @@
 //	names    : per sequence, id + 0x00 + description
 //	index    : count entries of {dataOff u64, dataLen u32, nameOff u64, nameLen u32}
 //
-// Two readers exist. OpenFile gives random access through an io.ReaderAt
-// (every read copies into fresh heap slices). Open memory-maps the file
-// read-only and exposes it as a seq.Set whose Residues are subslices of
-// the mapping — zero residue copies, data off the Go heap, one physical
-// copy per host shared by every process mapping the same file (see
-// mapped.go).
+// One reader exists: Open memory-maps the file read-only and exposes it
+// as a seq.Set whose Residues are subslices of the mapping — zero residue
+// copies, data off the Go heap, one physical copy per host shared by
+// every process mapping the same file (see mapped.go).
 //
 // Every header- and index-declared quantity is distrusted until proven
 // to lie inside the actual file: a hostile file can neither drive
@@ -245,191 +243,9 @@ func Create(path string, set *seq.Set) error {
 	return f.Close()
 }
 
-// File provides random access to a database file. It is safe for
-// concurrent readers: all reads go through ReadAt. Every read copies
-// into fresh heap memory; Open is the zero-copy mmap alternative.
-type File struct {
-	ra     io.ReaderAt
-	closer io.Closer
-	size   int64
-	hdr    header
-}
-
-// OpenFile opens a database file for random access through pread-style
-// reads. (Open is the memory-mapped sibling that shares one physical
-// copy per host.)
-func OpenFile(path string) (*File, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	fi, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	db, err := NewFile(f, fi.Size())
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	db.closer = f
-	return db, nil
-}
-
-// NewFile builds a File over any io.ReaderAt containing the format.
-// size is the length of the underlying data in bytes; every
-// header-declared offset and count is validated against it before use.
-func NewFile(ra io.ReaderAt, size int64) (*File, error) {
-	if size < headerSize {
-		return nil, fmt.Errorf("seqdb: file of %d bytes is shorter than the %d-byte header", size, headerSize)
-	}
-	var hdr [headerSize]byte
-	if _, err := ra.ReadAt(hdr[:], 0); err != nil {
-		return nil, fmt.Errorf("seqdb: short header: %w", err)
-	}
-	h, err := parseHeader(hdr[:], size)
-	if err != nil {
-		return nil, err
-	}
-	return &File{ra: ra, size: size, hdr: h}, nil
-}
-
-// Close releases the underlying file, if any.
-func (f *File) Close() error {
-	if f.closer != nil {
-		return f.closer.Close()
-	}
-	return nil
-}
-
-// Count returns the number of sequences.
-func (f *File) Count() int { return f.hdr.count }
-
-// TotalResidues returns the total residue count recorded in the header.
-func (f *File) TotalResidues() uint64 { return f.hdr.totalResidues }
-
-// Alphabet returns the database alphabet.
-func (f *File) Alphabet() *alphabet.Alphabet { return f.hdr.alpha }
-
-// DataChecksum returns the CRC-32 (IEEE) of the concatenated residues
-// as recorded in the header — the same fingerprint seq.Set.Checksum
-// computes over an in-memory set.
-func (f *File) DataChecksum() uint32 { return f.hdr.dataCRC }
-
-func (f *File) entry(i int) (indexEntry, error) {
-	if i < 0 || i >= f.hdr.count {
-		return indexEntry{}, fmt.Errorf("seqdb: sequence index %d out of range [0,%d)", i, f.hdr.count)
-	}
-	var buf [indexStride]byte
-	if _, err := f.ra.ReadAt(buf[:], int64(f.hdr.indexOffset)+int64(i)*indexStride); err != nil {
-		return indexEntry{}, fmt.Errorf("seqdb: reading index entry %d: %w", i, err)
-	}
-	e := decodeEntry(buf[:])
-	if err := f.hdr.checkEntry(i, e); err != nil {
-		return indexEntry{}, err
-	}
-	return e, nil
-}
-
-// SequenceLen returns the residue count of sequence i without reading its
-// data — the property the paper highlights for up-front memory allocation.
-func (f *File) SequenceLen(i int) (int, error) {
-	e, err := f.entry(i)
-	if err != nil {
-		return 0, err
-	}
-	return int(e.dataLen), nil
-}
-
-// ReadSequence reads sequence i (residues and name) by random access.
-func (f *File) ReadSequence(i int) (seq.Sequence, error) {
-	e, err := f.entry(i)
-	if err != nil {
-		return seq.Sequence{}, err
-	}
-	residues := make([]byte, e.dataLen)
-	if _, err := f.ra.ReadAt(residues, int64(e.dataOff)); err != nil {
-		return seq.Sequence{}, fmt.Errorf("seqdb: reading sequence %d: %w", i, err)
-	}
-	name := make([]byte, e.nameLen)
-	if _, err := f.ra.ReadAt(name, int64(e.nameOff)); err != nil {
-		return seq.Sequence{}, fmt.Errorf("seqdb: reading name %d: %w", i, err)
-	}
-	id, desc := splitName(name)
-	return seq.Sequence{ID: id, Desc: desc, Residues: residues}, nil
-}
-
 func splitName(b []byte) (id, desc string) {
 	if i := bytes.IndexByte(b, 0); i >= 0 {
 		return string(b[:i]), string(b[i+1:])
 	}
 	return string(b), ""
-}
-
-// ReadAll loads the whole database into a seq.Set.
-func (f *File) ReadAll() (*seq.Set, error) {
-	set := seq.NewSet(f.hdr.alpha)
-	set.Seqs = make([]seq.Sequence, 0, f.hdr.count)
-	for i := 0; i < f.hdr.count; i++ {
-		s, err := f.ReadSequence(i)
-		if err != nil {
-			return nil, err
-		}
-		set.Seqs = append(set.Seqs, s)
-	}
-	return set, nil
-}
-
-// ReadRange loads sequences [lo,hi) into a set; this is the random-access
-// chunked read pattern the workers use.
-func (f *File) ReadRange(lo, hi int) (*seq.Set, error) {
-	if lo < 0 || hi > f.hdr.count || lo > hi {
-		return nil, fmt.Errorf("seqdb: range [%d,%d) out of bounds [0,%d)", lo, hi, f.hdr.count)
-	}
-	set := seq.NewSet(f.hdr.alpha)
-	set.Seqs = make([]seq.Sequence, 0, hi-lo)
-	for i := lo; i < hi; i++ {
-		s, err := f.ReadSequence(i)
-		if err != nil {
-			return nil, err
-		}
-		set.Seqs = append(set.Seqs, s)
-	}
-	return set, nil
-}
-
-// VerifyIndex walks the whole index and validates every entry against
-// the file's real size — offsets inside the data region, lengths that
-// fit, and a per-entry residue total that adds up to the header's
-// declared count. It reads only the index, never the data.
-func (f *File) VerifyIndex() error {
-	var total uint64
-	for i := 0; i < f.hdr.count; i++ {
-		e, err := f.entry(i)
-		if err != nil {
-			return err
-		}
-		total += uint64(e.dataLen)
-	}
-	if total != f.hdr.totalResidues {
-		return fmt.Errorf("seqdb: index residue total %d differs from header total %d", total, f.hdr.totalResidues)
-	}
-	return nil
-}
-
-// Verify re-reads the data section and checks it against the stored CRC32.
-func (f *File) Verify() error {
-	crc := crc32.NewIEEE()
-	for i := 0; i < f.hdr.count; i++ {
-		s, err := f.ReadSequence(i)
-		if err != nil {
-			return err
-		}
-		crc.Write(s.Residues)
-	}
-	if crc.Sum32() != f.hdr.dataCRC {
-		return fmt.Errorf("seqdb: data CRC mismatch: stored %08x computed %08x", f.hdr.dataCRC, crc.Sum32())
-	}
-	return nil
 }

@@ -21,110 +21,81 @@ func tempDB(t *testing.T, set *seq.Set) string {
 	return path
 }
 
+// openSet opens path and returns the mapping and its set; the mapping is
+// closed when the test ends.
+func openSet(t *testing.T, path string) (*Mapped, *seq.Set) {
+	t.Helper()
+	m, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { m.Close() })
+	s, err := m.Set()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m, s
+}
+
+// sameSet reports the first difference between two sets' names and
+// residues, or "" when they are identical.
+func sameSet(got, want *seq.Set) string {
+	if got.Len() != want.Len() {
+		return "sequence count differs"
+	}
+	for i := range want.Seqs {
+		g, w := &got.Seqs[i], &want.Seqs[i]
+		if g.ID != w.ID || g.Desc != w.Desc {
+			return "name differs at " + w.ID
+		}
+		if !bytes.Equal(g.Residues, w.Residues) {
+			return "residues differ at " + w.ID
+		}
+	}
+	return ""
+}
+
 func TestRoundTrip(t *testing.T) {
 	set := synth.RandomSet(alphabet.Protein, 50, 0, 300, 1)
 	set.Seqs[3].Desc = "a description with spaces"
-	path := tempDB(t, set)
-	f, err := OpenFile(path)
-	if err != nil {
-		t.Fatal(err)
+	m, back := openSet(t, tempDB(t, set))
+	if m.Count() != set.Len() {
+		t.Fatalf("count %d, want %d", m.Count(), set.Len())
 	}
-	defer f.Close()
-	if f.Count() != set.Len() {
-		t.Fatalf("count %d, want %d", f.Count(), set.Len())
+	if int64(m.TotalResidues()) != set.TotalResidues() {
+		t.Fatalf("residues %d, want %d", m.TotalResidues(), set.TotalResidues())
 	}
-	if int64(f.TotalResidues()) != set.TotalResidues() {
-		t.Fatalf("residues %d, want %d", f.TotalResidues(), set.TotalResidues())
-	}
-	if f.Alphabet() != alphabet.Protein {
+	if m.Alphabet() != alphabet.Protein || back.Alpha != alphabet.Protein {
 		t.Fatal("alphabet mismatch")
 	}
-	back, err := f.ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range set.Seqs {
-		if set.Seqs[i].ID != back.Seqs[i].ID || set.Seqs[i].Desc != back.Seqs[i].Desc {
-			t.Fatalf("name mismatch at %d: %+v vs %+v", i, set.Seqs[i], back.Seqs[i])
-		}
-		if !bytes.Equal(set.Seqs[i].Residues, back.Seqs[i].Residues) {
-			t.Fatalf("residue mismatch at %d", i)
-		}
+	if diff := sameSet(back, set); diff != "" {
+		t.Fatal(diff)
 	}
 }
 
+// TestRandomAccess reads sequences out of order through the mapped set —
+// the point of the format (§IV): any sequence is addressable directly.
 func TestRandomAccess(t *testing.T) {
 	set := synth.RandomSet(alphabet.Protein, 40, 1, 100, 2)
-	path := tempDB(t, set)
-	f, err := OpenFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	// Read out of order — the point of the format (§IV).
+	_, back := openSet(t, tempDB(t, set))
 	for _, i := range []int{37, 0, 19, 39, 5} {
-		s, err := f.ReadSequence(i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(s.Residues, set.Seqs[i].Residues) {
+		if !bytes.Equal(back.Seqs[i].Residues, set.Seqs[i].Residues) {
 			t.Fatalf("sequence %d mismatch", i)
 		}
-		l, err := f.SequenceLen(i)
-		if err != nil {
-			t.Fatal(err)
+		if back.Seqs[i].Len() != set.Seqs[i].Len() {
+			t.Fatalf("length %d mismatch: %d vs %d", i, back.Seqs[i].Len(), set.Seqs[i].Len())
 		}
-		if l != set.Seqs[i].Len() {
-			t.Fatalf("length %d mismatch: %d vs %d", i, l, set.Seqs[i].Len())
-		}
-	}
-	if _, err := f.ReadSequence(-1); err == nil {
-		t.Fatal("negative index must fail")
-	}
-	if _, err := f.ReadSequence(40); err == nil {
-		t.Fatal("out-of-range index must fail")
-	}
-}
-
-func TestReadRange(t *testing.T) {
-	set := synth.RandomSet(alphabet.Protein, 30, 1, 50, 3)
-	path := tempDB(t, set)
-	f, err := OpenFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	part, err := f.ReadRange(10, 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if part.Len() != 10 {
-		t.Fatalf("range read %d, want 10", part.Len())
-	}
-	for i := 0; i < 10; i++ {
-		if !bytes.Equal(part.Seqs[i].Residues, set.Seqs[10+i].Residues) {
-			t.Fatalf("range mismatch at %d", i)
-		}
-	}
-	if _, err := f.ReadRange(20, 10); err == nil {
-		t.Fatal("inverted range must fail")
-	}
-	if _, err := f.ReadRange(0, 31); err == nil {
-		t.Fatal("overlong range must fail")
 	}
 }
 
 func TestVerify(t *testing.T) {
 	set := synth.RandomSet(alphabet.Protein, 20, 1, 80, 4)
 	path := tempDB(t, set)
-	f, err := OpenFile(path)
-	if err != nil {
+	m, _ := openSet(t, path)
+	if err := m.Verify(); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.Verify(); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
+	m.Close()
 	// Corrupt one residue byte inside the data section.
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -134,12 +105,8 @@ func TestVerify(t *testing.T) {
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	f2, err := OpenFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f2.Close()
-	if err := f2.Verify(); err == nil {
+	m2, _ := openSet(t, path)
+	if err := m2.Verify(); err == nil {
 		t.Fatal("corruption must fail verification")
 	}
 }
@@ -150,73 +117,51 @@ func TestBadHeader(t *testing.T) {
 	if err := os.WriteFile(path, []byte("NOPE"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenFile(path); err == nil {
+	if _, err := Open(path); err == nil {
 		t.Fatal("short/bad header must fail")
 	}
 	if err := os.WriteFile(path, append([]byte("XXXX"), make([]byte, headerSize)...), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenFile(path); err == nil {
+	if _, err := Open(path); err == nil {
 		t.Fatal("bad magic must fail")
 	}
 }
 
 func TestEmptyAndDNA(t *testing.T) {
-	empty := seq.NewSet(alphabet.Protein)
-	path := tempDB(t, empty)
-	f, err := OpenFile(path)
-	if err != nil {
-		t.Fatal(err)
+	m, _ := openSet(t, tempDB(t, seq.NewSet(alphabet.Protein)))
+	if m.Count() != 0 {
+		t.Fatalf("empty db count %d", m.Count())
 	}
-	if f.Count() != 0 {
-		t.Fatalf("empty db count %d", f.Count())
-	}
-	f.Close()
 
 	dna := seq.NewSet(alphabet.DNA)
 	dna.AddEncoded("d1", "", alphabet.DNA.MustEncode("ACGTN"))
-	path2 := tempDB(t, dna)
-	f2, err := OpenFile(path2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f2.Close()
-	if f2.Alphabet() != alphabet.DNA {
+	m2, back := openSet(t, tempDB(t, dna))
+	if m2.Alphabet() != alphabet.DNA || back.Alpha != alphabet.DNA {
 		t.Fatal("DNA alphabet not preserved")
 	}
-	s, err := f2.ReadSequence(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if alphabet.DNA.DecodeString(s.Residues) != "ACGTN" {
-		t.Fatalf("DNA residues %q", alphabet.DNA.DecodeString(s.Residues))
+	if got := alphabet.DNA.DecodeString(back.Seqs[0].Residues); got != "ACGTN" {
+		t.Fatalf("DNA residues %q", got)
 	}
 }
 
 // Property: write/read round trip over random sets preserves everything.
 func TestQuickRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	count := 0
 	f := func(seed int64, n uint8) bool {
-		count++
 		set := synth.RandomSet(alphabet.Protein, int(n%30)+1, 0, 150, seed)
 		path := filepath.Join(dir, "q.swdb")
 		if err := Create(path, set); err != nil {
 			return false
 		}
-		db, err := OpenFile(path)
+		db, err := Open(path)
 		if err != nil {
 			return false
 		}
 		defer db.Close()
-		back, err := db.ReadAll()
-		if err != nil || back.Len() != set.Len() {
+		back, err := db.Set()
+		if err != nil || sameSet(back, set) != "" {
 			return false
-		}
-		for i := range set.Seqs {
-			if !bytes.Equal(set.Seqs[i].Residues, back.Seqs[i].Residues) || set.Seqs[i].ID != back.Seqs[i].ID {
-				return false
-			}
 		}
 		return db.Verify() == nil
 	}

@@ -177,7 +177,7 @@ func TestDegradedPartialRidesOverDarkRange(t *testing.T) {
 
 	s, wrappers := faultedSearcher(t, db, 3, topK)
 	s.SetDegradedPolicy(DegradedPartial)
-	ranges := s.Ranges()
+	ranges := s.ranges
 	const dark = 1
 	gate := faultinject.NewGate()
 	wrappers[dark].SetRules(faultinject.Rule{
@@ -274,7 +274,7 @@ func TestDegradedAnswerNeverEntersCache(t *testing.T) {
 	s, wrappers := faultedSearcher(t, db, 2, topK)
 	s.SetDegradedPolicy(DegradedPartial)
 	s.EnableCache(0, 0)
-	ranges := s.Ranges()
+	ranges := s.ranges
 	wrappers[1].SetRules(faultinject.Rule{
 		Op: faultinject.OpSearch, Count: 1,
 		Fault: faultinject.Fault{Err: rangeDownErr(1, ranges[1])},
@@ -344,7 +344,7 @@ func TestCollapsedFollowersShareDegradedAnswer(t *testing.T) {
 	s, wrappers := faultedSearcher(t, db, 2, topK)
 	s.SetDegradedPolicy(DegradedPartial)
 	s.EnableCache(0, 0)
-	ranges := s.Ranges()
+	ranges := s.ranges
 	gate := faultinject.NewGate()
 	wrappers[0].SetRules(faultinject.Rule{
 		Op: faultinject.OpSearch, Count: 1,
@@ -417,7 +417,7 @@ func TestDegradedCoverageCrossesTheWire(t *testing.T) {
 
 	s, wrappers := faultedSearcher(t, db, 2, topK)
 	s.SetDegradedPolicy(DegradedPartial)
-	ranges := s.Ranges()
+	ranges := s.ranges
 	wrappers[0].SetRules(faultinject.Rule{
 		Op: faultinject.OpSearch, Count: 1,
 		Fault: faultinject.Fault{Err: rangeDownErr(0, ranges[0])},
@@ -499,7 +499,7 @@ func TestDegradedFailKeepsFailing(t *testing.T) {
 	if s.DegradedPolicy() != DegradedFail {
 		t.Fatalf("default policy %v, want DegradedFail", s.DegradedPolicy())
 	}
-	ranges := s.Ranges()
+	ranges := s.ranges
 	wrappers[1].SetRules(faultinject.Rule{
 		Op: faultinject.OpSearch, Count: 1,
 		Fault: faultinject.Fault{Err: rangeDownErr(1, ranges[1])},
@@ -537,7 +537,7 @@ func TestEveryRangeDarkFailsEvenPartial(t *testing.T) {
 
 	s, wrappers := faultedSearcher(t, db, 2, topK)
 	s.SetDegradedPolicy(DegradedPartial)
-	ranges := s.Ranges()
+	ranges := s.ranges
 	for i, w := range wrappers {
 		w.SetRules(faultinject.Rule{
 			Op: faultinject.OpSearch, Count: 1,

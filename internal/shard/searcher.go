@@ -43,9 +43,8 @@ const (
 // remote.Backend speaking the wire protocol to a shard server on another
 // machine — and local and remote backends mix freely in one Searcher.
 type Searcher struct {
-	db       *seq.Set
-	strategy Strategy
-	topK     int
+	db   *seq.Set
+	topK int
 
 	ranges   []Range
 	backends []engine.Backend
@@ -103,8 +102,9 @@ func (s *Searcher) EnableCache(maxEntries int, maxBytes int64) {
 // own cap: a backend returning fewer hits than the gather keeps would
 // make the merged top-k wrong. On success the Searcher owns the
 // backends and Close closes all of them; on error the caller keeps
-// ownership and must close them itself.
-func WithBackends(db *seq.Set, strategy Strategy, ranges []Range, backends []engine.Backend, topK int) (*Searcher, error) {
+// ownership and must close them itself. The Strategy that produced
+// ranges is not kept: the ranges alone define the partition.
+func WithBackends(db *seq.Set, _ Strategy, ranges []Range, backends []engine.Backend, topK int) (*Searcher, error) {
 	if db == nil {
 		return nil, fmt.Errorf("shard: nil database")
 	}
@@ -129,7 +129,6 @@ func WithBackends(db *seq.Set, strategy Strategy, ranges []Range, backends []eng
 	}
 	s := &Searcher{
 		db:            db,
-		strategy:      strategy,
 		topK:          topK,
 		ranges:        ranges,
 		backends:      backends,
@@ -164,15 +163,6 @@ func (s *Searcher) TopK() int { return s.topK }
 
 // Shards returns the number of shards.
 func (s *Searcher) Shards() int { return len(s.backends) }
-
-// Ranges returns each shard's [Lo, Hi) database slice.
-func (s *Searcher) Ranges() []Range { return s.ranges }
-
-// Strategy returns the split strategy the Searcher was built with.
-func (s *Searcher) Strategy() Strategy { return s.strategy }
-
-// DB returns the whole (unsharded) database.
-func (s *Searcher) DB() *seq.Set { return s.db }
 
 // Alphabet returns the database alphabet.
 func (s *Searcher) Alphabet() *alphabet.Alphabet { return s.db.Alpha }

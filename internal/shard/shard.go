@@ -61,9 +61,6 @@ type Range struct {
 	Lo, Hi int
 }
 
-// Len returns the number of sequences in the range.
-func (r Range) Len() int { return r.Hi - r.Lo }
-
 // RangesFor splits a database into shards ranges — the one split every
 // party to a sharded deployment must compute identically: the
 // coordinator and each shard server. They all call

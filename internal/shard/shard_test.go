@@ -38,11 +38,12 @@ func TestSplitRangesContiguous(t *testing.T) {
 		// Equal counts within one sequence.
 		min, max := tc.n, 0
 		for _, r := range ranges {
-			if r.Len() < min {
-				min = r.Len()
+			n := r.Hi - r.Lo
+			if n < min {
+				min = n
 			}
-			if r.Len() > max {
-				max = r.Len()
+			if n > max {
+				max = n
 			}
 		}
 		if tc.n >= tc.shards && max-min > 1 {

@@ -1,50 +1,57 @@
 package stats
 
-import (
-	"sync"
-	"time"
-)
+import "sync"
 
-// latencyEWMAAlpha weights the newest observation in a LatencyEWMA,
-// mirroring the worker rate estimator's constant: recent enough to
-// track a slowing service, smooth enough not to chase single-sample
-// jitter.
-const latencyEWMAAlpha = 0.3
+// ewmaAlpha weights the newest observation: recent enough to track a
+// slowing service or worker, smooth enough not to chase single-sample
+// jitter. 0.3 forgets a 100× mis-advertised seed to within 5% in ~21
+// observations while smoothing per-observation jitter by ~3×.
+const ewmaAlpha = 0.3
 
-// LatencyEWMA is an exponentially weighted moving average over
-// wall-clock durations — the master.RateEstimator shape applied to
-// latency. The replica hedging trigger and the gateway's Retry-After
-// estimate both read it: one asks "is this search running long?", the
-// other "how long until a queue slot frees up?". The zero value is
-// ready to use; it is safe for concurrent Observe and Snapshot calls.
-type LatencyEWMA struct {
-	mu   sync.Mutex
-	mean time.Duration
-	n    uint64
+// EWMA is an exponentially weighted moving average, safe for concurrent
+// Observe and Snapshot calls. Three readers share it: the worker rate
+// estimate (GCUPS per completed task, seeded with the advertised rate),
+// the replica hedging trigger ("is this search running long?") and the
+// gateway's Retry-After ("how long until a queue slot frees up?"), the
+// latter two over nanoseconds.
+//
+// The zero value is unseeded: its first observation becomes the mean.
+// NewEWMA seeds it instead, and the first observation blends with the
+// seed like every later one.
+type EWMA struct {
+	mu     sync.Mutex
+	mean   float64
+	n      uint64
+	seeded bool
 }
 
-// Observe folds one completed operation's duration into the average.
-// Non-positive durations are ignored: a clock that didn't advance
-// carries no latency information.
-func (l *LatencyEWMA) Observe(d time.Duration) {
-	if d <= 0 {
+// NewEWMA returns an average whose value is seed until, and blended
+// into, the first observation.
+func NewEWMA(seed float64) *EWMA {
+	return &EWMA{mean: seed, seeded: true}
+}
+
+// Observe folds x into the average. Non-positive observations are
+// ignored: a clock that didn't advance or a task with no volume carries
+// no signal.
+func (e *EWMA) Observe(x float64) {
+	if x <= 0 {
 		return
 	}
-	l.mu.Lock()
-	if l.n == 0 {
-		l.mean = d
+	e.mu.Lock()
+	if e.n == 0 && !e.seeded {
+		e.mean = x
 	} else {
-		l.mean = time.Duration(latencyEWMAAlpha*float64(d) + (1-latencyEWMAAlpha)*float64(l.mean))
+		e.mean = ewmaAlpha*x + (1-ewmaAlpha)*e.mean
 	}
-	l.n++
-	l.mu.Unlock()
+	e.n++
+	e.mu.Unlock()
 }
 
-// Snapshot returns the current mean and how many observations produced
-// it (0 observations means the mean is meaningless — callers gate on n
-// before trusting it).
-func (l *LatencyEWMA) Snapshot() (mean time.Duration, n uint64) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.mean, l.n
+// Snapshot returns the current mean (the seed, or 0 unseeded, before
+// any observation) and how many observations produced it.
+func (e *EWMA) Snapshot() (mean float64, n uint64) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.mean, e.n
 }

@@ -2,31 +2,19 @@ package stats
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
 )
 
-func TestMeanStdDev(t *testing.T) {
+func TestMean(t *testing.T) {
 	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
 	if Mean(xs) != 5 {
 		t.Fatalf("mean %v", Mean(xs))
 	}
-	if got := StdDev(xs); math.Abs(got-2.138) > 0.001 {
-		t.Fatalf("stddev %v", got)
-	}
-	if Mean(nil) != 0 || StdDev(nil) != 0 || StdDev([]float64{1}) != 0 {
-		t.Fatal("empty-input conventions")
-	}
-}
-
-func TestMinMax(t *testing.T) {
-	xs := []float64{3, -1, 7, 2}
-	if Min(xs) != -1 || Max(xs) != 7 {
-		t.Fatalf("min/max %v %v", Min(xs), Max(xs))
-	}
-	if Min(nil) != 0 || Max(nil) != 0 {
-		t.Fatal("empty min/max")
+	if Mean(nil) != 0 {
+		t.Fatal("empty-input convention")
 	}
 }
 
@@ -77,8 +65,9 @@ func TestQuickMeanBounds(t *testing.T) {
 		if len(xs) == 0 {
 			return true
 		}
+		lo, hi := slices.Min(xs), slices.Max(xs)
 		m := Mean(xs)
-		return m >= Min(xs)-1e-9*math.Abs(Min(xs))-1e-9 && m <= Max(xs)+1e-9*math.Abs(Max(xs))+1e-9
+		return m >= lo-1e-9*math.Abs(lo)-1e-9 && m <= hi+1e-9*math.Abs(hi)+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -108,7 +97,7 @@ func TestPercentile(t *testing.T) {
 }
 
 func TestLatencyEWMA(t *testing.T) {
-	var l LatencyEWMA
+	var l EWMA
 	if mean, n := l.Snapshot(); mean != 0 || n != 0 {
 		t.Fatalf("zero value: mean %v n %d", mean, n)
 	}
@@ -117,22 +106,36 @@ func TestLatencyEWMA(t *testing.T) {
 	if _, n := l.Snapshot(); n != 0 {
 		t.Fatalf("non-positive observations counted: n %d", n)
 	}
-	l.Observe(100 * time.Millisecond)
-	if mean, n := l.Snapshot(); n != 1 || mean != 100*time.Millisecond {
+	ms := float64(time.Millisecond)
+	l.Observe(100 * ms)
+	if mean, n := l.Snapshot(); n != 1 || mean != 100*ms {
 		t.Fatalf("first observation: mean %v n %d", mean, n)
 	}
 	// The EWMA moves toward new observations but never past them.
-	l.Observe(200 * time.Millisecond)
+	l.Observe(200 * ms)
 	mean, n := l.Snapshot()
-	if n != 2 || mean <= 100*time.Millisecond || mean >= 200*time.Millisecond {
+	if n != 2 || mean <= 100*ms || mean >= 200*ms {
 		t.Fatalf("after second observation: mean %v n %d", mean, n)
 	}
 	// Repeated identical observations converge to that value.
 	for i := 0; i < 50; i++ {
-		l.Observe(time.Second)
+		l.Observe(float64(time.Second))
 	}
 	mean, _ = l.Snapshot()
-	if d := mean - time.Second; d < -time.Millisecond || d > time.Millisecond {
+	if d := mean - float64(time.Second); d < -ms || d > ms {
 		t.Fatalf("did not converge: mean %v", mean)
+	}
+}
+
+// TestSeededEWMABlendsFirstObservation: a seeded average treats its
+// seed as history, so the first observation moves it by alpha only.
+func TestSeededEWMABlendsFirstObservation(t *testing.T) {
+	e := NewEWMA(10)
+	if mean, n := e.Snapshot(); mean != 10 || n != 0 {
+		t.Fatalf("seed: mean %v n %d", mean, n)
+	}
+	e.Observe(20)
+	if mean, n := e.Snapshot(); n != 1 || math.Abs(mean-13) > 1e-12 {
+		t.Fatalf("first observation: mean %v n %d, want 13 (0.3·20 + 0.7·10)", mean, n)
 	}
 }

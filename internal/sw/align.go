@@ -30,9 +30,6 @@ type Alignment struct {
 // alphabet (alphabets have at most 32 codes).
 const GapCode = 0xFF
 
-// Length returns the number of alignment columns.
-func (a *Alignment) Length() int { return len(a.QueryRow) }
-
 // Identity returns the fraction of identical columns, 0 for empty
 // alignments.
 func (a *Alignment) Identity() float64 {
@@ -110,7 +107,7 @@ const (
 )
 
 // Align computes an optimal local alignment with full traceback using
-// O(m*n) memory. For long sequences prefer AlignHirschberg.
+// O(m*n) memory.
 func Align(p Params, query, subject []byte) *Alignment {
 	m, n := len(query), len(subject)
 	if m == 0 || n == 0 {

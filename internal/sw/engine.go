@@ -24,6 +24,3 @@ func (e *Scalar) Scores(query []byte, db *seq.Set) []int {
 	}
 	return out
 }
-
-// Params returns the engine's parameters.
-func (e *Scalar) Params() Params { return e.params }

@@ -208,15 +208,6 @@ func (q QuerySpec) Scaled(scale int) QuerySpec {
 	return out
 }
 
-// TotalLen returns the summed query length.
-func (q QuerySpec) TotalLen() int {
-	t := 0
-	for _, l := range q.Lengths {
-		t += l
-	}
-	return t
-}
-
 // Generate materializes the query set.
 func (q QuerySpec) Generate() *seq.Set {
 	rng := rand.New(rand.NewSource(q.Seed))

@@ -96,15 +96,23 @@ func TestQuerySets(t *testing.T) {
 		t.Fatalf("heterogeneous range [%d,%d]", het.Lengths[0], het.Lengths[39])
 	}
 	// Total volumes should match the paper-implied sums within 5%.
-	if tl := std.TotalLen(); math.Abs(float64(tl)-100500) > 0.05*100500 {
+	if tl := totalLen(std); math.Abs(float64(tl)-100500) > 0.05*100500 {
 		t.Fatalf("standard total %d, want ~100500", tl)
 	}
-	if tl := het.TotalLen(); math.Abs(float64(tl)-690000) > 0.05*690000 {
+	if tl := totalLen(het); math.Abs(float64(tl)-690000) > 0.05*690000 {
 		t.Fatalf("heterogeneous total %d, want ~690000", tl)
 	}
-	if tl := hom.TotalLen(); math.Abs(float64(tl)-187000) > 0.05*187000 {
+	if tl := totalLen(hom); math.Abs(float64(tl)-187000) > 0.05*187000 {
 		t.Fatalf("homogeneous total %d, want ~187000", tl)
 	}
+}
+
+func totalLen(q QuerySpec) int {
+	t := 0
+	for _, l := range q.Lengths {
+		t += l
+	}
+	return t
 }
 
 func TestQueryGenerate(t *testing.T) {

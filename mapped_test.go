@@ -24,6 +24,20 @@ func saveSWDB(t *testing.T, preset string, scale int) (string, *swdual.Database)
 	return path, db
 }
 
+func sameSequences(t *testing.T, label string, got, want *swdual.Database) {
+	t.Helper()
+	if got.Len() != want.Len() {
+		t.Fatalf("%s: %d sequences, want %d", label, got.Len(), want.Len())
+	}
+	for i := 0; i < want.Len(); i++ {
+		gid, gres := got.Sequence(i)
+		wid, wres := want.Sequence(i)
+		if gid != wid || gres != wres {
+			t.Fatalf("%s: sequence %d differs", label, i)
+		}
+	}
+}
+
 func sameReports(t *testing.T, label string, got, want *swdual.Report) {
 	t.Helper()
 	if len(got.Results) != len(want.Results) {
@@ -44,7 +58,7 @@ func sameReports(t *testing.T, label string, got, want *swdual.Report) {
 
 // TestOpenDatabaseMapped pins the public mapping contract: a .swdb path
 // opens as a mapped database identical sequence-for-sequence to the
-// heap loader, reports its mapping size, verifies eagerly on demand,
+// in-memory set it was written from, reports its mapping size, verifies eagerly on demand,
 // and closes idempotently; a FASTA path through the same entry point is
 // heap-backed and Close is a no-op.
 func TestOpenDatabaseMapped(t *testing.T) {
@@ -59,17 +73,7 @@ func TestOpenDatabaseMapped(t *testing.T) {
 	if m.Len() != orig.Len() || m.TotalResidues() != orig.TotalResidues() {
 		t.Fatalf("mapped %d/%d, want %d/%d", m.Len(), m.TotalResidues(), orig.Len(), orig.TotalResidues())
 	}
-	heap, err := swdual.LoadBinary(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < m.Len(); i++ {
-		mid, mres := m.Sequence(i)
-		hid, hres := heap.Sequence(i)
-		if mid != hid || mres != hres {
-			t.Fatalf("mapped sequence %d differs from heap load", i)
-		}
-	}
+	sameSequences(t, "mapped", m, orig)
 	if err := m.VerifyMapped(); err != nil {
 		t.Fatal(err)
 	}
@@ -100,21 +104,18 @@ func TestOpenDatabaseMapped(t *testing.T) {
 }
 
 // TestMappedSearchMatchesHeap is the end-to-end equivalence suite: the
-// same .swdb searched from the heap and from the mapping — unsharded and
+// in-memory set and the .swdb written from it, searched from the
+// mapping — unsharded and
 // remote-sharded with every server mapping the file — must produce
 // byte-identical hits.
 func TestMappedSearchMatchesHeap(t *testing.T) {
-	path, _ := saveSWDB(t, "UniProt", 20000)
+	path, heap := saveSWDB(t, "UniProt", 20000)
 	queries, err := swdual.GenerateQueries("standard", 400)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opt := swdual.Options{Pool: "cpu=1,gpu=1", TopK: 5, ShardSplit: "balanced"}
 
-	heap, err := swdual.LoadBinary(path)
-	if err != nil {
-		t.Fatal(err)
-	}
 	want, err := swdual.Search(heap, queries, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -169,5 +170,50 @@ func TestMappedSearchMatchesHeap(t *testing.T) {
 	sameReports(t, "mapped remote-sharded", got, want)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSaveOverMappedFile saves a mapped database over the very file it
+// is mapped from, in both formats. Truncating that file in place would
+// fault inside the writer as it reads residues out of the mapping; the
+// save must instead leave a whole file that reopens with the same
+// checksum and sequences.
+func TestSaveOverMappedFile(t *testing.T) {
+	path, orig := saveSWDB(t, "Ensembl Rat Proteins", 4000)
+	db, err := swdual.OpenDatabase(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if err := db.SaveBinary(path); err != nil {
+		t.Fatal(err)
+	}
+	// The old mapping still reads the old, unlinked file.
+	sameSequences(t, "mapping after save", db, orig)
+
+	again, err := swdual.OpenDatabase(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer again.Close()
+	if err := again.VerifyMapped(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := again.Set().Checksum(), orig.Set().Checksum(); got != want {
+		t.Fatalf("checksum %08x after saving over the mapping, want %08x", got, want)
+	}
+	sameSequences(t, "reopened", again, orig)
+
+	if err := again.SaveFASTA(path); err != nil {
+		t.Fatal(err)
+	}
+	fa, err := swdual.LoadFASTA(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameSequences(t, "FASTA saved over the mapping", fa, orig)
+
+	if leftover, _ := filepath.Glob(path + ".*"); len(leftover) != 0 {
+		t.Fatalf("temporary files left behind: %v", leftover)
 	}
 }

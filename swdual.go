@@ -22,7 +22,10 @@ package swdual
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"io/fs"
+	"math/rand"
 	"os"
 	"strings"
 	"time"
@@ -261,22 +264,6 @@ func OpenDatabase(path string) (*Database, error) {
 	return &Database{set: set, mapped: m}, nil
 }
 
-// LoadBinary loads a database in the paper's binary format (§IV) into
-// the heap. OpenDatabase is the zero-copy alternative that maps the
-// file instead of copying it.
-func LoadBinary(path string) (*Database, error) {
-	f, err := seqdb.OpenFile(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	set, err := f.ReadAll()
-	if err != nil {
-		return nil, err
-	}
-	return &Database{set: set}, nil
-}
-
 // Close releases the file mapping behind a Database opened from a
 // .swdb path. It is a no-op for heap-backed databases, idempotent, and
 // must come after the last Searcher over the Database is Closed — the
@@ -311,20 +298,51 @@ func (d *Database) VerifyMapped() error {
 
 // SaveBinary writes the database in the paper's binary format.
 func (d *Database) SaveBinary(path string) error {
-	return seqdb.Create(path, d.set)
+	return saveFile(path, func(f *os.File) error { return seqdb.Write(f, d.set) })
 }
 
 // SaveFASTA writes the database as FASTA text.
 func (d *Database) SaveFASTA(path string) error {
-	f, err := os.Create(path)
+	return saveFile(path, func(f *os.File) error { return fasta.WriteSet(f, d.set) })
+}
+
+// saveFile writes path through a sibling temporary file that is renamed
+// over it once whole. Truncating path in place instead would pull the
+// residues out from under a Database mapped from that very file (a
+// SIGBUS mid-write); the rename leaves the old inode, and so the
+// mapping, intact. A failed save, or a crash mid-save, leaves the
+// previous file as it was.
+// The temporary is created with mode 0666, so umask applies as it does
+// for os.Create.
+func saveFile(path string, write func(*os.File) error) error {
+	var (
+		f   *os.File
+		err error
+	)
+	for range 10 {
+		f, err = os.OpenFile(fmt.Sprintf("%s.%d.tmp", path, rand.Uint32()), os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o666)
+		if !errors.Is(err, fs.ErrExist) {
+			break
+		}
+	}
 	if err != nil {
 		return err
 	}
-	if err := fasta.WriteSet(f, d.set); err != nil {
-		f.Close()
-		return err
+	tmp := f.Name()
+	err = write(f)
+	if err == nil {
+		err = f.Sync() // on disk before the rename makes it the target
 	}
-	return f.Close()
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp)
+	}
+	return err
 }
 
 // FromSequences builds a database from ASCII protein sequences.

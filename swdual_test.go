@@ -89,10 +89,11 @@ func TestDatabaseRoundTrip(t *testing.T) {
 	if err := db.SaveFASTA(fa); err != nil {
 		t.Fatal(err)
 	}
-	fromBin, err := swdual.LoadBinary(bin)
+	fromBin, err := swdual.OpenDatabase(bin)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer fromBin.Close()
 	fromFA, err := swdual.LoadFASTA(fa)
 	if err != nil {
 		t.Fatal(err)
