@@ -112,7 +112,9 @@ type SearchOptions struct {
 }
 
 // Stats counts what the Searcher has amortized and served. All counters
-// are cumulative since New.
+// are cumulative since New. The summable ones are listed in Counters,
+// which is how every other layer — the wire, the shard and replica
+// sums, /metrics — reads them.
 type Stats struct {
 	DBSequences    int
 	DBResidues     int64
@@ -147,9 +149,8 @@ type Stats struct {
 	// second replica because the first ran past the latency threshold;
 	// Redials counts dead replicas brought back by the background
 	// reconnect loop. Under sharding they sum across every range's
-	// replica set, and they cross the wire in StatsResponse, so a
-	// cluster operator sees how often availability machinery actually
-	// fired.
+	// replica set, so a cluster operator sees how often availability
+	// machinery actually fired.
 	HedgedSearches uint64
 	FailedOver     uint64
 	Redials        uint64
@@ -157,9 +158,7 @@ type Stats struct {
 	// a sharded coordinator running DegradedPartial merged the
 	// surviving ranges after some range lost every replica (the
 	// report's Coverage says which). Always zero on a plain engine and
-	// on coordinators with the default fail policy. It crosses the wire
-	// in StatsResponse (version 6) and sums across shard aggregation,
-	// so a fleet operator sees how many answers were partial.
+	// on coordinators with the default fail policy.
 	DegradedSearches uint64
 	// Workers snapshots each worker's advertised vs observed throughput
 	// at the moment Stats was called — the rates the next scheduling
@@ -177,6 +176,53 @@ type WorkerRate struct {
 	AdvertisedGCUPS float64    // the static rate the worker registered with
 	ObservedGCUPS   float64    // live EWMA over measured task rates (== advertised until Tasks > 0)
 	Tasks           uint64     // completed tasks folded into the estimate
+}
+
+// Counter names one summable Stats counter: Name is its wire and
+// /metrics name (swdual_engine_<Name>_total), Help its /metrics help
+// text, and Of addresses it inside a Stats.
+type Counter struct {
+	Name string
+	Help string
+	Of   func(*Stats) *uint64
+}
+
+// Counters lists every summable Stats counter once. The wire frame, the
+// shard and replica sums and /metrics all iterate it, so a new counter
+// is a Stats field, a line here and the site that increments it.
+var Counters = []Counter{
+	{"searches", "Search calls served by the backend.", func(s *Stats) *uint64 { return &s.Searches }},
+	{"queries", "Queries served by the backend.", func(s *Stats) *uint64 { return &s.Queries }},
+	{"waves", "Scheduling waves dispatched.", func(s *Stats) *uint64 { return &s.Waves }},
+	{"batched_waves", "Waves that coalesced more than one request.", func(s *Stats) *uint64 { return &s.BatchedWaves }},
+	{"cache_hits", "Result-cache hits.", func(s *Stats) *uint64 { return &s.CacheHits }},
+	{"cache_misses", "Result-cache misses.", func(s *Stats) *uint64 { return &s.CacheMisses }},
+	{"cache_evictions", "Result-cache evictions.", func(s *Stats) *uint64 { return &s.CacheEvictions }},
+	{"collapsed_searches", "Searches answered as singleflight followers.", func(s *Stats) *uint64 { return &s.CollapsedSearches }},
+	{"hedged_searches", "Searches hedged on a second replica.", func(s *Stats) *uint64 { return &s.HedgedSearches }},
+	{"failed_over", "Calls retried on a sibling replica after a lost connection.", func(s *Stats) *uint64 { return &s.FailedOver }},
+	{"redials", "Dead replicas revived by the background reconnect loop.", func(s *Stats) *uint64 { return &s.Redials }},
+	{"degraded_searches", "Searches answered with partial coverage because a range had no live replica.", func(s *Stats) *uint64 { return &s.DegradedSearches }},
+}
+
+// Add folds one backend's snapshot into a facade's aggregate: every
+// listed counter except Searches and Queries — a facade counts its own
+// calls, since a search fanned out to every backend is still one search
+// — plus the preparation passes and worker goroutines (N backends
+// prepare N times), and other's workers with workerPrefix prepended to
+// their names.
+func (s *Stats) Add(other Stats, workerPrefix string) {
+	for _, c := range Counters {
+		if p := c.Of(s); p != &s.Searches && p != &s.Queries {
+			*p += *c.Of(&other)
+		}
+	}
+	s.Prepared += other.Prepared
+	s.WorkersStarted += other.WorkersStarted
+	for _, w := range other.Workers {
+		w.Name = workerPrefix + w.Name
+		s.Workers = append(s.Workers, w)
+	}
 }
 
 // ErrClosed is returned by Search after Close.

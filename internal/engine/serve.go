@@ -24,14 +24,17 @@ import (
 //	                          <-  Welcome{Version, DBChecksum, Alphabet, TopK}
 //	SearchRequest{ID: 1, …}   ->
 //	StatsRequest{ID: 2}       ->
-//	                          <-  StatsResponse{ID: 2, …}
+//	                          <-  StatsResponse{ID: 2, Counters: [(name, value)…], …}
 //	Cancel{ID: 1}             ->  (optional)
 //	                          <-  SearchResult{ID: 1, …} | ReqError{ID: 1}
 //	Done                      ->  (ends the session)
 //
 // A non-zero Hello.DBChecksum must match the server database, so a
 // client that also holds the database locally can verify both ends
-// search the same sequences. Residues cross the wire encoded in the
+// search the same sequences; a completed handshake is also the proof
+// that the server answers, which is all a replica's redial needs. The
+// StatsResponse carries the Counters list by name, so a new counter
+// changes no frame layout. Residues cross the wire encoded in the
 // server database's alphabet, which the Welcome names together with the
 // most hits per query the server returns (TopK, when the backend has a
 // TopK method; 0 otherwise), so a coordinator can refuse a server that
@@ -197,8 +200,6 @@ func (m *muxSession) handle(msg any) (done bool) {
 			defer m.wg.Done()
 			m.send(statsFrame(t.ID, m.s.Stats()))
 		}()
-	case *wire.ChecksumRequest:
-		m.send(&wire.ChecksumResponse{ID: t.ID, Checksum: m.s.Checksum()})
 	default:
 		m.send(&wire.ErrorMsg{Text: fmt.Sprintf("engine: unexpected %T in session", msg)})
 		return true
@@ -282,28 +283,21 @@ func resultFrame(qi int, res master.QueryResult) *wire.Result {
 	return out
 }
 
-// statsFrame mirrors a Stats snapshot into its wire form.
+// statsFrame mirrors a Stats snapshot into its wire form, the counters
+// as a (name, value) list in Counters order.
 func statsFrame(id uint64, st Stats) *wire.StatsResponse {
 	resp := &wire.StatsResponse{
-		ID:                id,
-		DBSequences:       uint32(st.DBSequences),
-		DBResidues:        uint64(st.DBResidues),
-		DBChecksum:        st.DBChecksum,
-		Prepared:          uint32(st.Prepared),
-		WorkersStarted:    uint32(st.WorkersStarted),
-		Searches:          st.Searches,
-		Queries:           st.Queries,
-		Waves:             st.Waves,
-		BatchedWaves:      st.BatchedWaves,
-		CacheHits:         st.CacheHits,
-		CacheMisses:       st.CacheMisses,
-		CacheEvictions:    st.CacheEvictions,
-		CollapsedSearches: st.CollapsedSearches,
-		HedgedSearches:    st.HedgedSearches,
-		FailedOver:        st.FailedOver,
-		Redials:           st.Redials,
-		DegradedSearches:  st.DegradedSearches,
-		Workers:           make([]wire.WorkerRateInfo, len(st.Workers)),
+		ID:             id,
+		DBSequences:    uint32(st.DBSequences),
+		DBResidues:     uint64(st.DBResidues),
+		DBChecksum:     st.DBChecksum,
+		Prepared:       uint32(st.Prepared),
+		WorkersStarted: uint32(st.WorkersStarted),
+		Counters:       make([]wire.Counter, len(Counters)),
+		Workers:        make([]wire.WorkerRateInfo, len(st.Workers)),
+	}
+	for i, c := range Counters {
+		resp.Counters[i] = wire.Counter{Name: c.Name, Value: *c.Of(&st)}
 	}
 	for i, w := range st.Workers {
 		resp.Workers[i] = wire.WorkerRateInfo{

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -321,9 +322,15 @@ func (b *stubBackend) Checksum() uint32             { return 7 }
 func (b *stubBackend) Alphabet() *alphabet.Alphabet { return alphabet.Protein }
 func (b *stubBackend) Close() error                 { return nil }
 
+// badSearch is a request the read loop refuses itself — its residue code
+// is outside every alphabet — so it round-trips without the backend.
+func badSearch(id uint64) *wire.SearchRequest {
+	return &wire.SearchRequest{ID: id, Queries: []wire.Query{{ID: "bad", Residues: []byte{200}}}}
+}
+
 // TestServeStatsDoesNotBlockSession: Stats on a coordinator backend is a
 // network fan-out, so the server answers it off the read loop. While a
-// StatsRequest is stuck in the backend, a ChecksumRequest is answered and
+// StatsRequest is stuck in the backend, a refused search is answered and
 // a Cancel reaches the search it names, on the same connection.
 func TestServeStatsDoesNotBlockSession(t *testing.T) {
 	b := newStubBackend()
@@ -334,15 +341,15 @@ func TestServeStatsDoesNotBlockSession(t *testing.T) {
 	}
 	<-b.statsEntered
 
-	if err := c.Send(&wire.ChecksumRequest{ID: 2}); err != nil {
+	if err := c.Send(badSearch(2)); err != nil {
 		t.Fatal(err)
 	}
 	msg, err := c.Recv()
 	if err != nil {
-		t.Fatalf("ChecksumRequest stuck behind a blocked Stats: %v", err)
+		t.Fatalf("refused search stuck behind a blocked Stats: %v", err)
 	}
-	if cr, ok := msg.(*wire.ChecksumResponse); !ok || cr.ID != 2 || cr.Checksum != 7 {
-		t.Fatalf("expected ChecksumResponse{ID: 2, Checksum: 7}, got %#v", msg)
+	if re, ok := msg.(*wire.ReqError); !ok || re.ID != 2 || !strings.Contains(re.Text, "outside") {
+		t.Fatalf("expected ReqError{ID: 2} naming the bad residue, got %#v", msg)
 	}
 
 	if err := c.Send(&wire.SearchRequest{ID: 3, Queries: []wire.Query{{ID: "q", Residues: []byte{0, 1, 2}}}}); err != nil {
@@ -365,8 +372,8 @@ func TestServeStatsDoesNotBlockSession(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st, ok := msg.(*wire.StatsResponse); !ok || st.ID != 1 || st.Searches != 42 {
-		t.Fatalf("expected StatsResponse{ID: 1, Searches: 42}, got %#v", msg)
+	if st, ok := msg.(*wire.StatsResponse); !ok || st.ID != 1 || !slices.Contains(st.Counters, wire.Counter{Name: "searches", Value: 42}) {
+		t.Fatalf("expected StatsResponse{ID: 1} counting 42 searches, got %#v", msg)
 	}
 }
 
@@ -420,7 +427,7 @@ func TestServeClearsHandshakeDeadline(t *testing.T) {
 	} else if _, ok := msg.(*wire.Welcome); !ok {
 		t.Fatalf("expected Welcome, got %#v", msg)
 	}
-	if err := c.Send(&wire.ChecksumRequest{ID: 1}); err != nil {
+	if err := c.Send(badSearch(1)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.Recv(); err != nil {

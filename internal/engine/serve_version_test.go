@@ -12,8 +12,9 @@ import (
 )
 
 // TestServeRejectsOldProtocolVersion: every wire.Version bump changes a
-// frame layout, so a peer one version behind must be turned away at the
-// handshake — with an error that names the version — instead of
+// frame layout, so a peer one version behind (today version 9, whose
+// StatsResponse held the counters as fixed fields) must be turned away
+// at the handshake — with an error that names the version — instead of
 // misreading a frame mid-session.
 func TestServeRejectsOldProtocolVersion(t *testing.T) {
 	db := synth.RandomSet(alphabet.Protein, 10, 10, 50, 61)

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -410,6 +411,53 @@ func TestStatsHealthzMetrics(t *testing.T) {
 		if _, err := fmt.Sscan(line, &v); err != nil || v <= 0 {
 			t.Fatalf("%s = %v (%v) after a forced GC, want > 0:\n%s", name, v, err, metrics)
 		}
+	}
+}
+
+// fixedStats is a backend whose Stats is a fixed snapshot.
+type fixedStats struct {
+	engine.Backend
+	st engine.Stats
+}
+
+func (b *fixedStats) Stats() engine.Stats { return b.st }
+
+// TestMetricsEngineNamesGolden pins every swdual_engine_* series on
+// /metrics — names and values — against a backend snapshot whose
+// counters all differ, so iterating engine.Counters renders exactly the
+// names dashboards and CI already read.
+func TestMetricsEngineNamesGolden(t *testing.T) {
+	st := engine.Stats{DBSequences: 20, DBResidues: 900, Searches: 1, Queries: 2, Waves: 3, BatchedWaves: 4,
+		CacheHits: 5, CacheMisses: 6, CacheEvictions: 7, CollapsedSearches: 8, HedgedSearches: 9,
+		FailedOver: 10, Redials: 11, DegradedSearches: 12}
+	_, srv := newTestGateway(t, &fixedStats{Backend: testEngine(t, testDB(20, 960)), st: st}, Config{})
+	golden := map[string]string{
+		"swdual_engine_db_sequences":             "20",
+		"swdual_engine_db_residues":              "900",
+		"swdual_engine_searches_total":           "1",
+		"swdual_engine_queries_total":            "2",
+		"swdual_engine_waves_total":              "3",
+		"swdual_engine_batched_waves_total":      "4",
+		"swdual_engine_cache_hits_total":         "5",
+		"swdual_engine_cache_misses_total":       "6",
+		"swdual_engine_cache_evictions_total":    "7",
+		"swdual_engine_collapsed_searches_total": "8",
+		"swdual_engine_hedged_searches_total":    "9",
+		"swdual_engine_failed_over_total":        "10",
+		"swdual_engine_redials_total":            "11",
+		"swdual_engine_degraded_searches_total":  "12",
+	}
+	got := map[string]string{}
+	for _, line := range strings.Split(scrape(t, srv, srv.URL), "\n") {
+		if name, value, ok := strings.Cut(line, " "); ok && strings.HasPrefix(name, "swdual_engine_") {
+			if _, dup := got[name]; dup {
+				t.Fatalf("%s rendered twice", name)
+			}
+			got[name] = value
+		}
+	}
+	if !reflect.DeepEqual(got, golden) {
+		t.Fatalf("engine series on /metrics:\n got %v\nwant %v", got, golden)
 	}
 }
 

@@ -7,6 +7,8 @@ import (
 	"runtime/metrics"
 	"strings"
 	"time"
+
+	"swdual/internal/engine"
 )
 
 // GET /metrics renders the gateway's counters and the backend's
@@ -61,18 +63,9 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	st := g.be.Stats()
 	p.gauge("swdual_engine_db_sequences", "Sequences in the prepared database.", float64(st.DBSequences))
 	p.gauge("swdual_engine_db_residues", "Residues in the prepared database.", float64(st.DBResidues))
-	p.counter("swdual_engine_searches_total", "Search calls served by the backend.", st.Searches)
-	p.counter("swdual_engine_queries_total", "Queries served by the backend.", st.Queries)
-	p.counter("swdual_engine_waves_total", "Scheduling waves dispatched.", st.Waves)
-	p.counter("swdual_engine_batched_waves_total", "Waves that coalesced more than one request.", st.BatchedWaves)
-	p.counter("swdual_engine_cache_hits_total", "Result-cache hits.", st.CacheHits)
-	p.counter("swdual_engine_cache_misses_total", "Result-cache misses.", st.CacheMisses)
-	p.counter("swdual_engine_cache_evictions_total", "Result-cache evictions.", st.CacheEvictions)
-	p.counter("swdual_engine_collapsed_searches_total", "Searches answered as singleflight followers.", st.CollapsedSearches)
-	p.counter("swdual_engine_hedged_searches_total", "Searches hedged on a second replica.", st.HedgedSearches)
-	p.counter("swdual_engine_failed_over_total", "Calls retried on a sibling replica after a lost connection.", st.FailedOver)
-	p.counter("swdual_engine_redials_total", "Dead replicas revived by the background reconnect loop.", st.Redials)
-	p.counter("swdual_engine_degraded_searches_total", "Searches answered with partial coverage because a range had no live replica.", st.DegradedSearches)
+	for _, c := range engine.Counters {
+		p.counter("swdual_engine_"+c.Name+"_total", c.Help, *c.Of(&st))
+	}
 
 	// Process-level memory accounting: with a mapped .swdb the corpus
 	// lives outside the Go heap, and these three gauges are how an

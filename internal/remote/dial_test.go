@@ -106,8 +106,9 @@ func TestDialTimeoutLeavesConnectionUndeadlined(t *testing.T) {
 }
 
 // scriptedServer accepts one connection, reads the client's Hello, and
-// answers it with reply. It yields the Hello and then every later frame
-// the client sends, as the server saw them.
+// answers it with reply; a later StatsRequest gets an empty
+// StatsResponse. It yields the Hello and then every later frame the
+// client sends, as the server saw them.
 func scriptedServer(t *testing.T, reply any) (addr string, frames <-chan any) {
 	t.Helper()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -134,8 +135,8 @@ func scriptedServer(t *testing.T, reply any) (addr string, frames <-chan any) {
 				if err := c.Send(reply); err != nil {
 					return
 				}
-			} else if cr, ok := msg.(*wire.ChecksumRequest); ok {
-				c.Send(&wire.ChecksumResponse{ID: cr.ID, Checksum: 0xfeed})
+			} else if sr, ok := msg.(*wire.StatsRequest); ok {
+				c.Send(&wire.StatsResponse{ID: sr.ID, DBChecksum: 0xfeed})
 			}
 		}
 	}()
@@ -160,12 +161,12 @@ func TestDialIsOneRoundTrip(t *testing.T) {
 	if hello, ok := first.(*wire.Hello); !ok || hello.Version != wire.Version || hello.DBChecksum != 0xfeed {
 		t.Fatalf("first frame %#v, want the Hello carrying the version and the expected checksum", first)
 	}
-	if sum, err := b.ServerChecksum(context.Background()); err != nil || sum != 0xfeed {
-		t.Fatalf("health probe: %08x, %v", sum, err)
+	if st := b.Stats(); st.DBChecksum != 0xfeed {
+		t.Fatalf("Stats over the session: %+v, want the scripted server's answer", st)
 	}
 	second := <-frames
-	if _, ok := second.(*wire.ChecksumRequest); !ok {
-		t.Fatalf("second frame the server saw is %#v, want the caller's own ChecksumRequest", second)
+	if _, ok := second.(*wire.StatsRequest); !ok {
+		t.Fatalf("second frame the server saw is %#v, want the caller's own StatsRequest", second)
 	}
 }
 

@@ -221,8 +221,6 @@ func responseID(msg any) (uint64, bool) {
 		return m.ID, true
 	case *wire.StatsResponse:
 		return m.ID, true
-	case *wire.ChecksumResponse:
-		return m.ID, true
 	}
 	return 0, false
 }
@@ -377,6 +375,8 @@ func (b *Backend) Search(ctx context.Context, queries *seq.Set, opts engine.Sear
 // Stats fetches the server engine's counters. A dead connection reports
 // zero counters — Stats has no error channel, and an aggregating caller
 // (the sharding facade) must keep working while a shard is down.
+// Counters arrive by name: a name engine.Counters does not list is
+// ignored, and a listed one the server did not send stays zero.
 func (b *Backend) Stats() engine.Stats {
 	id := b.nextID.Add(1)
 	ctx, cancel := context.WithTimeout(context.Background(), rpcTimeout)
@@ -390,23 +390,18 @@ func (b *Backend) Stats() engine.Stats {
 		return engine.Stats{}
 	}
 	st := engine.Stats{
-		DBSequences:       int(m.DBSequences),
-		DBResidues:        int64(m.DBResidues),
-		DBChecksum:        m.DBChecksum,
-		Prepared:          int(m.Prepared),
-		WorkersStarted:    int(m.WorkersStarted),
-		Searches:          m.Searches,
-		Queries:           m.Queries,
-		Waves:             m.Waves,
-		BatchedWaves:      m.BatchedWaves,
-		CacheHits:         m.CacheHits,
-		CacheMisses:       m.CacheMisses,
-		CacheEvictions:    m.CacheEvictions,
-		CollapsedSearches: m.CollapsedSearches,
-		HedgedSearches:    m.HedgedSearches,
-		FailedOver:        m.FailedOver,
-		Redials:           m.Redials,
-		DegradedSearches:  m.DegradedSearches,
+		DBSequences:    int(m.DBSequences),
+		DBResidues:     int64(m.DBResidues),
+		DBChecksum:     m.DBChecksum,
+		Prepared:       int(m.Prepared),
+		WorkersStarted: int(m.WorkersStarted),
+	}
+	for _, wc := range m.Counters {
+		for _, c := range engine.Counters {
+			if c.Name == wc.Name {
+				*c.Of(&st) = wc.Value
+			}
+		}
 	}
 	for _, w := range m.Workers {
 		st.Workers = append(st.Workers, engine.WorkerRate{
@@ -418,24 +413,6 @@ func (b *Backend) Stats() engine.Stats {
 		})
 	}
 	return st
-}
-
-// ServerChecksum fetches the database fingerprint live (unlike Checksum,
-// which returns the value cached at Dial) — a cheap health probe that
-// also re-verifies the skew guard.
-func (b *Backend) ServerChecksum(ctx context.Context) (uint32, error) {
-	id := b.nextID.Add(1)
-	resp, err := b.call(ctx, id, &wire.ChecksumRequest{ID: id})
-	if err != nil {
-		return 0, err
-	}
-	switch m := resp.(type) {
-	case *wire.ChecksumResponse:
-		return m.Checksum, nil
-	case *wire.ReqError:
-		return 0, fmt.Errorf("remote %s: %s", b.addr, m.Text)
-	}
-	return 0, fmt.Errorf("remote %s: unexpected %T", b.addr, resp)
 }
 
 // Close closes the connection; the server observes the drop and cancels

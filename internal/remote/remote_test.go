@@ -5,12 +5,14 @@ import (
 	"context"
 	"encoding/binary"
 	"net"
+	"reflect"
 	"sync"
 	"testing"
 
 	"swdual/internal/alphabet"
 	"swdual/internal/engine"
 	"swdual/internal/master"
+	"swdual/internal/sched"
 	"swdual/internal/seq"
 	"swdual/internal/synth"
 )
@@ -118,9 +120,10 @@ func TestBackendTopKOption(t *testing.T) {
 	}
 }
 
-// TestBackendPlanStatsChecksum round-trips the Stats and Checksum
-// frames against the serving engine's own answers. (The name predates
-// wire version 8, which retired the Plan frames.)
+// TestBackendPlanStatsChecksum round-trips the Stats frame against the
+// serving engine's own answer, and the checksum the Welcome carried.
+// (The name predates wire versions 8 and 10, which retired the Plan and
+// Checksum frames.)
 func TestBackendPlanStatsChecksum(t *testing.T) {
 	db := synth.RandomSet(alphabet.Protein, 25, 20, 150, 4301)
 	addr, eng := startServer(t, db, engine.Config{Pool: master.PoolSpec{CPU: 2, GPU: 1}, TopK: 5})
@@ -130,12 +133,8 @@ func TestBackendPlanStatsChecksum(t *testing.T) {
 	}
 	defer b.Close()
 
-	sum, err := b.ServerChecksum(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum != eng.Checksum() {
-		t.Fatalf("live checksum %08x, want %08x", sum, eng.Checksum())
+	if b.Checksum() != eng.Checksum() {
+		t.Fatalf("handshake checksum %08x, want %08x", b.Checksum(), eng.Checksum())
 	}
 
 	st := b.Stats()
@@ -155,6 +154,47 @@ func TestBackendPlanStatsChecksum(t *testing.T) {
 		if got.Name != want.Name || got.Kind != want.Kind || got.AdvertisedGCUPS != want.AdvertisedGCUPS {
 			t.Fatalf("worker rate %d: %+v over the wire, server reports %+v", i, got, want)
 		}
+	}
+}
+
+// statsBackend is a Backend that only describes itself: Stats returns
+// st, and Search is never called.
+type statsBackend struct {
+	engine.Backend
+	st engine.Stats
+}
+
+func (b *statsBackend) Stats() engine.Stats          { return b.st }
+func (b *statsBackend) Checksum() uint32             { return b.st.DBChecksum }
+func (b *statsBackend) Alphabet() *alphabet.Alphabet { return alphabet.Protein }
+func (b *statsBackend) Close() error                 { return nil }
+
+// TestStatsRoundTripEveryCounter: a Stats snapshot with every listed
+// counter, the preparation and worker counts and two workers set to
+// distinct values crosses engine.Serve and remote.Dial unchanged — the
+// counter list alone decides what the wire carries.
+func TestStatsRoundTripEveryCounter(t *testing.T) {
+	want := engine.Stats{DBSequences: 11, DBResidues: 1 << 33, DBChecksum: 0xfeed, Prepared: 2, WorkersStarted: 3,
+		Workers: []engine.WorkerRate{
+			{Name: "cpu-0", Kind: sched.CPU, AdvertisedGCUPS: 8.5, ObservedGCUPS: 21.25, Tasks: 17},
+			{Name: "gpu-0", Kind: sched.GPU, AdvertisedGCUPS: 24.8, ObservedGCUPS: 31.5, Tasks: 4},
+		}}
+	for i, c := range engine.Counters {
+		*c.Of(&want) = uint64(1000 + i)
+	}
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	go engine.Serve(l, &statsBackend{st: want})
+	b, err := Dial(l.Addr().String(), want.DBChecksum)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	if got := b.Stats(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("stats over the wire\n got %+v\nwant %+v", got, want)
 	}
 }
 

@@ -7,8 +7,9 @@
 //   - Failover: a call that fails because its replica's connection died
 //     is retried on a sibling replica, the dead replica is closed, and a
 //     background loop re-dials it with capped exponential backoff plus
-//     jitter until it is healthy again (verified by the checksum, and by
-//     the live cached-checksum ping when the backend supports it).
+//     jitter until it is healthy again. A remote replica is back once a
+//     fresh dial completes its handshake, in which both ends compare the
+//     slice checksum; the Set re-checks it before the replica rejoins.
 //
 //   - Hedging: a search that runs past a latency threshold — an EWMA of
 //     recent replica latencies (stats.EWMA, the average the worker rate
@@ -50,14 +51,6 @@ import (
 type Replica struct {
 	Backend engine.Backend
 	Redial  func() (engine.Backend, error)
-}
-
-// Prober is the optional live-health interface a backend may implement.
-// remote.Backend does: ServerChecksum round-trips a cached-checksum
-// ping, so a freshly re-dialed replica is verified to actually answer —
-// not merely accept connections — before it rejoins rotation.
-type Prober interface {
-	ServerChecksum(ctx context.Context) (uint32, error)
 }
 
 // Config tunes a Set. The zero value enables hedging with the EWMA
@@ -137,8 +130,6 @@ const (
 	// cache-warm searches cannot make every subsequent search hedge
 	// instantly.
 	minHedgeDelay = time.Millisecond
-	// probeTimeout bounds the post-redial health ping.
-	probeTimeout = 5 * time.Second
 )
 
 // hedgeMinObservations is how many completed searches the latency EWMA
@@ -319,9 +310,8 @@ func (s *Set) markDown(idx int, failed engine.Backend) {
 }
 
 // redialLoop revives one down replica: capped exponential backoff with
-// jitter between attempts, checksum verification on every dial, and a
-// live health probe (the cached-checksum ping) when the backend
-// supports one. It runs until the replica is back or the Set closes.
+// jitter between attempts and checksum verification on every dial. It
+// runs until the replica is back or the Set closes.
 func (s *Set) redialLoop(idx int) {
 	defer s.wg.Done()
 	sl := s.slots[idx]
@@ -364,24 +354,13 @@ func (s *Set) redialLoop(idx int) {
 	}
 }
 
-// verify guards a re-dialed backend before it rejoins rotation: the
-// cached checksum must match the slice, and when the backend can be
-// pinged live (remote.Backend's cached-checksum probe), the server must
-// actually answer with the same fingerprint.
+// verify guards a re-dialed backend before it rejoins rotation: its
+// checksum must match the slice. For a remote.Backend that is the value
+// the server's Welcome named moments ago, on the connection it just
+// answered, so the handshake is the health check.
 func (s *Set) verify(b engine.Backend) error {
 	if got := b.Checksum(); got != s.checksum {
 		return fmt.Errorf("replica %s: re-dialed backend checksum %08x, want %08x", s.name, got, s.checksum)
-	}
-	if p, ok := b.(Prober); ok {
-		ctx, cancel := context.WithTimeout(context.Background(), probeTimeout)
-		defer cancel()
-		got, err := p.ServerChecksum(ctx)
-		if err != nil {
-			return fmt.Errorf("replica %s: health probe: %w", s.name, err)
-		}
-		if got != s.checksum {
-			return fmt.Errorf("replica %s: health probe checksum %08x, want %08x", s.name, got, s.checksum)
-		}
 	}
 	return nil
 }
@@ -582,22 +561,7 @@ func (s *Set) Stats() engine.Stats {
 		if agg.DBSequences == 0 {
 			agg.DBSequences, agg.DBResidues = st.DBSequences, st.DBResidues
 		}
-		agg.Prepared += st.Prepared
-		agg.WorkersStarted += st.WorkersStarted
-		agg.Waves += st.Waves
-		agg.BatchedWaves += st.BatchedWaves
-		agg.CacheHits += st.CacheHits
-		agg.CacheMisses += st.CacheMisses
-		agg.CacheEvictions += st.CacheEvictions
-		agg.CollapsedSearches += st.CollapsedSearches
-		agg.HedgedSearches += st.HedgedSearches
-		agg.FailedOver += st.FailedOver
-		agg.Redials += st.Redials
-		agg.DegradedSearches += st.DegradedSearches
-		for _, w := range st.Workers {
-			w.Name = fmt.Sprintf("r%d/%s", i, w.Name)
-			agg.Workers = append(agg.Workers, w)
-		}
+		agg.Add(st, fmt.Sprintf("r%d/", i))
 	}
 	return agg
 }

@@ -47,8 +47,8 @@ func TestCachedShardedMatchesUnsharded(t *testing.T) {
 	}
 	// The proof the scatter was skipped: each shard engine saw exactly
 	// one search in three rounds.
-	for si, shardStats := range sharded.PerShardStats() {
-		if shardStats.Searches != 1 {
+	for si, b := range sharded.backends {
+		if shardStats := b.Stats(); shardStats.Searches != 1 {
 			t.Fatalf("shard %d ran %d searches, want 1 (cached answers must skip the scatter)", si, shardStats.Searches)
 		}
 	}

@@ -236,8 +236,10 @@ func TestShardedAccountingSpansShards(t *testing.T) {
 	if st.Searches != 1 || st.Queries != uint64(queries.Len()) {
 		t.Fatalf("facade counters: %+v", st)
 	}
-	if per := s.PerShardStats(); len(per) != s.Shards() {
-		t.Fatalf("%d per-shard stats for %d shards", len(per), s.Shards())
+	for si, b := range s.backends {
+		if st := b.Stats(); st.Searches != 1 || st.Prepared != 1 {
+			t.Fatalf("shard %d: %d searches, %d preparation passes; want the one search fanned out to every shard", si, st.Searches, st.Prepared)
+		}
 	}
 }
 

@@ -193,41 +193,14 @@ func (s *Searcher) Stats() engine.Stats {
 		cs := s.cache.Stats()
 		agg.CacheHits, agg.CacheMisses, agg.CacheEvictions = cs.Hits, cs.Misses, cs.Evictions
 	}
+	// Backend counters fold into the same totals: a backend may be a
+	// remote engine serving other clients with its own cache, or a
+	// replica.Set whose hedges, failovers and redials roll up here so one
+	// Stats call shows availability events across every range.
 	for si, b := range s.backends {
-		st := b.Stats()
-		agg.Prepared += st.Prepared
-		agg.WorkersStarted += st.WorkersStarted
-		agg.Waves += st.Waves
-		agg.BatchedWaves += st.BatchedWaves
-		// Backend cache counters fold into the same totals: per-shard
-		// engines run uncached under this facade, but a backend may be a
-		// remote engine serving other clients with its own cache.
-		agg.CacheHits += st.CacheHits
-		agg.CacheMisses += st.CacheMisses
-		agg.CacheEvictions += st.CacheEvictions
-		agg.CollapsedSearches += st.CollapsedSearches
-		// Replication counters: a backend may be a replica.Set facade,
-		// whose hedges, failovers and redials roll up here so one Stats
-		// call shows availability events across every range.
-		agg.HedgedSearches += st.HedgedSearches
-		agg.FailedOver += st.FailedOver
-		agg.Redials += st.Redials
-		agg.DegradedSearches += st.DegradedSearches
-		for _, w := range st.Workers {
-			w.Name = fmt.Sprintf("shard%d/%s", si, w.Name)
-			agg.Workers = append(agg.Workers, w)
-		}
+		agg.Add(b.Stats(), fmt.Sprintf("shard%d/", si))
 	}
 	return agg
-}
-
-// PerShardStats reports each shard's own engine counters, in shard order.
-func (s *Searcher) PerShardStats() []engine.Stats {
-	out := make([]engine.Stats, len(s.backends))
-	for i, b := range s.backends {
-		out[i] = b.Stats()
-	}
-	return out
 }
 
 // Search scatters the query set to every shard concurrently, waits for

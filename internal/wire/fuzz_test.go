@@ -11,9 +11,9 @@ import (
 // come back as errors — never a panic or runaway allocation — and any
 // frame that does decode must survive a marshal/unmarshal round trip
 // unchanged (the decoder and encoder agree on the format).
-// retiredV8 lists the type codes version 8 retired; they must decode as
-// unknown types forever.
-var retiredV8 = []byte{13, 14, 17, 18}
+// retired lists the type codes versions 8 and 10 retired; they must
+// decode as unknown types forever.
+var retired = []byte{13, 14, 15, 16, 17, 18}
 
 func FuzzUnmarshal(f *testing.F) {
 	seed := func(msg any) {
@@ -47,12 +47,13 @@ func FuzzUnmarshal(f *testing.F) {
 	seed(&Cancel{ID: 9})
 	seed(&ReqError{ID: 9, Text: "engine: searcher is closed"})
 	seed(&StatsRequest{ID: 2})
-	seed(&StatsResponse{ID: 2, DBSequences: 10, DBResidues: 1234, DBChecksum: 0xfeed, Prepared: 1, WorkersStarted: 2, Searches: 3, Queries: 4, Waves: 5, BatchedWaves: 1,
-		CacheHits: 11, CacheMisses: 12, CacheEvictions: 13, CollapsedSearches: 14,
-		HedgedSearches: 19, FailedOver: 20, Redials: 21, DegradedSearches: 22,
+	seed(&StatsResponse{ID: 2, DBSequences: 10, DBResidues: 1234, DBChecksum: 0xfeed, Prepared: 1, WorkersStarted: 2,
+		Counters: []Counter{{"searches", 3}, {"queries", 4}, {"waves", 5}, {"batched_waves", 1}, {"cache_hits", 11},
+			{"failed_over", 20}, {"redials", 21}, {"degraded_searches", 22}},
 		Workers: []WorkerRateInfo{{Name: "gpu-0", Kind: 1, AdvertisedGCUPS: 24.8, ObservedGCUPS: math.NaN(), Tasks: 7}, {Name: "", Kind: 0}}})
-	seed(&ChecksumRequest{ID: 4})
-	seed(&ChecksumResponse{ID: 4, Checksum: 0xdeadbeef})
+	// Names are not the wire's business: unknown, empty and repeated ones
+	// decode as sent.
+	seed(&StatsResponse{ID: 3, Counters: []Counter{{"not_yet_invented", 1 << 63}, {"", 0}, {"waves", 1}, {"waves", 2}}})
 	// Malformed seeds: truncated fields, lying length prefixes, huge hit
 	// counts, unknown type codes.
 	f.Add(TypeHello, []byte{1})
@@ -61,9 +62,11 @@ func FuzzUnmarshal(f *testing.F) {
 	f.Add(byte(3), []byte{1, 0, 0, 0, 0xff, 0xff})
 	f.Add(byte(4), []byte{0xff, 0xff, 0xff, 0xff})
 	// So must the four codes version 8 retired (the plan pair, 13 and 14,
-	// and the database-description pair, 17 and 18): well-formed version 7
-	// payloads for each, and a lying length prefix.
-	for _, code := range retiredV8 {
+	// and the database-description pair, 17 and 18) and the checksum pair
+	// version 10 retired (15 and 16): an 8-byte request id (the whole
+	// version 9 checksum request), longer payloads, and a lying length
+	// prefix.
+	for _, code := range retired {
 		f.Add(code, make([]byte, 8))
 		f.Add(code, append(make([]byte, 8), 3, 0, 0, 0, 30, 0, 0, 0, 80, 0, 0, 0, 120, 0, 0, 0))
 		f.Add(code, append(make([]byte, 8), 0xff, 0xff, 0xff, 0x7f))
@@ -90,10 +93,12 @@ func FuzzUnmarshal(f *testing.F) {
 	f.Add(TypeCancel, []byte{1, 2})
 	f.Add(TypeReqError, append(make([]byte, 8), 0xff, 0xff, 'x'))
 	f.Add(TypeStatsResponse, make([]byte, 10))
-	// StatsResponse whose trailing worker count lies about the payload
-	// (the fixed fields occupy exactly 128 bytes in version 9, so the
-	// appended u32 is read as the worker count).
-	f.Add(TypeStatsResponse, append(make([]byte, 128), 0xff, 0xff, 0xff, 0x7f))
+	// StatsResponses whose counter or worker count lies about the payload
+	// (the fixed fields occupy exactly 32 bytes in version 10, followed by
+	// the counter count; a zero counter count is then followed by the
+	// worker count).
+	f.Add(TypeStatsResponse, append(make([]byte, 32), 0xff, 0xff, 0xff, 0x7f))
+	f.Add(TypeStatsResponse, append(make([]byte, 36), 0xff, 0xff, 0xff, 0x7f))
 	// A Welcome whose alphabet-name prefix lies about the payload.
 	f.Add(TypeWelcome, append(make([]byte, 8), 0xff, 0xff, 'x'))
 	// A version 8 Welcome: the alphabet name ends the payload, where
@@ -105,7 +110,7 @@ func FuzzUnmarshal(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if bytes.IndexByte(retiredV8, typ) >= 0 {
+		if bytes.IndexByte(retired, typ) >= 0 {
 			t.Fatalf("retired type code %d decoded as %T", typ, msg)
 		}
 		typ2, p2, err := Marshal(msg)

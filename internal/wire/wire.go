@@ -5,8 +5,10 @@
 // Hello/Welcome handshake and then is one multiplexed session: every
 // frame carries a client-chosen request id, responses echo it, and any
 // number of requests may be in flight at once. The encoding is
-// hand-rolled on encoding/binary so both ends allocate exactly what the
-// declared lengths demand.
+// hand-rolled on encoding/binary; every declared count is checked
+// against the bytes left in the frame before anything is allocated.
+// Engine counters travel as a (name, value) list, so adding one changes
+// no frame layout.
 package wire
 
 import (
@@ -25,17 +27,18 @@ const (
 	// layouts. Any change to a frame's layout bumps it, so a stale peer
 	// is rejected at Hello/Welcome instead of misreading a frame
 	// mid-session.
-	Version = 9
+	Version = 10
 	// MaxFrame bounds a frame payload (64 MiB) to fail fast on corrupt
 	// length prefixes.
 	MaxFrame = 64 << 20
 )
 
-// Message type codes. Codes 3 and 4 (retired in version 7) and 13, 14,
-// 17 and 18 (the plan and database-description frames, retired in
-// version 8) stay unassigned, so TypeError keeps the code a stale peer
-// decodes and can read why its handshake was refused, and a retired
-// frame is an unknown type, never a misread one.
+// Message type codes. Codes 3 and 4 (retired in version 7), 13, 14, 17
+// and 18 (the plan and database-description frames, retired in version
+// 8) and 15 and 16 (the checksum pair, retired in version 10) stay
+// unassigned, so TypeError keeps the code a stale peer decodes and can
+// read why its handshake was refused, and a retired frame is an unknown
+// type, never a misread one.
 const (
 	TypeHello byte = iota + 1
 	TypeWelcome
@@ -50,10 +53,6 @@ const (
 	TypeReqError
 	TypeStatsRequest
 	TypeStatsResponse
-	_
-	_
-	TypeChecksumRequest
-	TypeChecksumResponse
 )
 
 // Hello opens a session. A non-zero DBChecksum asks the server to
@@ -171,10 +170,17 @@ type WorkerRateInfo struct {
 	Tasks           uint64
 }
 
-// StatsResponse mirrors engine.Stats over the wire, including the
-// per-worker observed rates a coordinator aggregates into cluster
-// throughput. Version 9 dropped the four profile-cache counters that
-// followed CollapsedSearches.
+// Counter is one named engine counter inside a StatsResponse.
+type Counter struct {
+	Name  string
+	Value uint64
+}
+
+// StatsResponse mirrors engine.Stats over the wire: the database
+// description, the preparation and worker counts, every engine counter
+// as a (name, value) pair (version 10; the names are engine.Counters'),
+// and the per-worker observed rates a coordinator aggregates into
+// cluster throughput.
 type StatsResponse struct {
 	ID             uint64
 	DBSequences    uint32
@@ -182,38 +188,8 @@ type StatsResponse struct {
 	DBChecksum     uint32
 	Prepared       uint32
 	WorkersStarted uint32
-	Searches       uint64
-	Queries        uint64
-	Waves          uint64
-	BatchedWaves   uint64
-	// Result-cache counters (version 4): all zero when the server runs
-	// uncached.
-	CacheHits         uint64
-	CacheMisses       uint64
-	CacheEvictions    uint64
-	CollapsedSearches uint64 // searches answered as singleflight followers
-	// Replication counters (version 5): hedges issued, failovers taken
-	// and successful redials across the server's replica sets. All zero
-	// when the server fronts a plain engine.
-	HedgedSearches uint64
-	FailedOver     uint64
-	Redials        uint64
-	// DegradedSearches (version 6) counts searches answered with partial
-	// coverage because every replica of some range was unavailable. Zero
-	// on servers that fail instead of degrading.
-	DegradedSearches uint64
-	Workers          []WorkerRateInfo
-}
-
-// ChecksumRequest asks for the server database's fingerprint.
-type ChecksumRequest struct {
-	ID uint64
-}
-
-// ChecksumResponse carries the database checksum (seq.Set.Checksum).
-type ChecksumResponse struct {
-	ID       uint64
-	Checksum uint32
+	Counters       []Counter
+	Workers        []WorkerRateInfo
 }
 
 // Conn frames messages over a net.Conn.
@@ -336,18 +312,11 @@ func Marshal(msg any) (byte, []byte, error) {
 		e.u32(m.DBChecksum)
 		e.u32(m.Prepared)
 		e.u32(m.WorkersStarted)
-		e.u64(m.Searches)
-		e.u64(m.Queries)
-		e.u64(m.Waves)
-		e.u64(m.BatchedWaves)
-		e.u64(m.CacheHits)
-		e.u64(m.CacheMisses)
-		e.u64(m.CacheEvictions)
-		e.u64(m.CollapsedSearches)
-		e.u64(m.HedgedSearches)
-		e.u64(m.FailedOver)
-		e.u64(m.Redials)
-		e.u64(m.DegradedSearches)
+		e.u32(uint32(len(m.Counters)))
+		for _, c := range m.Counters {
+			e.str(c.Name)
+			e.u64(c.Value)
+		}
 		e.u32(uint32(len(m.Workers)))
 		for _, w := range m.Workers {
 			e.str(w.Name)
@@ -357,13 +326,6 @@ func Marshal(msg any) (byte, []byte, error) {
 			e.u64(w.Tasks)
 		}
 		return TypeStatsResponse, e.buf, nil
-	case *ChecksumRequest:
-		e.u64(m.ID)
-		return TypeChecksumRequest, e.buf, nil
-	case *ChecksumResponse:
-		e.u64(m.ID)
-		e.u32(m.Checksum)
-		return TypeChecksumResponse, e.buf, nil
 	case Done, nil:
 		return TypeDone, nil, nil
 	}
@@ -384,22 +346,25 @@ func encodeResult(e *encoder, m *Result) {
 	}
 }
 
-// decodeResult consumes one Result body; the latched decoder error plus
-// the explicit count check keep a lying hit count from allocating.
+// Minimum encoded sizes of the repeated entries, in bytes: what a
+// declared count is checked against before anything is allocated.
+const (
+	minQuery   = 2 + 4             // id prefix, residue length
+	minResult  = 4 + 8 + 8 + 8 + 4 // index, elapsed, sim seconds, cells, hit count
+	minHit     = 4 + 4 + 2         // index, score, id prefix
+	minSkipped = 4 + 4 + 4 + 2     // index, lo, hi, reason prefix
+	minCounter = 2 + 8             // name prefix, value
+	minWorker  = 2 + 1 + 8 + 8 + 8 // name prefix, kind, two rates, tasks
+)
+
+// decodeResult consumes one Result body.
 func decodeResult(d *decoder) (Result, error) {
 	var m Result
 	m.QueryIndex = d.u32()
 	m.ElapsedNS = d.u64()
 	m.SimSeconds = d.f64()
 	m.Cells = d.u64()
-	n := d.u32()
-	if d.err != nil {
-		return m, d.err
-	}
-	if int(n) > len(d.buf) { // each hit needs >= 1 byte
-		d.err = fmt.Errorf("wire: hit count %d exceeds payload", n)
-		return m, d.err
-	}
+	n := d.count("hit", minHit)
 	m.Hits = make([]ResultHit, 0, n)
 	for i := uint32(0); i < n && d.err == nil; i++ {
 		var h ResultHit
@@ -441,13 +406,7 @@ func Unmarshal(typ byte, payload []byte) (any, error) {
 		m := &SearchRequest{}
 		m.ID = d.u64()
 		m.TopK = d.u32()
-		n := d.u32()
-		if d.err != nil {
-			return nil, d.err
-		}
-		if int(n) > len(d.buf) { // each query needs >= 1 byte
-			return nil, fmt.Errorf("wire: query count %d exceeds payload", n)
-		}
+		n := d.count("query", minQuery)
 		m.Queries = make([]Query, 0, n)
 		for i := uint32(0); i < n && d.err == nil; i++ {
 			var q Query
@@ -459,13 +418,7 @@ func Unmarshal(typ byte, payload []byte) (any, error) {
 	case TypeSearchResult:
 		m := &SearchResult{}
 		m.ID = d.u64()
-		n := d.u32()
-		if d.err != nil {
-			return nil, d.err
-		}
-		if int(n) > len(d.buf) { // each result needs >= 1 byte
-			return nil, fmt.Errorf("wire: result count %d exceeds payload", n)
-		}
+		n := d.count("result", minResult)
 		m.Results = make([]Result, 0, n)
 		for i := uint32(0); i < n && d.err == nil; i++ {
 			r, err := decodeResult(&d)
@@ -480,16 +433,7 @@ func Unmarshal(typ byte, payload []byte) (any, error) {
 			cov.RangesTotal = d.u32()
 			cov.ResiduesSearched = d.u64()
 			cov.ResiduesTotal = d.u64()
-			sn := d.u32()
-			if d.err != nil {
-				return nil, d.err
-			}
-			// Each skipped range needs >= 14 bytes (three u32s plus the
-			// 2-byte reason prefix); validate before allocating, in int64
-			// so a huge count cannot wrap past the guard on 32-bit.
-			if int64(len(d.buf))/14 < int64(sn) {
-				return nil, fmt.Errorf("wire: skipped-range count %d exceeds payload", sn)
-			}
+			sn := d.count("skipped-range", minSkipped)
 			cov.Skipped = make([]SkippedRange, 0, sn)
 			for i := uint32(0); i < sn && d.err == nil; i++ {
 				var sk SkippedRange
@@ -523,29 +467,15 @@ func Unmarshal(typ byte, payload []byte) (any, error) {
 		m.DBChecksum = d.u32()
 		m.Prepared = d.u32()
 		m.WorkersStarted = d.u32()
-		m.Searches = d.u64()
-		m.Queries = d.u64()
-		m.Waves = d.u64()
-		m.BatchedWaves = d.u64()
-		m.CacheHits = d.u64()
-		m.CacheMisses = d.u64()
-		m.CacheEvictions = d.u64()
-		m.CollapsedSearches = d.u64()
-		m.HedgedSearches = d.u64()
-		m.FailedOver = d.u64()
-		m.Redials = d.u64()
-		m.DegradedSearches = d.u64()
-		n := d.u32()
-		if d.err != nil {
-			return nil, d.err
+		cn := d.count("counter", minCounter)
+		m.Counters = make([]Counter, 0, cn)
+		for i := uint32(0); i < cn && d.err == nil; i++ {
+			var c Counter
+			c.Name = d.str()
+			c.Value = d.u64()
+			m.Counters = append(m.Counters, c)
 		}
-		// Each worker entry needs >= 27 bytes (2-byte name prefix, kind,
-		// two rates, task count); validate before allocating. Compare in
-		// int64 so a count >= 2^31 cannot wrap negative through int on
-		// 32-bit platforms and slip past the guard into makeslice.
-		if int64(len(d.buf))/27 < int64(n) {
-			return nil, fmt.Errorf("wire: worker count %d exceeds payload", n)
-		}
+		n := d.count("worker", minWorker)
 		m.Workers = make([]WorkerRateInfo, 0, n)
 		for i := uint32(0); i < n && d.err == nil; i++ {
 			var w WorkerRateInfo
@@ -556,15 +486,6 @@ func Unmarshal(typ byte, payload []byte) (any, error) {
 			w.Tasks = d.u64()
 			m.Workers = append(m.Workers, w)
 		}
-		return m, d.err
-	case TypeChecksumRequest:
-		m := &ChecksumRequest{}
-		m.ID = d.u64()
-		return m, d.err
-	case TypeChecksumResponse:
-		m := &ChecksumResponse{}
-		m.ID = d.u64()
-		m.Checksum = d.u32()
 		return m, d.err
 	}
 	return nil, fmt.Errorf("wire: unknown message type %d", typ)
@@ -651,9 +572,25 @@ func (d *decoder) str() string {
 	return s
 }
 
+// count reads an entry count and checks, before the caller allocates,
+// that the rest of the payload can hold that many entries of at least
+// minSize bytes. The check is in int64, so a count >= 2^31 cannot wrap
+// negative through int on 32-bit platforms and slip past it. A failed
+// check latches the error and yields 0.
+func (d *decoder) count(what string, minSize int64) uint32 {
+	n := d.u32()
+	if d.err == nil && int64(len(d.buf))/minSize < int64(n) {
+		d.err = fmt.Errorf("wire: %s count %d exceeds payload", what, n)
+	}
+	if d.err != nil {
+		return 0
+	}
+	return n
+}
+
 func (d *decoder) bytes() []byte {
-	n := int(d.u32())
-	if d.err != nil || len(d.buf) < n {
+	n := d.u32()
+	if d.err != nil || uint64(len(d.buf)) < uint64(n) {
 		d.fail()
 		return nil
 	}

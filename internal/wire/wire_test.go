@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"net"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -165,8 +167,9 @@ func TestQuickSearchRequestRoundTrip(t *testing.T) {
 func TestStatsResponseRoundTrip(t *testing.T) {
 	in := &StatsResponse{
 		ID: 9, DBSequences: 10, DBResidues: 1234, DBChecksum: 0xfeed,
-		Prepared: 1, WorkersStarted: 3, Searches: 4, Queries: 5, Waves: 6, BatchedWaves: 2,
-		HedgedSearches: 7, FailedOver: 2, Redials: 1,
+		Prepared: 1, WorkersStarted: 3,
+		Counters: []Counter{{"searches", 4}, {"queries", 5}, {"waves", 6}, {"batched_waves", 2},
+			{"hedged_searches", 7}, {"failed_over", 2}, {"redials", 1}, {"unknown_to_this_build", 1 << 40}},
 		Workers: []WorkerRateInfo{
 			{Name: "gpu-0", Kind: 1, AdvertisedGCUPS: 24.8, ObservedGCUPS: 31.5, Tasks: 12},
 			{Name: "cpu-0", Kind: 0, AdvertisedGCUPS: 8.335, ObservedGCUPS: 7.9, Tasks: 4},
@@ -188,7 +191,67 @@ func TestStatsResponseHostileWorkerCount(t *testing.T) {
 	}
 	// Overwrite the trailing worker-count u32 with a huge value.
 	copy(payload[len(payload)-4:], []byte{0xff, 0xff, 0xff, 0x7f})
-	if _, err := Unmarshal(typ, payload); err == nil {
-		t.Fatal("lying worker count decoded without error")
+	if _, err := Unmarshal(typ, payload); err == nil || !strings.Contains(err.Error(), "worker count") {
+		t.Fatalf("lying worker count: %v, want the worker count refused", err)
+	}
+}
+
+func TestStatsResponseHostileCounterCount(t *testing.T) {
+	// The counter list is count-validated like every other list: a count
+	// the payload cannot hold at 10 bytes a counter fails before the
+	// slice is made.
+	typ, payload, err := Marshal(&StatsResponse{ID: 1, Counters: []Counter{{"waves", 1}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The counter count follows the 32 bytes of fixed fields.
+	copy(payload[32:36], []byte{0xff, 0xff, 0xff, 0x7f})
+	if _, err := Unmarshal(typ, payload); err == nil || !strings.Contains(err.Error(), "counter count") {
+		t.Fatalf("lying counter count: %v, want the counter count refused", err)
+	}
+}
+
+// TestLyingCountsFailBeforeAllocating: each list count is checked
+// against the true minimum size of its entries — 6 bytes a query, 32 a
+// result, 10 a hit — not against one byte an entry. Each frame here is
+// 1 MiB and declares as many entries as it has bytes left, which a
+// one-byte guard lets through to allocate tens of MiB for entries that
+// are not there before the payload runs out.
+func TestLyingCountsFailBeforeAllocating(t *testing.T) {
+	const frame = 1 << 20
+	lying := func(head encoder) []byte {
+		rest := frame - len(head.buf) - 4
+		head.u32(uint32(rest))
+		return append(head.buf, make([]byte, rest)...)
+	}
+	var req, res, hits encoder
+	req.u64(1) // id
+	req.u32(0) // TopK; the query count follows
+	res.u64(1) // id; the result count follows
+	hits.u64(1)
+	hits.u32(1) // one result, whose fixed fields come next
+	hits.u32(0)
+	hits.u64(0)
+	hits.f64(0)
+	hits.u64(0) // the hit count follows
+	for _, c := range []struct {
+		typ     byte
+		payload []byte
+		want    string
+	}{
+		{TypeSearchRequest, lying(req), "query count"},
+		{TypeSearchResult, lying(res), "result count"},
+		{TypeSearchResult, lying(hits), "hit count"},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := Unmarshal(c.typ, c.payload)
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), c.want) || !strings.Contains(err.Error(), "exceeds payload") {
+			t.Fatalf("%s: %v, want the %s refused as exceeding the payload", c.want, err, c.want)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > frame {
+			t.Fatalf("%s: decoding a %d-byte frame allocated %d bytes", c.want, frame, grew)
+		}
 	}
 }
