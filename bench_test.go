@@ -8,7 +8,7 @@ package swdual_test
 //
 // The Table/Figure benchmarks report the modeled paper-scale seconds as
 // custom metrics (model_s) so regenerated values appear directly in the
-// benchmark output; EXPERIMENTS.md records the full tables.
+// benchmark output; `go run ./cmd/benchtables` prints the full tables.
 
 import (
 	"context"

@@ -6,7 +6,7 @@ import (
 )
 
 // The paper's published measurements, embedded so every regenerated table
-// can print paper-vs-model deltas (EXPERIMENTS.md records them too).
+// can print paper-vs-model deltas (cmd/benchtables prints them).
 
 // PaperTable2 holds Table II: execution times in seconds on UniProt with
 // 40 queries, indexed by application name then worker count.

@@ -14,7 +14,7 @@
 // Scores are computed functionally with the SWAR kernels of package
 // swvector (escalating to the scalar oracle on overflow), so results are
 // exact; the simulated time follows the cycle model calibrated against the
-// paper's single-GPU CUDASW++ measurements (see EXPERIMENTS.md).
+// paper's single-GPU CUDASW++ measurements (bench.PaperTable2).
 package cudasw
 
 import (

@@ -22,7 +22,6 @@ type started struct{ worker, query string }
 // step (or closes it, which lets everything through). The test thereby
 // decides which worker frees when, with no sleeps.
 type stepWorker struct {
-	*master.RateEstimator
 	name   string
 	kind   sched.Kind
 	rate   float64
@@ -54,7 +53,7 @@ func newStepRig(t *testing.T, specs ...stepWorker) *stepRig {
 	rig := &stepRig{t: t, workers: map[string]*stepWorker{}, events: make(chan started, 64)}
 	var workers []master.Worker
 	for _, spec := range specs {
-		w := &stepWorker{RateEstimator: master.NewRateEstimator(spec.rate), name: spec.name, kind: spec.kind,
+		w := &stepWorker{name: spec.name, kind: spec.kind,
 			rate: spec.rate, events: rig.events, step: make(chan struct{})}
 		rig.workers[w.name] = w
 		workers = append(workers, w)
@@ -273,14 +272,15 @@ func TestBusyPoolCoalescesThenFeedsOneFIFO(t *testing.T) {
 }
 
 // TestCloseWaitsForFedWaves closes the Searcher with two waves in flight
-// on two pinned workers, one of them with a task still in its feed: both
-// must complete (never master.ErrPoolClosed), and a third request that
-// was never admitted gets ErrClosed while Close is still waiting.
+// on two pinned workers, one of them with a task still queued in the
+// pool: both must complete (never master.ErrPoolClosed), and a third
+// request that was never admitted gets ErrClosed while Close is still
+// waiting.
 func TestCloseWaitsForFedWaves(t *testing.T) {
 	rig := newStepRig(t, stepWorker{name: "w0", rate: 1}, stepWorker{name: "w1", rate: 1})
 	out1 := rig.search([]int{30}, "r1")
 	a := rig.nextStart()
-	out2 := rig.search([]int{30, 40}, "r2a", "r2b") // one task runs, one waits in the feed
+	out2 := rig.search([]int{30, 40}, "r2a", "r2b") // one task runs, one waits in the pool queue
 	b := rig.nextStart()
 	out3 := rig.search([]int{30}, "r3")
 	waitSearches(t, rig.s, 3)
@@ -303,7 +303,7 @@ func TestCloseWaitsForFedWaves(t *testing.T) {
 	rig.finish(a.worker)
 	rig.wait("wave 1", out1)
 	rig.finish(b.worker)
-	second := rig.nextStart() // the task that waited in the feed
+	second := rig.nextStart() // the task that waited in the pool queue
 	rig.finish(second.worker)
 	if rep := rig.wait("wave 2", out2); len(rep.Results) != 2 {
 		t.Fatalf("wave 2 returned %d results", len(rep.Results))

@@ -11,19 +11,21 @@
 // Concurrent requests are coalesced: a dispatcher goroutine collects the
 // queries that are waiting into one wave, runs the configured scheduling
 // policy (dual-approximation by default) over the combined task set,
-// feeds the pool one ordered queue per worker kind, and routes each
+// submits one ordered queue per worker kind to the pool, and routes each
 // result back to its originating request.
 //
-// The dispatcher is work-conserving. Its gate opens as soon as any
-// worker is idle — nothing running and nothing queued for its kind —
-// not when all are: it then coalesces whatever waits on the submit
-// channel, builds the scheduling instance over the idle part of the
-// platform (the pool's measured rates, with the CPU and GPU counts set
-// to the idle workers of each kind), plans it, and hands each kind's
-// tasks in planned start order to that kind's FIFO in the pool, from
-// which whichever worker of the kind frees first pulls — the paper's
-// list-scheduling step (§III), "next task to the least-loaded PE of the
-// class", executed with real instead of estimated times. Waves therefore
+// The dispatcher is work-conserving and keeps no view of the pool of its
+// own: master.Pool owns the queues, the idle count and the measured
+// rates. The gate opens as soon as the pool reports any worker idle —
+// nothing running and nothing queued for it — not when all are: the
+// dispatcher then coalesces whatever waits on the submit channel, builds
+// the scheduling instance over the idle part of the platform (the pool's
+// measured rates, with the CPU and GPU counts set to the idle workers of
+// each kind), plans it, and submits each kind's tasks in planned start
+// order to that kind's FIFO in the pool, from which whichever worker of
+// the kind frees first pulls — the paper's list-scheduling step (§III),
+// "next task to the least-loaded PE of the class", executed with real
+// instead of estimated times. Waves therefore
 // overlap: a one-query wave occupies one worker and the next request
 // runs beside it on another instead of waiting for it. Requests that
 // arrive while every worker is busy wait on the submit channel, where
@@ -267,18 +269,9 @@ type Searcher struct {
 	done   chan struct{} // dispatcher exited
 	once   func()        // idempotent close
 
-	// The dispatcher's view of the pool, per pool queue (sched.CPU,
-	// sched.GPU, sharedQueue): slots counts the workers pulling from the
-	// queue, inflight the tasks fed to it and not yet Done — a queue with
-	// inflight < slots has a worker with nothing running and nothing
-	// queued. Done signals freed (the gate's wake-up) and fed (Close waits
-	// out every fed task); free recycles the waves whose tasks are all Done.
-	slots    [3]int
-	mu       sync.Mutex
-	inflight [3]int
-	free     []*wave
-	freed    chan struct{}
-	fed      sync.WaitGroup
+	// free recycles the waves whose tasks are all Done.
+	mu   sync.Mutex
+	free []*wave
 
 	// cache and flight implement the result cache and singleflight
 	// collapsing in front of the dispatcher; both are nil with
@@ -311,7 +304,6 @@ func New(db *seq.Set, cfg Config) (*Searcher, error) {
 		submit: make(chan *request),
 		quit:   make(chan struct{}),
 		done:   make(chan struct{}),
-		freed:  make(chan struct{}, 1),
 	}
 	if cfg.Cache {
 		s.cache = resultcache.New(resultcache.Config{MaxEntries: cfg.CacheSize})
@@ -327,13 +319,6 @@ func New(db *seq.Set, cfg Config) (*Searcher, error) {
 		return nil, err
 	}
 	s.pool = pool
-	if cfg.Policy == master.PolicySelfScheduling {
-		s.slots[sharedQueue] = len(workers)
-	} else {
-		for _, w := range workers {
-			s.slots[w.Kind()]++
-		}
-	}
 	var closeOnce atomic.Bool
 	s.once = func() {
 		if closeOnce.CompareAndSwap(false, true) {
@@ -373,12 +358,13 @@ func (s *Searcher) Stats() Stats {
 	workers := s.pool.Workers()
 	rates := make([]WorkerRate, len(workers))
 	for i, w := range workers {
+		observed, tasks := s.pool.Observed(i)
 		rates[i] = WorkerRate{
 			Name:            w.Name(),
 			Kind:            w.Kind(),
 			AdvertisedGCUPS: w.RateGCUPS(),
-			ObservedGCUPS:   w.MeasuredRateGCUPS(),
-			Tasks:           w.ObservedTasks(),
+			ObservedGCUPS:   observed,
+			Tasks:           tasks,
 		}
 	}
 	st := Stats{
@@ -486,22 +472,18 @@ func (s *Searcher) searchWave(ctx context.Context, queries *seq.Set, topK int) (
 }
 
 // Close stops admitting requests (pending ones fail with ErrClosed),
-// waits for every task already fed to the pool and then shuts the pool
-// down, so dispatched work completes and no Search caller sees the
-// pool's own close error. It is idempotent and safe to call concurrently.
+// stops the dispatcher and then closes the pool, which runs every task
+// already submitted to it, so dispatched work completes and no Search
+// caller sees the pool's own close error. It is idempotent and safe to
+// call concurrently.
 func (s *Searcher) Close() error {
 	s.once()
 	<-s.done
-	s.fed.Wait()
 	return s.pool.Close()
 }
 
-// sharedQueue indexes the pool's shared (self-scheduling) queue in
-// Searcher.slots and Searcher.inflight, after the two sched.Kind queues.
-const sharedQueue = 2
-
 // dispatch is the service loop: wait until a worker is idle, collect a
-// wave, plan it on the idle workers, feed it, repeat. Exactly one
+// wave, plan it on the idle workers, submit it, repeat. Exactly one
 // dispatcher runs per Searcher. Requests that arrive while every worker
 // is busy wait on the submit channel and form the next wave.
 func (s *Searcher) dispatch() {
@@ -516,23 +498,12 @@ func (s *Searcher) dispatch() {
 	}
 }
 
-// idle counts, per pool queue, the workers with nothing running and
-// nothing queued.
-func (s *Searcher) idle() (n [3]int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for q := range n {
-		n[q] = max(0, s.slots[q]-s.inflight[q])
-	}
-	return n
-}
-
-// awaitIdle is the dispatcher's gate: it blocks until some worker is
-// idle and reports false once the Searcher closes.
+// awaitIdle is the dispatcher's gate: it blocks until the pool has an
+// idle worker and reports false once the Searcher closes.
 func (s *Searcher) awaitIdle() bool {
-	for s.idle() == [3]int{} {
+	for s.pool.Idle() == [2]int{} {
 		select {
-		case <-s.freed:
+		case <-s.pool.Freed():
 		case <-s.quit:
 			return false
 		}
@@ -540,20 +511,14 @@ func (s *Searcher) awaitIdle() bool {
 	return true
 }
 
-// taskDone retires one fed task of wave w from pool queue q, recycles
-// the wave after its last task and wakes the gate.
-func (s *Searcher) taskDone(w *wave, q int) {
+// taskDone retires one task of wave w and recycles the wave after its
+// last task.
+func (s *Searcher) taskDone(w *wave) {
 	s.mu.Lock()
-	s.inflight[q]--
 	if w.pending--; w.pending == 0 {
 		s.free = append(s.free, w)
 	}
 	s.mu.Unlock()
-	s.fed.Done()
-	select {
-	case s.freed <- struct{}{}:
-	default:
-	}
 }
 
 // coalesce implements online batching without waiting: the requests
@@ -588,8 +553,9 @@ type wave struct {
 	entries []waveEntry
 	lens    []int
 	ids     []string
-	all     []int // identity queue (self-scheduling)
-	pending int   // tasks not yet Done (under Searcher.mu)
+	all     []int             // identity queue (self-scheduling)
+	tasks   []master.PoolTask // one queue's tasks, copied by Submit
+	pending int               // tasks not yet Done (under Searcher.mu)
 }
 
 // newWave takes a recycled wave off the free list, or a fresh one.
@@ -603,15 +569,16 @@ func (s *Searcher) newWave() *wave {
 	w := s.free[n-1]
 	s.free = s.free[:n-1]
 	clear(w.entries) // drop request pointers so reuse can't pin them
-	w.entries, w.lens, w.ids, w.all = w.entries[:0], w.lens[:0], w.ids[:0], w.all[:0]
+	clear(w.tasks)
+	w.entries, w.lens, w.ids, w.all, w.tasks = w.entries[:0], w.lens[:0], w.ids[:0], w.all[:0], w.tasks[:0]
 	return w
 }
 
 // planWave runs the CPU side of one wave and starts it: account it,
 // assemble the entry/length/id slices, build the instance over the idle
 // part of the pool with the measured rates snapshotted now, run the
-// scheduling policy and feed each pool queue its tasks in planned start
-// order. On a scheduling error the batch is failed.
+// scheduling policy and submit each pool queue its tasks in planned
+// start order. On a scheduling error the batch is failed.
 func (s *Searcher) planWave(batch []*request) {
 	// Deadline propagation ends here: a request whose ctx died while it
 	// waited to coalesce is failed now instead of being planned — doomed
@@ -647,13 +614,13 @@ func (s *Searcher) planWave(batch []*request) {
 		for i := range w.entries {
 			w.all = append(w.all, i)
 		}
-		queues[sharedQueue] = w.all
+		queues[master.Shared] = w.all
 	} else {
 		// The instance is the idle part of the platform at its measured
 		// rates: every scheduling decision sees idle PEs only, and tasks
 		// completing now refine the rates the next wave sees. Busy
 		// workers still pull from their kind's queue when they free.
-		idle, rates := s.idle(), s.pool.Rates()
+		idle, rates := s.pool.Idle(), s.pool.Rates()
 		rates.CPUs, rates.GPUs = idle[sched.CPU], idle[sched.GPU]
 		in := master.BuildInstance(s.dbResidues, w.lens, w.ids, rates)
 		kinds, schedule, err := master.Assign(s.cfg.Policy, in, s.pool.Workers())
@@ -668,58 +635,42 @@ func (s *Searcher) planWave(batch []*request) {
 			r.schedule = schedule
 		}
 	}
-	s.mu.Lock()
 	w.pending = len(w.entries)
-	for q := range queues {
-		s.inflight[q] += len(queues[q])
-	}
-	s.mu.Unlock()
-	s.fed.Add(len(w.entries))
-	// One feed per non-empty queue: a feed blocks on its pool queue, so
-	// the queues must fill side by side.
-	for q := range queues {
-		if len(queues[q]) > 0 {
-			go s.feed(w, q, queues[q])
+	for q, queue := range queues {
+		if len(queue) == 0 {
+			continue
+		}
+		w.tasks = w.tasks[:0]
+		for _, gi := range queue {
+			w.tasks = append(w.tasks, s.task(w, gi))
+		}
+		// The pool closes only after the dispatcher exits, and Assign
+		// fills only kinds the pool has workers of.
+		if err := s.pool.Submit(q, w.tasks...); err != nil {
+			panic(err)
 		}
 	}
 }
 
-// feed hands one queue of wave-global indices to pool queue q in order.
-// The pool outlives every fed task (Close waits for them), so a failed
-// send is not expected; the remainder is then failed as ErrClosed so
-// merges still complete.
-func (s *Searcher) feed(w *wave, q int, queue []int) {
-	send := s.pool.SubmitShared
-	if q != sharedQueue {
-		send = func(t master.PoolTask) error { return s.pool.Submit(sched.Kind(q), t) }
-	}
-	for i, gi := range queue {
-		req, local := w.entries[gi].req, w.entries[gi].local
-		t := master.PoolTask{
-			QueryIndex: local,
-			Query:      &req.queries.Seqs[local],
-			DB:         s.db,
-			Canceled:   func() bool { return req.ctx.Err() != nil },
-			Done: func(res master.QueryResult, ran bool) {
-				// Retire first: the worker must count as idle before its
-				// caller can wake and submit again.
-				s.taskDone(w, q)
-				if ran {
-					req.merge.Add(local, res)
-				} else {
-					req.fail(req.ctx.Err())
-					req.merge.Skip(local)
-				}
-			},
-		}
-		if send(t) != nil {
-			for _, rest := range queue[i:] {
-				e := w.entries[rest]
-				s.taskDone(w, q)
-				e.req.fail(ErrClosed)
-				e.req.merge.Skip(e.local)
+// task builds the pool task of wave entry gi: skipped once its request's
+// ctx is dead, routed on completion into the request's merge.
+func (s *Searcher) task(w *wave, gi int) master.PoolTask {
+	req, local := w.entries[gi].req, w.entries[gi].local
+	return master.PoolTask{
+		QueryIndex: local,
+		Query:      &req.queries.Seqs[local],
+		DB:         s.db,
+		Canceled:   func() bool { return req.ctx.Err() != nil },
+		Done: func(res master.QueryResult, ran bool) {
+			// Retire first: the wave must be back on the free list before
+			// its caller can wake and submit again.
+			s.taskDone(w)
+			if ran {
+				req.merge.Add(local, res)
+			} else {
+				req.fail(req.ctx.Err())
+				req.merge.Skip(local)
 			}
-			return
-		}
+		},
 	}
 }

@@ -148,7 +148,6 @@ func TestConcurrentCallers(t *testing.T) {
 // gateWorker blocks in Run until released, letting tests hold a wave
 // open deterministically instead of racing wall-clock sleeps.
 type gateWorker struct {
-	*master.RateEstimator
 	name    string
 	started chan struct{} // closed when the first task starts running
 	release chan struct{} // Run returns once this is closed
@@ -156,7 +155,7 @@ type gateWorker struct {
 }
 
 func newGateWorker(name string) *gateWorker {
-	return &gateWorker{RateEstimator: master.NewRateEstimator(1), name: name, started: make(chan struct{}), release: make(chan struct{})}
+	return &gateWorker{name: name, started: make(chan struct{}), release: make(chan struct{})}
 }
 
 func (w *gateWorker) Name() string       { return w.name }
@@ -320,7 +319,7 @@ func TestCancelBehindPinnedWave(t *testing.T) {
 
 // TestCloseWithQueuedRequest closes the Searcher while wave 1 executes
 // and a second request is still blocked on submit, never admitted into a
-// wave. The dispatched wave must complete (its tasks are fed while the
+// wave. The dispatched wave must complete (its tasks are queued while the
 // pool is up); the unadmitted request must fail with ErrClosed promptly,
 // while Close is still waiting for the pinned wave.
 func TestCloseWithQueuedRequest(t *testing.T) {

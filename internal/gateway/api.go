@@ -3,6 +3,7 @@ package gateway
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 	"time"
@@ -104,22 +105,25 @@ type apiError struct {
 
 func (e *apiError) Error() string { return e.msg }
 
-// decodeLimits bound what one request body may cost before the backend
-// sees it.
-type decodeLimits struct {
-	maxBody     int64 // bytes of JSON accepted
-	maxQueries  int   // queries per request
-	maxResidues int   // summed residues per request
-}
+// Request limits: what one POST /v1/search body may cost before the
+// backend sees it.
+const (
+	maxBodyBytes     = 8 << 20 // bytes of JSON
+	maxQueries       = 1024    // queries per request, the engine's wave cap
+	maxQueryResidues = 1 << 20 // summed residues per request
+	// A deadline must fit a time.Duration: longer ones would wrap.
+	maxTimeoutMillis = math.MaxInt64 / int64(time.Millisecond)
+	maxTimeoutSecs   = math.MaxInt64 / int64(time.Second)
+)
 
 // decodeSearchRequest validates a POST /v1/search body into the
 // backend's query set. Every failure is a 4xx apiError; the function
 // never panics and never allocates beyond the (bounded) body it was
 // handed — hostile bodies are the fuzz suite's subject.
-func decodeSearchRequest(body []byte, alpha *alphabet.Alphabet, lim decodeLimits) (*seq.Set, *SearchRequest, *apiError) {
-	if int64(len(body)) > lim.maxBody {
+func decodeSearchRequest(body []byte, alpha *alphabet.Alphabet) (*seq.Set, *SearchRequest, *apiError) {
+	if len(body) > maxBodyBytes {
 		return nil, nil, &apiError{code: http.StatusRequestEntityTooLarge,
-			msg: fmt.Sprintf("request body %d bytes exceeds the %d-byte limit", len(body), lim.maxBody)}
+			msg: fmt.Sprintf("request body %d bytes exceeds the %d-byte limit", len(body), maxBodyBytes)}
 	}
 	var req SearchRequest
 	if err := json.Unmarshal(body, &req); err != nil {
@@ -128,15 +132,15 @@ func decodeSearchRequest(body []byte, alpha *alphabet.Alphabet, lim decodeLimits
 	if len(req.Queries) == 0 {
 		return nil, nil, &apiError{code: http.StatusBadRequest, msg: "no queries"}
 	}
-	if len(req.Queries) > lim.maxQueries {
+	if len(req.Queries) > maxQueries {
 		return nil, nil, &apiError{code: http.StatusRequestEntityTooLarge,
-			msg: fmt.Sprintf("%d queries exceed the %d-query limit", len(req.Queries), lim.maxQueries)}
+			msg: fmt.Sprintf("%d queries exceed the %d-query limit", len(req.Queries), maxQueries)}
 	}
 	if req.TopK < 0 {
 		return nil, nil, &apiError{code: http.StatusBadRequest, msg: fmt.Sprintf("negative top_k %d", req.TopK)}
 	}
-	if req.TimeoutMillis < 0 {
-		return nil, nil, &apiError{code: http.StatusBadRequest, msg: fmt.Sprintf("negative timeout_ms %d", req.TimeoutMillis)}
+	if req.TimeoutMillis < 0 || req.TimeoutMillis > maxTimeoutMillis {
+		return nil, nil, &apiError{code: http.StatusBadRequest, msg: fmt.Sprintf("timeout_ms %d outside [0, %d]", req.TimeoutMillis, maxTimeoutMillis)}
 	}
 	total := 0
 	for i := range req.Queries {
@@ -145,9 +149,9 @@ func decodeSearchRequest(body []byte, alpha *alphabet.Alphabet, lim decodeLimits
 			return nil, nil, &apiError{code: http.StatusBadRequest, msg: fmt.Sprintf("query %d: empty residues", i)}
 		}
 		total += n
-		if total > lim.maxResidues {
+		if total > maxQueryResidues {
 			return nil, nil, &apiError{code: http.StatusRequestEntityTooLarge,
-				msg: fmt.Sprintf("summed query residues exceed the %d-residue limit", lim.maxResidues)}
+				msg: fmt.Sprintf("summed query residues exceed the %d-residue limit", maxQueryResidues)}
 		}
 	}
 	set := seq.NewSet(alpha)
@@ -171,8 +175,8 @@ func parseTimeoutHeader(v string) (time.Duration, *apiError) {
 		return 0, nil
 	}
 	if secs, err := strconv.Atoi(v); err == nil {
-		if secs < 0 {
-			return 0, &apiError{code: http.StatusBadRequest, msg: "negative Request-Timeout"}
+		if secs < 0 || int64(secs) > maxTimeoutSecs {
+			return 0, &apiError{code: http.StatusBadRequest, msg: fmt.Sprintf("Request-Timeout %d outside [0, %d] seconds", secs, maxTimeoutSecs)}
 		}
 		return time.Duration(secs) * time.Second, nil
 	}

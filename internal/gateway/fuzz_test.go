@@ -36,9 +36,8 @@ func FuzzSearchRequestJSON(f *testing.F) {
 	} {
 		f.Add([]byte(seed))
 	}
-	lim := decodeLimits{maxBody: 1 << 16, maxQueries: 16, maxResidues: 1 << 12}
 	f.Fuzz(func(t *testing.T, body []byte) {
-		set, req, apiErr := decodeSearchRequest(body, alphabet.Protein, lim)
+		set, req, apiErr := decodeSearchRequest(body, alphabet.Protein)
 		if apiErr != nil {
 			if apiErr.code < 400 || apiErr.code > 499 {
 				t.Fatalf("decode error escaped the 4xx range: %d %q", apiErr.code, apiErr.msg)
@@ -54,8 +53,8 @@ func FuzzSearchRequestJSON(f *testing.F) {
 		if set == nil || req == nil {
 			t.Fatal("decoder returned neither result nor error")
 		}
-		if set.Len() == 0 || set.Len() > lim.maxQueries {
-			t.Fatalf("accepted query set of size %d outside (0, %d]", set.Len(), lim.maxQueries)
+		if set.Len() == 0 || set.Len() > maxQueries {
+			t.Fatalf("accepted query set of size %d outside (0, %d]", set.Len(), maxQueries)
 		}
 		total := 0
 		for i := range set.Seqs {
@@ -64,10 +63,10 @@ func FuzzSearchRequestJSON(f *testing.F) {
 			}
 			total += len(set.Seqs[i].Residues)
 		}
-		if total > lim.maxResidues {
-			t.Fatalf("accepted %d residues over the %d limit", total, lim.maxResidues)
+		if total > maxQueryResidues {
+			t.Fatalf("accepted %d residues over the %d limit", total, maxQueryResidues)
 		}
-		if req.TopK < 0 || req.TimeoutMillis < 0 {
+		if req.TopK < 0 || req.TimeoutMillis < 0 || req.TimeoutMillis > maxTimeoutMillis {
 			t.Fatalf("accepted negative knobs: %+v", req)
 		}
 	})
@@ -88,6 +87,8 @@ func TestTimeoutHeaderParsing(t *testing.T) {
 		{"0", 0},
 		{"-1", -1},
 		{"-500ms", -1},
+		{"18446744074", -1}, // overflows a time.Duration
+		{"9223372036", 9223372036000},
 		{"soon", -1},
 		{"1h30m", 90 * 60 * 1000},
 	} {

@@ -63,14 +63,6 @@ type Config struct {
 	// hold at once (default: a quarter of Capacity+Queue, minimum 1). A
 	// client is its X-API-Key header, else its remote address.
 	ClientSlots int
-	// MaxBodyBytes bounds the request body (default 8 MiB).
-	MaxBodyBytes int64
-	// MaxQueries bounds queries per request (default 1024, the engine's
-	// default wave cap).
-	MaxQueries int
-	// MaxQueryResidues bounds the summed query length per request
-	// (default 1<<20).
-	MaxQueryResidues int
 	// DBMappedBytes is the size of the memory-mapped database file
 	// behind the backend, exported as swdual_process_db_mapped_bytes (0
 	// when the database is heap-backed). The gateway only reports it;
@@ -96,15 +88,6 @@ func (c *Config) defaults() {
 	}
 	if c.ClientSlots < 1 {
 		c.ClientSlots = 1
-	}
-	if c.MaxBodyBytes == 0 {
-		c.MaxBodyBytes = 8 << 20
-	}
-	if c.MaxQueries == 0 {
-		c.MaxQueries = 1024
-	}
-	if c.MaxQueryResidues == 0 {
-		c.MaxQueryResidues = 1 << 20
 	}
 }
 
@@ -172,8 +155,8 @@ type Gateway struct {
 	clientGone atomic.Uint64
 }
 
-// New builds a Gateway over the backend. Negative limits are rejected;
-// zeros select defaults.
+// New builds a Gateway over the backend. Negative admission bounds are
+// rejected; zeros select defaults.
 func New(be engine.Backend, cfg Config) (*Gateway, error) {
 	if be == nil {
 		return nil, fmt.Errorf("gateway: nil backend")
@@ -181,10 +164,6 @@ func New(be engine.Backend, cfg Config) (*Gateway, error) {
 	if cfg.Capacity < 0 || cfg.ClientSlots < 0 {
 		return nil, fmt.Errorf("gateway: negative admission bound (capacity %d, client slots %d)",
 			cfg.Capacity, cfg.ClientSlots)
-	}
-	if cfg.MaxBodyBytes < 0 || cfg.MaxQueries < 0 || cfg.MaxQueryResidues < 0 {
-		return nil, fmt.Errorf("gateway: negative request limit (body %d, queries %d, residues %d)",
-			cfg.MaxBodyBytes, cfg.MaxQueries, cfg.MaxQueryResidues)
 	}
 	cfg.defaults()
 	g := &Gateway{
@@ -389,16 +368,12 @@ func (g *Gateway) handleSearch(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, g.cfg.MaxBodyBytes))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
 		writeError(w, &apiError{code: http.StatusRequestEntityTooLarge, msg: "request body too large or unreadable"})
 		return
 	}
-	queries, req, apiErr := decodeSearchRequest(body, g.be.Alphabet(), decodeLimits{
-		maxBody:     g.cfg.MaxBodyBytes,
-		maxQueries:  g.cfg.MaxQueries,
-		maxResidues: g.cfg.MaxQueryResidues,
-	})
+	queries, req, apiErr := decodeSearchRequest(body, g.be.Alphabet())
 	if apiErr != nil {
 		writeError(w, apiErr)
 		return

@@ -302,9 +302,10 @@ func TestDeadlinePropagatesIntoSearchCtx(t *testing.T) {
 	}
 }
 
-// TestMalformedRequests table-drives the 4xx surface.
+// TestMalformedRequests table-drives the 4xx surface, the size rows one
+// past the gateway's fixed request limits.
 func TestMalformedRequests(t *testing.T) {
-	_, srv := newTestGateway(t, testEngine(t, testDB(20, 930)), Config{Capacity: 2, MaxBodyBytes: 4096, MaxQueries: 4, MaxQueryResidues: 256})
+	_, srv := newTestGateway(t, testEngine(t, testDB(20, 930)), Config{Capacity: 2})
 	cases := []struct {
 		name   string
 		body   string
@@ -318,10 +319,14 @@ func TestMalformedRequests(t *testing.T) {
 		{"bad residues", `{"queries":[{"residues":"NOT A PROTEIN 123!"}]}`, nil, http.StatusBadRequest},
 		{"negative topk", `{"queries":[{"residues":"MKV"}],"top_k":-1}`, nil, http.StatusBadRequest},
 		{"negative timeout", `{"queries":[{"residues":"MKV"}],"timeout_ms":-5}`, nil, http.StatusBadRequest},
-		{"too many queries", `{"queries":[{"residues":"M"},{"residues":"M"},{"residues":"M"},{"residues":"M"},{"residues":"M"}]}`, nil, http.StatusRequestEntityTooLarge},
-		{"residues over limit", fmt.Sprintf(`{"queries":[{"residues":"%s"}]}`, strings.Repeat("M", 300)), nil, http.StatusRequestEntityTooLarge},
-		{"body over limit", fmt.Sprintf(`{"queries":[{"residues":"%s"}]}`, strings.Repeat("M", 8192)), nil, http.StatusRequestEntityTooLarge},
+		{"too many queries", `{"queries":[` + strings.Repeat(`{"residues":"M"},`, maxQueries) + `{"residues":"M"}]}`, nil, http.StatusRequestEntityTooLarge},
+		{"residues over limit", fmt.Sprintf(`{"queries":[{"residues":"%s"}]}`, strings.Repeat("M", maxQueryResidues+1)), nil, http.StatusRequestEntityTooLarge},
+		{"body over limit", `{"queries":[{"residues":"MKV"}]}` + strings.Repeat(" ", maxBodyBytes+1-len(`{"queries":[{"residues":"MKV"}]}`)), nil, http.StatusRequestEntityTooLarge},
 		{"bad header timeout", `{"queries":[{"residues":"MKV"}]}`, map[string]string{"Request-Timeout": "soon"}, http.StatusBadRequest},
+		// Deadlines past math.MaxInt64 ns would wrap into a tiny or negative
+		// time.Duration.
+		{"header timeout overflows", `{"queries":[{"residues":"MKV"}]}`, map[string]string{"Request-Timeout": "18446744074"}, http.StatusBadRequest},
+		{"body timeout overflows", `{"queries":[{"residues":"MKV"}],"timeout_ms":18446744073710}`, nil, http.StatusBadRequest},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -461,16 +466,14 @@ func TestMetricsEngineNamesGolden(t *testing.T) {
 	}
 }
 
-// TestConfigValidation rejects negative limits the way engine.New does.
+// TestConfigValidation rejects negative admission bounds the way
+// engine.New does.
 func TestConfigValidation(t *testing.T) {
 	e := testEngine(t, testDB(10, 950))
 	if _, err := New(nil, Config{}); err == nil {
 		t.Fatal("nil backend accepted")
 	}
-	for _, cfg := range []Config{
-		{Capacity: -1}, {ClientSlots: -1},
-		{MaxBodyBytes: -1}, {MaxQueries: -1}, {MaxQueryResidues: -1},
-	} {
+	for _, cfg := range []Config{{Capacity: -1}, {ClientSlots: -1}} {
 		if _, err := New(e, cfg); err == nil {
 			t.Fatalf("config %+v accepted", cfg)
 		}

@@ -15,7 +15,6 @@ import (
 // reports the simulated device seconds of each task, so timing analyses
 // can use the device model instead of host wall time.
 type GPUWorker struct {
-	*RateEstimator
 	name   string
 	engine *cudasw.Engine
 	rate   float64
@@ -23,13 +22,13 @@ type GPUWorker struct {
 }
 
 // NewGPUWorker builds a GPU worker. rateGCUPS is the advertised
-// throughput (the calibrated Table II rate for a C2050) that seeds the
-// worker's measured-rate estimate.
+// throughput (the calibrated Table II rate for a C2050) that seeds a
+// Pool's measured-rate estimate.
 func NewGPUWorker(name string, engine *cudasw.Engine, rateGCUPS float64, topK int) *GPUWorker {
 	if topK <= 0 {
 		topK = 10
 	}
-	return &GPUWorker{RateEstimator: NewRateEstimator(rateGCUPS), name: name, engine: engine, rate: rateGCUPS, topK: topK}
+	return &GPUWorker{name: name, engine: engine, rate: rateGCUPS, topK: topK}
 }
 
 // Name implements Worker.

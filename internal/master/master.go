@@ -1,12 +1,14 @@
 // Package master implements the paper's master-slave model (§IV,
 // Figure 6) and splits it into its three roles, each reusable on its
 // own: task generation (tasks.go — one task per query, with times
-// estimated from worker-advertised rates), a pluggable scheduling policy
+// estimated from worker rates), a pluggable scheduling policy
 // (policy.go — the dual-approximation scheduler by default), and result
 // merge (merge.go). Workers run as a persistent Pool (pool.go) of
 // goroutines, each owning a real engine — the SWIPE-style inter-sequence
 // engine (swvector.InterSeq) on CPU workers, the simulated-GPU CUDASW++
-// engine on GPU workers — so a run produces exact alignment scores.
+// engine on GPU workers — so a run produces exact alignment scores. The
+// Pool owns its queues, which workers are idle and each worker's
+// measured rate; a Worker only runs tasks and advertises a rate.
 //
 // The internal/engine package composes the three roles into the one
 // search path: a long-lived service that amortizes preparation across
@@ -42,7 +44,7 @@ type QueryResult struct {
 	Cells      int64
 }
 
-// ObservedDuration is the time base rate estimation uses for this
+// ObservedDuration is the time base a Pool's rate estimate uses for this
 // result: the simulated device seconds when the worker ran on a modeled
 // device (a simulated GPU computes its scores on the host, so its wall
 // time measures the simulator, not the device), host wall time
@@ -62,21 +64,11 @@ type Worker interface {
 	Kind() sched.Kind
 	// Run compares one query against the whole database.
 	Run(queryIndex int, query *seq.Sequence, db *seq.Set) QueryResult
-	// RateGCUPS is the worker's advertised throughput, the seed of the
-	// measured estimate below (the paper's master "uses the information
+	// RateGCUPS is the worker's advertised throughput. A Pool seeds its
+	// measured estimate of the worker with it and refines that from every
+	// task the worker completes (the paper's master "uses the information
 	// gathered from the workers").
 	RateGCUPS() float64
-	// ObserveTask feeds one completed task's measured cell volume and
-	// wall time into the worker's live rate estimate; the Pool calls it
-	// after every task it runs.
-	ObserveTask(cells int64, elapsed time.Duration)
-	// MeasuredRateGCUPS is the live throughput estimate the scheduling
-	// policies consume: the advertised rate until tasks were observed,
-	// then an EWMA over measured cells/second. Embedding a
-	// *RateEstimator provides it along with ObserveTask/ObservedTasks.
-	MeasuredRateGCUPS() float64
-	// ObservedTasks counts the completed tasks folded into the estimate.
-	ObservedTasks() uint64
 }
 
 // ProfiledWorker is a Worker with the RunProfiled method the Pool used
@@ -171,7 +163,6 @@ func TopHits(db *seq.Set, scores []int, k int) []Hit {
 
 // EngineWorker wraps any sw.Engine as a CPU-pool worker.
 type EngineWorker struct {
-	*RateEstimator
 	name   string
 	kind   sched.Kind
 	engine sw.Engine
@@ -180,12 +171,12 @@ type EngineWorker struct {
 }
 
 // NewEngineWorker builds a worker over an engine. rateGCUPS is the
-// advertised throughput that seeds the worker's measured-rate estimate.
+// advertised throughput that seeds a Pool's measured-rate estimate.
 func NewEngineWorker(name string, kind sched.Kind, engine sw.Engine, rateGCUPS float64, topK int) *EngineWorker {
 	if topK <= 0 {
 		topK = 10
 	}
-	return &EngineWorker{RateEstimator: NewRateEstimator(rateGCUPS), name: name, kind: kind, engine: engine, rate: rateGCUPS, topK: topK}
+	return &EngineWorker{name: name, kind: kind, engine: engine, rate: rateGCUPS, topK: topK}
 }
 
 // Name implements Worker.

@@ -45,7 +45,7 @@ func instance(db, queries *seq.Set, workers []Worker) *sched.Instance {
 
 // runRequest composes the three roles over a Pool for one query set, as
 // the engine's dispatcher does for one wave on an idle pool: assign with
-// the policy (self-scheduling: the shared queue), feed, merge.
+// the policy (self-scheduling: the shared queue), submit, merge.
 func runRequest(t *testing.T, db, queries *seq.Set, workers []Worker, policy Policy) *Report {
 	t.Helper()
 	p, err := NewPool(workers)
@@ -54,33 +54,30 @@ func runRequest(t *testing.T, db, queries *seq.Set, workers []Worker, policy Pol
 	}
 	defer p.Close()
 	merge := NewMerger(queries.Len())
-	task := func(qi int) PoolTask {
-		return PoolTask{QueryIndex: qi, Query: &queries.Seqs[qi], DB: db,
-			Done: func(res QueryResult, _ bool) { merge.Add(qi, res) }}
+	tasks := func(queue []int) []PoolTask {
+		var ts []PoolTask
+		for _, qi := range queue {
+			ts = append(ts, PoolTask{QueryIndex: qi, Query: &queries.Seqs[qi], DB: db,
+				Done: func(res QueryResult, _ bool) { merge.Add(qi, res) }})
+		}
+		return ts
+	}
+	queues := [3][]int{Shared: make([]int, queries.Len())}
+	for qi := range queues[Shared] {
+		queues[Shared][qi] = qi
 	}
 	var s *sched.Schedule
-	if policy == PolicySelfScheduling {
-		go func() {
-			for qi := range queries.Seqs {
-				if err := p.SubmitShared(task(qi)); err != nil {
-					t.Error(err)
-				}
-			}
-		}()
-	} else {
-		var queues [2][]int
-		queues, s, err = Assign(policy, instance(db, queries, workers), workers)
+	if policy != PolicySelfScheduling {
+		var kinds [2][]int
+		kinds, s, err = Assign(policy, instance(db, queries, workers), workers)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for kind, queue := range queues {
-			go func() {
-				for _, qi := range queue {
-					if err := p.Submit(sched.Kind(kind), task(qi)); err != nil {
-						t.Error(err)
-					}
-				}
-			}()
+		queues = [3][]int{kinds[sched.CPU], kinds[sched.GPU]}
+	}
+	for q, queue := range queues {
+		if err := p.Submit(q, tasks(queue)...); err != nil {
+			t.Fatal(err)
 		}
 	}
 	<-merge.Done()

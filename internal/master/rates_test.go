@@ -11,67 +11,25 @@ import (
 	"swdual/internal/sw"
 )
 
-func TestRateEstimatorSeedAndObservation(t *testing.T) {
-	e := NewRateEstimator(24.8)
-	if got := e.MeasuredRateGCUPS(); got != 24.8 {
-		t.Fatalf("seed estimate %.3f, want the advertised 24.8", got)
-	}
-	if e.ObservedTasks() != 0 {
-		t.Fatalf("fresh estimator reports %d observed tasks", e.ObservedTasks())
-	}
-	// One task at exactly 24.8 GCUPS keeps the estimate fixed.
-	e.ObserveTask(24_800_000_000, time.Second)
-	if got := e.MeasuredRateGCUPS(); math.Abs(got-24.8) > 1e-9 {
-		t.Fatalf("estimate moved to %.6f on an observation equal to the seed", got)
-	}
-	if e.ObservedTasks() != 1 {
-		t.Fatalf("observed tasks %d, want 1", e.ObservedTasks())
-	}
-	// Degenerate observations carry no signal and must be ignored.
-	e.ObserveTask(0, time.Second)
-	e.ObserveTask(1000, 0)
-	e.ObserveTask(-5, time.Second)
-	if e.ObservedTasks() != 1 {
-		t.Fatalf("degenerate observations were counted: %d tasks", e.ObservedTasks())
-	}
-}
-
-// TestRateEstimatorConvergesFromMisadvertisedSeed is the convergence
-// guarantee the adaptive scheduler rests on: a worker advertising a rate
-// 100× its real throughput must see its estimate reach the measured
-// rate within a few dozen tasks.
-func TestRateEstimatorConvergesFromMisadvertisedSeed(t *testing.T) {
-	const advertised, measured = 100.0, 1.0 // GCUPS; 100× too fast
-	e := NewRateEstimator(advertised)
-	const maxTasks = 40
-	converged := -1
-	for i := 1; i <= maxTasks; i++ {
-		e.ObserveTask(int64(measured*1e9), time.Second)
-		if got := e.MeasuredRateGCUPS(); math.Abs(got-measured) <= 0.05*measured {
-			converged = i
-			break
-		}
-	}
-	if converged < 0 {
-		t.Fatalf("estimate still %.3f after %d tasks at %.1f GCUPS (advertised %.1f)",
-			e.MeasuredRateGCUPS(), maxTasks, measured, advertised)
-	}
-	t.Logf("converged to within 5%% of the measured rate after %d tasks", converged)
-}
-
-// TestMisadvertisedWorkerShiftsAssignments closes the loop: the
-// estimator feeding RatesOf/BuildInstance must change what the
+// TestMisadvertisedWorkerShiftsAssignments closes the loop: the rates a
+// Pool measures feed BuildInstance and must change what the
 // dual-approximation policy assigns. A CPU worker advertising 100× its
-// real rate first hoards every task; once its observed rate converges,
-// BuildInstance sees the corrected PoolRates and the scheduler moves
-// work to the honestly-advertised GPU worker.
+// real rate first hoards every task; once the pool's estimate of it
+// converges, the scheduler moves work to the honestly-advertised GPU
+// worker.
 func TestMisadvertisedWorkerShiftsAssignments(t *testing.T) {
 	cal := platform.PaperCalibration()
-	const lying = 100.0
-	// Engines stay nil: the test never runs a task, it only schedules.
-	cpu := NewEngineWorker("cpu-liar", sched.CPU, nil, lying*cal.CPUWorkerGCUPS, 5)
-	gpu := NewEngineWorker("gpu-0", sched.GPU, nil, cal.GPUWorkerGCUPS, 5)
-	workers := []Worker{cpu, gpu}
+	const lying, tasks = 100.0, 30
+	cpu := &timedWorker{name: "cpu-liar", kind: sched.CPU, rate: lying * cal.CPUWorkerGCUPS, runs: make([]QueryResult, tasks)}
+	for i := range cpu.runs { // tasks complete at the worker's true rate
+		cpu.runs[i] = QueryResult{Cells: int64(cal.CPUWorkerGCUPS * 1e9), Elapsed: time.Second}
+	}
+	gpu := &timedWorker{name: "gpu-0", kind: sched.GPU, rate: cal.GPUWorkerGCUPS}
+	p, err := NewPool([]Worker{cpu, gpu})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
 
 	const dbResidues = 1 << 20
 	queryLens := make([]int, 24)
@@ -80,8 +38,8 @@ func TestMisadvertisedWorkerShiftsAssignments(t *testing.T) {
 		queryLens[i] = 100 + 10*i
 	}
 	gpuTasks := func() int {
-		in := BuildInstance(dbResidues, queryLens, ids, RatesOf(workers))
-		queues, _, err := Assign(PolicyDualApprox, in, workers)
+		in := BuildInstance(dbResidues, queryLens, ids, p.Rates())
+		queues, _, err := Assign(PolicyDualApprox, in, p.Workers())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -95,13 +53,13 @@ func TestMisadvertisedWorkerShiftsAssignments(t *testing.T) {
 		t.Fatalf("with the advertised lie the GPU already holds %d of %d tasks", before, len(queryLens))
 	}
 
-	// Tasks complete at the worker's true rate; the EWMA converges.
-	for i := 0; i < 30; i++ {
-		cpu.ObserveTask(int64(cal.CPUWorkerGCUPS*1e9), time.Second)
-	}
-	rates := RatesOf(workers)
+	runEach(t, p, int(sched.CPU), 0, tasks)
+	rates := p.Rates()
 	if math.Abs(rates.CPURate-cal.CPUWorkerGCUPS) > 0.05*cal.CPUWorkerGCUPS {
 		t.Fatalf("PoolRates still carries the lie: CPU rate %.3f, measured %.3f", rates.CPURate, cal.CPUWorkerGCUPS)
+	}
+	if RatesOf(p.Workers()).CPURate != lying*cal.CPUWorkerGCUPS {
+		t.Fatal("RatesOf must stay the advertised rates")
 	}
 
 	after := gpuTasks()

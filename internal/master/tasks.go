@@ -4,21 +4,21 @@ import "swdual/internal/sched"
 
 // Task generation: the first of the master's three roles (§IV, Figure 6).
 // One search task is generated per query sequence; its processing-time
-// estimates come from the database volume and the worker-advertised rates.
+// estimates come from the database volume and the workers' rates.
 
 // PoolRates summarizes the registered workers the way the scheduling
-// policies see them: pool sizes and mean measured throughput per pool.
+// policies see them: pool sizes and mean throughput per pool.
 type PoolRates struct {
 	CPUs, GPUs       int
 	CPURate, GPURate float64 // mean GCUPS per worker of the pool
 }
 
-// RatesOf gathers pool sizes and mean rates from registered workers.
-// Rates are the workers' live measured estimates — the advertised rate
-// until a worker has completed tasks — so schedules built from the
-// result track what the pool actually delivers, not what it claims.
-// Rates only move tasks between workers; results are identical under
-// any rates because every worker computes exact scores.
+// RatesOf gathers pool sizes and mean advertised rates from registered
+// workers. A running Pool's Rates gives the same summary from measured
+// rates, so schedules built from it track what the pool actually
+// delivers, not what it claims. Rates only move tasks between workers;
+// results are identical under any rates because every worker computes
+// exact scores.
 //
 // Adaptation is pool-granular: the paper's scheduling model (§III) is m
 // identical CPUs plus k identical GPUs, so per-worker estimates are
@@ -27,13 +27,18 @@ type PoolRates struct {
 // with individual per-worker rates is a different machine model
 // (unrelated machines) and a ROADMAP item, not a rate-plumbing change.
 func RatesOf(workers []Worker) PoolRates {
+	return ratesOf(workers, func(i int) float64 { return workers[i].RateGCUPS() })
+}
+
+// ratesOf averages rate(i) over the workers of each kind.
+func ratesOf(workers []Worker, rate func(i int) float64) PoolRates {
 	var r PoolRates
-	for _, w := range workers {
+	for i, w := range workers {
 		if w.Kind() == sched.CPU {
-			r.CPURate += w.MeasuredRateGCUPS()
+			r.CPURate += rate(i)
 			r.CPUs++
 		} else {
-			r.GPURate += w.MeasuredRateGCUPS()
+			r.GPURate += rate(i)
 			r.GPUs++
 		}
 	}

@@ -85,7 +85,8 @@ func ParsePoolSpec(spec string) (PoolSpec, error) {
 
 // BuildPoolWorkers assembles the worker set a PoolSpec describes, in a
 // deterministic order: GPU workers first, then CPU. Each worker's
-// paper-calibrated Table II rate seeds its measured-rate estimate.
+// paper-calibrated Table II rate is its advertised rate, which seeds
+// a Pool's measured-rate estimate.
 func BuildPoolWorkers(params sw.Params, spec PoolSpec, topK int) []Worker {
 	cal := platform.PaperCalibration()
 	var ws []Worker

@@ -3,14 +3,14 @@
 // search tasks — one query against a whole database — into per-PE
 // processing times for the scheduler.
 //
-// Calibration (see EXPERIMENTS.md): CPU worker throughput comes from the
-// single-worker SWIPE row of Table II (1.9455e13 cells / 2367.24 s,
-// adjusted to 8.335 GCUPS so the modeled single-CPU run lands on the
-// paper's 2367 s); GPU times come from the gpusim/cudasw cycle model
-// whose single constant (20.2 cycles per cell per warp) matches the
-// single-worker CUDASW++ row (785.26 s => 24.8 GCUPS). Multi-worker
-// SWDUAL times are *outputs* of the scheduler plus this model, never
-// fitted.
+// Calibration (the paper's Table II, kept in bench.PaperTable2): CPU
+// worker throughput comes from the single-worker SWIPE row (1.9455e13
+// cells / 2367.24 s, adjusted to 8.335 GCUPS so the modeled single-CPU
+// run lands on the paper's 2367 s); GPU times come from the
+// gpusim/cudasw cycle model whose single constant (20.2 cycles per cell
+// per warp) matches the single-worker CUDASW++ row (785.26 s => 24.8
+// GCUPS). Multi-worker SWDUAL times are *outputs* of the scheduler plus
+// this model, never fitted.
 package platform
 
 import (

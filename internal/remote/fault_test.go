@@ -26,14 +26,13 @@ import (
 // gateWorker blocks in Run until released, pinning a search in flight
 // deterministically. Safe for any number of goroutines.
 type gateWorker struct {
-	*master.RateEstimator
 	started chan struct{}
 	release chan struct{}
 	once    sync.Once
 }
 
 func newGateWorker() *gateWorker {
-	return &gateWorker{RateEstimator: master.NewRateEstimator(1), started: make(chan struct{}), release: make(chan struct{})}
+	return &gateWorker{started: make(chan struct{}), release: make(chan struct{})}
 }
 
 func (w *gateWorker) Name() string       { return "gate" }

@@ -61,14 +61,13 @@ func searchHits(t *testing.T, s engine.Backend, queries *seq.Set, topK int) []by
 // gateWorker blocks in Run until released, pinning a search in flight
 // deterministically.
 type gateWorker struct {
-	*master.RateEstimator
 	started chan struct{}
 	release chan struct{}
 	once    sync.Once
 }
 
 func newGateWorker() *gateWorker {
-	return &gateWorker{RateEstimator: master.NewRateEstimator(1), started: make(chan struct{}), release: make(chan struct{})}
+	return &gateWorker{started: make(chan struct{}), release: make(chan struct{})}
 }
 
 func (w *gateWorker) Name() string       { return "gate" }

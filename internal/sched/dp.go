@@ -13,48 +13,28 @@ import (
 // all four necessary conditions the DP minimizes the CPU area exactly (up
 // to area discretization), and the constructive phase places one big task
 // per PE before list-scheduling the small ones, which yields makespan
-// <= (3/2 + ε)·λ with ε = n/Buckets (see EXPERIMENTS.md ablation E-A2).
+// <= (3/2 + ε)·λ with ε = n/dpBuckets.
 
-// DPOptions tunes DualStepDP.
-type DPOptions struct {
-	// Buckets discretizes the GPU area axis (default 2048). The guarantee
-	// slack ε is n/Buckets.
-	Buckets int
-	// MaxStates caps the DP table size; above it DualStepDP falls back to
-	// the greedy DualStep (the paper's special case already achieves the
-	// guarantee for uniformly accelerated tasks).
-	MaxStates int
-}
-
-func (o *DPOptions) defaults() {
-	if o.Buckets <= 0 {
-		o.Buckets = 2048
-	}
-	if o.MaxStates <= 0 {
-		o.MaxStates = 8 << 20
-	}
-}
+const (
+	// dpBuckets discretizes the GPU area axis; the guarantee slack ε is
+	// n/dpBuckets.
+	dpBuckets = 2048
+	// dpMaxStates caps the DP table size; above it DualStepDP falls back
+	// to the greedy DualStep (the paper's special case already achieves
+	// the guarantee for uniformly accelerated tasks).
+	dpMaxStates = 8 << 20
+)
 
 // DualApproxDP runs the binary search with the DP refinement step.
 func DualApproxDP(in *Instance) (*Schedule, error) {
-	return DualApproxDPOpt(in, BinarySearchOptions{}, DPOptions{})
-}
-
-// DualApproxDPOpt is DualApproxDP with explicit options.
-func DualApproxDPOpt(in *Instance, opt BinarySearchOptions, dpo DPOptions) (*Schedule, error) {
-	dpo.defaults()
-	step := func(in *Instance, lambda float64) DualResult {
-		return DualStepDP(in, lambda, dpo)
-	}
-	return dualSearch(in, opt, step, "dual-3/2-dp")
+	return dualSearch(in, DualStepDP, "dual-3/2-dp")
 }
 
 // DualStepDP is one dual-approximation step using the DP assignment.
-func DualStepDP(in *Instance, lambda float64, dpo DPOptions) DualResult {
-	dpo.defaults()
+func DualStepDP(in *Instance, lambda float64) DualResult {
 	m, k := in.CPUs, in.GPUs
-	states := (k + 1) * (m + 1) * (dpo.Buckets + 1)
-	if states > dpo.MaxStates {
+	states := (k + 1) * (m + 1) * (dpBuckets + 1)
+	if states > dpMaxStates {
 		return DualStep(in, lambda)
 	}
 	if m == 0 || k == 0 {
@@ -66,7 +46,7 @@ func DualStepDP(in *Instance, lambda float64, dpo DPOptions) DualResult {
 	bucketOf := func(gpuTime float64) int {
 		// Floor keeps "NO" answers sound: underestimating areas only
 		// admits more assignments.
-		return int(gpuTime / budget * float64(dpo.Buckets))
+		return int(gpuTime / budget * float64(dpBuckets))
 	}
 
 	// Forced assignments first.
@@ -93,12 +73,12 @@ func DualStepDP(in *Instance, lambda float64, dpo DPOptions) DualResult {
 			flexible = append(flexible, i)
 		}
 	}
-	if bigGPU0 > k || bigCPU0 > m || gpuB0 > dpo.Buckets {
+	if bigGPU0 > k || bigCPU0 > m || gpuB0 > dpBuckets {
 		return DualResult{OK: false}
 	}
 
 	// DP over (bigGPU, bigCPU, gpuBucket) -> min additional CPU area.
-	bStride := dpo.Buckets + 1
+	bStride := dpBuckets + 1
 	cStride := (m + 1) * bStride
 	idx := func(bg, bc, gb int) int { return bg*cStride + bc*bStride + gb }
 	cur := make([]float64, states)
@@ -124,7 +104,7 @@ func DualStepDP(in *Instance, lambda float64, dpo DPOptions) DualResult {
 		}
 		for bg := 0; bg <= k; bg++ {
 			for bc := 0; bc <= m; bc++ {
-				for gb := 0; gb <= dpo.Buckets; gb++ {
+				for gb := 0; gb <= dpBuckets; gb++ {
 					v := cur[idx(bg, bc, gb)]
 					if math.IsInf(v, 1) {
 						continue
@@ -138,7 +118,7 @@ func DualStepDP(in *Instance, lambda float64, dpo DPOptions) DualResult {
 						}
 					}
 					// GPU choice.
-					if bg+dBigG <= k && gb+tb <= dpo.Buckets {
+					if bg+dBigG <= k && gb+tb <= dpBuckets {
 						ni := idx(bg+dBigG, bc, gb+tb)
 						if v < next[ni] {
 							next[ni] = v

@@ -98,38 +98,23 @@ func DualStep(in *Instance, lambda float64) DualResult {
 	return DualResult{OK: true, Schedule: s}
 }
 
-// BinarySearchOptions tunes the dual-approximation binary search.
-type BinarySearchOptions struct {
-	// MaxIters bounds the number of guesses (default 64).
-	MaxIters int
-	// RelTol stops the search once (hi-lo)/hi falls below it (default 1e-6).
-	RelTol float64
-}
-
-func (o *BinarySearchOptions) defaults() {
-	if o.MaxIters <= 0 {
-		o.MaxIters = 64
-	}
-	if o.RelTol <= 0 {
-		o.RelTol = 1e-6
-	}
-}
+// The binary search on λ stops after maxIters guesses or once (hi-lo)/hi
+// falls below relTol.
+const (
+	maxIters = 64
+	relTol   = 1e-6
+)
 
 // DualApprox runs the complete §III algorithm: a binary search on the
 // guess λ between a certified lower bound and a greedy upper bound,
 // keeping the best schedule any accepted step produced. The returned
 // schedule has makespan at most 2·OPT (up to the search tolerance).
 func DualApprox(in *Instance) (*Schedule, error) {
-	return DualApproxOpt(in, BinarySearchOptions{})
-}
-
-// DualApproxOpt is DualApprox with explicit search options.
-func DualApproxOpt(in *Instance, opt BinarySearchOptions) (*Schedule, error) {
-	return dualSearch(in, opt, DualStep, "dual-2approx")
+	return dualSearch(in, DualStep, "dual-2approx")
 }
 
 // dualSearch factors the binary search shared by the greedy and DP steps.
-func dualSearch(in *Instance, opt BinarySearchOptions, step func(*Instance, float64) DualResult, name string) (*Schedule, error) {
+func dualSearch(in *Instance, step func(*Instance, float64) DualResult, name string) (*Schedule, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err
 	}
@@ -137,7 +122,6 @@ func dualSearch(in *Instance, opt BinarySearchOptions, step func(*Instance, floa
 		s := NewSchedule(name, in)
 		return s, nil
 	}
-	opt.defaults()
 	lo := LowerBound(in)
 	hi, seed := greedyUpperBound(in)
 	best := seed
@@ -146,7 +130,7 @@ func dualSearch(in *Instance, opt BinarySearchOptions, step func(*Instance, floa
 	}
 	// The seed schedule's makespan is a valid guess that must succeed, so
 	// the invariant "hi always admits a schedule" holds from the start.
-	for iter := 0; iter < opt.MaxIters && (hi-lo) > opt.RelTol*hi; iter++ {
+	for iter := 0; iter < maxIters && (hi-lo) > relTol*hi; iter++ {
 		mid := (lo + hi) / 2
 		res := step(in, mid)
 		if !res.OK {

@@ -96,7 +96,6 @@ func TestDualStepNoAnswersAreSound(t *testing.T) {
 
 func TestDualStepDPNoAnswersAreSound(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
-	dpo := DPOptions{}
 	for iter := 0; iter < 80; iter++ {
 		in := randInstance(rng, 7, 2, 2)
 		opt, err := BruteForce(in)
@@ -105,7 +104,7 @@ func TestDualStepDPNoAnswersAreSound(t *testing.T) {
 		}
 		for _, frac := range []float64{0.6, 0.9, 1.0, 1.2} {
 			lambda := opt.Makespan * frac
-			res := DualStepDP(in, lambda, dpo)
+			res := DualStepDP(in, lambda)
 			if !res.OK && lambda >= opt.Makespan*(1+1e-9) {
 				t.Fatalf("iter %d: DP NO for λ=%g >= OPT=%g", iter, lambda, opt.Makespan)
 			}

@@ -73,14 +73,13 @@ func TestShardedCloseDoesNotLeakGoroutines(t *testing.T) {
 // in flight deterministically. One instance may serve several shard
 // pools concurrently: Run is safe from any number of goroutines.
 type gateWorker struct {
-	*master.RateEstimator
 	started chan struct{}
 	release chan struct{}
 	once    sync.Once
 }
 
 func newGateWorker() *gateWorker {
-	return &gateWorker{RateEstimator: master.NewRateEstimator(1), started: make(chan struct{}), release: make(chan struct{})}
+	return &gateWorker{started: make(chan struct{}), release: make(chan struct{})}
 }
 
 func (w *gateWorker) Name() string       { return "gate" }
