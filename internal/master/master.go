@@ -16,7 +16,6 @@
 package master
 
 import (
-	"sort"
 	"time"
 
 	"swdual/internal/sched"
@@ -146,15 +145,34 @@ func (c *Coverage) Clone() *Coverage {
 	return &out
 }
 
-// TopHits converts raw scores into the capped, sorted hit list.
+// TopHits returns the k best of the raw scores, db[i] scoring scores[i],
+// as hits in HitBefore order: the first k of a stable sort of all of
+// them, and an empty list for k <= 0. It selects in one pass over the
+// scores, inserting into the k kept so far only a score that beats the
+// worst of them, and looks up the SeqIDs of the k it returns only.
 func TopHits(db *seq.Set, scores []int, k int) []Hit {
-	hits := make([]Hit, 0, len(scores))
-	for i, s := range scores {
-		hits = append(hits, Hit{SeqIndex: i, SeqID: db.Seqs[i].ID, Score: s})
+	hits := make([]Hit, 0, max(0, min(k, len(scores))))
+	if cap(hits) == 0 {
+		return hits
 	}
-	sort.SliceStable(hits, func(a, b int) bool { return HitBefore(hits[a], hits[b]) })
-	if len(hits) > k {
-		hits = hits[:k]
+	for i, s := range scores {
+		h := Hit{SeqIndex: i, Score: s}
+		if len(hits) == cap(hits) {
+			if !HitBefore(h, hits[len(hits)-1]) {
+				continue
+			}
+			hits = hits[:len(hits)-1]
+		}
+		j := len(hits)
+		for j > 0 && HitBefore(h, hits[j-1]) {
+			j--
+		}
+		hits = append(hits, Hit{})
+		copy(hits[j+1:], hits[j:])
+		hits[j] = h
+	}
+	for i := range hits {
+		hits[i].SeqID = db.Seqs[hits[i].SeqIndex].ID
 	}
 	return hits
 }

@@ -1,6 +1,9 @@
 package master
 
 import (
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"time"
 
@@ -194,6 +197,64 @@ func TestTopHits(t *testing.T) {
 	// Ties break on sequence index.
 	if hits[1].SeqID != "a" {
 		t.Fatalf("tie break %+v", hits[1])
+	}
+}
+
+// stableTopHits is the reference TopHits is checked against: every score
+// a hit, stably sorted by HitBefore, cut to k.
+func stableTopHits(db *seq.Set, scores []int, k int) []Hit {
+	hits := make([]Hit, len(scores))
+	for i, s := range scores {
+		hits[i] = Hit{SeqIndex: i, SeqID: db.Seqs[i].ID, Score: s}
+	}
+	sort.SliceStable(hits, func(a, b int) bool { return HitBefore(hits[a], hits[b]) })
+	return hits[:max(0, min(k, len(hits)))]
+}
+
+// TestTopHitsMatchesStableSort checks the selection against a full stable
+// sort: score ranges from all-equal to all-distinct, so ties are heavy, in
+// random, ascending and descending order, for every k from none to more
+// than there are scores. k <= 0 keeps nothing.
+func TestTopHitsMatchesStableSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(97))
+	for _, n := range []int{0, 1, 300} {
+		db := synth.RandomSet(alphabet.Protein, n, 1, 2, 98)
+		for _, spread := range []int{1, 3, 40, 1 << 20} {
+			scores := make([]int, n)
+			for i := range scores {
+				scores[i] = rng.Intn(spread)
+			}
+			for _, order := range []string{"random", "ascending", "descending"} {
+				switch order {
+				case "ascending":
+					slices.Sort(scores)
+				case "descending":
+					slices.Sort(scores)
+					slices.Reverse(scores)
+				}
+				for _, k := range []int{-1, 0, 1, 10, n - 1, n, n + 5} {
+					got, want := TopHits(db, scores, k), stableTopHits(db, scores, k)
+					if got == nil || !slices.Equal(got, want) {
+						t.Fatalf("n=%d spread %d %s k=%d:\n got  %v\n want %v", n, spread, order, k, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkTopHits is one task's hit selection on the gate's shape: 300
+// scores, the top 10 kept.
+func BenchmarkTopHits(b *testing.B) {
+	db := synth.RandomSet(alphabet.Protein, 300, 1, 2, 99)
+	rng := rand.New(rand.NewSource(100))
+	scores := make([]int, db.Len())
+	for i := range scores {
+		scores[i] = 20 + rng.Intn(60)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		TopHits(db, scores, 10)
 	}
 }
 

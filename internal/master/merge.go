@@ -12,8 +12,8 @@ import (
 // Report. It is safe for concurrent Add calls from many workers.
 
 // HitBefore is the canonical hit order every merge in the module agrees
-// on: descending score, then ascending SeqIndex. TopHits sorts with it
-// and MergeTopK selects with it, which is what makes sharded results
+// on: descending score, then ascending SeqIndex. TopHits and MergeTopK
+// both select with it, which is what makes sharded results
 // byte-identical to unsharded ones.
 func HitBefore(a, b Hit) bool {
 	if a.Score != b.Score {

@@ -86,7 +86,9 @@ func ParsePoolSpec(spec string) (PoolSpec, error) {
 // BuildPoolWorkers assembles the worker set a PoolSpec describes, in a
 // deterministic order: GPU workers first, then CPU. Each worker's
 // paper-calibrated Table II rate is its advertised rate, which seeds
-// a Pool's measured-rate estimate.
+// a Pool's measured-rate estimate. The CPU workers share one InterSeq,
+// which is safe for concurrent use, so that the lane plan of a database
+// is built once for all of them.
 func BuildPoolWorkers(params sw.Params, spec PoolSpec, topK int) []Worker {
 	cal := platform.PaperCalibration()
 	var ws []Worker
@@ -94,9 +96,9 @@ func BuildPoolWorkers(params sw.Params, spec PoolSpec, topK int) []Worker {
 		eng := cudasw.New(gpusim.New(gpusim.TeslaC2050()), params)
 		ws = append(ws, NewGPUWorker(fmt.Sprintf("gpu-%d", i), eng, cal.GPUWorkerGCUPS, topK))
 	}
+	cpu := swvector.NewInterSeq(params)
 	for i := 0; i < spec.CPU; i++ {
-		ws = append(ws, NewEngineWorker(fmt.Sprintf("cpu-%d", i), sched.CPU,
-			swvector.NewInterSeq(params), cal.CPUWorkerGCUPS, topK))
+		ws = append(ws, NewEngineWorker(fmt.Sprintf("cpu-%d", i), sched.CPU, cpu, cal.CPUWorkerGCUPS, topK))
 	}
 	return ws
 }

@@ -56,11 +56,12 @@ func TestAllocsStripedKernel16(t *testing.T) {
 
 // TestAllocsInterSeqSteadyState pins the whole-task allocation budget of
 // the inter-sequence engine on both column kernels: with the kernel
-// pooled, a Scores call may allocate only its output slice, the driver's
-// lane table and overflow bookkeeping — a constant, not a function of the
-// subject count. The query carries a planted homolog of one subject, so
-// the rescue rung — the pooled pair kernel behind the AVX2 column,
-// sw.Score's two rows behind the SWAR one — is inside the budget.
+// pooled and the database's lane plan built by the first call, a Scores
+// call may allocate only its output slice and overflow bookkeeping — a
+// constant, not a function of the subject count. The query carries a
+// planted homolog of one subject, so the rescue rung — the pooled pair
+// kernel behind the AVX2 column, sw.Score's two rows behind the SWAR one
+// — is inside the budget.
 func TestAllocsInterSeqSteadyState(t *testing.T) {
 	db := synth.RandomSet(alphabet.Protein, 64, 10, 150, 41)
 	db.AddEncoded("long", "", randSeq(rand.New(rand.NewSource(45)), 400))

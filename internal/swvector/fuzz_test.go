@@ -161,11 +161,12 @@ func TestCeilingSeedsLandOnCeilings(t *testing.T) {
 }
 
 // FuzzKernelsAgree is the differential fuzzer of every CPU engine, both
-// column kernels of the inter-sequence one and, run on every pair of a
-// case, the 16-bit pair kernel that rescues its flagged subjects, against
-// the sw.Score oracle: fuzzed matrix choice (an asymmetric one included),
-// gap model (Gs == 0 and costs beyond every lane ceiling included), query
-// and up to 40 subjects, empty ones included.
+// column kernels of the inter-sequence one — each through a fresh engine
+// and through its replayed lane plan — and, run on every pair of a case,
+// the 16-bit pair kernel that rescues its flagged subjects, against the
+// sw.Score oracle: fuzzed matrix choice (an asymmetric one included), gap
+// model (Gs == 0 and costs beyond every lane ceiling included), query and
+// up to 40 subjects, empty ones included.
 func FuzzKernelsAgree(f *testing.F) {
 	seeds, _ := ceilingSeeds()
 	q := alphabet.Protein.MustEncode("MKWVTFISLLFLFSSAYSRGVFRRDAHKSEVAHRFKDLGEENFK")
@@ -204,12 +205,19 @@ func FuzzKernelsAgree(f *testing.F) {
 		}
 		// NewInterSeq is the dispatching engine; newInterSeq(p, false) is
 		// the SWAR column it falls back to, which an AVX2 machine would
-		// otherwise never run.
+		// otherwise never run. Each InterSeq scores the case twice: the
+		// fresh engine builds the lane plan, the second call replays it.
 		for _, eng := range []sw.Engine{
 			sw.NewScalar(p), NewInterSeq(p), newInterSeq(p, false), NewStriped(p), swpar.NewEngine(p, swpar.Config{}),
 		} {
-			if got := eng.Scores(c.query, db); !slices.Equal(got, want) {
-				t.Fatalf("%s disagrees with sw.Score under %s %+v:\n got  %v\n want %v", eng.Name(), p.Matrix.Name(), p.Gaps, got, want)
+			calls := 1
+			if _, ok := eng.(*InterSeq); ok {
+				calls = 2
+			}
+			for call := 1; call <= calls; call++ {
+				if got := eng.Scores(c.query, db); !slices.Equal(got, want) {
+					t.Fatalf("%s call %d disagrees with sw.Score under %s %+v:\n got  %v\n want %v", eng.Name(), call, p.Matrix.Name(), p.Gaps, got, want)
+				}
 			}
 		}
 		if !hasAVX2 {

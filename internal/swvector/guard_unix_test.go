@@ -36,12 +36,13 @@ func guardedSet(t *testing.T, subjects [][]byte) *seq.Set {
 	return db
 }
 
-// TestInterSeqStaysInsideItsSubjects is the one property of the AVX2
-// column's four-byte residue loads no differential test can see: a
-// subject shorter than a block, or ending inside one, must be read from
-// the kernel's padded copy and never past its own last byte. Lengths
-// either side of a block and of one advance call's 256 columns, as every
-// lane's stream at once, as the only subject, and all of them together.
+// TestInterSeqStaysInsideItsSubjects is the one property no differential
+// test can see: nothing reads a byte past a subject, which may end its
+// mapping. The columns read only the lane plan's copy of the residues, so
+// this guards the plan builder that copies them and the pair kernel that
+// rescores flagged subjects in place. Lengths either side of a block and
+// of 256 columns, as every lane's subject at once, as the only subject,
+// and all of them together.
 func TestInterSeqStaysInsideItsSubjects(t *testing.T) {
 	eachKernel(t, func(t *testing.T, newEngine func(sw.Params) *InterSeq) {
 		p := params()

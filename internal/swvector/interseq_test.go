@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"sync"
 	"testing"
 
 	"swdual/internal/alphabet"
@@ -366,6 +367,138 @@ func TestInterSeqDatabaseShapes(t *testing.T) {
 	})
 }
 
+// oracleScores is sw.Score of query against every subject of db.
+func oracleScores(p sw.Params, query []byte, db *seq.Set) []int {
+	out := make([]int, db.Len())
+	for i := range db.Seqs {
+		out[i] = sw.Score(p, query, db.Seqs[i].Residues)
+	}
+	return out
+}
+
+// TestInterSeqPlanSharedAcrossSets scores three databases, interleaved,
+// from four goroutines through one engine, as a pool's CPU workers share
+// one: every switch of database replaces the engine's plan while other
+// calls may be replaying the one before, and every answer must still be
+// the oracle's.
+func TestInterSeqPlanSharedAcrossSets(t *testing.T) {
+	eachKernel(t, func(t *testing.T, newEngine func(sw.Params) *InterSeq) {
+		p := params()
+		e := newEngine(p)
+		rng := rand.New(rand.NewSource(101))
+		q := randSeq(rng, 50)
+		dbs := []*seq.Set{
+			synth.RandomSet(alphabet.Protein, 70, 1, 120, 102),
+			synth.RandomSet(alphabet.Protein, 5, 30, 60, 103),
+			synth.RandomSet(alphabet.Protein, 40, 100, 200, 104),
+		}
+		dbs[1].AddEncoded("empty", "", nil)
+		want := make([][]int, len(dbs))
+		for i, db := range dbs {
+			want[i] = oracleScores(p, q, db)
+		}
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < 12; i++ {
+					d := (g + i) % len(dbs)
+					if got := e.Scores(q, dbs[d]); !slices.Equal(got, want[d]) {
+						t.Errorf("goroutine %d call %d, database %d:\n got  %v\n want %v", g, i, d, got, want[d])
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+	})
+}
+
+// TestInterSeqPlanFollowsGrowth grows a database the engine has planned —
+// inside its capacity, so its Seqs keep their array — and scores it
+// again: the plan must be rebuilt, or the new subjects would score 0. A
+// second Set over the same sequences is another database too.
+func TestInterSeqPlanFollowsGrowth(t *testing.T) {
+	eachKernel(t, func(t *testing.T, newEngine func(sw.Params) *InterSeq) {
+		p := params()
+		e := newEngine(p)
+		rng := rand.New(rand.NewSource(105))
+		q := randSeq(rng, 60)
+		db := seq.NewSet(alphabet.Protein)
+		db.Seqs = make([]seq.Sequence, 0, 64)
+		for i := 0; i < 20; i++ {
+			db.AddEncoded("s", "", randSeq(rng, 10+rng.Intn(50)))
+		}
+		checkAgainstOracle(t, p, e, q, db)
+		before := e.plan
+		db.AddEncoded("long", "", randSeq(rng, 300))
+		db.AddEncoded("self", "", q)
+		db.AddEncoded("empty", "", nil)
+		checkAgainstOracle(t, p, e, q, db)
+		if e.plan == before || e.plan.count != db.Len() {
+			t.Fatalf("the plan of %d subjects served a database grown to %d", before.count, db.Len())
+		}
+		grown := e.plan
+		checkAgainstOracle(t, p, e, q, db.Slice(0, db.Len()))
+		if e.plan == grown {
+			t.Fatal("a second Set over the same sequences reused the first one's plan")
+		}
+	})
+}
+
+// TestInterSeqPlanShapes covers the plans at the edges: a database of
+// empty subjects only, which plans no column, and one whose longest
+// subject — the benchmark corpus' 2 217 residues — is longer than all the
+// others together, so that its lane alone sets the pass's length while
+// the others finish and go idle, empty subjects between them. It also
+// pins the benchmark corpus' 32-lane plan at 3 420 columns, the occupancy
+// the driver's comment states.
+func TestInterSeqPlanShapes(t *testing.T) {
+	corpus := benchCorpus()
+	if plan := newLanePlan(corpus, avx2Lanes, avx2Block); len(plan.stream) != 109440 || corpus.TotalResidues() != 106885 {
+		t.Fatalf("the benchmark corpus' %d residues plan into %d slots, the comment says 106 885 in 109 440", corpus.TotalResidues(), len(plan.stream))
+	}
+	long := longest(corpus)
+	eachKernel(t, func(t *testing.T, newEngine func(sw.Params) *InterSeq) {
+		p := params()
+		e := newEngine(p)
+		rng := rand.New(rand.NewSource(107))
+		q := plantedQuery(rng, corpus, slices.IndexFunc(corpus.Seqs, func(s seq.Sequence) bool { return s.Len() == len(long) }), 120)
+		empty := seq.NewSet(alphabet.Protein)
+		for i := 0; i < 5; i++ {
+			empty.AddEncoded("empty", "", nil)
+		}
+		checkAgainstOracle(t, p, e, q, empty)
+		if len(e.plan.steps) != 0 || len(e.plan.stream) != 0 {
+			t.Fatalf("a database of empty subjects planned %d steps, %d slots", len(e.plan.steps), len(e.plan.stream))
+		}
+		db := seq.NewSet(alphabet.Protein)
+		others := 0
+		for i := 0; i < 3*e.lanes(); i++ {
+			if i%7 == 3 {
+				db.AddEncoded("empty", "", nil)
+				continue
+			}
+			s := randSeq(rng, 5+rng.Intn(40))
+			others += len(s)
+			db.AddEncoded("short", "", s)
+		}
+		db.AddEncoded("long", "", long)
+		if others >= len(long) {
+			t.Fatalf("the short subjects hold %d residues, the long one only %d", others, len(long))
+		}
+		checkAgainstOracle(t, p, e, q, db)
+		block := 1
+		if e.vector {
+			block = avx2Block
+		}
+		if cols := (len(long) + block - 1) / block * block; len(e.plan.stream) != cols*e.lanes() {
+			t.Fatalf("%d slots, want the long subject's %d columns of %d lanes", len(e.plan.stream), cols, e.lanes())
+		}
+	})
+}
+
 // TestInterSeqNarrowLanes covers parameter sets that leave a kernel's
 // lanes no usable range: every subject must take the escalation route
 // and still equal the oracle.
@@ -455,11 +588,11 @@ func TestAsymmetricMatrix(t *testing.T) {
 }
 
 // TestAVX2ProfileGather checks the four column profiles avx2Columns
-// builds for a block against the matrix. The four columns of a lane hold
-// different residues, and over the 33 blocks every lane sees every residue
-// code, the idle code included, in every column, for every query code: a
-// transposition slip — lane for column, a 128-bit half swapped — reads
-// some other cell of an asymmetric matrix.
+// builds for a block of the stream against the matrix. The four columns
+// of a lane hold different residues, and over the 33 blocks every lane
+// sees every residue code, the idle code included, in every column, for
+// every query code: a layout slip — lane for column, a 128-bit half
+// swapped — reads some other cell of an asymmetric matrix.
 func TestAVX2ProfileGather(t *testing.T) {
 	if !hasAVX2 {
 		t.Skip("this CPU has no AVX2")
@@ -470,24 +603,23 @@ func TestAVX2ProfileGather(t *testing.T) {
 	// A query holding the largest code makes a block build all 32 rows.
 	k := newAVX2Kernel(tab, []byte{31})
 	defer k.release()
+	stream := make([]byte, avx2Block*avx2Lanes)
 	for shift := 0; shift <= idleCode; shift++ {
-		var res [maxLanes][]byte
-		for l := range res {
-			res[l] = make([]byte, avx2Block)
-			for c := range res[l] {
-				res[l][c] = byte((l + 7*c + shift) % (idleCode + 1))
-			}
+		for i := range stream {
+			c, l := i/avx2Lanes, i%avx2Lanes
+			stream[i] = byte((l + 7*c + shift) % (idleCode + 1))
 		}
-		k.advance(&res, avx2Block)
+		k.advance(stream)
 		for c := range k.prof {
 			for q := range k.prof[c] {
 				for l, got := range k.prof[c][q] {
+					d := stream[c*avx2Lanes+l]
 					want := byte(0) // an idle lane: S = -OpenCost
-					if d := res[l][c]; d != idleCode {
+					if d != idleCode {
 						want = byte(m.Score(byte(q), d) + p.Gaps.OpenCost())
 					}
 					if got != want {
-						t.Fatalf("prof[column %d][%d][lane %d] with residue %d = %d, want %d", c, q, l, res[l][c], got, want)
+						t.Fatalf("prof[column %d][%d][lane %d] with residue %d = %d, want %d", c, q, l, d, got, want)
 					}
 				}
 			}

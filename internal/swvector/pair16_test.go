@@ -230,3 +230,19 @@ func BenchmarkInterSeq(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkInterSeqShortQuery times a task whose cells are few, a
+// 20-residue query against the benchmark's corpus, so that what a task
+// pays besides its cells shows.
+func BenchmarkInterSeqShortQuery(b *testing.B) {
+	db := benchCorpus()
+	q := randSeq(rand.New(rand.NewSource(109)), 20)
+	for _, e := range interSeqs(params()) {
+		b.Run(e.Name(), func(b *testing.B) {
+			b.SetBytes(int64(len(q)) * db.TotalResidues()) // MB/s reads as Mcell/s
+			for b.Loop() {
+				e.Scores(q, db)
+			}
+		})
+	}
+}

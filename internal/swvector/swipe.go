@@ -2,7 +2,9 @@ package swvector
 
 import (
 	"bytes"
+	"math"
 	"math/bits"
+	"sync"
 
 	"swdual/internal/seq"
 	"swdual/internal/sw"
@@ -49,6 +51,15 @@ import (
 // pooled scratch at the first flagged subject of a Scores call and
 // dropped at its end — a profile cache retaining it per query cost
 // serve_http 47 % of its RSS when that was tried.
+//
+// What does not depend on the query is paid once per database: the
+// engine keeps the lane plan (lanePlan) of the Set it scored last, the
+// subject order, the lane steps and the residues pre-interleaved as the
+// column consumes them, and builds a new one when it is given another Set
+// or the Set's length changed. A Set's sequences must therefore not
+// change in place between calls; growing it is fine. An InterSeq is safe
+// for concurrent use — its kernels are pooled, and the plan is built
+// under a lock, once — so a pool's CPU workers share one.
 type InterSeq struct {
 	params sw.Params
 	vector bool // the AVX2 column was chosen
@@ -56,6 +67,9 @@ type InterSeq struct {
 	// nil, and so do both when the lanes have no usable range.
 	avx2 *avx2Tables
 	swar *swarTables
+
+	mu   sync.Mutex
+	plan *lanePlan // of the Set scored last
 }
 
 // NewInterSeq builds the engine on the AVX2 column when the CPU has it,
@@ -130,9 +144,20 @@ func (e *InterSeq) scoreLanes(query []byte, db *seq.Set, out []int) (overflowed 
 		}
 		return overflowed
 	}
-	runLanes(k, db, out, &overflowed)
+	runLanes(k, e.planFor(db, k.lanes(), k.block()), out, &overflowed)
 	k.release()
 	return overflowed
+}
+
+// planFor returns the lane plan of db, building it if the engine's plan
+// is of another Set or of db at another length.
+func (e *InterSeq) planFor(db *seq.Set, lanes, block int) *lanePlan {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if p := e.plan; p == nil || p.db != db || p.count != db.Len() {
+		e.plan = newLanePlan(db, lanes, block)
+	}
+	return e.plan
 }
 
 var _ sw.Engine = (*InterSeq)(nil)
@@ -146,10 +171,6 @@ const maxLanes = 32
 // holds H = 0.
 const idleCode = 32
 
-// idleResidues is an idle lane's residue stream. Its length also bounds
-// the columns one advance call runs.
-var idleResidues = bytes.Repeat([]byte{idleCode}, 256)
-
 // laneKernel is the part of the inter-sequence engine that exists once
 // per instruction set: the DP state of lanes() subjects against one
 // query, and the column arithmetic on it.
@@ -161,9 +182,9 @@ type laneKernel interface {
 	// reset gives lane l an empty DP column — H = E = 0 in every query
 	// row — and clears its running maximum and overflow flag.
 	reset(l int)
-	// advance runs n DP columns; lane l consumes res[l][:n], and where
-	// res[l] is shorter — by less than a block — idleCode behind it.
-	advance(res *[maxLanes][]byte, n int)
+	// advance runs len(stream) / lanes() DP columns, a multiple of
+	// block(): lane l consumes stream[j*lanes() + l] in column j.
+	advance(stream []byte)
 	// score returns lane l's running maximum, or overflow = true if the
 	// lane left its exact range since its last reset.
 	score(l int) (score int, overflow bool)
@@ -172,71 +193,149 @@ type laneKernel interface {
 	release()
 }
 
-// runLanes is the lane driver both kernels share. It primes the lanes
-// with subjects of db, advances all lanes together as many columns as the
-// shortest remaining subject has, retires the subjects that ended —
-// their score into out, or their index onto overflowed if the lane
-// overflowed — and refills those lanes, until the database is exhausted.
+// runLanes is the lane driver both kernels share: it replays plan, built
+// for the kernel's lanes and block, against the kernel's query.
+// Each step resets the lanes that take a new subject, advances every lane
+// over the step's columns of the plan's stream, and retires the subjects
+// that ended — their score into out, or their index onto overflowed if
+// the lane overflowed.
+func runLanes(k laneKernel, plan *lanePlan, out []int, overflowed *[]int) {
+	stream, width := plan.stream, k.lanes()
+	for _, st := range plan.steps {
+		for _, l := range st.starts {
+			k.reset(l)
+		}
+		k.advance(stream[:st.cols*width])
+		stream = stream[st.cols*width:]
+		for _, e := range st.ends {
+			if s, overflow := k.score(e.lane); overflow {
+				*overflowed = append(*overflowed, e.subject)
+			} else {
+				out[e.subject] = s
+			}
+		}
+	}
+}
+
+// lanePlan is the query-independent half of a lane pass: which subject
+// each lane holds in which column, for one database and one kernel's lane
+// count and block. An InterSeq builds it at the first task on a database
+// and every later task replays it (InterSeq.planFor).
 //
 // Subjects are taken longest first, by power-of-two length class and in
 // database order within a class. The lanes run until the last one
 // finishes, so a long subject that starts late leaves the others idle
 // behind it: in database order 32 lanes are 80 % occupied on 300
 // sequences of log-normal lengths (65 % on 150), in class order 98 %
-// (96 %). A class costs a scan of db and nothing else. Empty subjects
-// belong to no class; they score 0, which out already holds.
-func runLanes(k laneKernel, db *seq.Set, out []int, overflowed *[]int) {
-	var (
-		subject [maxLanes]int    // database index per lane, -1 = idle
-		res     [maxLanes][]byte // the lane's residues not yet consumed
-	)
-	class := 0 // subjects of bits.Len(length) == class are being taken
+// (96 %). On the benchmark corpus the plan holds 106 885 residues in
+// 109 440 slots, 97.7 %. Empty subjects belong to no class; they score
+// 0, which out already holds.
+type lanePlan struct {
+	// The database planned, and its length then: a Set that grew since is
+	// another database.
+	db    *seq.Set
+	count int
+	steps []laneStep
+	// stream is every column's residues, lanes bytes a column, with
+	// idleCode in the slots of an idle lane and in the up to block-1
+	// columns a lane runs past its subject's end. It is a copy: the
+	// kernels never read a subject, which may end its mapping.
+	stream []byte
+}
+
+// laneStep is one advance of the plan: the lanes that take a new subject
+// before it, its column count and the lanes whose subject ends inside it.
+type laneStep struct {
+	starts []int
+	cols   int
+	ends   []laneSubject
+}
+
+type laneSubject struct{ lane, subject int }
+
+// newLanePlan simulates the lane pass over db's lengths, then writes the
+// stream in one allocation, each subject's residues strided into its
+// lane. Every step runs as many columns as the shortest remaining subject
+// has, rounded up to whole blocks: the at most block-1 columns past a
+// subject's end are idle ones, whose diagonal term G < H' cannot raise the
+// lane's maximum, so the score stays exact.
+func newLanePlan(db *seq.Set, lanes, block int) *lanePlan {
+	// Longest class first: at[c] is where class c starts in order.
+	var at [bits.UintSize + 1]int
 	for i := range db.Seqs {
-		class = max(class, bits.Len(uint(db.Seqs[i].Len())))
+		at[bits.Len(uint(db.Seqs[i].Len()))]++
 	}
-	lanes, block := k.lanes(), k.block()
-	next, active := 0, 0
-	fill := func(l int) {
-		for ; class > 0; class, next = class-1, 0 {
-			for ; next < db.Len(); next++ {
-				if bits.Len(uint(db.Seqs[next].Len())) == class {
-					subject[l], res[l] = next, db.Seqs[next].Residues
-					k.reset(l)
-					next++
-					active++
-					return
-				}
-			}
+	n := 0
+	for c := bits.UintSize; c > 0; c-- {
+		at[c], n = n, n+at[c]
+	}
+	order := make([]int, n)
+	for i := range db.Seqs {
+		if c := bits.Len(uint(db.Seqs[i].Len())); c > 0 {
+			order[at[c]] = i
+			at[c]++
 		}
-		subject[l], res[l] = -1, idleResidues
+	}
+
+	var (
+		subject [maxLanes]int // database index per lane, -1 = idle
+		left    [maxLanes]int // the lane's residues not yet consumed
+		// first[i] is the stream offset of order[i]'s first residue.
+		first     = make([]int, len(order))
+		starts    = make([]int, 0, len(order))
+		ends      = make([]laneSubject, 0, len(order))
+		steps     = make([]laneStep, 0, len(order)) // each ends a subject
+		next, col int
+		active    int // subjects in lanes
+		pending   int // starts[pending:] reset before the next step
+	)
+	fill := func(l int) {
+		subject[l] = -1
+		if next == len(order) {
+			return
+		}
+		subject[l], left[l] = order[next], db.Seqs[order[next]].Len()
+		first[next] = col*lanes + l
+		starts = append(starts, l)
+		next++
+		active++
 	}
 	for l := 0; l < lanes; l++ {
 		fill(l)
 	}
 	for active > 0 {
-		n := len(idleResidues)
-		for _, r := range res[:lanes] {
-			n = min(n, len(r))
+		cols := math.MaxInt
+		for l := 0; l < lanes; l++ {
+			if subject[l] >= 0 {
+				cols = min(cols, left[l])
+			}
 		}
-		// Rounded up to whole blocks, at most block-1 columns run past a
-		// subject's end. They are idle ones, whose diagonal term G < H'
-		// cannot raise the lane's maximum: the score stays exact.
-		n = (n + block - 1) / block * block
-		k.advance(&res, n)
+		cols = (cols + block - 1) / block * block
+		st := laneStep{starts: starts[pending:len(starts):len(starts)], cols: cols}
+		pending, col = len(starts), col+cols
+		from := len(ends)
 		for l := 0; l < lanes; l++ {
 			if subject[l] < 0 {
 				continue
 			}
-			if res[l] = res[l][min(n, len(res[l])):]; len(res[l]) > 0 {
+			if left[l] -= cols; left[l] > 0 {
 				continue
 			}
-			if s, overflow := k.score(l); overflow {
-				*overflowed = append(*overflowed, subject[l])
-			} else {
-				out[subject[l]] = s
-			}
+			ends = append(ends, laneSubject{l, subject[l]})
 			active--
 			fill(l)
 		}
+		st.ends = ends[from:len(ends):len(ends)]
+		steps = append(steps, st)
 	}
+
+	stream := bytes.Repeat([]byte{idleCode}, col*lanes)
+	for i, s := range order {
+		p := first[i]
+		for _, r := range db.Seqs[s].Residues {
+			stream[p] = r
+			p += lanes
+		}
+	}
+	return &lanePlan{db: db, count: db.Len(), steps: steps, stream: stream}
 }

@@ -78,10 +78,6 @@ type avx2Kernel struct {
 	// of the current block.
 	prof    [avx2Block][32][32]byte
 	laneMax [avx2Lanes]byte // running maximum of H' per lane
-	// pad[l] is lane l's stream for the call in which its subject ends,
-	// filled up with idleCode: avx2Columns reads a block of a stream at
-	// once and must not read past a subject, which may end its mapping.
-	pad [avx2Lanes][256]byte
 }
 
 // avx2KernelPool recycles kernels across tasks, as swarKernelPool does.
@@ -132,14 +128,6 @@ func (k *avx2Kernel) score(l int) (score int, overflow bool) {
 	return m - int(k.tab.consts[0]), m > k.tab.limit
 }
 
-func (k *avx2Kernel) advance(res *[maxLanes][]byte, n int) {
-	streams := *res
-	for l := range streams {
-		if r := streams[l]; len(r) < n {
-			p := k.pad[l][:n]
-			copy(p[copy(p, r):], idleResidues)
-			streams[l] = p
-		}
-	}
-	avx2Columns(&k.cells[0], &k.query[0], len(k.query), &k.tab.table, k.codes, &k.prof, &k.tab.consts, &k.laneMax, &streams, n)
+func (k *avx2Kernel) advance(stream []byte) {
+	avx2Columns(&k.cells[0], &k.query[0], len(k.query), &k.tab.table, k.codes, &k.prof, &k.tab.consts, &k.laneMax, &stream[0], len(stream)/avx2Lanes)
 }

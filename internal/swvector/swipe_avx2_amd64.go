@@ -29,13 +29,14 @@ func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv() (eax, edx uint32)
 
 // avx2Columns advances the 32-lane DP by n >= 4 columns, a multiple of 4:
-// in column j lane l consumes res[l][j], so every res[l] must hold n
-// residues. cells is rows 64-byte {G, E'} rows, query the rows residue
-// codes, all below codes <= 32; prof is scratch for a block's column
-// profiles; laneMax is read and updated. See swipe_avx2.go for the layouts.
+// in column j lane l consumes stream[32j + l], so stream must hold 32n
+// residue codes, each at most idleCode. cells is rows 64-byte {G, E'}
+// rows, query the rows residue codes, all below codes <= 32; prof is
+// scratch for a block's column profiles; laneMax is read and updated. See
+// swipe_avx2.go for the layouts.
 //
 //go:noescape
-func avx2Columns(cells, query *byte, rows int, table *[32][32]byte, codes int, prof *[avx2Block][32][32]byte, consts *[3]byte, laneMax *[32]byte, res *[maxLanes][]byte, n int)
+func avx2Columns(cells, query *byte, rows int, table *[32][32]byte, codes int, prof *[avx2Block][32][32]byte, consts *[3]byte, laneMax *[32]byte, stream *byte, n int)
 
 // striped16Pair runs the 16-lane, 16-bit striped DP of one query, given
 // as its striped profile of segLen >= 1 vectors a residue code, against

@@ -29,32 +29,6 @@ GLOBL x70<>(SB), RODATA|NOPTR, $8
 DATA x10<>+0(SB)/8, $0x1010101010101010
 GLOBL x10<>(SB), RODATA|NOPTR, $8
 
-// The 32 x 4 -> 4 x 32 transpose of a block's residues. bytes4<> turns
-// the four dwords of a 128-bit half, one per lane, into one dword per
-// column; dwords8<> brings the two halves' dwords of a column together,
-// leaving a register of 8 lanes as four qwords, one per column.
-DATA bytes4<>+0(SB)/8, $0x0D0905010C080400
-DATA bytes4<>+8(SB)/8, $0x0F0B07030E0A0602
-GLOBL bytes4<>(SB), RODATA|NOPTR, $16
-DATA dwords8<>+0(SB)/8, $0x0000000400000000
-DATA dwords8<>+8(SB)/8, $0x0000000500000001
-DATA dwords8<>+16(SB)/8, $0x0000000600000002
-DATA dwords8<>+24(SB)/8, $0x0000000700000003
-GLOBL dwords8<>(SB), RODATA|NOPTR, $32
-
-// LANE moves residues j..j+3 of lane l's stream into dword l of the frame.
-#define LANE(l) \
-	MOVQ (24*l)(R11), DX; \
-	MOVL (DX)(AX*1), CX;  \
-	MOVL CX, (4*l)(SP)
-
-#define LANE4(a, b, c, d) LANE(a); LANE(b); LANE(c); LANE(d)
-
-// LANES8 makes y, 8 lanes x 4 columns, 4 columns x 8 lanes.
-#define LANES8(y) \
-	VPSHUFB Y14, y, y; \
-	VPERMD  y, Y15, y
-
 // INDEXES turns the residues of a column in lo into its two PSHUFB index
 // vectors, lo and hi.
 #define INDEXES(lo, hi) \
@@ -87,14 +61,14 @@ GLOBL dwords8<>(SB), RODATA|NOPTR, $32
 	VPMAXUB d, Y8, Y8;     \
 	VPMAXUB d, f, f
 
-// func avx2Columns(cells, query *byte, rows int, table *[32][32]byte, codes int, prof *[4][32][32]byte, consts *[3]byte, laneMax *[32]byte, res *[32][]byte, n int)
+// func avx2Columns(cells, query *byte, rows int, table *[32][32]byte, codes int, prof *[4][32][32]byte, consts *[3]byte, laneMax *[32]byte, stream *byte, n int)
 //
 // In the row loop: Y0-Y3 G of the diagonal neighbour in the block's four
 // columns, then t, H', G in place  Y4-Y7 F' of the four  Y8 E'  Y9 G of
 // the previous block  Y10 K  Y11 open  Y12 ext  Y13 max
 // AX column  BX n  CX row - rows  DX 32 * the row's residue  DI query + rows
-// R8 the row's cells  R9 prof  R11 res
-TEXT ·avx2Columns(SB), NOSPLIT, $128-80
+// R8 the row's cells  R9 prof  R11 the block's residues in stream
+TEXT ·avx2Columns(SB), NOSPLIT, $0-80
 	MOVQ n+72(FP), BX
 	TESTQ BX, BX
 	JLE  done
@@ -105,37 +79,17 @@ TEXT ·avx2Columns(SB), NOSPLIT, $128-80
 	MOVQ laneMax+56(FP), AX
 	VMOVDQU (AX), Y13
 	MOVQ prof+40(FP), R9
-	MOVQ res+64(FP), R11
+	MOVQ stream+64(FP), R11
 	XORQ AX, AX
 
 block:
-	// The residues each lane consumes in this block, a register a column.
-	LANE4(0, 1, 2, 3)
-	LANE4(4, 5, 6, 7)
-	LANE4(8, 9, 10, 11)
-	LANE4(12, 13, 14, 15)
-	LANE4(16, 17, 18, 19)
-	LANE4(20, 21, 22, 23)
-	LANE4(24, 25, 26, 27)
-	LANE4(28, 29, 30, 31)
-	VBROADCASTI128 bytes4<>(SB), Y14
-	VMOVDQU dwords8<>(SB), Y15
-	VMOVDQU (SP), Y0
-	VMOVDQU 32(SP), Y1
-	VMOVDQU 64(SP), Y2
-	VMOVDQU 96(SP), Y3
-	LANES8(Y0)
-	LANES8(Y1)
-	LANES8(Y2)
-	LANES8(Y3)
-	VPUNPCKLQDQ Y1, Y0, Y4   // columns 0 and 2 of lanes 0-15
-	VPUNPCKHQDQ Y1, Y0, Y5   // columns 1 and 3
-	VPUNPCKLQDQ Y3, Y2, Y6   // the same of lanes 16-31
-	VPUNPCKHQDQ Y3, Y2, Y7
-	VPERM2I128 $0x20, Y6, Y4, Y0
-	VPERM2I128 $0x20, Y7, Y5, Y1
-	VPERM2I128 $0x31, Y6, Y4, Y2
-	VPERM2I128 $0x31, Y7, Y5, Y3
+	// The residues each lane consumes in this block, a register a column:
+	// the stream holds them column by column already.
+	VMOVDQU (R11), Y0
+	VMOVDQU 32(R11), Y1
+	VMOVDQU 64(R11), Y2
+	VMOVDQU 96(R11), Y3
+	ADDQ $128, R11
 	VPBROADCASTQ x70<>(SB), Y14
 	VPBROADCASTQ x10<>(SB), Y15
 	INDEXES(Y0, Y4)

@@ -5,7 +5,7 @@ package swvector
 // hasAVX2 is false off amd64: InterSeq runs the SWAR column.
 const hasAVX2 = false
 
-func avx2Columns(cells, query *byte, rows int, table *[32][32]byte, codes int, prof *[avx2Block][32][32]byte, consts *[3]byte, laneMax *[32]byte, res *[maxLanes][]byte, n int) {
+func avx2Columns(cells, query *byte, rows int, table *[32][32]byte, codes int, prof *[avx2Block][32][32]byte, consts *[3]byte, laneMax *[32]byte, stream *byte, n int) {
 	panic("swvector: the AVX2 column exists on amd64 only")
 }
 

@@ -114,27 +114,27 @@ func (k *swarKernel) score(l int) (score int, overflow bool) {
 	return int(byteAt(k.laneMax, l)) - k.tab.offset, byteAt(k.flags, l)&0x80 != 0
 }
 
-func (k *swarKernel) advance(res *[maxLanes][]byte, n int) {
-	for j := 0; j < n; j++ {
-		k.loadColumn(res, j)
+func (k *swarKernel) advance(stream []byte) {
+	for ; len(stream) > 0; stream = stream[Lanes8Count:] {
+		k.loadColumn((*[Lanes8Count]byte)(stream))
 		k.column()
 	}
 }
 
-// loadColumn assembles the profile of column j from the biased-matrix
-// rows of the residues the lanes consume there: an 8x8 byte transpose per
-// block of 8 residue codes turns lane-major rows into code-major profile
-// words.
+// loadColumn assembles the profile of a column from the biased-matrix
+// rows of the residues the lanes consume there, col[l] lane l's: an 8x8
+// byte transpose per block of 8 residue codes turns lane-major rows into
+// code-major profile words.
 //
 // The bias comes off here, once per residue code instead of once per
 // cell. That leaves prof[r] with borrows across its lanes, but column
 // only ever adds it to a word whose lanes are all >= K >= bias: every
 // lane of the true sum is then in [0, 255], so the 64-bit sum is the
 // lane-wise sum.
-func (k *swarKernel) loadColumn(res *[maxLanes][]byte, j int) {
+func (k *swarKernel) loadColumn(col *[Lanes8Count]byte) {
 	var rows [Lanes8Count]*[4]uint64
-	for l := range rows {
-		rows[l] = &k.tab.biased[res[l][j]]
+	for l, d := range col {
+		rows[l] = &k.tab.biased[d]
 	}
 	for b := 0; 8*b < k.tab.codes; b++ {
 		var w [8]uint64
