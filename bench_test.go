@@ -20,8 +20,6 @@ import (
 	"swdual"
 	"swdual/internal/alphabet"
 	"swdual/internal/bench"
-	"swdual/internal/cudasw"
-	"swdual/internal/gpusim"
 	"swdual/internal/platform"
 	"swdual/internal/sched"
 	"swdual/internal/sw"
@@ -243,6 +241,39 @@ func BenchmarkMixedPoolSearch(b *testing.B) {
 	}
 }
 
+// BenchmarkSearchDefaultPool times a search through the public API on the
+// default pool (Options{}: one CPU and one simulated-GPU worker): the 40
+// standard queries at 1/10 scale against UniProt at 1/2000.
+func BenchmarkSearchDefaultPool(b *testing.B) {
+	db, err := swdual.GenerateDatabase("UniProt", 2000)
+	if err != nil {
+		b.Fatal(err)
+	}
+	queries, err := swdual.GenerateQueries("standard", 10)
+	if err != nil {
+		b.Fatal(err)
+	}
+	s, err := swdual.NewSearcher(db, swdual.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	ctx := context.Background()
+	var cells int64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rep, err := s.Search(ctx, queries, swdual.SearchOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		cells += rep.Cells
+	}
+	b.StopTimer()
+	if secs := b.Elapsed().Seconds(); secs > 0 {
+		b.ReportMetric(float64(cells)/secs/1e9, "GCUPS")
+	}
+}
+
 func benchSearchData(b *testing.B) (db, queries *swdual.Database) {
 	b.Helper()
 	db, err := swdual.GenerateDatabase("UniProt", 20000)
@@ -391,12 +422,6 @@ func BenchmarkAlignFullMatrix(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineCUDASW measures the CUDASW++-style engine (functional
-// throughput of the simulated GPU path, host-side).
-func BenchmarkEngineCUDASW(b *testing.B) {
-	benchEngine(b, cudasw.New(gpusim.New(gpusim.TeslaC2050()), sw.DefaultParams()), 256, 32, 360)
-}
-
 // BenchmarkDualApprox40Tasks measures the scheduler on the paper's task
 // shape (40 tasks, 4+4 PEs).
 func BenchmarkDualApprox40Tasks(b *testing.B) {
@@ -423,21 +448,3 @@ func BenchmarkDualApproxDP40Tasks(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkGPUSimLaunch measures simulator overhead per kernel launch.
-func BenchmarkGPUSimLaunch(b *testing.B) {
-	dev := gpusim.New(gpusim.TeslaC2050())
-	blocks := make([]*gpusim.Block, 64)
-	for i := range blocks {
-		blocks[i] = &gpusim.Block{Warps: []gpusim.Warp{nopWarp{}}}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dev.Launch(blocks, 1<<20)
-	}
-}
-
-type nopWarp struct{}
-
-func (nopWarp) Run()           {}
-func (nopWarp) Cycles() uint64 { return 1000 }

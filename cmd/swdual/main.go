@@ -67,7 +67,7 @@ func main() {
 	var (
 		dbPath   = flag.String("db", "", "database file (.fasta/.fa parsed into memory; .swdb memory-mapped read-only — zero-copy, and every process mapping the same file on a host shares one physical copy)")
 		qPath    = flag.String("query", "", "query file (.fasta/.fa or .swdb binary)")
-		pool     = flag.String("pool", "cpu=1,gpu=1", "worker pool spec: backend=count pairs over cpu (inter-sequence) and gpu (simulated Tesla C2050), e.g. cpu=2,gpu=2 or cpu=4")
+		pool     = flag.String("pool", "cpu=1,gpu=1", "worker pool spec: backend=count pairs over cpu (inter-sequence) and gpu (the same kernel, timed as a simulated Tesla C2050), e.g. cpu=2,gpu=2 or cpu=4")
 		topk     = flag.Int("topk", 10, "hits reported per query")
 		matrix   = flag.String("matrix", "BLOSUM62", "substitution matrix")
 		gapS     = flag.Int("gapstart", 10, "gap start penalty Gs")

@@ -25,8 +25,8 @@ func main() {
 	fmt.Println(al.Text)
 
 	// A persistent search engine: the database is prepared once and the
-	// CPU worker (SWIPE-style SWAR engine) and GPU worker (CUDASW++-style
-	// engine on a simulated Tesla C2050) stay alive between searches; the
+	// CPU worker (SWIPE-style engine) and GPU worker (the same engine,
+	// timed as a simulated Tesla C2050) stay alive between searches; the
 	// dual-approximation scheduler splits every request between them.
 	db, err := swdual.FromSequences(
 		[]string{"albumin-like", "kinase-like", "random-1", "random-2"},

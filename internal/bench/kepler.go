@@ -3,12 +3,10 @@ package bench
 import (
 	"fmt"
 
-	"swdual/internal/cudasw"
 	"swdual/internal/gpusim"
 	"swdual/internal/platform"
 	"swdual/internal/sched"
 	"swdual/internal/stats"
-	"swdual/internal/sw"
 	"swdual/internal/synth"
 )
 
@@ -36,13 +34,14 @@ func (r *Runner) AblationKepler() *Table {
 		{"K20", gpusim.TeslaK20()},
 	}
 	for _, dev := range devices {
-		// Build a device-specific platform and database model.
-		model := modelForDevice(dev.cfg, "uniprot-"+dev.name, lengths)
+		// The database model depends on the device, not on the platform
+		// shape, so one per device serves every worker count.
+		p := platform.New(0, 0)
+		p.Device = dev.cfg
+		model := p.ModelDB("uniprot-"+dev.name, lengths)
 		for _, w := range []int{2, 4, 8} {
-			gpus, cpus := WorkerSplit(w)
-			p := platform.New(cpus, gpus)
-			p.Device = dev.cfg
-			in := instanceForDevice(p, dev.cfg, model, queries.Lengths)
+			p.GPUs, p.CPUs = WorkerSplit(w)
+			in := p.Instance(model, queries.Lengths)
 			s, err := sched.DualApprox(in)
 			if err != nil {
 				panic(err)
@@ -64,26 +63,4 @@ func (r *Runner) AblationKepler() *Table {
 	}
 	t.AddNote("same calibration constants as Table II; only the device model changes")
 	return t
-}
-
-// modelForDevice builds a DBModel using an explicit device configuration.
-func modelForDevice(cfg gpusim.DeviceConfig, name string, lengths []int) *platform.DBModel {
-	eng := cudasw.New(gpusim.New(cfg), sw.DefaultParams())
-	tm := eng.Model(lengths)
-	return &platform.DBModel{Name: name, Subjects: len(lengths), TotalResidues: tm.TotalResidues, GPU: tm}
-}
-
-// instanceForDevice mirrors Platform.Instance but with the device-bound
-// model (Platform.New always models a C2050 internally).
-func instanceForDevice(p *platform.Platform, cfg gpusim.DeviceConfig, model *platform.DBModel, queryLens []int) *sched.Instance {
-	in := &sched.Instance{CPUs: p.CPUs, GPUs: p.GPUs}
-	for i, ql := range queryLens {
-		in.Tasks = append(in.Tasks, sched.Task{
-			ID:      i,
-			Label:   fmt.Sprintf("q%02d(len %d)", i, ql),
-			CPUTime: p.CPUSeconds(model, ql) + p.Cal.MasterOverheadSec,
-			GPUTime: model.GPU.Seconds(ql) + p.Cal.MasterOverheadSec,
-		})
-	}
-	return in
 }

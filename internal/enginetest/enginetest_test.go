@@ -8,8 +8,6 @@ import (
 	"testing"
 
 	"swdual/internal/alphabet"
-	"swdual/internal/cudasw"
-	"swdual/internal/gpusim"
 	"swdual/internal/scoring"
 	"swdual/internal/seq"
 	"swdual/internal/sw"
@@ -24,7 +22,6 @@ func engines(p sw.Params) []sw.Engine {
 		swvector.NewStriped(p),
 		swvector.NewInterSeq(p),
 		swpar.NewEngine(p, swpar.Config{Workers: 3, RowBand: 8}),
-		cudasw.New(gpusim.New(gpusim.TeslaC2050()), p),
 	}
 }
 

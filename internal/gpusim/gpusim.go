@@ -1,20 +1,25 @@
-// Package gpusim is a SIMT GPU simulator: the substitute for the CUDA
-// devices the paper runs on (DESIGN.md §2). It models the throughput-
-// relevant structure of a Fermi-class device — streaming multiprocessors,
-// thread blocks, 32-lane warps executing in lock step (so a warp pays for
-// its longest lane), PCIe transfers and kernel launch latency — while
-// executing kernel work functionally in Go so results are real.
+// Package gpusim is the timing model of the CUDA devices the paper runs
+// on (DESIGN.md §2). It models the throughput-relevant structure of a
+// Fermi-class device — streaming multiprocessors, thread blocks, 32-lane
+// warps executing in lock step (so a warp pays for its longest lane),
+// PCIe transfers and kernel launch latency — and prices a CUDASW++
+// 2.0-style database search on it (model.go). It computes no scores: a
+// simulated GPU worker scores with the same host kernel as a CPU worker
+// and reports this model's device seconds.
 //
-// The simulator is deliberately a throughput model, not a cycle-accurate
-// pipeline model: a warp's cost is supplied by the kernel as a cycle
-// count, SMs execute their resident blocks' warps back to back, and the
-// kernel time is the slowest SM's cycle count divided by the clock. This
-// is the level of detail the paper's scheduling experiments observe (per
-// task processing times), and it is what calibration against the paper's
-// single-GPU numbers pins down.
+// The model is deliberately a throughput model, not a cycle-accurate
+// pipeline model: a warp's cost is a cycle count, SMs execute their
+// resident blocks' warps back to back, and the kernel time is the slowest
+// SM's cycle count divided by the clock. This is the level of detail the
+// paper's scheduling experiments observe (per task processing times), and
+// it is what calibration against the paper's single-GPU numbers pins
+// down.
 package gpusim
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // DeviceConfig describes a simulated device.
 type DeviceConfig struct {
@@ -80,126 +85,23 @@ func (c DeviceConfig) Validate() error {
 	return nil
 }
 
-// Warp is one unit of lock-step work: Run performs the functional
-// computation, Cycles returns its virtual cost on an SM.
-type Warp interface {
-	Run()
-	Cycles() uint64
-}
-
-// Block is a group of warps co-resident on one SM.
-type Block struct {
-	Warps []Warp
-}
-
-func (b *Block) cycles() uint64 {
-	var c uint64
-	for _, w := range b.Warps {
-		c += w.Cycles()
-	}
-	return c
-}
-
-// LaunchStats describes one simulated kernel launch.
-type LaunchStats struct {
-	Blocks       int
-	Warps        int
-	SMCycles     []uint64
-	KernelSec    float64 // max SM cycles / clock
-	TransferSec  float64
-	LaunchSec    float64
-	TotalSec     float64
-	Utilization  float64 // mean SM busy cycles / max SM cycles
-	BytesMoved   int64
-	CyclesTotal  uint64
-	CyclesSlowSM uint64
-}
-
-// Device is a simulated GPU. It keeps no state between launches; the
-// master-slave runtime still gives each GPU worker its own Device,
-// matching the one-context-per-worker structure of the paper's
-// implementation.
-type Device struct {
-	cfg DeviceConfig
-}
-
-// New builds a Device; it panics on invalid configurations, which are
-// programmer errors.
-func New(cfg DeviceConfig) *Device {
-	if err := cfg.Validate(); err != nil {
-		panic(err)
-	}
-	return &Device{cfg: cfg}
-}
-
-// Config returns the device configuration.
-func (d *Device) Config() DeviceConfig { return d.cfg }
-
-// Launch executes the blocks functionally and charges virtual time:
-// transfers for the given byte volume, the launch overhead, and the
-// kernel itself. Blocks are dispatched to the least-loaded SM in arrival
-// order, which models the hardware work distributor; a deliberately
-// imbalanced grid therefore shows up as low Utilization.
-func (d *Device) Launch(blocks []*Block, transferBytes int64) LaunchStats {
-	st := LaunchStats{
-		Blocks:      len(blocks),
-		SMCycles:    make([]uint64, d.cfg.SMs),
-		BytesMoved:  transferBytes,
-		TransferSec: float64(transferBytes) / d.cfg.PCIeBytesPerSec,
-		LaunchSec:   d.cfg.LaunchOverheadSec,
-	}
-	// Least-loaded SM dispatch via a small heap-free scan: SM counts are
-	// tiny (14-16), a linear scan is faster than a heap.
-	for _, b := range blocks {
-		for _, w := range b.Warps {
-			w.Run()
-		}
-		c := b.cycles()
-		smi := 0
-		for i := 1; i < len(st.SMCycles); i++ {
-			if st.SMCycles[i] < st.SMCycles[smi] {
-				smi = i
-			}
-		}
-		st.SMCycles[smi] += c
-		st.Warps += len(b.Warps)
-		st.CyclesTotal += c
-	}
-	for _, c := range st.SMCycles {
-		if c > st.CyclesSlowSM {
-			st.CyclesSlowSM = c
-		}
-	}
-	st.KernelSec = float64(st.CyclesSlowSM) / d.cfg.ClockHz
-	if st.CyclesSlowSM > 0 {
-		st.Utilization = float64(st.CyclesTotal) / (float64(d.cfg.SMs) * float64(st.CyclesSlowSM))
-	}
-	st.TotalSec = st.KernelSec + st.TransferSec + st.LaunchSec
-	return st
-}
-
-// PredictKernelSec estimates the kernel time for a set of per-block cycle
-// costs without executing anything — the pure timing-model entry point
-// used by the platform cost model at paper scale.
-func (d *Device) PredictKernelSec(blockCycles []uint64) float64 {
-	sm := make([]uint64, d.cfg.SMs)
-	// The work distributor issues blocks in order; sorting descending
-	// here would be LPT, which the hardware does not do. Keep arrival
-	// order for fidelity with Launch.
-	for _, c := range blockCycles {
+// PredictKernelSec is the kernel time of a launch given its per-block
+// cycle costs: blocks go to the least-loaded SM in arrival order, which
+// models the hardware work distributor (sorting them descending would be
+// LPT, which the hardware does not do), and the kernel ends with the
+// slowest SM. A deliberately imbalanced grid therefore costs its largest
+// block.
+func (c DeviceConfig) PredictKernelSec(blockCycles []uint64) float64 {
+	// SM counts are tiny (14-52): a linear scan beats a heap.
+	sm := make([]uint64, c.SMs)
+	for _, b := range blockCycles {
 		smi := 0
 		for i := 1; i < len(sm); i++ {
 			if sm[i] < sm[smi] {
 				smi = i
 			}
 		}
-		sm[smi] += c
+		sm[smi] += b
 	}
-	var max uint64
-	for _, c := range sm {
-		if c > max {
-			max = c
-		}
-	}
-	return float64(max) / d.cfg.ClockHz
+	return float64(slices.Max(sm)) / c.ClockHz
 }

@@ -3,20 +3,7 @@ package gpusim
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
-
-type testWarp struct {
-	cycles uint64
-	ran    *int
-}
-
-func (w *testWarp) Run() {
-	if w.ran != nil {
-		*w.ran++
-	}
-}
-func (w *testWarp) Cycles() uint64 { return w.cycles }
 
 func TestTeslaC2050Preset(t *testing.T) {
 	cfg := TeslaC2050()
@@ -40,106 +27,67 @@ func TestValidate(t *testing.T) {
 	}
 }
 
-func TestNewPanicsOnInvalid(t *testing.T) {
+func TestModelPanicsOnInvalid(t *testing.T) {
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
 		}
 	}()
-	New(DeviceConfig{})
+	Model(DeviceConfig{}, []int{10})
 }
 
-func TestLaunchRunsEveryWarp(t *testing.T) {
-	dev := New(TeslaC2050())
-	ran := 0
-	var blocks []*Block
-	for i := 0; i < 50; i++ {
-		blocks = append(blocks, &Block{Warps: []Warp{&testWarp{cycles: 100, ran: &ran}, &testWarp{cycles: 50, ran: &ran}}})
+// utilization is the mean SM's share of the slowest SM's cycles.
+func utilization(cfg DeviceConfig, blockCycles []uint64) float64 {
+	var total uint64
+	for _, c := range blockCycles {
+		total += c
 	}
-	st := dev.Launch(blocks, 1000)
-	if ran != 100 {
-		t.Fatalf("%d warps ran, want 100", ran)
-	}
-	if st.Blocks != 50 || st.Warps != 100 {
-		t.Fatalf("stats %+v", st)
-	}
-	if st.CyclesTotal != 50*150 {
-		t.Fatalf("total cycles %d", st.CyclesTotal)
-	}
-	if st.TotalSec <= 0 || st.KernelSec <= 0 || st.TransferSec <= 0 {
-		t.Fatalf("times %+v", st)
-	}
+	return float64(total) / cfg.ClockHz / (float64(cfg.SMs) * cfg.PredictKernelSec(blockCycles))
 }
 
 func TestBalancedGridHasHighUtilization(t *testing.T) {
-	dev := New(TeslaC2050())
-	var blocks []*Block
+	cfg := TeslaC2050()
+	var blocks []uint64
 	for i := 0; i < 14*8; i++ { // many equal blocks
-		blocks = append(blocks, &Block{Warps: []Warp{&testWarp{cycles: 1000}}})
+		blocks = append(blocks, 1000)
 	}
-	st := dev.Launch(blocks, 0)
-	if st.Utilization < 0.99 {
-		t.Fatalf("balanced utilization %.3f, want ~1", st.Utilization)
+	if u := utilization(cfg, blocks); u < 0.99 {
+		t.Fatalf("balanced utilization %.3f, want ~1", u)
 	}
 }
 
 func TestImbalancedGridShowsLowUtilization(t *testing.T) {
-	dev := New(TeslaC2050())
-	blocks := []*Block{{Warps: []Warp{&testWarp{cycles: 1000000}}}}
+	cfg := TeslaC2050()
+	blocks := []uint64{1000000}
 	for i := 0; i < 13; i++ {
-		blocks = append(blocks, &Block{Warps: []Warp{&testWarp{cycles: 10}}})
+		blocks = append(blocks, 10)
 	}
-	st := dev.Launch(blocks, 0)
-	if st.Utilization > 0.2 {
-		t.Fatalf("one-hot grid utilization %.3f, want low", st.Utilization)
+	if u := utilization(cfg, blocks); u > 0.2 {
+		t.Fatalf("one-hot grid utilization %.3f, want low", u)
 	}
-	if st.CyclesSlowSM != 1000000 {
-		t.Fatalf("slow SM %d", st.CyclesSlowSM)
+	if got := cfg.PredictKernelSec(blocks); got != 1000000/cfg.ClockHz {
+		t.Fatalf("kernel %g s, want the big block's %g", got, 1000000/cfg.ClockHz)
+	}
+}
+
+// TestKernelTimeKeepsArrivalOrder pins the work distributor: blocks go to
+// the least-loaded SM as they arrive, not longest first. On two SMs,
+// 1, 1, 2 ends at 3 cycles, where LPT would end at 2.
+func TestKernelTimeKeepsArrivalOrder(t *testing.T) {
+	cfg := TeslaC2050()
+	cfg.SMs, cfg.ClockHz = 2, 1
+	if got := cfg.PredictKernelSec([]uint64{1, 1, 2}); got != 3 {
+		t.Fatalf("kernel %g cycles, want 3 (arrival order)", got)
+	}
+	if got := cfg.PredictKernelSec([]uint64{2, 1, 1}); got != 2 {
+		t.Fatalf("kernel %g cycles, want 2", got)
 	}
 }
 
 func TestKernelTimeMatchesClock(t *testing.T) {
 	cfg := TeslaC2050()
-	dev := New(cfg)
-	blocks := []*Block{{Warps: []Warp{&testWarp{cycles: uint64(cfg.ClockHz)}}}}
-	st := dev.Launch(blocks, 0)
-	if math.Abs(st.KernelSec-1.0) > 1e-9 {
-		t.Fatalf("1 clock-second of cycles took %g s", st.KernelSec)
-	}
-}
-
-func TestTransferModel(t *testing.T) {
-	cfg := TeslaC2050()
-	dev := New(cfg)
-	st := dev.Launch(nil, int64(cfg.PCIeBytesPerSec))
-	if math.Abs(st.TransferSec-1.0) > 1e-9 {
-		t.Fatalf("1 bandwidth-second moved in %g s", st.TransferSec)
-	}
-}
-
-func TestPredictMatchesLaunch(t *testing.T) {
-	// PredictKernelSec must agree exactly with Launch for the same block
-	// cycle sequence.
-	f := func(seed int64, n uint8) bool {
-		cfg := TeslaC2050()
-		devA := New(cfg)
-		devB := New(cfg)
-		count := int(n%60) + 1
-		var blocks []*Block
-		var cycles []uint64
-		x := uint64(seed)
-		for i := 0; i < count; i++ {
-			x = x*6364136223846793005 + 1442695040888963407
-			c := x%100000 + 1
-			blocks = append(blocks, &Block{Warps: []Warp{&testWarp{cycles: c}}})
-			cycles = append(cycles, c)
-		}
-		st := devA.Launch(blocks, 0)
-		pred := devB.PredictKernelSec(cycles)
-		return math.Abs(st.KernelSec-pred) < 1e-12
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
+	if got := cfg.PredictKernelSec([]uint64{uint64(cfg.ClockHz)}); math.Abs(got-1.0) > 1e-9 {
+		t.Fatalf("1 clock-second of cycles took %g s", got)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"strconv"
 	"strings"
 
-	"swdual/internal/cudasw"
 	"swdual/internal/gpusim"
 	"swdual/internal/platform"
 	"swdual/internal/sched"
@@ -15,15 +14,16 @@ import (
 
 // PoolSpec counts the workers of each backend in a (possibly
 // heterogeneous) pool: the paper's platform of m CPUs and k GPUs. Both
-// backends compute exact scores, so mixing them changes throughput and
-// scheduling, never results.
+// backends score with the same kernel, so mixing them changes throughput
+// and scheduling, never results.
 type PoolSpec struct {
 	// CPU workers run the SWIPE-style inter-sequence engine
 	// (swvector.InterSeq: AVX2 on amd64, SWAR elsewhere), the paper's
 	// CPU backend.
 	CPU int
-	// GPU workers run the CUDASW++-style engine, each on its own
-	// simulated Tesla C2050.
+	// GPU workers score with the same engine and report the device
+	// seconds of a simulated Tesla C2050, each its own, as the CUDASW++
+	// cycle model prices the task.
 	GPU int
 }
 
@@ -86,19 +86,18 @@ func ParsePoolSpec(spec string) (PoolSpec, error) {
 // BuildPoolWorkers assembles the worker set a PoolSpec describes, in a
 // deterministic order: GPU workers first, then CPU. Each worker's
 // paper-calibrated Table II rate is its advertised rate, which seeds
-// a Pool's measured-rate estimate. The CPU workers share one InterSeq,
-// which is safe for concurrent use, so that the lane plan of a database
-// is built once for all of them.
+// a Pool's measured-rate estimate. All workers share one InterSeq, which
+// is safe for concurrent use, so that the lane plan of a database is
+// built once for all of them.
 func BuildPoolWorkers(params sw.Params, spec PoolSpec, topK int) []Worker {
 	cal := platform.PaperCalibration()
+	kernel := swvector.NewInterSeq(params)
 	var ws []Worker
 	for i := 0; i < spec.GPU; i++ {
-		eng := cudasw.New(gpusim.New(gpusim.TeslaC2050()), params)
-		ws = append(ws, NewGPUWorker(fmt.Sprintf("gpu-%d", i), eng, cal.GPUWorkerGCUPS, topK))
+		ws = append(ws, NewGPUWorker(fmt.Sprintf("gpu-%d", i), kernel, gpusim.TeslaC2050(), cal.GPUWorkerGCUPS, topK))
 	}
-	cpu := swvector.NewInterSeq(params)
 	for i := 0; i < spec.CPU; i++ {
-		ws = append(ws, NewEngineWorker(fmt.Sprintf("cpu-%d", i), sched.CPU, cpu, cal.CPUWorkerGCUPS, topK))
+		ws = append(ws, NewEngineWorker(fmt.Sprintf("cpu-%d", i), sched.CPU, kernel, cal.CPUWorkerGCUPS, topK))
 	}
 	return ws
 }

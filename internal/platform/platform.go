@@ -7,7 +7,7 @@
 // worker throughput comes from the single-worker SWIPE row (1.9455e13
 // cells / 2367.24 s, adjusted to 8.335 GCUPS so the modeled single-CPU
 // run lands on the paper's 2367 s); GPU times come from the
-// gpusim/cudasw cycle model whose single constant (20.2 cycles per cell
+// gpusim CUDASW++ cycle model whose single constant (20.2 cycles per cell
 // per warp) matches the single-worker CUDASW++ row (785.26 s => 24.8
 // GCUPS). Multi-worker SWDUAL times are *outputs* of the scheduler plus
 // this model, never fitted.
@@ -16,10 +16,8 @@ package platform
 import (
 	"fmt"
 
-	"swdual/internal/cudasw"
 	"swdual/internal/gpusim"
 	"swdual/internal/sched"
-	"swdual/internal/sw"
 )
 
 // Calibration holds the fitted constants of the cost model.
@@ -27,8 +25,8 @@ type Calibration struct {
 	// CPUWorkerGCUPS is the sustained throughput of one CPU worker
 	// running the SWIPE-style engine (Table II, SWIPE, 1 worker).
 	CPUWorkerGCUPS float64
-	// GPUWorkerGCUPS is the sustained throughput of one GPU worker
-	// running the CUDASW++-style engine (Table II, CUDASW++, 1 worker:
+	// GPUWorkerGCUPS is the sustained throughput of one GPU worker as
+	// the CUDASW++ cycle model prices it (Table II, CUDASW++, 1 worker:
 	// 785.26 s on UniProt => 24.8 GCUPS per C2050).
 	GPUWorkerGCUPS float64
 	// GPUHostContentionAlpha discounts each additional concurrent GPU
@@ -58,28 +56,23 @@ func PaperCalibration() Calibration {
 	}
 }
 
-// Platform describes a hybrid machine: m CPU workers and k GPU workers.
+// Platform describes a hybrid machine: m CPU workers and k GPU workers,
+// each GPU a Device.
 type Platform struct {
 	CPUs   int
 	GPUs   int
 	Cal    Calibration
 	Device gpusim.DeviceConfig
-	GPUCfg cudasw.Config
-
-	predictor *cudasw.Engine // prototype engine used only for timing
 }
 
 // New builds the paper's platform shape with calibrated defaults.
 func New(cpus, gpus int) *Platform {
-	p := &Platform{
+	return &Platform{
 		CPUs:   cpus,
 		GPUs:   gpus,
 		Cal:    PaperCalibration(),
 		Device: gpusim.TeslaC2050(),
-		GPUCfg: cudasw.DefaultConfig(),
 	}
-	p.predictor = cudasw.NewWithConfig(gpusim.New(p.Device), sw.DefaultParams(), p.GPUCfg)
-	return p
 }
 
 // String implements fmt.Stringer.
@@ -92,12 +85,13 @@ type DBModel struct {
 	Name          string
 	Subjects      int
 	TotalResidues int64
-	GPU           cudasw.TimingModel
+	GPU           gpusim.TimingModel
 }
 
-// ModelDB precomputes the database cost model from subject lengths.
+// ModelDB precomputes the database cost model from subject lengths, on
+// the platform's Device.
 func (p *Platform) ModelDB(name string, subjectLengths []int) *DBModel {
-	m := &DBModel{Name: name, Subjects: len(subjectLengths), GPU: p.predictor.Model(subjectLengths)}
+	m := &DBModel{Name: name, Subjects: len(subjectLengths), GPU: gpusim.Model(p.Device, subjectLengths)}
 	m.TotalResidues = m.GPU.TotalResidues
 	return m
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"swdual/internal/gpusim"
 	"swdual/internal/sched"
 	"swdual/internal/synth"
 )
@@ -39,6 +40,19 @@ func TestSWDUALEightWorkersNearPaper(t *testing.T) {
 	}
 	if math.Abs(s.Makespan-142.98)/142.98 > 0.15 {
 		t.Fatalf("8-worker makespan %g s, paper 142.98", s.Makespan)
+	}
+}
+
+// TestModelDBUsesDevice checks that the database model is built on the
+// platform's Device, the one a Kepler ablation swaps in.
+func TestModelDBUsesDevice(t *testing.T) {
+	lengths := synth.UniProt.Scaled(100).GenerateLengths()
+	p := New(1, 1)
+	c2050 := p.ModelDB("c2050", lengths)
+	p.Device = gpusim.TeslaK20()
+	k20 := p.ModelDB("k20", lengths)
+	if k20.GPU != gpusim.Model(gpusim.TeslaK20(), lengths) || k20.GPU == c2050.GPU {
+		t.Fatalf("K20 platform modeled %+v, C2050 %+v", k20.GPU, c2050.GPU)
 	}
 }
 

@@ -2,7 +2,7 @@
 // Gotoh affine-gap recurrences of the paper's Eqs. (2)-(4), of which the
 // linear-gap recurrence of Eq. (1) is the Gs = 0 case. This scalar
 // implementation is the correctness oracle for every accelerated engine
-// (striped SWAR, inter-sequence SWIPE, simulated GPU kernels) and the
+// (striped SWAR, inter-sequence SWIPE, fine-grained wavefront) and the
 // engine used by the plain CPU baseline.
 package sw
 
@@ -27,7 +27,7 @@ func DefaultParams() Params {
 
 // Engine computes local-alignment scores of one query against a set of
 // subject sequences. Implementations include the scalar reference, the
-// striped and inter-sequence SWAR engines and the simulated GPU kernels.
+// striped and inter-sequence SWAR engines and the fine-grained wavefront.
 type Engine interface {
 	// Name identifies the engine in benchmarks and tables.
 	Name() string

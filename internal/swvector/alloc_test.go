@@ -32,11 +32,11 @@ func TestAllocsStripedKernel8(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ScoreStriped8(p8, params.Gaps, subject) // warm the row pool
+	scoreStriped8(p8, params.Gaps, subject) // warm the row pool
 	if avg := testing.AllocsPerRun(50, func() {
-		ScoreStriped8(p8, params.Gaps, subject)
+		scoreStriped8(p8, params.Gaps, subject)
 	}); avg > kernelAllocCap {
-		t.Fatalf("ScoreStriped8 allocates %.2f objects per call, want 0", avg)
+		t.Fatalf("scoreStriped8 allocates %.2f objects per call, want 0", avg)
 	}
 }
 
@@ -46,11 +46,11 @@ func TestAllocsStripedKernel16(t *testing.T) {
 	query := randSeq(rng, 120)
 	subject := randSeq(rng, 200)
 	p16 := scoring.NewStripedProfile16(params.Matrix, query)
-	ScoreStriped16(p16, params.Gaps, subject)
+	scoreStriped16(p16, params.Gaps, subject)
 	if avg := testing.AllocsPerRun(50, func() {
-		ScoreStriped16(p16, params.Gaps, subject)
+		scoreStriped16(p16, params.Gaps, subject)
 	}); avg > kernelAllocCap {
-		t.Fatalf("ScoreStriped16 allocates %.2f objects per call, want 0", avg)
+		t.Fatalf("scoreStriped16 allocates %.2f objects per call, want 0", avg)
 	}
 }
 

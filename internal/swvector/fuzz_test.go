@@ -103,7 +103,7 @@ func ceilingCase(c kernelCase, score int) kernelCase {
 // match score divides the target, so 1000 residues reach it; through
 // NewInterSeq on an AVX2 machine they land on the pair kernel, which
 // answers the first (65533, its last exact score) and hands the other two
-// on to sw.Score — as they land on ScoreStriped16 through Striped
+// on to sw.Score — as they land on scoreStriped16 through Striped
 // everywhere.
 func ceilingSeeds() (cases []kernelCase, want []int) {
 	add := func(c kernelCase, score int) {

@@ -11,7 +11,7 @@ const pairLanes = 16
 
 // pairKernel is the 16-bit striped (Farrar) kernel that rescores, one
 // subject at a time, what the AVX2 column flagged: the recurrence of
-// ScoreStriped16 with 16 lanes along the query instead of 4, exact for
+// scoreStriped16 with 16 lanes along the query instead of 4, exact for
 // scores up to 65534-bias. It lives for one Scores call and holds
 // nothing a pool should not.
 type pairKernel struct {

@@ -66,7 +66,7 @@ func skipWithoutAVX2(t *testing.T) {
 // TestPairKernelMatchesOracle is the pair kernel's table: query lengths
 // either side of every segment-count edge, subjects from one residue to
 // the corpus' longest, gap models up to costs that clamp, symmetric and
-// asymmetric matrices. It must equal both sw.Score and ScoreStriped16,
+// asymmetric matrices. It must equal both sw.Score and scoreStriped16,
 // the recurrence it vectorizes.
 func TestPairKernelMatchesOracle(t *testing.T) {
 	skipWithoutAVX2(t)
@@ -83,8 +83,8 @@ func TestPairKernelMatchesOracle(t *testing.T) {
 				p16 := scoring.NewStripedProfile16(m, q)
 				for name, d := range map[string][]byte{"one": q[:1], "long": long, "mutated": mutated(rng, q), "self": q} {
 					want := sw.Score(p, q, d)
-					if ref, over := ScoreStriped16(p16, gaps, d); ref != want || over {
-						t.Fatalf("ScoreStriped16 = %d (overflow %v), oracle %d", ref, over, want)
+					if ref, over := scoreStriped16(p16, gaps, d); ref != want || over {
+						t.Fatalf("scoreStriped16 = %d (overflow %v), oracle %d", ref, over, want)
 					}
 					if got, over, ok := pairScore(p, q, d); got != want || over || !ok {
 						t.Fatalf("%s %+v |q|=%d subject %s: pair kernel %d (overflow %v, served %v), oracle %d", m.Name(), gaps, n, name, got, over, ok, want)

@@ -9,7 +9,7 @@ import (
 // ErrOverflow is reported (as a bool) by the fixed-width kernels when the
 // score saturates the lane width; callers escalate to the next width.
 
-// ScoreStriped8 runs the Farrar striped kernel with 8-bit biased unsigned
+// scoreStriped8 runs the Farrar striped kernel with 8-bit biased unsigned
 // lanes. It returns the local alignment score and overflow=true when the
 // score may have saturated (score >= 255 - bias), in which case the caller
 // must rescore with a wider kernel.
@@ -18,7 +18,7 @@ import (
 // gap costs strictly more than extending one (Gs > 0); for the degenerate
 // Gs == 0 model the kernel switches to an exact full-propagation
 // correction loop (see scoreStriped8Exact).
-func ScoreStriped8(p *scoring.StripedProfile8, gaps scoring.Gaps, subject []byte) (score int, overflow bool) {
+func scoreStriped8(p *scoring.StripedProfile8, gaps scoring.Gaps, subject []byte) (score int, overflow bool) {
 	if p.QueryLen == 0 || len(subject) == 0 {
 		return 0, false
 	}
@@ -90,11 +90,11 @@ const (
 	Lanes16Count = 4
 )
 
-// ScoreStriped16 runs the striped kernel with 16-bit biased unsigned
+// scoreStriped16 runs the striped kernel with 16-bit biased unsigned
 // lanes. overflow=true means the score saturated even 16 bits and the
-// caller must fall back to the scalar oracle. Like ScoreStriped8 it
+// caller must fall back to the scalar oracle. Like scoreStriped8 it
 // switches to exact F propagation when Gs == 0.
-func ScoreStriped16(p *scoring.StripedProfile16, gaps scoring.Gaps, subject []byte) (score int, overflow bool) {
+func scoreStriped16(p *scoring.StripedProfile16, gaps scoring.Gaps, subject []byte) (score int, overflow bool) {
 	if p.QueryLen == 0 || len(subject) == 0 {
 		return 0, false
 	}
@@ -148,8 +148,6 @@ func ScoreStriped16(p *scoring.StripedProfile16, gaps scoring.Gaps, subject []by
 // -> scalar on overflow, the same strategy used by SSW and SWPS3.
 type Striped struct {
 	params sw.Params
-	// Width forces a lane width for testing: 0 = adaptive, 8, or 16.
-	Width int
 }
 
 // NewStriped builds the engine.
@@ -165,29 +163,20 @@ func (e *Striped) Scores(query []byte, db *seq.Set) []int {
 
 func (e *Striped) scores(query []byte, prof *scoring.QueryProfiles, db *seq.Set) []int {
 	out := make([]int, db.Len())
-	var p8 *scoring.StripedProfile8
-	if e.Width == 0 || e.Width == 8 {
-		p8, _ = prof.Striped8()
-	}
+	p8, _ := prof.Striped8()
 	var p16 *scoring.StripedProfile16
 	for i := range db.Seqs {
 		subject := db.Seqs[i].Residues
 		if p8 != nil {
-			s, over := ScoreStriped8(p8, e.params.Gaps, subject)
-			if !over {
+			if s, over := scoreStriped8(p8, e.params.Gaps, subject); !over {
 				out[i] = s
-				continue
-			}
-			if e.Width == 8 {
-				out[i] = s // forced width: report saturated value
 				continue
 			}
 		}
 		if p16 == nil {
 			p16 = prof.Striped16()
 		}
-		s, over := ScoreStriped16(p16, e.params.Gaps, subject)
-		if !over || e.Width == 16 {
+		if s, over := scoreStriped16(p16, e.params.Gaps, subject); !over {
 			out[i] = s
 			continue
 		}

@@ -76,14 +76,14 @@
 // retires flagged. Behind the AVX2 column it is rescored by the pair
 // kernel (pair16.go, pair16_amd64.s): Farrar's striped layout in 16
 // unsigned 16-bit lanes, VPADDUSW / VPSUBUSW / VPMAXUW, the lazy-F loop
-// left on VPSUBUSW + VPTEST — ScoreStriped16's recurrence at four times
+// left on VPSUBUSW + VPTEST — scoreStriped16's recurrence at four times
 // the lanes, exact to 65534-bias, and only past that (or with Gs == 0,
 // where leaving the lazy-F loop early is not exact) by the scalar
 // oracle; behind the SWAR column by the oracle directly. Its lanes run
 // along the query because flagged subjects come one to a query — a
 // second, 16-bit-wide column would run 1 lane in 16 — and its query
 // profile is scratch of one Scores call, never cached. The SWAR column
-// is the AVX2 one's differential oracle and ScoreStriped16 the pair
+// is the AVX2 one's differential oracle and scoreStriped16 the pair
 // kernel's: every kernel test and FuzzKernelsAgree run both pairs.
 //
 // The striped kernels keep full 8- and 16-bit unsigned lanes in uint64

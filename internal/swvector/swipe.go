@@ -38,7 +38,7 @@ import (
 // Gcell/s; the pair kernel 2.7-3.1, the oracle 0.19 — its one call was 21 %
 // of such a task). With Gaps.Start == 0 the pair kernel's lazy-F early
 // exit is not exact, so those models skip it; so does the SWAR path,
-// whose 16-bit striped kernel (ScoreStriped16, the pair kernel's
+// whose 16-bit striped kernel (scoreStriped16, the pair kernel's
 // reference) is half the oracle's speed. Parameters that leave the AVX2
 // lanes no room above K (K + max S >= 255: gap costs near or past a
 // byte) send every subject up the same ladder, and those no kernel can

@@ -121,7 +121,7 @@ func TestStriped8MatchesScalar(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, over := ScoreStriped8(prof, p.Gaps, d)
+		got, over := scoreStriped8(prof, p.Gaps, d)
 		if over {
 			continue // saturated; escalation path is tested separately
 		}
@@ -139,7 +139,7 @@ func TestStriped16MatchesScalar(t *testing.T) {
 		d := randSeq(rng, 1+rng.Intn(200))
 		want := sw.Score(p, q, d)
 		prof := scoring.NewStripedProfile16(p.Matrix, q)
-		got, over := ScoreStriped16(prof, p.Gaps, d)
+		got, over := scoreStriped16(prof, p.Gaps, d)
 		if over {
 			t.Fatalf("unexpected 16-bit overflow for |q|=%d |d|=%d", len(q), len(d))
 		}
@@ -164,7 +164,7 @@ func TestStripedOverflowEscalation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, over := ScoreStriped8(prof8, p.Gaps, q)
+	_, over := scoreStriped8(prof8, p.Gaps, q)
 	if !over {
 		t.Fatal("expected 8-bit overflow")
 	}

@@ -5,10 +5,11 @@
 //
 // A search compares a set of query sequences against a sequence database
 // on a platform of CPU workers (SWIPE-style SIMD-within-a-register
-// engines) and GPU workers (CUDASW++ 2.0-style engines on simulated Tesla
-// C2050 devices). The master assigns one task per query using the
-// paper's dual-approximation scheduler, which guarantees a makespan
-// within twice the optimum while keeping every processing element busy.
+// engines) and GPU workers (the same engine, timed by a CUDASW++ 2.0
+// cycle model of a simulated Tesla C2050). The master assigns one task
+// per query using the paper's dual-approximation scheduler, which
+// guarantees a makespan within twice the optimum while keeping every
+// processing element busy.
 //
 // Quick start:
 //
@@ -54,9 +55,10 @@ type Options struct {
 	// Pool describes the worker pool as a spec string of comma-separated
 	// backend=count pairs, e.g. "cpu=2,gpu=2": the paper's m CPUs and
 	// k GPUs. Valid backends: "cpu" (inter-sequence AVX2 or SWAR, the
-	// paper's CPU engine) and "gpu" (simulated Tesla C2050). Both
-	// compute exact scores, so the mix changes throughput and
-	// scheduling, never results; each worker's advertised rate only
+	// paper's CPU engine) and "gpu" (the same engine, its task times
+	// those of a simulated Tesla C2050). Both score with one kernel, so
+	// the mix changes throughput and scheduling, never results; each
+	// worker's advertised rate only
 	// seeds a live estimate measured from its completed tasks. The
 	// empty spec selects "cpu=1,gpu=1". Plan models the pool's CPU and
 	// GPU counts, and ServeShard gives its slice a pool of this shape.
