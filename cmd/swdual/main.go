@@ -32,9 +32,8 @@
 //	swdual -db db.fasta -query q.fasta -replica-shards 'host:4016;host:4017'
 //
 // The coordinator re-dials a dead server in the background; when a range
-// is held by several servers it also fails over on lost connections and
-// hedges slow searches on a sibling, so a search survives any one
-// replica dying per range:
+// is held by several servers it also fails over on lost connections to
+// a sibling, so a search survives any one replica dying per range:
 //
 //	swdual -db db.fasta -query q.fasta \
 //	    -replica-shards 'a:4016,b:4016;a:4017,b:4017' -dial-timeout 5s
@@ -78,7 +77,7 @@ func main() {
 		serve    = flag.String("serve", "", "serve the database persistently on this address instead of searching")
 		remote   = flag.String("remote", "", "send the queries to a serve-mode engine at this address")
 		split    = flag.String("shard-split", "contiguous", "shard boundary strategy: contiguous | balanced")
-		cache    = flag.Bool("cache", false, "cache search results: repeated queries are answered without a scheduling wave and concurrent identical queries collapse into one (hits stay byte-identical)")
+		cache    = flag.Bool("cache", false, "cache search results: repeated queries are answered without a scheduling wave (hits stay byte-identical)")
 		cacheSz  = flag.Int("cache-size", 0, "max cached search fingerprints with -cache (0 = default 1024)")
 		degraded = flag.Bool("degraded", false, "-replica-shards coordinators answer partial when every replica of a range is down, reporting coverage, instead of failing the search (HTTP gateways answer 206)")
 

@@ -8,6 +8,8 @@ import (
 	"time"
 
 	"swdual/internal/master"
+	"swdual/internal/seq"
+	"swdual/internal/sw"
 )
 
 // waitStats polls the Searcher's counters until cond holds — the
@@ -145,121 +147,79 @@ func TestCacheTopKInvalidates(t *testing.T) {
 	}
 }
 
-// TestCollapseConcurrentIdenticalSearches pins a wave open with the
-// gate worker, piles 7 identical searches behind the leader, and checks
-// they all ride the leader's single wave: one wave total, every report
-// identical, and the wave's answer cached for the 9th search.
-func TestCollapseConcurrentIdenticalSearches(t *testing.T) {
-	db, queries := testSets(27, 28, 10, 3)
-	gw := newGateWorker("gate-0")
-	s, err := New(db, Config{Workers: []master.Worker{gw}, TopK: 3, Cache: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	const followers = 7
-	reports := make([]*master.Report, followers+1)
-	errs := make([]error, followers+1)
-	var wg sync.WaitGroup
-	search := func(i int) {
-		defer wg.Done()
-		reports[i], errs[i] = s.Search(context.Background(), queries, SearchOptions{})
-	}
-	wg.Add(1)
-	go search(0)
-	<-gw.started // the leader's wave is in flight, worker pinned
-	for i := 1; i <= followers; i++ {
-		wg.Add(1)
-		go search(i)
-	}
-	// Followers register deterministically: each increments the
-	// collapsed counter before blocking on the leader's call.
-	waitStats(t, s, "followers to join", func(st Stats) bool { return st.CollapsedSearches == followers })
-	close(gw.release)
-	wg.Wait()
-	for i := range errs {
-		if errs[i] != nil {
-			t.Fatalf("caller %d: %v", i, errs[i])
-		}
-	}
-	for i := 1; i < len(reports); i++ {
-		sameHits(t, "follower", reports[i], reports[0])
-	}
-	st := s.Stats()
-	if st.Waves != 1 {
-		t.Fatalf("%d waves for %d collapsed searches, want 1", st.Waves, followers+1)
-	}
-	if st.CacheMisses != followers+1 || st.CacheHits != 0 {
-		t.Fatalf("misses/hits %d/%d during collapse", st.CacheMisses, st.CacheHits)
-	}
-	// The collapsed wave's answer is cached: a later identical search
-	// is a pure hit, still one wave ever.
-	rep, err := s.Search(context.Background(), queries, SearchOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameHits(t, "post-collapse hit", rep, reports[0])
-	if st := s.Stats(); st.Waves != 1 || st.CacheHits != 1 {
-		t.Fatalf("post-collapse stats: %+v", st)
+// heldWorker scores for real, but its first task waits in Run until
+// release is closed, pinning a wave open deterministically.
+type heldWorker struct {
+	master.Worker
+	started chan struct{}
+	release chan struct{}
+	once    sync.Once
+}
+
+func newHeldWorker(topK int) *heldWorker {
+	return &heldWorker{
+		Worker:  master.BuildPoolWorkers(sw.DefaultParams(), master.PoolSpec{CPU: 1}, topK)[0],
+		started: make(chan struct{}),
+		release: make(chan struct{}),
 	}
 }
 
-// TestFollowerCancellationLeavesLeader cancels one follower mid-collapse
-// and checks it returns ctx.Err() promptly — while the leader's wave is
-// still pinned open — without disturbing the leader or its other
-// followers.
-func TestFollowerCancellationLeavesLeader(t *testing.T) {
+func (w *heldWorker) Run(qi int, q *seq.Sequence, db *seq.Set) master.QueryResult {
+	w.once.Do(func() { close(w.started) })
+	<-w.release
+	return w.Worker.Run(qi, q, db)
+}
+
+// TestFollowerOutlivesLeaderDeadline runs two identical searches while
+// the first one's wave is pinned open: the first carries a 50 ms
+// deadline, the second none. Each search runs under its own context, so
+// the first one's deadline expiring must not fail the second, which
+// returns the oracle's hits once the worker is released.
+func TestFollowerOutlivesLeaderDeadline(t *testing.T) {
 	db, queries := testSets(29, 30, 10, 3)
-	gw := newGateWorker("gate-0")
-	s, err := New(db, Config{Workers: []master.Worker{gw}, TopK: 3, Cache: true})
+	w := newHeldWorker(3)
+	s, err := New(db, Config{Workers: []master.Worker{w}, TopK: 3, Cache: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	var wg sync.WaitGroup
-	var leaderRep, followerRep *master.Report
-	var leaderErr, followerErr error
-	wg.Add(1)
+	firstCtx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	firstDone := make(chan error, 1)
 	go func() {
-		defer wg.Done()
-		leaderRep, leaderErr = s.Search(context.Background(), queries, SearchOptions{})
+		_, err := s.Search(firstCtx, queries, SearchOptions{})
+		firstDone <- err
 	}()
-	<-gw.started
-	ctx, cancel := context.WithCancel(context.Background())
-	doomed := make(chan error, 1)
+	<-w.started
+	type outcome struct {
+		rep *master.Report
+		err error
+	}
+	secondDone := make(chan outcome, 1)
 	go func() {
-		_, err := s.Search(ctx, queries, SearchOptions{})
-		doomed <- err
+		rep, err := s.Search(context.Background(), queries, SearchOptions{})
+		secondDone <- outcome{rep, err}
 	}()
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		followerRep, followerErr = s.Search(context.Background(), queries, SearchOptions{})
-	}()
-	waitStats(t, s, "both followers to join", func(st Stats) bool { return st.CollapsedSearches == 2 })
-	cancel()
-	// The canceled follower must return promptly even though the wave it
-	// was waiting on is still pinned open by the gate worker.
+	waitStats(t, s, "the second search to miss", func(st Stats) bool { return st.CacheMisses == 2 })
+	if err := <-firstDone; !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("first search returned %v, want context.DeadlineExceeded", err)
+	}
+	close(w.release)
 	select {
-	case err := <-doomed:
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("canceled follower returned %v, want context.Canceled", err)
+	case o := <-secondDone:
+		if o.err != nil {
+			t.Fatalf("second search failed with the first one's error: %v", o.err)
 		}
+		sameHits(t, "second search", o.rep, oracle(db, queries, 3))
 	case <-time.After(10 * time.Second):
-		t.Fatal("canceled follower stuck behind the leader's wave")
+		t.Fatal("second search never returned")
 	}
-	close(gw.release)
-	wg.Wait()
-	if leaderErr != nil || followerErr != nil {
-		t.Fatalf("leader %v, follower %v after a sibling canceled", leaderErr, followerErr)
-	}
-	sameHits(t, "surviving follower", followerRep, leaderRep)
 }
 
-// TestLeaderErrorPropagatesUncached cancels the leader mid-wave: every
-// follower sees the leader's error, the error is not cached, and the
-// next identical search runs a fresh, successful wave.
-func TestLeaderErrorPropagatesUncached(t *testing.T) {
+// TestFailedSearchIsNeverCached cancels a search mid-wave: the error is
+// not cached, and the next identical search runs a fresh, successful
+// wave.
+func TestFailedSearchIsNeverCached(t *testing.T) {
 	db, queries := testSets(31, 32, 10, 3)
 	gw := newGateWorker("gate-0")
 	s, err := New(db, Config{Workers: []master.Worker{gw}, TopK: 3, Cache: true})
@@ -267,43 +227,24 @@ func TestLeaderErrorPropagatesUncached(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	leaderCtx, cancelLeader := context.WithCancel(context.Background())
-	leaderDone := make(chan error, 1)
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
 	go func() {
-		_, err := s.Search(leaderCtx, queries, SearchOptions{})
-		leaderDone <- err
+		_, err := s.Search(ctx, queries, SearchOptions{})
+		done <- err
 	}()
 	<-gw.started
-	const followers = 3
-	followerDone := make(chan error, followers)
-	for i := 0; i < followers; i++ {
-		go func() {
-			_, err := s.Search(context.Background(), queries, SearchOptions{})
-			followerDone <- err
-		}()
+	cancel()
+	if err := <-done; !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled search returned %v, want context.Canceled", err)
 	}
-	waitStats(t, s, "followers to join", func(st Stats) bool { return st.CollapsedSearches == followers })
-	cancelLeader()
-	if err := <-leaderDone; !errors.Is(err, context.Canceled) {
-		t.Fatalf("leader returned %v, want context.Canceled", err)
-	}
-	for i := 0; i < followers; i++ {
-		select {
-		case err := <-followerDone:
-			if !errors.Is(err, context.Canceled) {
-				t.Fatalf("follower %d returned %v, want the leader's context.Canceled", i, err)
-			}
-		case <-time.After(10 * time.Second):
-			t.Fatalf("follower %d never saw the leader's error", i)
-		}
-	}
-	// Nothing was cached and the flight retired: the next identical
-	// search leads a fresh wave and succeeds (the gate is released, so
-	// its tasks run straight through).
+	// Nothing was cached: the next identical search runs a fresh wave
+	// and succeeds (the gate is released, so its tasks run straight
+	// through).
 	close(gw.release)
 	rep, err := s.Search(context.Background(), queries, SearchOptions{})
 	if err != nil {
-		t.Fatalf("search after leader error: %v", err)
+		t.Fatalf("search after a failed one: %v", err)
 	}
 	if len(rep.Results) != queries.Len() {
 		t.Fatalf("%d results", len(rep.Results))

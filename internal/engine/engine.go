@@ -76,11 +76,10 @@ type Config struct {
 	TopK int
 	// Policy selects the wave scheduling policy (dual-approx default).
 	Policy master.Policy
-	// Cache enables the result cache and singleflight collapsing in
-	// front of the dispatcher: a repeated search (same query residues,
-	// same effective TopK, same database) is answered from a bounded
-	// LRU without running a wave, and concurrent identical searches
-	// collapse into one wave slot. Off by default — the paper's
+	// Cache enables the result cache in front of the dispatcher: a
+	// repeated search (same query residues, same effective TopK, same
+	// database) is answered from a bounded LRU without running a wave.
+	// Off by default — the paper's
 	// benchmarks measure scheduling, so reproduction runs must pay
 	// every wave. Hits are byte-identical with the cache on or off.
 	Cache bool
@@ -127,35 +126,31 @@ type Stats struct {
 	Queries        uint64
 	Waves          uint64
 	BatchedWaves   uint64 // waves that coalesced more than one request
-	// PipelinedWaves and OverlapNanos are always zero. They are retained
-	// only because benchmark/'s engine.pipelined_ratio and
-	// engine.overlap_ms probes read them, and go when those probes do;
-	// nothing sets, sums or sends them (they left StatsResponse in wire
-	// version 8).
+	// PipelinedWaves, OverlapNanos and HedgedSearches are always zero.
+	// They are retained only because benchmark/'s
+	// engine.pipelined_ratio, engine.overlap_ms and replica.hedged
+	// probes read them, and go when those probes do; nothing sets, sums
+	// or sends them (the first two left StatsResponse in wire version 8;
+	// HedgedSearches left Counters, and with it /metrics and the Stats
+	// frame, when replica hedging was removed).
 	PipelinedWaves uint64
 	OverlapNanos   uint64
+	HedgedSearches uint64
 	// CacheHits / CacheMisses / CacheEvictions count result-cache
-	// traffic (all zero with Config.Cache off). CollapsedSearches
-	// counts searches answered as singleflight followers — identical
-	// concurrent requests that shared a leader's wave instead of
-	// running their own. Searches - CacheHits - CollapsedSearches is
+	// traffic (all zero with Config.Cache off). Searches - CacheHits is
 	// the number of requests that actually entered the dispatcher.
-	CacheHits         uint64
-	CacheMisses       uint64
-	CacheEvictions    uint64
-	CollapsedSearches uint64
+	CacheHits      uint64
+	CacheMisses    uint64
+	CacheEvictions uint64
 	// Replication counters (internal/replica; always zero on a plain
 	// engine). FailedOver counts calls retried on a sibling replica
-	// after the first choice failed with a lost connection;
-	// HedgedSearches counts searches that issued a duplicate to a
-	// second replica because the first ran past the latency threshold;
-	// Redials counts dead replicas brought back by the background
-	// reconnect loop. Under sharding they sum across every range's
-	// replica set, so a cluster operator sees how often availability
-	// machinery actually fired.
-	HedgedSearches uint64
-	FailedOver     uint64
-	Redials        uint64
+	// after the first choice failed with a lost connection; Redials
+	// counts dead replicas brought back by the background reconnect
+	// loop. Under sharding they sum across every range's replica set,
+	// so a cluster operator sees how often availability machinery
+	// actually fired.
+	FailedOver uint64
+	Redials    uint64
 	// DegradedSearches counts searches answered with partial coverage:
 	// a sharded coordinator running DegradedPartial merged the
 	// surviving ranges after some range lost every replica (the
@@ -200,8 +195,6 @@ var Counters = []Counter{
 	{"cache_hits", "Result-cache hits.", func(s *Stats) *uint64 { return &s.CacheHits }},
 	{"cache_misses", "Result-cache misses.", func(s *Stats) *uint64 { return &s.CacheMisses }},
 	{"cache_evictions", "Result-cache evictions.", func(s *Stats) *uint64 { return &s.CacheEvictions }},
-	{"collapsed_searches", "Searches answered as singleflight followers.", func(s *Stats) *uint64 { return &s.CollapsedSearches }},
-	{"hedged_searches", "Searches hedged on a second replica.", func(s *Stats) *uint64 { return &s.HedgedSearches }},
 	{"failed_over", "Calls retried on a sibling replica after a lost connection.", func(s *Stats) *uint64 { return &s.FailedOver }},
 	{"redials", "Dead replicas revived by the background reconnect loop.", func(s *Stats) *uint64 { return &s.Redials }},
 	{"degraded_searches", "Searches answered with partial coverage because a range had no live replica.", func(s *Stats) *uint64 { return &s.DegradedSearches }},
@@ -273,18 +266,15 @@ type Searcher struct {
 	mu   sync.Mutex
 	free []*wave
 
-	// cache and flight implement the result cache and singleflight
-	// collapsing in front of the dispatcher; both are nil with
+	// cache is the result cache in front of the dispatcher; nil with
 	// Config.Cache off, and Search then goes straight to searchWave.
-	cache  *resultcache.Cache
-	flight *resultcache.Flight
+	cache *resultcache.Cache
 
 	prepared     atomic.Int64
 	searches     atomic.Uint64
 	queries      atomic.Uint64
 	waves        atomic.Uint64
 	batchedWaves atomic.Uint64
-	collapsed    atomic.Uint64
 }
 
 // New prepares the database once and starts the persistent worker pool
@@ -307,7 +297,6 @@ func New(db *seq.Set, cfg Config) (*Searcher, error) {
 	}
 	if cfg.Cache {
 		s.cache = resultcache.New(resultcache.Config{MaxEntries: cfg.CacheSize})
-		s.flight = resultcache.NewFlight()
 	}
 	s.prepare()
 	workers := cfg.Workers
@@ -365,17 +354,16 @@ func (s *Searcher) Stats() Stats {
 		}
 	}
 	st := Stats{
-		DBSequences:       s.db.Len(),
-		DBResidues:        s.dbResidues,
-		DBChecksum:        s.checksum,
-		Prepared:          int(s.prepared.Load()),
-		WorkersStarted:    s.pool.Size(),
-		Searches:          s.searches.Load(),
-		Queries:           s.queries.Load(),
-		Waves:             s.waves.Load(),
-		BatchedWaves:      s.batchedWaves.Load(),
-		CollapsedSearches: s.collapsed.Load(),
-		Workers:           rates,
+		DBSequences:    s.db.Len(),
+		DBResidues:     s.dbResidues,
+		DBChecksum:     s.checksum,
+		Prepared:       int(s.prepared.Load()),
+		WorkersStarted: s.pool.Size(),
+		Searches:       s.searches.Load(),
+		Queries:        s.queries.Load(),
+		Waves:          s.waves.Load(),
+		BatchedWaves:   s.batchedWaves.Load(),
+		Workers:        rates,
 	}
 	if s.cache != nil {
 		cs := s.cache.Stats()
@@ -393,12 +381,9 @@ func (s *Searcher) Stats() Stats {
 //
 // With Config.Cache on, a search whose fingerprint (query residues,
 // effective TopK, database checksum) was answered before returns the
-// cached hits without entering the dispatcher, and concurrent identical
-// searches collapse onto one wave: the first becomes the leader and
-// runs the wave, the rest wait for its answer. A follower's ctx
-// cancellation abandons only that follower; a leader error reaches
-// every follower and is never cached. Hits are byte-identical to an
-// uncached search either way.
+// cached hits without entering the dispatcher; a miss runs its own
+// wave under its own ctx and caches the answer, an error is never
+// cached. Hits are byte-identical to an uncached search either way.
 func (s *Searcher) Search(ctx context.Context, queries *seq.Set, opts SearchOptions) (*master.Report, error) {
 	if queries == nil {
 		return nil, fmt.Errorf("engine: nil query set")
@@ -415,7 +400,7 @@ func (s *Searcher) Search(ctx context.Context, queries *seq.Set, opts SearchOpti
 	if s.cache == nil || queries.Len() == 0 {
 		return s.searchWave(ctx, queries, topK)
 	}
-	return resultcache.Do(ctx, s.cache, s.flight, &s.collapsed, resultcache.Key(s.checksum, topK, queries),
+	return resultcache.Do(ctx, s.cache, resultcache.Key(s.checksum, topK, queries),
 		queries, func() (*master.Report, error) { return s.searchWave(ctx, queries, topK) })
 }
 

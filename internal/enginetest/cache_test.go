@@ -14,10 +14,10 @@ import (
 )
 
 // TestCachedSearcherMatchesOneShot is the caching equivalence proof at
-// the cross-check layer: a Searcher with the result cache and request
-// collapsing on must stay byte-identical to a one-shot oracle pass over
-// the database — on the cold miss, on warm hits, and when distinct query
-// sets interleave so cache entries compete.
+// the cross-check layer: a Searcher with the result cache on must stay
+// byte-identical to a one-shot oracle pass over the database — on the
+// cold miss, on warm hits, and when distinct query sets interleave so
+// cache entries compete.
 func TestCachedSearcherMatchesOneShot(t *testing.T) {
 	db := synth.RandomSet(alphabet.Protein, 50, 10, 180, 95)
 	params := sw.DefaultParams()

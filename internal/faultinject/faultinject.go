@@ -96,8 +96,7 @@ type Fault struct {
 	// zero value stands in for the failure.
 	Err error
 	// Latency delays the call. Prefer a Gate in tests — latency is for
-	// exercising hedging and timeout paths where a duration is the
-	// scenario itself.
+	// exercising timeout paths where a duration is the scenario itself.
 	Latency time.Duration
 	// Hang blocks the call until its context is done (Search) or the
 	// wrapper is closed, modeling a silent peer.

@@ -27,7 +27,8 @@ type coverBackend struct {
 func (b *coverBackend) Search(ctx context.Context, queries *seq.Set, opts engine.SearchOptions) (*master.Report, error) {
 	rep, err := b.Backend.Search(ctx, queries, opts)
 	if err == nil && b.cov != nil {
-		rep.Coverage = b.cov.Clone()
+		cov := *b.cov
+		rep.Coverage = &cov
 	}
 	return rep, err
 }

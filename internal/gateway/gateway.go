@@ -9,8 +9,8 @@
 // queue and sheds early: Capacity searches execute concurrently,
 // Queue more may wait, and past that arrivals are rejected immediately
 // with 429 and a Retry-After computed from the live EWMA search
-// latency — the same estimator shape the replica hedger uses
-// (stats.EWMA) applied to the drain rate of the queue. A
+// latency — the same estimator the worker rates use (stats.EWMA)
+// applied to the drain rate of the queue. A
 // per-client slot bound (API key, else remote address) keeps one
 // client from occupying the whole queue, so overload by one tenant
 // degrades that tenant, not everyone.

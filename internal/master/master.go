@@ -136,17 +136,6 @@ func (c *Coverage) Fraction() float64 {
 	return float64(c.ResiduesSearched) / float64(c.ResiduesTotal)
 }
 
-// Clone deep-copies the coverage so a cached or shared answer cannot
-// alias the original's Skipped slice.
-func (c *Coverage) Clone() *Coverage {
-	if c == nil {
-		return nil
-	}
-	out := *c
-	out.Skipped = append([]SkippedRange(nil), c.Skipped...)
-	return &out
-}
-
 // TopHits returns the k best of the raw scores, db[i] scoring scores[i],
 // as hits in HitBefore order: the first k of a stable sort of all of
 // them, and an empty list for k <= 0. It selects in one pass over the

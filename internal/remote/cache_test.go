@@ -63,7 +63,7 @@ func TestCachedServerMatchesUncached(t *testing.T) {
 		t.Fatalf("server TopK over the wire %d/%d, want 5", cached.TopK(), plain.TopK())
 	}
 	pst := plain.Stats()
-	if pst.CacheHits != 0 || pst.CacheMisses != 0 || pst.CollapsedSearches != 0 {
+	if pst.CacheHits != 0 || pst.CacheMisses != 0 {
 		t.Fatalf("uncached server reports cache traffic: %+v", pst)
 	}
 	if pst.Waves != 1 || pst.Searches != 1 {

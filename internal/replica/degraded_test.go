@@ -35,7 +35,7 @@ func faultedSet(t *testing.T, name string, index int) (*Set, []*faultinject.Back
 		reps[i] = Replica{Backend: wrappers[i]}
 		t.Cleanup(func() { wrappers[i].Close() })
 	}
-	set, err := NewSet(name, db.Checksum(), reps, Config{disableHedge: true, Index: index})
+	set, err := NewSet(name, db.Checksum(), reps, Config{Index: index})
 	if err != nil {
 		t.Fatal(err)
 	}

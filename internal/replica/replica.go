@@ -2,22 +2,14 @@
 // engine.Backend facade, so a database shard keeps answering while its
 // servers restart. Every replica serves the identical slice — proven by
 // the same per-slice checksum guard the sharded coordinator already
-// applies — which is what makes the package's two moves safe:
-//
-//   - Failover: a call that fails because its replica's connection died
-//     is retried on a sibling replica, the dead replica is closed, and a
-//     background loop re-dials it with capped exponential backoff plus
-//     jitter until it is healthy again. A remote replica is back once a
-//     fresh dial completes its handshake, in which both ends compare the
-//     slice checksum; the Set re-checks it before the replica rejoins.
-//
-//   - Hedging: a search that runs past a latency threshold — an EWMA of
-//     recent replica latencies (stats.EWMA, the average the worker rate
-//     estimate also keeps) — issues the same search to a second replica and
-//     returns the first answer. Because replicas are checksum-proven
-//     identical and the merge is deterministic, every answer is
-//     byte-identical, so racing two replicas can only shave latency,
-//     never change results.
+// applies — which is what makes failover safe: a call that fails
+// because its replica's connection died is retried on a sibling
+// replica, the dead replica is closed, and a background loop re-dials
+// it with capped exponential backoff plus jitter until it is healthy
+// again. A remote replica is back once a fresh dial completes its
+// handshake, in which both ends compare the slice checksum; the Set
+// re-checks it before the replica rejoins. A search calls one replica
+// at a time, on the caller's goroutine.
 //
 // The facade is the unit the sharded scatter/gather composes over: a
 // shard.Searcher built on replica.Sets survives one replica death per
@@ -40,7 +32,6 @@ import (
 	"swdual/internal/master"
 	"swdual/internal/remote"
 	"swdual/internal/seq"
-	"swdual/internal/stats"
 )
 
 // Replica is one member of a Set: a live backend, a way to re-create it
@@ -53,8 +44,8 @@ type Replica struct {
 	Redial  func() (engine.Backend, error)
 }
 
-// Config tunes a Set. The zero value enables hedging with the EWMA
-// trigger and the default backoff bounds.
+// Config tunes a Set. The zero value selects the default backoff
+// bounds.
 type Config struct {
 	// Index is the shard index the coordinator assigned this set (0 for
 	// a standalone set). It is informational: ErrRangeUnavailable
@@ -64,12 +55,6 @@ type Config struct {
 
 	// The rest is set only by this package's tests.
 
-	// hedgeAfter, when positive, hedges any search still unanswered
-	// after this fixed delay, overriding the EWMA trigger (which has no
-	// history to learn from in a short test).
-	hedgeAfter time.Duration
-	// disableHedge turns hedging off; failover and redial still run.
-	disableHedge bool
 	// redialBase and redialMax bound the reconnect backoff (defaults
 	// 50ms and 5s): attempt n waits min(redialBase·2ⁿ, redialMax) plus
 	// up to half that again in jitter, so a restarting cluster's
@@ -123,22 +108,6 @@ func (c *Config) setDefaults() {
 	}
 }
 
-const (
-	// hedgeFactor scales the EWMA latency into the hedge threshold: a
-	// search is hedged once it runs 3× longer than the recent average —
-	// past that the replica is an outlier worth racing.
-	hedgeFactor = 3
-	// minHedgeDelay floors the EWMA trigger so a burst of microsecond
-	// cache-warm searches cannot make every subsequent search hedge
-	// instantly.
-	minHedgeDelay = time.Millisecond
-)
-
-// hedgeMinObservations is how many completed searches the latency EWMA
-// must absorb before the adaptive trigger arms: hedging off a sample of
-// one would race replicas on noise.
-const hedgeMinObservations = 8
-
 // slot is one replica's mutable state: the live backend (nil while
 // down), how to revive it, and whether a revival is already running.
 type slot struct {
@@ -158,11 +127,9 @@ type Set struct {
 	alpha    *alphabet.Alphabet
 
 	slots []*slot
-	lat   stats.EWMA // search latency, nanoseconds
 
 	searches   atomic.Uint64
 	queries    atomic.Uint64
-	hedged     atomic.Uint64
 	failedOver atomic.Uint64
 	redials    atomic.Uint64
 
@@ -268,14 +235,12 @@ func (s *Set) isClosed() bool {
 	}
 }
 
-// pick returns the lowest-indexed live replica not yet tried. Lowest
-// index first keeps routing deterministic: replica 0 is the primary
-// while healthy, siblings are failover and hedge targets in order.
-func (s *Set) pick(tried []bool) (int, engine.Backend, bool) {
-	for i, sl := range s.slots {
-		if tried[i] {
-			continue
-		}
+// pick returns the lowest-indexed live replica at index from or above.
+// Lowest index first keeps routing deterministic: replica 0 is the
+// primary while healthy, siblings are failover targets in order.
+func (s *Set) pick(from int) (int, engine.Backend, bool) {
+	for i := from; i < len(s.slots); i++ {
+		sl := s.slots[i]
 		sl.mu.Lock()
 		b := sl.backend
 		sl.mu.Unlock()
@@ -288,9 +253,9 @@ func (s *Set) pick(tried []bool) (int, engine.Backend, bool) {
 
 // markDown retires a replica whose call just failed: the slot empties,
 // the dead backend is closed, and the reconnect loop starts (once). The
-// identity check makes markDown idempotent per backend — a hedge arm
-// and a failover loop may both report the same corpse — and protects a
-// replacement backend installed by a racing redial.
+// identity check makes markDown idempotent per backend — concurrent
+// searches may all report the same corpse — and protects a replacement
+// backend installed by a racing redial.
 func (s *Set) markDown(idx int, failed engine.Backend) {
 	sl := s.slots[idx]
 	sl.mu.Lock()
@@ -386,13 +351,14 @@ func failover(err error) bool {
 	return errors.As(err, &ne)
 }
 
-// Search routes the query set to the primary replica, fails over to
-// siblings on lost connections, and — when the search runs past the
-// hedge threshold — races a second replica and returns the first
-// answer. Replicas are checksum-proven identical and the merge is
-// deterministic, so whichever replica answers, the hits are
-// byte-identical. The search fails only when every replica is
-// unavailable, with an error naming the set.
+// Search calls the lowest-indexed live replica on the caller's
+// goroutine. When that replica's connection is gone it is marked down
+// and the search fails over to the next live replica in index order;
+// any other error would fail identically on every replica and is
+// returned unchanged. Replicas are checksum-proven identical and the
+// merge is deterministic, so whichever replica answers, the hits are
+// byte-identical. The search fails with ErrRangeUnavailable only when
+// every replica has failed.
 func (s *Set) Search(ctx context.Context, queries *seq.Set, opts engine.SearchOptions) (*master.Report, error) {
 	if s.isClosed() {
 		return nil, engine.ErrClosed
@@ -401,26 +367,23 @@ func (s *Set) Search(ctx context.Context, queries *seq.Set, opts engine.SearchOp
 	if queries != nil {
 		s.queries.Add(uint64(queries.Len()))
 	}
-	tried := make([]bool, len(s.slots))
 	var lastErr error
-	for {
+	for next := 0; ; {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		idx, b, ok := s.pick(tried)
+		idx, b, ok := s.pick(next)
 		if !ok {
 			break
 		}
-		tried[idx] = true
-		rep, err := s.searchHedged(ctx, idx, b, tried, queries, opts)
-		if err == nil {
-			return rep, nil
-		}
+		next = idx + 1
+		rep, err := b.Search(ctx, queries, opts)
 		if !failover(err) {
-			return nil, err
+			return rep, err
 		}
-		lastErr = err
+		s.markDown(idx, b)
 		s.failedOver.Add(1)
+		lastErr = err
 	}
 	if s.isClosed() {
 		return nil, engine.ErrClosed
@@ -439,118 +402,21 @@ func (s *Set) rangeUnavailable(lastErr error) error {
 	return e
 }
 
-// armResult is one replica's answer inside a (possibly hedged) search.
-type armResult struct {
-	idx int
-	b   engine.Backend
-	rep *master.Report
-	err error
-}
-
-// searchHedged runs one search attempt on replica idx, arming the hedge
-// timer: if the primary is still unanswered past the threshold, the
-// same search goes to the next untried live replica and the first
-// answer wins, the loser canceled through the shared arm context. A
-// losing arm's backend is only marked down when its error says the
-// connection died — slow is not dead.
-func (s *Set) searchHedged(ctx context.Context, idx int, b engine.Backend, tried []bool, queries *seq.Set, opts engine.SearchOptions) (*master.Report, error) {
-	armCtx, cancelArms := context.WithCancel(ctx)
-	defer cancelArms()
-	// Buffered to the maximum arm count: a loser's send never blocks,
-	// so no goroutine outlives the call.
-	results := make(chan armResult, 2)
-	run := func(idx int, b engine.Backend) {
-		start := time.Now()
-		rep, err := b.Search(armCtx, queries, opts)
-		if err == nil {
-			s.lat.Observe(float64(time.Since(start)))
-		}
-		results <- armResult{idx: idx, b: b, rep: rep, err: err}
-	}
-	go run(idx, b)
-	inFlight := 1
-	var timerC <-chan time.Time
-	if delay, ok := s.hedgeDelay(); ok {
-		t := time.NewTimer(delay)
-		defer t.Stop()
-		timerC = t.C
-	}
-	var firstErr error
-	for {
-		select {
-		case r := <-results:
-			inFlight--
-			if r.err == nil {
-				return r.rep, nil
-			}
-			if failover(r.err) {
-				s.markDown(r.idx, r.b)
-				// The primary dying while a hedge is still running is a
-				// failover: the hedge arm inherits the search.
-				if r.idx == idx && inFlight > 0 {
-					s.failedOver.Add(1)
-				}
-			}
-			if firstErr == nil {
-				firstErr = r.err
-			}
-			if inFlight > 0 {
-				continue // the other arm may still answer
-			}
-			return nil, firstErr
-		case <-timerC:
-			timerC = nil
-			if j, hb, ok := s.pick(tried); ok {
-				tried[j] = true
-				s.hedged.Add(1)
-				inFlight++
-				go run(j, hb)
-			}
-		case <-ctx.Done():
-			// The buffered channel lets the canceled arms finish and
-			// exit on their own; nothing waits on them.
-			return nil, ctx.Err()
-		}
-	}
-}
-
-// hedgeDelay returns the current hedge threshold, or false when hedging
-// cannot or should not fire (disabled, a single replica, or the EWMA
-// has not absorbed enough searches to mean anything).
-func (s *Set) hedgeDelay() (time.Duration, bool) {
-	if s.cfg.disableHedge || len(s.slots) < 2 {
-		return 0, false
-	}
-	if s.cfg.hedgeAfter > 0 {
-		return s.cfg.hedgeAfter, true
-	}
-	mean, n := s.lat.Snapshot()
-	if n < hedgeMinObservations {
-		return 0, false
-	}
-	d := time.Duration(hedgeFactor * mean)
-	if d < minHedgeDelay {
-		d = minHedgeDelay
-	}
-	return d, true
-}
-
 // Stats describes the slice once (every replica serves the same one,
 // so the first live replica's description stands for all; a set with
 // every replica down reports zero sequences, as a dead remote backend
 // does) and sums the engine counters across live replicas — each
 // prepared its own copy and served its own share of the traffic — with
 // worker names prefixed r0/, r1/ by slot. The replica-layer counters say
-// how often the availability machinery fired: searches hedged, calls
-// failed over, dead replicas revived.
+// how often the availability machinery fired: calls failed over, dead
+// replicas revived.
 func (s *Set) Stats() engine.Stats {
 	agg := engine.Stats{
-		DBChecksum:     s.checksum,
-		Searches:       s.searches.Load(),
-		Queries:        s.queries.Load(),
-		HedgedSearches: s.hedged.Load(),
-		FailedOver:     s.failedOver.Load(),
-		Redials:        s.redials.Load(),
+		DBChecksum: s.checksum,
+		Searches:   s.searches.Load(),
+		Queries:    s.queries.Load(),
+		FailedOver: s.failedOver.Load(),
+		Redials:    s.redials.Load(),
 	}
 	for i, sl := range s.slots {
 		sl.mu.Lock()

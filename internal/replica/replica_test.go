@@ -227,7 +227,7 @@ func TestSearchSurvivesReplicaDeathMidSearch(t *testing.T) {
 		t.Fatal(err)
 	}
 	set, err := NewSet("shard 0 [0,16)", db.Checksum(),
-		[]Replica{{Backend: rb}, {Backend: local}}, Config{disableHedge: true})
+		[]Replica{{Backend: rb}, {Backend: local}}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +315,7 @@ func TestAllReplicasDeadNamesTheRange(t *testing.T) {
 		t.Fatal(err)
 	}
 	set, err := NewSet("shard 1 [6,12)", db.Checksum(),
-		[]Replica{{Backend: rb0}, {Backend: rb1}}, Config{disableHedge: true})
+		[]Replica{{Backend: rb0}, {Backend: rb1}}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,60 +348,44 @@ func TestAllReplicasDeadNamesTheRange(t *testing.T) {
 	}
 }
 
-// TestHedgeFiresOnSlowReplica pins replica 0, arms a short fixed hedge
-// threshold, and requires the answer to come from the fast sibling with
-// HedgedSearches counted — and no goroutine left behind once the slow
-// arm drains.
-func TestHedgeFiresOnSlowReplica(t *testing.T) {
-	before := runtime.NumGoroutine()
-	db := synth.RandomSet(alphabet.Protein, 14, 10, 60, 7301)
-	queries := synth.RandomSet(alphabet.Protein, 2, 20, 50, 7302)
+// stubBackend answers every search with one prebuilt report, so an
+// allocation count of Set.Search measures the facade alone.
+type stubBackend struct{ rep *master.Report }
 
-	gw := newGateWorker()
-	slow, err := engine.New(db, engine.Config{
-		Workers: []master.Worker{gw}, TopK: 3, Policy: master.PolicySelfScheduling,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fast, err := engine.New(db, engine.Config{Pool: master.PoolSpec{CPU: 1}, TopK: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	set, err := NewSet("hedge", db.Checksum(),
-		[]Replica{{Backend: slow}, {Backend: fast}}, Config{hedgeAfter: 5 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
+func (b stubBackend) Search(context.Context, *seq.Set, engine.SearchOptions) (*master.Report, error) {
+	return b.rep, nil
+}
+func (b stubBackend) Stats() engine.Stats          { return engine.Stats{} }
+func (b stubBackend) Checksum() uint32             { return 1 }
+func (b stubBackend) Alphabet() *alphabet.Alphabet { return alphabet.Protein }
+func (b stubBackend) Close() error                 { return nil }
 
-	ref, err := engine.New(db, engine.Config{Pool: master.PoolSpec{CPU: 1}, TopK: 3})
-	if err != nil {
-		t.Fatal(err)
+// TestSetSearchRunsInline pins that a replica set calls its replica on
+// the caller's goroutine: no goroutine, channel, timer or context per
+// call, with one replica or two.
+func TestSetSearchRunsInline(t *testing.T) {
+	queries := synth.RandomSet(alphabet.Protein, 1, 20, 40, 7303)
+	stub := stubBackend{rep: &master.Report{}}
+	for _, n := range []int{1, 2} {
+		reps := make([]Replica, n)
+		for i := range reps {
+			reps[i] = Replica{Backend: stub}
+		}
+		set, err := NewSet("inline", 1, reps, Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx := context.Background()
+		allocs := testing.AllocsPerRun(200, func() {
+			if _, err := set.Search(ctx, queries, engine.SearchOptions{}); err != nil {
+				t.Fatal(err)
+			}
+		})
+		set.Close()
+		if allocs > 1 {
+			t.Errorf("%d replicas: %.1f allocations per Search, want <= 1", n, allocs)
+		}
 	}
-	want := searchHits(t, ref, queries, 0)
-	ref.Close()
-
-	start := time.Now()
-	got := searchHits(t, set, queries, 0)
-	if !bytes.Equal(got, want) {
-		t.Fatal("hedged hits differ from reference engine")
-	}
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("hedged search took %v — answer did not come from the fast replica", elapsed)
-	}
-	if st := set.Stats(); st.HedgedSearches != 1 {
-		t.Fatalf("HedgedSearches = %d, want 1", st.HedgedSearches)
-	}
-	// The slow replica was never marked down: slow is not dead.
-	if n := set.Healthy(); n != 2 {
-		t.Fatalf("healthy replicas = %d after hedge, want 2", n)
-	}
-
-	close(gw.release) // let the losing arm drain
-	if err := set.Close(); err != nil {
-		t.Fatalf("close: %v", err)
-	}
-	waitNoLeak(t, before)
 }
 
 // TestRedialRevivesDeadReplica kills the remote replica, fails a search
@@ -428,7 +412,7 @@ func TestRedialRevivesDeadReplica(t *testing.T) {
 			return remote.DialTimeout(addr.Load().(string), db.Checksum(), 0)
 		}},
 		{Backend: local},
-	}, Config{disableHedge: true, redialBase: 5 * time.Millisecond, redialMax: 50 * time.Millisecond})
+	}, Config{redialBase: 5 * time.Millisecond, redialMax: 50 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}

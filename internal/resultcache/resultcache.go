@@ -1,7 +1,5 @@
 // Package resultcache is the query-fingerprint → hits cache that sits
-// in front of a search dispatcher, plus the singleflight collapsing
-// that keeps concurrent identical queries from each paying a full
-// scheduling wave.
+// in front of a search dispatcher.
 //
 // The cache key is the full search fingerprint — database checksum,
 // effective TopK, and every query's residue content in order — so a
@@ -14,13 +12,10 @@
 // defensively copied on the way in and out, so no caller can corrupt
 // a cached slice.
 //
-// Flight is the collapsing layer under the cache: the first caller to
-// miss on a key becomes the leader and runs the real search; callers
-// that miss on the same key while the leader is in flight become
-// followers and wait for the leader's answer. A follower's context
-// cancellation abandons only that follower — the leader keeps its own
-// context — and a leader error is propagated to every follower but
-// never cached, so the next request retries a real search.
+// Do is the whole protocol: Get, and on a miss run the search under the
+// caller's own context and Put its answer. Concurrent identical misses
+// each run their own search; an error or a partial answer is never
+// stored, so the next request retries a real search.
 package resultcache
 
 import (
@@ -180,8 +175,8 @@ func (c *Cache) Put(key string, hits [][]master.Hit) {
 	stored := CopyHits(hits)
 	c.mu.Lock()
 	if el, ok := c.index[key]; ok {
-		// Replace in place (two leaders can race here only across a
-		// flight boundary; both computed the same answer).
+		// Replace in place (two concurrent misses on one key both
+		// computed the same answer).
 		e := el.Value.(*entry)
 		c.bytes += size - e.size
 		e.hits, e.size = stored, size
@@ -236,142 +231,30 @@ func Report(queries *seq.Set, hits [][]master.Hit) *master.Report {
 	return rep
 }
 
-// Do answers one search through the cache and the flight — the whole
-// sequence a cached dispatcher runs in front of its real search. A hit
-// on key is answered from c without calling run. On a miss the first
-// caller becomes the leader: it runs the real search, stores a
-// full-coverage answer in c and publishes it to the flight. Callers
-// that miss while the leader is in flight bump collapsed (before
-// blocking, so tests and operators can see them parked) and wait for
-// its answer; a follower's ctx abandons only that follower. A leader
-// error reaches every follower and is never cached. A degraded answer
-// (non-nil Coverage) crosses the flight, coverage and all, so collapsed
-// callers get the same labeled partial answer — but never enters the
-// cache, so a later search is not answered from a partial one. A dead
-// ctx never gets an answer, warm cache or not: cancellation means
-// "stop".
-func Do(ctx context.Context, c *Cache, f *Flight, collapsed *atomic.Uint64, key string,
-	queries *seq.Set, run func() (*master.Report, error)) (*master.Report, error) {
+// Do answers one search through the cache — the whole sequence a cached
+// dispatcher runs in front of its real search. A dead ctx never gets an
+// answer, warm cache or not: cancellation means "stop". A hit on key is
+// answered from c without calling run. A miss runs the real search
+// under the caller's own ctx and stores a full-coverage answer. An
+// error is returned and never cached, so the next identical search
+// runs again; a degraded answer (non-nil Coverage) is returned but
+// never cached, so a later search is not answered from a partial one.
+func Do(ctx context.Context, c *Cache, key string, queries *seq.Set,
+	run func() (*master.Report, error)) (*master.Report, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	if hits, ok := c.Get(key); ok {
 		return Report(queries, hits), nil
 	}
-	call, leader := f.Join(key)
-	if !leader {
-		collapsed.Add(1)
-		hits, err := call.Wait(ctx)
-		if err != nil {
-			return nil, err
-		}
-		rep := Report(queries, CopyHits(hits))
-		if cov := call.Coverage(); cov != nil {
-			rep.Coverage = cov.Clone()
-		}
-		return rep, nil
-	}
 	rep, err := run()
-	if err != nil {
-		f.Finish(key, call, nil, err)
-		return nil, err
+	if err != nil || rep.Coverage != nil {
+		return rep, err
 	}
 	hits := make([][]master.Hit, len(rep.Results))
 	for i := range rep.Results {
 		hits[i] = rep.Results[i].Hits
 	}
-	if rep.Coverage != nil {
-		f.FinishPartial(key, call, CopyHits(hits), rep.Coverage.Clone())
-		return rep, nil
-	}
 	c.Put(key, hits)
-	f.Finish(key, call, CopyHits(hits), nil)
 	return rep, nil
-}
-
-// Flight collapses concurrent identical searches: the first Join on a
-// key is the leader, later Joins before Finish are followers.
-type Flight struct {
-	mu    sync.Mutex
-	calls map[string]*Call
-}
-
-// NewFlight builds an empty flight group.
-func NewFlight() *Flight {
-	return &Flight{calls: make(map[string]*Call)}
-}
-
-// Call is one in-flight search a leader runs and followers wait on.
-type Call struct {
-	done     chan struct{}
-	hits     [][]master.Hit   // immutable once done is closed
-	coverage *master.Coverage // non-nil only for degraded answers
-	err      error
-}
-
-// Join returns the in-flight call for key, creating it when absent.
-// leader reports whether the caller created the call and therefore must
-// run the search and Finish it.
-func (f *Flight) Join(key string) (c *Call, leader bool) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if c, ok := f.calls[key]; ok {
-		return c, false
-	}
-	c = &Call{done: make(chan struct{})}
-	f.calls[key] = c
-	return c, true
-}
-
-// Finish publishes the leader's outcome to every follower and retires
-// the call, so the next miss on key starts a fresh search (errors are
-// therefore never sticky). hits must be a copy the followers may share;
-// they are treated as immutable from here on.
-func (f *Flight) Finish(key string, c *Call, hits [][]master.Hit, err error) {
-	f.finish(key, c, hits, nil, err)
-}
-
-// FinishPartial publishes a degraded leader's outcome: followers get
-// the surviving hits together with the coverage describing what was
-// skipped, so a collapsed answer is labeled partial exactly like the
-// leader's. Degraded answers never reach the Cache — that is the
-// caller's contract; this method only carries the metadata across the
-// flight.
-func (f *Flight) FinishPartial(key string, c *Call, hits [][]master.Hit, coverage *master.Coverage) {
-	f.finish(key, c, hits, coverage, nil)
-}
-
-func (f *Flight) finish(key string, c *Call, hits [][]master.Hit, coverage *master.Coverage, err error) {
-	f.mu.Lock()
-	if cur, ok := f.calls[key]; ok && cur == c {
-		delete(f.calls, key)
-	}
-	f.mu.Unlock()
-	c.hits, c.coverage, c.err = hits, coverage, err
-	close(c.done)
-}
-
-// Coverage reports the degraded-answer metadata the leader published
-// (nil for a full-coverage answer). Valid only after Wait returned
-// without error; the value is shared and must be Cloned before
-// attaching to a caller-owned Report.
-func (c *Call) Coverage() *master.Coverage {
-	select {
-	case <-c.done:
-		return c.coverage
-	default:
-		return nil
-	}
-}
-
-// Wait blocks until the leader finished or ctx is done. The returned
-// hits are shared and immutable — copy before mutating (Report wants an
-// owned copy, so pass them through CopyHits).
-func (c *Call) Wait(ctx context.Context) ([][]master.Hit, error) {
-	select {
-	case <-c.done:
-		return c.hits, c.err
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
 }

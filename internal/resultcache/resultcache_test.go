@@ -4,9 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"testing"
-	"time"
 
 	"swdual/internal/alphabet"
 	"swdual/internal/master"
@@ -142,60 +140,6 @@ func TestCacheDefensiveCopies(t *testing.T) {
 	}
 }
 
-// TestFlightCollapse drives the leader/follower protocol directly: one
-// leader, followers that share its answer, error propagation without
-// stickiness, and follower-only cancellation.
-func TestFlightCollapse(t *testing.T) {
-	f := NewFlight()
-	call, leader := f.Join("k")
-	if !leader {
-		t.Fatal("first Join must lead")
-	}
-	if _, again := f.Join("k"); again {
-		t.Fatal("second Join of an in-flight key must follow")
-	}
-
-	// A follower with a canceled context abandons only itself.
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := call.Wait(ctx); !errors.Is(err, context.Canceled) {
-		t.Fatalf("canceled follower: %v", err)
-	}
-
-	done := make(chan error, 1)
-	go func() {
-		hits, err := call.Wait(context.Background())
-		if err == nil && len(hits) != 2 {
-			err = fmt.Errorf("follower got %d hit lists", len(hits))
-		}
-		done <- err
-	}()
-	f.Finish("k", call, hitsFor(2), nil)
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("follower never woke")
-	}
-
-	// The key retired with the call: the next Join leads again, and a
-	// leader error reaches its followers but is gone once finished.
-	call2, leader2 := f.Join("k")
-	if !leader2 {
-		t.Fatal("Join after Finish must lead")
-	}
-	boom := errors.New("boom")
-	f.Finish("k", call2, nil, boom)
-	if _, err := call2.Wait(context.Background()); !errors.Is(err, boom) {
-		t.Fatalf("follower error: %v", err)
-	}
-	if _, leader3 := f.Join("k"); !leader3 {
-		t.Fatal("error must not be sticky: next Join must lead")
-	}
-}
-
 // TestReport assembles a report from cached hits and checks identity
 // comes from the request (IDs, indices), not from the cache, and that
 // the report claims no work.
@@ -219,79 +163,61 @@ func TestReport(t *testing.T) {
 	}
 }
 
-// TestFlightFollowerCancelRace stress-tests the window between the
-// leader's Finish and a follower's Wait wakeup when the follower's
-// context is cancelled at the same instant. The follower must observe
-// exactly one of two outcomes — its own context error, or the complete
-// published result — never a torn mix (partial hits, or hits alongside
-// a context error). The happens-before edge is Finish's channel close;
-// this pins it under the race detector.
-func TestFlightFollowerCancelRace(t *testing.T) {
-	const rounds = 500
-	const followers = 4
-	want := hitsFor(8)
-	for round := 0; round < rounds; round++ {
-		f := NewFlight()
-		key := fmt.Sprintf("k%d", round)
-		leader, isLeader := f.Join(key)
-		if !isLeader {
-			t.Fatal("first join was not leader")
-		}
-		var wg sync.WaitGroup
-		for i := 0; i < followers; i++ {
-			c, isLeader := f.Join(key)
-			if isLeader {
-				t.Fatal("follower join became leader")
+// TestDo walks the cached search through its five outcomes: a hit never
+// runs the search, a miss runs it and stores the answer, and an error,
+// a partial answer or a dead ctx leaves the cache as it was.
+func TestDo(t *testing.T) {
+	queries := set(t, []byte{1, 2}, []byte{3, 4})
+	full := func() (*master.Report, error) { return Report(queries, hitsFor(2)), nil }
+	boom := errors.New("boom")
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, tc := range []struct {
+		name    string
+		warm    bool // key cached before Do
+		ctx     context.Context
+		run     func() (*master.Report, error)
+		wantRun bool
+		wantErr error
+		stored  bool // key cached after Do
+	}{
+		{name: "hit", warm: true, ctx: context.Background(), run: full, stored: true},
+		{name: "miss then Put", ctx: context.Background(), run: full, wantRun: true, stored: true},
+		{name: "error not stored", ctx: context.Background(), wantRun: true, wantErr: boom,
+			run: func() (*master.Report, error) { return nil, boom }},
+		{name: "Coverage not stored", ctx: context.Background(), wantRun: true,
+			run: func() (*master.Report, error) {
+				rep, _ := full()
+				rep.Coverage = &master.Coverage{RangesSearched: 1, RangesTotal: 2}
+				return rep, nil
+			}},
+		{name: "dead ctx", warm: true, ctx: canceled, run: full, wantErr: context.Canceled, stored: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := New(Config{})
+			key := Key(1, 5, queries)
+			if tc.warm {
+				c.Put(key, hitsFor(2))
 			}
-			ctx, cancel := context.WithCancel(context.Background())
-			wg.Add(2)
-			go func() { // cancel races Finish
-				defer wg.Done()
-				cancel()
-			}()
-			go func() {
-				defer wg.Done()
-				hits, err := c.Wait(ctx)
-				switch {
-				case err == nil:
-					// Complete result: every query's hits, intact.
-					if len(hits) != len(want) {
-						t.Errorf("torn result: %d hit lists, want %d", len(hits), len(want))
-						return
-					}
-					for qi := range want {
-						if len(hits[qi]) != len(want[qi]) || hits[qi][0] != want[qi][0] {
-							t.Errorf("torn hits for query %d: %+v", qi, hits[qi])
-							return
-						}
-					}
-				case errors.Is(err, context.Canceled):
-					if hits != nil {
-						t.Errorf("context error delivered with hits attached")
-					}
-				default:
-					t.Errorf("unexpected wait error: %v", err)
+			ran := false
+			rep, err := Do(tc.ctx, c, key, queries, func() (*master.Report, error) {
+				ran = true
+				return tc.run()
+			})
+			if ran != tc.wantRun {
+				t.Fatalf("search ran = %v, want %v", ran, tc.wantRun)
+			}
+			if !errors.Is(err, tc.wantErr) {
+				t.Fatalf("err %v, want %v", err, tc.wantErr)
+			}
+			if err == nil {
+				if len(rep.Results) != 2 || rep.Results[1].QueryID != "q1" || rep.Results[1].Hits[0] != hitsFor(2)[1][0] {
+					t.Fatalf("report %+v", rep.Results)
 				}
-			}()
-		}
-		// Finish with a fresh copy each round, as the engine's leader
-		// path does: followers share it as immutable.
-		f.Finish(key, leader, CopyHits(want), nil)
-		wg.Wait()
-	}
-}
-
-// TestFlightLateJoinAfterFinish: a Join that loses the race against
-// Finish must become a fresh leader, not wait forever on a retired
-// call.
-func TestFlightLateJoinAfterFinish(t *testing.T) {
-	f := NewFlight()
-	c, leader := f.Join("k")
-	if !leader {
-		t.Fatal("first join not leader")
-	}
-	f.Finish("k", c, hitsFor(1), nil)
-	if _, leader := f.Join("k"); !leader {
-		t.Fatal("join after finish did not start a fresh flight")
+			}
+			if _, ok := c.Get(key); ok != tc.stored {
+				t.Fatalf("cached after Do = %v, want %v", ok, tc.stored)
+			}
+		})
 	}
 }

@@ -60,14 +60,13 @@ func TestCachedShardedMatchesUnsharded(t *testing.T) {
 }
 
 // gateBackend wraps a real engine and pins its Search until released,
-// so shard-level collapse tests can hold a scatter open
+// so shard-level cache tests can hold a scatter open
 // deterministically.
 type gateBackend struct {
 	engine.Backend
-	mu       sync.Mutex
-	started  chan struct{}
-	release  chan struct{}
-	searches int
+	once    sync.Once
+	started chan struct{}
+	release chan struct{}
 }
 
 func newGateBackend(inner engine.Backend) *gateBackend {
@@ -75,24 +74,13 @@ func newGateBackend(inner engine.Backend) *gateBackend {
 }
 
 func (g *gateBackend) Search(ctx context.Context, queries *seq.Set, opts engine.SearchOptions) (*master.Report, error) {
-	g.mu.Lock()
-	g.searches++
-	if g.searches == 1 {
-		close(g.started)
-	}
-	g.mu.Unlock()
+	g.once.Do(func() { close(g.started) })
 	select {
 	case <-g.release:
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	}
 	return g.Backend.Search(ctx, queries, opts)
-}
-
-func (g *gateBackend) searchCount() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.searches
 }
 
 // waitShardStats polls the coordinator's counters until cond holds.
@@ -108,14 +96,22 @@ func waitShardStats(t *testing.T, s *Searcher, desc string, cond func(engine.Sta
 	}
 }
 
-// TestCoordinatorCollapsesConcurrentSearches pins the scatter open via
-// a gated backend and piles identical searches behind the leader: all
-// of them must share the leader's single scatter, and a canceled
-// follower must abandon only itself.
-func TestCoordinatorCollapsesConcurrentSearches(t *testing.T) {
+// TestCoordinatorFollowerOutlivesLeaderCancel is the coordinator twin
+// of the engine's TestFollowerOutlivesLeaderDeadline: two identical
+// searches wait at the gated ranges, the first caller cancels, and the
+// second — running under its own context — must still gather hits
+// byte-identical to an unsharded engine once the ranges are released.
+func TestCoordinatorFollowerOutlivesLeaderCancel(t *testing.T) {
 	const topK = 3
 	db := synth.RandomSet(alphabet.Protein, 20, 10, 100, 2005)
 	queries := synth.RandomSet(alphabet.Protein, 3, 20, 60, 2006)
+	whole, err := engine.New(db, engine.Config{Pool: master.PoolSpec{CPU: 1}, TopK: topK})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := searchHits(t, whole, queries, topK)
+	whole.Close()
+
 	ranges := RangesFor(db, 2, Contiguous)
 	gates := make([]*gateBackend, 2)
 	backends := make([]engine.Backend, 2)
@@ -134,63 +130,42 @@ func TestCoordinatorCollapsesConcurrentSearches(t *testing.T) {
 	defer s.Close()
 	s.EnableCache(0, 0)
 
-	const followers = 7
-	reports := make([]*master.Report, followers+1)
-	errs := make([]error, followers+1)
-	var wg sync.WaitGroup
-	search := func(i int) {
-		defer wg.Done()
-		reports[i], errs[i] = s.Search(context.Background(), queries, engine.SearchOptions{})
-	}
-	wg.Add(1)
-	go search(0)
-	<-gates[0].started // the leader's scatter is in flight and pinned
-	for i := 1; i <= followers; i++ {
-		wg.Add(1)
-		go search(i)
-	}
-	waitShardStats(t, s, "followers to join", func(st engine.Stats) bool { return st.CollapsedSearches == followers })
-
-	// One more caller with a canceled context: a follower's
-	// cancellation abandons only that follower, even mid-collapse.
 	ctx, cancel := context.WithCancel(context.Background())
-	doomed := make(chan error, 1)
+	firstDone := make(chan error, 1)
 	go func() {
 		_, err := s.Search(ctx, queries, engine.SearchOptions{})
-		doomed <- err
+		firstDone <- err
 	}()
-	waitShardStats(t, s, "doomed follower to join", func(st engine.Stats) bool { return st.CollapsedSearches == followers+1 })
-	cancel()
-	select {
-	case err := <-doomed:
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("canceled follower: %v", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("canceled follower stuck behind the pinned scatter")
+	<-gates[0].started // the first scatter is pinned
+	type outcome struct {
+		rep *master.Report
+		err error
 	}
-
+	secondDone := make(chan outcome, 1)
+	go func() {
+		rep, err := s.Search(context.Background(), queries, engine.SearchOptions{})
+		secondDone <- outcome{rep, err}
+	}()
+	waitShardStats(t, s, "the second search to miss", func(st engine.Stats) bool { return st.CacheMisses == 2 })
+	cancel()
+	if err := <-firstDone; !errors.Is(err, context.Canceled) {
+		t.Fatalf("first search returned %v, want context.Canceled", err)
+	}
 	for _, g := range gates {
 		close(g.release)
 	}
-	wg.Wait()
-	for i := range errs {
-		if errs[i] != nil {
-			t.Fatalf("caller %d: %v", i, errs[i])
+	select {
+	case o := <-secondDone:
+		if o.err != nil {
+			t.Fatalf("second search failed with the first caller's error: %v", o.err)
 		}
-	}
-	want := hitBytes(t, reports[0].Results)
-	for i := 1; i < len(reports); i++ {
-		if !bytes.Equal(hitBytes(t, reports[i].Results), want) {
-			t.Fatalf("follower %d hits differ from the leader's", i)
+		if !bytes.Equal(hitBytes(t, o.rep.Results), want) {
+			t.Fatal("second search's hits differ from unsharded")
 		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("second search never returned")
 	}
-	for si, g := range gates {
-		if n := g.searchCount(); n != 1 {
-			t.Fatalf("shard %d saw %d scatters for %d collapsed searches, want 1", si, n, followers+2)
-		}
-	}
-	if st := s.Stats(); st.Searches != followers+2 || st.CacheMisses != followers+2 {
-		t.Fatalf("coordinator stats after collapse: %+v", st)
+	if st := s.Stats(); st.CacheHits != 0 {
+		t.Fatalf("a canceled scatter was served from cache: %+v", st)
 	}
 }

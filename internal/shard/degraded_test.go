@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"net"
 	"strings"
-	"sync"
 	"testing"
 
 	"swdual/internal/alphabet"
@@ -328,79 +327,6 @@ func TestDegradedAnswerNeverEntersCache(t *testing.T) {
 		if n := w.Calls(faultinject.OpSearch); n != 2 {
 			t.Fatalf("shard %d saw %d searches, want 2", i, n)
 		}
-	}
-}
-
-// TestCollapsedFollowersShareDegradedAnswer parks the leader's scatter
-// at a gate, piles followers onto the same key, then lets the gated
-// range die: every caller must get the same labeled partial answer,
-// and every one of them counts as a degraded search.
-func TestCollapsedFollowersShareDegradedAnswer(t *testing.T) {
-	const topK = 3
-	const followers = 3
-	db := synth.RandomSet(alphabet.Protein, 20, 10, 100, 4007)
-	queries := synth.RandomSet(alphabet.Protein, 2, 20, 60, 4008)
-
-	s, wrappers := faultedSearcher(t, db, 2, topK)
-	s.SetDegradedPolicy(DegradedPartial)
-	s.EnableCache(0, 0)
-	ranges := s.ranges
-	gate := faultinject.NewGate()
-	wrappers[0].SetRules(faultinject.Rule{
-		Op: faultinject.OpSearch, Count: 1,
-		Fault: faultinject.Fault{Gate: gate, Err: rangeDownErr(0, ranges[0])},
-	})
-
-	reports := make([]*master.Report, followers+1)
-	errs := make([]error, followers+1)
-	var wg sync.WaitGroup
-	search := func(i int) {
-		defer wg.Done()
-		reports[i], errs[i] = s.Search(context.Background(), queries, engine.SearchOptions{})
-	}
-	wg.Add(1)
-	go search(0)
-	<-gate.Entered() // the leader's scatter is provably pinned mid-call
-	for i := 1; i <= followers; i++ {
-		wg.Add(1)
-		go search(i)
-	}
-	waitShardStats(t, s, "followers to join", func(st engine.Stats) bool { return st.CollapsedSearches == followers })
-	gate.Release()
-	wg.Wait()
-
-	want := survivorHits(t, db, ranges, map[int]bool{0: true}, queries, topK)
-	for i := range reports {
-		if errs[i] != nil {
-			t.Fatalf("caller %d: %v", i, errs[i])
-		}
-		cov := reports[i].Coverage
-		if cov == nil {
-			t.Fatalf("caller %d got an unlabeled partial answer", i)
-		}
-		if cov.RangesSearched != 1 || cov.RangesTotal != 2 || len(cov.Skipped) != 1 || cov.Skipped[0].Index != 0 {
-			t.Fatalf("caller %d coverage %+v", i, cov)
-		}
-		if got := hitBytes(t, reports[i].Results); !bytes.Equal(got, want) {
-			t.Fatalf("caller %d hits differ from the survivor merge", i)
-		}
-	}
-	// Followers must not alias the leader's Skipped slice: a caller
-	// mutating its coverage cannot corrupt another's.
-	reports[0].Coverage.Skipped[0].Reason = "mutated by caller 0"
-	if reports[1].Coverage.Skipped[0].Reason == "mutated by caller 0" {
-		t.Fatal("collapsed callers share one Coverage value")
-	}
-	st := s.Stats()
-	if st.DegradedSearches != followers+1 {
-		t.Fatalf("DegradedSearches = %d, want %d (leader plus every follower)", st.DegradedSearches, followers+1)
-	}
-	// The degraded answer crossed the flight but never the cache.
-	if st.CacheHits != 0 || st.CacheMisses != followers+1 {
-		t.Fatalf("cache hits/misses %d/%d, want 0/%d", st.CacheHits, st.CacheMisses, followers+1)
-	}
-	if n := wrappers[0].Calls(faultinject.OpSearch); n != 1 {
-		t.Fatalf("shard 0 saw %d scatters for %d collapsed callers, want 1", n, followers+1)
 	}
 }
 

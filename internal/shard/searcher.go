@@ -59,13 +59,11 @@ type Searcher struct {
 
 	searches      atomic.Uint64
 	queries       atomic.Uint64
-	collapsed     atomic.Uint64
 	degradedCount atomic.Uint64
 
-	// cache and flight are the coordinator-side result cache (nil when
-	// disabled): answers are served and collapsed before the scatter.
-	cache  *resultcache.Cache
-	flight *resultcache.Flight
+	// cache is the coordinator-side result cache (nil when disabled):
+	// a hit is answered before the scatter.
+	cache *resultcache.Cache
 
 	closeOnce sync.Once
 	closeErr  error
@@ -79,16 +77,14 @@ func (s *Searcher) SetDegradedPolicy(p DegradedPolicy) { s.degraded = p }
 // DegradedPolicy reports the configured degradation policy.
 func (s *Searcher) DegradedPolicy() DegradedPolicy { return s.degraded }
 
-// EnableCache attaches the coordinator-side result cache and
-// singleflight collapsing: a repeated search is answered before the
-// scatter — no range sees it at all, which is what lets the cluster keep
-// answering hot queries while shard servers restart — and concurrent
-// identical searches collapse into one scatter. maxEntries and maxBytes
+// EnableCache attaches the coordinator-side result cache: a repeated
+// search is answered before the scatter — no range sees it at all,
+// which is what lets the cluster keep answering hot queries while shard
+// servers restart. maxEntries and maxBytes
 // bound it (0 selects the resultcache defaults). Call before serving
 // traffic: enabling is not synchronized with concurrent Search calls.
 func (s *Searcher) EnableCache(maxEntries int, maxBytes int64) {
 	s.cache = resultcache.New(resultcache.Config{MaxEntries: maxEntries, MaxBytes: maxBytes})
-	s.flight = resultcache.NewFlight()
 }
 
 // WithBackends assembles a sharded Searcher over pre-built backends, one
@@ -181,13 +177,12 @@ func (s *Searcher) Checksum() uint32 { return s.checksum }
 // in-process and remote shards alike — reads out of one list.
 func (s *Searcher) Stats() engine.Stats {
 	agg := engine.Stats{
-		DBSequences:       s.db.Len(),
-		DBResidues:        s.dbResidues,
-		DBChecksum:        s.checksum,
-		Searches:          s.searches.Load(),
-		Queries:           s.queries.Load(),
-		CollapsedSearches: s.collapsed.Load(),
-		DegradedSearches:  s.degradedCount.Load(),
+		DBSequences:      s.db.Len(),
+		DBResidues:       s.dbResidues,
+		DBChecksum:       s.checksum,
+		Searches:         s.searches.Load(),
+		Queries:          s.queries.Load(),
+		DegradedSearches: s.degradedCount.Load(),
 	}
 	if s.cache != nil {
 		cs := s.cache.Stats()
@@ -195,7 +190,7 @@ func (s *Searcher) Stats() engine.Stats {
 	}
 	// Backend counters fold into the same totals: a backend may be a
 	// remote engine serving other clients with its own cache, or a
-	// replica.Set whose hedges, failovers and redials roll up here so one
+	// replica.Set whose failovers and redials roll up here so one
 	// Stats call shows availability events across every range.
 	for si, b := range s.backends {
 		agg.Add(b.Stats(), fmt.Sprintf("shard%d/", si))
@@ -212,9 +207,8 @@ func (s *Searcher) Stats() engine.Stats {
 // loses nothing.
 //
 // With the coordinator cache on (EnableCache), a repeated search is
-// answered before the scatter — no backend is touched — and concurrent
-// identical searches collapse into one scatter, with the same
-// leader/follower semantics as the engine-level cache.
+// answered before the scatter — no backend is touched — with the same
+// semantics as the engine-level cache.
 func (s *Searcher) Search(ctx context.Context, queries *seq.Set, opts engine.SearchOptions) (*master.Report, error) {
 	if queries == nil {
 		return nil, fmt.Errorf("shard: nil query set")
@@ -228,20 +222,11 @@ func (s *Searcher) Search(ctx context.Context, queries *seq.Set, opts engine.Sea
 	}
 	s.searches.Add(1)
 	s.queries.Add(uint64(queries.Len()))
-	run := func() (*master.Report, error) { return s.scatter(ctx, queries, topK) }
-	var rep *master.Report
-	var err error
 	if s.cache == nil || queries.Len() == 0 {
-		rep, err = run()
-	} else {
-		rep, err = resultcache.Do(ctx, s.cache, s.flight, &s.collapsed, resultcache.Key(s.checksum, topK, queries), queries, run)
+		return s.scatter(ctx, queries, topK)
 	}
-	if err == nil && rep.Coverage != nil {
-		// Counted here, not in scatter, so a collapsed caller handed the
-		// leader's partial answer is counted as the degraded search it is.
-		s.degradedCount.Add(1)
-	}
-	return rep, err
+	return resultcache.Do(ctx, s.cache, resultcache.Key(s.checksum, topK, queries),
+		queries, func() (*master.Report, error) { return s.scatter(ctx, queries, topK) })
 }
 
 // scatter runs one real sharded search: fan out to every backend, wait,
@@ -344,7 +329,9 @@ func (s *Searcher) scatter(ctx context.Context, queries *seq.Set, topK int) (*ma
 		}
 	}
 	rep := s.gather(queries, reps, topK, start)
-	rep.Coverage = s.coverage(skipped, errs)
+	if rep.Coverage = s.coverage(skipped, errs); rep.Coverage != nil {
+		s.degradedCount.Add(1)
+	}
 	return rep, nil
 }
 

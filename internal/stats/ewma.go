@@ -9,11 +9,10 @@ import "sync"
 const ewmaAlpha = 0.3
 
 // EWMA is an exponentially weighted moving average, safe for concurrent
-// Observe and Snapshot calls. Three readers share it: the worker rate
-// estimate (GCUPS per completed task, seeded with the advertised rate),
-// the replica hedging trigger ("is this search running long?") and the
-// gateway's Retry-After ("how long until a queue slot frees up?"), the
-// latter two over nanoseconds.
+// Observe and Snapshot calls. Two readers share it: the worker rate
+// estimate (GCUPS per completed task, seeded with the advertised rate)
+// and the gateway's Retry-After ("how long until a queue slot frees
+// up?", over nanoseconds).
 //
 // The zero value is unseeded: its first observation becomes the mean.
 // NewEWMA seeds it instead, and the first observation blends with the

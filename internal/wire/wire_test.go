@@ -169,7 +169,7 @@ func TestStatsResponseRoundTrip(t *testing.T) {
 		ID: 9, DBSequences: 10, DBResidues: 1234, DBChecksum: 0xfeed,
 		Prepared: 1, WorkersStarted: 3,
 		Counters: []Counter{{"searches", 4}, {"queries", 5}, {"waves", 6}, {"batched_waves", 2},
-			{"hedged_searches", 7}, {"failed_over", 2}, {"redials", 1}, {"unknown_to_this_build", 1 << 40}},
+			{"cache_hits", 7}, {"failed_over", 2}, {"redials", 1}, {"unknown_to_this_build", 1 << 40}},
 		Workers: []WorkerRateInfo{
 			{Name: "gpu-0", Kind: 1, AdvertisedGCUPS: 24.8, ObservedGCUPS: 31.5, Tasks: 12},
 			{Name: "cpu-0", Kind: 0, AdvertisedGCUPS: 8.335, ObservedGCUPS: 7.9, Tasks: 4},

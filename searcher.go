@@ -27,7 +27,7 @@ import (
 // With Options.ReplicaShards this process is the coordinator of a
 // cluster: the database is partitioned into ranges, each held by one or
 // more interchangeable serve processes (see ServeShard) behind a
-// failover/redial/hedging facade, so a range with several servers
+// failover/redial facade, so a range with several servers
 // survives one dying mid-flight. Search scatters to every range and
 // gathers the per-query hits through a deterministic TopK merge, so the
 // results stay byte-identical to the unsharded engine.
@@ -92,7 +92,7 @@ func NewSearcher(db *Database, opt Options) (*Searcher, error) {
 // dialReplicaShards assembles the coordinator side of a cluster: split
 // the local database the same way the shard servers did, dial each
 // range's addresses with the slice checksum as the skew guard, wrap them
-// in a replica.Set — the facade that fails over, re-dials and hedges —
+// in a replica.Set — the facade that fails over and re-dials —
 // and feed the sets to the scatter/gather. A replica that is down at
 // construction is tolerated (its set starts re-dialing immediately) as
 // long as at least one replica of the range answers. A server whose TopK

@@ -89,20 +89,17 @@ type Options struct {
 	// capping hits below the gather's cap is refused at dial. A
 	// replica whose connection dies is failed over to a sibling (when
 	// the range has one) and re-dialed in the background with capped
-	// backoff; searches running past an adaptive latency threshold are
-	// hedged on a sibling, first answer wins — replicas proven identical
-	// is what makes both answer-preserving. A replica that is down at
-	// construction is tolerated as long as at least one replica of its
-	// range is up.
+	// backoff — replicas proven identical is what makes failover
+	// answer-preserving. A replica that is down at construction is
+	// tolerated as long as at least one replica of its range is up.
 	ReplicaShards [][]string
 	// DialTimeout bounds dialing one remote shard or replica — TCP
 	// connect and protocol handshake together — so a hung server cannot
 	// block construction forever. 0 selects the default (10s).
 	DialTimeout time.Duration
-	// Cache enables the result cache with singleflight collapsing: a
-	// repeated search (same query residues, same TopK, same database)
-	// is answered from a bounded LRU without running a scheduling wave,
-	// and concurrent identical searches collapse into one wave. With
+	// Cache enables the result cache: a repeated search (same query
+	// residues, same TopK, same database) is answered from a bounded LRU
+	// without running a scheduling wave. With
 	// ReplicaShards the cache lives in the coordinator, so a cached
 	// answer never reaches a shard server. Off by default — the
 	// paper's benchmarks measure scheduling, so reproduction runs pay
