@@ -13,12 +13,12 @@
 //	swdual -db db.fasta -gateway :8080              # HTTP/JSON front door
 //
 // The gateway serves POST /v1/search (JSON queries), GET /v1/stats,
-// /healthz and /metrics, with bounded-queue admission control: past
-// -gateway-capacity executing and -gateway-queue waiting requests,
-// arrivals are shed immediately with 429 and a Retry-After estimated
-// from live search latency. It can front any backend below — add
-// -replica-shards to put the same HTTP surface over a clustered
-// database.
+// /healthz and /metrics, with bounded-queue admission control sized
+// from the host: past 2×GOMAXPROCS executing and four times that many
+// waiting requests, arrivals are shed immediately with 429 and a
+// Retry-After estimated from live search latency. It can front any
+// backend below — add -replica-shards to put the same HTTP surface over
+// a clustered database.
 //
 // Cluster serve distributes the database across processes: each shard
 // server holds the same database and serves one slice of it, and a
@@ -81,10 +81,7 @@ func main() {
 		cacheSz  = flag.Int("cache-size", 0, "max cached search fingerprints with -cache (0 = default 1024)")
 		degraded = flag.Bool("degraded", false, "-replica-shards coordinators answer partial when every replica of a range is down, reporting coverage, instead of failing the search (HTTP gateways answer 206)")
 
-		gatewayAddr = flag.String("gateway", "", "serve the database over HTTP/JSON on this address, with admission control and load shedding (POST /v1/search, GET /v1/stats, /healthz, /metrics)")
-		gwCapacity  = flag.Int("gateway-capacity", 0, "concurrently executing gateway searches (0 = default 2×GOMAXPROCS)")
-		gwQueue     = flag.Int("gateway-queue", 0, "admitted gateway requests that may wait for a slot; past capacity+queue arrivals are shed with 429 (0 = default 4×capacity, negative = no queue)")
-		gwClients   = flag.Int("gateway-client-slots", 0, "slots one client (X-API-Key, else remote address) may hold at once (0 = default (capacity+queue)/4)")
+		gatewayAddr = flag.String("gateway", "", "serve the database over HTTP/JSON on this address (POST /v1/search, GET /v1/stats, /healthz, /metrics), with admission sized from the host: 2×GOMAXPROCS executing and four times that many waiting searches, a quarter of all slots per client, the rest shed with 429")
 
 		shardServe = flag.String("shard-serve", "", "serve one shard of the database on this address (cluster serve)")
 		shardIndex = flag.Int("shard-index", 0, "which shard -shard-serve exposes")
@@ -106,9 +103,6 @@ func main() {
 		CacheSize:  *cacheSz,
 		Degraded:   *degraded,
 	}
-	opt.GatewayCapacity = *gwCapacity
-	opt.GatewayQueue = *gwQueue
-	opt.GatewayClientSlots = *gwClients
 	if *repShards != "" {
 		for _, group := range strings.Split(*repShards, ";") {
 			opt.ReplicaShards = append(opt.ReplicaShards, strings.Split(group, ","))

@@ -198,7 +198,7 @@ func TestDegradedCoverageSurfacesThroughPublicAPI(t *testing.T) {
 		t.Fatalf("public Stats DegradedSearches = %d, want 1", st.DegradedSearches)
 	}
 
-	gw, err := NewGateway(s, Options{GatewayCapacity: 2, GatewayQueue: 2})
+	gw, err := NewGateway(s, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

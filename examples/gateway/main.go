@@ -1,8 +1,8 @@
 // Gateway: put the HTTP/JSON front door with admission control over a
-// Searcher, query it like any HTTP client would, and drive it into
-// overload to watch load shedding answer 429 with a Retry-After —
-// while every admitted search returns the same hits a direct
-// Searcher.Search produces.
+// Searcher, query it like any HTTP client would, and offer it a burst
+// from one client to see what the gateway, sized from this host, did
+// with each request — every admitted search returns the same hits a
+// direct Searcher.Search produces.
 package main
 
 import (
@@ -34,11 +34,7 @@ func main() {
 	}
 	defer s.Close()
 
-	// One executing search, no queue: the second concurrent request is
-	// shed, which is exactly what this example wants to show.
-	gw, err := swdual.NewGateway(s, swdual.Options{
-		GatewayCapacity: 1, GatewayQueue: -1, GatewayClientSlots: 4,
-	})
+	gw, err := swdual.NewGateway(s, swdual.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -81,18 +77,26 @@ func main() {
 		}
 	}
 
-	// Overload: eight concurrent requests against one execution slot.
-	// Admitted ones complete; the rest are shed immediately with 429
-	// and a Retry-After backoff hint instead of queueing without bound.
-	fmt.Printf("\noffering 8 concurrent searches to capacity 1:\n")
+	// A burst from one client. One client may hold a quarter of the
+	// gateway's slots (executing plus waiting); past that its requests
+	// are shed immediately with 429 and a Retry-After backoff hint
+	// instead of queueing without bound. How many that is depends on
+	// the host's GOMAXPROCS and on how fast the admitted ones finish.
+	const burst = 8
+	fmt.Printf("\noffering %d concurrent searches from one client:\n", burst)
 	var wg sync.WaitGroup
 	var mu sync.Mutex
 	outcomes := map[string]int{}
-	for i := 0; i < 8; i++ {
+	for i := 0; i < burst; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			resp, err := http.Post(base+"/v1/search", "application/json", bytes.NewReader(body))
+			req, err := http.NewRequest(http.MethodPost, base+"/v1/search", bytes.NewReader(body))
+			if err != nil {
+				log.Fatal(err)
+			}
+			req.Header.Set("X-API-Key", "example-client")
+			resp, err := http.DefaultClient.Do(req)
 			if err != nil {
 				log.Fatal(err)
 			}

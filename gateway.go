@@ -8,14 +8,16 @@ import (
 )
 
 // Gateway is the HTTP/JSON front door over a Searcher, with admission
-// control and load shedding: up to Options.GatewayCapacity searches
-// execute concurrently, Options.GatewayQueue more may wait, and past
-// that requests are rejected early with 429 and a Retry-After computed
-// from the live search-latency estimate. A per-client slot bound
-// (X-API-Key header, else remote address) keeps one client from
-// occupying the whole queue. Client deadlines — a Request-Timeout
-// header or the timeout_ms body field — propagate into the search
-// context, so abandoned work is never planned into a scheduling wave; a
+// control and load shedding sized from the host: 2×GOMAXPROCS searches
+// execute concurrently, four times that many may wait, and past that
+// requests are rejected early with 429 and a Retry-After computed from
+// the live search-latency estimate. A per-client bound of a quarter of
+// all slots (X-API-Key header, else remote address) keeps one client
+// from occupying the whole queue. A client deadline — a Request-Timeout
+// header or the timeout_ms body field — counts from the request's
+// arrival. The header deadline also bounds the wait for an execution
+// slot (504 when it passes there), and the search context gets what is
+// left, so abandoned work is never planned into a scheduling wave; a
 // request carrying neither runs without a deadline. Request bodies are
 // capped at 8 MiB.
 //
@@ -38,19 +40,15 @@ type Gateway struct {
 // accounting.
 type GatewayCounters = gateway.Counters
 
-// NewGateway wraps s in the HTTP front door tuned by opt's Gateway*
-// fields. The Gateway does not own the Searcher: close the Gateway
-// first (draining in-flight searches), then the Searcher.
-func NewGateway(s *Searcher, opt Options) (*Gateway, error) {
+// NewGateway wraps s in the HTTP front door. No Options field applies
+// to it: the parameter stays only because existing callers pass one.
+// The Gateway does not own the Searcher: close the Gateway first
+// (draining in-flight searches), then the Searcher.
+func NewGateway(s *Searcher, _ Options) (*Gateway, error) {
 	if s == nil {
 		return nil, errNilSets
 	}
-	g, err := gateway.New(s.inner, gateway.Config{
-		Capacity:      opt.GatewayCapacity,
-		Queue:         opt.GatewayQueue,
-		ClientSlots:   opt.GatewayClientSlots,
-		DBMappedBytes: s.db.MappedBytes(),
-	})
+	g, err := gateway.New(s.inner, gateway.Config{DBMappedBytes: s.db.MappedBytes()})
 	if err != nil {
 		return nil, err
 	}

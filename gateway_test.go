@@ -29,7 +29,7 @@ func TestGatewayServesSearcher(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	gw, err := swdual.NewGateway(s, swdual.Options{GatewayCapacity: 2})
+	gw, err := swdual.NewGateway(s, swdual.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

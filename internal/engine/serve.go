@@ -161,7 +161,7 @@ func (m *muxSession) failReq(id uint64, err error) {
 }
 
 // serveMux runs the session after the handshake. When the loop exits —
-// client Done, protocol error, or a dead connection — every in-flight
+// a protocol error, or a connection the client closed or lost — every in-flight
 // request is canceled and the session waits for its goroutines before
 // returning.
 func serveMux(c *wire.Conn, s Backend) {
@@ -182,8 +182,6 @@ func serveMux(c *wire.Conn, s Backend) {
 // handle processes one frame; it reports true when the session is over.
 func (m *muxSession) handle(msg any) (done bool) {
 	switch t := msg.(type) {
-	case wire.Done:
-		return true
 	case *wire.SearchRequest:
 		m.startSearch(t)
 	case *wire.Cancel:

@@ -272,7 +272,7 @@ func TestServeEndToEnd(t *testing.T) {
 			if err := sameWireHits(res, local); err != nil {
 				t.Errorf("client %d: %v", i, err)
 			}
-			if err := c.Send(nil); err != nil { // Done ends the session
+			if err := c.Close(); err != nil { // closing ends the session
 				t.Errorf("client %d: %v", i, err)
 			}
 		}(i, c)
@@ -433,7 +433,7 @@ func TestServeClearsHandshakeDeadline(t *testing.T) {
 	if _, err := c.Recv(); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Send(nil); err != nil { // Done
+	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
 	<-done

@@ -65,7 +65,7 @@ func TestGatewayAnswers206WithCoverage(t *testing.T) {
 		ResiduesSearched: 750, ResiduesTotal: 1000,
 		Skipped: []master.SkippedRange{{Index: 2, Lo: 10, Hi: 15, Reason: "all 2 replicas unavailable: injected"}},
 	}}
-	g, srv := newTestGateway(t, be, Config{Capacity: 2, Queue: 2, ClientSlots: 100})
+	g, srv := newTestGateway(t, be, limits{capacity: 2, queue: 2, clientSlots: 100})
 	queries := synth.RandomSet(alphabet.Protein, 2, 20, 60, 981)
 	body := queriesJSON(t, queries, 0)
 

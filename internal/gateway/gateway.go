@@ -6,19 +6,21 @@
 // Under overload a naive HTTP server accepts every connection and lets
 // goroutines pile up behind the dispatcher until latency, memory, and
 // finally goodput collapse. The gateway instead bounds its admission
-// queue and sheds early: Capacity searches execute concurrently,
-// Queue more may wait, and past that arrivals are rejected immediately
-// with 429 and a Retry-After computed from the live EWMA search
-// latency — the same estimator the worker rates use (stats.EWMA)
-// applied to the drain rate of the queue. A
-// per-client slot bound (API key, else remote address) keeps one
-// client from occupying the whole queue, so overload by one tenant
-// degrades that tenant, not everyone.
+// queue and sheds early. It sizes itself from its host: 2×GOMAXPROCS
+// searches execute concurrently, four times that many may wait, and
+// past that arrivals are rejected immediately with 429 and a
+// Retry-After computed from the live EWMA search latency — the same
+// estimator the worker rates use (stats.EWMA) applied to the drain
+// rate of the queue. A per-client bound of a quarter of all slots (API
+// key, else remote address) keeps one client from occupying the whole
+// queue, so overload by one tenant degrades that tenant, not everyone.
 //
-// Client deadlines (Request-Timeout header or the timeout_ms body
-// field) propagate into the search context, and the engine's wave
-// planner drops dead requests before they reach a worker queue — a
-// caller that gave up never costs compute.
+// A client deadline (Request-Timeout header or the timeout_ms body
+// field, which wins when both are set) counts from the request's
+// arrival. The header deadline also bounds the wait for an execution
+// slot, and the search gets what is left of its deadline; the engine's
+// wave planner drops dead requests before they reach a worker queue —
+// a caller that gave up never costs compute.
 //
 // Endpoints:
 //
@@ -45,24 +47,8 @@ import (
 	"swdual/internal/stats"
 )
 
-// Config tunes a Gateway. The zero value works: capacity scaled to the
-// host, a 4× admission queue, per-client fairness at a quarter of the
-// total slots.
+// Config describes what a Gateway reports about its backend.
 type Config struct {
-	// Capacity bounds concurrently executing searches (default
-	// 2×GOMAXPROCS, minimum 1). Requests beyond it wait in the
-	// admission queue.
-	Capacity int
-	// Queue bounds how many admitted requests may wait for an execution
-	// slot (default 4×Capacity; negative means no queue at all). An
-	// arrival finding Capacity+Queue slots held is shed with 429 instead
-	// of waiting — early rejection is what keeps goodput flat when
-	// offered load keeps rising.
-	Queue int
-	// ClientSlots bounds the slots (executing + waiting) one client may
-	// hold at once (default: a quarter of Capacity+Queue, minimum 1). A
-	// client is its X-API-Key header, else its remote address.
-	ClientSlots int
 	// DBMappedBytes is the size of the memory-mapped database file
 	// behind the backend, exported as swdual_process_db_mapped_bytes (0
 	// when the database is heap-backed). The gateway only reports it;
@@ -70,25 +56,20 @@ type Config struct {
 	DBMappedBytes int64
 }
 
-func (c *Config) defaults() {
-	if c.Capacity == 0 {
-		c.Capacity = 2 * runtime.GOMAXPROCS(0)
-	}
-	if c.Capacity < 1 {
-		c.Capacity = 1
-	}
-	switch {
-	case c.Queue == 0:
-		c.Queue = 4 * c.Capacity
-	case c.Queue < 0:
-		c.Queue = 0 // explicit "no queue": execute or shed
-	}
-	if c.ClientSlots == 0 {
-		c.ClientSlots = (c.Capacity + c.Queue) / 4
-	}
-	if c.ClientSlots < 1 {
-		c.ClientSlots = 1
-	}
+// limits are a Gateway's admission bounds.
+type limits struct {
+	capacity    int // concurrently executing searches
+	queue       int // admitted requests that may wait for an execution token
+	clientSlots int // slots (executing + waiting) one client may hold
+}
+
+// hostLimits sizes admission from the host: two executing searches per
+// usable CPU, a queue four times that, and a quarter of all slots per
+// client.
+func hostLimits() limits {
+	c := 2 * runtime.GOMAXPROCS(0)
+	q := 4 * c
+	return limits{capacity: c, queue: q, clientSlots: (c + q) / 4}
 }
 
 // Counters is a snapshot of the gateway's own accounting (the engine's
@@ -96,15 +77,16 @@ func (c *Config) defaults() {
 type Counters struct {
 	// Admitted counts requests that reached an execution slot; Shed*
 	// count early 429 rejections (ShedQueue: admission queue full,
-	// ShedClient: per-client slot bound). Admitted + sheds + malformed
-	// 4xx = every POST /v1/search ever answered.
+	// ShedClient: per-client slot bound). A request whose deadline
+	// passed while it was queued is answered 504 and counted in
+	// TimedOut, neither admitted nor shed.
 	Admitted   uint64 `json:"admitted"`
 	ShedQueue  uint64 `json:"shed_queue"`
 	ShedClient uint64 `json:"shed_client"`
 	// Completed counts 2xx answers (200 full + 206 partial); Degraded
 	// counts the 206 subset — partial-coverage answers from a backend
 	// riding over dark ranges. Failed counts backend errors (5xx);
-	// TimedOut counts propagated-deadline 504s; ClientGone counts
+	// TimedOut counts 504s, from the queue or the search; ClientGone counts
 	// requests whose client disconnected before the answer (their
 	// search ctx was canceled — no status was writable).
 	Completed  uint64 `json:"completed"`
@@ -113,8 +95,7 @@ type Counters struct {
 	TimedOut   uint64 `json:"timed_out"`
 	ClientGone uint64 `json:"client_gone"`
 	// InFlight is the executing-search gauge, QueueDepth the waiting
-	// gauge; InFlight+QueueDepth slots are held of
-	// Capacity+Queue.
+	// gauge; InFlight+QueueDepth slots are held of capacity+queue.
 	InFlight   int `json:"in_flight"`
 	QueueDepth int `json:"queue_depth"`
 	// LatencyMeanNS is the EWMA of completed search latency — the
@@ -129,6 +110,7 @@ type Counters struct {
 // does not own the backend — close the backend after the Gateway.
 type Gateway struct {
 	cfg Config
+	lim limits
 	be  engine.Backend
 	mux *http.ServeMux
 
@@ -155,21 +137,21 @@ type Gateway struct {
 	clientGone atomic.Uint64
 }
 
-// New builds a Gateway over the backend. Negative admission bounds are
-// rejected; zeros select defaults.
+// New builds a Gateway over the backend, its admission sized from the
+// host.
 func New(be engine.Backend, cfg Config) (*Gateway, error) {
 	if be == nil {
 		return nil, fmt.Errorf("gateway: nil backend")
 	}
-	if cfg.Capacity < 0 || cfg.ClientSlots < 0 {
-		return nil, fmt.Errorf("gateway: negative admission bound (capacity %d, client slots %d)",
-			cfg.Capacity, cfg.ClientSlots)
-	}
-	cfg.defaults()
+	return newGateway(be, cfg, hostLimits()), nil
+}
+
+func newGateway(be engine.Backend, cfg Config, lim limits) *Gateway {
 	g := &Gateway{
 		cfg:      cfg,
+		lim:      lim,
 		be:       be,
-		sem:      make(chan struct{}, cfg.Capacity),
+		sem:      make(chan struct{}, lim.capacity),
 		byClient: make(map[string]int),
 		closed:   make(chan struct{}),
 	}
@@ -179,7 +161,7 @@ func New(be engine.Backend, cfg Config) (*Gateway, error) {
 	g.mux.HandleFunc("/v1/stats", g.handleStats)
 	g.mux.HandleFunc("/healthz", g.handleHealthz)
 	g.mux.HandleFunc("/metrics", g.handleMetrics)
-	return g, nil
+	return g
 }
 
 // ServeHTTP dispatches to the gateway's endpoints.
@@ -260,7 +242,7 @@ func clientKey(r *http.Request) string {
 const maxRetryAfterSeconds = 3600
 
 // retryAfter estimates, in whole seconds, how long until a shed client
-// plausibly finds a free slot: the held slots drain through Capacity
+// plausibly finds a free slot: the held slots drain through capacity
 // parallel executors at the EWMA search latency. The estimate is
 // clamped to [1, maxRetryAfterSeconds] — cold start (no completions
 // yet, so an empty EWMA) must never produce "Retry-After: 0", which
@@ -273,7 +255,7 @@ func (g *Gateway) retryAfter(held int) int {
 	if n == 0 || mean <= 0 {
 		mean = time.Second
 	}
-	rounds := held/g.cfg.Capacity + 1
+	rounds := held/g.lim.capacity + 1
 	est := math.Ceil(float64(rounds) * mean.Seconds())
 	if est > maxRetryAfterSeconds {
 		return maxRetryAfterSeconds
@@ -287,17 +269,18 @@ func (g *Gateway) retryAfter(held int) int {
 
 // admit runs admission control for one search: take an admission slot
 // (shedding with 429 if the queue or the client's share is full), then
-// wait for an execution token. On success the caller runs with both
-// and must call the returned release. On failure the apiError says
-// what to answer — except when the client's ctx died first, where
-// there is nobody left to answer (nil, nil).
+// wait for an execution token until ctx is done. On success the caller
+// runs with both and must call the returned release. On failure the
+// apiError says what to answer: 504 when ctx's deadline passed in the
+// queue. When the client hung up first there is nobody left to answer
+// (nil, nil).
 func (g *Gateway) admit(ctx context.Context, client string) (release func(), apiErr *apiError) {
 	g.mu.Lock()
 	if g.closing {
 		g.mu.Unlock()
 		return nil, &apiError{code: http.StatusServiceUnavailable, msg: "gateway shutting down"}
 	}
-	if g.held >= g.cfg.Capacity+g.cfg.Queue {
+	if g.held >= g.lim.capacity+g.lim.queue {
 		held := g.held
 		g.mu.Unlock()
 		g.shedQueue.Add(1)
@@ -305,7 +288,7 @@ func (g *Gateway) admit(ctx context.Context, client string) (release func(), api
 			msg:        "overloaded: admission queue full",
 			retryAfter: g.retryAfter(held)}
 	}
-	if g.byClient[client] >= g.cfg.ClientSlots {
+	if g.byClient[client] >= g.lim.clientSlots {
 		held := g.held
 		g.mu.Unlock()
 		g.shedClient.Add(1)
@@ -329,6 +312,10 @@ func (g *Gateway) admit(ctx context.Context, client string) (release func(), api
 		return nil, &apiError{code: http.StatusServiceUnavailable, msg: "gateway shutting down"}
 	case <-ctx.Done():
 		g.releaseSlot(client)
+		if errors.Is(ctx.Err(), context.DeadlineExceeded) {
+			g.timedOut.Add(1)
+			return nil, &apiError{code: http.StatusGatewayTimeout, msg: "deadline exceeded waiting for an execution slot"}
+		}
 		g.clientGone.Add(1)
 		return nil, nil // the client hung up while queued; nothing to answer
 	}
@@ -350,15 +337,25 @@ func (g *Gateway) handleSearch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, &apiError{code: http.StatusMethodNotAllowed, msg: "POST only"})
 		return
 	}
+	arrival := time.Now()
 	hdrTimeout, apiErr := parseTimeoutHeader(r.Header.Get("Request-Timeout"))
 	if apiErr != nil {
 		writeError(w, apiErr)
 		return
 	}
+	// A deadline counts from arrival. The ctx descends from the
+	// request's, so a client disconnect cancels the wait and the search
+	// all the way into the wave planner.
+	ctx := r.Context()
+	if hdrTimeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithDeadline(ctx, arrival.Add(hdrTimeout))
+		defer cancel()
+	}
 	// Admission runs before the body is read: shedding must stay cheap,
 	// or the shed path itself collapses under the load it exists to
 	// survive.
-	release, apiErr := g.admit(r.Context(), clientKey(r))
+	release, apiErr := g.admit(ctx, clientKey(r))
 	if apiErr != nil {
 		writeError(w, apiErr)
 		return
@@ -378,18 +375,10 @@ func (g *Gateway) handleSearch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, apiErr)
 		return
 	}
-
-	// Deadline: body field wins, then header; neither means none.
-	// The ctx descends from the request's, so a client disconnect
-	// cancels the search all the way into the wave planner.
-	timeout := time.Duration(req.TimeoutMillis) * time.Millisecond
-	if timeout == 0 {
-		timeout = hdrTimeout
-	}
-	ctx := r.Context()
-	if timeout > 0 {
+	// The body's deadline wins over the header's.
+	if req.TimeoutMillis > 0 {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, timeout)
+		ctx, cancel = context.WithDeadline(r.Context(), arrival.Add(time.Duration(req.TimeoutMillis)*time.Millisecond))
 		defer cancel()
 	}
 

@@ -79,14 +79,11 @@ func (b *gateBackend) Search(ctx context.Context, queries *seq.Set, opts engine.
 	return b.Backend.Search(ctx, queries, opts)
 }
 
-// newTestGateway builds a gateway over be and serves it on an
-// httptest.Server, both torn down with the test.
-func newTestGateway(t *testing.T, be engine.Backend, cfg Config) (*Gateway, *httptest.Server) {
+// newTestGateway builds a gateway with admission limits lim over be
+// and serves it on an httptest.Server, both torn down with the test.
+func newTestGateway(t *testing.T, be engine.Backend, lim limits) (*Gateway, *httptest.Server) {
 	t.Helper()
-	g, err := New(be, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := newGateway(be, Config{}, lim)
 	srv := httptest.NewServer(g)
 	t.Cleanup(srv.Close)
 	t.Cleanup(func() { g.Close() })
@@ -200,7 +197,7 @@ func TestGatewayMatchesDirectSearch(t *testing.T) {
 	for _, b := range backends {
 		t.Run(b.name, func(t *testing.T) {
 			be := b.build(t)
-			_, srv := newTestGateway(t, be, Config{Capacity: 4})
+			_, srv := newTestGateway(t, be, limits{capacity: 4, queue: 16, clientSlots: 5})
 			want, err := be.Search(context.Background(), queries, engine.SearchOptions{TopK: 5})
 			if err != nil {
 				t.Fatal(err)
@@ -224,7 +221,7 @@ func TestGatewayMatchesDirectSearch(t *testing.T) {
 // to spare — while a different client is admitted.
 func TestPerClientFairness(t *testing.T) {
 	be := newGateBackend(testEngine(t, testDB(20, 910)))
-	g, srv := newTestGateway(t, be, Config{Capacity: 4, Queue: 4, ClientSlots: 1})
+	g, srv := newTestGateway(t, be, limits{capacity: 4, queue: 4, clientSlots: 1})
 	body := queriesJSON(t, synth.RandomSet(alphabet.Protein, 1, 20, 40, 911), 0)
 
 	aDone := make(chan int, 1)
@@ -272,7 +269,7 @@ func TestPerClientFairness(t *testing.T) {
 // without any release of the gate.
 func TestDeadlinePropagatesIntoSearchCtx(t *testing.T) {
 	be := newGateBackend(testEngine(t, testDB(20, 920)))
-	g, srv := newTestGateway(t, be, Config{Capacity: 2})
+	g, srv := newTestGateway(t, be, limits{capacity: 2, queue: 8, clientSlots: 2})
 	queries := synth.RandomSet(alphabet.Protein, 1, 20, 40, 921)
 
 	req := SearchRequest{TimeoutMillis: 50}
@@ -305,7 +302,7 @@ func TestDeadlinePropagatesIntoSearchCtx(t *testing.T) {
 // TestMalformedRequests table-drives the 4xx surface, the size rows one
 // past the gateway's fixed request limits.
 func TestMalformedRequests(t *testing.T) {
-	_, srv := newTestGateway(t, testEngine(t, testDB(20, 930)), Config{Capacity: 2})
+	_, srv := newTestGateway(t, testEngine(t, testDB(20, 930)), limits{capacity: 2, queue: 8, clientSlots: 2})
 	cases := []struct {
 		name   string
 		body   string
@@ -355,7 +352,10 @@ func TestMalformedRequests(t *testing.T) {
 // TestStatsHealthzMetrics drives the observability endpoints after a
 // real search round.
 func TestStatsHealthzMetrics(t *testing.T) {
-	_, srv := newTestGateway(t, testEngine(t, testDB(20, 940)), Config{Capacity: 2, DBMappedBytes: 123456})
+	g := newGateway(testEngine(t, testDB(20, 940)), Config{DBMappedBytes: 123456}, limits{capacity: 2, queue: 8, clientSlots: 2})
+	srv := httptest.NewServer(g)
+	defer srv.Close()
+	defer g.Close()
 	body := queriesJSON(t, synth.RandomSet(alphabet.Protein, 2, 20, 40, 941), 0)
 	if code, _, raw, _ := post(t, srv.Client(), srv.URL, body, nil); code != http.StatusOK {
 		t.Fatalf("search: %d (%s)", code, raw)
@@ -436,7 +436,7 @@ func TestMetricsEngineNamesGolden(t *testing.T) {
 	st := engine.Stats{DBSequences: 20, DBResidues: 900, Searches: 1, Queries: 2, Waves: 3, BatchedWaves: 4,
 		CacheHits: 5, CacheMisses: 6, CacheEvictions: 7, HedgedSearches: 9,
 		FailedOver: 10, Redials: 11, DegradedSearches: 12}
-	_, srv := newTestGateway(t, &fixedStats{Backend: testEngine(t, testDB(20, 960)), st: st}, Config{})
+	_, srv := newTestGateway(t, &fixedStats{Backend: testEngine(t, testDB(20, 960)), st: st}, hostLimits())
 	golden := map[string]string{
 		"swdual_engine_db_sequences":            "20",
 		"swdual_engine_db_residues":             "900",
@@ -465,25 +465,32 @@ func TestMetricsEngineNamesGolden(t *testing.T) {
 	}
 }
 
-// TestConfigValidation rejects negative admission bounds the way
-// engine.New does.
+// TestConfigValidation rejects a nil backend and pins the admission
+// limits New derives from the host: 2×GOMAXPROCS executing, four times
+// that waiting, a quarter of all slots per client.
 func TestConfigValidation(t *testing.T) {
 	e := testEngine(t, testDB(10, 950))
 	if _, err := New(nil, Config{}); err == nil {
 		t.Fatal("nil backend accepted")
 	}
-	for _, cfg := range []Config{{Capacity: -1}, {ClientSlots: -1}} {
-		if _, err := New(e, cfg); err == nil {
-			t.Fatalf("config %+v accepted", cfg)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, c := range []struct {
+		procs int
+		want  limits
+	}{
+		{1, limits{capacity: 2, queue: 8, clientSlots: 2}},
+		{2, limits{capacity: 4, queue: 16, clientSlots: 5}},
+		{3, limits{capacity: 6, queue: 24, clientSlots: 7}},
+		{8, limits{capacity: 16, queue: 64, clientSlots: 20}},
+	} {
+		runtime.GOMAXPROCS(c.procs)
+		g, err := New(e, Config{})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	// A negative Queue is the explicit "no queue" spelling, not an error.
-	g, err := New(e, Config{Capacity: 3, Queue: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer g.Close()
-	if g.cfg.Queue != 0 || g.cfg.Capacity != 3 {
-		t.Fatalf("Queue -1 normalized to %+v", g.cfg)
+		g.Close()
+		if g.lim != c.want || cap(g.sem) != c.want.capacity {
+			t.Fatalf("GOMAXPROCS %d: limits %+v (%d tokens), want %+v", c.procs, g.lim, cap(g.sem), c.want)
+		}
 	}
 }

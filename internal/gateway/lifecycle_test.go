@@ -3,12 +3,14 @@ package gateway
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"swdual/internal/alphabet"
 	"swdual/internal/synth"
@@ -18,7 +20,7 @@ import (
 // return, and afterwards the gateway refuses work with 503 on every
 // surface.
 func TestCloseIdempotentConcurrent(t *testing.T) {
-	g, srv := newTestGateway(t, testEngine(t, testDB(20, 980)), Config{Capacity: 2})
+	g, srv := newTestGateway(t, testEngine(t, testDB(20, 980)), limits{capacity: 2, queue: 8, clientSlots: 2})
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {
 		wg.Add(1)
@@ -52,7 +54,7 @@ func TestCloseIdempotentConcurrent(t *testing.T) {
 // search must finish 200, and only then may Close return.
 func TestCloseDrainsInFlight(t *testing.T) {
 	be := newGateBackend(testEngine(t, testDB(20, 985)))
-	g, srv := newTestGateway(t, be, Config{Capacity: 1, Queue: 4, ClientSlots: 8})
+	g, srv := newTestGateway(t, be, limits{capacity: 1, queue: 4, clientSlots: 8})
 	body := queriesJSON(t, synth.RandomSet(alphabet.Protein, 1, 20, 40, 986), 0)
 
 	executing := make(chan int, 1)
@@ -98,13 +100,80 @@ func TestCloseDrainsInFlight(t *testing.T) {
 	}
 }
 
+// TestDeadlineCountsFromArrival pins the only execution token and
+// queues requests behind it: a client deadline counts from the
+// request's arrival, not from its admission. A Request-Timeout that
+// passes in the queue is answered 504 without the request ever reaching
+// the backend, and a request queued with timeout_ms reaches the backend
+// with its arrival's deadline, not a fresh budget.
+func TestDeadlineCountsFromArrival(t *testing.T) {
+	be := newGateBackend(testEngine(t, testDB(20, 975)))
+	g, srv := newTestGateway(t, be, limits{capacity: 1, queue: 4, clientSlots: 8})
+	queries := synth.RandomSet(alphabet.Protein, 1, 20, 40, 976)
+	body := queriesJSON(t, queries, 0)
+
+	executing := make(chan int, 1)
+	go func() {
+		code, _, _, _ := post(t, srv.Client(), srv.URL, body, nil)
+		executing <- code
+	}()
+	<-be.started // the search holds the only execution token, pinned
+
+	queued := make(chan int, 1)
+	go func() {
+		code, _, _, _ := post(t, srv.Client(), srv.URL, body, map[string]string{"Request-Timeout": "100ms"})
+		queued <- code
+	}()
+	select {
+	case code := <-queued:
+		if code != http.StatusGatewayTimeout {
+			t.Fatalf("request whose Request-Timeout passed in the queue: %d, want 504", code)
+		}
+	case <-time.After(5 * time.Second):
+		be.release <- struct{}{} // unpin, so the gateway can drain
+		t.Fatal("a queued request outlived its 100ms Request-Timeout by 5s")
+	}
+	if n := len(be.started); n != 0 {
+		t.Fatalf("%d request(s) reached the backend after timing out in the queue", n)
+	}
+
+	req := SearchRequest{TimeoutMillis: 100}
+	for i := range queries.Seqs {
+		req.Queries = append(req.Queries, Query{Residues: queries.Alpha.DecodeString(queries.Seqs[i].Residues)})
+	}
+	timed, _ := json.Marshal(req)
+	sent := time.Now()
+	go func() {
+		code, _, _, _ := post(t, srv.Client(), srv.URL, timed, nil)
+		queued <- code
+	}()
+	waitFor(t, "timeout_ms request queued", func() bool { return heldSlots(g) == 2 })
+	time.Sleep(300 * time.Millisecond)
+	be.release <- struct{}{}
+	if code := <-executing; code != http.StatusOK {
+		t.Fatalf("pinned search: %d, want 200", code)
+	}
+	ctx := <-be.started
+	const slack = 100 * time.Millisecond
+	if deadline, ok := ctx.Deadline(); !ok || deadline.After(sent.Add(100*time.Millisecond+slack)) {
+		t.Fatalf("search ctx deadline %v after arrival (ok %v), want at most 100ms + %v",
+			deadline.Sub(sent), ok, slack)
+	}
+	if code := <-queued; code != http.StatusGatewayTimeout {
+		t.Fatalf("timeout_ms request admitted past its deadline: %d, want 504", code)
+	}
+	if c := g.Counters(); c.TimedOut != 2 || c.Failed != 0 {
+		t.Fatalf("counters: %+v", c)
+	}
+}
+
 // TestClientDisconnectCancelsSearch hangs a search at the gate and
 // drops the client: the backend's ctx must die (the wave planner will
 // then never plan the work) and the gateway must account a clientGone,
 // not a failure.
 func TestClientDisconnectCancelsSearch(t *testing.T) {
 	be := newGateBackend(testEngine(t, testDB(20, 990)))
-	g, srv := newTestGateway(t, be, Config{Capacity: 2})
+	g, srv := newTestGateway(t, be, limits{capacity: 2, queue: 8, clientSlots: 2})
 	body := queriesJSON(t, synth.RandomSet(alphabet.Protein, 1, 20, 40, 991), 0)
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -139,10 +208,7 @@ func TestClientDisconnectCancelsSearch(t *testing.T) {
 // admitted, some shed) and requires the process to come back to its
 // pre-burst goroutine count once the burst's connections are closed.
 func TestNoGoroutineLeakAfterBurst(t *testing.T) {
-	g, err := New(testEngine(t, testDB(30, 995)), Config{Capacity: 4, Queue: 8, ClientSlots: 200})
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := newGateway(testEngine(t, testDB(30, 995)), Config{}, limits{capacity: 4, queue: 8, clientSlots: 200})
 	srv := httptest.NewServer(g)
 	defer srv.Close()
 	defer g.Close()

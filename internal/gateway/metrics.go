@@ -54,7 +54,7 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	p.counter("swdual_gateway_completed_total", "Searches answered 2xx (200 full plus 206 partial).", c.Completed)
 	p.counter("swdual_gateway_degraded_total", "Searches answered 206 with partial database coverage.", c.Degraded)
 	p.counter("swdual_gateway_failed_total", "Searches failed by the backend (5xx).", c.Failed)
-	p.counter("swdual_gateway_timed_out_total", "Searches that hit their propagated deadline (504).", c.TimedOut)
+	p.counter("swdual_gateway_timed_out_total", "Requests answered 504 because their deadline passed while queued or searching.", c.TimedOut)
 	p.counter("swdual_gateway_client_gone_total", "Requests whose client disconnected before the answer.", c.ClientGone)
 	p.gauge("swdual_gateway_in_flight", "Searches executing right now.", float64(c.InFlight))
 	p.gauge("swdual_gateway_queue_depth", "Admitted requests waiting for an execution slot.", float64(c.QueueDepth))

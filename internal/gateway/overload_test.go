@@ -34,7 +34,7 @@ func (l *latencies) snapshot() []float64 {
 // The deterministic overload suite. The backend is held at a gate, so
 // "the gateway is saturated" is an observable state the tests wait for,
 // not a hope that enough load arrived in time: every shed assertion
-// runs while held slots provably equal Capacity+Queue, and every
+// runs while held slots provably equal capacity+queue, and every
 // admitted request completes only when the test releases it. No fixed
 // sleeps anywhere — outcomes are identical under -race and -count=N.
 
@@ -46,14 +46,14 @@ func heldSlots(g *Gateway) int {
 }
 
 // TestOverloadShedsAtTwiceCapacity drives offered load to 2× admission
-// capacity (Capacity+Queue = 4 slots, 8 requests) and then 4×: every
+// capacity (capacity+queue = 4 slots, 8 requests) and then 4×: every
 // slot-holding request completes byte-identical to a direct backend
 // search, every request beyond the slots is rejected 429 with a
 // positive Retry-After in header and body, and goodput stays flat (4
 // completions per round) as offered load doubles.
 func TestOverloadShedsAtTwiceCapacity(t *testing.T) {
 	be := newGateBackend(testEngine(t, testDB(30, 960)))
-	g, srv := newTestGateway(t, be, Config{Capacity: 2, Queue: 2, ClientSlots: 100})
+	g, srv := newTestGateway(t, be, limits{capacity: 2, queue: 2, clientSlots: 100})
 	queries := synth.RandomSet(alphabet.Protein, 1, 20, 60, 961)
 	body := queriesJSON(t, queries, 0)
 
@@ -137,10 +137,10 @@ func TestOverloadShedsAtTwiceCapacity(t *testing.T) {
 
 // TestOverloadRetryAfterTracksLatency seeds the latency EWMA with a
 // slow observation and checks shed answers scale their Retry-After with
-// it: held=4 slots over Capacity=2 is 3 drain rounds of the EWMA mean.
+// it: held=4 slots over capacity 2 is 3 drain rounds of the EWMA mean.
 func TestOverloadRetryAfterTracksLatency(t *testing.T) {
 	be := newGateBackend(testEngine(t, testDB(20, 965)))
-	g, _ := New(be, Config{Capacity: 2, Queue: 2, ClientSlots: 100})
+	g := newGateway(be, Config{}, limits{capacity: 2, queue: 2, clientSlots: 100})
 	defer g.Close()
 
 	if got := g.retryAfter(0); got != 1 {
@@ -164,7 +164,7 @@ func TestOverloadRetryAfterTracksLatency(t *testing.T) {
 // float-to-int conversion into a negative or garbage header.
 func TestRetryAfterClamped(t *testing.T) {
 	be := newGateBackend(testEngine(t, testDB(20, 966)))
-	g, _ := New(be, Config{Capacity: 1, Queue: 2, ClientSlots: 100})
+	g := newGateway(be, Config{}, limits{capacity: 1, queue: 2, clientSlots: 100})
 	defer g.Close()
 
 	// Cold start: no observations at any held depth still floors at 1s.
@@ -187,7 +187,7 @@ func TestRetryAfterClamped(t *testing.T) {
 }
 
 // TestAdmittedLatencyStaysBounded is the latency half of the overload
-// criterion: with Capacity = 1 and no queue, an admitted request never
+// criterion: with capacity 1 and no queue, an admitted request never
 // shares the backend and never waits at the gateway — every excess
 // arrival is shed instead of stretching the admitted tail. Under 4×
 // offered load the admitted p99 must stay within 3× of the unloaded
@@ -205,7 +205,7 @@ func TestAdmittedLatencyStaysBounded(t *testing.T) {
 	// a single 1 ms scheduler hiccup.
 	db := synth.RandomSet(alphabet.Protein, 800, 200, 500, 970)
 	e := testEngine(t, db)
-	_, srv := newTestGateway(t, e, Config{Capacity: 1, Queue: -1, ClientSlots: 100})
+	_, srv := newTestGateway(t, e, limits{capacity: 1, queue: 0, clientSlots: 100})
 	body := queriesJSON(t, synth.RandomSet(alphabet.Protein, 2, 380, 420, 971), 0)
 
 	measure := func() float64 {

@@ -411,10 +411,10 @@ func (b *Backend) Stats() engine.Stats {
 // Close closes the connection; the server observes the drop and cancels
 // this session's in-flight requests. It is idempotent and safe to call
 // concurrently; in-flight calls fail with a connection-closed error.
-// Closing the socket first — rather than sending a graceful Done — is
-// deliberate: a Done frame would need the write lock, and a peer that
-// stopped reading could then stall Close behind a blocked sender, when
-// closing the socket is the very thing that unblocks it.
+// The protocol has no session-ending frame on purpose: sending one
+// would need the write lock, and a peer that stopped reading could then
+// stall Close behind a blocked sender, when closing the socket is the
+// very thing that unblocks it.
 func (b *Backend) Close() error {
 	b.closeOnce.Do(func() {
 		b.closeErr = b.nc.Close()

@@ -98,36 +98,6 @@ func (st *Set) SetPrecomputedChecksum(c uint32) {
 	st.checksum, st.hasChecksum = c, true
 }
 
-// Stats summarizes a set the way the paper's Table III does.
-type Stats struct {
-	Count         int
-	TotalResidues int64
-	MinLen        int
-	MaxLen        int
-	MeanLen       float64
-}
-
-// Stats computes summary statistics over the set.
-func (st *Set) Stats() Stats {
-	s := Stats{Count: len(st.Seqs)}
-	if s.Count == 0 {
-		return s
-	}
-	s.MinLen = st.Seqs[0].Len()
-	for i := range st.Seqs {
-		l := st.Seqs[i].Len()
-		s.TotalResidues += int64(l)
-		if l < s.MinLen {
-			s.MinLen = l
-		}
-		if l > s.MaxLen {
-			s.MaxLen = l
-		}
-	}
-	s.MeanLen = float64(s.TotalResidues) / float64(s.Count)
-	return s
-}
-
 // Slice returns a shallow sub-set covering Seqs[lo:hi].
 func (st *Set) Slice(lo, hi int) *Set {
 	return &Set{Alpha: st.Alpha, Seqs: st.Seqs[lo:hi]}

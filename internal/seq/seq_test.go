@@ -38,21 +38,6 @@ func TestAddRejectsInvalid(t *testing.T) {
 	}
 }
 
-func TestStats(t *testing.T) {
-	s := build(t)
-	st := s.Stats()
-	if st.Count != 4 || st.MinLen != 2 || st.MaxLen != 9 || st.TotalResidues != 18 {
-		t.Fatalf("stats %+v", st)
-	}
-	if st.MeanLen != 4.5 {
-		t.Fatalf("mean %v", st.MeanLen)
-	}
-	var empty Set
-	if got := empty.Stats(); got.Count != 0 || got.MaxLen != 0 {
-		t.Fatalf("empty stats %+v", got)
-	}
-}
-
 func TestSliceAndClone(t *testing.T) {
 	s := build(t)
 	sub := s.Slice(1, 3)

@@ -11,9 +11,10 @@ import (
 // come back as errors — never a panic or runaway allocation — and any
 // frame that does decode must survive a marshal/unmarshal round trip
 // unchanged (the decoder and encoder agree on the format).
-// retired lists the type codes versions 8 and 10 retired; they must
-// decode as unknown types forever.
-var retired = []byte{13, 14, 15, 16, 17, 18}
+// retired lists the type codes versions 8 and 10 retired, and the Done
+// frame's 5, which no peer sent; they must decode as unknown types
+// forever.
+var retired = []byte{5, 13, 14, 15, 16, 17, 18}
 
 func FuzzUnmarshal(f *testing.F) {
 	seed := func(msg any) {
@@ -28,7 +29,6 @@ func FuzzUnmarshal(f *testing.F) {
 	seed(&Welcome{Version: Version, DBChecksum: 7, Alphabet: "protein", TopK: 10})
 	seed(&Welcome{Version: Version, DBChecksum: 7, Alphabet: "dna"}) // a server that names no cap
 	seed(&ErrorMsg{Text: "boom"})
-	seed(nil) // Done frame
 	// Session frames: request ids, nested result lists, float slices
 	// (floats must round-trip bit-exactly, NaN included).
 	seed(&SearchRequest{ID: 6})
@@ -62,10 +62,10 @@ func FuzzUnmarshal(f *testing.F) {
 	f.Add(byte(3), []byte{1, 0, 0, 0, 0xff, 0xff})
 	f.Add(byte(4), []byte{0xff, 0xff, 0xff, 0xff})
 	// So must the four codes version 8 retired (the plan pair, 13 and 14,
-	// and the database-description pair, 17 and 18) and the checksum pair
-	// version 10 retired (15 and 16): an 8-byte request id (the whole
-	// version 9 checksum request), longer payloads, and a lying length
-	// prefix.
+	// and the database-description pair, 17 and 18), the checksum pair
+	// version 10 retired (15 and 16) and the Done frame's 5: an 8-byte
+	// request id (the whole version 9 checksum request), longer payloads,
+	// and a lying length prefix.
 	for _, code := range retired {
 		f.Add(code, make([]byte, 8))
 		f.Add(code, append(make([]byte, 8), 3, 0, 0, 0, 30, 0, 0, 0, 80, 0, 0, 0, 120, 0, 0, 0))

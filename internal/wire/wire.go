@@ -35,16 +35,17 @@ const (
 
 // Message type codes. Codes 3 and 4 (retired in version 7), 13, 14, 17
 // and 18 (the plan and database-description frames, retired in version
-// 8) and 15 and 16 (the checksum pair, retired in version 10) stay
-// unassigned, so TypeError keeps the code a stale peer decodes and can
-// read why its handshake was refused, and a retired frame is an unknown
-// type, never a misread one.
+// 8), 15 and 16 (the checksum pair, retired in version 10) and 5 (a
+// session-ending frame no peer sent; a client ends its session by
+// closing the connection) stay unassigned, so TypeError keeps the code a
+// stale peer decodes and can read why its handshake was refused, and a
+// retired frame is an unknown type, never a misread one.
 const (
 	TypeHello byte = iota + 1
 	TypeWelcome
 	_
 	_
-	TypeDone
+	_
 	TypeError
 
 	TypeSearchRequest
@@ -326,8 +327,6 @@ func Marshal(msg any) (byte, []byte, error) {
 			e.u64(w.Tasks)
 		}
 		return TypeStatsResponse, e.buf, nil
-	case Done, nil:
-		return TypeDone, nil, nil
 	}
 	return 0, nil, fmt.Errorf("wire: cannot marshal %T", msg)
 }
@@ -376,9 +375,6 @@ func decodeResult(d *decoder) (Result, error) {
 	return m, d.err
 }
 
-// Done is the sentinel value Recv returns for TypeDone frames.
-type Done struct{}
-
 // Unmarshal decodes a payload by type code.
 func Unmarshal(typ byte, payload []byte) (any, error) {
 	d := decoder{buf: payload}
@@ -396,8 +392,6 @@ func Unmarshal(typ byte, payload []byte) (any, error) {
 		m.Alphabet = d.str()
 		m.TopK = d.u32()
 		return m, d.err
-	case TypeDone:
-		return Done{}, nil
 	case TypeError:
 		m := &ErrorMsg{}
 		m.Text = d.str()

@@ -59,10 +59,7 @@ func TestResultRoundTrip(t *testing.T) {
 	}
 }
 
-func TestDoneAndError(t *testing.T) {
-	if got := roundTrip(t, nil); got != (Done{}) {
-		t.Fatalf("done round trip %+v", got)
-	}
+func TestErrorRoundTrip(t *testing.T) {
 	in := &ErrorMsg{Text: "boom"}
 	if got := roundTrip(t, in); !reflect.DeepEqual(got, in) {
 		t.Fatalf("got %+v", got)
@@ -125,14 +122,14 @@ func TestConnOverPipe(t *testing.T) {
 	if !ok || hello.Name != "w" {
 		t.Fatalf("got %+v", msg)
 	}
-	// And the reverse direction with a Done frame.
-	go func() { done <- cb.Send(nil) }()
+	// And the reverse direction with an Error frame.
+	go func() { done <- cb.Send(&ErrorMsg{Text: "bye"}) }()
 	msg, err = ca.Recv()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := msg.(Done); !ok {
-		t.Fatalf("expected Done, got %T", msg)
+	if em, ok := msg.(*ErrorMsg); !ok || em.Text != "bye" {
+		t.Fatalf("expected ErrorMsg, got %+v", msg)
 	}
 	if err := <-done; err != nil {
 		t.Fatal(err)

@@ -110,17 +110,6 @@ type Options struct {
 	// negative value is rejected by NewSearcher and ServeShard on every
 	// topology.
 	CacheSize int
-	// GatewayCapacity bounds concurrently executing searches behind the
-	// HTTP gateway (0 selects the default, 2×GOMAXPROCS); see NewGateway.
-	GatewayCapacity int
-	// GatewayQueue bounds how many admitted gateway requests may wait
-	// for an execution slot (0 selects the default, 4×capacity; negative
-	// means no queue). Arrivals beyond capacity+queue are shed with 429.
-	GatewayQueue int
-	// GatewayClientSlots bounds the slots one client (X-API-Key header,
-	// else remote address) may hold at once (0 selects the default, a
-	// quarter of capacity+queue).
-	GatewayClientSlots int
 	// Degraded selects partial-result search on a sharded coordinator:
 	// when every replica of a database range is unavailable, Search
 	// answers from the surviving ranges and the Report carries Coverage
