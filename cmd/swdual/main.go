@@ -8,39 +8,36 @@
 //	swdual -db db.fasta -query q.fasta -pool cpu=4
 //	swdual -db db.swdb -query q.fasta -policy self-scheduling -topk 5
 //	swdual -db db.fasta -query q.fasta -plan        # schedule only
-//	swdual -db db.fasta -serve :4015                # persistent engine
-//	swdual -remote host:4015 -query q.fasta         # query a served engine
 //	swdual -db db.fasta -gateway :8080              # HTTP/JSON front door
 //
-// The gateway serves POST /v1/search (JSON queries), GET /v1/stats,
-// /healthz and /metrics, with bounded-queue admission control sized
-// from the host: past 2×GOMAXPROCS executing and four times that many
-// waiting requests, arrivals are shed immediately with 429 and a
-// Retry-After estimated from live search latency. It can front any
-// backend below — add -replica-shards to put the same HTTP surface over
-// a clustered database.
+// The gateway is how clients search a running server. It serves POST
+// /v1/search (JSON queries), GET /v1/stats, /healthz and /metrics, with
+// bounded-queue admission control sized from the host: past
+// 2×GOMAXPROCS executing and four times that many waiting requests,
+// arrivals are shed immediately with 429 and a Retry-After estimated
+// from live search latency. Add -replica-shards to put the same HTTP
+// surface over a clustered database.
 //
-// Cluster serve distributes the database across processes: each shard
-// server holds the same database and serves one slice of it, and a
-// coordinator scatters every query over the network, gathering hits
-// byte-identical to a local search. -replica-shards names the servers:
-// semicolons separate ranges, commas separate interchangeable replicas
-// of one range.
+// Cluster serve distributes the database across processes: each -serve
+// process holds the same database and serves one slice of it over the
+// wire protocol, and a coordinator scatters every query over the
+// network, gathering hits byte-identical to a local search. The wire
+// protocol joins a coordinator to its servers and nothing else.
+// -replica-shards names the servers: semicolons separate ranges, commas
+// separate interchangeable replicas of one range.
 //
-//	swdual -db db.fasta -shard-serve :4016 -shard-index 0 -shard-count 2
-//	swdual -db db.fasta -shard-serve :4017 -shard-index 1 -shard-count 2
+//	swdual -db db.fasta -serve :4016 -shard-index 0 -shard-count 2
+//	swdual -db db.fasta -serve :4017 -shard-index 1 -shard-count 2
 //	swdual -db db.fasta -query q.fasta -replica-shards 'host:4016;host:4017'
 //
-// The coordinator re-dials a dead server in the background; when a range
+// Without -shard-index and -shard-count, -serve serves the whole
+// database as a one-range cluster (-replica-shards host:4016). The
+// coordinator re-dials a dead server in the background; when a range
 // is held by several servers it also fails over on lost connections to
 // a sibling, so a search survives any one replica dying per range:
 //
 //	swdual -db db.fasta -query q.fasta \
 //	    -replica-shards 'a:4016,b:4016;a:4017,b:4017' -dial-timeout 5s
-//
-// Serve mode loads the database once, keeps the worker pool alive, and
-// answers every client over the wire protocol; queries from concurrent
-// clients coalesce into shared scheduling waves.
 //
 // A -db path ending in .swdb is memory-mapped read-only rather than
 // parsed: startup costs only the header and index validation, residues
@@ -74,8 +71,7 @@ func main() {
 		policy   = flag.String("policy", "dual-approx", "allocation policy: dual-approx | dual-approx-dp | self-scheduling | round-robin")
 		planOnly = flag.Bool("plan", false, "print the schedule -policy plans for -pool on the paper's modeled platform instead of searching")
 		evalues  = flag.Bool("evalue", false, "report bit scores and E-values next to each hit")
-		serve    = flag.String("serve", "", "serve the database persistently on this address instead of searching")
-		remote   = flag.String("remote", "", "send the queries to a serve-mode engine at this address")
+		serve    = flag.String("serve", "", "serve range -shard-index of -shard-count of the database over the wire protocol on this address, for a -replica-shards coordinator (clients use -gateway)")
 		split    = flag.String("shard-split", "contiguous", "shard boundary strategy: contiguous | balanced")
 		cache    = flag.Bool("cache", false, "cache search results: repeated queries are answered without a scheduling wave (hits stay byte-identical)")
 		cacheSz  = flag.Int("cache-size", 0, "max cached search fingerprints with -cache (0 = default 1024)")
@@ -83,10 +79,9 @@ func main() {
 
 		gatewayAddr = flag.String("gateway", "", "serve the database over HTTP/JSON on this address (POST /v1/search, GET /v1/stats, /healthz, /metrics), with admission sized from the host: 2×GOMAXPROCS executing and four times that many waiting searches, a quarter of all slots per client, the rest shed with 429")
 
-		shardServe = flag.String("shard-serve", "", "serve one shard of the database on this address (cluster serve)")
-		shardIndex = flag.Int("shard-index", 0, "which shard -shard-serve exposes")
-		shardCount = flag.Int("shard-count", 1, "how many shards the database is split into for -shard-serve")
-		repShards  = flag.String("replica-shards", "", "shard servers to search as the coordinator: semicolons separate shard ranges, commas separate replicas of one range, e.g. 'a:4016;a:4017' or 'a:4016,b:4016;a:4017,b:4017' (each server runs -shard-serve for its range)")
+		shardIndex = flag.Int("shard-index", 0, "which range -serve exposes")
+		shardCount = flag.Int("shard-count", 1, "how many ranges the database is split into for -serve (1 serves the whole database)")
+		repShards  = flag.String("replica-shards", "", "shard servers to search as the coordinator: semicolons separate shard ranges, commas separate replicas of one range, e.g. 'a:4016;a:4017' or 'a:4016,b:4016;a:4017,b:4017' (each server runs -serve for its range)")
 		dialTO     = flag.Duration("dial-timeout", 0, "bound on dialing one shard or replica server, TCP connect plus handshake (0 = default 10s)")
 	)
 	flag.Parse()
@@ -110,25 +105,8 @@ func main() {
 	}
 	opt.DialTimeout = *dialTO
 
-	if *remote != "" {
-		if *qPath == "" {
-			log.Fatal("-remote requires -query")
-		}
-		if *planOnly || *evalues {
-			log.Fatal("-plan and -evalue run locally and do not apply to -remote")
-		}
-		queries, err := swdual.OpenDatabase(*qPath)
-		if err != nil {
-			log.Fatalf("loading queries: %v", err)
-		}
-		defer queries.Close()
-		rep, err := swdual.QueryServer(*remote, queries, 0, swdual.SearchOptions{TopK: *topk})
-		if err != nil {
-			log.Fatal(err)
-		}
-		printResults(rep, queries, nil)
-		fmt.Printf("\n%d queries answered by %s\n", len(rep.Results), *remote)
-		return
+	if *serve != "" && (len(opt.ReplicaShards) > 0 || *gatewayAddr != "") {
+		log.Fatal("-serve runs a range server for a coordinator; to serve clients, run -gateway (with -replica-shards for a cluster)")
 	}
 
 	if *dbPath == "" {
@@ -142,56 +120,41 @@ func main() {
 	}
 	defer db.Close()
 
-	workersDesc := "worker pool " + *pool
-	backendDesc := workersDesc
-	if len(opt.ReplicaShards) > 0 {
-		backendDesc = fmt.Sprintf("%d shard server range(s)", len(opt.ReplicaShards))
-	}
-
-	if *shardServe != "" {
-		l, err := net.Listen("tcp", *shardServe)
+	if *serve != "" {
+		l, err := net.Listen("tcp", *serve)
 		if err != nil {
 			log.Fatal(err)
 		}
-		log.Printf("serving shard %d/%d of %d sequences (split %s) on %s with %s",
-			*shardIndex, *shardCount, db.Len(), *split, l.Addr(), workersDesc)
+		log.Printf("serving range %d/%d of %d sequences (split %s) on %s with worker pool %s",
+			*shardIndex, *shardCount, db.Len(), *split, l.Addr(), *pool)
 		if err := swdual.ServeShard(l, db, *shardIndex, *shardCount, opt); err != nil {
 			log.Fatal(err)
 		}
 		return
 	}
 
-	if *serve != "" || *gatewayAddr != "" {
+	if *gatewayAddr != "" {
 		s, err := swdual.NewSearcher(db, opt)
 		if err != nil {
 			log.Fatal(err)
 		}
 		defer s.Close()
-		errc := make(chan error, 2)
-		if *gatewayAddr != "" {
-			gw, err := swdual.NewGateway(s, opt)
-			if err != nil {
-				log.Fatal(err)
-			}
-			defer gw.Close()
-			gl, err := net.Listen("tcp", *gatewayAddr)
-			if err != nil {
-				log.Fatal(err)
-			}
-			log.Printf("gateway: %d sequences (checksum %08x) over HTTP on %s with %s",
-				db.Len(), s.Checksum(), gl.Addr(), backendDesc)
-			go func() { errc <- gw.Serve(gl) }()
+		gw, err := swdual.NewGateway(s, opt)
+		if err != nil {
+			log.Fatal(err)
 		}
-		if *serve != "" {
-			l, err := net.Listen("tcp", *serve)
-			if err != nil {
-				log.Fatal(err)
-			}
-			log.Printf("serving %d sequences (%d residues, checksum %08x) on %s with %s",
-				db.Len(), db.TotalResidues(), s.Checksum(), l.Addr(), backendDesc)
-			go func() { errc <- s.Serve(l) }()
+		defer gw.Close()
+		l, err := net.Listen("tcp", *gatewayAddr)
+		if err != nil {
+			log.Fatal(err)
 		}
-		if err := <-errc; err != nil {
+		backend := "worker pool " + *pool
+		if len(opt.ReplicaShards) > 0 {
+			backend = fmt.Sprintf("%d shard server range(s)", len(opt.ReplicaShards))
+		}
+		log.Printf("gateway: %d sequences (checksum %08x) over HTTP on %s with %s",
+			db.Len(), s.Checksum(), l.Addr(), backend)
+		if err := gw.Serve(l); err != nil {
 			log.Fatal(err)
 		}
 		return

@@ -7,9 +7,12 @@
 // splits the database the same way, dials each server (verifying each slice's
 // checksum, so a server with skewed data is rejected), scatters every
 // search across the wire, and gathers hits byte-identical to a local
-// unsharded search — proven at the end against a local Searcher. One
-// program plays all the roles here; in production each ServeShard call
-// is its own process (`swdual -shard-serve`) on its own machine.
+// unsharded search — proven at the end against a local Searcher. The
+// wire only joins the coordinator to its shard servers; clients reach
+// the coordinator through the HTTP gateway (`swdual -gateway`, or
+// swdual.NewGateway). One program plays all the roles here; in
+// production each ServeShard call is its own process (`swdual -serve`)
+// on its own machine.
 package main
 
 import (
@@ -34,7 +37,7 @@ func main() {
 	opt := swdual.Options{Pool: "cpu=1,gpu=1", TopK: 5, ShardSplit: "balanced"}
 
 	// Shard servers: each serves its slice of the database on its own
-	// listener — stand-ins for `swdual -db db.fasta -shard-serve :401N
+	// listener — stand-ins for `swdual -db db.fasta -serve :401N
 	// -shard-index i -shard-count 2` on separate machines.
 	addrs := make([]string, shardCount)
 	for i := 0; i < shardCount; i++ {

@@ -30,7 +30,9 @@ import (
 //
 // The Gateway serves whatever backend the Searcher was built over —
 // in-process, sharded, or a replicated cluster coordinator — and hits
-// stay byte-identical to direct Searcher.Search calls.
+// stay byte-identical to direct Searcher.Search calls. It is how a
+// client searches over a socket; the wire protocol only joins a
+// coordinator to its ServeShard servers.
 type Gateway struct {
 	inner *gateway.Gateway
 	s     *Searcher

@@ -288,6 +288,9 @@ func New(db *seq.Set, cfg Config) (*Searcher, error) {
 		return nil, fmt.Errorf("engine: negative CacheSize %d (0 selects the default)", cfg.CacheSize)
 	}
 	cfg.defaults()
+	if err := cfg.Params.Matrix.Covers(db.Alpha); err != nil {
+		return nil, err
+	}
 	s := &Searcher{
 		cfg:    cfg,
 		db:     db,
@@ -320,7 +323,7 @@ func New(db *seq.Set, cfg Config) (*Searcher, error) {
 
 // prepare runs the once-per-database work every request reuses: the
 // residue volume the scheduler prices tasks with and a content checksum
-// for serve-mode client verification. Residue encoding already happened
+// the wire handshake verifies. Residue encoding already happened
 // when the set was built; keeping the set resident amortizes it.
 func (s *Searcher) prepare() {
 	s.dbResidues = s.db.TotalResidues()

@@ -14,9 +14,10 @@ import (
 	"swdual/internal/wire"
 )
 
-// Serve mode: the Searcher exposed over the internal/wire protocol — the
-// paper's §IV long-lived master, with remote clients pushing queries to
-// it. After the handshake a connection is one multiplexed session: every
+// Serve mode: an engine exposed over the internal/wire protocol to the
+// cluster coordinator that scatters to it — the paper's §IV worker,
+// holding the database and answering the master's queries. After the
+// handshake a connection is one multiplexed session: every
 // frame carries a request id and any number of requests are in flight.
 //
 //	client                               server
@@ -27,7 +28,7 @@ import (
 //	                          <-  StatsResponse{ID: 2, Counters: [(name, value)…], …}
 //	Cancel{ID: 1}             ->  (optional)
 //	                          <-  SearchResult{ID: 1, …} | ReqError{ID: 1}
-//	Done                      ->  (ends the session)
+//	close the connection      ->  (ends the session, cancels what is in flight)
 //
 // A non-zero Hello.DBChecksum must match the server database, so a
 // client that also holds the database locally can verify both ends
@@ -41,7 +42,8 @@ import (
 // would truncate its merge. Concurrent requests — from one session or
 // from many connections — are coalesced into shared scheduling waves by
 // the Searcher's dispatcher. When a connection dies, its in-flight
-// requests are canceled.
+// requests are canceled. A SearchResult is always a full answer: a
+// backend answer that carries Coverage is refused with a ReqError.
 
 // Backend is the search service Serve exposes and remote clients stand
 // in for: the in-process Searcher, the sharded scatter/gather facade, or
@@ -237,6 +239,11 @@ func (m *muxSession) startSearch(req *wire.SearchRequest) {
 			rcancel()
 		}()
 		rep, err := m.s.Search(rctx, queries, SearchOptions{TopK: int(req.TopK)})
+		if err == nil && rep.Coverage != nil {
+			// A SearchResult is always a full answer: a backend that
+			// skipped ranges fails the request instead.
+			err = errors.New("engine: a partial answer cannot cross the wire")
+		}
 		if err != nil {
 			m.failReq(req.ID, err)
 			return
@@ -244,25 +251,6 @@ func (m *muxSession) startSearch(req *wire.SearchRequest) {
 		out := &wire.SearchResult{ID: req.ID, Results: make([]wire.Result, len(rep.Results))}
 		for qi, res := range rep.Results {
 			out.Results[qi] = *resultFrame(qi, res)
-		}
-		if cov := rep.Coverage; cov != nil {
-			// A degraded answer carries its coverage to the client, so the
-			// partial label survives the hop.
-			wc := &wire.Coverage{
-				RangesSearched:   uint32(cov.RangesSearched),
-				RangesTotal:      uint32(cov.RangesTotal),
-				ResiduesSearched: uint64(cov.ResiduesSearched),
-				ResiduesTotal:    uint64(cov.ResiduesTotal),
-			}
-			for _, sk := range cov.Skipped {
-				wc.Skipped = append(wc.Skipped, wire.SkippedRange{
-					Index:  uint32(sk.Index),
-					Lo:     uint32(sk.Lo),
-					Hi:     uint32(sk.Hi),
-					Reason: sk.Reason,
-				})
-			}
-			out.Coverage = wc
 		}
 		m.send(out)
 	}()

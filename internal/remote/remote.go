@@ -1,9 +1,11 @@
-// Package remote is the wire protocol's client. A Backend dials an
-// engine.Serve endpoint, opens the multiplexed session (request ids, so
-// any number of calls are in flight on one connection), and implements
-// the same engine.Backend interface the in-process Searcher does — so
-// the sharded scatter/gather facade cannot tell a local shard from one
-// living across the network. This is the transport swap the paper's §IV
+// Package remote is the wire protocol's client, the coordinator's side
+// of a cluster. A Backend dials an engine.Serve endpoint, opens the
+// multiplexed session (request ids, so any number of calls are in
+// flight on one connection), and implements the same engine.Backend
+// interface the in-process Searcher does — so the sharded
+// scatter/gather facade cannot tell a local shard from one living
+// across the network. Clients that are not a coordinator search through
+// the HTTP gateway. This is the transport swap the paper's §IV
 // master-slave model was built for: MUSIC runs the same hybrid alignment
 // environment distributed over a cluster, and Nguyen & Lavenier's
 // fine-grained search engine partitions the bank across networked nodes
@@ -333,26 +335,6 @@ func (b *Backend) Search(ctx context.Context, queries *seq.Set, opts engine.Sear
 			}
 			rep.Results[qi] = qr
 			rep.Cells += qr.Cells
-		}
-		if wc := m.Coverage; wc != nil {
-			// The server answered with partial coverage: rebuild the label
-			// so a coordinator stacked above this backend sees the same
-			// degraded answer a local caller would.
-			cov := &master.Coverage{
-				RangesSearched:   int(wc.RangesSearched),
-				RangesTotal:      int(wc.RangesTotal),
-				ResiduesSearched: int64(wc.ResiduesSearched),
-				ResiduesTotal:    int64(wc.ResiduesTotal),
-			}
-			for _, sk := range wc.Skipped {
-				cov.Skipped = append(cov.Skipped, master.SkippedRange{
-					Index:  int(sk.Index),
-					Lo:     int(sk.Lo),
-					Hi:     int(sk.Hi),
-					Reason: sk.Reason,
-				})
-			}
-			rep.Coverage = cov
 		}
 		rep.Wall = time.Since(start)
 		if sec := rep.Wall.Seconds(); sec > 0 {

@@ -55,6 +55,15 @@ func (m *Matrix) Name() string { return m.name }
 // Size returns the number of residue codes covered.
 func (m *Matrix) Size() int { return m.n }
 
+// Covers refuses an alphabet with residue codes the matrix has no row
+// for: scoring one would read past the matrix.
+func (m *Matrix) Covers(a *alphabet.Alphabet) error {
+	if m.n < a.Len() {
+		return fmt.Errorf("scoring: matrix %s covers %d residue codes, fewer than the %s alphabet's %d", m.name, m.n, a.Name(), a.Len())
+	}
+	return nil
+}
+
 // Score returns the substitution score for residue codes a and b.
 func (m *Matrix) Score(a, b byte) int { return int(m.cells[int(a)*32+int(b)]) }
 

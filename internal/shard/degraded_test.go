@@ -330,23 +330,23 @@ func TestDegradedAnswerNeverEntersCache(t *testing.T) {
 	}
 }
 
-// TestDegradedCoverageCrossesTheWire serves a degraded coordinator
-// over the wire protocol and requires a remote client to see exactly
-// what a local caller sees: the same Coverage (counts, range bounds,
-// reasons), byte-identical survivor hits, DegradedSearches in the
-// remote Stats — and, once the range recovers, a full answer with no
-// coverage at all.
-func TestDegradedCoverageCrossesTheWire(t *testing.T) {
+// TestPartialAnswerIsRefusedOnTheWire serves a degraded coordinator
+// over the wire protocol: a SearchResult is always a full answer, so a
+// remote client asking while a range is dark gets the partial-answer
+// ReqError — never the survivors' hits passed off as complete — while
+// the connection stays up and the remote Stats still count the
+// degraded search. Once the range recovers, a full answer arrives on
+// the same connection.
+func TestPartialAnswerIsRefusedOnTheWire(t *testing.T) {
 	const topK = 3
 	db := synth.RandomSet(alphabet.Protein, 22, 10, 100, 4013)
 	queries := synth.RandomSet(alphabet.Protein, 2, 20, 60, 4014)
 
 	s, wrappers := faultedSearcher(t, db, 2, topK)
 	s.SetDegradedPolicy(DegradedPartial)
-	ranges := s.ranges
 	wrappers[0].SetRules(faultinject.Rule{
 		Op: faultinject.OpSearch, Count: 1,
-		Fault: faultinject.Fault{Err: rangeDownErr(0, ranges[0])},
+		Fault: faultinject.Fault{Err: rangeDownErr(0, s.ranges[0])},
 	})
 
 	l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -362,38 +362,20 @@ func TestDegradedCoverageCrossesTheWire(t *testing.T) {
 	defer wb.Close()
 
 	rep, err := wb.Search(context.Background(), queries, engine.SearchOptions{TopK: topK})
-	if err != nil {
-		t.Fatalf("remote degraded search failed: %v", err)
+	if err == nil {
+		t.Fatalf("a degraded answer crossed the wire as a full one: %+v", rep)
 	}
-	cov := rep.Coverage
-	if cov == nil {
-		t.Fatal("coverage was lost crossing the wire")
+	if !strings.Contains(err.Error(), "a partial answer cannot cross the wire") {
+		t.Fatalf("degraded search over the wire: %v, want the partial-answer refusal", err)
 	}
-	if cov.RangesSearched != 1 || cov.RangesTotal != 2 {
-		t.Fatalf("remote coverage ranges %d/%d, want 1/2", cov.RangesSearched, cov.RangesTotal)
-	}
-	total := residues(db, 0, db.Len())
-	darkRes := residues(db, ranges[0].Lo, ranges[0].Hi)
-	if cov.ResiduesTotal != total || cov.ResiduesSearched != total-darkRes {
-		t.Fatalf("remote coverage residues %d/%d, want %d/%d", cov.ResiduesSearched, cov.ResiduesTotal, total-darkRes, total)
-	}
-	if len(cov.Skipped) != 1 {
-		t.Fatalf("remote coverage skipped %+v", cov.Skipped)
-	}
-	sk := cov.Skipped[0]
-	if sk.Index != 0 || sk.Lo != ranges[0].Lo || sk.Hi != ranges[0].Hi || !strings.Contains(sk.Reason, "injected") {
-		t.Fatalf("remote skipped range %+v", sk)
-	}
-	want := survivorHits(t, db, ranges, map[int]bool{0: true}, queries, topK)
-	if got := hitBytes(t, rep.Results); !bytes.Equal(got, want) {
-		t.Fatal("remote degraded hits differ from the survivor merge")
+	if errors.Is(err, remote.ErrConnectionLost) {
+		t.Fatalf("the refusal took the connection down: %v", err)
 	}
 	if st := wb.Stats(); st.DegradedSearches != 1 {
 		t.Fatalf("remote Stats DegradedSearches = %d, want 1", st.DegradedSearches)
 	}
 
-	// Recovery over the same connection: full answer, zero coverage
-	// bytes on the wire (the flag byte says full, nothing follows).
+	// Recovery over the same connection: a full answer.
 	ref, err := engine.New(db, engine.Config{Pool: master.PoolSpec{CPU: 1, GPU: 1}, TopK: topK})
 	if err != nil {
 		t.Fatal(err)

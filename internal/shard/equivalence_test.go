@@ -115,7 +115,7 @@ func TestShardedMatchesUnshardedAcrossSizesAndStrategies(t *testing.T) {
 	}
 }
 
-// TestShardedChecksumMatchesUnsharded: a serve-mode client verifying the
+// TestShardedChecksumMatchesUnsharded: a caller verifying the
 // database fingerprint must not be able to tell a sharded backend from
 // an unsharded one.
 func TestShardedChecksumMatchesUnsharded(t *testing.T) {

@@ -154,9 +154,6 @@ func WithBackends(db *seq.Set, _ Strategy, ranges []Range, backends []engine.Bac
 	return s, nil
 }
 
-// TopK returns the gather cap: a Search asking for more gets this many.
-func (s *Searcher) TopK() int { return s.topK }
-
 // Shards returns the number of shards.
 func (s *Searcher) Shards() int { return len(s.backends) }
 
@@ -164,8 +161,8 @@ func (s *Searcher) Shards() int { return len(s.backends) }
 func (s *Searcher) Alphabet() *alphabet.Alphabet { return s.db.Alpha }
 
 // Checksum fingerprints the whole database (CRC-32 of all residues, the
-// same value an unsharded engine.Searcher reports), so serve-mode
-// clients cannot tell a sharded backend from an unsharded one.
+// same value an unsharded engine.Searcher reports), so callers cannot
+// tell a sharded backend from an unsharded one.
 func (s *Searcher) Checksum() uint32 { return s.checksum }
 
 // Stats aggregates the per-shard engine counters: preparation passes and

@@ -39,11 +39,6 @@ func FuzzUnmarshal(f *testing.F) {
 		{QueryIndex: 0, ElapsedNS: 3, Cells: 12, Hits: []ResultHit{{SeqIndex: 1, Score: 44, SeqID: "s"}}},
 		{QueryIndex: 1},
 	}})
-	// A degraded answer: the trailing coverage block names the skipped
-	// ranges.
-	seed(&SearchResult{ID: 8, Results: []Result{{QueryIndex: 0}},
-		Coverage: &Coverage{RangesSearched: 1, RangesTotal: 2, ResiduesSearched: 500, ResiduesTotal: 1200,
-			Skipped: []SkippedRange{{Index: 1, Lo: 10, Hi: 20, Reason: "all 2 replicas down"}}}})
 	seed(&Cancel{ID: 9})
 	seed(&ReqError{ID: 9, Text: "engine: searcher is closed"})
 	seed(&StatsRequest{ID: 2})
@@ -84,11 +79,8 @@ func FuzzUnmarshal(f *testing.F) {
 	// One result whose 28 bytes of fixed fields are followed by a hit
 	// count the payload cannot hold.
 	f.Add(TypeSearchResult, append(append(append(make([]byte, 8), 1, 0, 0, 0), make([]byte, 28)...), 0xff, 0xff, 0xff, 0x7f))
-	// A coverage block whose skipped-range count lies about the payload
-	// (8-byte id, zero result count, flag byte, 24 bytes of coverage
-	// counters, then a hostile count) — must error before allocating.
-	f.Add(TypeSearchResult, append(append(append(make([]byte, 8), 0, 0, 0, 0, 1), make([]byte, 24)...), 0xff, 0xff, 0xff, 0x7f))
-	// A SearchResult truncated before the coverage flag byte.
+	// The smallest whole SearchResult: an id and a zero result count,
+	// nothing after it (version 11 has no trailing coverage block).
 	f.Add(TypeSearchResult, append(make([]byte, 8), 0, 0, 0, 0))
 	f.Add(TypeCancel, []byte{1, 2})
 	f.Add(TypeReqError, append(make([]byte, 8), 0xff, 0xff, 'x'))

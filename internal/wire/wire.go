@@ -1,5 +1,6 @@
-// Package wire defines the binary protocol between a serve-mode engine
-// and its clients (the paper's §IV master and the nodes that query it):
+// Package wire defines the binary protocol between a cluster
+// coordinator and the engine servers it scatters to (the paper's §IV
+// master and its workers; clients search through the HTTP gateway):
 // length-prefixed frames with a one-byte message type, little-endian
 // integers, and explicit versioning. A connection opens with a
 // Hello/Welcome handshake and then is one multiplexed session: every
@@ -27,7 +28,7 @@ const (
 	// layouts. Any change to a frame's layout bumps it, so a stale peer
 	// is rejected at Hello/Welcome instead of misreading a frame
 	// mid-session.
-	Version = 10
+	Version = 11
 	// MaxFrame bounds a frame payload (64 MiB) to fail fast on corrupt
 	// length prefixes.
 	MaxFrame = 64 << 20
@@ -111,35 +112,12 @@ type SearchRequest struct {
 	Queries []Query
 }
 
-// SkippedRange names one database range a degraded search skipped
-// (version 6): its shard index, its [Lo, Hi) sequence slice, and the
-// operator-facing reason.
-type SkippedRange struct {
-	Index  uint32
-	Lo, Hi uint32
-	Reason string
-}
-
-// Coverage is the degraded-answer metadata trailing a SearchResult
-// (version 6): how much of the database the answer actually saw. A nil
-// Coverage on the decoded message means full coverage — the frame
-// carries a zero flag byte and nothing else, so full answers cost one
-// byte and stay byte-compatible across the degraded feature.
-type Coverage struct {
-	RangesSearched   uint32
-	RangesTotal      uint32
-	ResiduesSearched uint64
-	ResiduesTotal    uint64
-	Skipped          []SkippedRange
-}
-
 // SearchResult answers one SearchRequest: one Result per query, in
-// request order. Coverage is non-nil only on a degraded (partial)
-// answer.
+// request order. It is always a full answer (version 11): a partial
+// one is refused with a ReqError instead.
 type SearchResult struct {
-	ID       uint64
-	Results  []Result
-	Coverage *Coverage
+	ID      uint64
+	Results []Result
 }
 
 // Cancel asks the server to abandon an in-flight request. The server
@@ -279,22 +257,6 @@ func Marshal(msg any) (byte, []byte, error) {
 		for i := range m.Results {
 			encodeResult(&e, &m.Results[i])
 		}
-		if m.Coverage == nil {
-			e.u8(0)
-		} else {
-			e.u8(1)
-			e.u32(m.Coverage.RangesSearched)
-			e.u32(m.Coverage.RangesTotal)
-			e.u64(m.Coverage.ResiduesSearched)
-			e.u64(m.Coverage.ResiduesTotal)
-			e.u32(uint32(len(m.Coverage.Skipped)))
-			for _, sk := range m.Coverage.Skipped {
-				e.u32(sk.Index)
-				e.u32(sk.Lo)
-				e.u32(sk.Hi)
-				e.str(sk.Reason)
-			}
-		}
 		return TypeSearchResult, e.buf, nil
 	case *Cancel:
 		e.u64(m.ID)
@@ -351,7 +313,6 @@ const (
 	minQuery   = 2 + 4             // id prefix, residue length
 	minResult  = 4 + 8 + 8 + 8 + 4 // index, elapsed, sim seconds, cells, hit count
 	minHit     = 4 + 4 + 2         // index, score, id prefix
-	minSkipped = 4 + 4 + 4 + 2     // index, lo, hi, reason prefix
 	minCounter = 2 + 8             // name prefix, value
 	minWorker  = 2 + 1 + 8 + 8 + 8 // name prefix, kind, two rates, tasks
 )
@@ -420,24 +381,6 @@ func Unmarshal(typ byte, payload []byte) (any, error) {
 				return nil, err
 			}
 			m.Results = append(m.Results, r)
-		}
-		if d.u8() != 0 {
-			cov := &Coverage{}
-			cov.RangesSearched = d.u32()
-			cov.RangesTotal = d.u32()
-			cov.ResiduesSearched = d.u64()
-			cov.ResiduesTotal = d.u64()
-			sn := d.count("skipped-range", minSkipped)
-			cov.Skipped = make([]SkippedRange, 0, sn)
-			for i := uint32(0); i < sn && d.err == nil; i++ {
-				var sk SkippedRange
-				sk.Index = d.u32()
-				sk.Lo = d.u32()
-				sk.Hi = d.u32()
-				sk.Reason = d.str()
-				cov.Skipped = append(cov.Skipped, sk)
-			}
-			m.Coverage = cov
 		}
 		return m, d.err
 	case TypeCancel:

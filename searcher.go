@@ -164,14 +164,15 @@ func dialReplicaShards(db *Database, groups [][]string, strategy shard.Strategy,
 	return sh, nil
 }
 
-// ServeShard serves one shard of db on l for a cluster coordinator: the
-// database is split into count ranges with opt.ShardSplit (the
-// coordinator must use the same strategy and count) and slice index gets
-// its own persistent engine, exposed over the wire protocol until the
-// listener closes. A coordinator built with
-// Options.ReplicaShards verifies the slice checksum at dial, so serving
-// the wrong index, count, strategy or database fails fast instead of
-// corrupting merged results.
+// ServeShard is the one wire server: it serves one range of db on l
+// for a cluster coordinator until the listener closes. The database is
+// split into count ranges with opt.ShardSplit (the coordinator must use
+// the same strategy and count) and slice index gets its own persistent
+// engine; count == 1 serves the whole database. A coordinator built
+// with Options.ReplicaShards verifies the slice checksum at dial, so
+// serving the wrong index, count, strategy or database fails fast
+// instead of corrupting merged results. Clients that are not a
+// coordinator search through the HTTP gateway (NewGateway) instead.
 func ServeShard(l net.Listener, db *Database, index, count int, opt Options) error {
 	if db == nil {
 		return errNilSets
@@ -207,15 +208,6 @@ func (s *Searcher) Search(ctx context.Context, queries *Database, opts SearchOpt
 	return s.inner.Search(ctx, queries.set, engine.SearchOptions{TopK: opts.TopK})
 }
 
-// Serve exposes the Searcher over the wire protocol until the listener
-// closes: each client connection is a multiplexed session carrying any
-// number of concurrent requests (QueryServer, or a coordinator's
-// ReplicaShards entry, is the client). Requests from all
-// sessions share scheduling waves.
-func (s *Searcher) Serve(l net.Listener) error {
-	return engine.Serve(l, s.inner)
-}
-
 // Stats reports the Searcher's cumulative counters (preparation passes,
 // workers started, searches, waves). On a coordinator the counters span
 // every shard server: preparation passes and workers sum across them
@@ -229,28 +221,11 @@ func (s *Searcher) Shards() int { return s.shards }
 // Database returns the loaded database.
 func (s *Searcher) Database() *Database { return s.db }
 
-// Checksum fingerprints the loaded database; serve-mode clients can pass
-// it to verify both ends hold the same sequences.
+// Checksum fingerprints the loaded database (on a coordinator, the
+// whole database its ranges were verified against at dial).
 func (s *Searcher) Checksum() uint32 { return s.inner.Checksum() }
 
 // Close stops the dispatcher and worker pool. It is idempotent; Search
 // calls after Close fail. A Database opened by OpenDatabase stays open:
 // its owner closes it after the last Searcher over it.
 func (s *Searcher) Close() error { return s.inner.Close() }
-
-// QueryServer runs one search request against a serve-mode Searcher
-// listening at addr and returns its merged results. A non-zero checksum
-// makes the server refuse the request unless its database matches.
-// opts.TopK bounds hits per query as in Searcher.Search: 0 selects the
-// server's TopK, and the server caps larger values to its own.
-func QueryServer(addr string, queries *Database, checksum uint32, opts SearchOptions) (*Report, error) {
-	if queries == nil {
-		return nil, errNilSets
-	}
-	b, err := remote.DialTimeout(addr, checksum, 0)
-	if err != nil {
-		return nil, err
-	}
-	defer b.Close()
-	return b.Search(context.Background(), queries.set, engine.SearchOptions{TopK: opts.TopK})
-}

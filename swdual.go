@@ -45,11 +45,12 @@ import (
 // Options configures a search.
 type Options struct {
 	// Matrix names the substitution matrix: BLOSUM62 (default), BLOSUM50,
-	// PAM250 or DNA.
+	// PAM250 or DNA. A matrix that does not cover the sequences'
+	// alphabet (DNA on protein) is refused.
 	Matrix string
 	// GapStart (Gs) and GapExtend (Ge) are the affine gap penalties of
 	// the paper's Eqs. (3)-(4); a gap of length L costs Gs + L*Ge.
-	// Defaults: 10 and 2.
+	// 0 selects the defaults, 10 and 2; a negative penalty is refused.
 	GapStart  int
 	GapExtend int
 	// Pool describes the worker pool as a spec string of comma-separated
@@ -78,7 +79,7 @@ type Options struct {
 	// the database is split into len(ReplicaShards) ranges with
 	// ShardSplit, and ReplicaShards[i] lists the addresses of the serve
 	// processes holding slice i, every one running ServeShard (or
-	// `swdual -shard-serve`) for that slice of the same database —
+	// `swdual -serve`) for that slice of the same database —
 	// verified by checksum at dial, so a server holding different
 	// sequences is rejected before any query runs. One address per range
 	// is a plain (non-replicated) cluster; several make the range
@@ -92,6 +93,8 @@ type Options struct {
 	// backoff — replicas proven identical is what makes failover
 	// answer-preserving. A replica that is down at construction is
 	// tolerated as long as at least one replica of its range is up.
+	// The coordinator itself is not served over the wire: clients reach
+	// it through NewGateway.
 	ReplicaShards [][]string
 	// DialTimeout bounds dialing one remote shard or replica — TCP
 	// connect and protocol handshake together — so a hung server cannot
@@ -164,10 +167,10 @@ func (o Options) params() (sw.Params, error) {
 		return sw.Params{}, err
 	}
 	g := scoring.Gaps{Start: 10, Extend: 2}
-	if o.GapStart > 0 {
+	if o.GapStart != 0 {
 		g.Start = o.GapStart
 	}
-	if o.GapExtend > 0 {
+	if o.GapExtend != 0 {
 		g.Extend = o.GapExtend
 	}
 	if err := g.Validate(); err != nil {
@@ -411,15 +414,7 @@ type Alignment struct {
 // AlignPair computes the optimal local alignment of two ASCII protein
 // sequences with full traceback.
 func AlignPair(a, b string, opt Options) (*Alignment, error) {
-	params, err := opt.params()
-	if err != nil {
-		return nil, err
-	}
-	ea, err := alphabet.Protein.Encode([]byte(strings.ToUpper(a)))
-	if err != nil {
-		return nil, err
-	}
-	eb, err := alphabet.Protein.Encode([]byte(strings.ToUpper(b)))
+	params, ea, eb, err := pairInputs(a, b, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -435,17 +430,31 @@ func AlignPair(a, b string, opt Options) (*Alignment, error) {
 // ScorePair returns just the optimal local alignment score of two ASCII
 // protein sequences.
 func ScorePair(a, b string, opt Options) (int, error) {
-	params, err := opt.params()
-	if err != nil {
-		return 0, err
-	}
-	ea, err := alphabet.Protein.Encode([]byte(strings.ToUpper(a)))
-	if err != nil {
-		return 0, err
-	}
-	eb, err := alphabet.Protein.Encode([]byte(strings.ToUpper(b)))
+	params, ea, eb, err := pairInputs(a, b, opt)
 	if err != nil {
 		return 0, err
 	}
 	return sw.Score(params, ea, eb), nil
+}
+
+// pairInputs validates opt for a pairwise comparison and encodes both
+// protein sequences. The matrix must cover the protein alphabet: a
+// residue code past its rows would index out of range.
+func pairInputs(a, b string, opt Options) (sw.Params, []byte, []byte, error) {
+	params, err := opt.params()
+	if err != nil {
+		return sw.Params{}, nil, nil, err
+	}
+	if err := params.Matrix.Covers(alphabet.Protein); err != nil {
+		return sw.Params{}, nil, nil, err
+	}
+	ea, err := alphabet.Protein.Encode([]byte(strings.ToUpper(a)))
+	if err != nil {
+		return sw.Params{}, nil, nil, err
+	}
+	eb, err := alphabet.Protein.Encode([]byte(strings.ToUpper(b)))
+	if err != nil {
+		return sw.Params{}, nil, nil, err
+	}
+	return params, ea, eb, nil
 }

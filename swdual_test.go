@@ -40,6 +40,71 @@ func TestAlignPair(t *testing.T) {
 	}
 }
 
+// TestMatrixMustCoverTheAlphabet: a matrix with fewer residue codes
+// than the sequences' alphabet (DNA on protein) is refused by the
+// pairwise calls, by Search and by ServeShard. Scoring with it would
+// read past the matrix: the pairwise oracle panicked, and a search
+// answered score 0 for an exact self-match.
+func TestMatrixMustCoverTheAlphabet(t *testing.T) {
+	const self = "MKWVTFISLLFLFSSAYS"
+	dna := swdual.Options{Matrix: "DNA"}
+	refused := func(what string, call func() error) {
+		t.Helper()
+		defer func() {
+			if p := recover(); p != nil {
+				t.Fatalf("%s panicked: %v", what, p)
+			}
+		}()
+		if err := call(); err == nil || !strings.Contains(err.Error(), "fewer than the protein alphabet's") {
+			t.Fatalf("%s with the DNA matrix on protein: %v, want it refused", what, err)
+		}
+	}
+	refused("ScorePair", func() error { _, err := swdual.ScorePair(self, self, dna); return err })
+	refused("AlignPair", func() error { _, err := swdual.AlignPair(self, self, dna); return err })
+	db, err := swdual.FromSequences([]string{"s"}, []string{self})
+	if err != nil {
+		t.Fatal(err)
+	}
+	refused("Search", func() error { _, err := swdual.Search(db, db, dna); return err })
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.Close() // a closed listener ends a ServeShard that got past its checks with nil
+	refused("ServeShard", func() error { return swdual.ServeShard(l, db, 0, 1, dna) })
+}
+
+// TestNegativeGapPenaltiesRefused: only 0 selects a default gap
+// penalty; a negative one reaches validation and is refused instead of
+// being silently replaced by the default.
+func TestNegativeGapPenaltiesRefused(t *testing.T) {
+	const self = "MKWVTFISLLFLFSSAYS"
+	db, err := swdual.FromSequences([]string{"s"}, []string{self})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, opt := range []swdual.Options{
+		{GapStart: -5, GapExtend: -1},
+		{GapStart: -5},
+		{GapExtend: -1},
+	} {
+		if score, err := swdual.ScorePair(self, self, opt); err == nil || !strings.Contains(err.Error(), "invalid gap penalties") {
+			t.Fatalf("ScorePair with Gs=%d Ge=%d: score %d, error %v; want it refused", opt.GapStart, opt.GapExtend, score, err)
+		}
+		if _, err := swdual.NewSearcher(db, opt); err == nil || !strings.Contains(err.Error(), "invalid gap penalties") {
+			t.Fatalf("NewSearcher with Gs=%d Ge=%d: %v, want it refused", opt.GapStart, opt.GapExtend, err)
+		}
+	}
+	got, err := swdual.ScorePair(self, self, swdual.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := swdual.ScorePair(self, self, swdual.Options{GapStart: 10, GapExtend: 2})
+	if err != nil || got != want {
+		t.Fatalf("zero gaps scored %d, explicit defaults %d (%v)", got, want, err)
+	}
+}
+
 func TestSearchPoliciesAgree(t *testing.T) {
 	db, err := swdual.GenerateDatabase("UniProt", 20000)
 	if err != nil {
@@ -349,7 +414,10 @@ func TestSearcherSkipsRePreparation(t *testing.T) {
 	}
 }
 
-// TestSearcherServe drives the serve mode end to end over the public API.
+// TestSearcherServe drives the wire end to end over the public API:
+// ServeShard with count 1 serves the whole database, a one-range
+// ReplicaShards coordinator searches it, and the hits equal a local
+// search. ServeShard returns nil once its listener closes.
 func TestSearcherServe(t *testing.T) {
 	db, err := swdual.GenerateDatabase("Ensembl Dog Proteins", 20000)
 	if err != nil {
@@ -359,22 +427,25 @@ func TestSearcherServe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := swdual.NewSearcher(db, swdual.Options{Pool: "cpu=1,gpu=1", TopK: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
+	opt := swdual.Options{Pool: "cpu=1,gpu=1", TopK: 3}
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	serveDone := make(chan error, 1)
-	go func() { serveDone <- s.Serve(l) }()
-	remote, err := swdual.QueryServer(l.Addr().String(), queries, s.Checksum(), swdual.SearchOptions{})
+	go func() { serveDone <- swdual.ServeShard(l, db, 0, 1, opt) }()
+	coordOpt := opt
+	coordOpt.ReplicaShards = [][]string{{l.Addr().String()}}
+	s, err := swdual.NewSearcher(db, coordOpt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	local, err := s.Search(context.Background(), queries, swdual.SearchOptions{})
+	defer s.Close()
+	remote, err := s.Search(context.Background(), queries, swdual.SearchOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	local, err := swdual.Search(db, queries, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -395,10 +466,10 @@ func TestSearcherServe(t *testing.T) {
 	}
 }
 
-// TestQueryServerHonorsTopK: QueryServer's TopK reaches the server, so a
-// client asking a TopK 10 server for 3 hits gets exactly the first 3 of
-// a local search, not the server's 10.
-func TestQueryServerHonorsTopK(t *testing.T) {
+// TestServedRangeHonorsTopK: a search's TopK reaches the server, so a
+// coordinator asking a TopK 10 server for 3 hits gets exactly the first
+// 3 of a local search, not the server's 10.
+func TestServedRangeHonorsTopK(t *testing.T) {
 	db, err := swdual.GenerateDatabase("UniProt", 20000)
 	if err != nil {
 		t.Fatal(err)
@@ -407,22 +478,20 @@ func TestQueryServerHonorsTopK(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := swdual.NewSearcher(db, swdual.Options{Pool: "cpu=1", TopK: 10})
+	opt := swdual.Options{Pool: "cpu=1", TopK: 10}
+	srv := startShardServer(t, "127.0.0.1:0", db, 0, 1, opt)
+	coordOpt := opt
+	coordOpt.ReplicaShards = [][]string{{srv.Addr().String()}}
+	s, err := swdual.NewSearcher(db, coordOpt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	l, err := net.Listen("tcp", "127.0.0.1:0")
+	remote, err := s.Search(context.Background(), queries, swdual.SearchOptions{TopK: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	serveDone := make(chan error, 1)
-	go func() { serveDone <- s.Serve(l) }()
-	remote, err := swdual.QueryServer(l.Addr().String(), queries, s.Checksum(), swdual.SearchOptions{TopK: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	local, err := s.Search(context.Background(), queries, swdual.SearchOptions{})
+	local, err := swdual.Search(db, queries, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -437,16 +506,12 @@ func TestQueryServerHonorsTopK(t *testing.T) {
 			}
 		}
 	}
-	l.Close()
-	if err := <-serveDone; err != nil {
-		t.Fatalf("serve: %v", err)
-	}
 }
 
 // TestShardedSearcherMatchesUnsharded is the public-API acceptance check
 // of the sharding layer: a ReplicaShards coordinator over ServeShard
 // servers, with either split strategy, must return hits identical to the
-// unsharded engine, over the serve wire too.
+// unsharded engine.
 func TestShardedSearcherMatchesUnsharded(t *testing.T) {
 	const shardCount = 3
 	db, err := swdual.GenerateDatabase("UniProt", 20000)
@@ -484,23 +549,6 @@ func TestShardedSearcherMatchesUnsharded(t *testing.T) {
 			t.Fatalf("%s: %d preparation passes, want one per shard server", split, st.Prepared)
 		}
 
-		// Serve mode over the coordinator: remote clients see the same
-		// hits and the same whole-database checksum.
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		serveDone := make(chan error, 1)
-		go func() { serveDone <- s.Serve(l) }()
-		remote, err := swdual.QueryServer(l.Addr().String(), queries, s.Checksum(), swdual.SearchOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameReports(t, split+" remote", remote, want)
-		l.Close()
-		if err := <-serveDone; err != nil {
-			t.Fatalf("serve: %v", err)
-		}
 		if err := s.Close(); err != nil {
 			t.Fatal(err)
 		}
