@@ -191,7 +191,7 @@ func TestAblationIdleDualApproxIsLow(t *testing.T) {
 }
 
 func TestAblationSchedulers(t *testing.T) {
-	tb := runner().AblationSchedulers()
+	tb := experiment(t, "sched")
 	if len(tb.Rows) != 3 {
 		t.Fatalf("%d families", len(tb.Rows))
 	}
