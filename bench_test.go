@@ -30,7 +30,7 @@ import (
 // rebuilds workers, profiles and scheduler state from scratch.
 func BenchmarkSearchOneShot(b *testing.B) {
 	db, queries := benchSearchData(b)
-	opt := swdual.Options{Pool: "cpu=2,gpu=2", TopK: 5}
+	opt := swdual.Options{Pool: "cpu=4", TopK: 5}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := swdual.Search(db, queries, opt); err != nil {
@@ -44,7 +44,7 @@ func BenchmarkSearchOneShot(b *testing.B) {
 // outside the loop.
 func BenchmarkSearchPersistent(b *testing.B) {
 	db, queries := benchSearchData(b)
-	s, err := swdual.NewSearcher(db, swdual.Options{Pool: "cpu=2,gpu=2", TopK: 5})
+	s, err := swdual.NewSearcher(db, swdual.Options{Pool: "cpu=4", TopK: 5})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func BenchmarkMappedVsHeapMemory(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		s, err := swdual.NewSearcher(db, swdual.Options{Pool: "cpu=2,gpu=1", TopK: 5})
+		s, err := swdual.NewSearcher(db, swdual.Options{Pool: "cpu=3", TopK: 5})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -136,7 +136,7 @@ func BenchmarkCachedSearch(b *testing.B) {
 	for _, mode := range []string{"off", "on"} {
 		b.Run("cache="+mode, func(b *testing.B) {
 			s, err := swdual.NewSearcher(db, swdual.Options{
-				Pool: "cpu=2,gpu=2", TopK: 5, Cache: mode == "on",
+				Pool: "cpu=4", TopK: 5, Cache: mode == "on",
 			})
 			if err != nil {
 				b.Fatal(err)
@@ -187,7 +187,7 @@ func BenchmarkSearchPersistentConcurrent(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	s, err := swdual.NewSearcher(db, swdual.Options{Pool: "cpu=2,gpu=2", TopK: 5})
+	s, err := swdual.NewSearcher(db, swdual.Options{Pool: "cpu=4", TopK: 5})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -209,40 +209,8 @@ func BenchmarkSearchPersistentConcurrent(b *testing.B) {
 	})
 }
 
-// BenchmarkMixedPoolSearch compares homogeneous worker pools against
-// pool specs mixing inter-sequence CPU and GPU workers in different
-// ratios. Hits are byte-identical across specs (the equivalence suite
-// proves it); the delta is pure throughput, and repeated iterations let
-// the rate estimator steer each wave's schedule with the rates measured
-// on the previous one.
-func BenchmarkMixedPoolSearch(b *testing.B) {
-	db, queries := benchSearchData(b)
-	for _, spec := range []string{
-		"cpu=4",
-		"gpu=4",
-		"cpu=2,gpu=2",
-		"cpu=3,gpu=1",
-		"cpu=1,gpu=3",
-	} {
-		b.Run("pool="+spec, func(b *testing.B) {
-			s, err := swdual.NewSearcher(db, swdual.Options{Pool: spec, TopK: 5})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer s.Close()
-			ctx := context.Background()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := s.Search(ctx, queries, swdual.SearchOptions{}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkSearchDefaultPool times a search through the public API on the
-// default pool (Options{}: one CPU and one simulated-GPU worker): the 40
+// default pool (Options{}: one CPU worker per GOMAXPROCS): the 40
 // standard queries at 1/10 scale against UniProt at 1/2000.
 func BenchmarkSearchDefaultPool(b *testing.B) {
 	db, err := swdual.GenerateDatabase("UniProt", 2000)

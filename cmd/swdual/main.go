@@ -1,13 +1,13 @@
 // Command swdual searches a query set against a sequence database on a
-// hybrid platform of CPU and simulated-GPU workers, using the paper's
-// dual-approximation scheduler.
+// pool of CPU workers, using the paper's dual-approximation scheduler;
+// -plan schedules the paper's modelled CPU + GPU platform instead.
 //
 // Usage:
 //
-//	swdual -db db.fasta -query q.fasta -pool cpu=2,gpu=2
+//	swdual -db db.fasta -query q.fasta              # one CPU worker per GOMAXPROCS
 //	swdual -db db.fasta -query q.fasta -pool cpu=4
 //	swdual -db db.swdb -query q.fasta -policy self-scheduling -topk 5
-//	swdual -db db.fasta -query q.fasta -plan        # schedule only
+//	swdual -db db.fasta -query q.fasta -plan -pool cpu=2,gpu=2  # schedule only
 //	swdual -db db.fasta -gateway :8080              # HTTP/JSON front door
 //
 // The gateway is how clients search a running server. It serves POST
@@ -47,6 +47,7 @@
 package main
 
 import (
+	"cmp"
 	"context"
 	"flag"
 	"fmt"
@@ -55,6 +56,7 @@ import (
 	"strings"
 
 	"swdual"
+	"swdual/internal/master"
 )
 
 func main() {
@@ -63,7 +65,7 @@ func main() {
 	var (
 		dbPath   = flag.String("db", "", "database file (.fasta/.fa parsed into memory; .swdb memory-mapped read-only — zero-copy, and every process mapping the same file on a host shares one physical copy)")
 		qPath    = flag.String("query", "", "query file (.fasta/.fa or .swdb binary)")
-		pool     = flag.String("pool", "cpu=1,gpu=1", "worker pool spec: backend=count pairs over cpu (inter-sequence) and gpu (the same kernel, timed as a simulated Tesla C2050), e.g. cpu=2,gpu=2 or cpu=4")
+		pool     = flag.String("pool", "", "worker pool spec: backend=count pairs, e.g. cpu=4 (default: one cpu worker per GOMAXPROCS); a search runs cpu (inter-sequence) workers only, -plan also schedules gpu (modelled Tesla C2050), e.g. cpu=2,gpu=2")
 		topk     = flag.Int("topk", 10, "hits reported per query")
 		matrix   = flag.String("matrix", "BLOSUM62", "substitution matrix")
 		gapS     = flag.Int("gapstart", 10, "gap start penalty Gs")
@@ -112,6 +114,7 @@ func main() {
 	if *dbPath == "" {
 		log.Fatal("-db is required")
 	}
+	poolName := cmp.Or(*pool, master.DefaultPool().String()) // as reported, never empty
 	// A .swdb database is memory-mapped instead of copied: serve fleets
 	// on one host share a single physical copy through the page cache.
 	db, err := swdual.OpenDatabase(*dbPath)
@@ -126,7 +129,7 @@ func main() {
 			log.Fatal(err)
 		}
 		log.Printf("serving range %d/%d of %d sequences (split %s) on %s with worker pool %s",
-			*shardIndex, *shardCount, db.Len(), *split, l.Addr(), *pool)
+			*shardIndex, *shardCount, db.Len(), *split, l.Addr(), poolName)
 		if err := swdual.ServeShard(l, db, *shardIndex, *shardCount, opt); err != nil {
 			log.Fatal(err)
 		}
@@ -148,7 +151,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		backend := "worker pool " + *pool
+		backend := "worker pool " + poolName
 		if len(opt.ReplicaShards) > 0 {
 			backend = fmt.Sprintf("%d shard server range(s)", len(opt.ReplicaShards))
 		}
@@ -174,7 +177,7 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Printf("pool: %s\nalgorithm: %s\nmodeled makespan: %.2f s (lower bound %.2f s)\nmodeled GCUPS: %.2f\nidle fraction: %.2f%%\n",
-			*pool, plan.Algorithm, plan.Makespan, plan.LowerBound, plan.GCUPS, 100*plan.IdleFraction)
+			poolName, plan.Algorithm, plan.Makespan, plan.LowerBound, plan.GCUPS, 100*plan.IdleFraction)
 		for _, tp := range plan.Tasks {
 			fmt.Printf("  q%02d (len %5d) -> %s%d  [%8.2f, %8.2f)\n",
 				tp.QueryIndex, tp.QueryLen, tp.Kind, tp.PE, tp.Start, tp.End)

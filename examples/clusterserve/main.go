@@ -34,7 +34,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	opt := swdual.Options{Pool: "cpu=1,gpu=1", TopK: 5, ShardSplit: "balanced"}
+	opt := swdual.Options{Pool: "cpu=2", TopK: 5, ShardSplit: "balanced"}
 
 	// Shard servers: each serves its slice of the database on its own
 	// listener — stand-ins for `swdual -db db.fasta -serve :401N

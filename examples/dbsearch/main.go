@@ -28,9 +28,9 @@ func main() {
 	fmt.Printf("database: %d sequences, %d residues\n", db.Len(), db.TotalResidues())
 	fmt.Printf("queries:  %d sequences, %d residues\n\n", queries.Len(), queries.TotalResidues())
 
-	// The database is prepared once; the 4 CPU + 4 GPU workers live for
-	// every request below.
-	searcher, err := swdual.NewSearcher(db, swdual.Options{Pool: "cpu=4,gpu=4", TopK: 3})
+	// The database is prepared once; the 8 CPU workers live for every
+	// request below.
+	searcher, err := swdual.NewSearcher(db, swdual.Options{Pool: "cpu=8", TopK: 3})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func main() {
 		st.Prepared, st.WorkersStarted)
 
 	// The same search planned at full paper scale (537,505 sequences, 8
-	// Tesla C2050 + 8 CPU platform shape: 4 GPU + 4 CPU workers).
+	// workers: 4 modelled Tesla C2050 GPUs + 4 CPUs).
 	plan, err := swdual.PaperPlatformPlan("UniProt", "standard", 8)
 	if err != nil {
 		log.Fatal(err)

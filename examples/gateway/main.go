@@ -28,7 +28,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	s, err := swdual.NewSearcher(db, swdual.Options{Pool: "cpu=2,gpu=1", TopK: 3})
+	s, err := swdual.NewSearcher(db, swdual.Options{Pool: "cpu=3", TopK: 3})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,7 +1,8 @@
 // heterosets: reproduce the paper's Table V story — the scheduler must
 // handle query sets of similar sizes (homogeneous) and wildly different
-// sizes (heterogeneous) equally well. Runs a scaled functional search for
-// both sets and prints the paper-scale plans next to the paper's numbers.
+// sizes (heterogeneous) equally well. Runs a scaled CPU search for both
+// sets and prints the paper-scale (modelled GPU + CPU) plans next to the
+// paper's numbers.
 package main
 
 import (
@@ -27,7 +28,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		rep, err := swdual.Search(db, queries, swdual.Options{Pool: "cpu=2,gpu=2", TopK: 1})
+		rep, err := swdual.Search(db, queries, swdual.Options{Pool: "cpu=4", TopK: 1})
 		if err != nil {
 			log.Fatal(err)
 		}

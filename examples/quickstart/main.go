@@ -1,6 +1,6 @@
 // Quickstart: align two sequences, then stand up a persistent Searcher
 // over a tiny in-memory database and run two searches through it on a
-// hybrid 1 CPU + 1 GPU platform.
+// pool of 2 CPU workers.
 package main
 
 import (
@@ -25,9 +25,9 @@ func main() {
 	fmt.Println(al.Text)
 
 	// A persistent search engine: the database is prepared once and the
-	// CPU worker (SWIPE-style engine) and GPU worker (the same engine,
-	// timed as a simulated Tesla C2050) stay alive between searches; the
-	// dual-approximation scheduler splits every request between them.
+	// two CPU workers (SWIPE-style engine, each rated by its measured
+	// task times) stay alive between searches; the dual-approximation
+	// scheduler splits every request between them.
 	db, err := swdual.FromSequences(
 		[]string{"albumin-like", "kinase-like", "random-1", "random-2"},
 		[]string{
@@ -39,7 +39,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	searcher, err := swdual.NewSearcher(db, swdual.Options{Pool: "cpu=1,gpu=1", TopK: 3})
+	searcher, err := swdual.NewSearcher(db, swdual.Options{Pool: "cpu=2", TopK: 3})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -24,7 +24,7 @@ func TestGatewayServesSearcher(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := swdual.NewSearcher(db, swdual.Options{Pool: "cpu=1,gpu=1", TopK: 5})
+	s, err := swdual.NewSearcher(db, swdual.Options{Pool: "cpu=2", TopK: 5})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -78,8 +78,8 @@ var PaperTable1 = []PaperApplication{
 	{"SWIPE", "1.0", "./swipe -a $T -i $Q -d $D", "internal/swvector InterSeq (" + swvector.NewInterSeq(sw.DefaultParams()).Name() + ")"},
 	{"STRIPED", "-", "./striped -T $T $Q $D", "internal/swvector Striped (Farrar SWAR)"},
 	{"SWPS3", "20080605", "./swps3 -j $T $Q $D", "internal/sw Scalar (scalar Gotoh reference)"},
-	{"CUDASW++", "2.0", "./cudasw -use_gpus $T -query $Q -db $D", "internal/gpusim cycle model (C2050), scored by InterSeq"},
-	{"SWDUAL", "this work", "swdual -pool cpu=$C,gpu=$G -query $Q -db $D", "root package swdual (dual-approximation hybrid)"},
+	{"CUDASW++", "2.0", "./cudasw -use_gpus $T -query $Q -db $D", "internal/gpusim cycle model (C2050)"},
+	{"SWDUAL", "this work", "swdual -plan -pool cpu=$C,gpu=$G -query $Q -db $D", "root package swdual (dual-approximation hybrid)"},
 }
 
 // WorkerSplit returns the paper's worker composition for SWDUAL: "the

@@ -1,7 +1,7 @@
 // Package engine runs the paper's master-slave search as a persistent
 // service, the one search path in the module. A Searcher loads a
 // database once — sequences, residue encoding, length statistics,
-// checksum — and owns a long-lived master.Pool of CPU and GPU workers;
+// checksum — and owns a long-lived master.Pool of workers;
 // many goroutines may then call Search concurrently and share that
 // preparation, the way the paper's long-lived master keeps its workers
 // busy across task waves (§IV) and the way fine-grained parallel search
@@ -60,13 +60,13 @@ import (
 // sharding facade caps its gather with the same value.
 const DefaultTopK = 10
 
-// Config tunes a Searcher. The zero value works: 1 CPU + 1 GPU worker,
+// Config tunes a Searcher. The zero value works: master.DefaultPool,
 // BLOSUM62 defaults from sw.DefaultParams, dual-approximation policy.
 type Config struct {
 	// Params are the alignment parameters shared by all workers.
 	Params sw.Params
 	// Pool counts the CPU and GPU workers, see master.PoolSpec. An empty
-	// Pool selects 1 CPU + 1 GPU worker.
+	// Pool selects master.DefaultPool.
 	Pool master.PoolSpec
 	// Workers overrides the built-in worker construction; Pool is then
 	// ignored.
@@ -95,7 +95,7 @@ func (c *Config) defaults() {
 		c.Params = sw.DefaultParams()
 	}
 	if c.Workers == nil && c.Pool.Total() == 0 {
-		c.Pool = master.PoolSpec{CPU: 1, GPU: 1}
+		c.Pool = master.DefaultPool()
 	}
 	if c.TopK <= 0 {
 		c.TopK = DefaultTopK

@@ -260,7 +260,6 @@ func resultFrame(qi int, res master.QueryResult) *wire.Result {
 	out := &wire.Result{
 		QueryIndex: uint32(qi),
 		ElapsedNS:  uint64(res.Elapsed),
-		SimSeconds: res.SimSeconds,
 		Cells:      uint64(res.Cells),
 	}
 	for _, h := range res.Hits {

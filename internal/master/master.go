@@ -6,8 +6,8 @@
 // default), and result merge (merge.go). Workers run as a persistent
 // Pool (pool.go) of goroutines. Every worker scores with the SWIPE-style
 // inter-sequence engine (swvector.InterSeq), so a run produces exact
-// alignment scores; a GPU worker also reports the seconds its simulated
-// device (package gpusim) would take. The Pool owns its queues, which workers are idle
+// alignment scores, and every worker's rate is measured from the wall
+// time of its tasks. The Pool owns its queues, which workers are idle
 // and each worker's measured rate; a Worker only runs tasks and
 // advertises a rate.
 //
@@ -19,7 +19,6 @@ package master
 import (
 	"time"
 
-	"swdual/internal/gpusim"
 	"swdual/internal/sched"
 	"swdual/internal/scoring"
 	"swdual/internal/seq"
@@ -40,19 +39,7 @@ type QueryResult struct {
 	Hits       []Hit // descending score, capped at the master's TopK
 	Worker     string
 	Elapsed    time.Duration // wall time spent by the worker
-	SimSeconds float64       // simulated device seconds (GPU workers)
 	Cells      int64
-}
-
-// ObservedDuration is the time base a Pool's rate estimate uses for this
-// result: the simulated device seconds when the worker ran on a modeled
-// device (a simulated GPU scores on the host, so its wall time measures
-// the host kernel, not the device), host wall time otherwise.
-func (r QueryResult) ObservedDuration() time.Duration {
-	if r.SimSeconds > 0 {
-		return time.Duration(r.SimSeconds * float64(time.Second))
-	}
-	return r.Elapsed
 }
 
 // Worker is a processing element registered with the master.
@@ -170,16 +157,13 @@ func TopHits(db *seq.Set, scores []int, k int) []Hit {
 
 // Engine-backed workers.
 
-// EngineWorker runs its tasks on an sw.Engine. A GPU worker
-// (NewGPUWorker) is one with a simulated device: it scores on the host
-// like any other and reports the device's modeled seconds for each task.
+// EngineWorker runs its tasks on an sw.Engine.
 type EngineWorker struct {
 	name   string
 	kind   sched.Kind
 	engine sw.Engine
 	rate   float64
 	topK   int
-	device *gpusim.DeviceConfig // nil on a worker without a simulated device
 }
 
 // NewEngineWorker builds a worker over an engine. rateGCUPS is the
@@ -189,17 +173,6 @@ func NewEngineWorker(name string, kind sched.Kind, engine sw.Engine, rateGCUPS f
 		topK = 10
 	}
 	return &EngineWorker{name: name, kind: kind, engine: engine, rate: rateGCUPS, topK: topK}
-}
-
-// NewGPUWorker builds a GPU-kind worker that scores with engine and
-// reports as each task's SimSeconds what the CUDASW++ cycle model of dev
-// (gpusim.Model) predicts for it. rateGCUPS is the advertised throughput
-// (the calibrated Table II rate for a C2050) that seeds a Pool's
-// measured-rate estimate.
-func NewGPUWorker(name string, engine sw.Engine, dev gpusim.DeviceConfig, rateGCUPS float64, topK int) *EngineWorker {
-	w := NewEngineWorker(name, sched.GPU, engine, rateGCUPS, topK)
-	w.device = &dev
-	return w
 }
 
 // Name implements Worker.
@@ -216,7 +189,7 @@ func (w *EngineWorker) Run(queryIndex int, query *seq.Sequence, db *seq.Set) Que
 	start := time.Now()
 	scores := w.engine.Scores(query.Residues, db)
 	elapsed := time.Since(start)
-	res := QueryResult{
+	return QueryResult{
 		QueryIndex: queryIndex,
 		QueryID:    query.ID,
 		Hits:       TopHits(db, scores, w.topK),
@@ -224,16 +197,6 @@ func (w *EngineWorker) Run(queryIndex int, query *seq.Sequence, db *seq.Set) Que
 		Elapsed:    elapsed,
 		Cells:      sw.SetCells(query.Len(), db),
 	}
-	if w.device != nil {
-		// Priced per task: 14 µs on UniProt/2000's 269 subjects, 4.4 ms on
-		// UniProt/10's 53 750 (2-vCPU Xeon), small beside the task itself.
-		lengths := make([]int, db.Len())
-		for i := range db.Seqs {
-			lengths[i] = db.Seqs[i].Len()
-		}
-		res.SimSeconds = gpusim.Model(*w.device, lengths).Seconds(query.Len())
-	}
-	return res
 }
 
 // RunProfiled implements ProfiledWorker by running the task as Run does.

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"swdual/internal/alphabet"
-	"swdual/internal/gpusim"
 	"swdual/internal/sched"
 	"swdual/internal/seq"
 	"swdual/internal/sw"
@@ -20,8 +19,8 @@ import (
 func testWorkers(topK int) []Worker {
 	params := sw.DefaultParams()
 	return []Worker{
-		NewGPUWorker("gpu-0", swvector.NewInterSeq(params), gpusim.TeslaC2050(), 24.8, topK),
-		NewGPUWorker("gpu-1", swvector.NewInterSeq(params), gpusim.TeslaC2050(), 24.8, topK),
+		NewEngineWorker("gpu-0", sched.GPU, swvector.NewInterSeq(params), 24.8, topK),
+		NewEngineWorker("gpu-1", sched.GPU, swvector.NewInterSeq(params), 24.8, topK),
 		NewEngineWorker("cpu-0", sched.CPU, swvector.NewInterSeq(params), 8.3, topK),
 		NewEngineWorker("cpu-1", sched.CPU, swvector.NewStriped(params), 8.3, topK),
 	}
@@ -302,41 +301,5 @@ func TestAssignRoundRobinIsEqualPower(t *testing.T) {
 	}
 	if len(queues[sched.GPU]) == 0 || queues[sched.GPU][0] != 0 {
 		t.Fatalf("round-robin must deal task 0 to a GPU first: %v", queues)
-	}
-}
-
-// TestGPUWorkerReportsSimTime checks that a GPU worker scores as a CPU
-// worker on the same kernel does and reports as SimSeconds exactly what
-// its device's cycle model of the task's database predicts, while a CPU
-// worker reports none.
-func TestGPUWorkerReportsSimTime(t *testing.T) {
-	params := sw.DefaultParams()
-	kernel := swvector.NewInterSeq(params)
-	dev := gpusim.TeslaC2050()
-	gpu := NewGPUWorker("gpu", kernel, dev, 24.8, 3)
-	cpu := NewEngineWorker("cpu", sched.CPU, kernel, 8.3, 3)
-	if gpu.Kind() != sched.GPU || gpu.RateGCUPS() != 24.8 {
-		t.Fatal("accessors")
-	}
-	full := synth.RandomSet(alphabet.Protein, 40, 10, 100, 33)
-	for _, db := range []*seq.Set{full, full.Slice(0, 20)} {
-		lengths := make([]int, db.Len())
-		for i := range db.Seqs {
-			lengths[i] = db.Seqs[i].Len()
-		}
-		model := gpusim.Model(dev, lengths)
-		for qi := range 3 {
-			q := &db.Seqs[qi]
-			g, c := gpu.Run(qi, q, db), cpu.Run(qi, q, db)
-			if !slices.Equal(g.Hits, c.Hits) {
-				t.Fatalf("query %d: GPU hits %v, CPU hits %v", qi, g.Hits, c.Hits)
-			}
-			if want := model.Seconds(q.Len()); g.SimSeconds != want || want <= 0 {
-				t.Fatalf("query %d: SimSeconds %g, model %g", qi, g.SimSeconds, want)
-			}
-			if c.SimSeconds != 0 {
-				t.Fatalf("query %d: CPU worker reported %g simulated seconds", qi, c.SimSeconds)
-			}
-		}
 	}
 }

@@ -205,9 +205,9 @@ func (p *Pool) run(i int, t PoolTask) {
 		// The observe half of the observe→estimate→schedule loop: every
 		// completed task refines the worker's rate before the next wave is
 		// planned. Tasks with no volume or no measurable duration carry no
-		// rate signal; simulated-device workers report modeled time.
-		if d := res.ObservedDuration(); res.Cells > 0 && d > 0 {
-			p.rates[i].Observe(float64(res.Cells) / d.Seconds() / 1e9)
+		// rate signal.
+		if res.Cells > 0 && res.Elapsed > 0 {
+			p.rates[i].Observe(float64(res.Cells) / res.Elapsed.Seconds() / 1e9)
 		}
 	}
 	p.mu.Lock()

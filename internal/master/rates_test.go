@@ -2,6 +2,7 @@ package master
 
 import (
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -202,6 +203,18 @@ func TestParsePoolSpec(t *testing.T) {
 	for _, in := range malformed {
 		if _, err := ParsePoolSpec(in); err == nil {
 			t.Errorf("ParsePoolSpec(%q) accepted malformed input", in)
+		}
+	}
+
+	// Counts add up across entries; an entry that would take the total
+	// past the largest int is refused by name, not wrapped negative.
+	huge := "cpu=" + strconv.Itoa(math.MaxInt)
+	for _, tc := range []struct{ in, entry string }{
+		{huge + ",cpu=2", "cpu=2"},
+		{huge + ",gpu=1", "gpu=1"},
+	} {
+		if got, err := ParsePoolSpec(tc.in); err == nil || !strings.Contains(err.Error(), tc.entry) {
+			t.Errorf("ParsePoolSpec(%q) = %+v, %v; want an error naming %q", tc.in, got, err, tc.entry)
 		}
 	}
 

@@ -2,10 +2,11 @@ package master
 
 import (
 	"fmt"
+	"math"
+	"runtime"
 	"strconv"
 	"strings"
 
-	"swdual/internal/gpusim"
 	"swdual/internal/platform"
 	"swdual/internal/sched"
 	"swdual/internal/sw"
@@ -21,11 +22,14 @@ type PoolSpec struct {
 	// (swvector.InterSeq: AVX2 on amd64, SWAR elsewhere), the paper's
 	// CPU backend.
 	CPU int
-	// GPU workers score with the same engine and report the device
-	// seconds of a simulated Tesla C2050, each its own, as the CUDASW++
-	// cycle model prices the task.
+	// GPU counts the modelled Tesla C2050s a plan schedules. A GPU-kind
+	// worker scores with the same engine at the calibrated C2050 rate;
+	// only tests of mixed-kind dispatch run one.
 	GPU int
 }
+
+// DefaultPool is the pool an empty spec selects, sized from the host.
+func DefaultPool() PoolSpec { return PoolSpec{CPU: runtime.GOMAXPROCS(0)} }
 
 // validBackends lists the spec grammar's backend names for error
 // messages.
@@ -49,8 +53,9 @@ func (s PoolSpec) String() string {
 
 // ParsePoolSpec parses a worker-pool spec like "cpu=4,gpu=1":
 // comma-separated backend=count pairs, where backend is cpu
-// (inter-sequence AVX2 or SWAR) or gpu (simulated Tesla C2050), and
-// count is a non-negative integer. Repeated backends accumulate. The
+// (inter-sequence AVX2 or SWAR) or gpu (modelled Tesla C2050), and
+// count is a non-negative integer. Repeated backends accumulate, up to
+// the largest int in total. The
 // empty string parses to the zero spec (no pool requested); a non-empty
 // spec must name at least one worker.
 func ParsePoolSpec(spec string) (PoolSpec, error) {
@@ -67,6 +72,9 @@ func ParsePoolSpec(spec string) (PoolSpec, error) {
 		n, err := strconv.Atoi(value)
 		if err != nil || n < 0 {
 			return PoolSpec{}, fmt.Errorf("master: pool spec %q: count %q of backend %q must be a non-negative integer", spec, value, backend)
+		}
+		if n > math.MaxInt-s.Total() {
+			return PoolSpec{}, fmt.Errorf("master: pool spec %q: entry %q takes the worker count past %d", spec, part, math.MaxInt)
 		}
 		switch backend {
 		case "cpu":
@@ -86,15 +94,15 @@ func ParsePoolSpec(spec string) (PoolSpec, error) {
 // BuildPoolWorkers assembles the worker set a PoolSpec describes, in a
 // deterministic order: GPU workers first, then CPU. Each worker's
 // paper-calibrated Table II rate is its advertised rate, which seeds
-// a Pool's measured-rate estimate. All workers share one InterSeq, which
-// is safe for concurrent use, so that the lane plan of a database is
-// built once for all of them.
+// a Pool's measured-rate estimate. All workers, GPU-kind ones included,
+// score with one shared InterSeq, which is safe for concurrent use, so
+// that the lane plan of a database is built once for all of them.
 func BuildPoolWorkers(params sw.Params, spec PoolSpec, topK int) []Worker {
 	cal := platform.PaperCalibration()
 	kernel := swvector.NewInterSeq(params)
 	var ws []Worker
 	for i := 0; i < spec.GPU; i++ {
-		ws = append(ws, NewGPUWorker(fmt.Sprintf("gpu-%d", i), kernel, gpusim.TeslaC2050(), cal.GPUWorkerGCUPS, topK))
+		ws = append(ws, NewEngineWorker(fmt.Sprintf("gpu-%d", i), sched.GPU, kernel, cal.GPUWorkerGCUPS, topK))
 	}
 	for i := 0; i < spec.CPU; i++ {
 		ws = append(ws, NewEngineWorker(fmt.Sprintf("cpu-%d", i), sched.CPU, kernel, cal.CPUWorkerGCUPS, topK))

@@ -327,7 +327,6 @@ func (b *Backend) Search(ctx context.Context, queries *seq.Set, opts engine.Sear
 				QueryIndex: qi,
 				QueryID:    queries.Seqs[qi].ID,
 				Elapsed:    time.Duration(r.ElapsedNS),
-				SimSeconds: r.SimSeconds,
 				Cells:      int64(r.Cells),
 			}
 			for _, h := range r.Hits {

@@ -396,7 +396,6 @@ func (s *Searcher) gather(queries *seq.Set, reps []*master.Report, topK int, sta
 			res := r.Results[qi]
 			lists[si] = res.Hits
 			qr.Elapsed += res.Elapsed
-			qr.SimSeconds += res.SimSeconds
 			qr.Cells += res.Cells
 		}
 		qr.Hits = master.MergeTopK(lists, offsets, topK)

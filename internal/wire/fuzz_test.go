@@ -32,7 +32,7 @@ func FuzzUnmarshal(f *testing.F) {
 	// Session frames: request ids, nested result lists, float slices
 	// (floats must round-trip bit-exactly, NaN included).
 	seed(&SearchRequest{ID: 6})
-	seed(&SearchResult{ID: 6, Results: []Result{{QueryIndex: 1, ElapsedNS: 5, SimSeconds: math.NaN(), Cells: 99,
+	seed(&SearchResult{ID: 6, Results: []Result{{QueryIndex: 1, ElapsedNS: 5, Cells: 99,
 		Hits: []ResultHit{{SeqIndex: 4, Score: -3, SeqID: "hit"}, {SeqIndex: 0, Score: 120, SeqID: ""}}}}})
 	seed(&SearchRequest{ID: 7, TopK: 5, Queries: []Query{{ID: "q0", Residues: []byte{0, 1, 2}}, {ID: "", Residues: nil}}})
 	seed(&SearchResult{ID: 7, Results: []Result{
@@ -76,9 +76,9 @@ func FuzzUnmarshal(f *testing.F) {
 	f.Add(TypeSearchRequest, append(make([]byte, 16), 0xff, 0xff, 0xff, 0x7f))
 	f.Add(TypeSearchResult, append(make([]byte, 8), 0xff, 0xff, 0xff, 0x7f))
 	f.Add(TypeSearchResult, append(make([]byte, 12), 0xff, 0xff, 0xff, 0x7f, 1, 2, 3))
-	// One result whose 28 bytes of fixed fields are followed by a hit
+	// One result whose 20 bytes of fixed fields are followed by a hit
 	// count the payload cannot hold.
-	f.Add(TypeSearchResult, append(append(append(make([]byte, 8), 1, 0, 0, 0), make([]byte, 28)...), 0xff, 0xff, 0xff, 0x7f))
+	f.Add(TypeSearchResult, append(append(append(make([]byte, 8), 1, 0, 0, 0), make([]byte, 20)...), 0xff, 0xff, 0xff, 0x7f))
 	// The smallest whole SearchResult: an id and a zero result count,
 	// nothing after it (version 11 has no trailing coverage block).
 	f.Add(TypeSearchResult, append(make([]byte, 8), 0, 0, 0, 0))

@@ -28,7 +28,7 @@ const (
 	// layouts. Any change to a frame's layout bumps it, so a stale peer
 	// is rejected at Hello/Welcome instead of misreading a frame
 	// mid-session.
-	Version = 11
+	Version = 12
 	// MaxFrame bounds a frame payload (64 MiB) to fail fast on corrupt
 	// length prefixes.
 	MaxFrame = 64 << 20
@@ -87,7 +87,6 @@ type ResultHit struct {
 type Result struct {
 	QueryIndex uint32
 	ElapsedNS  uint64
-	SimSeconds float64
 	Cells      uint64
 	Hits       []ResultHit
 }
@@ -297,7 +296,6 @@ func Marshal(msg any) (byte, []byte, error) {
 func encodeResult(e *encoder, m *Result) {
 	e.u32(m.QueryIndex)
 	e.u64(m.ElapsedNS)
-	e.f64(m.SimSeconds)
 	e.u64(m.Cells)
 	e.u32(uint32(len(m.Hits)))
 	for _, h := range m.Hits {
@@ -311,7 +309,7 @@ func encodeResult(e *encoder, m *Result) {
 // declared count is checked against before anything is allocated.
 const (
 	minQuery   = 2 + 4             // id prefix, residue length
-	minResult  = 4 + 8 + 8 + 8 + 4 // index, elapsed, sim seconds, cells, hit count
+	minResult  = 4 + 8 + 8 + 4     // index, elapsed, cells, hit count
 	minHit     = 4 + 4 + 2         // index, score, id prefix
 	minCounter = 2 + 8             // name prefix, value
 	minWorker  = 2 + 1 + 8 + 8 + 8 // name prefix, kind, two rates, tasks
@@ -322,7 +320,6 @@ func decodeResult(d *decoder) (Result, error) {
 	var m Result
 	m.QueryIndex = d.u32()
 	m.ElapsedNS = d.u64()
-	m.SimSeconds = d.f64()
 	m.Cells = d.u64()
 	n := d.count("hit", minHit)
 	m.Hits = make([]ResultHit, 0, n)

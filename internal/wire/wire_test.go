@@ -45,7 +45,6 @@ func TestResultRoundTrip(t *testing.T) {
 		{
 			QueryIndex: 9,
 			ElapsedNS:  123456789,
-			SimSeconds: 0.5,
 			Cells:      1 << 40,
 			Hits: []ResultHit{
 				{SeqIndex: 1, Score: 100, SeqID: "hit-1"},
@@ -94,7 +93,6 @@ func TestHostileHitCount(t *testing.T) {
 	e.u32(1)          // result count
 	e.u32(1)          // query index
 	e.u64(0)          // elapsed
-	e.f64(0)          // sim seconds
 	e.u64(0)          // cells
 	e.u32(0xFFFFFFFF) // hit count lie
 	if _, err := Unmarshal(TypeSearchResult, e.buf); err == nil {
@@ -229,7 +227,6 @@ func TestLyingCountsFailBeforeAllocating(t *testing.T) {
 	hits.u32(1) // one result, whose fixed fields come next
 	hits.u32(0)
 	hits.u64(0)
-	hits.f64(0)
 	hits.u64(0) // the hit count follows
 	for _, c := range []struct {
 		typ     byte

@@ -114,7 +114,7 @@ func TestMappedSearchMatchesHeap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := swdual.Options{Pool: "cpu=1,gpu=1", TopK: 5, ShardSplit: "balanced"}
+	opt := swdual.Options{Pool: "cpu=2", TopK: 5, ShardSplit: "balanced"}
 
 	want, err := swdual.Search(heap, queries, opt)
 	if err != nil {

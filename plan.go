@@ -41,8 +41,9 @@ type SchedulePlan struct {
 // counts of opt.Pool, and the plan is the one opt.Policy's scheduler
 // makes — the scheduler a Searcher with these Options runs on its waves
 // (self-scheduling, which allocates while workers run, is simulated by
-// handing each task to the PE that frees first). Plan rejects the Pool
-// and Policy values NewSearcher rejects, with the same errors.
+// handing each task to the PE that frees first). Plan takes gpu=, which
+// a search refuses; any other Pool or Policy value NewSearcher refuses,
+// Plan refuses with the same error.
 func Plan(db, queries *Database, opt Options) (*SchedulePlan, error) {
 	if db == nil || queries == nil {
 		return nil, errNilSets

@@ -14,7 +14,7 @@ import (
 
 // Searcher is a persistent search service over one database: it loads
 // the database once (sequences, residue encoding, length statistics,
-// checksum), keeps a long-lived pool of CPU and GPU workers, and
+// checksum), keeps a long-lived pool of CPU workers, and
 // serves any number of concurrent Search calls. Concurrent requests are
 // coalesced into shared dual-approximation scheduling waves, so the
 // cost of preparation and scheduling is amortized across callers — the
@@ -40,7 +40,8 @@ type Searcher struct {
 // SearchOptions tunes one Searcher.Search call.
 type SearchOptions struct {
 	// TopK bounds reported hits per query; 0 uses the Searcher's TopK
-	// from Options. Values above the Searcher's TopK are capped.
+	// from Options. Values above the Searcher's TopK are capped, and a
+	// negative one is refused.
 	TopK int
 }
 
@@ -204,6 +205,9 @@ func ServeShard(l net.Listener, db *Database, index, count int, opt Options) err
 func (s *Searcher) Search(ctx context.Context, queries *Database, opts SearchOptions) (*Report, error) {
 	if queries == nil {
 		return nil, errNilSets
+	}
+	if opts.TopK < 0 {
+		return nil, fmt.Errorf("swdual: negative TopK %d (0 selects the Searcher's)", opts.TopK)
 	}
 	return s.inner.Search(ctx, queries.set, engine.SearchOptions{TopK: opts.TopK})
 }

@@ -1,21 +1,18 @@
-// Package swdual is a hybrid CPU/GPU Smith-Waterman sequence-database
-// search library, reproducing "Fast Biological Sequence Comparison on
-// Hybrid Platforms" (Kedad-Sidhoum, Mendonca, Monna, Mounié, Trystram —
-// ICPP 2014).
+// Package swdual is a Smith-Waterman sequence-database search library,
+// reproducing "Fast Biological Sequence Comparison on Hybrid Platforms"
+// (Kedad-Sidhoum, Mendonca, Monna, Mounié, Trystram — ICPP 2014).
 //
 // A search compares a set of query sequences against a sequence database
-// on a platform of CPU workers (SWIPE-style SIMD-within-a-register
-// engines) and GPU workers (the same engine, timed by a CUDASW++ 2.0
-// cycle model of a simulated Tesla C2050). The master assigns one task
-// per query using the paper's dual-approximation scheduler, which
-// guarantees a makespan within twice the optimum while keeping every
-// processing element busy.
+// on a pool of CPU workers (SWIPE-style SIMD engines), one task per
+// query, assigned by the paper's dual-approximation scheduler within
+// twice the optimal makespan. Plan schedules the paper's CPU + GPU
+// platform, its GPUs a cycle model of a Tesla C2050, without searching.
 //
 // Quick start:
 //
 //	db, _ := swdual.GenerateDatabase("UniProt", 2000) // 1/2000 scale
 //	queries, _ := swdual.GenerateQueries("standard", 50)
-//	report, _ := swdual.Search(db, queries, swdual.Options{Pool: "cpu=2,gpu=2"})
+//	report, _ := swdual.Search(db, queries, swdual.Options{}) // one CPU worker per GOMAXPROCS
 //	for _, r := range report.Results {
 //		fmt.Println(r.QueryID, r.Hits[0].SeqID, r.Hits[0].Score)
 //	}
@@ -54,17 +51,14 @@ type Options struct {
 	GapStart  int
 	GapExtend int
 	// Pool describes the worker pool as a spec string of comma-separated
-	// backend=count pairs, e.g. "cpu=2,gpu=2": the paper's m CPUs and
-	// k GPUs. Valid backends: "cpu" (inter-sequence AVX2 or SWAR, the
-	// paper's CPU engine) and "gpu" (the same engine, its task times
-	// those of a simulated Tesla C2050). Both score with one kernel, so
-	// the mix changes throughput and scheduling, never results; each
-	// worker's advertised rate only
-	// seeds a live estimate measured from its completed tasks. The
-	// empty spec selects "cpu=1,gpu=1". Plan models the pool's CPU and
-	// GPU counts, and ServeShard gives its slice a pool of this shape.
+	// backend=count pairs, e.g. "cpu=4": the paper's m CPUs and k GPUs.
+	// A search runs "cpu" workers (inter-sequence AVX2 or SWAR), whose
+	// advertised rates only seed live estimates measured from their
+	// tasks; it refuses "gpu", a modelled Tesla C2050 only Plan takes.
+	// The empty spec selects one CPU worker per GOMAXPROCS. ServeShard
+	// gives its slice a pool of this shape.
 	Pool string
-	// TopK bounds reported hits per query (default 10).
+	// TopK bounds reported hits per query (0 selects 10, < 0 is refused).
 	TopK int
 	// Policy selects the allocation policy: "dual-approx" (default),
 	// "dual-approx-dp", "self-scheduling" or "round-robin" (tasks dealt
@@ -129,8 +123,8 @@ type Options struct {
 
 // engineConfig validates the options an engine is built from and
 // assembles its configuration — the one place NewSearcher (every
-// topology) and ServeShard read them, so both refuse the same inputs
-// with the same errors.
+// topology), Search and ServeShard read them, so all refuse the same
+// inputs with the same errors.
 func (o Options) engineConfig() (engine.Config, error) {
 	params, err := o.params()
 	if err != nil {
@@ -143,6 +137,12 @@ func (o Options) engineConfig() (engine.Config, error) {
 	pool, err := o.pool()
 	if err != nil {
 		return engine.Config{}, err
+	}
+	if pool.GPU > 0 {
+		return engine.Config{}, fmt.Errorf("swdual: pool %q: a search runs only cpu workers, whose time is measured; gpu workers are modelled, and only Plan (swdual -plan) schedules them", o.Pool)
+	}
+	if o.TopK < 0 {
+		return engine.Config{}, fmt.Errorf("swdual: negative TopK %d (0 selects the default, %d)", o.TopK, engine.DefaultTopK)
 	}
 	if o.CacheSize < 0 {
 		return engine.Config{}, fmt.Errorf("swdual: negative CacheSize %d (0 selects the default)", o.CacheSize)
@@ -191,7 +191,7 @@ func (o Options) policy() (master.Policy, error) {
 // NewSearcher and ServeShard runs it, and Plan models it.
 func (o Options) pool() (master.PoolSpec, error) {
 	if o.Pool == "" {
-		return master.PoolSpec{CPU: 1, GPU: 1}, nil
+		return master.DefaultPool(), nil
 	}
 	s, err := master.ParsePoolSpec(o.Pool)
 	if err != nil {

@@ -7,6 +7,7 @@ import (
 	"net"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -105,6 +106,80 @@ func TestNegativeGapPenaltiesRefused(t *testing.T) {
 	}
 }
 
+// TestSearchRunsOnlyMeasuredWorkers: a search runs only workers whose
+// time is measured. NewSearcher, Search and ServeShard refuse a pool of
+// simulated GPUs with an error that points at Plan, which models them,
+// and the empty pool is one CPU worker per GOMAXPROCS.
+func TestSearchRunsOnlyMeasuredWorkers(t *testing.T) {
+	db, err := swdual.GenerateDatabase("UniProt", 50000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	queries, err := swdual.GenerateQueries("standard", 400)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gpu := swdual.Options{Pool: "cpu=1,gpu=1"}
+	refused := func(what string, err error) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), "Plan") {
+			t.Fatalf("%s with pool %q: %v, want it refused naming Plan", what, gpu.Pool, err)
+		}
+	}
+	s, err := swdual.NewSearcher(db, gpu)
+	if err == nil {
+		s.Close()
+	}
+	refused("NewSearcher", err)
+	_, err = swdual.Search(db, queries, gpu)
+	refused("Search", err)
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.Close() // a closed listener ends a ServeShard that got past its checks with nil
+	refused("ServeShard", swdual.ServeShard(l, db, 0, 1, gpu))
+	if _, err := swdual.Plan(db, queries, gpu); err != nil {
+		t.Fatalf("Plan refused pool %q: %v", gpu.Pool, err)
+	}
+
+	s, err = swdual.NewSearcher(db, swdual.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	workers := s.Stats().Workers
+	if len(workers) != runtime.GOMAXPROCS(0) {
+		t.Fatalf("the default pool runs %d workers, want GOMAXPROCS = %d", len(workers), runtime.GOMAXPROCS(0))
+	}
+	for _, w := range workers {
+		if !strings.HasPrefix(w.Name, "cpu-") || w.Kind.String() != "CPU" {
+			t.Fatalf("the default pool runs %s (%s), want only cpu-* workers", w.Name, w.Kind)
+		}
+	}
+}
+
+// TestNegativeTopKRefused: only 0 selects the default hit cap; a
+// negative TopK, in Options or in one search's SearchOptions, is
+// refused instead of being silently replaced by the default.
+func TestNegativeTopKRefused(t *testing.T) {
+	db, err := swdual.FromSequences([]string{"s", "t"}, []string{"MKWVTFISLLFLFSSAYS", "ARNDCQEGHILKMFPSTWYV"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep, err := swdual.Search(db, db, swdual.Options{Pool: "cpu=1", TopK: -3}); err == nil || !strings.Contains(err.Error(), "negative TopK -3") {
+		t.Fatalf("Search with TopK -3: %v, %v; want it refused", rep, err)
+	}
+	s, err := swdual.NewSearcher(db, swdual.Options{Pool: "cpu=1", TopK: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if rep, err := s.Search(context.Background(), db, swdual.SearchOptions{TopK: -1}); err == nil || !strings.Contains(err.Error(), "negative TopK -1") {
+		t.Fatalf("Searcher.Search with TopK -1: %v, %v; want it refused", rep, err)
+	}
+}
+
 func TestSearchPoliciesAgree(t *testing.T) {
 	db, err := swdual.GenerateDatabase("UniProt", 20000)
 	if err != nil {
@@ -116,7 +191,7 @@ func TestSearchPoliciesAgree(t *testing.T) {
 	}
 	var ref *swdual.Report
 	for _, policy := range []string{"dual-approx", "dual-approx-dp", "self-scheduling", "round-robin"} {
-		rep, err := swdual.Search(db, queries, swdual.Options{Pool: "cpu=2,gpu=2", TopK: 5, Policy: policy})
+		rep, err := swdual.Search(db, queries, swdual.Options{Pool: "cpu=4", TopK: 5, Policy: policy})
 		if err != nil {
 			t.Fatalf("%s: %v", policy, err)
 		}
@@ -199,8 +274,9 @@ func TestPlanPaperScale(t *testing.T) {
 	}
 }
 
-// TestPlanUsesPool: Plan models the 4 CPU + 2 GPU PEs of Options.Pool,
-// the pool a Searcher with the same Options starts.
+// TestPlanUsesPool: Plan models the PEs of Options.Pool — the 4 CPUs +
+// 2 modelled GPUs of a pool only Plan takes, and the 3 CPUs of a pool a
+// Searcher with the same Options starts.
 func TestPlanUsesPool(t *testing.T) {
 	db, err := swdual.GenerateDatabase("UniProt", 20000)
 	if err != nil {
@@ -210,17 +286,25 @@ func TestPlanUsesPool(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := swdual.Options{Pool: "cpu=4,gpu=2"}
-	plan, err := swdual.Plan(db, queries, opt)
-	if err != nil {
-		t.Fatal(err)
+	planned := func(pool string) map[string]int {
+		t.Helper()
+		plan, err := swdual.Plan(db, queries, swdual.Options{Pool: pool})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pes := map[string]int{}
+		for _, tp := range plan.Tasks {
+			pes[tp.Kind] = max(pes[tp.Kind], tp.PE+1)
+		}
+		return pes
 	}
-	pes := map[string]int{}
-	for _, tp := range plan.Tasks {
-		pes[tp.Kind] = max(pes[tp.Kind], tp.PE+1)
-	}
-	if pes["CPU"] != 4 || pes["GPU"] != 2 {
+	if pes := planned("cpu=4,gpu=2"); pes["CPU"] != 4 || pes["GPU"] != 2 {
 		t.Fatalf("planned on %d CPU + %d GPU PEs, want 4 + 2", pes["CPU"], pes["GPU"])
+	}
+	opt := swdual.Options{Pool: "cpu=3"}
+	pes := planned(opt.Pool)
+	if pes["CPU"] != 3 || pes["GPU"] != 0 {
+		t.Fatalf("planned on %d CPU + %d GPU PEs, want 3 + 0", pes["CPU"], pes["GPU"])
 	}
 	s, err := swdual.NewSearcher(db, opt)
 	if err != nil {
@@ -328,7 +412,7 @@ func TestConcurrentSearcherMatchesSerialOneShot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := swdual.Options{Pool: "cpu=2,gpu=2", TopK: 5}
+	opt := swdual.Options{Pool: "cpu=4", TopK: 5}
 	const callers = 8
 	querySets := make([]*swdual.Database, callers)
 	serial := make([]*swdual.Report, callers)
@@ -391,7 +475,7 @@ func TestSearcherSkipsRePreparation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := swdual.NewSearcher(db, swdual.Options{Pool: "cpu=1,gpu=1", TopK: 3})
+	s, err := swdual.NewSearcher(db, swdual.Options{Pool: "cpu=2", TopK: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -407,7 +491,7 @@ func TestSearcherSkipsRePreparation(t *testing.T) {
 		t.Fatalf("database prepared %d times across two searches, want 1", st.Prepared)
 	}
 	if st.WorkersStarted != 2 {
-		t.Fatalf("workers started %d times, want 2 (1 CPU + 1 GPU, never rebuilt)", st.WorkersStarted)
+		t.Fatalf("workers started %d times, want 2 (the pool's 2 CPUs, never rebuilt)", st.WorkersStarted)
 	}
 	if st.Searches != 2 {
 		t.Fatalf("searches %d, want 2", st.Searches)
@@ -427,7 +511,7 @@ func TestSearcherServe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := swdual.Options{Pool: "cpu=1,gpu=1", TopK: 3}
+	opt := swdual.Options{Pool: "cpu=2", TopK: 3}
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -522,12 +606,12 @@ func TestShardedSearcherMatchesUnsharded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := swdual.Search(db, queries, swdual.Options{Pool: "cpu=1,gpu=1", TopK: 5})
+	want, err := swdual.Search(db, queries, swdual.Options{Pool: "cpu=2", TopK: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, split := range []string{"contiguous", "balanced"} {
-		opt := swdual.Options{Pool: "cpu=1,gpu=1", TopK: 5, ShardSplit: split}
+		opt := swdual.Options{Pool: "cpu=2", TopK: 5, ShardSplit: split}
 		coordOpt := opt
 		for i := 0; i < shardCount; i++ {
 			srv := startShardServer(t, "127.0.0.1:0", db, i, shardCount, opt)
@@ -576,7 +660,7 @@ func TestRemoteShardedSearcherMatchesUnsharded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := swdual.Options{Pool: "cpu=1,gpu=1", TopK: 5, ShardSplit: "balanced"}
+	opt := swdual.Options{Pool: "cpu=2", TopK: 5, ShardSplit: "balanced"}
 	want, err := swdual.Search(db, queries, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -764,7 +848,7 @@ func TestDegradedRidesOverDeadShardServer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := swdual.Options{Pool: "cpu=1,gpu=1", TopK: 5, DialTimeout: 5 * time.Second}
+	opt := swdual.Options{Pool: "cpu=2", TopK: 5, DialTimeout: 5 * time.Second}
 	want, err := swdual.Search(db, queries, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -908,7 +992,7 @@ func TestGenerateErrors(t *testing.T) {
 }
 
 // TestPoolOptionMatchesDefaultWorkers pins the public adaptive-pool
-// surface: a differently mixed Options.Pool search returns hits
+// surface: a differently sized Options.Pool search returns hits
 // identical to the default worker set (the empty Pool), and the
 // Searcher's Stats expose every worker's observed (measured) GCUPS
 // after the search.
@@ -926,7 +1010,7 @@ func TestPoolOptionMatchesDefaultWorkers(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s, err := swdual.NewSearcher(db, swdual.Options{Pool: "cpu=3,gpu=1", TopK: 5})
+	s, err := swdual.NewSearcher(db, swdual.Options{Pool: "cpu=4", TopK: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1000,11 +1084,11 @@ func TestCacheOptionMatchesDefault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := swdual.Search(db, queries, swdual.Options{Pool: "cpu=1,gpu=1", TopK: 5})
+	want, err := swdual.Search(db, queries, swdual.Options{Pool: "cpu=2", TopK: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := swdual.NewSearcher(db, swdual.Options{Pool: "cpu=1,gpu=1", TopK: 5, Cache: true})
+	s, err := swdual.NewSearcher(db, swdual.Options{Pool: "cpu=2", TopK: 5, Cache: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1135,7 +1219,7 @@ func TestReplicaShardedSearcherMatchesUnsharded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := swdual.Options{Pool: "cpu=1,gpu=1", TopK: 5, ShardSplit: "balanced", DialTimeout: 5 * time.Second}
+	opt := swdual.Options{Pool: "cpu=2", TopK: 5, ShardSplit: "balanced", DialTimeout: 5 * time.Second}
 	want, err := swdual.Search(db, queries, opt)
 	if err != nil {
 		t.Fatal(err)
