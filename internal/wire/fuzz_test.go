@@ -80,7 +80,7 @@ func FuzzUnmarshal(f *testing.F) {
 	// count the payload cannot hold.
 	f.Add(TypeSearchResult, append(append(append(make([]byte, 8), 1, 0, 0, 0), make([]byte, 20)...), 0xff, 0xff, 0xff, 0x7f))
 	// The smallest whole SearchResult: an id and a zero result count,
-	// nothing after it (version 11 has no trailing coverage block).
+	// nothing after it (since version 11 there is no trailing coverage block).
 	f.Add(TypeSearchResult, append(make([]byte, 8), 0, 0, 0, 0))
 	f.Add(TypeCancel, []byte{1, 2})
 	f.Add(TypeReqError, append(make([]byte, 8), 0xff, 0xff, 'x'))

@@ -112,7 +112,7 @@ type SearchRequest struct {
 }
 
 // SearchResult answers one SearchRequest: one Result per query, in
-// request order. It is always a full answer (version 11): a partial
+// request order. It is always a full answer (since version 11): a partial
 // one is refused with a ReqError instead.
 type SearchResult struct {
 	ID      uint64
