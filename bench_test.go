@@ -403,16 +403,3 @@ func BenchmarkDualApprox40Tasks(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkDualApproxDP40Tasks measures the 3/2 DP refinement.
-func BenchmarkDualApproxDP40Tasks(b *testing.B) {
-	p := platform.New(4, 4)
-	model := p.ModelDB("uniprot", synth.UniProt.Scaled(100).GenerateLengths())
-	in := p.Instance(model, synth.StandardQueries().Lengths)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sched.DualApproxDP(in); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -70,7 +70,7 @@ func main() {
 		matrix   = flag.String("matrix", "BLOSUM62", "substitution matrix")
 		gapS     = flag.Int("gapstart", 10, "gap start penalty Gs")
 		gapE     = flag.Int("gapextend", 2, "gap extend penalty Ge")
-		policy   = flag.String("policy", "dual-approx", "allocation policy: dual-approx | dual-approx-dp | self-scheduling | round-robin")
+		policy   = flag.String("policy", "dual-approx", "allocation policy: dual-approx (SWDUAL) | self-scheduling | round-robin")
 		planOnly = flag.Bool("plan", false, "print the schedule -policy plans for -pool on the paper's modeled platform instead of searching")
 		evalues  = flag.Bool("evalue", false, "report bit scores and E-values next to each hit")
 		serve    = flag.String("serve", "", "serve range -shard-index of -shard-count of the database over the wire protocol on this address, for a -replica-shards coordinator (clients use -gateway)")
@@ -216,7 +216,7 @@ func main() {
 	fmt.Printf("\n%d queries, %d cells, wall %v, %.3f GCUPS%s\n",
 		len(rep.Results), rep.Cells, rep.Wall, rep.GCUPS, ranPolicy)
 	if sc := rep.Schedule; sc != nil {
-		fmt.Printf("modeled makespan %.2f s, idle %.2f%%\n", sc.Makespan, 100*sc.IdleFraction())
+		fmt.Printf("wave planned makespan %.3f ms at measured rates (whole wave), idle %.2f%%\n", 1e3*sc.Makespan, 100*sc.IdleFraction())
 	}
 }
 

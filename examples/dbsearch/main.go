@@ -52,7 +52,7 @@ func main() {
 	}
 	fmt.Printf("tasks per worker: %v\n", tasks)
 	if sc := rep.Schedule; sc != nil {
-		fmt.Printf("modeled makespan %.3f s, idle %.2f%%\n\n", sc.Makespan, 100*sc.IdleFraction())
+		fmt.Printf("wave planned makespan %.3f ms at measured rates (whole wave), idle %.2f%%\n\n", 1e3*sc.Makespan, 100*sc.IdleFraction())
 	}
 
 	// Eight concurrent clients hammer the same Searcher; requests landing

@@ -195,15 +195,19 @@ func TestAblationSchedulers(t *testing.T) {
 	if len(tb.Rows) != 3 {
 		t.Fatalf("%d families", len(tb.Rows))
 	}
+	col := map[string]int{}
+	for i, name := range tb.Columns {
+		col[name] = i
+	}
 	for _, row := range tb.Rows {
-		dual, err := strconv.ParseFloat(row[1], 64)
+		dual, err := strconv.ParseFloat(row[col["dual-2approx"]], 64)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if dual < 1.0 || dual > 2.0 {
 			t.Fatalf("family %s: dual ratio %.3f outside [1,2]", row[0], dual)
 		}
-		equal, err := strconv.ParseFloat(row[6], 64)
+		equal, err := strconv.ParseFloat(row[col["equal-power"]], 64)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -318,7 +318,7 @@ func (r *Runner) AblationIdle() *Table {
 	queries := synth.StandardQueries()
 	p := platform.New(4, 4)
 	in := p.Instance(r.dbModel(spec), queries.Lengths)
-	names := []string{"dual-2approx", "dual-3/2-dp", "self-scheduling", "eft", "proportional-power", "equal-power"}
+	names := []string{"dual-2approx", "self-scheduling", "eft", "proportional-power", "equal-power"}
 	base := 0.0
 	for _, name := range names {
 		s, err := sched.Algorithms[name](in)
@@ -341,7 +341,7 @@ func (r *Runner) AblationSchedulers() *Table {
 	t := &Table{
 		ID:      "Ablation E-A2",
 		Title:   "Makespan / lower bound by algorithm and instance family (mean of 20)",
-		Columns: []string{"Family", "dual-2approx", "dual-3/2-dp", "self-scheduling", "eft", "proportional-power", "equal-power"},
+		Columns: []string{"Family", "dual-2approx", "self-scheduling", "eft", "proportional-power", "equal-power"},
 	}
 	families := []struct {
 		name string
@@ -365,7 +365,7 @@ func (r *Runner) AblationSchedulers() *Table {
 			return in
 		}},
 	}
-	algos := []string{"dual-2approx", "dual-3/2-dp", "self-scheduling", "eft", "proportional-power", "equal-power"}
+	algos := []string{"dual-2approx", "self-scheduling", "eft", "proportional-power", "equal-power"}
 	for _, fam := range families {
 		row := []string{fam.name}
 		ratios := map[string][]float64{}

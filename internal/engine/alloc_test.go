@@ -40,13 +40,13 @@ func TestAllocsSteadyStateSearch(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	// Measured 43 objects per 2-query search, steady across -cpu 1,2,4
+	// Measured 33 objects per 2-query search, steady across -cpu 1,2,4
 	// (request + merger + wave + channels + schedule + report + per-task
 	// score and hit lists; the lane plan is built by the first search).
 	// The cap leaves 4 of headroom: per-subject or per-wave regressions
 	// add hundreds, and even three per-request maps with entries (6
 	// objects) blow through it.
-	const searchAllocCap = 47
+	const searchAllocCap = 37
 	if avg > searchAllocCap {
 		t.Fatalf("steady-state Search allocates %.1f objects per call, cap %d", avg, searchAllocCap)
 	}

@@ -41,10 +41,7 @@ func TestOverlappingWavesMatchOracle(t *testing.T) {
 	}
 	before := runtime.NumGoroutine()
 	for _, pool := range []master.PoolSpec{{CPU: 2}, {CPU: 2, GPU: 1}} {
-		for _, policy := range []master.Policy{
-			master.PolicyDualApprox, master.PolicyDualApproxDP,
-			master.PolicyRoundRobin, master.PolicySelfScheduling,
-		} {
+		for _, policy := range []master.Policy{master.PolicyDualApprox, master.PolicyRoundRobin, master.PolicySelfScheduling} {
 			s, err := engine.New(db, engine.Config{Params: params, Pool: pool, TopK: topK, Policy: policy})
 			if err != nil {
 				t.Fatal(err)

@@ -55,10 +55,7 @@ func oracle(db, queries *seq.Set, k int) []master.QueryResult {
 func TestPersistentPoolMatchesOneShot(t *testing.T) {
 	db := synth.RandomSet(alphabet.Protein, 60, 10, 200, 91)
 	params := sw.DefaultParams()
-	for _, policy := range []master.Policy{
-		master.PolicyDualApprox, master.PolicyDualApproxDP,
-		master.PolicySelfScheduling, master.PolicyRoundRobin,
-	} {
+	for _, policy := range []master.Policy{master.PolicyDualApprox, master.PolicySelfScheduling, master.PolicyRoundRobin} {
 		s, err := engine.New(db, engine.Config{
 			Params: params, Pool: master.PoolSpec{CPU: 2, GPU: 2}, TopK: 5, Policy: policy,
 		})
@@ -91,10 +88,7 @@ func TestPersistentPoolMatchesOneShot(t *testing.T) {
 func TestConcurrentWavesMatchOneShot(t *testing.T) {
 	db := synth.RandomSet(alphabet.Protein, 55, 10, 190, 93)
 	params := sw.DefaultParams()
-	for _, policy := range []master.Policy{
-		master.PolicyDualApprox, master.PolicyDualApproxDP,
-		master.PolicySelfScheduling, master.PolicyRoundRobin,
-	} {
+	for _, policy := range []master.Policy{master.PolicyDualApprox, master.PolicySelfScheduling, master.PolicyRoundRobin} {
 		s, err := engine.New(db, engine.Config{
 			Params: params, Pool: master.PoolSpec{CPU: 2, GPU: 1}, TopK: 5, Policy: policy,
 		})

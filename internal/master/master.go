@@ -74,11 +74,12 @@ type Report struct {
 	Wall    time.Duration
 	Cells   int64
 	GCUPS   float64 // based on wall time
-	// Schedule is the modeled schedule of the wave the request ran in
-	// (makespan, idle fraction), as the engine's policy planned it on the
-	// idle workers: every policy but self-scheduling, which allocates
-	// while workers run, plans one. nil on a self-scheduled, cached or
-	// sharded answer.
+	// Schedule is the plan of the wave the request ran in (makespan,
+	// idle fraction), as the engine's policy planned it at the pool's
+	// measured rates on the idle workers. It covers the whole wave, so
+	// every request coalesced into it, not this request alone. Every
+	// policy but self-scheduling, which allocates while workers run,
+	// plans one. nil on a self-scheduled, cached or sharded answer.
 	Schedule *sched.Schedule
 	// Coverage is non-nil only on a degraded answer: a sharded
 	// coordinator running with a partial degradation policy searched

@@ -132,7 +132,7 @@ func TestRunDualApprox(t *testing.T) {
 
 func TestAllPoliciesProduceIdenticalHits(t *testing.T) {
 	db, queries := testData(t)
-	for _, policy := range []Policy{PolicyDualApprox, PolicyDualApproxDP, PolicySelfScheduling, PolicyRoundRobin} {
+	for _, policy := range []Policy{PolicyDualApprox, PolicySelfScheduling, PolicyRoundRobin} {
 		checkOracle(t, policy.String(), db, queries, runRequest(t, db, queries, testWorkers(5), policy), 5)
 	}
 }

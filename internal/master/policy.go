@@ -18,11 +18,9 @@ type Policy int
 
 // Allocation policies.
 const (
-	// PolicyDualApprox is the paper's one-round dual-approximation
-	// allocation (§III).
+	// PolicyDualApprox is SWDUAL's one-round dual-approximation
+	// allocation (§III, sched.DualApprox).
 	PolicyDualApprox Policy = iota
-	// PolicyDualApproxDP is the 3/2 dynamic-programming refinement.
-	PolicyDualApproxDP
 	// PolicySelfScheduling is the related-work baseline [10]: idle
 	// workers pull the next task.
 	PolicySelfScheduling
@@ -36,8 +34,6 @@ func (p Policy) String() string {
 	switch p {
 	case PolicyDualApprox:
 		return "dual-approx"
-	case PolicyDualApproxDP:
-		return "dual-approx-dp"
 	case PolicySelfScheduling:
 		return "self-scheduling"
 	case PolicyRoundRobin:
@@ -52,29 +48,24 @@ func ParsePolicy(name string) (Policy, error) {
 	switch name {
 	case "", "dual-approx":
 		return PolicyDualApprox, nil
-	case "dual-approx-dp":
-		return PolicyDualApproxDP, nil
 	case "self-scheduling":
 		return PolicySelfScheduling, nil
 	case "round-robin":
 		return PolicyRoundRobin, nil
 	}
-	return 0, fmt.Errorf("master: unknown policy %q (valid policies: dual-approx, dual-approx-dp, self-scheduling, round-robin)", name)
+	return 0, fmt.Errorf("master: unknown policy %q (valid policies: dual-approx, self-scheduling, round-robin)", name)
 }
 
 // Schedule plans the instance offline with the policy's scheduler in
 // package sched — the one mapping from a policy to a schedule, which
 // Assign runs for the engine and the modeled plans of the public API
-// report: dual-approx is sched.DualApprox, dual-approx-dp
-// sched.DualApproxDP, round-robin sched.EqualPower ([11]) and
-// self-scheduling sched.SelfScheduling ([10], simulated by handing each
-// task to the PE that frees first).
+// report: dual-approx is sched.DualApprox (SWDUAL), round-robin
+// sched.EqualPower ([11]) and self-scheduling sched.SelfScheduling
+// ([10], simulated by handing each task to the PE that frees first).
 func (p Policy) Schedule(in *sched.Instance) (*sched.Schedule, error) {
 	switch p {
 	case PolicyDualApprox:
 		return sched.DualApprox(in)
-	case PolicyDualApproxDP:
-		return sched.DualApproxDP(in)
 	case PolicyRoundRobin:
 		return sched.EqualPower(in)
 	case PolicySelfScheduling:

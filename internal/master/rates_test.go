@@ -89,7 +89,7 @@ func TestAssignOnIdleSubPlatform(t *testing.T) {
 	}{{1, 0, sched.CPU}, {0, 1, sched.GPU}} { // one kind idle, the other busy
 		rates.CPUs, rates.GPUs = idle.cpus, idle.gpus
 		in := BuildInstance(1<<20, lens, nil, rates)
-		for _, policy := range []Policy{PolicyDualApprox, PolicyDualApproxDP, PolicyRoundRobin} {
+		for _, policy := range []Policy{PolicyDualApprox, PolicyRoundRobin} {
 			queues, s, err := Assign(policy, in, workers)
 			if err != nil {
 				t.Fatalf("%v on %d+%d: %v", policy, idle.cpus, idle.gpus, err)
@@ -253,7 +253,6 @@ func TestParsePolicyErrorsEnumerateValidValues(t *testing.T) {
 	for name, want := range map[string]Policy{
 		"":                PolicyDualApprox,
 		"dual-approx":     PolicyDualApprox,
-		"dual-approx-dp":  PolicyDualApproxDP,
 		"self-scheduling": PolicySelfScheduling,
 		"round-robin":     PolicyRoundRobin,
 	} {
@@ -262,17 +261,16 @@ func TestParsePolicyErrorsEnumerateValidValues(t *testing.T) {
 			t.Errorf("ParsePolicy(%q) = %v, %v; want %v", name, got, err, want)
 		}
 	}
-	// Malformed names fail with an error naming every valid policy.
-	for _, name := range []string{"dual", "DUAL-APPROX", "self_scheduling", "greedy", "round robin"} {
+	// Malformed and retired names fail with an error naming every valid
+	// policy.
+	for _, name := range []string{"dual", "DUAL-APPROX", "self_scheduling", "greedy", "round robin", "dual-approx-dp"} {
 		_, err := ParsePolicy(name)
 		if err == nil {
 			t.Errorf("ParsePolicy(%q) accepted malformed input", name)
 			continue
 		}
-		for _, valid := range []string{"dual-approx", "dual-approx-dp", "self-scheduling", "round-robin"} {
-			if !strings.Contains(err.Error(), valid) {
-				t.Errorf("ParsePolicy(%q) error %q does not list valid policy %q", name, err, valid)
-			}
+		if !strings.Contains(err.Error(), "(valid policies: dual-approx, self-scheduling, round-robin)") {
+			t.Errorf("ParsePolicy(%q) error %q does not list the three valid policies", name, err)
 		}
 	}
 }

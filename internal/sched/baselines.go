@@ -138,7 +138,7 @@ type errNoPool Kind
 func (e errNoPool) Error() string { return "sched: no " + Kind(e).String() + "s in platform" }
 
 // EFT is the earliest-finish-time greedy over both pools (largest
-// min-time first) — the seed heuristic of the binary search, exposed as a
+// min-time first) — DualApprox's initial upper bound, exposed as a
 // baseline in its own right.
 func EFT(in *Instance) (*Schedule, error) {
 	if err := in.Validate(); err != nil {
@@ -170,7 +170,6 @@ func kindFor(in *Instance) Kind {
 // Algorithms maps every scheduling policy by name, for harnesses.
 var Algorithms = map[string]func(*Instance) (*Schedule, error){
 	"dual-2approx":       DualApprox,
-	"dual-3/2-dp":        DualApproxDP,
 	"self-scheduling":    SelfScheduling,
 	"equal-power":        EqualPower,
 	"proportional-power": ProportionalPower,

@@ -105,57 +105,68 @@ const (
 	relTol   = 1e-6
 )
 
-// DualApprox runs the complete §III algorithm: a binary search on the
-// guess λ between a certified lower bound and a greedy upper bound,
-// keeping the best schedule any accepted step produced. The returned
-// schedule has makespan at most 2·OPT (up to the search tolerance).
+// DualApprox is SWDUAL's scheduler (§III): a binary search on the guess
+// λ between the certified LowerBound and the makespan of an
+// earliest-finish-time list schedule, keeping the best schedule any
+// accepted DualStep produced, which Improve then descends. The EFT
+// schedule only bounds the search; it is returned as it is only when
+// its makespan already meets the lower bound (it is then optimal). Every
+// returned schedule passes Verify, and its makespan is at most 2·OPT (up
+// to the search tolerance).
 func DualApprox(in *Instance) (*Schedule, error) {
-	return dualSearch(in, DualStep, "dual-2approx")
-}
-
-// dualSearch factors the binary search shared by the greedy and DP steps.
-func dualSearch(in *Instance, step func(*Instance, float64) DualResult, name string) (*Schedule, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err
 	}
 	if len(in.Tasks) == 0 {
-		s := NewSchedule(name, in)
-		return s, nil
+		return NewSchedule("dual-2approx", in), nil
 	}
 	lo := LowerBound(in)
 	hi, seed := greedyUpperBound(in)
-	best := seed
+	if hi <= lo*(1+relTol) {
+		return named(in, seed) // meets the lower bound: optimal
+	}
 	if lo <= 0 {
 		lo = math.SmallestNonzeroFloat64
 	}
-	// The seed schedule's makespan is a valid guess that must succeed, so
-	// the invariant "hi always admits a schedule" holds from the start.
+	// A schedule of length hi exists, so the step at hi succeeds: "hi
+	// always admits a schedule" holds from the start.
+	var best *Schedule
 	for iter := 0; iter < maxIters && (hi-lo) > relTol*hi; iter++ {
 		mid := (lo + hi) / 2
-		res := step(in, mid)
+		res := DualStep(in, mid)
 		if !res.OK {
 			lo = mid
 			continue
 		}
 		hi = mid
-		if res.Schedule.Makespan < best.Makespan {
+		if best == nil || res.Schedule.Makespan < best.Makespan {
 			best = res.Schedule
 		}
 	}
-	// The descent local search only ever reduces the makespan, so the
-	// dual-approximation guarantee is preserved while the paper's "almost
-	// no idle time" property improves further.
-	best = Improve(in, best)
-	best.Algorithm = name
-	if err := best.Verify(in); err != nil {
-		return nil, fmt.Errorf("sched: %s produced an invalid schedule: %w", name, err)
+	if best == nil {
+		res := DualStep(in, hi)
+		if !res.OK {
+			return nil, fmt.Errorf("sched: dual-2approx refused the feasible guess %g", hi)
+		}
+		best = res.Schedule
 	}
-	return best, nil
+	// The descent only ever reduces the makespan, so the guarantee holds
+	// (Improve says why it is needed).
+	return named(in, Improve(in, best))
+}
+
+// named labels a DualApprox result and checks it with Verify.
+func named(in *Instance, s *Schedule) (*Schedule, error) {
+	s.Algorithm = "dual-2approx"
+	if err := s.Verify(in); err != nil {
+		return nil, fmt.Errorf("sched: dual-2approx produced an invalid schedule: %w", err)
+	}
+	return s, nil
 }
 
 // greedyUpperBound builds a feasible schedule with earliest-finish-time
 // list scheduling over both pools (tasks in decreasing best-case time),
-// returning its makespan as the initial upper bound.
+// returning its makespan as DualApprox's initial upper bound.
 func greedyUpperBound(in *Instance) (float64, *Schedule) {
 	order := make([]int, len(in.Tasks))
 	for i := range order {

@@ -1,11 +1,12 @@
 // Package sched implements the paper's core contribution: scheduling
 // independent tasks on a hybrid platform of m CPUs and k GPUs to minimize
 // makespan, using the dual-approximation technique of Hochbaum & Shmoys
-// ([15]). The 2-approximation of §III (greedy minimization knapsack +
-// list scheduling inside a binary search on the guess λ) is DualApprox;
-// the dynamic-programming refinement sketched from [13] is DualApproxDP.
-// The baseline policies of the related work ([10] self-scheduling, [11]
-// equal power, [12] proportional power) are provided for comparison.
+// ([15]). SWDUAL's scheduler, the 2-approximation of §III (greedy
+// minimization knapsack + list scheduling inside a binary search on the
+// guess λ, then a makespan descent), is DualApprox. The baseline
+// policies of the related work ([10] self-scheduling, [11] equal power,
+// [12] proportional power) and the earliest-finish-time greedy are
+// provided for comparison.
 package sched
 
 import (

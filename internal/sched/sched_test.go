@@ -46,26 +46,6 @@ func TestDualApproxAgainstBruteForce(t *testing.T) {
 	}
 }
 
-func TestDualApproxDPAgainstBruteForce(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	for iter := 0; iter < 80; iter++ {
-		in := randInstance(rng, 8, 2, 2)
-		opt, err := BruteForce(in)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := DualApproxDP(in)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Guarantee is 3/2 + n/Buckets.
-		slack := 1.5 + float64(len(in.Tasks))/2048 + 1e-6
-		if got.Makespan > slack*opt.Makespan {
-			t.Fatalf("iter %d: DP makespan %g > %gx optimal %g", iter, got.Makespan, slack, opt.Makespan)
-		}
-	}
-}
-
 func TestDualStepNoAnswersAreSound(t *testing.T) {
 	// Whenever DualStep answers NO for λ, the brute-force optimum must
 	// exceed λ.
@@ -88,33 +68,6 @@ func TestDualStepNoAnswersAreSound(t *testing.T) {
 				}
 				if res.Schedule.Makespan > 2*lambda*(1+1e-9) {
 					t.Fatalf("iter %d: accepted λ=%g but makespan %g > 2λ", iter, lambda, res.Schedule.Makespan)
-				}
-			}
-		}
-	}
-}
-
-func TestDualStepDPNoAnswersAreSound(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	for iter := 0; iter < 80; iter++ {
-		in := randInstance(rng, 7, 2, 2)
-		opt, err := BruteForce(in)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, frac := range []float64{0.6, 0.9, 1.0, 1.2} {
-			lambda := opt.Makespan * frac
-			res := DualStepDP(in, lambda)
-			if !res.OK && lambda >= opt.Makespan*(1+1e-9) {
-				t.Fatalf("iter %d: DP NO for λ=%g >= OPT=%g", iter, lambda, opt.Makespan)
-			}
-			if res.OK {
-				if err := res.Schedule.Verify(in); err != nil {
-					t.Fatal(err)
-				}
-				slack := 1.5 + float64(len(in.Tasks))/float64(2048) + 1e-6
-				if res.Schedule.Makespan > slack*lambda {
-					t.Fatalf("iter %d: accepted λ=%g but makespan %g > %gλ", iter, lambda, res.Schedule.Makespan, slack)
 				}
 			}
 		}

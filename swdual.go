@@ -60,9 +60,9 @@ type Options struct {
 	Pool string
 	// TopK bounds reported hits per query (0 selects 10, < 0 is refused).
 	TopK int
-	// Policy selects the allocation policy: "dual-approx" (default),
-	// "dual-approx-dp", "self-scheduling" or "round-robin" (tasks dealt
-	// over the idle workers in turn, GPUs first). A wave's Report carries
+	// Policy selects the allocation policy: "dual-approx" (default, the
+	// paper's SWDUAL scheduler), "self-scheduling" or "round-robin" (tasks
+	// dealt over the idle workers in turn, GPUs first). A wave's Report carries
 	// the schedule the policy planned; self-scheduling plans none, its
 	// idle workers pull the next task. Plan models the same policy.
 	Policy string

@@ -190,7 +190,7 @@ func TestSearchPoliciesAgree(t *testing.T) {
 		t.Fatal(err)
 	}
 	var ref *swdual.Report
-	for _, policy := range []string{"dual-approx", "dual-approx-dp", "self-scheduling", "round-robin"} {
+	for _, policy := range []string{"dual-approx", "self-scheduling", "round-robin"} {
 		rep, err := swdual.Search(db, queries, swdual.Options{Pool: "cpu=4", TopK: 5, Policy: policy})
 		if err != nil {
 			t.Fatalf("%s: %v", policy, err)
@@ -335,7 +335,6 @@ func TestPlanHonorsPolicy(t *testing.T) {
 	for policy, want := range map[string]string{
 		"":                "dual-2approx",
 		"dual-approx":     "dual-2approx",
-		"dual-approx-dp":  "dual-3/2-dp",
 		"round-robin":     "equal-power",
 		"self-scheduling": "self-scheduling",
 	} {
@@ -366,7 +365,7 @@ func TestPlanHonorsPolicy(t *testing.T) {
 	if planErr == nil || searcherErr == nil || planErr.Error() != searcherErr.Error() {
 		t.Fatalf("Plan error %v, NewSearcher error %v: both must refuse the policy alike", planErr, searcherErr)
 	}
-	for _, valid := range []string{"dual-approx", "dual-approx-dp", "self-scheduling", "round-robin"} {
+	for _, valid := range []string{"dual-approx", "self-scheduling", "round-robin"} {
 		if !strings.Contains(planErr.Error(), valid) {
 			t.Fatalf("Plan error %q does not list %q", planErr, valid)
 		}
@@ -1059,7 +1058,7 @@ func TestOptionErrorsTeachValidValues(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := swdual.Search(db, queries, swdual.Options{Policy: "greedy"}); err == nil ||
-		!strings.Contains(err.Error(), "dual-approx-dp") {
+		!strings.Contains(err.Error(), "self-scheduling") {
 		t.Fatalf("bad policy error %v must list the valid policies", err)
 	}
 	// striped and fine are Table I baselines, not serving backends.
