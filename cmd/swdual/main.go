@@ -19,12 +19,12 @@
 // surface over a clustered database.
 //
 // Cluster serve distributes the database across processes: each -serve
-// process holds the same database and serves one slice of it over the
-// wire protocol, and a coordinator scatters every query over the
-// network, gathering hits byte-identical to a local search. The wire
-// protocol joins a coordinator to its servers and nothing else.
-// -replica-shards names the servers: semicolons separate ranges, commas
-// separate interchangeable replicas of one range.
+// process holds the same database and serves one range of balanced
+// residues over the wire protocol, and a coordinator scatters every
+// query over the network, gathering hits byte-identical to a local
+// search; it refuses a server whose -topk is lower or whose scoring
+// differs. -replica-shards names the servers: semicolons separate
+// ranges, commas separate interchangeable replicas of one range.
 //
 //	swdual -db db.fasta -serve :4016 -shard-index 0 -shard-count 2
 //	swdual -db db.fasta -serve :4017 -shard-index 1 -shard-count 2
@@ -74,7 +74,6 @@ func main() {
 		planOnly = flag.Bool("plan", false, "print the schedule -policy plans for -pool on the paper's modeled platform instead of searching")
 		evalues  = flag.Bool("evalue", false, "report bit scores and E-values next to each hit")
 		serve    = flag.String("serve", "", "serve range -shard-index of -shard-count of the database over the wire protocol on this address, for a -replica-shards coordinator (clients use -gateway)")
-		split    = flag.String("shard-split", "contiguous", "shard boundary strategy: contiguous | balanced")
 		cache    = flag.Bool("cache", false, "cache search results: repeated queries are answered without a scheduling wave (hits stay byte-identical)")
 		cacheSz  = flag.Int("cache-size", 0, "max cached search fingerprints with -cache (0 = default 1024)")
 		degraded = flag.Bool("degraded", false, "-replica-shards coordinators answer partial when every replica of a range is down, reporting coverage, instead of failing the search (HTTP gateways answer 206)")
@@ -82,23 +81,22 @@ func main() {
 		gatewayAddr = flag.String("gateway", "", "serve the database over HTTP/JSON on this address (POST /v1/search, GET /v1/stats, /healthz, /metrics), with admission sized from the host: 2×GOMAXPROCS executing and four times that many waiting searches, a quarter of all slots per client, the rest shed with 429")
 
 		shardIndex = flag.Int("shard-index", 0, "which range -serve exposes")
-		shardCount = flag.Int("shard-count", 1, "how many ranges the database is split into for -serve (1 serves the whole database)")
+		shardCount = flag.Int("shard-count", 1, "how many ranges of balanced residues the database is split into for -serve (1 serves the whole database)")
 		repShards  = flag.String("replica-shards", "", "shard servers to search as the coordinator: semicolons separate shard ranges, commas separate replicas of one range, e.g. 'a:4016;a:4017' or 'a:4016,b:4016;a:4017,b:4017' (each server runs -serve for its range)")
 		dialTO     = flag.Duration("dial-timeout", 0, "bound on dialing one shard or replica server, TCP connect plus handshake (0 = default 10s)")
 	)
 	flag.Parse()
 
 	opt := swdual.Options{
-		Matrix:     *matrix,
-		GapStart:   *gapS,
-		GapExtend:  *gapE,
-		Pool:       *pool,
-		TopK:       *topk,
-		Policy:     *policy,
-		ShardSplit: *split,
-		Cache:      *cache,
-		CacheSize:  *cacheSz,
-		Degraded:   *degraded,
+		Matrix:    *matrix,
+		GapStart:  *gapS,
+		GapExtend: *gapE,
+		Pool:      *pool,
+		TopK:      *topk,
+		Policy:    *policy,
+		Cache:     *cache,
+		CacheSize: *cacheSz,
+		Degraded:  *degraded,
 	}
 	if *repShards != "" {
 		for _, group := range strings.Split(*repShards, ";") {
@@ -128,8 +126,8 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		log.Printf("serving range %d/%d of %d sequences (split %s) on %s with worker pool %s",
-			*shardIndex, *shardCount, db.Len(), *split, l.Addr(), poolName)
+		log.Printf("serving range %d/%d of %d sequences on %s with worker pool %s",
+			*shardIndex, *shardCount, db.Len(), l.Addr(), poolName)
 		if err := swdual.ServeShard(l, db, *shardIndex, *shardCount, opt); err != nil {
 			log.Fatal(err)
 		}

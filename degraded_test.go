@@ -153,7 +153,7 @@ func TestDegradedCoverageSurfacesThroughPublicAPI(t *testing.T) {
 		t.Fatal(err)
 	}
 	const topK = 3
-	ranges := shard.RangesFor(db.set, 2, shard.Contiguous)
+	ranges := shard.RangesFor(db.set, 2, shard.BalancedResidues)
 	wrappers := make([]*faultinject.Backend, len(ranges))
 	backends := make([]engine.Backend, len(ranges))
 	for i, r := range ranges {
@@ -164,7 +164,7 @@ func TestDegradedCoverageSurfacesThroughPublicAPI(t *testing.T) {
 		wrappers[i] = faultinject.Wrap(eng)
 		backends[i] = wrappers[i]
 	}
-	sh, err := shard.WithBackends(db.set, shard.Contiguous, ranges, backends, topK)
+	sh, err := shard.WithBackends(db.set, shard.BalancedResidues, ranges, backends, topK)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,9 +3,10 @@
 // the coordinator as master and the shard servers as the workers that
 // "acquire the same sequences" locally, so only queries and results
 // cross the wire. Every shard server holds the same database and serves
-// one contiguous slice of it over the wire protocol; a coordinator
-// splits the database the same way, dials each server (verifying each slice's
-// checksum, so a server with skewed data is rejected), scatters every
+// one contiguous slice of it — a range of balanced residues — over the
+// wire protocol; a coordinator splits the database the same way, dials
+// each server (verifying each slice's checksum, so a server with skewed
+// data is rejected, and its scoring), scatters every
 // search across the wire, and gathers hits byte-identical to a local
 // unsharded search — proven at the end against a local Searcher. The
 // wire only joins the coordinator to its shard servers; clients reach
@@ -34,7 +35,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	opt := swdual.Options{Pool: "cpu=2", TopK: 5, ShardSplit: "balanced"}
+	opt := swdual.Options{Pool: "cpu=2", TopK: 5}
 
 	// Shard servers: each serves its slice of the database on its own
 	// listener — stand-ins for `swdual -db db.fasta -serve :401N

@@ -341,6 +341,10 @@ func (s *Searcher) Checksum() uint32 { return s.checksum }
 // this many.
 func (s *Searcher) TopK() int { return s.cfg.TopK }
 
+// Params returns the scoring every hit is computed with: the
+// substitution matrix and the gap penalties.
+func (s *Searcher) Params() sw.Params { return s.cfg.Params }
+
 // Stats reports the Searcher's cumulative counters and a live snapshot
 // of every worker's observed throughput.
 func (s *Searcher) Stats() Stats {

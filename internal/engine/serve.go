@@ -11,6 +11,7 @@ import (
 	"swdual/internal/alphabet"
 	"swdual/internal/master"
 	"swdual/internal/seq"
+	"swdual/internal/sw"
 	"swdual/internal/wire"
 )
 
@@ -22,7 +23,7 @@ import (
 //
 //	client                               server
 //	Hello{Version, Name, DBChecksum?} ->
-//	                          <-  Welcome{Version, DBChecksum, Alphabet, TopK}
+//	                          <-  Welcome{Version, DBChecksum, Alphabet, TopK, Matrix, GapStart, GapExtend}
 //	SearchRequest{ID: 1, …}   ->
 //	StatsRequest{ID: 2}       ->
 //	                          <-  StatsResponse{ID: 2, Counters: [(name, value)…], …}
@@ -38,10 +39,11 @@ import (
 // changes no frame layout. Residues cross the wire encoded in the
 // server database's alphabet, which the Welcome names together with the
 // most hits per query the server returns (TopK, when the backend has a
-// TopK method; 0 otherwise), so a coordinator can refuse a server that
-// would truncate its merge. Concurrent requests — from one session or
-// from many connections — are coalesced into shared scheduling waves by
-// the Searcher's dispatcher. When a connection dies, its in-flight
+// TopK method; 0 otherwise) and its scoring (when it has a Params
+// method; Matrix "" otherwise), so a coordinator can refuse a server that
+// would truncate its merge or score otherwise. Concurrent requests — from
+// one session or from many connections — are coalesced into shared
+// scheduling waves by the Searcher's dispatcher. When a connection dies, its in-flight
 // requests are canceled. A SearchResult is always a full answer: a
 // backend answer that carries Coverage is refused with a ReqError.
 
@@ -123,6 +125,10 @@ func serveConn(c *wire.Conn, s Backend, handshake time.Duration) {
 	welcome := &wire.Welcome{Version: wire.Version, DBChecksum: s.Checksum(), Alphabet: s.Alphabet().Name()}
 	if capped, ok := s.(interface{ TopK() int }); ok {
 		welcome.TopK = uint32(capped.TopK())
+	}
+	if scored, ok := s.(interface{ Params() sw.Params }); ok {
+		p := scored.Params()
+		welcome.Matrix, welcome.GapStart, welcome.GapExtend = p.Matrix.Name(), uint32(p.Gaps.Start), uint32(p.Gaps.Extend)
 	}
 	if err := c.Send(welcome); err != nil {
 		return

@@ -66,8 +66,11 @@ func openSession(t *testing.T, l net.Listener, checksum uint32) *wire.Conn {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if w, ok := msg.(*wire.Welcome); !ok || w.Version != wire.Version || w.Alphabet != alphabet.Protein.Name() {
-		t.Fatalf("expected a version %d Welcome naming the protein alphabet, got %#v", wire.Version, msg)
+	// A Searcher names its scoring, the tests' default BLOSUM62 10/2; a
+	// stub backend names none.
+	if w, ok := msg.(*wire.Welcome); !ok || w.Version != wire.Version || w.Alphabet != alphabet.Protein.Name() ||
+		w.Matrix != "" && (w.Matrix != "BLOSUM62" || w.GapStart != 10 || w.GapExtend != 2) {
+		t.Fatalf("expected a version %d Welcome naming the protein alphabet and BLOSUM62 10/2 or no scoring, got %#v", wire.Version, msg)
 	}
 	return c
 }

@@ -171,12 +171,12 @@ func TestGatewayMatchesDirectSearch(t *testing.T) {
 	}{
 		{"engine", func(t *testing.T) engine.Backend { return testEngine(t, db) }},
 		{"sharded", func(t *testing.T) engine.Backend {
-			ranges := shard.RangesFor(db, 3, shard.Contiguous)
+			ranges := shard.RangesFor(db, 3, shard.BalancedResidues)
 			backends := make([]engine.Backend, len(ranges))
 			for i, r := range ranges {
 				backends[i] = testEngine(t, db.Slice(r.Lo, r.Hi))
 			}
-			s, err := shard.WithBackends(db, shard.Contiguous, ranges, backends, 5)
+			s, err := shard.WithBackends(db, shard.BalancedResidues, ranges, backends, 5)
 			if err != nil {
 				t.Fatal(err)
 			}

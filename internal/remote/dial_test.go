@@ -11,6 +11,7 @@ import (
 	"swdual/internal/alphabet"
 	"swdual/internal/engine"
 	"swdual/internal/master"
+	"swdual/internal/scoring"
 	"swdual/internal/synth"
 	"swdual/internal/wire"
 )
@@ -148,7 +149,8 @@ func scriptedServer(t *testing.T, reply any) (addr string, frames <-chan any) {
 // the database, nothing else is fetched — so the next frame the server
 // sees is the caller's own first call.
 func TestDialIsOneRoundTrip(t *testing.T) {
-	addr, frames := scriptedServer(t, &wire.Welcome{Version: wire.Version, DBChecksum: 0xfeed, Alphabet: alphabet.DNA.Name()})
+	addr, frames := scriptedServer(t, &wire.Welcome{Version: wire.Version, DBChecksum: 0xfeed, Alphabet: alphabet.DNA.Name(),
+		Matrix: "DNA", GapStart: 5, GapExtend: 1})
 	b, err := DialTimeout(addr, 0xfeed, 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
@@ -156,6 +158,9 @@ func TestDialIsOneRoundTrip(t *testing.T) {
 	defer b.Close()
 	if b.Alphabet() != alphabet.DNA || b.Checksum() != 0xfeed {
 		t.Fatalf("backend describes %s/%08x, the Welcome said %s/%08x", b.Alphabet().Name(), b.Checksum(), alphabet.DNA.Name(), 0xfeed)
+	}
+	if m, g := b.Scoring(); m != "DNA" || g != (scoring.Gaps{Start: 5, Extend: 1}) {
+		t.Fatalf("backend scores with %s %d/%d, the Welcome said DNA 5/1", m, g.Start, g.Extend)
 	}
 	first := <-frames
 	if hello, ok := first.(*wire.Hello); !ok || hello.Version != wire.Version || hello.DBChecksum != 0xfeed {

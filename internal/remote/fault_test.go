@@ -112,7 +112,7 @@ func TestCoordinatorSurvivesShardServerDeath(t *testing.T) {
 	queries := synth.RandomSet(alphabet.Protein, 4, 20, 50, 5002)
 
 	gw := newGateWorker()
-	ranges := shard.RangesFor(db, 2, shard.Contiguous)
+	ranges := shard.RangesFor(db, 2, shard.BalancedResidues)
 	// Shard 0 is a healthy in-process engine; shard 1 is remote and will
 	// die mid-search, its gate worker pinning the request in flight.
 	eng0, err := engine.New(db.Slice(ranges[0].Lo, ranges[0].Hi), engine.Config{Pool: master.PoolSpec{CPU: 1}, TopK: 3})
@@ -126,7 +126,7 @@ func TestCoordinatorSurvivesShardServerDeath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := shard.WithBackends(db, shard.Contiguous, ranges, []engine.Backend{eng0, rb}, 3)
+	s, err := shard.WithBackends(db, shard.BalancedResidues, ranges, []engine.Backend{eng0, rb}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +296,7 @@ func TestTwoShardDeathsAttributeTheRealCause(t *testing.T) {
 		db := synth.RandomSet(alphabet.Protein, 18, 10, 60, int64(6001+round))
 		queries := synth.RandomSet(alphabet.Protein, 3, 20, 50, int64(6101+round))
 		gw0, gw1 := newGateWorker(), newGateWorker()
-		ranges := shard.RangesFor(db, 3, shard.Contiguous)
+		ranges := shard.RangesFor(db, 3, shard.BalancedResidues)
 		eng0, err := engine.New(db.Slice(ranges[0].Lo, ranges[0].Hi), engine.Config{Pool: master.PoolSpec{CPU: 1}, TopK: 3})
 		if err != nil {
 			t.Fatal(err)
@@ -315,7 +315,7 @@ func TestTwoShardDeathsAttributeTheRealCause(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, err := shard.WithBackends(db, shard.Contiguous, ranges, []engine.Backend{eng0, rb1, rb2}, 3)
+		s, err := shard.WithBackends(db, shard.BalancedResidues, ranges, []engine.Backend{eng0, rb1, rb2}, 3)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -25,6 +25,7 @@ import (
 	"swdual/internal/engine"
 	"swdual/internal/master"
 	"swdual/internal/sched"
+	"swdual/internal/scoring"
 	"swdual/internal/seq"
 	"swdual/internal/wire"
 )
@@ -46,6 +47,8 @@ type Backend struct {
 	alpha    *alphabet.Alphabet
 	checksum uint32
 	topK     int
+	matrix   string
+	gaps     scoring.Gaps
 
 	nextID  atomic.Uint64
 	mu      sync.Mutex
@@ -80,7 +83,8 @@ const DefaultDialTimeout = 10 * time.Second
 var ErrConnectionLost = errors.New("connection lost")
 
 // DialTimeout connects to an engine.Serve endpoint; the server's Welcome
-// describes its database (checksum, alphabet) and its TopK cap. A
+// describes its database (checksum, alphabet), its TopK cap and its
+// scoring. A
 // non-zero wantChecksum is the skew guard: both ends verify it against
 // the server's database and the dial fails on mismatch, so a coordinator
 // never scatters queries to a shard holding different sequences.
@@ -141,6 +145,7 @@ func newBackend(addr string, nc net.Conn, wantChecksum uint32, deadline time.Tim
 		}
 		b.checksum = m.DBChecksum
 		b.topK = int(m.TopK)
+		b.matrix, b.gaps = m.Matrix, scoring.Gaps{Start: int(m.GapStart), Extend: int(m.GapExtend)}
 	case *wire.ErrorMsg:
 		return nil, fmt.Errorf("remote %s: server: %s", addr, m.Text)
 	default:
@@ -176,6 +181,10 @@ func (b *Backend) Checksum() uint32 { return b.checksum }
 // a SearchRequest asking for more gets this many. 0 means the server did
 // not say.
 func (b *Backend) TopK() int { return b.topK }
+
+// Scoring returns the server's matrix name and gap penalties, as its
+// Welcome named them; "" means the server did not say.
+func (b *Backend) Scoring() (matrix string, gaps scoring.Gaps) { return b.matrix, b.gaps }
 
 // read is the connection's single reader: it routes every response frame
 // to the call that registered its id. Responses for retired ids (the

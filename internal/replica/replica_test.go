@@ -166,7 +166,7 @@ func TestReplicatedShardedMatchesUnsharded(t *testing.T) {
 
 	for _, shards := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			ranges := shard.RangesFor(db, shards, shard.Contiguous)
+			ranges := shard.RangesFor(db, shards, shard.BalancedResidues)
 			backends := make([]engine.Backend, len(ranges))
 			for i, r := range ranges {
 				slice := db.Slice(r.Lo, r.Hi)
@@ -186,7 +186,7 @@ func TestReplicatedShardedMatchesUnsharded(t *testing.T) {
 				}
 				backends[i] = set
 			}
-			s, err := shard.WithBackends(db, shard.Contiguous, ranges, backends, topK)
+			s, err := shard.WithBackends(db, shard.BalancedResidues, ranges, backends, topK)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -232,7 +232,7 @@ func TestSearchSurvivesReplicaDeathMidSearch(t *testing.T) {
 		t.Fatal(err)
 	}
 	ranges := []shard.Range{{Lo: 0, Hi: db.Len()}}
-	s, err := shard.WithBackends(db, shard.Contiguous, ranges, []engine.Backend{set}, 3)
+	s, err := shard.WithBackends(db, shard.BalancedResidues, ranges, []engine.Backend{set}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,7 +32,7 @@ func TestCachedShardedMatchesUnsharded(t *testing.T) {
 	defer whole.Close()
 	want := searchHits(t, whole, queries, topK)
 
-	sharded := localSharded(t, db, 3, Contiguous, ecfg)
+	sharded := localSharded(t, db, 3, ecfg)
 	defer sharded.Close()
 	sharded.EnableCache(0, 0)
 
@@ -112,7 +112,7 @@ func TestCoordinatorFollowerOutlivesLeaderCancel(t *testing.T) {
 	want := searchHits(t, whole, queries, topK)
 	whole.Close()
 
-	ranges := RangesFor(db, 2, Contiguous)
+	ranges := RangesFor(db, 2, BalancedResidues)
 	gates := make([]*gateBackend, 2)
 	backends := make([]engine.Backend, 2)
 	for i, r := range ranges {
@@ -123,7 +123,7 @@ func TestCoordinatorFollowerOutlivesLeaderCancel(t *testing.T) {
 		gates[i] = newGateBackend(eng)
 		backends[i] = gates[i]
 	}
-	s, err := WithBackends(db, Contiguous, ranges, backends, topK)
+	s, err := WithBackends(db, BalancedResidues, ranges, backends, topK)
 	if err != nil {
 		t.Fatal(err)
 	}

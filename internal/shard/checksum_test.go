@@ -38,7 +38,7 @@ func TestDBChecksumUnified(t *testing.T) {
 	if got := eng.Checksum(); got != pinned {
 		t.Fatalf("engine.Searcher.Checksum = %08x, pinned %08x", got, pinned)
 	}
-	sh := localSharded(t, db, 2, Contiguous, engine.Config{Pool: master.PoolSpec{CPU: 1}})
+	sh := localSharded(t, db, 2, engine.Config{Pool: master.PoolSpec{CPU: 1}})
 	defer sh.Close()
 	if got := sh.Checksum(); got != pinned {
 		t.Fatalf("shard.Searcher.Checksum = %08x, pinned %08x", got, pinned)

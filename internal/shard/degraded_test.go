@@ -45,7 +45,7 @@ func rangeDownErr(idx int, r Range) error {
 // wrappers so tests can script faults and count calls.
 func faultedSearcher(t *testing.T, db *seq.Set, shards, topK int) (*Searcher, []*faultinject.Backend) {
 	t.Helper()
-	ranges := RangesFor(db, shards, Contiguous)
+	ranges := RangesFor(db, shards, BalancedResidues)
 	wrappers := make([]*faultinject.Backend, len(ranges))
 	backends := make([]engine.Backend, len(ranges))
 	for i, r := range ranges {
@@ -56,7 +56,7 @@ func faultedSearcher(t *testing.T, db *seq.Set, shards, topK int) (*Searcher, []
 		wrappers[i] = faultinject.Wrap(eng)
 		backends[i] = wrappers[i]
 	}
-	s, err := WithBackends(db, Contiguous, ranges, backends, topK)
+	s, err := WithBackends(db, BalancedResidues, ranges, backends, topK)
 	if err != nil {
 		t.Fatal(err)
 	}

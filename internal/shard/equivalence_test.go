@@ -57,9 +57,14 @@ func searchHits(t *testing.T, s interface {
 // RangesFor, one engine.Searcher per slice, WithBackends — what a
 // cluster coordinator builds, minus the network. Tests that need the
 // coordinator cache or a degradation policy set them on the result.
-func localSharded(t *testing.T, db *seq.Set, shards int, strategy Strategy, ecfg engine.Config) *Searcher {
+func localSharded(t *testing.T, db *seq.Set, shards int, ecfg engine.Config) *Searcher {
 	t.Helper()
-	ranges := RangesFor(db, shards, strategy)
+	return localShardedOver(t, db, RangesFor(db, shards, BalancedResidues), ecfg)
+}
+
+// localShardedOver is localSharded over the given ranges.
+func localShardedOver(t *testing.T, db *seq.Set, ranges []Range, ecfg engine.Config) *Searcher {
+	t.Helper()
 	backends := make([]engine.Backend, 0, len(ranges))
 	fail := func(err error) {
 		for _, b := range backends {
@@ -74,11 +79,21 @@ func localSharded(t *testing.T, db *seq.Set, shards int, strategy Strategy, ecfg
 		}
 		backends = append(backends, eng)
 	}
-	s, err := WithBackends(db, strategy, ranges, backends, ecfg.TopK)
+	s, err := WithBackends(db, BalancedResidues, ranges, backends, ecfg.TopK)
 	if err != nil {
 		fail(err)
 	}
 	return s
+}
+
+// equalCounts is a partition RangesFor never makes: (near) equal
+// sequence counts, whatever the residues.
+func equalCounts(n, shards int) []Range {
+	ranges := make([]Range, shards)
+	for i := range ranges {
+		ranges[i] = Range{Lo: i * n / shards, Hi: (i + 1) * n / shards}
+	}
+	return ranges
 }
 
 func TestShardedMatchesUnshardedAcrossSizesAndStrategies(t *testing.T) {
@@ -95,10 +110,19 @@ func TestShardedMatchesUnshardedAcrossSizesAndStrategies(t *testing.T) {
 		}
 		want := searchHits(t, ref, queries, 0)
 		ref.Close()
-		for _, strategy := range []Strategy{Contiguous, BalancedResidues} {
+		// The ranges alone define the partition: the gather must be
+		// byte-identical over RangesFor's residue-balanced ranges and over
+		// any other contiguous partition a caller hands WithBackends.
+		for _, split := range []struct {
+			name   string
+			ranges func(shards int) []Range
+		}{
+			{"balanced", func(shards int) []Range { return RangesFor(db, shards, BalancedResidues) }},
+			{"contiguous", func(shards int) []Range { return equalCounts(db.Len(), shards) }},
+		} {
 			for shards := 1; shards <= 8; shards++ {
-				t.Run(fmt.Sprintf("db=%d/%v/shards=%d", dbSize, strategy, shards), func(t *testing.T) {
-					s := localSharded(t, db, shards, strategy, ecfg)
+				t.Run(fmt.Sprintf("db=%d/%s/shards=%d", dbSize, split.name, shards), func(t *testing.T) {
+					s := localShardedOver(t, db, split.ranges(shards), ecfg)
 					defer s.Close()
 					if got := s.Shards(); got != shards {
 						t.Fatalf("built %d shards, want %d", got, shards)
@@ -125,7 +149,7 @@ func TestShardedChecksumMatchesUnsharded(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ref.Close()
-	s := localSharded(t, db, 4, BalancedResidues, engine.Config{Pool: master.PoolSpec{CPU: 1}})
+	s := localSharded(t, db, 4, engine.Config{Pool: master.PoolSpec{CPU: 1}})
 	defer s.Close()
 	if s.Checksum() != ref.Checksum() {
 		t.Fatalf("sharded checksum %08x != unsharded %08x", s.Checksum(), ref.Checksum())
@@ -156,31 +180,29 @@ func TestTopKTieBreakAcrossShardBoundaries(t *testing.T) {
 	}
 	want := searchHits(t, ref, queries, 0)
 	ref.Close()
-	for _, strategy := range []Strategy{Contiguous, BalancedResidues} {
-		for _, shards := range []int{2, 3, 5, 7} {
-			s := localSharded(t, db, shards, strategy, ecfg)
-			rep, err := s.Search(context.Background(), queries, engine.SearchOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			hits := rep.Results[0].Hits
-			if len(hits) != topK {
-				t.Fatalf("%v/%d shards: %d hits, want %d", strategy, shards, len(hits), topK)
-			}
-			for i, h := range hits {
-				if h.SeqIndex != i {
-					t.Fatalf("%v/%d shards: tie rank %d went to global seq %d (id %s), want %d",
-						strategy, shards, i, h.SeqIndex, h.SeqID, i)
-				}
-				if h.Score != hits[0].Score {
-					t.Fatalf("%v/%d shards: tie scores differ: %d vs %d", strategy, shards, h.Score, hits[0].Score)
-				}
-			}
-			if got := hitBytes(t, rep.Results); !bytes.Equal(got, want) {
-				t.Fatalf("%v/%d shards: tie-broken hits differ from unsharded engine", strategy, shards)
-			}
-			s.Close()
+	for _, shards := range []int{2, 3, 5, 7} {
+		s := localSharded(t, db, shards, ecfg)
+		rep, err := s.Search(context.Background(), queries, engine.SearchOptions{})
+		if err != nil {
+			t.Fatal(err)
 		}
+		hits := rep.Results[0].Hits
+		if len(hits) != topK {
+			t.Fatalf("%d shards: %d hits, want %d", shards, len(hits), topK)
+		}
+		for i, h := range hits {
+			if h.SeqIndex != i {
+				t.Fatalf("%d shards: tie rank %d went to global seq %d (id %s), want %d",
+					shards, i, h.SeqIndex, h.SeqID, i)
+			}
+			if h.Score != hits[0].Score {
+				t.Fatalf("%d shards: tie scores differ: %d vs %d", shards, h.Score, hits[0].Score)
+			}
+		}
+		if got := hitBytes(t, rep.Results); !bytes.Equal(got, want) {
+			t.Fatalf("%d shards: tie-broken hits differ from unsharded engine", shards)
+		}
+		s.Close()
 	}
 }
 
@@ -189,7 +211,7 @@ func TestTopKTieBreakAcrossShardBoundaries(t *testing.T) {
 func TestShardedTopKOption(t *testing.T) {
 	db := synth.RandomSet(alphabet.Protein, 20, 10, 80, 88)
 	queries := synth.RandomSet(alphabet.Protein, 2, 20, 60, 89)
-	s := localSharded(t, db, 3, Contiguous, engine.Config{Pool: master.PoolSpec{CPU: 1}, TopK: 6})
+	s := localSharded(t, db, 3, engine.Config{Pool: master.PoolSpec{CPU: 1}, TopK: 6})
 	defer s.Close()
 	rep, err := s.Search(context.Background(), queries, engine.SearchOptions{TopK: 2})
 	if err != nil {
@@ -216,7 +238,7 @@ func TestShardedTopKOption(t *testing.T) {
 func TestShardedAccountingSpansShards(t *testing.T) {
 	db := synth.RandomSet(alphabet.Protein, 24, 10, 100, 90)
 	queries := synth.RandomSet(alphabet.Protein, 2, 30, 60, 91)
-	s := localSharded(t, db, 4, Contiguous, engine.Config{Pool: master.PoolSpec{CPU: 1}, TopK: 3})
+	s := localSharded(t, db, 4, engine.Config{Pool: master.PoolSpec{CPU: 1}, TopK: 3})
 	defer s.Close()
 	rep, err := s.Search(context.Background(), queries, engine.SearchOptions{})
 	if err != nil {
@@ -251,7 +273,7 @@ func TestShardedConcurrentMatchesUnsharded(t *testing.T) {
 	const topK = 5
 	db := synth.RandomSet(alphabet.Protein, 40, 10, 120, 2032)
 	cfg := engine.Config{Pool: master.PoolSpec{CPU: 1, GPU: 1}, TopK: topK}
-	sharded := localSharded(t, db, 3, BalancedResidues, cfg)
+	sharded := localSharded(t, db, 3, cfg)
 	defer sharded.Close()
 	whole, err := engine.New(db, cfg)
 	if err != nil {
@@ -310,7 +332,7 @@ func TestShardedMixedPoolMatchesUnsharded(t *testing.T) {
 
 	spec := master.PoolSpec{CPU: 2, GPU: 1}
 	for _, shards := range []int{1, 3} {
-		s := localSharded(t, db, shards, Contiguous, engine.Config{Pool: spec, TopK: topK})
+		s := localSharded(t, db, shards, engine.Config{Pool: spec, TopK: topK})
 		// Two rounds so wave 2 schedules with rates observed in wave 1.
 		for round := 0; round < 2; round++ {
 			if got := searchHits(t, s, queries, 0); !bytes.Equal(got, want) {

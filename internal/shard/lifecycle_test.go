@@ -18,7 +18,7 @@ import (
 func testSharded(t *testing.T, dbSize, shards int) *Searcher {
 	t.Helper()
 	db := synth.RandomSet(alphabet.Protein, dbSize, 10, 100, int64(500+dbSize))
-	return localSharded(t, db, shards, Contiguous, engine.Config{Pool: master.PoolSpec{CPU: 1, GPU: 1}, TopK: 3})
+	return localSharded(t, db, shards, engine.Config{Pool: master.PoolSpec{CPU: 1, GPU: 1}, TopK: 3})
 }
 
 func TestShardedCloseIdempotentAndConcurrent(t *testing.T) {
@@ -99,7 +99,7 @@ func TestShardedScatterCancellation(t *testing.T) {
 	const shards = 3
 	db := synth.RandomSet(alphabet.Protein, 12, 10, 60, 700)
 	gw := newGateWorker()
-	s := localSharded(t, db, shards, Contiguous, engine.Config{
+	s := localSharded(t, db, shards, engine.Config{
 		Workers: []master.Worker{gw}, TopK: 3, Policy: master.PolicySelfScheduling,
 	})
 	queries := synth.RandomSet(alphabet.Protein, 5, 20, 50, 701)
@@ -142,7 +142,7 @@ func TestShardedScatterCancellation(t *testing.T) {
 func TestShardedCloseUnblocksInFlightSearch(t *testing.T) {
 	gw := newGateWorker()
 	db := synth.RandomSet(alphabet.Protein, 8, 10, 60, 702)
-	s := localSharded(t, db, 2, Contiguous, engine.Config{
+	s := localSharded(t, db, 2, engine.Config{
 		Workers: []master.Worker{gw}, TopK: 3, Policy: master.PolicySelfScheduling,
 	})
 	queries := synth.RandomSet(alphabet.Protein, 4, 20, 50, 703)

@@ -53,14 +53,14 @@ func dialShard(t *testing.T, addr string, db *seq.Set, r Range) engine.Backend {
 }
 
 // remoteSharded assembles a Searcher whose every shard is remote.
-func remoteSharded(t *testing.T, db *seq.Set, shards int, strategy Strategy, ecfg engine.Config) *Searcher {
+func remoteSharded(t *testing.T, db *seq.Set, shards int, ecfg engine.Config) *Searcher {
 	t.Helper()
-	ranges := RangesFor(db, shards, strategy)
+	ranges := RangesFor(db, shards, BalancedResidues)
 	backends := make([]engine.Backend, len(ranges))
 	for i, r := range ranges {
 		backends[i] = dialShard(t, startShardServer(t, db, r, ecfg), db, r)
 	}
-	s, err := WithBackends(db, strategy, ranges, backends, ecfg.TopK)
+	s, err := WithBackends(db, BalancedResidues, ranges, backends, ecfg.TopK)
 	if err != nil {
 		for _, b := range backends {
 			b.Close()
@@ -85,9 +85,9 @@ func TestRemoteShardsMatchLocalAndUnsharded(t *testing.T) {
 		ref.Close()
 		for _, shards := range []int{1, 2, 4} {
 			t.Run(fmt.Sprintf("db=%d/shards=%d", dbSize, shards), func(t *testing.T) {
-				local := localSharded(t, db, shards, BalancedResidues, ecfg)
+				local := localSharded(t, db, shards, ecfg)
 				defer local.Close()
-				rem := remoteSharded(t, db, shards, BalancedResidues, ecfg)
+				rem := remoteSharded(t, db, shards, ecfg)
 				defer rem.Close()
 				if got := searchHits(t, rem, queries, 0); !bytes.Equal(got, want) {
 					t.Fatalf("remote-sharded hits differ from unsharded engine")
@@ -120,7 +120,7 @@ func TestMixedLocalAndRemoteShards(t *testing.T) {
 	want := searchHits(t, ref, queries, 0)
 	ref.Close()
 
-	ranges := RangesFor(db, 4, Contiguous)
+	ranges := RangesFor(db, 4, BalancedResidues)
 	backends := make([]engine.Backend, len(ranges))
 	for i, r := range ranges {
 		if i%2 == 0 { // shards 0 and 2 remote, 1 and 3 in-process
@@ -133,7 +133,7 @@ func TestMixedLocalAndRemoteShards(t *testing.T) {
 			backends[i] = eng
 		}
 	}
-	s, err := WithBackends(db, Contiguous, ranges, backends, topK)
+	s, err := WithBackends(db, BalancedResidues, ranges, backends, topK)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestRemoteTopKTieBreakAcrossShardBoundaries(t *testing.T) {
 	want := searchHits(t, ref, queries, 0)
 	ref.Close()
 	for _, shards := range []int{2, 3, 5} {
-		s := remoteSharded(t, db, shards, Contiguous, ecfg)
+		s := remoteSharded(t, db, shards, ecfg)
 		if got := searchHits(t, s, queries, 0); !bytes.Equal(got, want) {
 			t.Fatalf("%d remote shards: tie-broken hits differ from unsharded engine", shards)
 		}
@@ -188,7 +188,7 @@ func TestWithBackendsRejectsChecksumSkew(t *testing.T) {
 	skewed := db.Clone()
 	skewed.Seqs[7].Residues[0] ^= 1 // one residue differs, in shard 1's range
 
-	ranges := RangesFor(db, 2, Contiguous)
+	ranges := RangesFor(db, 2, BalancedResidues)
 	ecfg := engine.Config{Pool: master.PoolSpec{CPU: 1}, TopK: 3}
 	backends := make([]engine.Backend, len(ranges))
 	for i, r := range ranges {
@@ -204,7 +204,7 @@ func TestWithBackendsRejectsChecksumSkew(t *testing.T) {
 			b.Close()
 		}
 	}()
-	if _, err := WithBackends(db, Contiguous, ranges, backends, 3); err == nil {
+	if _, err := WithBackends(db, BalancedResidues, ranges, backends, 3); err == nil {
 		t.Fatal("checksum skew accepted")
 	} else if !strings.Contains(err.Error(), "checksum") {
 		t.Fatalf("skew error does not name the checksum: %v", err)
@@ -231,7 +231,7 @@ func TestRemoteMixedPoolShardsMatchUnsharded(t *testing.T) {
 
 	spec := master.PoolSpec{CPU: 2, GPU: 1}
 	const shards = 2
-	s := remoteSharded(t, db, shards, Contiguous, engine.Config{Pool: spec, TopK: topK})
+	s := remoteSharded(t, db, shards, engine.Config{Pool: spec, TopK: topK})
 	defer s.Close()
 	for round := 0; round < 2; round++ {
 		if got := searchHits(t, s, queries, 0); !bytes.Equal(got, want) {

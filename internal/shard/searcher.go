@@ -98,8 +98,8 @@ func (s *Searcher) EnableCache(maxEntries int, maxBytes int64) {
 // own cap: a backend returning fewer hits than the gather keeps would
 // make the merged top-k wrong. On success the Searcher owns the
 // backends and Close closes all of them; on error the caller keeps
-// ownership and must close them itself. The Strategy that produced
-// ranges is not kept: the ranges alone define the partition.
+// ownership and must close them itself. The Strategy is ignored: the
+// ranges alone define the partition.
 func WithBackends(db *seq.Set, _ Strategy, ranges []Range, backends []engine.Backend, topK int) (*Searcher, error) {
 	if db == nil {
 		return nil, fmt.Errorf("shard: nil database")

@@ -6,8 +6,8 @@ import (
 )
 
 // checkPartition asserts the ranges are in order, non-overlapping, and
-// cover [0, n) exactly — the invariant both strategies must hold for the
-// offset-based global index lift to be correct.
+// cover [0, n) exactly — the invariant the offset-based global index
+// lift relies on.
 func checkPartition(t *testing.T, ranges []Range, n, shards int) {
 	t.Helper()
 	if len(ranges) != shards {
@@ -28,27 +28,23 @@ func checkPartition(t *testing.T, ranges []Range, n, shards int) {
 	}
 }
 
+// TestSplitRangesContiguous runs the degenerate inputs through the
+// split: an empty database, fewer sequences than ranges, zero-length
+// sequences and shards = 0 (one range) must still yield contiguous
+// ranges that partition the database.
 func TestSplitRangesContiguous(t *testing.T) {
-	for _, tc := range []struct{ n, shards int }{
-		{0, 1}, {0, 4}, {1, 1}, {1, 8}, {5, 8}, {13, 4}, {100, 7}, {8, 8},
+	for _, tc := range []struct {
+		lengths []int
+		shards  int
+	}{
+		{nil, 1}, {nil, 4}, {nil, 0},
+		{[]int{7}, 1}, {[]int{7}, 8}, {[]int{3, 1, 4, 1, 5}, 8},
+		{make([]int, 13), 4}, {make([]int, 8), 8}, {make([]int, 100), 7},
+		{[]int{0, 9, 0, 0, 9, 0}, 3}, {[]int{9, 0, 0, 0}, 2},
+		{[]int{5, 5}, 0}, {make([]int, 3), 0},
 	} {
-		lengths := make([]int, tc.n)
-		ranges := SplitRanges(lengths, tc.shards, Contiguous)
-		checkPartition(t, ranges, tc.n, tc.shards)
-		// Equal counts within one sequence.
-		min, max := tc.n, 0
-		for _, r := range ranges {
-			n := r.Hi - r.Lo
-			if n < min {
-				min = n
-			}
-			if n > max {
-				max = n
-			}
-		}
-		if tc.n >= tc.shards && max-min > 1 {
-			t.Fatalf("n=%d shards=%d: counts spread %d..%d", tc.n, tc.shards, min, max)
-		}
+		want := max(tc.shards, 1)
+		checkPartition(t, SplitRanges(tc.lengths, tc.shards), len(tc.lengths), want)
 	}
 }
 
@@ -66,7 +62,7 @@ func TestSplitRangesBalancedResidues(t *testing.T) {
 				maxLen = int64(lengths[i])
 			}
 		}
-		ranges := SplitRanges(lengths, shards, BalancedResidues)
+		ranges := SplitRanges(lengths, shards)
 		checkPartition(t, ranges, n, shards)
 		// Each shard's residue load stays within one sequence of the
 		// ideal share: the greedy boundary never overshoots by more than
@@ -81,28 +77,5 @@ func TestSplitRangesBalancedResidues(t *testing.T) {
 				t.Fatalf("iter %d: shard %d loads %d residues, ideal %d, max seq %d", iter, si, load, ideal, maxLen)
 			}
 		}
-	}
-}
-
-func TestSplitRangesClampsShards(t *testing.T) {
-	ranges := SplitRanges([]int{5, 5}, 0, Contiguous)
-	checkPartition(t, ranges, 2, 1)
-}
-
-func TestParseStrategy(t *testing.T) {
-	for name, want := range map[string]Strategy{
-		"": Contiguous, "contiguous": Contiguous,
-		"balanced": BalancedResidues, "balanced-residues": BalancedResidues,
-	} {
-		got, err := ParseStrategy(name)
-		if err != nil || got != want {
-			t.Fatalf("ParseStrategy(%q) = %v, %v", name, got, err)
-		}
-	}
-	if _, err := ParseStrategy("bogus"); err == nil {
-		t.Fatal("bogus strategy accepted")
-	}
-	if Contiguous.String() != "contiguous" || BalancedResidues.String() != "balanced" {
-		t.Fatalf("strategy names: %v %v", Contiguous, BalancedResidues)
 	}
 }

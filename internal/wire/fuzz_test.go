@@ -26,8 +26,8 @@ func FuzzUnmarshal(f *testing.F) {
 	}
 	seed(&Hello{Version: Version, Name: "client-1", DBChecksum: 0xdeadbeef})
 	seed(&Hello{})
-	seed(&Welcome{Version: Version, DBChecksum: 7, Alphabet: "protein", TopK: 10})
-	seed(&Welcome{Version: Version, DBChecksum: 7, Alphabet: "dna"}) // a server that names no cap
+	seed(&Welcome{Version: Version, DBChecksum: 7, Alphabet: "protein", TopK: 10, Matrix: "BLOSUM62", GapStart: 10, GapExtend: 2})
+	seed(&Welcome{Version: Version, DBChecksum: 7, Alphabet: "dna"}) // a server that names no cap and no scoring
 	seed(&ErrorMsg{Text: "boom"})
 	// Session frames: request ids, nested result lists, float slices
 	// (floats must round-trip bit-exactly, NaN included).
@@ -96,6 +96,9 @@ func FuzzUnmarshal(f *testing.F) {
 	// A version 8 Welcome: the alphabet name ends the payload, where
 	// version 9 reads the TopK cap — must fail as truncated.
 	f.Add(TypeWelcome, append(make([]byte, 8), 7, 0, 'p', 'r', 'o', 't', 'e', 'i', 'n'))
+	// A version 12 Welcome: the TopK cap ends the payload, where version
+	// 13 reads the matrix name — must fail as truncated.
+	f.Add(TypeWelcome, append(append(make([]byte, 8), 7, 0, 'p', 'r', 'o', 't', 'e', 'i', 'n'), 10, 0, 0, 0))
 
 	f.Fuzz(func(t *testing.T, typ byte, payload []byte) {
 		msg, err := Unmarshal(typ, payload) // must never panic

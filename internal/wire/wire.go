@@ -28,7 +28,7 @@ const (
 	// layouts. Any change to a frame's layout bumps it, so a stale peer
 	// is rejected at Hello/Welcome instead of misreading a frame
 	// mid-session.
-	Version = 12
+	Version = 13
 	// MaxFrame bounds a frame payload (64 MiB) to fail fast on corrupt
 	// length prefixes.
 	MaxFrame = 64 << 20
@@ -67,13 +67,17 @@ type Hello struct {
 
 // Welcome accepts a session and names the server's database: its
 // checksum and the alphabet queries must be encoded with (version 8),
-// and TopK, the most hits per query the server returns whatever a
-// SearchRequest asks for (version 9; 0 when the server does not say).
+// TopK, the most hits per query the server returns whatever a
+// SearchRequest asks for (version 9; 0 when the server does not say),
+// and its scoring (version 13; Matrix "" when the server does not say).
 type Welcome struct {
 	Version    uint32
 	DBChecksum uint32
 	Alphabet   string
 	TopK       uint32
+	Matrix     string
+	GapStart   uint32
+	GapExtend  uint32
 }
 
 // ResultHit is one scored database hit inside a Result.
@@ -237,6 +241,9 @@ func Marshal(msg any) (byte, []byte, error) {
 		e.u32(m.DBChecksum)
 		e.str(m.Alphabet)
 		e.u32(m.TopK)
+		e.str(m.Matrix)
+		e.u32(m.GapStart)
+		e.u32(m.GapExtend)
 		return TypeWelcome, e.buf, nil
 	case *ErrorMsg:
 		e.str(m.Text)
@@ -349,6 +356,9 @@ func Unmarshal(typ byte, payload []byte) (any, error) {
 		m.DBChecksum = d.u32()
 		m.Alphabet = d.str()
 		m.TopK = d.u32()
+		m.Matrix = d.str()
+		m.GapStart = d.u32()
+		m.GapExtend = d.u32()
 		return m, d.err
 	case TypeError:
 		m := &ErrorMsg{}

@@ -31,7 +31,7 @@ func TestHelloRoundTrip(t *testing.T) {
 }
 
 func TestWelcomeRoundTrip(t *testing.T) {
-	in := &Welcome{Version: 1, DBChecksum: 7, Alphabet: "protein", TopK: 20}
+	in := &Welcome{Version: 1, DBChecksum: 7, Alphabet: "protein", TopK: 20, Matrix: "PAM250", GapStart: 11, GapExtend: 1}
 	if got := roundTrip(t, in); !reflect.DeepEqual(got, in) {
 		t.Fatalf("got %+v", got)
 	}

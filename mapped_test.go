@@ -114,7 +114,7 @@ func TestMappedSearchMatchesHeap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := swdual.Options{Pool: "cpu=2", TopK: 5, ShardSplit: "balanced"}
+	opt := swdual.Options{Pool: "cpu=2", TopK: 5}
 
 	want, err := swdual.Search(heap, queries, opt)
 	if err != nil {

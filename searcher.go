@@ -1,6 +1,7 @@
 package swdual
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"net"
@@ -58,14 +59,10 @@ func NewSearcher(db *Database, opt Options) (*Searcher, error) {
 	if err != nil {
 		return nil, err
 	}
-	strategy, err := shard.ParseStrategy(opt.ShardSplit)
-	if err != nil {
-		return nil, err
-	}
 	var inner engine.Backend
 	shards := 1
 	if len(opt.ReplicaShards) > 0 {
-		sh, err := dialReplicaShards(db, opt.ReplicaShards, strategy, cfg.TopK, opt.DialTimeout)
+		sh, err := dialReplicaShards(db, opt.ReplicaShards, cfg, opt.DialTimeout)
 		if err != nil {
 			return nil, err
 		}
@@ -91,20 +88,19 @@ func NewSearcher(db *Database, opt Options) (*Searcher, error) {
 }
 
 // dialReplicaShards assembles the coordinator side of a cluster: split
-// the local database the same way the shard servers did, dial each
+// the local database into the ranges the shard servers hold, dial each
 // range's addresses with the slice checksum as the skew guard, wrap them
 // in a replica.Set — the facade that fails over and re-dials —
 // and feed the sets to the scatter/gather. A replica that is down at
 // construction is tolerated (its set starts re-dialing immediately) as
 // long as at least one replica of the range answers. A server whose TopK
-// cap is below the gather's is refused, at the first dial and at every
-// redial alike: it would return fewer hits per range than the merge
-// keeps, and the merged top-k would silently be wrong.
-func dialReplicaShards(db *Database, groups [][]string, strategy shard.Strategy, topK int, dialTimeout time.Duration) (*shard.Searcher, error) {
-	if topK <= 0 {
-		topK = engine.DefaultTopK
-	}
-	ranges := shard.RangesFor(db.set, len(groups), strategy)
+// cap is below the gather's, or whose scoring is not cfg's, is refused,
+// at the first dial and at every redial alike: the merged top-k would
+// silently be wrong.
+func dialReplicaShards(db *Database, groups [][]string, cfg engine.Config, dialTimeout time.Duration) (*shard.Searcher, error) {
+	topK := cmp.Or(cfg.TopK, engine.DefaultTopK)
+	matrix, gaps := cfg.Params.Matrix.Name(), cfg.Params.Gaps
+	ranges := shard.RangesFor(db.set, len(groups), shard.BalancedResidues)
 	backends := make([]engine.Backend, 0, len(groups))
 	fail := func(err error) (*shard.Searcher, error) {
 		for _, b := range backends {
@@ -130,6 +126,11 @@ func dialReplicaShards(db *Database, groups [][]string, strategy shard.Strategy,
 				if c := b.TopK(); c != 0 && c < topK {
 					b.Close()
 					return nil, fmt.Errorf("swdual: %s: server %s caps hits at TopK %d, below the coordinator's TopK %d", name, addr, c, topK)
+				}
+				// "": the server did not name its scoring.
+				if m, g := b.Scoring(); m != "" && (m != matrix || g != gaps) {
+					b.Close()
+					return nil, fmt.Errorf("swdual: %s: server %s scores with %s %d/%d, the coordinator with %s %d/%d", name, addr, m, g.Start, g.Extend, matrix, gaps.Start, gaps.Extend)
 				}
 				return b, nil
 			}
@@ -158,7 +159,7 @@ func dialReplicaShards(db *Database, groups [][]string, strategy shard.Strategy,
 		}
 		backends = append(backends, set)
 	}
-	sh, err := shard.WithBackends(db.set, strategy, ranges, backends, topK)
+	sh, err := shard.WithBackends(db.set, shard.BalancedResidues, ranges, backends, topK)
 	if err != nil {
 		return fail(err)
 	}
@@ -167,12 +168,13 @@ func dialReplicaShards(db *Database, groups [][]string, strategy shard.Strategy,
 
 // ServeShard is the one wire server: it serves one range of db on l
 // for a cluster coordinator until the listener closes. The database is
-// split into count ranges with opt.ShardSplit (the coordinator must use
-// the same strategy and count) and slice index gets its own persistent
-// engine; count == 1 serves the whole database. A coordinator built
-// with Options.ReplicaShards verifies the slice checksum at dial, so
-// serving the wrong index, count, strategy or database fails fast
-// instead of corrupting merged results. Clients that are not a
+// split into count ranges of balanced residues (the coordinator must
+// dial count ranges) and slice index gets its own persistent engine;
+// count == 1 serves the whole database. A coordinator built with
+// Options.ReplicaShards verifies the slice checksum at dial, so serving
+// the wrong index, count or database fails fast instead of corrupting
+// merged results, and refuses a server scoring with another matrix or
+// other gap penalties. Clients that are not a
 // coordinator search through the HTTP gateway (NewGateway) instead.
 func ServeShard(l net.Listener, db *Database, index, count int, opt Options) error {
 	if db == nil {
@@ -185,11 +187,7 @@ func ServeShard(l net.Listener, db *Database, index, count int, opt Options) err
 	if err != nil {
 		return err
 	}
-	strategy, err := shard.ParseStrategy(opt.ShardSplit)
-	if err != nil {
-		return err
-	}
-	r := shard.RangesFor(db.set, count, strategy)[index]
+	r := shard.RangesFor(db.set, count, shard.BalancedResidues)[index]
 	eng, err := engine.New(db.set.Slice(r.Lo, r.Hi), cfg)
 	if err != nil {
 		return err

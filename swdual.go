@@ -66,12 +66,12 @@ type Options struct {
 	// the schedule the policy planned; self-scheduling plans none, its
 	// idle workers pull the next task. Plan models the same policy.
 	Policy string
-	// ShardSplit selects the shard boundaries: "contiguous" (default,
-	// equal sequence counts) or "balanced" (equal residue volume).
+	// ShardSplit is "" or "balanced", which name the one split: ranges
+	// of balanced residues. Any other value is refused.
 	ShardSplit string
 	// ReplicaShards makes this process the coordinator of a cluster:
-	// the database is split into len(ReplicaShards) ranges with
-	// ShardSplit, and ReplicaShards[i] lists the addresses of the serve
+	// the database is split into len(ReplicaShards) ranges of balanced
+	// residues, and ReplicaShards[i] lists the addresses of the serve
 	// processes holding slice i, every one running ServeShard (or
 	// `swdual -serve`) for that slice of the same database —
 	// verified by checksum at dial, so a server holding different
@@ -80,8 +80,10 @@ type Options struct {
 	// survive a server dying mid-flight. Searches scatter over the
 	// network, one replica per range, and gather through a deterministic
 	// TopK merge, so hits stay byte-identical to an unsharded search.
-	// Every server's TopK must be at least this process's: a server
-	// capping hits below the gather's cap is refused at dial. A
+	// Every server's TopK must be at least this process's, and every
+	// server must score with this process's Matrix and gap penalties: a
+	// server that caps hits below the gather's cap, or names another
+	// scoring, is refused at dial and at every redial. A
 	// replica whose connection dies is failed over to a sibling (when
 	// the range has one) and re-dialed in the background with capped
 	// backoff — replicas proven identical is what makes failover
@@ -146,6 +148,9 @@ func (o Options) engineConfig() (engine.Config, error) {
 	}
 	if o.CacheSize < 0 {
 		return engine.Config{}, fmt.Errorf("swdual: negative CacheSize %d (0 selects the default)", o.CacheSize)
+	}
+	if o.ShardSplit != "" && o.ShardSplit != "balanced" {
+		return engine.Config{}, fmt.Errorf("swdual: unknown ShardSplit %q: ranges always balance residues (want \"\" or \"balanced\")", o.ShardSplit)
 	}
 	return engine.Config{
 		Params:    params,

@@ -593,8 +593,9 @@ func TestServedRangeHonorsTopK(t *testing.T) {
 
 // TestShardedSearcherMatchesUnsharded is the public-API acceptance check
 // of the sharding layer: a ReplicaShards coordinator over ServeShard
-// servers, with either split strategy, must return hits identical to the
-// unsharded engine.
+// servers must return hits identical to the unsharded engine, under both
+// names of the one split ("" and "balanced"); any other ShardSplit is
+// refused before anything is dialed.
 func TestShardedSearcherMatchesUnsharded(t *testing.T) {
 	const shardCount = 3
 	db, err := swdual.GenerateDatabase("UniProt", 20000)
@@ -609,7 +610,7 @@ func TestShardedSearcherMatchesUnsharded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, split := range []string{"contiguous", "balanced"} {
+	for _, split := range []string{"", "balanced"} {
 		opt := swdual.Options{Pool: "cpu=2", TopK: 5, ShardSplit: split}
 		coordOpt := opt
 		for i := 0; i < shardCount; i++ {
@@ -621,24 +622,41 @@ func TestShardedSearcherMatchesUnsharded(t *testing.T) {
 			t.Fatal(err)
 		}
 		if s.Shards() != shardCount {
-			t.Fatalf("%s: %d shards, want %d", split, s.Shards(), shardCount)
+			t.Fatalf("%q: %d shards, want %d", split, s.Shards(), shardCount)
 		}
 		got, err := s.Search(context.Background(), queries, swdual.SearchOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		sameReports(t, split, got, want)
+		sameReports(t, fmt.Sprintf("split %q", split), got, want)
 		if st := s.Stats(); st.Prepared != shardCount {
-			t.Fatalf("%s: %d preparation passes, want one per shard server", split, st.Prepared)
+			t.Fatalf("%q: %d preparation passes, want one per shard server", split, st.Prepared)
 		}
 
 		if err := s.Close(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// An unknown split is refused before anything is dialed.
-	if _, err := swdual.NewSearcher(db, swdual.Options{ReplicaShards: [][]string{{"127.0.0.1:1"}, {"127.0.0.1:1"}}, ShardSplit: "bogus"}); err == nil || !strings.Contains(err.Error(), "bogus") {
-		t.Fatalf("bogus shard split: %v, want it refused by name", err)
+	// Any other split is refused, naming the one split, before anything
+	// is dialed: the listener below never sees a connection.
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	addr := l.Addr().String()
+	for _, split := range []string{"contiguous", "bogus"} {
+		_, err := swdual.NewSearcher(db, swdual.Options{ReplicaShards: [][]string{{addr}, {addr}}, ShardSplit: split})
+		if err == nil || !strings.Contains(err.Error(), split) || !strings.Contains(err.Error(), "balanced") {
+			t.Fatalf("shard split %q: %v, want it refused by name, naming balanced", split, err)
+		}
+	}
+	if err := l.(*net.TCPListener).SetDeadline(time.Now().Add(50 * time.Millisecond)); err != nil {
+		t.Fatal(err)
+	}
+	if c, err := l.Accept(); err == nil {
+		c.Close()
+		t.Fatal("a refused shard split dialed a server")
 	}
 }
 
@@ -659,7 +677,7 @@ func TestRemoteShardedSearcherMatchesUnsharded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := swdual.Options{Pool: "cpu=2", TopK: 5, ShardSplit: "balanced"}
+	opt := swdual.Options{Pool: "cpu=2", TopK: 5}
 	want, err := swdual.Search(db, queries, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -787,6 +805,132 @@ func TestCoordinatorRefusesShardServersCappedBelowItsTopK(t *testing.T) {
 	sameReports(t, "equal caps", got, want)
 }
 
+// TestCoordinatorRefusesShardServersScoringOtherwise: the Welcome names
+// the server's matrix and gap penalties, and a coordinator refuses a
+// server whose scoring is not its own — here a BLOSUM50 coordinator over
+// a BLOSUM62 range and a PAM250 range, whose merged hits would differ
+// from a BLOSUM50 search without an error. A matching cluster's hits
+// stay byte-identical to a local search.
+func TestCoordinatorRefusesShardServersScoringOtherwise(t *testing.T) {
+	db, err := swdual.GenerateDatabase("UniProt", 20000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	queries, err := swdual.GenerateQueries("standard", 400)
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := func(matrices ...string) [][]string {
+		var groups [][]string
+		for i, m := range matrices {
+			srv := startShardServer(t, "127.0.0.1:0", db, i, len(matrices), swdual.Options{Pool: "cpu=1", Matrix: m})
+			groups = append(groups, []string{srv.Addr().String()})
+		}
+		return groups
+	}
+	coordOpt := swdual.Options{Pool: "cpu=1", Matrix: "BLOSUM50", DialTimeout: 5 * time.Second}
+
+	coordOpt.ReplicaShards = start("BLOSUM62", "PAM250")
+	if s, err := swdual.NewSearcher(db, coordOpt); err == nil {
+		s.Close()
+		t.Fatal("a BLOSUM50 coordinator accepted BLOSUM62 and PAM250 shard servers")
+	} else {
+		for _, want := range []string{"shard 0 [0,", coordOpt.ReplicaShards[0][0], "BLOSUM62 10/2", "BLOSUM50 10/2"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Fatalf("refusal %q does not name %q", err, want)
+			}
+		}
+	}
+
+	coordOpt.ReplicaShards = start("BLOSUM50", "BLOSUM50")
+	s, err := swdual.NewSearcher(db, coordOpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	got, err := s.Search(context.Background(), queries, swdual.SearchOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := swdual.Search(db, queries, swdual.Options{Pool: "cpu=1", Matrix: "BLOSUM50"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameReports(t, "BLOSUM50 cluster", got, want)
+}
+
+// TestRedialRefusesReplicaRestartedWithOtherGaps: the scoring check
+// guards every redial, not only the first dial. A shard server restarted
+// on its address with other gap penalties is dialed and refused, so its
+// range stays dark; a server restarted with the coordinator's scoring is
+// admitted again.
+func TestRedialRefusesReplicaRestartedWithOtherGaps(t *testing.T) {
+	const shardCount = 2
+	db, err := swdual.GenerateDatabase("UniProt", 20000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	queries, err := swdual.GenerateQueries("standard", 400)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := swdual.Options{Pool: "cpu=1", TopK: 5, DialTimeout: 5 * time.Second}
+	want, err := swdual.Search(db, queries, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	servers := make([]*shardServer, shardCount)
+	coordOpt := opt
+	coordOpt.Degraded = true
+	for i := range servers {
+		servers[i] = startShardServer(t, "127.0.0.1:0", db, i, shardCount, opt)
+		coordOpt.ReplicaShards = append(coordOpt.ReplicaShards, []string{servers[i].Addr().String()})
+	}
+	s, err := swdual.NewSearcher(db, coordOpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ctx := context.Background()
+
+	// A search over the dead range marks its replica down and starts the
+	// redial loop.
+	addr := servers[1].Addr().String()
+	servers[1].kill()
+	if got, err := s.Search(ctx, queries, swdual.SearchOptions{}); err != nil || got.Coverage == nil {
+		t.Fatalf("search over a dead shard server: %v, coverage %+v, want a partial answer", err, got)
+	}
+	otherGaps := opt
+	otherGaps.GapStart = 11
+	wrong := startShardServer(t, addr, db, 1, shardCount, otherGaps)
+	// A second connection means the first redial was refused: an
+	// admitted one would end the loop.
+	for deadline := time.Now().Add(30 * time.Second); wrong.accepted() < 2; time.Sleep(20 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d redials of the restarted shard server in 30s, want a refused one and a retry", wrong.accepted())
+		}
+	}
+	got, err := s.Search(ctx, queries, swdual.SearchOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Coverage == nil || len(got.Coverage.Skipped) != 1 || got.Coverage.Skipped[0].Index != 1 {
+		t.Fatalf("coverage %+v after redialing a server with other gaps, want range 1 still skipped", got.Coverage)
+	}
+
+	wrong.kill()
+	startShardServer(t, addr, db, 1, shardCount, opt)
+	for deadline := time.Now().Add(30 * time.Second); got.Coverage != nil; time.Sleep(20 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("still partial 30s after a matching shard server came back: %+v", got.Coverage)
+		}
+		if got, err = s.Search(ctx, queries, swdual.SearchOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sameReports(t, "recovered", got, want)
+}
+
 // shardServer is a ServeShard goroutine whose accepted connections are
 // tracked, so a test can sever them all — the observable effect of the
 // server process dying.
@@ -804,6 +948,13 @@ func (s *shardServer) Accept() (net.Conn, error) {
 		s.mu.Unlock()
 	}
 	return nc, err
+}
+
+// accepted counts the connections accepted and not yet severed by kill.
+func (s *shardServer) accepted() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.conns)
 }
 
 // kill closes the listener and severs every accepted connection.
@@ -1218,7 +1369,7 @@ func TestReplicaShardedSearcherMatchesUnsharded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := swdual.Options{Pool: "cpu=2", TopK: 5, ShardSplit: "balanced", DialTimeout: 5 * time.Second}
+	opt := swdual.Options{Pool: "cpu=2", TopK: 5, DialTimeout: 5 * time.Second}
 	want, err := swdual.Search(db, queries, opt)
 	if err != nil {
 		t.Fatal(err)
