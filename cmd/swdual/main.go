@@ -39,6 +39,13 @@
 //	swdual -db db.fasta -query q.fasta \
 //	    -replica-shards 'a:4016,b:4016;a:4017,b:4017' -dial-timeout 5s
 //
+// A range whose every server is down is skipped, not fatal: the search
+// prints the other ranges' hits (with -evalue, E-values over the
+// residues searched), writes the coverage to stderr — ranges and
+// residues searched, and each skipped range with its reason — and exits
+// with status 3. A -gateway coordinator answers such a search 206 with
+// a coverage block. Only every range dark fails the search.
+//
 // A -db path ending in .swdb is memory-mapped read-only rather than
 // parsed: startup costs only the header and index validation, residues
 // stay off the Go heap, and a fleet of shard or replica servers mapping
@@ -53,6 +60,7 @@ import (
 	"fmt"
 	"log"
 	"net"
+	"os"
 	"strings"
 
 	"swdual"
@@ -76,7 +84,6 @@ func main() {
 		serve    = flag.String("serve", "", "serve range -shard-index of -shard-count of the database over the wire protocol on this address, for a -replica-shards coordinator (clients use -gateway)")
 		cache    = flag.Bool("cache", false, "cache search results: repeated queries are answered without a scheduling wave (hits stay byte-identical)")
 		cacheSz  = flag.Int("cache-size", 0, "max cached search fingerprints with -cache (0 = default 1024)")
-		degraded = flag.Bool("degraded", false, "-replica-shards coordinators answer partial when every replica of a range is down, reporting coverage, instead of failing the search (HTTP gateways answer 206)")
 
 		gatewayAddr = flag.String("gateway", "", "serve the database over HTTP/JSON on this address (POST /v1/search, GET /v1/stats, /healthz, /metrics), with admission sized from the host: 2×GOMAXPROCS executing and four times that many waiting searches, a quarter of all slots per client, the rest shed with 429")
 
@@ -96,7 +103,6 @@ func main() {
 		Policy:    *policy,
 		Cache:     *cache,
 		CacheSize: *cacheSz,
-		Degraded:  *degraded,
 	}
 	if *repShards != "" {
 		for _, group := range strings.Split(*repShards, ";") {
@@ -199,11 +205,17 @@ func main() {
 			log.Fatalf("statistics unavailable: %v", err)
 		}
 	}
+	// Karlin-Altschul's n is the size of the database searched, which
+	// on a partial answer is the residues of the ranges that answered.
+	searched := db.TotalResidues()
+	if cov := rep.Coverage; cov != nil {
+		searched = cov.ResiduesSearched
+	}
 	printResults(rep, queries, func(score, qlen int) string {
 		if stats == nil {
 			return ""
 		}
-		return fmt.Sprintf("  bits %7.1f  E %.3g", stats.BitScore(score), stats.EValue(score, qlen, db.TotalResidues()))
+		return fmt.Sprintf("  bits %7.1f  E %.3g", stats.BitScore(score), stats.EValue(score, qlen, searched))
 	})
 	// A coordinator's ranges each ran their own server's policy; only a
 	// local pool ran -policy.
@@ -215,6 +227,22 @@ func main() {
 		len(rep.Results), rep.Cells, rep.Wall, rep.GCUPS, ranPolicy)
 	if sc := rep.Schedule; sc != nil {
 		fmt.Printf("wave planned makespan %.3f ms at measured rates (whole wave), idle %.2f%%\n", 1e3*sc.Makespan, 100*sc.IdleFraction())
+	}
+	if cov := rep.Coverage; cov != nil {
+		// A partial answer is printed, but it is not the answer the
+		// caller asked for: say what is missing and exit with status 3,
+		// apart from the 1 of a failed search.
+		eBasis := ""
+		if stats != nil {
+			eBasis = fmt.Sprintf("; E-values over the %d residues searched", cov.ResiduesSearched)
+		}
+		log.Printf("partial answer: searched %d of %d ranges, %.1f%% of residues (%d of %d)%s",
+			cov.RangesSearched, cov.RangesTotal, 100*cov.Fraction(),
+			cov.ResiduesSearched, cov.ResiduesTotal, eBasis)
+		for _, sk := range cov.Skipped {
+			log.Printf("skipped shard %d [%d,%d): %s", sk.Index, sk.Lo, sk.Hi, sk.Reason)
+		}
+		os.Exit(3)
 	}
 }
 

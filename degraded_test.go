@@ -1,20 +1,21 @@
 package swdual
 
-// The public-API half of the degraded-mode suite lives in the package
+// The public-API half of the partial-answer suite lives in the package
 // itself (not swdual_test) so it can assemble a Searcher over a
-// fault-injected cluster: the public constructors build real healthy
-// engines, and real dead replicas belong to the shell-driven chaos
-// e2e, not a unit test.
+// fault-injected cluster as well as over real shard servers, and read
+// the ranges the coordinator split the database into.
 
 import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 
 	"swdual/internal/engine"
@@ -24,74 +25,141 @@ import (
 	"swdual/internal/shard"
 )
 
-// serveShards serves every slice of a count-way split of db from its own
-// ServeShard goroutine on a loopback listener, closed at test cleanup,
-// and returns the one-address-per-range ReplicaShards that reaches them.
-func serveShards(t *testing.T, db *Database, count int, opt Options) [][]string {
-	t.Helper()
-	var groups [][]string
-	for i := 0; i < count; i++ {
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { l.Close() })
-		go ServeShard(l, db, i, count, opt)
-		groups = append(groups, []string{l.Addr().String()})
-	}
-	return groups
+// ShardServer is a ServeShard goroutine whose accepted connections are
+// tracked, so a test can sever them all — the observable effect of the
+// server process dying. The swdual_test suite uses it too.
+type ShardServer struct {
+	net.Listener
+	mu    sync.Mutex
+	conns []net.Conn
 }
 
-// TestDegradedOptionPlumbsToCoordinator pins the Options → policy
-// wiring: Degraded selects DegradedPartial on a ReplicaShards
-// coordinator, stays off by default, and is ignored (harmlessly) when
-// unsharded.
-func TestDegradedOptionPlumbsToCoordinator(t *testing.T) {
+func (s *ShardServer) Accept() (net.Conn, error) {
+	nc, err := s.Listener.Accept()
+	if err == nil {
+		s.mu.Lock()
+		s.conns = append(s.conns, nc)
+		s.mu.Unlock()
+	}
+	return nc, err
+}
+
+// Accepted counts the connections accepted and not yet severed by Kill.
+func (s *ShardServer) Accepted() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.conns)
+}
+
+// Kill closes the listener and severs every accepted connection.
+func (s *ShardServer) Kill() {
+	s.Listener.Close()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, nc := range s.conns {
+		nc.Close()
+	}
+	s.conns = nil
+}
+
+// StartShardServer serves slice index of db on addr until killed (at
+// the latest at test cleanup).
+func StartShardServer(t *testing.T, addr string, db *Database, index, count int, opt Options) *ShardServer {
+	t.Helper()
+	l, err := net.Listen("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := &ShardServer{Listener: l}
+	go ServeShard(s, db, index, count, opt)
+	t.Cleanup(s.Kill)
+	return s
+}
+
+// serveShards serves every slice of a count-way split of db from its own
+// loopback ShardServer and returns them with the one-address-per-range
+// ReplicaShards that reaches them.
+func serveShards(t *testing.T, db *Database, count int, opt Options) ([][]string, []*ShardServer) {
+	t.Helper()
+	var groups [][]string
+	var servers []*ShardServer
+	for i := 0; i < count; i++ {
+		srv := StartShardServer(t, "127.0.0.1:0", db, i, count, opt)
+		groups = append(groups, []string{srv.Addr().String()})
+		servers = append(servers, srv)
+	}
+	return groups, servers
+}
+
+// TestDarkRangeAnswersPartial: a coordinator given nothing but
+// ReplicaShards rides over a range whose only server died after
+// construction. The answer's Coverage names exactly that range, the
+// surviving hits are byte-identical to a local search of the other
+// range, and once every range is dark the search fails with the typed
+// replica.ErrRangeUnavailable.
+func TestDarkRangeAnswersPartial(t *testing.T) {
 	db, err := GenerateDatabase("UniProt", 40000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	groups := serveShards(t, db, 2, Options{Pool: "cpu=1", TopK: 3})
-	for _, tc := range []struct {
-		degraded bool
-		want     shard.DegradedPolicy
-	}{
-		{degraded: false, want: shard.DegradedFail},
-		{degraded: true, want: shard.DegradedPartial},
-	} {
-		s, err := NewSearcher(db, Options{ReplicaShards: groups, Pool: "cpu=1", TopK: 3, Degraded: tc.degraded})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sh, ok := s.inner.(*shard.Searcher)
-		if !ok {
-			t.Fatalf("sharded Searcher inner is %T", s.inner)
-		}
-		if got := sh.DegradedPolicy(); got != tc.want {
-			t.Fatalf("Degraded=%v: policy %v, want %v", tc.degraded, got, tc.want)
-		}
-		s.Close()
-	}
-	// Unsharded: the option has nothing to select and must not break
-	// construction or search.
-	s, err := NewSearcher(db, Options{Pool: "cpu=1", TopK: 3, Degraded: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
 	queries, err := GenerateQueries("standard", 400)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Search(context.Background(), queries, SearchOptions{}); err != nil {
+	groups, servers := serveShards(t, db, 2, Options{})
+	s, err := NewSearcher(db, Options{ReplicaShards: groups})
+	if err != nil {
 		t.Fatal(err)
+	}
+	defer s.Close()
+	ctx := context.Background()
+
+	// Range 0 goes dark, so every surviving hit sits at an offset: the
+	// merge must shift the other range's indices, and nothing else.
+	servers[0].Kill()
+	rep, err := s.Search(ctx, queries, SearchOptions{})
+	if err != nil {
+		t.Fatalf("search with range 0 dark: %v, want a partial answer", err)
+	}
+	ranges := shard.RangesFor(db.set, 2, shard.BalancedResidues)
+	live := db.set.Slice(ranges[1].Lo, ranges[1].Hi)
+	cov := rep.Coverage
+	if cov == nil || cov.RangesSearched != 1 || cov.RangesTotal != 2 ||
+		cov.ResiduesSearched != live.TotalResidues() || cov.ResiduesTotal != db.TotalResidues() {
+		t.Fatalf("coverage %+v, want range 1 of 2 searched (%d of %d residues)", cov, live.TotalResidues(), db.TotalResidues())
+	}
+	if len(cov.Skipped) != 1 || cov.Skipped[0].Index != 0 || cov.Skipped[0].Lo != 0 || cov.Skipped[0].Hi != ranges[0].Hi ||
+		!strings.Contains(cov.Skipped[0].Reason, "shard 0") {
+		t.Fatalf("skipped %+v, want exactly range 0 [0,%d)", cov.Skipped, ranges[0].Hi)
+	}
+	want, err := Search(&Database{set: live}, queries, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for qi := range want.Results {
+		got, exp := rep.Results[qi].Hits, want.Results[qi].Hits
+		if len(got) != len(exp) {
+			t.Fatalf("query %d: %d hits, want the other range's %d", qi, len(got), len(exp))
+		}
+		for i, h := range exp {
+			h.SeqIndex += ranges[1].Lo
+			if got[i] != h {
+				t.Fatalf("query %d hit %d: %+v, want %+v", qi, i, got[i], h)
+			}
+		}
+	}
+
+	servers[1].Kill()
+	var down *replica.ErrRangeUnavailable
+	if _, err := s.Search(ctx, queries, SearchOptions{}); !errors.As(err, &down) || down.Index != 0 || down.Replicas != 1 {
+		t.Fatalf("search with every range dark: %v, want a replica.ErrRangeUnavailable for range 0 of 1 replica", err)
 	}
 }
 
 // TestDegradedOptionKeepsFullAnswersIdentical is the public no-fault
-// equivalence bar: with every shard server healthy, Degraded on and off
-// produce byte-identical hits (and both match unsharded), and neither
-// answer carries Coverage.
+// equivalence bar: with every shard server healthy, a coordinator's hits
+// are byte-identical to an unsharded search's, and neither answer
+// carries Coverage.
 func TestDegradedOptionKeepsFullAnswersIdentical(t *testing.T) {
 	db, err := GenerateDatabase("UniProt", 40000)
 	if err != nil {
@@ -101,12 +169,11 @@ func TestDegradedOptionKeepsFullAnswersIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	groups := serveShards(t, db, 3, Options{Pool: "cpu=1", TopK: 5})
+	groups, _ := serveShards(t, db, 3, Options{Pool: "cpu=1", TopK: 5})
 	var ref *Report
 	for _, opt := range []Options{
 		{Pool: "cpu=1", TopK: 5},
 		{ReplicaShards: groups, Pool: "cpu=1", TopK: 5},
-		{ReplicaShards: groups, Pool: "cpu=1", TopK: 5, Degraded: true},
 	} {
 		s, err := NewSearcher(db, opt)
 		if err != nil {
@@ -168,7 +235,6 @@ func TestDegradedCoverageSurfacesThroughPublicAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh.SetDegradedPolicy(shard.DegradedPartial)
 	s := &Searcher{inner: sh, db: db, shards: len(ranges)}
 	defer s.Close()
 

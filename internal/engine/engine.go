@@ -152,10 +152,9 @@ type Stats struct {
 	FailedOver uint64
 	Redials    uint64
 	// DegradedSearches counts searches answered with partial coverage:
-	// a sharded coordinator running DegradedPartial merged the
-	// surviving ranges after some range lost every replica (the
-	// report's Coverage says which). Always zero on a plain engine and
-	// on coordinators with the default fail policy.
+	// a sharded coordinator merged the surviving ranges after some
+	// range lost every replica (the report's Coverage says which).
+	// Always zero on a plain engine.
 	DegradedSearches uint64
 	// Workers snapshots each worker's advertised vs observed throughput
 	// at the moment Stats was called — the rates the next scheduling

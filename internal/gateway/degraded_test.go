@@ -78,7 +78,7 @@ func TestGatewayAnswers206WithCoverage(t *testing.T) {
 	if code != http.StatusPartialContent {
 		t.Fatalf("degraded answer status %d (%s), want 206", code, raw)
 	}
-	sameHits(t, "degraded", resp, want)
+	sameHits(t, "partial", resp, want)
 	cov := resp.Coverage
 	if cov == nil {
 		t.Fatalf("206 body has no coverage block: %s", raw)

@@ -388,11 +388,10 @@ func (g *Gateway) handleSearch(w http.ResponseWriter, r *http.Request) {
 	case err == nil:
 		g.lat.Observe(float64(time.Since(start)))
 		g.completed.Add(1)
-		// A degraded backend answer is a 206: the body is the usual
+		// A partial backend answer is a 206: the body is the usual
 		// response plus the coverage block, so clients that only check
 		// for 2xx still work while coverage-aware ones see exactly what
-		// was skipped. Full answers stay 200, byte-identical to a
-		// gateway that never heard of degraded mode.
+		// was skipped. Full answers stay 200, with no coverage key.
 		status := http.StatusOK
 		if rep.Coverage != nil {
 			status = http.StatusPartialContent

@@ -81,12 +81,12 @@ type Report struct {
 	// policy but self-scheduling, which allocates while workers run,
 	// plans one. nil on a self-scheduled, cached or sharded answer.
 	Schedule *sched.Schedule
-	// Coverage is non-nil only on a degraded answer: a sharded
-	// coordinator running with a partial degradation policy searched
-	// some ranges of the database but skipped others whose every
-	// replica was unavailable. nil means full coverage — the invariant
-	// every non-degraded path preserves, so full answers stay
-	// byte-identical with or without degraded mode configured.
+	// Coverage is non-nil only on a partial answer: a sharded
+	// coordinator searched some ranges of the database but skipped
+	// others whose every replica was unavailable. nil means full
+	// coverage, which every unsharded path and every healthy cluster
+	// answers, so full answers stay byte-identical to an unsharded
+	// search.
 	Coverage *Coverage
 }
 

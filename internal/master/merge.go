@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"swdual/internal/sched"
+	"swdual/internal/stats"
 )
 
 // Result merge: the third of the master's three roles. A Merger gathers
@@ -128,8 +129,6 @@ func (g *Merger) Report(s *sched.Schedule) *Report {
 	for i := range rep.Results {
 		rep.Cells += rep.Results[i].Cells
 	}
-	if sec := rep.Wall.Seconds(); sec > 0 {
-		rep.GCUPS = float64(rep.Cells) / sec / 1e9
-	}
+	rep.GCUPS = stats.GCUPS(rep.Cells, rep.Wall.Seconds())
 	return rep
 }

@@ -27,6 +27,7 @@ import (
 	"swdual/internal/sched"
 	"swdual/internal/scoring"
 	"swdual/internal/seq"
+	"swdual/internal/stats"
 	"swdual/internal/wire"
 )
 
@@ -345,9 +346,7 @@ func (b *Backend) Search(ctx context.Context, queries *seq.Set, opts engine.Sear
 			rep.Cells += qr.Cells
 		}
 		rep.Wall = time.Since(start)
-		if sec := rep.Wall.Seconds(); sec > 0 {
-			rep.GCUPS = float64(rep.Cells) / sec / 1e9
-		}
+		rep.GCUPS = stats.GCUPS(rep.Cells, rep.Wall.Seconds())
 		return rep, nil
 	case *wire.ReqError:
 		return nil, fmt.Errorf("remote %s: %s", b.addr, m.Text)

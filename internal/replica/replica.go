@@ -49,8 +49,8 @@ type Replica struct {
 type Config struct {
 	// Index is the shard index the coordinator assigned this set (0 for
 	// a standalone set). It is informational: ErrRangeUnavailable
-	// carries it so a degraded coordinator can say which range of its
-	// partition went dark without parsing the set's name.
+	// carries it so a coordinator can say which range of its partition
+	// went dark without parsing the set's name.
 	Index int
 
 	// The rest is set only by this package's tests.
@@ -66,8 +66,9 @@ type Config struct {
 // ErrRangeUnavailable is the typed error Search returns when every
 // replica of the set is unavailable: the range itself is dark,
 // not just one server. A sharded coordinator detects it with errors.As
-// to decide between failing the whole search and degrading to partial
-// coverage.
+// and skips that range: it answers the surviving ranges' hits with a
+// Coverage naming the dark one, and fails only when every range is
+// dark.
 //
 // Cause is the last underlying failure pre-formatted into a string —
 // deliberately not a wrapped error, so an engine.ErrClosed raised by a

@@ -19,10 +19,10 @@ import (
 	"swdual/internal/synth"
 )
 
-// The degraded-mode suite: under DegradedPartial a range whose every
-// replica is down is ridden over — the survivors answer, the Report
-// says exactly what was skipped — while the default policy and every
-// non-range failure keep failing the whole search. Faults come from
+// The partial-answer suite: a range whose every replica is down is
+// ridden over — the survivors answer, the Report says exactly what was
+// skipped — while every range dark, and every non-range failure, still
+// fails the whole search. Faults come from
 // the deterministic faultinject schedule, so every scenario (including
 // "the range dies mid-stream, while its siblings are already
 // searching") reproduces exactly, under -race, at any -count, with no
@@ -118,9 +118,8 @@ func residues(db *seq.Set, lo, hi int) int64 {
 
 // TestIdleFaultInjectKeepsShardedByteIdentical is the no-fault
 // equivalence proof: a sharded Searcher whose every backend sits
-// behind an idle faultinject wrapper — under DegradedPartial, the
-// riskier policy — answers byte-identical to an unsharded engine, with
-// no Coverage and no degraded count. This is what makes the wrapper
+// behind an idle faultinject wrapper answers byte-identical to an
+// unsharded engine, with no Coverage and no degraded count. This is what makes the wrapper
 // safe to leave in every chaos topology while asserting full-coverage
 // behavior.
 func TestIdleFaultInjectKeepsShardedByteIdentical(t *testing.T) {
@@ -138,7 +137,6 @@ func TestIdleFaultInjectKeepsShardedByteIdentical(t *testing.T) {
 	for _, shards := range []int{2, 5} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			s, wrappers := faultedSearcher(t, db, shards, topK)
-			s.SetDegradedPolicy(DegradedPartial)
 			rep, err := s.Search(context.Background(), queries, engine.SearchOptions{})
 			if err != nil {
 				t.Fatal(err)
@@ -175,7 +173,6 @@ func TestDegradedPartialRidesOverDarkRange(t *testing.T) {
 	queries := synth.RandomSet(alphabet.Protein, 3, 20, 80, 4004)
 
 	s, wrappers := faultedSearcher(t, db, 3, topK)
-	s.SetDegradedPolicy(DegradedPartial)
 	ranges := s.ranges
 	const dark = 1
 	gate := faultinject.NewGate()
@@ -271,7 +268,6 @@ func TestDegradedAnswerNeverEntersCache(t *testing.T) {
 	queries := synth.RandomSet(alphabet.Protein, 3, 20, 60, 4006)
 
 	s, wrappers := faultedSearcher(t, db, 2, topK)
-	s.SetDegradedPolicy(DegradedPartial)
 	s.EnableCache(0, 0)
 	ranges := s.ranges
 	wrappers[1].SetRules(faultinject.Rule{
@@ -330,7 +326,7 @@ func TestDegradedAnswerNeverEntersCache(t *testing.T) {
 	}
 }
 
-// TestPartialAnswerIsRefusedOnTheWire serves a degraded coordinator
+// TestPartialAnswerIsRefusedOnTheWire serves a sharded coordinator
 // over the wire protocol: a SearchResult is always a full answer, so a
 // remote client asking while a range is dark gets the partial-answer
 // ReqError — never the survivors' hits passed off as complete — while
@@ -343,7 +339,6 @@ func TestPartialAnswerIsRefusedOnTheWire(t *testing.T) {
 	queries := synth.RandomSet(alphabet.Protein, 2, 20, 60, 4014)
 
 	s, wrappers := faultedSearcher(t, db, 2, topK)
-	s.SetDegradedPolicy(DegradedPartial)
 	wrappers[0].SetRules(faultinject.Rule{
 		Op: faultinject.OpSearch, Count: 1,
 		Fault: faultinject.Fault{Err: rangeDownErr(0, s.ranges[0])},
@@ -394,49 +389,10 @@ func TestPartialAnswerIsRefusedOnTheWire(t *testing.T) {
 	}
 }
 
-// TestDegradedFailKeepsFailing pins the default policy: the same typed
-// error that DegradedPartial rides over must fail the whole search,
-// naming the shard, detectable with errors.As, and never claiming the
-// coordinator is closed.
-func TestDegradedFailKeepsFailing(t *testing.T) {
-	const topK = 3
-	db := synth.RandomSet(alphabet.Protein, 18, 10, 100, 4009)
-	queries := synth.RandomSet(alphabet.Protein, 2, 20, 60, 4010)
-
-	s, wrappers := faultedSearcher(t, db, 2, topK)
-	if s.DegradedPolicy() != DegradedFail {
-		t.Fatalf("default policy %v, want DegradedFail", s.DegradedPolicy())
-	}
-	ranges := s.ranges
-	wrappers[1].SetRules(faultinject.Rule{
-		Op: faultinject.OpSearch, Count: 1,
-		Fault: faultinject.Fault{Err: rangeDownErr(1, ranges[1])},
-	})
-	_, err := s.Search(context.Background(), queries, engine.SearchOptions{})
-	if err == nil {
-		t.Fatal("DegradedFail search succeeded with a dark range")
-	}
-	var re *replica.ErrRangeUnavailable
-	if !errors.As(err, &re) {
-		t.Fatalf("error is not a replica.ErrRangeUnavailable: %v", err)
-	}
-	if re.Index != 1 || re.Replicas != 2 {
-		t.Fatalf("typed error %+v", re)
-	}
-	if !strings.Contains(err.Error(), "shard 1") {
-		t.Fatalf("error does not name the shard: %v", err)
-	}
-	if errors.Is(err, engine.ErrClosed) {
-		t.Fatalf("dark-range error claims the coordinator is closed: %v", err)
-	}
-	if st := s.Stats(); st.DegradedSearches != 0 {
-		t.Fatalf("DegradedSearches = %d under DegradedFail", st.DegradedSearches)
-	}
-}
-
 // TestEveryRangeDarkFailsEvenPartial: with nothing to answer from,
-// DegradedPartial has nothing to degrade to — the search fails with
-// the typed error naming the first dark range, and no phantom
+// there is no partial answer to give — the search fails with the typed
+// error naming the first dark range, detectable with errors.As and
+// never claiming the coordinator is closed, and no phantom
 // zero-coverage answer is produced.
 func TestEveryRangeDarkFailsEvenPartial(t *testing.T) {
 	const topK = 3
@@ -444,7 +400,6 @@ func TestEveryRangeDarkFailsEvenPartial(t *testing.T) {
 	queries := synth.RandomSet(alphabet.Protein, 2, 20, 60, 4012)
 
 	s, wrappers := faultedSearcher(t, db, 2, topK)
-	s.SetDegradedPolicy(DegradedPartial)
 	ranges := s.ranges
 	for i, w := range wrappers {
 		w.SetRules(faultinject.Rule{
@@ -460,8 +415,14 @@ func TestEveryRangeDarkFailsEvenPartial(t *testing.T) {
 	if !errors.As(err, &re) {
 		t.Fatalf("error is not a replica.ErrRangeUnavailable: %v", err)
 	}
+	if re.Index != 0 || re.Replicas != 2 {
+		t.Fatalf("typed error %+v, want range 0 of 2 replicas", re)
+	}
 	if !strings.Contains(err.Error(), "shard 0") {
 		t.Fatalf("error does not name the first dark shard: %v", err)
+	}
+	if errors.Is(err, engine.ErrClosed) {
+		t.Fatalf("dark-range error claims the coordinator is closed: %v", err)
 	}
 	if st := s.Stats(); st.DegradedSearches != 0 {
 		t.Fatalf("DegradedSearches = %d for a failed search", st.DegradedSearches)

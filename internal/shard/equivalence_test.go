@@ -56,7 +56,7 @@ func searchHits(t *testing.T, s interface {
 // localSharded assembles the scatter/gather over in-process engines:
 // RangesFor, one engine.Searcher per slice, WithBackends — what a
 // cluster coordinator builds, minus the network. Tests that need the
-// coordinator cache or a degradation policy set them on the result.
+// coordinator cache enable it on the result.
 func localSharded(t *testing.T, db *seq.Set, shards int, ecfg engine.Config) *Searcher {
 	t.Helper()
 	return localShardedOver(t, db, RangesFor(db, shards, BalancedResidues), ecfg)

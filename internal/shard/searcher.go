@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -14,24 +15,7 @@ import (
 	"swdual/internal/master"
 	"swdual/internal/resultcache"
 	"swdual/internal/seq"
-)
-
-// DegradedPolicy selects how a scatter treats a range whose every
-// replica is unavailable (replica.ErrRangeUnavailable).
-type DegradedPolicy int
-
-const (
-	// DegradedFail fails the whole search when any range is
-	// unavailable — no partial answers ever.
-	DegradedFail DegradedPolicy = iota
-	// DegradedPartial gathers and merges the surviving ranges instead:
-	// the Report carries Coverage naming what was skipped, hits from
-	// searched ranges stay byte-identical to a full search's
-	// contribution from those ranges, and the answer never enters the
-	// result cache. Only a replica.ErrRangeUnavailable triggers
-	// degradation; every other failure (skew, logical errors, a closed
-	// coordinator) still fails the search.
-	DegradedPartial
+	"swdual/internal/stats"
 )
 
 // Searcher is a sharded search service: one engine.Backend per database
@@ -42,13 +26,19 @@ const (
 // engine.Searcher, but any engine.Backend works — in particular a
 // remote.Backend speaking the wire protocol to a shard server on another
 // machine — and local and remote backends mix freely in one Searcher.
+//
+// A search answers what it can. A range whose every replica is down
+// (replica.ErrRangeUnavailable) is skipped, the surviving ranges' hits
+// are merged exactly as a full search would merge them, and the
+// Report's Coverage names what was skipped; such an answer never
+// enters the result cache. The search fails only when every range is
+// dark, or on any other error.
 type Searcher struct {
 	db   *seq.Set
 	topK int
 
 	ranges   []Range
 	backends []engine.Backend
-	degraded DegradedPolicy
 
 	dbResidues int64
 	// rangeResidues holds each range's residue volume, precomputed so a
@@ -68,14 +58,6 @@ type Searcher struct {
 	closeOnce sync.Once
 	closeErr  error
 }
-
-// SetDegradedPolicy selects the degradation policy (DegradedFail until
-// called). Call before serving traffic: like EnableCache, it is not
-// synchronized with concurrent Search calls.
-func (s *Searcher) SetDegradedPolicy(p DegradedPolicy) { s.degraded = p }
-
-// DegradedPolicy reports the configured degradation policy.
-func (s *Searcher) DegradedPolicy() DegradedPolicy { return s.degraded }
 
 // EnableCache attaches the coordinator-side result cache: a repeated
 // search is answered before the scatter — no range sees it at all,
@@ -230,22 +212,21 @@ func (s *Searcher) Search(ctx context.Context, queries *seq.Set, opts engine.Sea
 // triage errors, gather. This is the whole of Search when the
 // coordinator cache is off.
 //
-// Under DegradedPartial a range failing with
-// replica.ErrRangeUnavailable does not cancel its siblings and does
-// not fail the call: the survivors are gathered and the Report carries
-// Coverage naming the skipped ranges. Every other failure keeps the
-// historical semantics — first non-collateral error cancels the
-// scatter and fails the search.
+// A range failing with replica.ErrRangeUnavailable does not cancel its
+// siblings and does not fail the call: the survivors are gathered and
+// the Report carries Coverage naming the skipped ranges. Any other
+// failure is the first non-collateral error: it cancels the scatter
+// and fails the search.
 func (s *Searcher) scatter(ctx context.Context, queries *seq.Set, topK int) (*master.Report, error) {
 	start := time.Now()
-	// The first shard to fail cancels its siblings: a dead shard server
-	// must fail the whole call fast, not after the slowest healthy shard
-	// finishes work whose results will be discarded anyway.
+	// The first shard to fail with anything but a dark range cancels
+	// its siblings: the search must fail fast, not after the slowest
+	// healthy shard finishes work whose results will be discarded.
 	scatterCtx, cancelScatter := context.WithCancel(ctx)
 	defer cancelScatter()
 	reps := make([]*master.Report, len(s.backends))
 	errs := make([]error, len(s.backends))
-	// skipped[i] marks a range the degraded policy rode over; each
+	// skipped[i] marks a dark range the scatter rode over; each
 	// goroutine writes only its own slot, and wg.Wait orders the writes
 	// before any read.
 	skipped := make([]bool, len(s.backends))
@@ -270,7 +251,7 @@ func (s *Searcher) scatter(ctx context.Context, queries *seq.Set, topK int) (*ma
 				// importing replica, which would close an import cycle
 				// through remote's tests.
 				var rangeDown interface{ RangeUnavailable() bool }
-				if s.degraded == DegradedPartial && errors.As(err, &rangeDown) && rangeDown.RangeUnavailable() {
+				if errors.As(err, &rangeDown) && rangeDown.RangeUnavailable() {
 					// The range is dark but the search survives: record
 					// the skip and, crucially, do NOT cancel the
 					// siblings — they are the answer now.
@@ -308,15 +289,8 @@ func (s *Searcher) scatter(ctx context.Context, queries *seq.Set, topK int) (*ma
 			return nil, err
 		}
 	}
-	anySurvived := false
-	for i := range reps {
-		if !skipped[i] {
-			anySurvived = true
-			break
-		}
-	}
-	if !anySurvived {
-		// Nothing to degrade to: with every range dark, the first
+	if !slices.Contains(skipped, false) {
+		// No partial answer to give: with every range dark, the first
 		// range's own error names the failure (all carry the same typed
 		// cause).
 		for i, err := range errs {
@@ -332,19 +306,12 @@ func (s *Searcher) scatter(ctx context.Context, queries *seq.Set, topK int) (*ma
 	return rep, nil
 }
 
-// coverage builds the degraded-answer metadata for a scatter that
+// coverage builds the partial-answer metadata for a scatter that
 // skipped ranges, or nil when every range was searched (the common
 // case must stay allocation- and metadata-free so full answers remain
-// byte-identical to the non-degraded path).
+// byte-identical to an unsharded search's).
 func (s *Searcher) coverage(skipped []bool, errs []error) *master.Coverage {
-	any := false
-	for _, sk := range skipped {
-		if sk {
-			any = true
-			break
-		}
-	}
-	if !any {
+	if !slices.Contains(skipped, true) {
 		return nil
 	}
 	cov := &master.Coverage{
@@ -374,11 +341,10 @@ func (s *Searcher) coverage(skipped []bool, errs []error) *master.Coverage {
 // gather merges the per-shard reports into one whole-database Report:
 // hits via MergeTopK with each shard's index offset and accounting by
 // sum. No single Schedule spans the shards — each ran its own wave — so
-// Schedule stays nil. A nil entry in reps is a skipped range (a
-// degraded scatter): it contributes nothing — an empty hit list merges
-// as the absence it is — and skipping means the merged order of the
-// surviving hits is exactly what a full search would have produced for
-// those ranges.
+// Schedule stays nil. A nil entry in reps is a skipped (dark) range:
+// it contributes nothing — an empty hit list merges as the absence it
+// is — and skipping means the merged order of the surviving hits is
+// exactly what a full search would have produced for those ranges.
 func (s *Searcher) gather(queries *seq.Set, reps []*master.Report, topK int, start time.Time) *master.Report {
 	rep := &master.Report{
 		Results: make([]master.QueryResult, queries.Len()),
@@ -403,9 +369,7 @@ func (s *Searcher) gather(queries *seq.Set, reps []*master.Report, topK int, sta
 		rep.Cells += qr.Cells
 	}
 	rep.Wall = time.Since(start)
-	if sec := rep.Wall.Seconds(); sec > 0 {
-		rep.GCUPS = float64(rep.Cells) / sec / 1e9
-	}
+	rep.GCUPS = stats.GCUPS(rep.Cells, rep.Wall.Seconds())
 	return rep
 }
 

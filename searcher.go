@@ -71,11 +71,6 @@ func NewSearcher(db *Database, opt Options) (*Searcher, error) {
 			// the network scatter entirely.
 			sh.EnableCache(opt.CacheSize, 0)
 		}
-		if opt.Degraded {
-			// This is where degraded mode earns its keep: a range whose
-			// every replica died answers partial instead of failing.
-			sh.SetDegradedPolicy(shard.DegradedPartial)
-		}
 		inner, shards = sh, sh.Shards()
 	} else {
 		eng, err := engine.New(db.set, cfg)

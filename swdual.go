@@ -89,8 +89,14 @@ type Options struct {
 	// backoff — replicas proven identical is what makes failover
 	// answer-preserving. A replica that is down at construction is
 	// tolerated as long as at least one replica of its range is up.
-	// The coordinator itself is not served over the wire: clients reach
-	// it through NewGateway.
+	// A range whose every replica is down is skipped: the search
+	// answers the surviving ranges' hits, byte-identical to theirs in a
+	// full answer, and Report.Coverage names the dark range (nil on a
+	// full answer). With one address per range a single dead server
+	// darkens its range until the background redial brings it back.
+	// The search fails with replica.ErrRangeUnavailable only when every
+	// range is dark. The coordinator itself is not served over the
+	// wire: clients reach it through NewGateway.
 	ReplicaShards [][]string
 	// DialTimeout bounds dialing one remote shard or replica — TCP
 	// connect and protocol handshake together — so a hung server cannot
@@ -109,18 +115,6 @@ type Options struct {
 	// negative value is rejected by NewSearcher and ServeShard on every
 	// topology.
 	CacheSize int
-	// Degraded selects partial-result search on a sharded coordinator:
-	// when every replica of a database range is unavailable, Search
-	// answers from the surviving ranges and the Report carries Coverage
-	// naming what was skipped, instead of failing outright. It is live
-	// on every ReplicaShards topology — with one address per range a
-	// single dead shard server darkens its range, and the range is
-	// searched again once the background redial brings the server back.
-	// Full-coverage answers are byte-identical with the option on or
-	// off; degraded answers never enter the result cache. It has
-	// nothing to act on without ReplicaShards (there is no surviving
-	// subset of one engine).
-	Degraded bool
 }
 
 // engineConfig validates the options an engine is built from and

@@ -15,7 +15,6 @@ import (
 
 	"swdual"
 	"swdual/internal/bench"
-	"swdual/internal/replica"
 )
 
 func TestAlignPair(t *testing.T) {
@@ -562,7 +561,7 @@ func TestServedRangeHonorsTopK(t *testing.T) {
 		t.Fatal(err)
 	}
 	opt := swdual.Options{Pool: "cpu=1", TopK: 10}
-	srv := startShardServer(t, "127.0.0.1:0", db, 0, 1, opt)
+	srv := swdual.StartShardServer(t, "127.0.0.1:0", db, 0, 1, opt)
 	coordOpt := opt
 	coordOpt.ReplicaShards = [][]string{{srv.Addr().String()}}
 	s, err := swdual.NewSearcher(db, coordOpt)
@@ -614,7 +613,7 @@ func TestShardedSearcherMatchesUnsharded(t *testing.T) {
 		opt := swdual.Options{Pool: "cpu=2", TopK: 5, ShardSplit: split}
 		coordOpt := opt
 		for i := 0; i < shardCount; i++ {
-			srv := startShardServer(t, "127.0.0.1:0", db, i, shardCount, opt)
+			srv := swdual.StartShardServer(t, "127.0.0.1:0", db, i, shardCount, opt)
 			coordOpt.ReplicaShards = append(coordOpt.ReplicaShards, []string{srv.Addr().String()})
 		}
 		s, err := swdual.NewSearcher(db, coordOpt)
@@ -772,7 +771,7 @@ func TestCoordinatorRefusesShardServersCappedBelowItsTopK(t *testing.T) {
 	serverOpt := swdual.Options{Pool: "cpu=1", TopK: 5}
 	var groups [][]string
 	for i := 0; i < shardCount; i++ {
-		srv := startShardServer(t, "127.0.0.1:0", db, i, shardCount, serverOpt)
+		srv := swdual.StartShardServer(t, "127.0.0.1:0", db, i, shardCount, serverOpt)
 		groups = append(groups, []string{srv.Addr().String()})
 	}
 
@@ -823,7 +822,7 @@ func TestCoordinatorRefusesShardServersScoringOtherwise(t *testing.T) {
 	start := func(matrices ...string) [][]string {
 		var groups [][]string
 		for i, m := range matrices {
-			srv := startShardServer(t, "127.0.0.1:0", db, i, len(matrices), swdual.Options{Pool: "cpu=1", Matrix: m})
+			srv := swdual.StartShardServer(t, "127.0.0.1:0", db, i, len(matrices), swdual.Options{Pool: "cpu=1", Matrix: m})
 			groups = append(groups, []string{srv.Addr().String()})
 		}
 		return groups
@@ -879,11 +878,10 @@ func TestRedialRefusesReplicaRestartedWithOtherGaps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	servers := make([]*shardServer, shardCount)
+	servers := make([]*swdual.ShardServer, shardCount)
 	coordOpt := opt
-	coordOpt.Degraded = true
 	for i := range servers {
-		servers[i] = startShardServer(t, "127.0.0.1:0", db, i, shardCount, opt)
+		servers[i] = swdual.StartShardServer(t, "127.0.0.1:0", db, i, shardCount, opt)
 		coordOpt.ReplicaShards = append(coordOpt.ReplicaShards, []string{servers[i].Addr().String()})
 	}
 	s, err := swdual.NewSearcher(db, coordOpt)
@@ -896,18 +894,18 @@ func TestRedialRefusesReplicaRestartedWithOtherGaps(t *testing.T) {
 	// A search over the dead range marks its replica down and starts the
 	// redial loop.
 	addr := servers[1].Addr().String()
-	servers[1].kill()
+	servers[1].Kill()
 	if got, err := s.Search(ctx, queries, swdual.SearchOptions{}); err != nil || got.Coverage == nil {
 		t.Fatalf("search over a dead shard server: %v, coverage %+v, want a partial answer", err, got)
 	}
 	otherGaps := opt
 	otherGaps.GapStart = 11
-	wrong := startShardServer(t, addr, db, 1, shardCount, otherGaps)
+	wrong := swdual.StartShardServer(t, addr, db, 1, shardCount, otherGaps)
 	// A second connection means the first redial was refused: an
 	// admitted one would end the loop.
-	for deadline := time.Now().Add(30 * time.Second); wrong.accepted() < 2; time.Sleep(20 * time.Millisecond) {
+	for deadline := time.Now().Add(30 * time.Second); wrong.Accepted() < 2; time.Sleep(20 * time.Millisecond) {
 		if time.Now().After(deadline) {
-			t.Fatalf("%d redials of the restarted shard server in 30s, want a refused one and a retry", wrong.accepted())
+			t.Fatalf("%d redials of the restarted shard server in 30s, want a refused one and a retry", wrong.Accepted())
 		}
 	}
 	got, err := s.Search(ctx, queries, swdual.SearchOptions{})
@@ -918,8 +916,8 @@ func TestRedialRefusesReplicaRestartedWithOtherGaps(t *testing.T) {
 		t.Fatalf("coverage %+v after redialing a server with other gaps, want range 1 still skipped", got.Coverage)
 	}
 
-	wrong.kill()
-	startShardServer(t, addr, db, 1, shardCount, opt)
+	wrong.Kill()
+	swdual.StartShardServer(t, addr, db, 1, shardCount, opt)
 	for deadline := time.Now().Add(30 * time.Second); got.Coverage != nil; time.Sleep(20 * time.Millisecond) {
 		if time.Now().After(deadline) {
 			t.Fatalf("still partial 30s after a matching shard server came back: %+v", got.Coverage)
@@ -931,62 +929,11 @@ func TestRedialRefusesReplicaRestartedWithOtherGaps(t *testing.T) {
 	sameReports(t, "recovered", got, want)
 }
 
-// shardServer is a ServeShard goroutine whose accepted connections are
-// tracked, so a test can sever them all — the observable effect of the
-// server process dying.
-type shardServer struct {
-	net.Listener
-	mu    sync.Mutex
-	conns []net.Conn
-}
-
-func (s *shardServer) Accept() (net.Conn, error) {
-	nc, err := s.Listener.Accept()
-	if err == nil {
-		s.mu.Lock()
-		s.conns = append(s.conns, nc)
-		s.mu.Unlock()
-	}
-	return nc, err
-}
-
-// accepted counts the connections accepted and not yet severed by kill.
-func (s *shardServer) accepted() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.conns)
-}
-
-// kill closes the listener and severs every accepted connection.
-func (s *shardServer) kill() {
-	s.Listener.Close()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, nc := range s.conns {
-		nc.Close()
-	}
-	s.conns = nil
-}
-
-// startShardServer serves slice index of db on addr until killed.
-func startShardServer(t *testing.T, addr string, db *swdual.Database, index, count int, opt swdual.Options) *shardServer {
-	t.Helper()
-	l, err := net.Listen("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := &shardServer{Listener: l}
-	go swdual.ServeShard(s, db, index, count, opt)
-	t.Cleanup(s.kill)
-	return s
-}
-
 // TestDegradedRidesOverDeadShardServer: on a non-replicated cluster —
 // one ReplicaShards address per range — a dead shard server darkens
-// exactly its range. The default policy fails the search with the typed
-// replica.ErrRangeUnavailable; Options.Degraded answers from the
-// survivors, labeled with exact Coverage and with hits equal to a search
-// of the surviving slice alone; and once the server is back on the same
+// exactly its range. The coordinator answers from the survivors,
+// labeled with exact Coverage and with hits equal to a search of the
+// surviving slice alone; and once the server is back on the same
 // address the background redial restores full answers.
 func TestDegradedRidesOverDeadShardServer(t *testing.T) {
 	const shardCount = 2
@@ -1004,18 +951,12 @@ func TestDegradedRidesOverDeadShardServer(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	servers := make([]*shardServer, shardCount)
+	servers := make([]*swdual.ShardServer, shardCount)
 	coordOpt := opt
 	for i := range servers {
-		servers[i] = startShardServer(t, "127.0.0.1:0", db, i, shardCount, opt)
+		servers[i] = swdual.StartShardServer(t, "127.0.0.1:0", db, i, shardCount, opt)
 		coordOpt.ReplicaShards = append(coordOpt.ReplicaShards, []string{servers[i].Addr().String()})
 	}
-	strict, err := swdual.NewSearcher(db, coordOpt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer strict.Close()
-	coordOpt.Degraded = true
 	s, err := swdual.NewSearcher(db, coordOpt)
 	if err != nil {
 		t.Fatal(err)
@@ -1031,15 +972,11 @@ func TestDegradedRidesOverDeadShardServer(t *testing.T) {
 	}
 	sameReports(t, "healthy", got, want)
 
-	servers[1].kill()
+	servers[1].Kill()
 
-	var down *replica.ErrRangeUnavailable
-	if _, err := strict.Search(ctx, queries, swdual.SearchOptions{}); !errors.As(err, &down) || down.Index != 1 || down.Replicas != 1 {
-		t.Fatalf("default policy over a dead shard server: %v, want a replica.ErrRangeUnavailable for range 1 of 1 replica", err)
-	}
 	part, err := s.Search(ctx, queries, swdual.SearchOptions{})
 	if err != nil {
-		t.Fatalf("degraded search over a dead shard server failed: %v", err)
+		t.Fatalf("search over a dead shard server failed: %v", err)
 	}
 	cov := part.Coverage
 	if cov == nil || cov.RangesSearched != 1 || cov.RangesTotal != shardCount || len(cov.Skipped) != 1 {
@@ -1070,7 +1007,7 @@ func TestDegradedRidesOverDeadShardServer(t *testing.T) {
 	sameReports(t, "survivors", part, wantPart)
 
 	// Same address, new process: the redial loop finds it.
-	startShardServer(t, servers[1].Addr().String(), db, 1, shardCount, opt)
+	swdual.StartShardServer(t, servers[1].Addr().String(), db, 1, shardCount, opt)
 	deadline := time.Now().Add(30 * time.Second)
 	for {
 		got, err = s.Search(ctx, queries, swdual.SearchOptions{})
