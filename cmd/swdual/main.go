@@ -39,8 +39,12 @@
 //	swdual -db db.fasta -query q.fasta \
 //	    -replica-shards 'a:4016,b:4016;a:4017,b:4017' -dial-timeout 5s
 //
-// A range whose every server is down is skipped, not fatal: the search
-// prints the other ranges' hits (with -evalue, E-values over the
+// A coordinator may start before its servers: a server it cannot reach
+// is dialed again in the background, while one that answers with
+// another database, a lower -topk or other scoring is refused (exit
+// status 1, naming the range and the address). A range whose every
+// server is down, at the start or later, is skipped, not fatal: the
+// search prints the other ranges' hits (with -evalue, E-values over the
 // residues searched), writes the coverage to stderr — ranges and
 // residues searched, and each skipped range with its reason — and exits
 // with status 3. A -gateway coordinator answers such a search 206 with
@@ -130,12 +134,12 @@ func main() {
 	if *serve != "" {
 		l, err := net.Listen("tcp", *serve)
 		if err != nil {
-			log.Fatal(err)
+			fatal(err)
 		}
 		log.Printf("serving range %d/%d of %d sequences on %s with worker pool %s",
 			*shardIndex, *shardCount, db.Len(), l.Addr(), poolName)
 		if err := swdual.ServeShard(l, db, *shardIndex, *shardCount, opt); err != nil {
-			log.Fatal(err)
+			fatal(err)
 		}
 		return
 	}
@@ -143,17 +147,17 @@ func main() {
 	if *gatewayAddr != "" {
 		s, err := swdual.NewSearcher(db, opt)
 		if err != nil {
-			log.Fatal(err)
+			fatal(err)
 		}
 		defer s.Close()
 		gw, err := swdual.NewGateway(s, opt)
 		if err != nil {
-			log.Fatal(err)
+			fatal(err)
 		}
 		defer gw.Close()
 		l, err := net.Listen("tcp", *gatewayAddr)
 		if err != nil {
-			log.Fatal(err)
+			fatal(err)
 		}
 		backend := "worker pool " + poolName
 		if len(opt.ReplicaShards) > 0 {
@@ -162,7 +166,7 @@ func main() {
 		log.Printf("gateway: %d sequences (checksum %08x) over HTTP on %s with %s",
 			db.Len(), s.Checksum(), l.Addr(), backend)
 		if err := gw.Serve(l); err != nil {
-			log.Fatal(err)
+			fatal(err)
 		}
 		return
 	}
@@ -178,7 +182,7 @@ func main() {
 	if *planOnly {
 		plan, err := swdual.Plan(db, queries, opt)
 		if err != nil {
-			log.Fatal(err)
+			fatal(err)
 		}
 		fmt.Printf("pool: %s\nalgorithm: %s\nmodeled makespan: %.2f s (lower bound %.2f s)\nmodeled GCUPS: %.2f\nidle fraction: %.2f%%\n",
 			poolName, plan.Algorithm, plan.Makespan, plan.LowerBound, plan.GCUPS, 100*plan.IdleFraction)
@@ -191,12 +195,12 @@ func main() {
 
 	s, err := swdual.NewSearcher(db, opt)
 	if err != nil {
-		log.Fatal(err)
+		fatal(err)
 	}
 	defer s.Close()
 	rep, err := s.Search(context.Background(), queries, swdual.SearchOptions{})
 	if err != nil {
-		log.Fatal(err)
+		fatal(err)
 	}
 	var stats *swdual.ScoreStats
 	if *evalues {
@@ -244,6 +248,12 @@ func main() {
 		}
 		os.Exit(3)
 	}
+}
+
+// fatal prints err and exits 1, with log's "swdual: " prefix in place
+// of the one the library's errors start with.
+func fatal(err error) {
+	log.Fatal(strings.TrimPrefix(err.Error(), "swdual: "))
 }
 
 // printResults renders per-query hits; extra (optional) appends

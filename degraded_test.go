@@ -14,9 +14,11 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"swdual/internal/engine"
 	"swdual/internal/faultinject"
@@ -136,23 +138,162 @@ func TestDarkRangeAnswersPartial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for qi := range want.Results {
-		got, exp := rep.Results[qi].Hits, want.Results[qi].Hits
-		if len(got) != len(exp) {
-			t.Fatalf("query %d: %d hits, want the other range's %d", qi, len(got), len(exp))
-		}
-		for i, h := range exp {
-			h.SeqIndex += ranges[1].Lo
-			if got[i] != h {
-				t.Fatalf("query %d hit %d: %+v, want %+v", qi, i, got[i], h)
-			}
-		}
-	}
+	sameShiftedHits(t, "range 0 dark", rep, want, ranges[1].Lo)
 
 	servers[1].Kill()
 	var down *replica.ErrRangeUnavailable
 	if _, err := s.Search(ctx, queries, SearchOptions{}); !errors.As(err, &down) || down.Index != 0 || down.Replicas != 1 {
 		t.Fatalf("search with every range dark: %v, want a replica.ErrRangeUnavailable for range 0 of 1 replica", err)
+	}
+}
+
+// sameShiftedHits fails unless got's hits are want's, query by query,
+// with every SeqIndex shifted by off: a search of one slice seen from the
+// whole database.
+func sameShiftedHits(t *testing.T, label string, got, want *Report, off int) {
+	t.Helper()
+	if len(got.Results) != len(want.Results) {
+		t.Fatalf("%s: %d query results, want %d", label, len(got.Results), len(want.Results))
+	}
+	for qi := range want.Results {
+		g, w := got.Results[qi].Hits, want.Results[qi].Hits
+		if len(g) != len(w) {
+			t.Fatalf("%s query %d: %d hits, want %d", label, qi, len(g), len(w))
+		}
+		for i, h := range w {
+			h.SeqIndex += off
+			if g[i] != h {
+				t.Fatalf("%s query %d hit %d: %+v, want %+v", label, qi, i, g[i], h)
+			}
+		}
+	}
+}
+
+// redialLoops counts the replica redial goroutines alive in the process.
+func redialLoops() int {
+	buf := make([]byte, 1<<20)
+	return bytes.Count(buf[:runtime.Stack(buf, true)], []byte("replica.(*Set).redialLoop("))
+}
+
+// TestStartPatternsFollowOneRule is the model of the one admission rule
+// at construction: 2 ranges × 2 replicas, each a live server or a dead
+// port, all 16 patterns built through NewSearcher. The answer is full
+// and byte-identical to an unsharded search iff every range has a live
+// replica. Otherwise it is a partial answer whose Coverage names exactly
+// the dark range, with survivor hits equal to a local search of the
+// other slice, and with every range dark it is a
+// replica.ErrRangeUnavailable. Close leaves no redial loop behind. Last,
+// a range dark at construction comes up when its server starts: a later
+// search on the same Searcher is full.
+func TestStartPatternsFollowOneRule(t *testing.T) {
+	db, err := GenerateDatabase("UniProt", 40000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	queries, err := GenerateQueries("standard", 400)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := Options{Pool: "cpu=1", TopK: 5, DialTimeout: 5 * time.Second}
+	full, err := Search(db, queries, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ranges := shard.RangesFor(db.set, 2, shard.BalancedResidues)
+	var sliceHits [2]*Report // each slice searched alone
+	var live [2][2]string
+	for i, r := range ranges {
+		if sliceHits[i], err = Search(&Database{set: db.set.Slice(r.Lo, r.Hi)}, queries, opt); err != nil {
+			t.Fatal(err)
+		}
+		for j := range live[i] {
+			live[i][j] = StartShardServer(t, "127.0.0.1:0", db, i, 2, opt).Addr().String()
+		}
+	}
+	// An address nobody listens on: reserve a port, then free it.
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dead := l.Addr().String()
+	l.Close()
+
+	ctx := context.Background()
+	for pattern := 0; pattern < 16; pattern++ {
+		label := fmt.Sprintf("pattern %04b", pattern) // bit 2i+j: replica j of range i is live
+		coord := opt
+		coord.ReplicaShards = [][]string{{dead, dead}, {dead, dead}}
+		var dark []int
+		for i := range live {
+			for j := range live[i] {
+				if pattern&(1<<(2*i+j)) != 0 {
+					coord.ReplicaShards[i][j] = live[i][j]
+				}
+			}
+			if pattern>>(2*i)&3 == 0 {
+				dark = append(dark, i)
+			}
+		}
+		before := redialLoops()
+		s, err := NewSearcher(db, coord)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		rep, err := s.Search(ctx, queries, SearchOptions{})
+		switch len(dark) {
+		case 0:
+			if err != nil || rep.Coverage != nil {
+				t.Fatalf("%s: %v, coverage %+v; want a full answer", label, err, rep.Coverage)
+			}
+			sameShiftedHits(t, label, rep, full, 0)
+		case 1:
+			if err != nil {
+				t.Fatalf("%s: %v, want a partial answer", label, err)
+			}
+			d, up := ranges[dark[0]], 1-dark[0]
+			cov := rep.Coverage
+			if cov == nil || cov.RangesSearched != 1 || cov.RangesTotal != 2 || len(cov.Skipped) != 1 ||
+				cov.Skipped[0].Index != dark[0] || cov.Skipped[0].Lo != d.Lo || cov.Skipped[0].Hi != d.Hi {
+				t.Fatalf("%s: coverage %+v, want exactly range %d [%d,%d) skipped", label, cov, dark[0], d.Lo, d.Hi)
+			}
+			sameShiftedHits(t, label, rep, sliceHits[up], ranges[up].Lo)
+		case 2:
+			var down *replica.ErrRangeUnavailable
+			if !errors.As(err, &down) {
+				t.Fatalf("%s: %v, want a replica.ErrRangeUnavailable", label, err)
+			}
+		}
+		if err := s.Close(); err != nil {
+			t.Fatalf("%s: close: %v", label, err)
+		}
+		if n := redialLoops(); n > before {
+			t.Fatalf("%s: %d redial loops after Close, %d before NewSearcher", label, n, before)
+		}
+	}
+
+	coord := opt
+	coord.ReplicaShards = [][]string{{dead}, {live[1][0]}}
+	s, err := NewSearcher(db, coord)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if rep, err := s.Search(ctx, queries, SearchOptions{}); err != nil || rep.Coverage == nil {
+		t.Fatalf("search before range 0's server starts: %v, want a partial answer", err)
+	}
+	StartShardServer(t, dead, db, 0, 2, opt)
+	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(20 * time.Millisecond) {
+		rep, err := s.Search(ctx, queries, SearchOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Coverage == nil {
+			sameShiftedHits(t, "range 0 up", rep, full, 0)
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("still partial 30s after range 0's server started: %+v", rep.Coverage)
+		}
 	}
 }
 

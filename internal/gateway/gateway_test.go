@@ -186,7 +186,7 @@ func TestGatewayMatchesDirectSearch(t *testing.T) {
 		{"replicated", func(t *testing.T) engine.Backend {
 			r1 := testEngine(t, db)
 			r2 := testEngine(t, db)
-			set, err := replica.NewSet("range 0", 0, []replica.Replica{{Backend: r1}, {Backend: r2}}, replica.Config{})
+			set, err := replica.NewSet("range 0", db.Checksum(), []replica.Replica{{Backend: r1}, {Backend: r2}}, replica.Config{})
 			if err != nil {
 				t.Fatal(err)
 			}

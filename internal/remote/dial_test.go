@@ -2,6 +2,7 @@ package remote
 
 import (
 	"context"
+	"errors"
 	"net"
 	"strings"
 	"sync"
@@ -197,5 +198,39 @@ func TestDialRefusesBadWelcome(t *testing.T) {
 		if !strings.Contains(err.Error(), c.want) || !strings.Contains(err.Error(), addr) {
 			t.Fatalf("%s: error %q, want it to name the address and say %q", c.name, err, c.want)
 		}
+	}
+}
+
+// TestDialLostBeforeWelcomeIsConnectionLost: a server that closes the
+// connection before its Welcome is going away, not refusing, so the dial
+// fails with ErrConnectionLost — a replica set counts it as down and
+// re-dials. A server that answers the Hello with an ErrorMsg (a wire
+// version or checksum mismatch) is refusing, and its error is not a lost
+// connection.
+func TestDialLostBeforeWelcomeIsConnectionLost(t *testing.T) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	go func() {
+		for {
+			nc, err := l.Accept()
+			if err != nil {
+				return
+			}
+			wire.NewConn(nc).Recv() // the Hello
+			nc.Close()
+		}
+	}()
+	addr := l.Addr().String()
+	if _, err := DialTimeout(addr, 0xfeed, 5*time.Second); !errors.Is(err, ErrConnectionLost) || !strings.Contains(err.Error(), addr) {
+		t.Fatalf("dial to a server closing before its Welcome: %v, want ErrConnectionLost naming %s", err, addr)
+	}
+
+	refusing, _ := scriptedServer(t, &wire.ErrorMsg{Text: "wire version 1, want 14"})
+	if _, err := DialTimeout(refusing, 0xfeed, 5*time.Second); err == nil || errors.Is(err, ErrConnectionLost) ||
+		!strings.Contains(err.Error(), "wire version 1") {
+		t.Fatalf("dial to a server answering ErrorMsg: %v, want a refusal carrying its text", err)
 	}
 }

@@ -16,6 +16,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -76,8 +77,9 @@ const rpcTimeout = 30 * time.Second
 const DefaultDialTimeout = 10 * time.Second
 
 // ErrConnectionLost marks every failure caused by the connection to the
-// shard server going away — the read loop dying, a send on a closed
-// socket, a call finding the session already down. Failover layers
+// shard server going away — the server closing the connection before
+// its Welcome, the read loop dying, a send on a closed socket, a call
+// finding the session already down. Failover layers
 // (internal/replica) match it with errors.Is to distinguish "this
 // replica is gone, try another" from errors that would fail identically
 // on every replica (bad queries, alphabet mismatch, cancellation).
@@ -133,7 +135,10 @@ func newBackend(addr string, nc net.Conn, wantChecksum uint32, deadline time.Tim
 		return nil, fmt.Errorf("remote %s: %w", addr, err)
 	}
 	msg, err := b.c.Recv()
-	if err != nil {
+	if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
+		// Going away, not refusing: a refusal is an ErrorMsg.
+		return nil, fmt.Errorf("remote %s: %w before the Welcome: %v", addr, ErrConnectionLost, err)
+	} else if err != nil {
 		return nil, fmt.Errorf("remote %s: %w", addr, err)
 	}
 	switch m := msg.(type) {

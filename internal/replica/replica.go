@@ -1,15 +1,16 @@
 // Package replica puts N interchangeable backends behind one
 // engine.Backend facade, so a database shard keeps answering while its
-// servers restart. Every replica serves the identical slice — proven by
-// the same per-slice checksum guard the sharded coordinator already
-// applies — which is what makes failover safe: a call that fails
-// because its replica's connection died is retried on a sibling
-// replica, the dead replica is closed, and a background loop re-dials
-// it with capped exponential backoff plus jitter until it is healthy
-// again. A remote replica is back once a fresh dial completes its
-// handshake, in which both ends compare the slice checksum; the Set
-// re-checks it before the replica rejoins. A search calls one replica
-// at a time, on the caller's goroutine.
+// servers restart. Every replica serves the identical slice — the
+// caller names its checksum, and every replica must match it — which is
+// what makes failover safe: a call that fails because its replica's
+// connection died is retried on a sibling replica, the dead replica is
+// closed, and a background loop re-dials it with capped exponential
+// backoff plus jitter until it is healthy again. A replica joins the
+// same way at construction and at every redial, so one that cannot be
+// reached starts down and a set may start with no live replica. A
+// remote replica's dial is its health check: both ends compare the
+// slice checksum in the handshake. A search calls one replica at a
+// time, on the caller's goroutine.
 //
 // The facade is the unit the sharded scatter/gather composes over: a
 // shard.Searcher built on replica.Sets survives one replica death per
@@ -34,11 +35,10 @@ import (
 	"swdual/internal/seq"
 )
 
-// Replica is one member of a Set: a live backend, a way to re-create it
-// after its connection dies, or both. A nil Backend with a Redial means
-// the replica starts down (its server was unreachable at construction)
-// and the Set begins re-dialing it immediately; a Backend with a nil
-// Redial (an in-process engine, say) fails over but is never revived.
+// Replica is one member of a Set: a live backend, a way to dial it, or
+// both. A nil Backend means NewSet dials the replica through Redial; a
+// Backend with a nil Redial (an in-process engine, say) fails over but
+// is never revived.
 type Replica struct {
 	Backend engine.Backend
 	Redial  func() (engine.Backend, error)
@@ -110,12 +110,11 @@ func (c *Config) setDefaults() {
 }
 
 // slot is one replica's mutable state: the live backend (nil while
-// down), how to revive it, and whether a revival is already running.
+// down) and how to revive it.
 type slot struct {
-	mu        sync.Mutex
-	backend   engine.Backend
-	redial    func() (engine.Backend, error)
-	redialing bool
+	mu      sync.Mutex
+	backend engine.Backend
+	redial  func() (engine.Backend, error)
 }
 
 // Set is N checksum-proven-identical replicas behind one engine.Backend.
@@ -125,7 +124,7 @@ type Set struct {
 	name     string
 	cfg      Config
 	checksum uint32
-	alpha    *alphabet.Alphabet
+	alpha    atomic.Pointer[alphabet.Alphabet] // the first admitted replica's
 
 	slots []*slot
 
@@ -142,67 +141,46 @@ type Set struct {
 
 var _ engine.Backend = (*Set)(nil)
 
-// NewSet assembles a replica set. name labels errors (a sharded
-// coordinator passes the range, e.g. "shard 2 [20,30)"). At least one
-// replica must be live at construction — it describes the slice — and
-// every live replica must agree with it on checksum and alphabet (and
-// with wantChecksum when non-zero, the caller's own skew guard).
-// Replicas that start down begin re-dialing immediately. On success the
-// Set owns the backends; on error the caller keeps ownership.
-func NewSet(name string, wantChecksum uint32, replicas []Replica, cfg Config) (*Set, error) {
+// NewSet assembles a replica set over the slice whose checksum is
+// checksum; name labels errors (a sharded coordinator passes the range,
+// e.g. "shard 2 [20,30)"). Every replica joins through admit. One whose
+// first attempt fails as down (see failover) starts in its redial loop,
+// so a set may start dark, its searches failing with
+// ErrRangeUnavailable until a replica joins. Any other failure is a
+// refusal and fails construction, live sibling or not. On success the
+// Set owns the backends; on error the caller keeps those it gave.
+func NewSet(name string, checksum uint32, replicas []Replica, cfg Config) (*Set, error) {
 	if len(replicas) == 0 {
 		return nil, fmt.Errorf("replica %s: no replicas", name)
 	}
 	cfg.setDefaults()
-	var ref engine.Backend
-	refIdx := -1
-	for i, r := range replicas {
-		if r.Backend == nil && r.Redial == nil {
-			return nil, fmt.Errorf("replica %s: replica %d has neither a live backend nor a redial function", name, i)
-		}
-		if r.Backend != nil && ref == nil {
-			ref, refIdx = r.Backend, i
-		}
-	}
-	if ref == nil {
-		return nil, fmt.Errorf("replica %s: all %d replicas unreachable at construction", name, len(replicas))
-	}
-	checksum := ref.Checksum()
-	if wantChecksum != 0 && checksum != wantChecksum {
-		return nil, fmt.Errorf("replica %s: replica %d database checksum %08x, want %08x (server loaded a different database?)",
-			name, refIdx, checksum, wantChecksum)
-	}
-	for i, r := range replicas {
-		if r.Backend == nil || i == refIdx {
-			continue
-		}
-		if got := r.Backend.Checksum(); got != checksum {
-			return nil, fmt.Errorf("replica %s: replica %d database checksum %08x, want %08x — replicas must serve the identical slice",
-				name, i, got, checksum)
-		}
-		if r.Backend.Alphabet() != ref.Alphabet() {
-			return nil, fmt.Errorf("replica %s: replica %d alphabet %s, want %s",
-				name, i, r.Backend.Alphabet().Name(), ref.Alphabet().Name())
-		}
-	}
 	s := &Set{
 		name:     name,
 		cfg:      cfg,
 		checksum: checksum,
-		alpha:    ref.Alphabet(),
 		slots:    make([]*slot, len(replicas)),
 		closed:   make(chan struct{}),
 	}
 	for i, r := range replicas {
-		s.slots[i] = &slot{backend: r.Backend, redial: r.Redial}
+		if r.Backend == nil && r.Redial == nil {
+			return nil, fmt.Errorf("replica %s: replica %d has neither a live backend nor a redial function", name, i)
+		}
+		s.slots[i] = &slot{redial: r.Redial}
 	}
-	// Replicas that were unreachable at construction go straight into
-	// the reconnect loop instead of waiting for a search to notice.
-	for i, sl := range s.slots {
-		if sl.backend == nil {
-			sl.redialing = true
-			s.wg.Add(1)
-			go s.redialLoop(i)
+	for i, r := range replicas {
+		err := s.admit(i, r.Backend)
+		switch {
+		case err == nil:
+		case failover(err):
+			s.startRedial(i) // down: retried as after a crash
+		default:
+			for j, r := range replicas[:i] {
+				if r.Backend != nil {
+					s.slots[j].backend = nil // the caller's to close
+				}
+			}
+			s.Close()
+			return nil, fmt.Errorf("replica %s: replica %d: %w", name, i, err)
 		}
 	}
 	return s, nil
@@ -224,8 +202,9 @@ func (s *Set) Healthy() int {
 // Checksum fingerprints the slice every replica serves.
 func (s *Set) Checksum() uint32 { return s.checksum }
 
-// Alphabet returns the slice's alphabet.
-func (s *Set) Alphabet() *alphabet.Alphabet { return s.alpha }
+// Alphabet returns the slice's alphabet, nil until a replica has
+// joined.
+func (s *Set) Alphabet() *alphabet.Alphabet { return s.alpha.Load() }
 
 func (s *Set) isClosed() bool {
 	select {
@@ -253,10 +232,11 @@ func (s *Set) pick(from int) (int, engine.Backend, bool) {
 }
 
 // markDown retires a replica whose call just failed: the slot empties,
-// the dead backend is closed, and the reconnect loop starts (once). The
+// the dead backend is closed, and the reconnect loop starts. The
 // identity check makes markDown idempotent per backend — concurrent
-// searches may all report the same corpse — and protects a replacement
-// backend installed by a racing redial.
+// searches may all report the same corpse, and only the first empties
+// the slot and starts a loop — and protects a replacement backend
+// installed by a racing redial.
 func (s *Set) markDown(idx int, failed engine.Backend) {
 	sl := s.slots[idx]
 	sl.mu.Lock()
@@ -265,24 +245,27 @@ func (s *Set) markDown(idx int, failed engine.Backend) {
 		return
 	}
 	sl.backend = nil
-	start := sl.redial != nil && !sl.redialing && !s.isClosed()
-	if start {
-		sl.redialing = true
-	}
+	s.startRedial(idx)
 	sl.mu.Unlock()
 	failed.Close()
-	if start {
+}
+
+// startRedial starts idx's reconnect loop unless the replica has no
+// Redial or the Set is closing. markDown calls it under the slot's
+// lock, which Close takes after closing the Set, so no loop is added
+// once Close waits for them.
+func (s *Set) startRedial(idx int) {
+	if s.slots[idx].redial != nil && !s.isClosed() {
 		s.wg.Add(1)
 		go s.redialLoop(idx)
 	}
 }
 
 // redialLoop revives one down replica: capped exponential backoff with
-// jitter between attempts and checksum verification on every dial. It
-// runs until the replica is back or the Set closes.
+// jitter between admit attempts. It runs until the replica is back or
+// the Set closes.
 func (s *Set) redialLoop(idx int) {
 	defer s.wg.Done()
-	sl := s.slots[idx]
 	backoff := s.cfg.redialBase
 	for {
 		// Jitter of up to backoff/2 keeps a restarting cluster's
@@ -290,45 +273,55 @@ func (s *Set) redialLoop(idx int) {
 		wait := backoff + time.Duration(rand.Int63n(int64(backoff/2)+1))
 		select {
 		case <-s.closed:
-			sl.mu.Lock()
-			sl.redialing = false
-			sl.mu.Unlock()
 			return
 		case <-time.After(wait):
 		}
-		if b, err := sl.redial(); err == nil {
-			if verr := s.verify(b); verr == nil {
-				sl.mu.Lock()
-				if s.isClosed() {
-					sl.redialing = false
-					sl.mu.Unlock()
-					b.Close()
-					return
-				}
-				sl.backend = b
-				sl.redialing = false
-				sl.mu.Unlock()
-				s.redials.Add(1)
-				return
-			}
-			b.Close()
+		if s.admit(idx, nil) == nil {
+			s.redials.Add(1)
+			return
 		}
-		if backoff < s.cfg.redialMax {
-			backoff *= 2
-			if backoff > s.cfg.redialMax {
-				backoff = s.cfg.redialMax
-			}
-		}
+		backoff = min(2*backoff, s.cfg.redialMax)
 	}
 }
 
-// verify guards a re-dialed backend before it rejoins rotation: its
-// checksum must match the slice. For a remote.Backend that is the value
-// the server's Welcome named moments ago, on the connection it just
-// answered, so the handshake is the health check.
+// admit is the one way a replica joins rotation, at construction and
+// on every redial: b is its live backend, or nil to dial one through
+// its Redial; verify guards it; install puts it in the slot. A backend
+// admit dialed is closed if it does not join.
+func (s *Set) admit(idx int, b engine.Backend) error {
+	sl := s.slots[idx]
+	dialed := b == nil
+	if dialed {
+		var err error
+		if b, err = sl.redial(); err != nil {
+			return err
+		}
+	}
+	err := s.verify(b)
+	sl.mu.Lock()
+	if err == nil && s.isClosed() {
+		err = engine.ErrClosed
+	} else if err == nil {
+		sl.backend = b
+	}
+	sl.mu.Unlock()
+	if err != nil && dialed {
+		b.Close()
+	}
+	return err
+}
+
+// verify guards a backend before it joins: its checksum must be the
+// slice's and its alphabet that of the first replica admitted. For a
+// remote.Backend both are what the server's Welcome named moments ago,
+// on the connection it just answered, so the handshake is the health
+// check.
 func (s *Set) verify(b engine.Backend) error {
 	if got := b.Checksum(); got != s.checksum {
-		return fmt.Errorf("replica %s: re-dialed backend checksum %08x, want %08x", s.name, got, s.checksum)
+		return fmt.Errorf("database checksum %08x, want %08x (a different slice or database?)", got, s.checksum)
+	}
+	if a := b.Alphabet(); !s.alpha.CompareAndSwap(nil, a) && s.alpha.Load() != a {
+		return fmt.Errorf("alphabet %s, want %s", a.Name(), s.alpha.Load().Name())
 	}
 	return nil
 }

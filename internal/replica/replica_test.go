@@ -452,7 +452,7 @@ func TestRedialRevivesDeadReplica(t *testing.T) {
 
 // TestNewSetRejectsSkewedReplicas: replicas serving different slices
 // must be refused at construction — failover between them would change
-// answers, not preserve them.
+// answers, not preserve them — even when a sibling serves the slice.
 func TestNewSetRejectsSkewedReplicas(t *testing.T) {
 	db := synth.RandomSet(alphabet.Protein, 10, 10, 60, 7501)
 	a, err := engine.New(db.Slice(0, 5), engine.Config{Pool: master.PoolSpec{CPU: 1}})
@@ -465,14 +465,14 @@ func TestNewSetRejectsSkewedReplicas(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer b.Close()
-	if _, err := NewSet("skew", 0, []Replica{{Backend: a}, {Backend: b}}, Config{}); err == nil {
+	if _, err := NewSet("skew", a.Checksum(), []Replica{{Backend: a}, {Backend: b}}, Config{}); err == nil {
 		t.Fatal("skewed replicas accepted")
-	} else if !strings.Contains(err.Error(), "checksum") {
-		t.Fatalf("skew error does not mention checksum: %v", err)
+	} else if !strings.Contains(err.Error(), "replica 1") || !strings.Contains(err.Error(), "checksum") {
+		t.Fatalf("skew error does not name the replica and the checksum: %v", err)
 	}
 	// And against the caller's own expectation.
 	if _, err := NewSet("skew", db.Checksum(), []Replica{{Backend: a}}, Config{}); err == nil {
-		t.Fatal("replica with wrong checksum accepted against wantChecksum")
+		t.Fatal("replica with wrong checksum accepted against the set's checksum")
 	}
 }
 
@@ -510,13 +510,34 @@ func TestSetCloseIsIdempotent(t *testing.T) {
 	}
 }
 
-// TestNewSetRequiresALiveReplica: a set whose every member starts down
-// cannot describe its slice and must be refused.
-func TestNewSetRequiresALiveReplica(t *testing.T) {
-	if _, err := NewSet("down", 0, []Replica{
-		{Redial: func() (engine.Backend, error) { return nil, errors.New("nope") }},
-	}, Config{}); err == nil {
-		t.Fatal("all-down set accepted")
+// TestNewSetStartsDownAndRefusesMismatches: a replica's first attempt
+// is judged like every redial. One that fails as down leaves the set
+// built, dark and re-dialing, so a set may start with no live replica;
+// one that fails for any other reason fails construction, naming the
+// replica, even beside a live sibling. A set without replicas is
+// refused.
+func TestNewSetStartsDownAndRefusesMismatches(t *testing.T) {
+	lost := func() (engine.Backend, error) { return nil, fmt.Errorf("dial: %w", remote.ErrConnectionLost) }
+	set, err := NewSet("shard 1 [4,8)", 1, []Replica{{Redial: lost}, {Redial: lost}},
+		Config{Index: 1, redialBase: time.Millisecond, redialMax: 5 * time.Millisecond})
+	if err != nil {
+		t.Fatalf("all-down set refused: %v", err)
+	}
+	if set.Healthy() != 0 || set.Alphabet() != nil {
+		t.Fatalf("all-down set: %d healthy, alphabet %v; want none before a replica joins", set.Healthy(), set.Alphabet())
+	}
+	queries := synth.RandomSet(alphabet.Protein, 1, 20, 30, 7701)
+	var dark *ErrRangeUnavailable
+	if _, err := set.Search(context.Background(), queries, engine.SearchOptions{}); !errors.As(err, &dark) || dark.Index != 1 || dark.Replicas != 2 {
+		t.Fatalf("search over an all-down set: %v, want ErrRangeUnavailable for range 1 of 2 replicas", err)
+	}
+	set.Close()
+
+	if _, err := NewSet("shard 0 [0,4)", 1, []Replica{
+		{Backend: stubBackend{}},
+		{Redial: func() (engine.Backend, error) { return nil, errors.New("server speaks wire version 1") }},
+	}, Config{}); err == nil || !strings.Contains(err.Error(), "replica 1: server speaks wire version 1") {
+		t.Fatalf("refused replica next to a live sibling: %v, want a construction error naming it", err)
 	}
 	if _, err := NewSet("empty", 0, nil, Config{}); err == nil {
 		t.Fatal("empty set accepted")

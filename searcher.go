@@ -83,15 +83,17 @@ func NewSearcher(db *Database, opt Options) (*Searcher, error) {
 }
 
 // dialReplicaShards assembles the coordinator side of a cluster: split
-// the local database into the ranges the shard servers hold, dial each
-// range's addresses with the slice checksum as the skew guard, wrap them
-// in a replica.Set — the facade that fails over and re-dials —
-// and feed the sets to the scatter/gather. A replica that is down at
-// construction is tolerated (its set starts re-dialing immediately) as
-// long as at least one replica of the range answers. A server whose TopK
-// cap is below the gather's, or whose scoring is not cfg's, is refused,
-// at the first dial and at every redial alike: the merged top-k would
-// silently be wrong.
+// the local database into the ranges the shard servers hold, hand each
+// range's addresses to a replica.Set — the facade that dials, fails
+// over and re-dials — with the slice checksum as the skew guard, and
+// feed the sets to the scatter/gather. A server that cannot be reached
+// is down and re-dialed in the background, so a range with no
+// reachable server starts dark and is skipped until one comes up. A
+// server that holds another database or alphabet, caps hits below the
+// gather's TopK or scores other than cfg is refused, at the first dial
+// and at every redial alike: the merged top-k would silently be wrong.
+// At construction a refusal fails the coordinator, naming the range and
+// the address.
 func dialReplicaShards(db *Database, groups [][]string, cfg engine.Config, dialTimeout time.Duration) (*shard.Searcher, error) {
 	topK := cmp.Or(cfg.TopK, engine.DefaultTopK)
 	matrix, gaps := cfg.Params.Matrix.Name(), cfg.Params.Gaps
@@ -107,49 +109,34 @@ func dialReplicaShards(db *Database, groups [][]string, cfg engine.Config, dialT
 		if len(addrs) == 0 {
 			return fail(fmt.Errorf("swdual: shard %d has no replica addresses", i))
 		}
-		name := fmt.Sprintf("shard %d [%d,%d)", i, ranges[i].Lo, ranges[i].Hi)
 		want := db.set.Slice(ranges[i].Lo, ranges[i].Hi).Checksum()
-		reps := make([]replica.Replica, 0, len(addrs))
-		var firstErr error
-		for _, addr := range addrs {
-			dial := func() (engine.Backend, error) {
+		reps := make([]replica.Replica, len(addrs))
+		for j, addr := range addrs {
+			reps[j].Redial = func() (engine.Backend, error) {
 				b, err := remote.DialTimeout(addr, want, dialTimeout)
 				if err != nil {
 					return nil, err
 				}
-				// 0: the server did not name its cap.
-				if c := b.TopK(); c != 0 && c < topK {
-					b.Close()
-					return nil, fmt.Errorf("swdual: %s: server %s caps hits at TopK %d, below the coordinator's TopK %d", name, addr, c, topK)
+				// 0 and "": the server did not name its cap or its scoring.
+				m, g := b.Scoring()
+				switch c := b.TopK(); {
+				case c != 0 && c < topK:
+					err = fmt.Errorf("server %s caps hits at TopK %d, below the coordinator's TopK %d", addr, c, topK)
+				case m != "" && (m != matrix || g != gaps):
+					err = fmt.Errorf("server %s scores with %s %d/%d, the coordinator with %s %d/%d", addr, m, g.Start, g.Extend, matrix, gaps.Start, gaps.Extend)
+				case b.Alphabet() != db.set.Alpha:
+					err = fmt.Errorf("server %s holds a %s database, the coordinator a %s one", addr, b.Alphabet().Name(), db.set.Alpha.Name())
 				}
-				// "": the server did not name its scoring.
-				if m, g := b.Scoring(); m != "" && (m != matrix || g != gaps) {
+				if err != nil {
 					b.Close()
-					return nil, fmt.Errorf("swdual: %s: server %s scores with %s %d/%d, the coordinator with %s %d/%d", name, addr, m, g.Start, g.Extend, matrix, gaps.Start, gaps.Extend)
+					return nil, err
 				}
 				return b, nil
 			}
-			b, err := dial()
-			if err != nil {
-				// Down at startup: the set's redial loop keeps trying.
-				if firstErr == nil {
-					firstErr = err
-				}
-				reps = append(reps, replica.Replica{Redial: dial})
-				continue
-			}
-			reps = append(reps, replica.Replica{Backend: b, Redial: dial})
 		}
+		name := fmt.Sprintf("shard %d [%d,%d)", i, ranges[i].Lo, ranges[i].Hi)
 		set, err := replica.NewSet(name, want, reps, replica.Config{Index: i})
 		if err != nil {
-			for _, r := range reps {
-				if r.Backend != nil {
-					r.Backend.Close()
-				}
-			}
-			if firstErr != nil {
-				err = fmt.Errorf("%w (first dial error: %v)", err, firstErr)
-			}
 			return fail(fmt.Errorf("swdual: %w", err))
 		}
 		backends = append(backends, set)
@@ -166,11 +153,12 @@ func dialReplicaShards(db *Database, groups [][]string, cfg engine.Config, dialT
 // split into count ranges of balanced residues (the coordinator must
 // dial count ranges) and slice index gets its own persistent engine;
 // count == 1 serves the whole database. A coordinator built with
-// Options.ReplicaShards verifies the slice checksum at dial, so serving
-// the wrong index, count or database fails fast instead of corrupting
-// merged results, and refuses a server scoring with another matrix or
-// other gap penalties. Clients that are not a
-// coordinator search through the HTTP gateway (NewGateway) instead.
+// Options.ReplicaShards verifies the slice checksum at every dial, so
+// serving the wrong index, count or database is refused instead of
+// corrupting merged results, as is scoring with another matrix or
+// other gap penalties. A coordinator may start before its servers: it
+// dials each until it answers. Clients that are not a coordinator
+// search through the HTTP gateway (NewGateway) instead.
 func ServeShard(l net.Listener, db *Database, index, count int, opt Options) error {
 	if db == nil {
 		return errNilSets
@@ -219,7 +207,7 @@ func (s *Searcher) Shards() int { return s.shards }
 func (s *Searcher) Database() *Database { return s.db }
 
 // Checksum fingerprints the loaded database (on a coordinator, the
-// whole database its ranges were verified against at dial).
+// whole database its ranges are verified against at every dial).
 func (s *Searcher) Checksum() uint32 { return s.inner.Checksum() }
 
 // Close stops the dispatcher and worker pool. It is idempotent; Search

@@ -83,12 +83,14 @@ type Options struct {
 	// Every server's TopK must be at least this process's, and every
 	// server must score with this process's Matrix and gap penalties: a
 	// server that caps hits below the gather's cap, or names another
-	// scoring, is refused at dial and at every redial. A
+	// scoring, is refused at dial and at every redial; at construction a
+	// refusal fails NewSearcher, naming the range and the address. A
 	// replica whose connection dies is failed over to a sibling (when
 	// the range has one) and re-dialed in the background with capped
 	// backoff — replicas proven identical is what makes failover
-	// answer-preserving. A replica that is down at construction is
-	// tolerated as long as at least one replica of its range is up.
+	// answer-preserving. A replica that cannot be reached at
+	// construction starts down the same way, so a coordinator may start
+	// before its servers, with ranges dark until they come up.
 	// A range whose every replica is down is skipped: the search
 	// answers the surviving ranges' hits, byte-identical to theirs in a
 	// full answer, and Report.Coverage names the dark range (nil on a

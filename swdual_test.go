@@ -929,6 +929,46 @@ func TestRedialRefusesReplicaRestartedWithOtherGaps(t *testing.T) {
 	sameReports(t, "recovered", got, want)
 }
 
+// TestCoordinatorRefusesMismatchedSiblingOfALiveReplica: each replica
+// is judged on its own, so a refused one fails construction even when
+// its range has a live, matching sibling that could carry it. A server
+// holding another slice, one capped below the coordinator's TopK and one
+// scoring with another matrix are each named with the range, the
+// address and the mismatch.
+func TestCoordinatorRefusesMismatchedSiblingOfALiveReplica(t *testing.T) {
+	db, err := swdual.GenerateDatabase("UniProt", 20000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := swdual.Options{Pool: "cpu=1", TopK: 5, DialTimeout: 5 * time.Second}
+	good := swdual.StartShardServer(t, "127.0.0.1:0", db, 0, 2, opt).Addr().String()
+	other := swdual.StartShardServer(t, "127.0.0.1:0", db, 1, 2, opt).Addr().String()
+	for _, c := range []struct {
+		name   string
+		index  int
+		server swdual.Options
+		want   string
+	}{
+		{"another slice", 1, opt, "checksum"},
+		{"TopK below", 0, swdual.Options{Pool: "cpu=1", TopK: 3}, "TopK 3"},
+		{"other scoring", 0, swdual.Options{Pool: "cpu=1", TopK: 5, Matrix: "PAM250"}, "PAM250 10/2"},
+	} {
+		bad := swdual.StartShardServer(t, "127.0.0.1:0", db, c.index, 2, c.server).Addr().String()
+		coord := opt
+		coord.ReplicaShards = [][]string{{good, bad}, {other}}
+		s, err := swdual.NewSearcher(db, coord)
+		if err == nil {
+			s.Close()
+			t.Fatalf("%s: coordinator accepted a mismatched sibling of a live replica", c.name)
+		}
+		for _, want := range []string{"shard 0 [0,", bad, c.want} {
+			if !strings.Contains(err.Error(), want) {
+				t.Fatalf("%s: refusal %q does not name %q", c.name, err, want)
+			}
+		}
+	}
+}
+
 // TestDegradedRidesOverDeadShardServer: on a non-replicated cluster —
 // one ReplicaShards address per range — a dead shard server darkens
 // exactly its range. The coordinator answers from the survivors,
@@ -1293,9 +1333,9 @@ func TestCacheSearchHonorsCancellation(t *testing.T) {
 // acceptance test: two ranges, each served by two interchangeable
 // ServeShard processes, behind a coordinator built with
 // Options.ReplicaShards. Hits must be byte-identical to the unsharded
-// search; a replica down at construction must be tolerated as long as
-// its range keeps one live member; a range with every replica dead must
-// be refused with an error naming it.
+// search, also with a replica down at construction in each range: the
+// live sibling carries the range. (Every pattern of live and dead
+// replicas at construction is TestStartPatternsFollowOneRule's.)
 func TestReplicaShardedSearcherMatchesUnsharded(t *testing.T) {
 	const shardCount, replicas = 2, 2
 	db, err := swdual.GenerateDatabase("UniProt", 20000)
@@ -1392,17 +1432,5 @@ func TestReplicaShardedSearcherMatchesUnsharded(t *testing.T) {
 	}
 	if err := s2.Close(); err != nil {
 		t.Fatal(err)
-	}
-
-	// Every replica of a range dead: refused, naming the range.
-	uncovered := coordOpt
-	uncovered.ReplicaShards = [][]string{
-		{groups[0][0], groups[0][1]},
-		{deadAddr(), deadAddr()},
-	}
-	if _, err := swdual.NewSearcher(db, uncovered); err == nil {
-		t.Fatal("coordinator accepted a range with no live replica")
-	} else if !strings.Contains(err.Error(), "shard 1") {
-		t.Fatalf("uncovered-range error does not name the range: %v", err)
 	}
 }
