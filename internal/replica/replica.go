@@ -70,7 +70,9 @@ type Config struct {
 // Coverage naming the dark one, and fails only when every range is
 // dark.
 //
-// Cause is the last underlying failure pre-formatted into a string —
+// Cause is the last underlying failure pre-formatted into a string, or,
+// when every replica was already down, the last refusal of a redialed
+// replica (a server that answered with another slice or scoring) —
 // deliberately not a wrapped error, so an engine.ErrClosed raised by a
 // dying replica cannot leak through errors.Is and convince a caller
 // that the *coordinator* is closed (the guard the old %v-formatted
@@ -83,15 +85,21 @@ type ErrRangeUnavailable struct {
 	// Replicas is how many replicas the range had, all unavailable.
 	Replicas int
 	// Cause describes the last failure ("" when every replica was
-	// already down and reconnecting, so no fresh error was observed).
+	// already down and reconnecting, and none was refused on redial).
 	Cause string
 }
 
 func (e *ErrRangeUnavailable) Error() string {
+	return fmt.Sprintf("replica %s: %s", e.Range, e.Reason())
+}
+
+// Reason is the error without the range's name, for a caller that names
+// the range itself (a partial answer's Coverage).
+func (e *ErrRangeUnavailable) Reason() string {
 	if e.Cause == "" {
-		return fmt.Sprintf("replica %s: all %d replicas down (reconnecting)", e.Range, e.Replicas)
+		return fmt.Sprintf("all %d replicas down (reconnecting)", e.Replicas)
 	}
-	return fmt.Sprintf("replica %s: all %d replicas unavailable: %s", e.Range, e.Replicas, e.Cause)
+	return fmt.Sprintf("all %d replicas unavailable: %s", e.Replicas, e.Cause)
 }
 
 // RangeUnavailable marks the error for coordinators that detect
@@ -110,11 +118,14 @@ func (c *Config) setDefaults() {
 }
 
 // slot is one replica's mutable state: the live backend (nil while
-// down) and how to revive it.
+// down), how to revive it, and why its last redial was refused (nil
+// unless the replica answered and failed verification, or its Redial
+// refused it).
 type slot struct {
 	mu      sync.Mutex
 	backend engine.Backend
 	redial  func() (engine.Backend, error)
+	refused error
 }
 
 // Set is N checksum-proven-identical replicas behind one engine.Backend.
@@ -276,10 +287,18 @@ func (s *Set) redialLoop(idx int) {
 			return
 		case <-time.After(wait):
 		}
-		if s.admit(idx, nil) == nil {
+		err := s.admit(idx, nil)
+		if err == nil {
 			s.redials.Add(1)
 			return
 		}
+		sl := s.slots[idx]
+		sl.mu.Lock()
+		sl.refused = nil
+		if !failover(err) { // answered, and refused; still down otherwise
+			sl.refused = fmt.Errorf("replica %d refused on redial: %w", idx, err)
+		}
+		sl.mu.Unlock()
 		backoff = min(2*backoff, s.cfg.redialMax)
 	}
 }
@@ -302,7 +321,7 @@ func (s *Set) admit(idx int, b engine.Backend) error {
 	if err == nil && s.isClosed() {
 		err = engine.ErrClosed
 	} else if err == nil {
-		sl.backend = b
+		sl.backend, sl.refused = b, nil
 	}
 	sl.mu.Unlock()
 	if err != nil && dialed {
@@ -386,10 +405,17 @@ func (s *Set) Search(ctx context.Context, queries *seq.Set, opts engine.SearchOp
 }
 
 // rangeUnavailable builds the typed every-replica-down error for this
-// set, flattening lastErr into a string (see ErrRangeUnavailable.Cause
-// for why it is not wrapped).
+// set, flattening lastErr — or, when no search failed just now, the
+// lowest-indexed replica's last refusal on redial — into a string (see
+// ErrRangeUnavailable.Cause for why it is not wrapped).
 func (s *Set) rangeUnavailable(lastErr error) error {
 	e := &ErrRangeUnavailable{Range: s.name, Index: s.cfg.Index, Replicas: len(s.slots)}
+	for i := 0; lastErr == nil && i < len(s.slots); i++ {
+		sl := s.slots[i]
+		sl.mu.Lock()
+		lastErr = sl.refused
+		sl.mu.Unlock()
+	}
 	if lastErr != nil {
 		e.Cause = lastErr.Error()
 	}

@@ -543,3 +543,65 @@ func TestNewSetStartsDownAndRefusesMismatches(t *testing.T) {
 		t.Fatal("empty set accepted")
 	}
 }
+
+// TestRedialRefusalNamesTheCause: a dark range says why. While its only
+// replica's redials are refused — the server answers with another slice
+// — the range's error carries the refusal; once the server stops
+// answering, it is down again with no cause; once it answers with the
+// slice, it joins.
+func TestRedialRefusalNamesTheCause(t *testing.T) {
+	var mode atomic.Int32 // 0 down, 1 refused (checksum 1), 2 admitted (checksum 2)
+	redial := func() (engine.Backend, error) {
+		switch mode.Load() {
+		case 0:
+			return nil, fmt.Errorf("dial: %w", remote.ErrConnectionLost)
+		case 1:
+			return stubBackend{}, nil
+		}
+		return checksumBackend{stubBackend{}, 2}, nil
+	}
+	set, err := NewSet("shard 1 [4,8)", 2, []Replica{{Redial: redial}},
+		Config{Index: 1, redialBase: time.Millisecond, redialMax: 2 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer set.Close()
+	queries := synth.RandomSet(alphabet.Protein, 1, 20, 30, 7801)
+	// await searches until the range's error is want, "" once it answers.
+	await := func(want string) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+			_, err := set.Search(context.Background(), queries, engine.SearchOptions{})
+			got := ""
+			if err != nil {
+				got = err.Error()
+			}
+			if got == want {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("range error %q, want %q", got, want)
+			}
+		}
+	}
+	await("replica shard 1 [4,8): all 1 replicas down (reconnecting)")
+	mode.Store(1)
+	await("replica shard 1 [4,8): all 1 replicas unavailable: replica 0 refused on redial: database checksum 00000001, want 00000002 (a different slice or database?)")
+	var dark *ErrRangeUnavailable
+	if _, err := set.Search(context.Background(), queries, engine.SearchOptions{}); !errors.As(err, &dark) ||
+		dark.Reason() != "all 1 replicas unavailable: replica 0 refused on redial: database checksum 00000001, want 00000002 (a different slice or database?)" {
+		t.Fatalf("reason of %v, want the refusal without the range", err)
+	}
+	mode.Store(0)
+	await("replica shard 1 [4,8): all 1 replicas down (reconnecting)")
+	mode.Store(2)
+	await("")
+}
+
+// checksumBackend is a stub serving another checksum.
+type checksumBackend struct {
+	stubBackend
+	sum uint32
+}
+
+func (b checksumBackend) Checksum() uint32 { return b.sum }

@@ -291,11 +291,11 @@ func (s *Searcher) scatter(ctx context.Context, queries *seq.Set, topK int) (*ma
 	}
 	if !slices.Contains(skipped, false) {
 		// No partial answer to give: with every range dark, the first
-		// range's own error names the failure (all carry the same typed
-		// cause).
-		for i, err := range errs {
+		// range's own error, which names the range, is the failure (all
+		// carry the same typed cause).
+		for _, err := range errs {
 			if err != nil {
-				return nil, fmt.Errorf("shard %d [%d,%d): %w", i, s.ranges[i].Lo, s.ranges[i].Hi, err)
+				return nil, err
 			}
 		}
 	}
@@ -324,8 +324,13 @@ func (s *Searcher) coverage(skipped []bool, errs []error) *master.Coverage {
 			cov.ResiduesSearched += s.rangeResidues[i]
 			continue
 		}
+		// A dark range's error names the range, which the entry names
+		// already: its Reason says the rest.
 		reason := ""
-		if errs[i] != nil {
+		var dark interface{ Reason() string }
+		if errors.As(errs[i], &dark) {
+			reason = dark.Reason()
+		} else if errs[i] != nil {
 			reason = errs[i].Error()
 		}
 		cov.Skipped = append(cov.Skipped, master.SkippedRange{

@@ -160,13 +160,65 @@ func TestCeilingSeedsLandOnCeilings(t *testing.T) {
 	}
 }
 
+// routeSeeds are cases past the 32 lanes that the AVX2 plan routes
+// from, and the subjects it routes: one long subject among short ones;
+// the cost rule's tie, one subject of 8 residues among 39 of 5, kept in
+// the lanes (both cost 256 slots), and one of 9, routed; and a routed
+// subject that is the query's homolog past 16 bits — Simple(85, -1)
+// self-scores 771 residues to 65535 — so the pair kernel hands it on to
+// sw.Score.
+func routeSeeds() (cases []kernelCase, routed [][]int) {
+	q := alphabet.Protein.MustEncode("MKWVTFISLLFLFSSAYSRGVFRRDAHKSEVAHRFKDLGEENFK")
+	short := append(slices.Clone(q[:7]), fuzzSep)
+	long := bytes.Repeat(q, 28)[:fuzzMaxLen]
+	cases = append(cases, kernelCase{matrix: 0, gapStart: 10, gapExtend: 1, query: q, subjects: slices.Concat(bytes.Repeat(short, 20), long, []byte{fuzzSep}, bytes.Repeat(short, 19))})
+	routed = append(routed, []int{20})
+	five := append(slices.Clone(q[20:25]), fuzzSep)
+	tie := func(n int) kernelCase {
+		return kernelCase{matrix: 0, gapStart: 10, gapExtend: 1, query: q, subjects: slices.Concat(bytes.Repeat(five, 17), q[:n], []byte{fuzzSep}, bytes.Repeat(five, 22))}
+	}
+	cases = append(cases, tie(8), tie(9))
+	routed = append(routed, nil, []int{17})
+	homolog := selfScoring(scoring.Simple("fuzz", alphabet.Protein.Len(), alphabet.Protein.Core(), 85, -1), 771*85)
+	cases = append(cases, kernelCase{matrix: 2, match: 85 - 1, gapStart: 10, gapExtend: 1, query: homolog, subjects: slices.Concat(bytes.Repeat(short, 20), homolog, []byte{fuzzSep}, bytes.Repeat(short, 19))})
+	routed = append(routed, []int{20})
+	return cases, routed
+}
+
+// TestRouteSeedsRoute keeps the routing seeds honest: each must route
+// what routeSeeds says, and the homolog's seed must overflow the pair
+// kernel, or they no longer cover the route and the rung behind it.
+func TestRouteSeedsRoute(t *testing.T) {
+	cases, routed := routeSeeds()
+	for i, c := range cases {
+		p, db := c.params(), c.db()
+		if db.Len() <= avx2Lanes {
+			t.Errorf("seed %d: %d subjects, no more than the lanes", i, db.Len())
+		}
+		if got := newLanePlan(db, avx2Lanes, avx2Block, true).routed; !slices.Equal(got, routed[i]) {
+			t.Errorf("seed %d: routed %v, want %v", i, got, routed[i])
+		}
+		if e := newInterSeq(p, true); !e.route {
+			t.Errorf("seed %d: the AVX2 engine under %s %+v does not route", i, p.Matrix.Name(), p.Gaps)
+		}
+		if i != len(cases)-1 || !hasAVX2 {
+			continue
+		}
+		d := db.Seqs[routed[i][0]].Residues
+		if _, over, ok := pairScore(p, c.query, d); !ok || !over || sw.Score(p, c.query, d) != 65535 {
+			t.Errorf("seed %d: the pair kernel served %v, overflow %v on the homolog", i, ok, over)
+		}
+	}
+}
+
 // FuzzKernelsAgree is the differential fuzzer of every CPU engine, both
 // column kernels of the inter-sequence one — each through a fresh engine
-// and through its replayed lane plan — and, run on every pair of a case,
-// the 16-bit pair kernel that rescues its flagged subjects, against the
-// sw.Score oracle: fuzzed matrix choice (an asymmetric one included), gap
-// model (Gs == 0 and costs beyond every lane ceiling included), query and
-// up to 40 subjects, empty ones included.
+// and through its replayed lane plan, which may route long subjects past
+// the lanes — and, run on every pair of a case, the 16-bit pair kernel
+// that scores its flagged and routed subjects, against the sw.Score
+// oracle: fuzzed matrix choice (an asymmetric one included), gap model
+// (Gs == 0 and costs beyond every lane ceiling included), query and up to
+// 40 subjects, empty ones included.
 func FuzzKernelsAgree(f *testing.F) {
 	seeds, _ := ceilingSeeds()
 	q := alphabet.Protein.MustEncode("MKWVTFISLLFLFSSAYSRGVFRRDAHKSEVAHRFKDLGEENFK")
@@ -193,6 +245,8 @@ func FuzzKernelsAgree(f *testing.F) {
 	// 75 segments of 16 lanes, the planted half far past the lanes' ceiling.
 	long := bytes.Repeat(q, 28)[:fuzzMaxLen]
 	seeds = append(seeds, kernelCase{matrix: 1, gapStart: 12, gapExtend: 1, query: long, subjects: slices.Concat(long[300:900], []byte{fuzzSep}, q)})
+	routed, _ := routeSeeds()
+	seeds = append(seeds, routed...)
 	for _, c := range seeds {
 		f.Add(c.matrix, c.match, c.mismatch, c.gapStart, c.gapExtend, c.query, c.subjects)
 	}

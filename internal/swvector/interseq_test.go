@@ -115,11 +115,38 @@ func (e *InterSeq) ceiling() int {
 func (e *InterSeq) oracleOnly() bool { return e.avx2 == nil && e.swar == nil }
 
 // flaggedBy runs the inter-sequence kernel alone and returns the subject
-// indexes it retired with the overflow flag set, in database order.
+// indexes it retired with the overflow flag set, in database order. The
+// subjects its plan routed past the lanes are not among them (routedBy).
 func flaggedBy(e *InterSeq, query []byte, db *seq.Set) []int {
-	flagged := e.scoreLanes(query, db, make([]int, db.Len()))
+	handed := e.scoreLanes(query, db, make([]int, db.Len()))
+	flagged := slices.Clone(handed[:len(handed)-len(routedBy(e, db))])
 	slices.Sort(flagged)
 	return flagged
+}
+
+// routedBy returns the subjects the engine's lane plan of db leaves to the
+// pair kernel, in database order: none when its column has no range and
+// no plan is built.
+func routedBy(e *InterSeq, db *seq.Set) []int {
+	if e.avx2 != nil && !e.avx2.column {
+		return nil
+	}
+	block := 1
+	if e.vector {
+		block = avx2Block
+	}
+	routed := slices.Clone(e.planFor(db, e.lanes(), block).routed)
+	slices.Sort(routed)
+	return routed
+}
+
+// columnOnly turns the engine's route to the pair kernel off before it
+// plans anything, so that every subject stays in the lanes: for the tests
+// aimed at the column on sets small enough that the route would take
+// their longest subjects, or all of them.
+func columnOnly(e *InterSeq) *InterSeq {
+	e.route = false
+	return e
 }
 
 func checkAgainstOracle(t *testing.T, p sw.Params, eng sw.Engine, query []byte, db *seq.Set) {
@@ -164,7 +191,7 @@ func TestInterSeqOverflowRescore(t *testing.T) {
 			{sw.Params{Matrix: scoring.BLOSUM62, Gaps: scoring.Gaps{Start: 0, Extend: 1}}, 123, 240}, // K = bias = 4 > OpenCost+Extend
 			{sw.Params{Matrix: positiveMatrix(), Gaps: scoring.Gaps{Start: 5, Extend: 3}}, 116, 240}, // bias 0: K = 11 from the gaps, max S 4
 		} {
-			p, e := tc.p, newEngine(tc.p)
+			p, e := tc.p, columnOnly(newEngine(tc.p))
 			if e.oracleOnly() {
 				t.Fatalf("%s %+v: lanes unexpectedly without range", p.Matrix.Name(), p.Gaps)
 			}
@@ -192,6 +219,7 @@ func TestInterSeqOverflowRescore(t *testing.T) {
 					t.Fatalf("%s ceiling %d score %d: flagged %v want %v", p.Matrix.Name(), ceiling, score, got, wantFlagged)
 				}
 				checkAgainstOracle(t, p, e, q, db)
+				checkAgainstOracle(t, p, newEngine(p), q, db)
 			}
 		}
 		p := params()
@@ -253,6 +281,8 @@ func TestInterSeqBlocks(t *testing.T) {
 		for n := 1; n <= 9; n++ {
 			db := seq.NewSet(alphabet.Protein)
 			db.AddEncoded("suffix", "", q[len(q)-n:])
+			// A subject alone would be routed past the lanes.
+			e := columnOnly(newEngine(p))
 			if got, want := e.Scores(q, db)[0], p.Matrix.SelfScore(q[len(q)-n:]); got != want {
 				t.Fatalf("%s: a suffix of %d residues scores %d, want %d", e.Name(), n, got, want)
 			}
@@ -291,7 +321,7 @@ func TestAVX2ColumnNeedsRoom(t *testing.T) {
 		{scoring.Gaps{Start: 69999, Extend: 2}, false, []int{0, 2, 3}},
 	} {
 		p := sw.Params{Matrix: scoring.BLOSUM62, Gaps: tc.gaps}
-		e := newInterSeq(p, true)
+		e := columnOnly(newInterSeq(p, true))
 		if e.avx2.column != tc.column {
 			t.Fatalf("%+v: column = %v, want %v", tc.gaps, e.avx2.column, tc.column)
 		}
@@ -305,6 +335,7 @@ func TestAVX2ColumnNeedsRoom(t *testing.T) {
 			t.Fatalf("%+v: pair kernel %d (overflow %v, served %v)", tc.gaps, s, over, ok)
 		}
 		checkAgainstOracle(t, p, e, q, db)
+		checkAgainstOracle(t, p, newInterSeq(p, true), q, db)
 	}
 }
 
@@ -315,13 +346,15 @@ func TestAVX2ColumnNeedsRoom(t *testing.T) {
 func TestInterSeqLaneIsolation(t *testing.T) {
 	eachKernel(t, func(t *testing.T, newEngine func(sw.Params) *InterSeq) {
 		p := params()
-		e := newEngine(p)
 		rng := rand.New(rand.NewSource(17))
 		long := make([]byte, 300)
 		for i := range long {
 			long[i] = byte(i % 20)
 		}
-		for hot := 0; hot < e.lanes(); hot++ {
+		for hot := 0; hot < newEngine(p).lanes(); hot++ {
+			// A fresh engine a database, its plan without the route: the
+			// hot subject may be the longest, and it must stay in its lane.
+			e := columnOnly(newEngine(p))
 			db := seq.NewSet(alphabet.Protein)
 			for l := 0; l < e.lanes(); l++ {
 				if l == hot {
@@ -334,6 +367,7 @@ func TestInterSeqLaneIsolation(t *testing.T) {
 				t.Fatalf("hot lane %d: flagged %v", hot, got)
 			}
 			checkAgainstOracle(t, p, e, long, db)
+			checkAgainstOracle(t, p, newEngine(p), long, db)
 		}
 	})
 }
@@ -450,14 +484,22 @@ func TestInterSeqPlanFollowsGrowth(t *testing.T) {
 // TestInterSeqPlanShapes covers the plans at the edges: a database of
 // empty subjects only, which plans no column, and one whose longest
 // subject — the benchmark corpus' 2 217 residues — is longer than all the
-// others together, so that its lane alone sets the pass's length while
-// the others finish and go idle, empty subjects between them. It also
-// pins the benchmark corpus' 32-lane plan at 3 420 columns, the occupancy
-// the driver's comment states.
+// others together. Without the route its lane alone sets the pass's
+// length while the others finish and go idle, empty subjects between
+// them; with it (AVX2 column, Gs > 0) that subject goes to the pair
+// kernel and the lanes plan the others alone. It also pins the benchmark
+// corpus' 32-lane plan at 3 404 columns in 143 steps, the occupancy the
+// driver's comment states, with nothing routed.
 func TestInterSeqPlanShapes(t *testing.T) {
 	corpus := benchCorpus()
-	if plan := newLanePlan(corpus, avx2Lanes, avx2Block); len(plan.stream) != 109440 || corpus.TotalResidues() != 106885 {
-		t.Fatalf("the benchmark corpus' %d residues plan into %d slots, the comment says 106 885 in 109 440", corpus.TotalResidues(), len(plan.stream))
+	for _, route := range []bool{false, true} {
+		plan := newLanePlan(corpus, avx2Lanes, avx2Block, route)
+		if len(plan.stream) != 108928 || len(plan.steps) != 143 || corpus.TotalResidues() != 106885 {
+			t.Fatalf("route %v: the benchmark corpus' %d residues plan into %d slots in %d steps, the comment says 106 885 in 108 928, 143 steps", route, corpus.TotalResidues(), len(plan.stream), len(plan.steps))
+		}
+		if len(plan.routed) != 0 {
+			t.Fatalf("route %v: the benchmark corpus routed %v", route, plan.routed)
+		}
 	}
 	long := longest(corpus)
 	eachKernel(t, func(t *testing.T, newEngine func(sw.Params) *InterSeq) {
@@ -470,8 +512,8 @@ func TestInterSeqPlanShapes(t *testing.T) {
 			empty.AddEncoded("empty", "", nil)
 		}
 		checkAgainstOracle(t, p, e, q, empty)
-		if len(e.plan.steps) != 0 || len(e.plan.stream) != 0 {
-			t.Fatalf("a database of empty subjects planned %d steps, %d slots", len(e.plan.steps), len(e.plan.stream))
+		if len(e.plan.steps) != 0 || len(e.plan.stream) != 0 || len(e.plan.routed) != 0 {
+			t.Fatalf("a database of empty subjects planned %d steps, %d slots, routed %v", len(e.plan.steps), len(e.plan.stream), e.plan.routed)
 		}
 		db := seq.NewSet(alphabet.Protein)
 		others := 0
@@ -488,15 +530,93 @@ func TestInterSeqPlanShapes(t *testing.T) {
 		if others >= len(long) {
 			t.Fatalf("the short subjects hold %d residues, the long one only %d", others, len(long))
 		}
-		checkAgainstOracle(t, p, e, q, db)
 		block := 1
 		if e.vector {
 			block = avx2Block
 		}
-		if cols := (len(long) + block - 1) / block * block; len(e.plan.stream) != cols*e.lanes() {
-			t.Fatalf("%d slots, want the long subject's %d columns of %d lanes", len(e.plan.stream), cols, e.lanes())
+		column := columnOnly(newEngine(p))
+		checkAgainstOracle(t, p, column, q, db)
+		if cols := (len(long) + block - 1) / block * block; len(column.plan.stream) != cols*e.lanes() {
+			t.Fatalf("%d slots, want the long subject's %d columns of %d lanes", len(column.plan.stream), cols, e.lanes())
+		}
+		checkAgainstOracle(t, p, e, q, db)
+		if !e.route {
+			if e.vector {
+				t.Fatal("the AVX2 engine under BLOSUM62 10/2 plans without the route")
+			}
+			if len(e.plan.routed) != 0 {
+				t.Fatalf("the SWAR engine routed %v", e.plan.routed)
+			}
+			return
+		}
+		shorts := newLanePlan(db.Slice(0, db.Len()-1), e.lanes(), block, false)
+		if got := routedBy(e, db); !slices.Equal(got, []int{db.Len() - 1}) || len(e.plan.stream) != len(shorts.stream) {
+			t.Fatalf("routed %v in %d slots, want the long subject %d routed and the short ones' %d slots", got, len(e.plan.stream), db.Len()-1, len(shorts.stream))
 		}
 	})
+}
+
+// TestLanePlanRoute pins the route's cost rule on the sets it was
+// weighed on. Of 60 log-normal subjects (the benchmark corpus' shape),
+// one set whose longest subject, 765 residues, is close to its residues
+// over 32 lanes (700) routes nothing, and one whose longest two, 1 457
+// and 1 375 residues, set the pass's length routes them: 1 460 columns fall
+// to 832, and a task runs 0.79x as long at 270 query residues, 0.94x at
+// 32. 51 uniform subjects of 1-120 residues, which only look ragged,
+// route nothing. The benchmark corpus plus one titin-length subject
+// routes that subject alone. A set built on the rule's tie — one subject of
+// 8 residues and 39 of 5, where leaving it in the lanes and routing it
+// both cost 256 slots — keeps it, while one residue more routes it.
+// Engines whose pair kernel cannot follow the column (SWAR, Gs == 0)
+// never route.
+func TestLanePlanRoute(t *testing.T) {
+	withTitin := benchCorpus()
+	withTitin.AddEncoded("titin", "", randSeq(rand.New(rand.NewSource(113)), 35000))
+	tie := func(long int) *seq.Set {
+		db := seq.NewSet(alphabet.Protein)
+		for i := 0; i < 40; i++ {
+			n := 5
+			if i == 17 {
+				n = long
+			}
+			db.AddEncoded("s", "", slices.Repeat([]byte{byte(i % 20)}, n))
+		}
+		return db
+	}
+	for _, tc := range []struct {
+		name   string
+		db     *seq.Set
+		routed []int
+	}{
+		{"log-normal 60, no straggler", synth.DBSpec{Name: "ln", Count: 60, MeanLen: 360, Sigma: 0.6, MinLen: 20, MaxLen: 4000, Seed: 4}.Generate(), nil},
+		{"log-normal 60, two stragglers", synth.DBSpec{Name: "ln", Count: 60, MeanLen: 360, Sigma: 0.6, MinLen: 20, MaxLen: 4000, Seed: 7}.Generate(), []int{6, 10}},
+		{"uniform 51 of 1-120", synth.RandomSet(alphabet.Protein, 51, 1, 120, 48), nil},
+		{"corpus + titin", withTitin, []int{withTitin.Len() - 1}},
+		{"tie", tie(8), nil},
+		{"past the tie", tie(9), []int{17}},
+	} {
+		if got := newLanePlan(tc.db, avx2Lanes, avx2Block, true).routed; !slices.Equal(got, tc.routed) {
+			t.Errorf("%s: routed %v, want %v", tc.name, got, tc.routed)
+		}
+	}
+	for _, p := range []sw.Params{params(), {Matrix: scoring.BLOSUM62, Gaps: scoring.Gaps{Start: 0, Extend: 2}}} {
+		if e := newInterSeq(p, false); e.route {
+			t.Errorf("the SWAR engine under %+v plans with the route", p.Gaps)
+		}
+	}
+	if e := newInterSeq(sw.Params{Matrix: scoring.BLOSUM62, Gaps: scoring.Gaps{Start: 0, Extend: 2}}, true); e.route {
+		t.Error("the AVX2 engine under Gs == 0 plans with the route")
+	}
+	if !hasAVX2 {
+		return
+	}
+	p := params()
+	q := plantedQuery(rand.New(rand.NewSource(127)), withTitin, withTitin.Len()-1, 120)
+	e := NewInterSeq(p)
+	checkAgainstOracle(t, p, e, q, withTitin)
+	if got := routedBy(e, withTitin); !slices.Equal(got, []int{withTitin.Len() - 1}) {
+		t.Fatalf("the engine routed %v", got)
+	}
 }
 
 // TestInterSeqNarrowLanes covers parameter sets that leave a kernel's

@@ -212,6 +212,45 @@ func BenchmarkPairKernel(b *testing.B) {
 	}
 }
 
+// BenchmarkLaneSlotRates sizes pairSlots: the AVX2 column's rate over
+// every slot of the benchmark corpus' plan, idle ones included (MB/s
+// reads as Mslot/s), against the pair kernel's on the corpus' longest
+// subject (MB/s reads as Mcell/s, the profile built once as a task
+// builds it once for all it hands on), at a short and a typical query.
+// The queries are uniform residues, so no subject is flagged and the
+// column runs alone.
+func BenchmarkLaneSlotRates(b *testing.B) {
+	if !hasAVX2 {
+		b.Skip("this CPU has no AVX2")
+	}
+	p := params()
+	db := benchCorpus()
+	plan := newLanePlan(db, avx2Lanes, avx2Block, false)
+	long := longest(db)
+	rng := rand.New(rand.NewSource(89))
+	for _, n := range []int{32, 270} {
+		q := randSeq(rng, n)
+		b.Run(fmt.Sprintf("column/q%d", n), func(b *testing.B) {
+			e := newInterSeq(p, true)
+			if flagged := flaggedBy(e, q, db); len(flagged) != 0 {
+				b.Fatalf("flagged %v", flagged)
+			}
+			b.SetBytes(int64(n * len(plan.stream)))
+			for b.Loop() {
+				e.Scores(q, db)
+			}
+		})
+		b.Run(fmt.Sprintf("pair/q%d", n), func(b *testing.B) {
+			k := newPairKernel(newAVX2Tables(p), q)
+			defer k.release()
+			b.SetBytes(int64(n * len(long)))
+			for b.Loop() {
+				k.score(long)
+			}
+		})
+	}
+}
+
 // BenchmarkInterSeq times whole tasks — lane driver, column kernel and the
 // rescue of the planted homolog — on the benchmark's corpus, one thread.
 func BenchmarkInterSeq(b *testing.B) {

@@ -3,7 +3,7 @@ package swvector
 import (
 	"bytes"
 	"math"
-	"math/bits"
+	"slices"
 	"sync"
 
 	"swdual/internal/seq"
@@ -54,10 +54,14 @@ import (
 //
 // What does not depend on the query is paid once per database: the
 // engine keeps the lane plan (lanePlan) of the Set it scored last, the
-// subject order, the lane steps and the residues pre-interleaved as the
-// column consumes them, and builds a new one when it is given another Set
-// or the Set's length changed. A Set's sequences must therefore not
-// change in place between calls; growing it is fine. An InterSeq is safe
+// subject order (exact longest first), the lane steps and the residues
+// pre-interleaved as the column consumes them, and builds a new one when
+// it is given another Set or the Set's length changed. A Set's sequences
+// must therefore not change in place between calls; growing it is fine.
+// Behind the AVX2 column with Gs > 0 the plan also routes a subject that
+// would hold the lanes alone straight to the pair kernel, where a cost
+// rule (routeCount, priced by pairSlots) finds that cheaper: it climbs the
+// ladder with the flagged subjects without entering a lane. An InterSeq is safe
 // for concurrent use — its kernels are pooled, and the plan is built
 // under a lock, once — so a pool's CPU workers share one.
 type InterSeq struct {
@@ -67,6 +71,10 @@ type InterSeq struct {
 	// nil, and so do both when the lanes have no usable range.
 	avx2 *avx2Tables
 	swar *swarTables
+	// route lets the lane plan send its longest subjects to the pair
+	// kernel (newLanePlan): set where that kernel is exact behind the
+	// AVX2 column.
+	route bool
 
 	mu   sync.Mutex
 	plan *lanePlan // of the Set scored last
@@ -82,6 +90,7 @@ func newInterSeq(p sw.Params, vector bool) *InterSeq {
 	e := &InterSeq{params: p, vector: vector}
 	if vector {
 		e.avx2 = newAVX2Tables(p)
+		e.route = e.avx2 != nil && e.avx2.column && e.avx2.pairExact
 	} else {
 		e.swar = newSWARTables(p)
 	}
@@ -127,8 +136,9 @@ func (e *InterSeq) Scores(query []byte, db *seq.Set) []int {
 
 // scoreLanes runs the engine's column kernel over db, writes the scores
 // that stayed in their lanes to out and returns the database indexes of
-// the subjects that did not. The query is non-empty and the engine has a
-// kernel.
+// the subjects that did not: those that overflowed their lane, then those
+// the plan routed past the lanes. The query is non-empty and the engine
+// has a kernel.
 func (e *InterSeq) scoreLanes(query []byte, db *seq.Set, out []int) (overflowed []int) {
 	var k laneKernel
 	switch {
@@ -144,9 +154,10 @@ func (e *InterSeq) scoreLanes(query []byte, db *seq.Set, out []int) (overflowed 
 		}
 		return overflowed
 	}
-	runLanes(k, e.planFor(db, k.lanes(), k.block()), out, &overflowed)
+	plan := e.planFor(db, k.lanes(), k.block())
+	runLanes(k, plan, out, &overflowed)
 	k.release()
-	return overflowed
+	return append(overflowed, plan.routed...)
 }
 
 // planFor returns the lane plan of db, building it if the engine's plan
@@ -155,7 +166,7 @@ func (e *InterSeq) planFor(db *seq.Set, lanes, block int) *lanePlan {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if p := e.plan; p == nil || p.db != db || p.count != db.Len() {
-		e.plan = newLanePlan(db, lanes, block)
+		e.plan = newLanePlan(db, lanes, block, e.route)
 	}
 	return e.plan
 }
@@ -222,14 +233,24 @@ func runLanes(k laneKernel, plan *lanePlan, out []int, overflowed *[]int) {
 // count and block. An InterSeq builds it at the first task on a database
 // and every later task replays it (InterSeq.planFor).
 //
-// Subjects are taken longest first, by power-of-two length class and in
-// database order within a class. The lanes run until the last one
+// Subjects are taken longest first, in exact descending length and in
+// database order among equals. The lanes run until the last one
 // finishes, so a long subject that starts late leaves the others idle
 // behind it: in database order 32 lanes are 80 % occupied on 300
-// sequences of log-normal lengths (65 % on 150), in class order 98 %
+// sequences of log-normal lengths (65 % on 150), longest first 98 %
 // (96 %). On the benchmark corpus the plan holds 106 885 residues in
-// 109 440 slots, 97.7 %. Empty subjects belong to no class; they score
-// 0, which out already holds.
+// 108 928 slots, 98.1 %. Empty subjects are not planned; they score 0,
+// which out already holds.
+//
+// Longest first cannot help a subject longer than the set's residues
+// over lanes: its lane alone sets the pass's length, and the others idle
+// beside it. Where the pair kernel is exact behind the AVX2 column
+// (InterSeq.route), the plan leaves such stragglers to it instead, when
+// that is cheaper (routeCount): routed subjects take no slot and are
+// handed on with the flagged ones. On the benchmark corpus nothing is
+// routed; on the cluster's half holding its 2 217-residue subject that
+// subject is, and the plan falls from 2 220 columns (75.4 % occupied) to
+// 1 652 (97.1 %).
 type lanePlan struct {
 	// The database planned, and its length then: a Set that grew since is
 	// another database.
@@ -241,6 +262,9 @@ type lanePlan struct {
 	// columns a lane runs past its subject's end. It is a copy: the
 	// kernels never read a subject, which may end its mapping.
 	stream []byte
+	// routed is the database indexes of the subjects left to the pair
+	// kernel, longest first; they have no slot in stream.
+	routed []int
 }
 
 // laneStep is one advance of the plan: the lanes that take a new subject
@@ -253,28 +277,64 @@ type laneStep struct {
 
 type laneSubject struct{ lane, subject int }
 
+// pairSlots is the pair kernel's cost per cell in column slots: the
+// column's rate over every slot it runs, idle ones included, over the
+// pair kernel's rate on one subject. BenchmarkLaneSlotRates, one thread
+// of a 2-vCPU Xeon, medians of 5 runs: the column 12.0 Gslot/s at 32
+// query residues and 14.8 at 270, the pair kernel 2.9 and 5.8 Gcell/s, so
+// 4.1 and 2.5. The short query's ratio is taken, rounded, so a short
+// query seldom routes a subject its column would have scored sooner.
+const pairSlots = 4
+
+// routeCount returns how many of the longest subjects the pair kernel
+// takes: order is db's non-empty subjects, longest first, and total
+// their residues. With L[k] the length of order[k] (0 past the end),
+// routing the k longest costs an estimated lanes·max(L[k],
+// ⌈(total−S_k)/lanes⌉) column slots, the longer of the longest subject
+// left and a perfectly packed rest, plus pairSlots·S_k for the routed
+// residues S_k; the cheapest k wins, the smallest on a tie. The scan
+// stops at the first k whose longest subject fits the rest's packed
+// length, L[k]·lanes <= total−S_k: routing more only trades column slots
+// one for one against dearer pair cells.
+func routeCount(db *seq.Set, order []int, total, lanes int) int {
+	best, bestCost, routed := 0, math.MaxInt, 0
+	for k := 0; ; k++ {
+		l := 0
+		if k < len(order) {
+			l = db.Seqs[order[k]].Len()
+		}
+		rest := total - routed
+		if cost := lanes*max(l, (rest+lanes-1)/lanes) + pairSlots*routed; cost < bestCost {
+			best, bestCost = k, cost
+		}
+		if l*lanes <= rest {
+			return best
+		}
+		routed += l
+	}
+}
+
 // newLanePlan simulates the lane pass over db's lengths, then writes the
 // stream in one allocation, each subject's residues strided into its
 // lane. Every step runs as many columns as the shortest remaining subject
 // has, rounded up to whole blocks: the at most block-1 columns past a
 // subject's end are idle ones, whose diagonal term G < H' cannot raise the
-// lane's maximum, so the score stays exact.
-func newLanePlan(db *seq.Set, lanes, block int) *lanePlan {
-	// Longest class first: at[c] is where class c starts in order.
-	var at [bits.UintSize + 1]int
+// lane's maximum, so the score stays exact. With route, the plan first
+// leaves routeCount's longest subjects out.
+func newLanePlan(db *seq.Set, lanes, block int, route bool) *lanePlan {
+	order := make([]int, 0, db.Len())
+	total := 0
 	for i := range db.Seqs {
-		at[bits.Len(uint(db.Seqs[i].Len()))]++
-	}
-	n := 0
-	for c := bits.UintSize; c > 0; c-- {
-		at[c], n = n, n+at[c]
-	}
-	order := make([]int, n)
-	for i := range db.Seqs {
-		if c := bits.Len(uint(db.Seqs[i].Len())); c > 0 {
-			order[at[c]] = i
-			at[c]++
+		if n := db.Seqs[i].Len(); n > 0 {
+			order = append(order, i)
+			total += n
 		}
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return db.Seqs[b].Len() - db.Seqs[a].Len() })
+	var routed []int
+	if route {
+		k := routeCount(db, order, total, lanes)
+		routed, order = order[:k:k], order[k:]
 	}
 
 	var (
@@ -337,5 +397,5 @@ func newLanePlan(db *seq.Set, lanes, block int) *lanePlan {
 			p += lanes
 		}
 	}
-	return &lanePlan{db: db, count: db.Len(), steps: steps, stream: stream}
+	return &lanePlan{db: db, count: db.Len(), steps: steps, stream: stream, routed: routed}
 }

@@ -915,6 +915,10 @@ func TestRedialRefusesReplicaRestartedWithOtherGaps(t *testing.T) {
 	if got.Coverage == nil || len(got.Coverage.Skipped) != 1 || got.Coverage.Skipped[0].Index != 1 {
 		t.Fatalf("coverage %+v after redialing a server with other gaps, want range 1 still skipped", got.Coverage)
 	}
+	wantReason := fmt.Sprintf("all 1 replicas unavailable: replica 0 refused on redial: server %s scores with BLOSUM62 11/2, the coordinator with BLOSUM62 10/2", addr)
+	if reason := got.Coverage.Skipped[0].Reason; reason != wantReason {
+		t.Fatalf("range 1 skipped because %q, want %q", reason, wantReason)
+	}
 
 	wrong.Kill()
 	swdual.StartShardServer(t, addr, db, 1, shardCount, opt)
@@ -1023,8 +1027,8 @@ func TestDegradedRidesOverDeadShardServer(t *testing.T) {
 		t.Fatalf("coverage %+v, want 1 of %d ranges searched and one skipped", cov, shardCount)
 	}
 	sk := cov.Skipped[0]
-	if sk.Index != 1 || sk.Lo <= 0 || sk.Hi != db.Len() || !strings.Contains(sk.Reason, "shard 1") {
-		t.Fatalf("skipped range %+v, want range 1 ending at sequence %d", sk, db.Len())
+	if sk.Index != 1 || sk.Lo <= 0 || sk.Hi != db.Len() || !strings.HasPrefix(sk.Reason, "all 1 replicas ") || strings.Contains(sk.Reason, "shard") {
+		t.Fatalf("skipped range %+v, want range 1 ending at sequence %d, its reason not naming the range again", sk, db.Len())
 	}
 	// The survivors are the prefix [0, Lo), so their indices are the
 	// whole database's: the answer must be a search of that slice alone.
