@@ -51,3 +51,40 @@ func TestAllocsSteadyStateSearch(t *testing.T) {
 		t.Fatalf("steady-state Search allocates %.1f objects per call, cap %d", avg, searchAllocCap)
 	}
 }
+
+// TestAllocsSteadyStateLoneQuery pins the allocation budget of a warm
+// lone query on a CPU: 2 pool, which runs it as one task per database
+// chunk and merges the two parts: the split's price on top of a one-task
+// search.
+func TestAllocsSteadyStateLoneQuery(t *testing.T) {
+	db := synth.RandomSet(alphabet.Protein, 48, 10, 150, 65)
+	queries := synth.RandomSet(alphabet.Protein, 1, 40, 80, 66)
+	s, err := New(db, Config{Pool: master.PoolSpec{CPU: 2}, TopK: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if len(s.chunks) != 2 {
+		t.Fatalf("a CPU: 2 pool cut %d chunks", len(s.chunks))
+	}
+	ctx := context.Background()
+	for i := 0; i < 3; i++ { // warm kernel pools, lane plans and wave scratch
+		if _, err := s.Search(ctx, queries, SearchOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	avg := testing.AllocsPerRun(20, func() {
+		if _, err := s.Search(ctx, queries, SearchOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// Measured 37 objects, steady across -cpu 1,2,4: a one-task lone
+	// query on CPU: 1 takes 21, and the split adds the second task's
+	// closures, score and hit lists, the larger schedule and the merge of
+	// the two parts (hit lists, cursors, the joined worker name). The cap
+	// leaves the same 4 of headroom as the two-query one.
+	const loneAllocCap = 41
+	if avg > loneAllocCap {
+		t.Fatalf("steady-state lone query allocates %.1f objects per call, cap %d", avg, loneAllocCap)
+	}
+}

@@ -141,23 +141,27 @@ func (r *stepRig) noStart(why string) {
 	}
 }
 
-// TestIdleWorkerTakesNextWave is the any-idle gate itself: with worker A
-// pinned in request 1, request 2 becomes a wave of its own on worker B
-// and returns before A is released. Under an all-idle fence it would
-// have waited on submit.
+// TestIdleWorkerTakesNextWave is the any-idle gate itself: request 1, a
+// lone query, runs as one chunk on each worker; once worker A finishes
+// its chunk, request 2 becomes a wave of its own on A — one idle worker,
+// so not split — and returns while B is still pinned in request 1.
+// Under an all-idle fence it would have waited on submit.
 func TestIdleWorkerTakesNextWave(t *testing.T) {
 	rig := newStepRig(t, stepWorker{name: "w0", rate: 1}, stepWorker{name: "w1", rate: 1})
 	out1 := rig.search([]int{30}, "r1")
-	a := rig.nextStart()
-	out2 := rig.search([]int{30}, "r2")
-	b := rig.nextStart()
-	if b.worker == a.worker || b.query != "r2" {
-		t.Fatalf("request 2 started as %+v while %+v is pinned", b, a)
+	a, b := rig.nextStart(), rig.nextStart()
+	if a.query != "r1" || b.query != "r1" || a.worker == b.worker {
+		t.Fatalf("the lone request 1 started as %+v and %+v, want one chunk on each worker", a, b)
 	}
-	rig.finish(b.worker)
+	rig.finish(a.worker)
+	out2 := rig.search([]int{30}, "r2")
+	if c := rig.nextStart(); c != (started{a.worker, "r2"}) {
+		t.Fatalf("request 2 started as %+v while %+v is pinned", c, b)
+	}
+	rig.finish(a.worker)
 	rep2 := rig.wait("request 2", out2)
-	if got := rep2.Results[0].Worker; got != b.worker {
-		t.Fatalf("request 2 reports worker %s, ran on %s", got, b.worker)
+	if got := rep2.Results[0].Worker; got != a.worker {
+		t.Fatalf("request 2 reports worker %s, ran on %s", got, a.worker)
 	}
 	select {
 	case o := <-out1:
@@ -167,9 +171,13 @@ func TestIdleWorkerTakesNextWave(t *testing.T) {
 	if st := rig.s.Stats(); st.Waves != 2 || st.BatchedWaves != 0 {
 		t.Fatalf("want two one-request waves, got %+v", st)
 	}
-	rig.finish(a.worker)
-	if got := rig.wait("request 1", out1).Results[0].Worker; got != a.worker {
-		t.Fatalf("request 1 reports worker %s, ran on %s", got, a.worker)
+	rig.finish(b.worker)
+	res := rig.wait("request 1", out1).Results[0]
+	if res.Worker != a.worker+"+"+b.worker && res.Worker != b.worker+"+"+a.worker {
+		t.Fatalf("request 1 reports worker %s, its chunks ran on %s and %s", res.Worker, a.worker, b.worker)
+	}
+	if res.Cells != 2 {
+		t.Fatalf("request 1 counts %d cells, its two chunks 1 each", res.Cells)
 	}
 }
 
@@ -196,17 +204,16 @@ func TestWavePlannedOnIdleSubPlatform(t *testing.T) {
 	rig.wait("request 1", out1)
 }
 
-// TestBusyPoolCoalescesThenFeedsOneFIFO pins both workers, queues four
-// more requests — they must wait on submit, not in a worker queue — and
-// frees one worker: the four coalesce into one wave planned on that one
-// idle worker, and its tasks are then pulled in planned start order by
-// whichever worker frees, the still-pinned one included once released.
+// TestBusyPoolCoalescesThenFeedsOneFIFO pins both workers in the two
+// chunks of a lone request, queues four more requests — they must wait
+// on submit, not in a worker queue — and frees one worker: the four
+// coalesce into one wave planned on that one idle worker, and its tasks
+// are then pulled in planned start order by whichever worker frees, the
+// still-pinned one included once released.
 func TestBusyPoolCoalescesThenFeedsOneFIFO(t *testing.T) {
 	rig := newStepRig(t, stepWorker{name: "w0", rate: 1}, stepWorker{name: "w1", rate: 1})
 	out1 := rig.search([]int{30}, "r1")
-	a := rig.nextStart()
-	out2 := rig.search([]int{30}, "r2")
-	b := rig.nextStart()
+	a, b := rig.nextStart(), rig.nextStart()
 
 	// Distinct lengths make a task's planned duration identify it.
 	lens := []int{20, 30, 40, 50}
@@ -215,10 +222,10 @@ func TestBusyPoolCoalescesThenFeedsOneFIFO(t *testing.T) {
 	for i := range ids {
 		outs[i] = rig.search(lens[i:i+1], ids[i])
 	}
-	waitSearches(t, rig.s, 6)
+	waitSearches(t, rig.s, 5)
 	time.Sleep(10 * time.Millisecond) // let the callers reach the submit queue
 	rig.noStart("both workers are pinned")
-	if st := rig.s.Stats(); st.Waves != 2 {
+	if st := rig.s.Stats(); st.Waves != 1 {
 		t.Fatalf("requests behind a busy pool became waves: %+v", st)
 	}
 
@@ -237,7 +244,6 @@ func TestBusyPoolCoalescesThenFeedsOneFIFO(t *testing.T) {
 		ran[ev.worker]++
 	}
 	rig.wait("request 1", out1)
-	rig.wait("request 2", out2)
 	if ran[a.worker] != 2 || ran[b.worker] != 2 {
 		t.Fatalf("the wave's tasks ran %v, want two on each worker", ran)
 	}
@@ -251,7 +257,7 @@ func TestBusyPoolCoalescesThenFeedsOneFIFO(t *testing.T) {
 	if st.BatchedWaves == 0 || st.Waves >= st.Searches {
 		t.Fatalf("the queued requests did not coalesce: %+v", st)
 	}
-	if st.Waves != 3 {
+	if st.Waves != 2 {
 		t.Skipf("a caller reached submit late (%d waves); the FIFO check needs one wave of four", st.Waves)
 	}
 	// One wave, planned on the single idle worker: placements sorted by
@@ -272,16 +278,19 @@ func TestBusyPoolCoalescesThenFeedsOneFIFO(t *testing.T) {
 }
 
 // TestCloseWaitsForFedWaves closes the Searcher with two waves in flight
-// on two pinned workers, one of them with a task still queued in the
-// pool: both must complete (never master.ErrPoolClosed), and a third
-// request that was never admitted gets ErrClosed while Close is still
-// waiting.
+// on two pinned workers — a split lone request with one chunk left, and
+// a two-query request with a task still queued in the pool: both must
+// complete (never master.ErrPoolClosed), and a third request that was
+// never admitted gets ErrClosed while Close is still waiting.
 func TestCloseWaitsForFedWaves(t *testing.T) {
 	rig := newStepRig(t, stepWorker{name: "w0", rate: 1}, stepWorker{name: "w1", rate: 1})
 	out1 := rig.search([]int{30}, "r1")
-	a := rig.nextStart()
+	a, b := rig.nextStart(), rig.nextStart() // one chunk of r1 each
+	rig.finish(a.worker)
 	out2 := rig.search([]int{30, 40}, "r2a", "r2b") // one task runs, one waits in the pool queue
-	b := rig.nextStart()
+	if c := rig.nextStart(); c.worker != a.worker {
+		t.Fatalf("request 2 started on %s, pinned in request 1", c.worker)
+	}
 	out3 := rig.search([]int{30}, "r3")
 	waitSearches(t, rig.s, 3)
 
@@ -300,10 +309,10 @@ func TestCloseWaitsForFedWaves(t *testing.T) {
 		t.Fatalf("Close returned %v with two waves still in flight", err)
 	default:
 	}
-	rig.finish(a.worker)
+	rig.finish(b.worker) // request 1's last chunk
 	rig.wait("wave 1", out1)
-	rig.finish(b.worker)
 	second := rig.nextStart() // the task that waited in the pool queue
+	rig.finish(a.worker)
 	rig.finish(second.worker)
 	if rep := rig.wait("wave 2", out2); len(rep.Results) != 2 {
 		t.Fatalf("wave 2 returned %d results", len(rep.Results))

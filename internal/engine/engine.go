@@ -26,10 +26,23 @@
 // the kind frees first pulls — the paper's list-scheduling step (§III),
 // "next task to the least-loaded PE of the class", executed with real
 // instead of estimated times. Waves therefore
-// overlap: a one-query wave occupies one worker and the next request
-// runs beside it on another instead of waiting for it. Requests that
+// overlap: a one-query wave planned on one idle worker occupies that
+// worker, and the next request runs beside it on another as soon as one
+// frees instead of waiting for the whole wave. Requests that
 // arrive while every worker is busy wait on the submit channel, where
 // cancellation and Close still reach them, and form the next wave.
+//
+// A wave with fewer queries than idle CPU workers would leave some of
+// them idle beside work it could share, the one case §III's premise
+// rules out and §II.C answers by splitting a comparison. On a pool with
+// no GPU-kind worker such a wave runs each query as one task per chunk
+// of the database: the pool's CPU-worker count of contiguous ranges of
+// balanced residues (seq.SplitRanges, the split the cluster cuts its
+// shard ranges with), cut once at New. The chunk tasks are planned by
+// the same policy as any wave, and each query's parts merge through
+// master.MergeParts exactly as a cluster merges its ranges, so hits are
+// byte-identical to one task over the whole database. Every other wave
+// runs one task per query.
 //
 // Every scheduling decision still sees an idle platform, just not always
 // the whole one. With every worker idle the instance is the paper's §III
@@ -45,6 +58,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -254,6 +269,12 @@ type Searcher struct {
 	db         *seq.Set
 	dbResidues int64
 	checksum   uint32
+	// chunks are the ranges a wave with fewer queries than idle CPU
+	// workers is split over, offsets their first database indexes; nil
+	// unless the pool has two or more workers, all of CPU kind, and the
+	// database fills two or more chunks.
+	chunks  []chunk
+	offsets []int
 
 	pool   *master.Pool
 	submit chan *request
@@ -274,6 +295,12 @@ type Searcher struct {
 	queries      atomic.Uint64
 	waves        atomic.Uint64
 	batchedWaves atomic.Uint64
+}
+
+// chunk is one range of the database a split query runs over.
+type chunk struct {
+	set      *seq.Set
+	residues int64
 }
 
 // New prepares the database once and starts the persistent worker pool
@@ -310,6 +337,9 @@ func New(db *seq.Set, cfg Config) (*Searcher, error) {
 		return nil, err
 	}
 	s.pool = pool
+	if r := master.RatesOf(workers); r.GPUs == 0 {
+		s.cut(r.CPUs)
+	}
 	var closeOnce atomic.Bool
 	s.once = func() {
 		if closeOnce.CompareAndSwap(false, true) {
@@ -328,6 +358,23 @@ func (s *Searcher) prepare() {
 	s.dbResidues = s.db.TotalResidues()
 	s.checksum = s.db.Checksum()
 	s.prepared.Add(1)
+}
+
+// cut splits the database into the chunks of a split wave: parts ranges
+// of balanced residues, those without a sequence left out, and none at
+// all when fewer than two remain.
+func (s *Searcher) cut(parts int) {
+	for _, r := range s.db.Ranges(parts) {
+		if r.Lo == r.Hi {
+			continue
+		}
+		set := s.db.Slice(r.Lo, r.Hi)
+		s.chunks = append(s.chunks, chunk{set: set, residues: set.TotalResidues()})
+		s.offsets = append(s.offsets, r.Lo)
+	}
+	if len(s.chunks) < 2 {
+		s.chunks, s.offsets = nil, nil
+	}
 }
 
 // Alphabet returns the database alphabet.
@@ -530,6 +577,10 @@ func (s *Searcher) coalesce(first *request) []*request {
 type waveEntry struct {
 	req   *request
 	local int // query index within the request
+	// In a split wave: parts not yet Done, and whether one was skipped
+	// (both under Searcher.mu).
+	left    int
+	skipped bool
 }
 
 // wave holds the plan-stage slices of one scheduling wave. Waves
@@ -537,13 +588,18 @@ type waveEntry struct {
 // Searcher then recycles it through its free list, so a steady-state
 // dispatcher stops paying the allocator per wave — capacity is kept,
 // length resliced to zero.
+//
+// Task gi of a wave is part gi % per of entry gi / per: per is 1, or the
+// Searcher's chunk count in a split wave.
 type wave struct {
 	entries []waveEntry
-	lens    []int
-	ids     []string
-	all     []int             // identity queue (self-scheduling)
-	tasks   []master.PoolTask // one queue's tasks, copied by Submit
-	pending int               // tasks not yet Done (under Searcher.mu)
+	per     int
+	cells   []int                // per task
+	ids     []string             // per task: its query's ID
+	all     []int                // identity queue (self-scheduling)
+	parts   []master.QueryResult // per task of a split wave, until its entry merges
+	tasks   []master.PoolTask    // one queue's tasks, copied by Submit
+	pending int                  // tasks not yet Done (under Searcher.mu)
 }
 
 // newWave takes a recycled wave off the free list, or a fresh one.
@@ -558,14 +614,16 @@ func (s *Searcher) newWave() *wave {
 	s.free = s.free[:n-1]
 	clear(w.entries) // drop request pointers so reuse can't pin them
 	clear(w.tasks)
-	w.entries, w.lens, w.ids, w.all, w.tasks = w.entries[:0], w.lens[:0], w.ids[:0], w.all[:0], w.tasks[:0]
+	clear(w.parts)
+	w.entries, w.cells, w.ids, w.all, w.tasks, w.parts = w.entries[:0], w.cells[:0], w.ids[:0], w.all[:0], w.tasks[:0], w.parts[:0]
 	return w
 }
 
 // planWave runs the CPU side of one wave and starts it: account it,
-// assemble the entry/length/id slices, build the instance over the idle
-// part of the pool with the measured rates snapshotted now, run the
-// scheduling policy and submit each pool queue its tasks in planned
+// split its queries into chunk tasks if it has fewer than idle CPU
+// workers, assemble the entry/cell/id slices, build the instance over
+// the idle part of the pool with the measured rates snapshotted now, run
+// the scheduling policy and submit each pool queue its tasks in planned
 // start order. On a scheduling error the batch is failed.
 func (s *Searcher) planWave(batch []*request) {
 	// Deadline propagation ends here: a request whose ctx died while it
@@ -589,17 +647,33 @@ func (s *Searcher) planWave(batch []*request) {
 		s.batchedWaves.Add(1)
 	}
 	w := s.newWave()
+	idle, n := s.pool.Idle(), 0
+	for _, r := range batch {
+		n += r.queries.Len()
+	}
+	w.per = 1
+	if len(s.chunks) > 1 && n < idle[sched.CPU] {
+		w.per = len(s.chunks)
+		w.parts = slices.Grow(w.parts, n*w.per)[:n*w.per]
+	}
 	for _, r := range batch {
 		for qi := range r.queries.Seqs {
 			q := &r.queries.Seqs[qi]
-			w.entries = append(w.entries, waveEntry{req: r, local: qi})
-			w.lens = append(w.lens, q.Len())
-			w.ids = append(w.ids, q.ID)
+			w.entries = append(w.entries, waveEntry{req: r, local: qi, left: w.per})
+			if w.per == 1 {
+				w.cells = append(w.cells, q.Len()*int(s.dbResidues))
+				w.ids = append(w.ids, q.ID)
+				continue
+			}
+			for _, c := range s.chunks {
+				w.cells = append(w.cells, q.Len()*int(c.residues))
+				w.ids = append(w.ids, q.ID)
+			}
 		}
 	}
 	var queues [3][]int
 	if s.cfg.Policy == master.PolicySelfScheduling {
-		for i := range w.entries {
+		for i := range w.cells {
 			w.all = append(w.all, i)
 		}
 		queues[master.Shared] = w.all
@@ -608,9 +682,11 @@ func (s *Searcher) planWave(batch []*request) {
 		// rates: every scheduling decision sees idle PEs only, and tasks
 		// completing now refine the rates the next wave sees. Busy
 		// workers still pull from their kind's queue when they free.
-		idle, rates := s.pool.Idle(), s.pool.Rates()
+		// Each task is priced by its cells: a query against the whole
+		// database, or against its chunk.
+		rates := s.pool.Rates()
 		rates.CPUs, rates.GPUs = idle[sched.CPU], idle[sched.GPU]
-		in := master.BuildInstance(s.dbResidues, w.lens, w.ids, rates)
+		in := master.BuildInstance(1, w.cells, w.ids, rates)
 		kinds, schedule, err := master.Assign(s.cfg.Policy, in, s.pool.Workers())
 		if err != nil {
 			for _, r := range batch {
@@ -623,7 +699,7 @@ func (s *Searcher) planWave(batch []*request) {
 			r.schedule = schedule
 		}
 	}
-	w.pending = len(w.entries)
+	w.pending = len(w.cells)
 	for q, queue := range queues {
 		if len(queue) == 0 {
 			continue
@@ -640,25 +716,73 @@ func (s *Searcher) planWave(batch []*request) {
 	}
 }
 
-// task builds the pool task of wave entry gi: skipped once its request's
-// ctx is dead, routed on completion into the request's merge.
+// task builds the pool task gi of wave w: skipped once its request's ctx
+// is dead, routed on completion into the request's merge — in a split
+// wave through its entry's parts.
 func (s *Searcher) task(w *wave, gi int) master.PoolTask {
-	req, local := w.entries[gi].req, w.entries[gi].local
-	return master.PoolTask{
+	e := gi / w.per
+	req, local := w.entries[e].req, w.entries[e].local
+	t := master.PoolTask{
 		QueryIndex: local,
 		Query:      &req.queries.Seqs[local],
 		DB:         s.db,
 		Canceled:   func() bool { return req.ctx.Err() != nil },
-		Done: func(res master.QueryResult, ran bool) {
-			// Retire first: the wave must be back on the free list before
-			// its caller can wake and submit again.
-			s.taskDone(w)
-			if ran {
-				req.merge.Add(local, res)
-			} else {
-				req.fail(req.ctx.Err())
-				req.merge.Skip(local)
-			}
-		},
+	}
+	if w.per > 1 {
+		t.DB = s.chunks[gi%w.per].set
+		t.Done = func(res master.QueryResult, ran bool) { s.partDone(w, gi, res, ran) }
+		return t
+	}
+	t.Done = func(res master.QueryResult, ran bool) {
+		// Retire first: the wave must be back on the free list before
+		// its caller can wake and submit again.
+		s.taskDone(w)
+		if ran {
+			req.merge.Add(local, res)
+		} else {
+			req.fail(req.ctx.Err())
+			req.merge.Skip(local)
+		}
+	}
+	return t
+}
+
+// partDone records task gi of split wave w, one chunk of its entry's
+// query. The entry's last part merges them all into the query's result
+// before retiring its task, so the wave, whose parts it reads, cannot
+// be recycled under it; a skipped part skips the query.
+func (s *Searcher) partDone(w *wave, gi int, res master.QueryResult, ran bool) {
+	e := gi / w.per
+	entry := &w.entries[e]
+	req, local := entry.req, entry.local
+	s.mu.Lock()
+	w.parts[gi] = res
+	entry.skipped = entry.skipped || !ran
+	entry.left--
+	last, skipped := entry.left == 0, entry.skipped
+	s.mu.Unlock()
+	if !ran {
+		req.fail(req.ctx.Err())
+	}
+	if !last {
+		s.taskDone(w)
+		return
+	}
+	var merged master.QueryResult
+	if !skipped {
+		parts := w.parts[e*w.per : (e+1)*w.per]
+		merged = master.MergeParts(parts, s.offsets, s.cfg.TopK)
+		merged.QueryIndex, merged.QueryID = local, req.queries.Seqs[local].ID
+		names := make([]string, len(parts))
+		for i := range parts {
+			names[i] = parts[i].Worker
+		}
+		merged.Worker = strings.Join(names, "+")
+	}
+	s.taskDone(w)
+	if skipped {
+		req.merge.Skip(local)
+	} else {
+		req.merge.Add(local, merged)
 	}
 }

@@ -23,7 +23,11 @@ func testSets(dbSeed, qSeed int64, dbN, qN int) (db, queries *seq.Set) {
 // oracle is the reference every search is checked against: sw.Score of
 // each query against every subject, ranked by master.TopHits.
 func oracle(db, queries *seq.Set, topK int) *master.Report {
-	params := sw.DefaultParams()
+	return oracleWith(sw.DefaultParams(), db, queries, topK)
+}
+
+// oracleWith is oracle under other scoring parameters.
+func oracleWith(params sw.Params, db, queries *seq.Set, topK int) *master.Report {
 	rep := &master.Report{Results: make([]master.QueryResult, queries.Len())}
 	for qi := range queries.Seqs {
 		scores := make([]int, db.Len())

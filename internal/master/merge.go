@@ -63,6 +63,24 @@ func MergeTopK(lists [][]Hit, offsets []int, k int) []Hit {
 	return out
 }
 
+// MergeParts merges the results of one query run as one part per
+// contiguous database range into the result a single run over the whole
+// database would have given: the hits through MergeTopK, part i's lifted
+// by offsets[i], and the cells and worker time summed. A zero part (a
+// range that was not searched) contributes nothing. The caller names
+// the query and the worker.
+func MergeParts(parts []QueryResult, offsets []int, k int) QueryResult {
+	var out QueryResult
+	lists := make([][]Hit, len(parts))
+	for i := range parts {
+		lists[i] = parts[i].Hits
+		out.Cells += parts[i].Cells
+		out.Elapsed += parts[i].Elapsed
+	}
+	out.Hits = MergeTopK(lists, offsets, k)
+	return out
+}
+
 // Merger accumulates the results of one search request.
 type Merger struct {
 	mu      sync.Mutex

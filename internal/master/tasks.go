@@ -55,7 +55,9 @@ func ratesOf(workers []Worker, rate func(i int) float64) PoolRates {
 // against a database of dbResidues total residues: one task per query,
 // with CPU/GPU time estimates cells/rate (the paper's p_j and
 // overlined p_j). queryLens and queryIDs must have equal length; a nil
-// queryIDs leaves labels empty.
+// queryIDs leaves labels empty. With dbResidues = 1, queryLens are the
+// tasks' cells: the engine prices a split query's chunk tasks, each
+// against its own range of the database, that way.
 func BuildInstance(dbResidues int64, queryLens []int, queryIDs []string, rates PoolRates) *sched.Instance {
 	in := &sched.Instance{CPUs: rates.CPUs, GPUs: rates.GPUs}
 	for i, qlen := range queryLens {

@@ -115,3 +115,66 @@ func (st *Set) Clone() *Set {
 	}
 	return out
 }
+
+// Range is a contiguous slice [Lo, Hi) of a set's sequences.
+type Range struct {
+	Lo, Hi int
+}
+
+// Ranges splits the set into parts contiguous ranges of balanced
+// residues: SplitRanges over its sequence lengths.
+func (st *Set) Ranges(parts int) []Range {
+	lengths := make([]int, len(st.Seqs))
+	for i := range st.Seqs {
+		lengths[i] = st.Seqs[i].Len()
+	}
+	return SplitRanges(lengths, parts)
+}
+
+// SplitRanges partitions n = len(lengths) sequences into parts
+// contiguous ranges of balanced residues (parts < 1 counts as 1; fewer
+// sequences than parts leaves the tail ranges empty). The ranges are
+// deterministic for a given input, in order, and cover [0, n) exactly.
+// It is the module's one database split: a cluster's shard servers and
+// coordinator cut their ranges with it, and a search engine its chunks.
+func SplitRanges(lengths []int, parts int) []Range {
+	if parts < 1 {
+		parts = 1
+	}
+	n := len(lengths)
+	ranges := make([]Range, parts)
+	var total int64
+	for _, l := range lengths {
+		total += int64(l)
+	}
+	lo := 0
+	var used int64
+	for i := 0; i < parts-1; i++ {
+		// Aim each range at an equal share of the residues still
+		// unassigned; take one more sequence when it lands closer to the
+		// target than stopping short would.
+		target := (total - used) / int64(parts-i)
+		hi := lo
+		var acc int64
+		for hi < n {
+			l := int64(lengths[hi])
+			if acc > 0 && acc+l > target {
+				if acc+l-target < target-acc {
+					acc += l
+					hi++
+				}
+				break
+			}
+			acc += l
+			hi++
+			if acc >= target {
+				break
+			}
+		}
+		ranges[i] = Range{Lo: lo, Hi: hi}
+		lo = hi
+		used += acc
+	}
+	ranges[parts-1] = Range{Lo: lo, Hi: n}
+	return ranges
+}

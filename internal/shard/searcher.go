@@ -354,22 +354,20 @@ func (s *Searcher) gather(queries *seq.Set, reps []*master.Report, topK int, sta
 	rep := &master.Report{
 		Results: make([]master.QueryResult, queries.Len()),
 	}
-	lists := make([][]master.Hit, len(reps))
+	parts := make([]master.QueryResult, len(reps))
 	offsets := make([]int, len(reps))
+	for si := range reps {
+		offsets[si] = s.ranges[si].Lo
+	}
 	for qi := range rep.Results {
-		qr := master.QueryResult{QueryIndex: qi, QueryID: queries.Seqs[qi].ID}
 		for si, r := range reps {
-			offsets[si] = s.ranges[si].Lo
-			if r == nil {
-				lists[si] = nil
-				continue
+			parts[si] = master.QueryResult{}
+			if r != nil {
+				parts[si] = r.Results[qi]
 			}
-			res := r.Results[qi]
-			lists[si] = res.Hits
-			qr.Elapsed += res.Elapsed
-			qr.Cells += res.Cells
 		}
-		qr.Hits = master.MergeTopK(lists, offsets, topK)
+		qr := master.MergeParts(parts, offsets, topK)
+		qr.QueryIndex, qr.QueryID = qi, queries.Seqs[qi].ID
 		rep.Results[qi] = qr
 		rep.Cells += qr.Cells
 	}

@@ -140,6 +140,13 @@ func routedBy(e *InterSeq, db *seq.Set) []int {
 	return routed
 }
 
+// planOf returns the engine's plan cell of db, nil if it has none.
+func planOf(e *InterSeq, db *seq.Set) *planCell {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.plans[db]
+}
+
 // columnOnly turns the engine's route to the pair kernel off before it
 // plans anything, so that every subject stays in the lanes: for the tests
 // aimed at the column on sets small enough that the route would take
@@ -452,7 +459,8 @@ func TestInterSeqPlanSharedAcrossSets(t *testing.T) {
 // TestInterSeqPlanFollowsGrowth grows a database the engine has planned —
 // inside its capacity, so its Seqs keep their array — and scores it
 // again: the plan must be rebuilt, or the new subjects would score 0. A
-// second Set over the same sequences is another database too.
+// second Set over the same sequences is another database too, planned
+// beside the first.
 func TestInterSeqPlanFollowsGrowth(t *testing.T) {
 	eachKernel(t, func(t *testing.T, newEngine func(sw.Params) *InterSeq) {
 		p := params()
@@ -465,18 +473,70 @@ func TestInterSeqPlanFollowsGrowth(t *testing.T) {
 			db.AddEncoded("s", "", randSeq(rng, 10+rng.Intn(50)))
 		}
 		checkAgainstOracle(t, p, e, q, db)
-		before := e.plan
+		before := planOf(e, db)
 		db.AddEncoded("long", "", randSeq(rng, 300))
 		db.AddEncoded("self", "", q)
 		db.AddEncoded("empty", "", nil)
 		checkAgainstOracle(t, p, e, q, db)
-		if e.plan == before || e.plan.count != db.Len() {
+		grown := planOf(e, db)
+		if grown == before || grown.count != db.Len() {
 			t.Fatalf("the plan of %d subjects served a database grown to %d", before.count, db.Len())
 		}
-		grown := e.plan
-		checkAgainstOracle(t, p, e, q, db.Slice(0, db.Len()))
-		if e.plan == grown {
-			t.Fatal("a second Set over the same sequences reused the first one's plan")
+		twin := db.Slice(0, db.Len())
+		checkAgainstOracle(t, p, e, q, twin)
+		if planOf(e, twin) == grown || planOf(e, db) != grown {
+			t.Fatal("a second Set over the same sequences did not get a plan of its own beside the first one's")
+		}
+	})
+}
+
+// TestInterSeqPlanPerSet alternates Scores over a database and the
+// balanced chunks a search engine cuts from it, from concurrent callers:
+// every Set keeps its own plan, built at its first call and replayed by
+// every later one, and every score equals the oracle's.
+func TestInterSeqPlanPerSet(t *testing.T) {
+	eachKernel(t, func(t *testing.T, newEngine func(sw.Params) *InterSeq) {
+		p := params()
+		e := newEngine(p)
+		corpus := benchCorpus()
+		sets := []*seq.Set{corpus}
+		for _, r := range corpus.Ranges(3) {
+			sets = append(sets, corpus.Slice(r.Lo, r.Hi))
+		}
+		rng := rand.New(rand.NewSource(109))
+		q := randSeq(rng, 40)
+		want := make([][]int, len(sets))
+		for i, db := range sets {
+			want[i] = sw.NewScalar(p).Scores(q, db)
+		}
+		first := make([]*planCell, len(sets))
+		var wg sync.WaitGroup
+		for round := 0; round < 3; round++ {
+			for i, db := range sets {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					if got := e.Scores(q, db); !slices.Equal(got, want[i]) {
+						t.Errorf("round %d, set %d: scores differ from the oracle", round, i)
+					}
+				}()
+			}
+			wg.Wait()
+			for i, db := range sets {
+				c := planOf(e, db)
+				if round == 0 {
+					first[i] = c
+				}
+				if c == nil || c != first[i] || c.plan == nil {
+					t.Fatalf("round %d: set %d's plan is %p, built first as %p", round, i, c, first[i])
+				}
+			}
+		}
+		e.mu.Lock()
+		n := len(e.plans)
+		e.mu.Unlock()
+		if n != len(sets) {
+			t.Fatalf("the engine holds %d plans for %d sets", n, len(sets))
 		}
 	})
 }
@@ -512,8 +572,8 @@ func TestInterSeqPlanShapes(t *testing.T) {
 			empty.AddEncoded("empty", "", nil)
 		}
 		checkAgainstOracle(t, p, e, q, empty)
-		if len(e.plan.steps) != 0 || len(e.plan.stream) != 0 || len(e.plan.routed) != 0 {
-			t.Fatalf("a database of empty subjects planned %d steps, %d slots, routed %v", len(e.plan.steps), len(e.plan.stream), e.plan.routed)
+		if ep := planOf(e, empty).plan; len(ep.steps) != 0 || len(ep.stream) != 0 || len(ep.routed) != 0 {
+			t.Fatalf("a database of empty subjects planned %d steps, %d slots, routed %v", len(ep.steps), len(ep.stream), ep.routed)
 		}
 		db := seq.NewSet(alphabet.Protein)
 		others := 0
@@ -536,22 +596,23 @@ func TestInterSeqPlanShapes(t *testing.T) {
 		}
 		column := columnOnly(newEngine(p))
 		checkAgainstOracle(t, p, column, q, db)
-		if cols := (len(long) + block - 1) / block * block; len(column.plan.stream) != cols*e.lanes() {
-			t.Fatalf("%d slots, want the long subject's %d columns of %d lanes", len(column.plan.stream), cols, e.lanes())
+		if cols, cp := (len(long)+block-1)/block*block, planOf(column, db).plan; len(cp.stream) != cols*e.lanes() {
+			t.Fatalf("%d slots, want the long subject's %d columns of %d lanes", len(cp.stream), cols, e.lanes())
 		}
 		checkAgainstOracle(t, p, e, q, db)
+		plan := planOf(e, db).plan
 		if !e.route {
 			if e.vector {
 				t.Fatal("the AVX2 engine under BLOSUM62 10/2 plans without the route")
 			}
-			if len(e.plan.routed) != 0 {
-				t.Fatalf("the SWAR engine routed %v", e.plan.routed)
+			if len(plan.routed) != 0 {
+				t.Fatalf("the SWAR engine routed %v", plan.routed)
 			}
 			return
 		}
 		shorts := newLanePlan(db.Slice(0, db.Len()-1), e.lanes(), block, false)
-		if got := routedBy(e, db); !slices.Equal(got, []int{db.Len() - 1}) || len(e.plan.stream) != len(shorts.stream) {
-			t.Fatalf("routed %v in %d slots, want the long subject %d routed and the short ones' %d slots", got, len(e.plan.stream), db.Len()-1, len(shorts.stream))
+		if got := routedBy(e, db); !slices.Equal(got, []int{db.Len() - 1}) || len(plan.stream) != len(shorts.stream) {
+			t.Fatalf("routed %v in %d slots, want the long subject %d routed and the short ones' %d slots", got, len(plan.stream), db.Len()-1, len(shorts.stream))
 		}
 	})
 }

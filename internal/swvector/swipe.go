@@ -53,17 +53,22 @@ import (
 // serve_http 47 % of its RSS when that was tried.
 //
 // What does not depend on the query is paid once per database: the
-// engine keeps the lane plan (lanePlan) of the Set it scored last, the
-// subject order (exact longest first), the lane steps and the residues
-// pre-interleaved as the column consumes them, and builds a new one when
-// it is given another Set or the Set's length changed. A Set's sequences
-// must therefore not change in place between calls; growing it is fine.
+// engine keeps one lane plan (lanePlan) per Set it scores — the subject
+// order (exact longest first), the lane steps and the residues
+// pre-interleaved as the column consumes them — so a search engine's
+// database and each chunk it cuts from it have theirs, built at the
+// first Scores on that Set. The engine holds every plan as long as it
+// lives: it is meant to serve a fixed set of Sets, as a Searcher's pool
+// does, not a stream of transient ones. A plan is rebuilt when its
+// Set's length changed. A Set's sequences must therefore not change in
+// place between calls; growing it is fine.
 // Behind the AVX2 column with Gs > 0 the plan also routes a subject that
 // would hold the lanes alone straight to the pair kernel, where a cost
 // rule (routeCount, priced by pairSlots) finds that cheaper: it climbs the
 // ladder with the flagged subjects without entering a lane. An InterSeq is safe
-// for concurrent use — its kernels are pooled, and the plan is built
-// under a lock, once — so a pool's CPU workers share one.
+// for concurrent use — its kernels are pooled, and each Set's plan is
+// built once, by its first caller, while the plans of other Sets build
+// beside it — so a pool's CPU workers share one.
 type InterSeq struct {
 	params sw.Params
 	vector bool // the AVX2 column was chosen
@@ -76,8 +81,15 @@ type InterSeq struct {
 	// AVX2 column.
 	route bool
 
-	mu   sync.Mutex
-	plan *lanePlan // of the Set scored last
+	mu    sync.Mutex
+	plans map[*seq.Set]*planCell // one per Set scored
+}
+
+// planCell holds the lane plan of one Set at one length, built once.
+type planCell struct {
+	once  sync.Once
+	count int
+	plan  *lanePlan
 }
 
 // NewInterSeq builds the engine on the AVX2 column when the CPU has it,
@@ -160,15 +172,24 @@ func (e *InterSeq) scoreLanes(query []byte, db *seq.Set, out []int) (overflowed 
 	return append(overflowed, plan.routed...)
 }
 
-// planFor returns the lane plan of db, building it if the engine's plan
-// is of another Set or of db at another length.
+// planFor returns the lane plan of db, building it if the engine has
+// none of db or one of db at another length. The lock covers only the
+// lookup: a plan builds under its cell's Once, so the first callers on
+// two Sets build their plans concurrently, and a later caller on one of
+// them waits for that Set's build alone.
 func (e *InterSeq) planFor(db *seq.Set, lanes, block int) *lanePlan {
 	e.mu.Lock()
-	defer e.mu.Unlock()
-	if p := e.plan; p == nil || p.db != db || p.count != db.Len() {
-		e.plan = newLanePlan(db, lanes, block, e.route)
+	c := e.plans[db]
+	if c == nil || c.count != db.Len() {
+		if e.plans == nil {
+			e.plans = make(map[*seq.Set]*planCell)
+		}
+		c = &planCell{count: db.Len()}
+		e.plans[db] = c
 	}
-	return e.plan
+	e.mu.Unlock()
+	c.once.Do(func() { c.plan = newLanePlan(db, lanes, block, e.route) })
+	return c.plan
 }
 
 var _ sw.Engine = (*InterSeq)(nil)
@@ -230,8 +251,8 @@ func runLanes(k laneKernel, plan *lanePlan, out []int, overflowed *[]int) {
 
 // lanePlan is the query-independent half of a lane pass: which subject
 // each lane holds in which column, for one database and one kernel's lane
-// count and block. An InterSeq builds it at the first task on a database
-// and every later task replays it (InterSeq.planFor).
+// count and block. An InterSeq builds one per Set at the first task on
+// it, and every later task on that Set replays it (InterSeq.planFor).
 //
 // Subjects are taken longest first, in exact descending length and in
 // database order among equals. The lanes run until the last one
@@ -252,10 +273,6 @@ func runLanes(k laneKernel, plan *lanePlan, out []int, overflowed *[]int) {
 // subject is, and the plan falls from 2 220 columns (75.4 % occupied) to
 // 1 652 (97.1 %).
 type lanePlan struct {
-	// The database planned, and its length then: a Set that grew since is
-	// another database.
-	db    *seq.Set
-	count int
 	steps []laneStep
 	// stream is every column's residues, lanes bytes a column, with
 	// idleCode in the slots of an idle lane and in the up to block-1
@@ -397,5 +414,5 @@ func newLanePlan(db *seq.Set, lanes, block int, route bool) *lanePlan {
 			p += lanes
 		}
 	}
-	return &lanePlan{db: db, count: db.Len(), steps: steps, stream: stream, routed: routed}
+	return &lanePlan{steps: steps, stream: stream, routed: routed}
 }
