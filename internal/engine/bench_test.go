@@ -13,8 +13,8 @@ import (
 
 // BenchmarkLoneQuery times one 240-residue query, a stretch of a corpus
 // subject, on an idle cpu=2 Searcher over the benchmark's corpus shape
-// (300 log-normal subjects, 106 885 residues): the case a wave with
-// fewer queries than idle workers splits into one task per chunk. cold
+// (300 log-normal subjects, 106 885 residues): the case a wave on a
+// wholly idle pool splits into one task per chunk. cold
 // builds the Searcher, answers the query — building the lane plans — and
 // closes it; warm answers it on a Searcher that already has. MB/s is
 // Mcell/s.

@@ -35,14 +35,16 @@
 // A wave with fewer queries than idle CPU workers would leave some of
 // them idle beside work it could share, the one case §III's premise
 // rules out and §II.C answers by splitting a comparison. On a pool with
-// no GPU-kind worker such a wave runs each query as one task per chunk
-// of the database: the pool's CPU-worker count of contiguous ranges of
-// balanced residues (seq.SplitRanges, the split the cluster cuts its
-// shard ranges with), cut once at New. The chunk tasks are planned by
-// the same policy as any wave, and each query's parts merge through
-// master.MergeParts exactly as a cluster merges its ranges, so hits are
-// byte-identical to one task over the whole database. Every other wave
-// runs one task per query.
+// no GPU-kind worker, a wave that arrives while every worker is idle,
+// and whose chunk tasks can all start at once, runs each query as one
+// task per chunk of the database: maxChunks (or the pool's worker count
+// if smaller) contiguous ranges of balanced residues (seq.SplitRanges,
+// the split the cluster cuts its shard ranges with), cut once at New.
+// The chunk tasks are planned by the same policy as any wave, and each
+// query's parts merge through master.MergeParts exactly as a cluster
+// merges its ranges, so hits are byte-identical to one task over the
+// whole database. Every other wave runs one task per query: a split
+// costs CPU, which a partly busy pool spends better on its next request.
 //
 // Every scheduling decision still sees an idle platform, just not always
 // the whole one. With every worker idle the instance is the paper's §III
@@ -269,10 +271,10 @@ type Searcher struct {
 	db         *seq.Set
 	dbResidues int64
 	checksum   uint32
-	// chunks are the ranges a wave with fewer queries than idle CPU
-	// workers is split over, offsets their first database indexes; nil
-	// unless the pool has two or more workers, all of CPU kind, and the
-	// database fills two or more chunks.
+	// chunks are the ranges a split wave runs each query over, offsets
+	// their first database indexes; nil unless the pool has two or more
+	// workers, all of CPU kind, and the database fills two or more
+	// chunks.
 	chunks  []chunk
 	offsets []int
 
@@ -296,6 +298,15 @@ type Searcher struct {
 	waves        atomic.Uint64
 	batchedWaves atomic.Uint64
 }
+
+// maxChunks caps the chunks a split query runs as: the largest split
+// whose latency and CPU were measured. On a 2-vCPU host, over a
+// 300-subject corpus, a lone 240-residue query on 2 chunks finished in
+// about 0.8 of the unsplit time for about 1.2 times its process CPU; 4
+// and 8 chunks cost about 1.5 and 2.1 times the CPU, as chunks too
+// small to fill the 32 lanes leave them idle or route subjects to the
+// pair kernel. What more chunks gain on more cores is unmeasured.
+const maxChunks = 2
 
 // chunk is one range of the database a split query runs over.
 type chunk struct {
@@ -338,7 +349,7 @@ func New(db *seq.Set, cfg Config) (*Searcher, error) {
 	}
 	s.pool = pool
 	if r := master.RatesOf(workers); r.GPUs == 0 {
-		s.cut(r.CPUs)
+		s.cut(min(r.CPUs, maxChunks))
 	}
 	var closeOnce atomic.Bool
 	s.once = func() {
@@ -364,6 +375,7 @@ func (s *Searcher) prepare() {
 // of balanced residues, those without a sequence left out, and none at
 // all when fewer than two remain.
 func (s *Searcher) cut(parts int) {
+	s.chunks, s.offsets = nil, nil
 	for _, r := range s.db.Ranges(parts) {
 		if r.Lo == r.Hi {
 			continue
@@ -598,6 +610,7 @@ type wave struct {
 	ids     []string             // per task: its query's ID
 	all     []int                // identity queue (self-scheduling)
 	parts   []master.QueryResult // per task of a split wave, until its entry merges
+	lists   [][]master.Hit       // per task of a split wave: its entry's merge scratch
 	tasks   []master.PoolTask    // one queue's tasks, copied by Submit
 	pending int                  // tasks not yet Done (under Searcher.mu)
 }
@@ -615,16 +628,18 @@ func (s *Searcher) newWave() *wave {
 	clear(w.entries) // drop request pointers so reuse can't pin them
 	clear(w.tasks)
 	clear(w.parts)
-	w.entries, w.cells, w.ids, w.all, w.tasks, w.parts = w.entries[:0], w.cells[:0], w.ids[:0], w.all[:0], w.tasks[:0], w.parts[:0]
+	clear(w.lists)
+	w.entries, w.cells, w.ids, w.all, w.tasks, w.parts, w.lists = w.entries[:0], w.cells[:0], w.ids[:0], w.all[:0], w.tasks[:0], w.parts[:0], w.lists[:0]
 	return w
 }
 
 // planWave runs the CPU side of one wave and starts it: account it,
-// split its queries into chunk tasks if it has fewer than idle CPU
-// workers, assemble the entry/cell/id slices, build the instance over
-// the idle part of the pool with the measured rates snapshotted now, run
-// the scheduling policy and submit each pool queue its tasks in planned
-// start order. On a scheduling error the batch is failed.
+// split its queries into chunk tasks if every worker is idle and every
+// chunk task can start at once, assemble the entry/cell/id slices,
+// build the instance over the idle part of the pool with the measured
+// rates snapshotted now, run the scheduling policy and submit each pool
+// queue its tasks in planned start order. On a scheduling error the
+// batch is failed.
 func (s *Searcher) planWave(batch []*request) {
 	// Deadline propagation ends here: a request whose ctx died while it
 	// waited to coalesce is failed now instead of being planned — doomed
@@ -652,9 +667,10 @@ func (s *Searcher) planWave(batch []*request) {
 		n += r.queries.Len()
 	}
 	w.per = 1
-	if len(s.chunks) > 1 && n < idle[sched.CPU] {
+	if len(s.chunks) > 1 && idle[sched.CPU] == s.pool.Size() && n*len(s.chunks) <= idle[sched.CPU] {
 		w.per = len(s.chunks)
 		w.parts = slices.Grow(w.parts, n*w.per)[:n*w.per]
+		w.lists = slices.Grow(w.lists, n*w.per)[:n*w.per]
 	}
 	for _, r := range batch {
 		for qi := range r.queries.Seqs {
@@ -771,7 +787,7 @@ func (s *Searcher) partDone(w *wave, gi int, res master.QueryResult, ran bool) {
 	var merged master.QueryResult
 	if !skipped {
 		parts := w.parts[e*w.per : (e+1)*w.per]
-		merged = master.MergeParts(parts, s.offsets, s.cfg.TopK)
+		merged = master.MergeParts(parts, s.offsets, s.cfg.TopK, w.lists[e*w.per:(e+1)*w.per])
 		merged.QueryIndex, merged.QueryID = local, req.queries.Seqs[local].ID
 		names := make([]string, len(parts))
 		for i := range parts {

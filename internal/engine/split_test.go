@@ -19,8 +19,9 @@ import (
 
 // loneSearches runs each query of queries as a lone request on an idle
 // pool of cpus workers and checks every answer against want, hit for
-// hit. When the Searcher cut chunks, each request must have run as one
-// task per chunk.
+// hit. The database is cut into cpus chunks, past the maxChunks New
+// cuts, so the merge is checked over every chunk count; when there are
+// chunks, each request must have run as one task per chunk.
 func loneSearches(t *testing.T, label string, db, queries *seq.Set, cfg Config, cpus int, want *master.Report) {
 	t.Helper()
 	cfg.Pool = master.PoolSpec{CPU: cpus}
@@ -29,6 +30,7 @@ func loneSearches(t *testing.T, label string, db, queries *seq.Set, cfg Config, 
 		t.Fatal(err)
 	}
 	defer s.Close()
+	s.cut(cpus) // before the first Search hands the dispatcher a wave
 	for qi := range queries.Seqs {
 		q := queries.Slice(qi, qi+1)
 		rep, err := s.Search(context.Background(), q, SearchOptions{})
@@ -56,9 +58,30 @@ func TestSplitMatchesUnsplitAndOracle(t *testing.T) {
 	}
 }
 
-// TestSplitSkipsEmptyChunks gives the pool more workers than the
-// database has subjects: the ranges past the last subject are empty and
-// cut no chunk, one subject cuts none at all, and the answers stay exact.
+// TestSplitCutsAtMostMaxChunks: New cuts no chunk for one worker and
+// maxChunks for any larger pool.
+func TestSplitCutsAtMostMaxChunks(t *testing.T) {
+	db, _ := testSets(46, 47, 40, 1)
+	for cpus := 1; cpus <= 8; cpus++ {
+		s, err := New(db, Config{Pool: master.PoolSpec{CPU: cpus}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := len(s.chunks)
+		s.Close()
+		want := min(cpus, maxChunks)
+		if want == 1 {
+			want = 0
+		}
+		if got != want {
+			t.Fatalf("%d workers cut %d chunks, want %d", cpus, got, want)
+		}
+	}
+}
+
+// TestSplitSkipsEmptyChunks cuts more chunks than the database has
+// subjects: the ranges past the last subject are empty and cut no chunk,
+// one subject cuts none at all, and the answers stay exact.
 func TestSplitSkipsEmptyChunks(t *testing.T) {
 	for _, n := range []int{1, 2, 3} {
 		db, queries := testSets(int64(33+n), 34, n, 2)
@@ -66,6 +89,7 @@ func TestSplitSkipsEmptyChunks(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		s.cut(8)
 		chunks := len(s.chunks)
 		for _, c := range s.chunks {
 			if c.set.Len() == 0 {
@@ -74,7 +98,7 @@ func TestSplitSkipsEmptyChunks(t *testing.T) {
 		}
 		s.Close()
 		if want := map[int]int{1: 0, 2: 2, 3: 3}[n]; chunks != want {
-			t.Fatalf("%d subjects on 8 workers cut %d chunks, want %d", n, chunks, want)
+			t.Fatalf("%d subjects in 8 ranges cut %d chunks, want %d", n, chunks, want)
 		}
 		loneSearches(t, "few subjects", db, queries, Config{}, 8, oracle(db, queries, DefaultTopK))
 	}
@@ -190,19 +214,17 @@ func waitGoroutines(t *testing.T, n int) {
 	}
 }
 
-// TestSplitCancelWhileAChunkRuns cancels a lone request split over three
-// workers while two of its chunks run and the third waits in the pool
-// queue: Search returns the context's error at once, the queued chunk is
-// skipped without running, the Searcher answers the next request, and
-// after Close no goroutine is left.
-func TestSplitCancelWhileAChunkRuns(t *testing.T) {
+// TestSplitOnlyOnAnIdlePool: a lone request planned while one of three
+// workers is busy runs as one task, though the two idle ones could take
+// both its chunks; once the whole pool is idle a lone request runs as
+// one task per chunk.
+func TestSplitOnlyOnAnIdlePool(t *testing.T) {
 	// A pool computes on at most GOMAXPROCS workers at once; all three
 	// must be able to hold a task.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(3, runtime.GOMAXPROCS(0))))
-	base := runtime.NumGoroutine()
 	rig := newStepRig(t, stepWorker{name: "w0", rate: 1}, stepWorker{name: "w1", rate: 1}, stepWorker{name: "w2", rate: 1})
-	if len(rig.s.chunks) != 3 {
-		t.Fatalf("3 workers cut %d chunks", len(rig.s.chunks))
+	if len(rig.s.chunks) != maxChunks {
+		t.Fatalf("3 workers cut %d chunks, want %d", len(rig.s.chunks), maxChunks)
 	}
 	// Three queries pin all three workers, one task each (not split).
 	outA := rig.search([]int{20, 30, 40}, "a0", "a1", "a2")
@@ -213,6 +235,33 @@ func TestSplitCancelWhileAChunkRuns(t *testing.T) {
 	// counts it idle again; request b must be planned on two idle workers.
 	waitIdle(t, rig.s, 2)
 
+	outB := rig.search([]int{30}, "b")
+	rig.finish(rig.nextStart().worker)
+	if rep := rig.wait("request b", outB); len(rep.Schedule.Placements) != 1 || rep.Results[0].Cells != 1 {
+		t.Fatalf("request b, planned beside a busy worker, ran as %d tasks over %d cells, want one",
+			len(rep.Schedule.Placements), rep.Results[0].Cells)
+	}
+	rig.finish(pinned[2].worker)
+	rig.wait("request a", outA)
+	waitIdle(t, rig.s, 3)
+
+	outC := rig.search([]int{25}, "c")
+	c0, c1 := rig.nextStart(), rig.nextStart()
+	rig.finish(c0.worker)
+	rig.finish(c1.worker)
+	if rep := rig.wait("request c", outC); len(rep.Schedule.Placements) != maxChunks || rep.Results[0].Cells != maxChunks {
+		t.Fatalf("request c, on an idle pool, ran as %d tasks over %d cells, want one per chunk (%d)",
+			len(rep.Schedule.Placements), rep.Results[0].Cells, maxChunks)
+	}
+}
+
+// TestSplitCancelWhileAChunkRuns cancels a lone request split over two
+// workers after one chunk finished, while the other runs: Search returns
+// the context's error at once, the Searcher answers the next request,
+// and after Close no goroutine is left.
+func TestSplitCancelWhileAChunkRuns(t *testing.T) {
+	base := runtime.NumGoroutine()
+	rig := newStepRig(t, stepWorker{name: "w0", rate: 1}, stepWorker{name: "w1", rate: 1})
 	ctx, cancel := context.WithCancel(context.Background())
 	outB := make(chan error, 1)
 	go func() {
@@ -223,8 +272,9 @@ func TestSplitCancelWhileAChunkRuns(t *testing.T) {
 	}()
 	b0, b1 := rig.nextStart(), rig.nextStart()
 	if b0.query != "b" || b1.query != "b" {
-		t.Fatalf("request b started as %+v and %+v, want two of its three chunks", b0, b1)
+		t.Fatalf("request b started as %+v and %+v, want its two chunks", b0, b1)
 	}
+	rig.finish(b0.worker)
 	cancel()
 	select {
 	case err := <-outB:
@@ -234,21 +284,16 @@ func TestSplitCancelWhileAChunkRuns(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("canceled split search did not return")
 	}
-	rig.finish(b0.worker)
 	rig.finish(b1.worker)
-	waitIdle(t, rig.s, 2) // the queued chunk was pulled, and skipped
-	rig.noStart("the third chunk's request was canceled")
-	rig.finish(pinned[2].worker)
-	rig.wait("request a", outA)
+	waitIdle(t, rig.s, 2)
+	rig.noStart("the canceled request had no chunk left")
 
 	next := rig.search([]int{25}, "c")
 	c0, c1 := rig.nextStart(), rig.nextStart()
-	c2 := rig.nextStart()
-	for _, ev := range []started{c0, c1, c2} {
-		rig.finish(ev.worker)
-	}
-	if res := rig.wait("request c", next).Results[0]; res.Cells != 3 {
-		t.Fatalf("request c counts %d cells over its three chunks, want 3", res.Cells)
+	rig.finish(c0.worker)
+	rig.finish(c1.worker)
+	if res := rig.wait("request c", next).Results[0]; res.Cells != 2 {
+		t.Fatalf("request c counts %d cells over its two chunks, want 2", res.Cells)
 	}
 	if err := rig.s.Close(); err != nil {
 		t.Fatal(err)

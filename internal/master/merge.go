@@ -67,11 +67,13 @@ func MergeTopK(lists [][]Hit, offsets []int, k int) []Hit {
 // contiguous database range into the result a single run over the whole
 // database would have given: the hits through MergeTopK, part i's lifted
 // by offsets[i], and the cells and worker time summed. A zero part (a
-// range that was not searched) contributes nothing. The caller names
+// range that was not searched) contributes nothing. lists is scratch of
+// at least len(parts) entries, left holding the parts' hit lists, so a
+// caller merging query after query allocates it once. The caller names
 // the query and the worker.
-func MergeParts(parts []QueryResult, offsets []int, k int) QueryResult {
+func MergeParts(parts []QueryResult, offsets []int, k int, lists [][]Hit) QueryResult {
 	var out QueryResult
-	lists := make([][]Hit, len(parts))
+	lists = lists[:len(parts)]
 	for i := range parts {
 		lists[i] = parts[i].Hits
 		out.Cells += parts[i].Cells

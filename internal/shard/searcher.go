@@ -355,6 +355,7 @@ func (s *Searcher) gather(queries *seq.Set, reps []*master.Report, topK int, sta
 		Results: make([]master.QueryResult, queries.Len()),
 	}
 	parts := make([]master.QueryResult, len(reps))
+	lists := make([][]master.Hit, len(reps))
 	offsets := make([]int, len(reps))
 	for si := range reps {
 		offsets[si] = s.ranges[si].Lo
@@ -366,7 +367,7 @@ func (s *Searcher) gather(queries *seq.Set, reps []*master.Report, topK int, sta
 				parts[si] = r.Results[qi]
 			}
 		}
-		qr := master.MergeParts(parts, offsets, topK)
+		qr := master.MergeParts(parts, offsets, topK, lists)
 		qr.QueryIndex, qr.QueryID = qi, queries.Seqs[qi].ID
 		rep.Results[qi] = qr
 		rep.Cells += qr.Cells

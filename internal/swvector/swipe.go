@@ -58,8 +58,9 @@ import (
 // pre-interleaved as the column consumes them — so a search engine's
 // database and each chunk it cuts from it have theirs, built at the
 // first Scores on that Set. The engine holds every plan as long as it
-// lives: it is meant to serve a fixed set of Sets, as a Searcher's pool
-// does, not a stream of transient ones. A plan is rebuilt when its
+// lives, each about 1.2 bytes per residue of its Set: it is meant to
+// serve a fixed set of Sets, as a Searcher's pool does (the database and
+// its chunks), not a stream of transient ones. A plan is rebuilt when its
 // Set's length changed. A Set's sequences must therefore not change in
 // place between calls; growing it is fine.
 // Behind the AVX2 column with Gs > 0 the plan also routes a subject that
