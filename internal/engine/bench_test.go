@@ -17,7 +17,10 @@ import (
 // wholly idle pool splits into one task per chunk. cold
 // builds the Searcher, answers the query — building the lane plans — and
 // closes it; warm answers it on a Searcher that already has. MB/s is
-// Mcell/s.
+// Mcell/s. cold also reports one_worker_share, the share of its
+// searches whose two chunk tasks both ran on the same worker (the
+// other's wake-up came after the first chunk ended; see
+// master.BenchmarkSecondTaskStart).
 func BenchmarkLoneQuery(b *testing.B) {
 	db := synth.DBSpec{Name: "bench", Count: 300, MeanLen: 360, Sigma: 0.6, MinLen: 20, MaxLen: 4000, Seed: 1}.Generate()
 	var src []byte
@@ -37,14 +40,21 @@ func BenchmarkLoneQuery(b *testing.B) {
 	}
 	b.Run("cold", func(b *testing.B) {
 		b.SetBytes(sw.SetCells(len(src), db))
+		oneWorker := 0
 		for i := 0; i < b.N; i++ {
 			s, err := New(db, cfg)
 			if err != nil {
 				b.Fatal(err)
 			}
 			search(b, s)
+			for _, w := range s.Stats().Workers {
+				if w.Tasks == 2 {
+					oneWorker++
+				}
+			}
 			s.Close()
 		}
+		b.ReportMetric(float64(oneWorker)/float64(b.N), "one_worker_share")
 	})
 	b.Run("warm", func(b *testing.B) {
 		s, err := New(db, cfg)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -413,4 +414,126 @@ func TestPoolRateConvergesFromMisadvertisedSeed(t *testing.T) {
 	}
 	t.Fatalf("estimate still %.3f after %d tasks at %.1f GCUPS (advertised %.1f)",
 		p.Rates().CPURate, maxTasks, measured, advertised)
+}
+
+// spinWorker busy-computes for d on every task and records when the
+// task started, by its QueryIndex.
+type spinWorker struct {
+	name   string
+	d      time.Duration
+	starts []time.Time
+}
+
+func (w *spinWorker) Name() string       { return w.name }
+func (w *spinWorker) Kind() sched.Kind   { return sched.CPU }
+func (w *spinWorker) RateGCUPS() float64 { return 1 }
+func (w *spinWorker) Run(qi int, _ *seq.Sequence, _ *seq.Set) QueryResult {
+	w.starts[qi] = spin(w.d)
+	return QueryResult{QueryIndex: qi, Worker: w.name, Cells: 1, Elapsed: w.d}
+}
+
+// spin busy-computes for d and returns when it began.
+func spin(d time.Duration) time.Time {
+	start := time.Now()
+	for time.Since(start) < d {
+	}
+	return start
+}
+
+// secondStarts runs rounds while b.Loop says so: sleep for idle, then
+// call submit, which hands two tasks to two idle workers and returns
+// once both are done. It reports, in µs, the p50 and p90 of how long
+// after the submit the later task began, and the share of rounds where
+// that passed compute: its worker was the one that ran the first task.
+func secondStarts(b *testing.B, idle, compute time.Duration, starts []time.Time, submit func()) {
+	var delays []time.Duration
+	for b.Loop() {
+		time.Sleep(idle)
+		t0 := time.Now()
+		submit()
+		delays = append(delays, max(starts[0].Sub(t0), starts[1].Sub(t0)))
+	}
+	slices.Sort(delays)
+	b.ReportMetric(float64(delays[len(delays)/2].Microseconds()), "p50_us")
+	b.ReportMetric(float64(delays[len(delays)*9/10].Microseconds()), "p90_us")
+	late, _ := slices.BinarySearch(delays, compute)
+	b.ReportMetric(float64(len(delays)-late)/float64(len(delays)), "one_worker_share")
+}
+
+// BenchmarkSecondTaskStart times how long the second of two tasks
+// submitted together to an idle 2-worker Pool waits to start while the
+// first computes 0.6 ms, after the workers sat idle for a while. Both
+// should start at once, one per worker; a delay past 0.6 ms means one
+// worker ran both. The cond control does the same with two bare
+// goroutines waiting on a sync.Cond, nothing of the Pool around them,
+// so where the two agree the delay is the Go runtime's and the host's,
+// not the Pool's. The idle sleeps overshoot on a coarse timer; ns/op
+// shows the whole round.
+func BenchmarkSecondTaskStart(b *testing.B) {
+	const compute = 600 * time.Microsecond
+	for _, idle := range []time.Duration{0, 50 * time.Microsecond, 500 * time.Microsecond, 5 * time.Millisecond} {
+		b.Run(fmt.Sprintf("pool/idle=%v", idle), func(b *testing.B) {
+			starts := make([]time.Time, 2)
+			p, err := NewPool([]Worker{&spinWorker{"cpu-0", compute, starts}, &spinWorker{"cpu-1", compute, starts}})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer p.Close()
+			done := make(chan int, 2)
+			secondStarts(b, idle, compute, starts, func() {
+				if err := p.Submit(int(sched.CPU), nop(0, done), nop(1, done)); err != nil {
+					b.Fatal(err)
+				}
+				<-done
+				<-done
+			})
+		})
+		b.Run(fmt.Sprintf("cond/idle=%v", idle), func(b *testing.B) {
+			var (
+				mu      sync.Mutex
+				wake    = sync.NewCond(&mu)
+				queued  int
+				closed  bool
+				starts  = make([]time.Time, 2)
+				done    = make(chan struct{}, 2)
+				workers sync.WaitGroup
+			)
+			for range 2 {
+				workers.Add(1)
+				go func() {
+					defer workers.Done()
+					mu.Lock()
+					for {
+						for queued == 0 && !closed {
+							wake.Wait()
+						}
+						if queued == 0 {
+							mu.Unlock()
+							return
+						}
+						queued--
+						i := queued
+						mu.Unlock()
+						starts[i] = spin(compute)
+						done <- struct{}{}
+						mu.Lock()
+					}
+				}()
+			}
+			secondStarts(b, idle, compute, starts, func() {
+				mu.Lock()
+				queued = 2
+				mu.Unlock()
+				wake.Signal()
+				wake.Signal()
+				<-done
+				<-done
+			})
+			mu.Lock()
+			closed = true
+			mu.Unlock()
+			wake.Broadcast()
+			workers.Wait()
+		})
+	}
 }

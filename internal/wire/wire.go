@@ -181,9 +181,12 @@ type Conn struct {
 	bw *bufio.Writer
 }
 
-// NewConn wraps a network connection.
+// NewConn wraps a network connection in bufio's default 4 KiB buffers:
+// a frame of a few queries or their hits fits, so its Send and Recv
+// each stay one syscall, and the payload of a larger frame goes past
+// the buffer.
 func NewConn(nc net.Conn) *Conn {
-	return &Conn{nc: nc, br: bufio.NewReaderSize(nc, 1<<16), bw: bufio.NewWriterSize(nc, 1<<16)}
+	return &Conn{nc: nc, br: bufio.NewReader(nc), bw: bufio.NewWriter(nc)}
 }
 
 // Close closes the underlying connection.

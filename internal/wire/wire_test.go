@@ -134,6 +134,39 @@ func TestConnOverPipe(t *testing.T) {
 	}
 }
 
+// TestConnFramesPastTheBuffer: a frame many times the Conn's buffer,
+// between two small ones, arrives whole and in order.
+func TestConnFramesPastTheBuffer(t *testing.T) {
+	a, b := net.Pipe()
+	defer a.Close()
+	defer b.Close()
+	ca, cb := NewConn(a), NewConn(b)
+	big := &SearchRequest{ID: 7, Queries: []Query{{ID: "long", Residues: bytes.Repeat([]byte{1, 2, 3}, 20000)}}}
+	sent := []any{&Hello{Version: 1, Name: "w"}, big, &ErrorMsg{Text: "bye"}}
+	done := make(chan error, 1)
+	go func() {
+		for _, msg := range sent {
+			if err := ca.Send(msg); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	for i, want := range sent {
+		got, err := cb.Recv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("frame %d: got %T, want %T", i, got, want)
+		}
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+}
+
 // Property: queries of arbitrary content round-trip exactly inside a
 // SearchRequest.
 func TestQuickSearchRequestRoundTrip(t *testing.T) {

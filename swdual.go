@@ -8,14 +8,11 @@
 // twice the optimal makespan. Plan schedules the paper's CPU + GPU
 // platform, its GPUs a cycle model of a Tesla C2050, without searching.
 //
-// Quick start:
-//
-//	db, _ := swdual.GenerateDatabase("UniProt", 2000) // 1/2000 scale
-//	queries, _ := swdual.GenerateQueries("standard", 50)
-//	report, _ := swdual.Search(db, queries, swdual.Options{}) // one CPU worker per GOMAXPROCS
-//	for _, r := range report.Results {
-//		fmt.Println(r.QueryID, r.Hits[0].SeqID, r.Hits[0].Score)
-//	}
+// The package Example is the quick start: a pairwise alignment, then a
+// persistent Searcher. ExampleNewSearcher, ExampleSearch,
+// ExamplePaperPlatformPlan, ExampleServeShard and ExampleNewGateway
+// walk through the paper's experiments, its §IV master–slave run over
+// sockets and the HTTP front door; go test checks what each prints.
 package swdual
 
 import (
