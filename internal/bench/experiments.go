@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"swdual/internal/engine"
 	"swdual/internal/master"
@@ -32,17 +33,29 @@ func (c *Config) defaults() {
 // WorkerSplit into 3 GPUs and 1 CPU.
 const functionalWorkers = 4
 
-// Runner executes experiments, caching database models between them.
+// Runner executes experiments.
 type Runner struct {
-	cfg     Config
-	lengths map[string][]int
-	models  map[string]*platform.DBModel
+	cfg Config
 }
 
 // NewRunner builds a Runner.
 func NewRunner(cfg Config) *Runner {
 	cfg.defaults()
-	return &Runner{cfg: cfg, lengths: map[string][]int{}, models: map[string]*platform.DBModel{}}
+	return &Runner{cfg: cfg}
+}
+
+// dbModels holds the cost models DBModel built, by synth.DBSpec.
+var dbModels sync.Map
+
+// DBModel returns the cost model of spec's database on the paper's
+// Tesla C2050, built once per process: drawing and sorting a
+// paper-scale preset's lengths (UniProt's 537 505) takes about 18 ms.
+func DBModel(spec synth.DBSpec) *platform.DBModel {
+	m, ok := dbModels.Load(spec)
+	if !ok {
+		m, _ = dbModels.LoadOrStore(spec, platform.New(1, 1).ModelDB(spec.Name, spec.GenerateLengths()))
+	}
+	return m.(*platform.DBModel)
 }
 
 // ExperimentIDs lists the regenerable artifacts in paper order.
@@ -73,33 +86,11 @@ func (r *Runner) ByID(id string) (*Table, error) {
 	return nil, fmt.Errorf("bench: unknown experiment %q (have %v)", id, ExperimentIDs)
 }
 
-func (r *Runner) dbLengths(spec synth.DBSpec) []int {
-	if l, ok := r.lengths[spec.Name]; ok {
-		return l
-	}
-	l := spec.GenerateLengths()
-	r.lengths[spec.Name] = l
-	return l
-}
-
-func (r *Runner) dbModel(spec synth.DBSpec) *platform.DBModel {
-	if m, ok := r.models[spec.Name]; ok {
-		return m
-	}
-	// The model depends only on the device configuration, not the
-	// platform shape, so any shape can build it.
-	p := platform.New(1, 1)
-	m := p.ModelDB(spec.Name, r.dbLengths(spec))
-	r.models[spec.Name] = m
-	return m
-}
-
 // swdualRun schedules the query set on the paper's worker composition and
 // returns the modeled makespan and the schedule.
 func (r *Runner) swdualRun(spec synth.DBSpec, queryLens []int, workers int) (float64, *sched.Schedule) {
 	gpus, cpus := WorkerSplit(workers)
-	p := platform.New(cpus, gpus)
-	in := p.Instance(r.dbModel(spec), queryLens)
+	in := platform.New(cpus, gpus).Instance(DBModel(spec), queryLens)
 	s, err := sched.DualApprox(in)
 	if err != nil {
 		panic(fmt.Sprintf("bench: scheduling failed: %v", err))
@@ -136,7 +127,7 @@ func (r *Runner) Table2Figure7() *Table {
 	}
 	spec := synth.UniProt
 	queries := synth.StandardQueries()
-	model := r.dbModel(spec)
+	model := DBModel(spec)
 	cells := platform.Cells(model, queries.Lengths)
 
 	addRow := func(app string, w int, modelSec float64) {
@@ -218,16 +209,12 @@ func (r *Runner) Table3() *Table {
 	queries := synth.StandardQueries()
 	qmin, qmax := queries.Lengths[0], queries.Lengths[len(queries.Lengths)-1]
 	for _, spec := range synth.Databases {
-		lengths := r.dbLengths(spec)
-		var tot int64
-		for _, l := range lengths {
-			tot += int64(l)
-		}
+		m := DBModel(spec)
 		t.AddRow(spec.Name,
-			fmt.Sprintf("%d", len(lengths)),
+			fmt.Sprintf("%d", m.Subjects),
 			fmt.Sprintf("%d", spec.Count),
-			fmt.Sprintf("%d", tot),
-			fmt.Sprintf("%.0f", float64(tot)/float64(len(lengths))),
+			fmt.Sprintf("%d", m.TotalResidues),
+			fmt.Sprintf("%.0f", float64(m.TotalResidues)/float64(m.Subjects)),
 			fmt.Sprintf("%d", qmin),
 			fmt.Sprintf("%d", qmax))
 	}
@@ -245,7 +232,7 @@ func (r *Runner) Table4Figure8() *Table {
 	}
 	queries := synth.StandardQueries()
 	for _, spec := range synth.Databases {
-		model := r.dbModel(spec)
+		model := DBModel(spec)
 		cells := platform.Cells(model, queries.Lengths)
 		series := Series{Name: spec.Name}
 		for w := 2; w <= 8; w++ {
@@ -275,7 +262,7 @@ func (r *Runner) Table5Figure9() *Table {
 		Columns: []string{"Set", "Workers", "Paper time", "Model time", "Delta %", "Paper GCUPS", "Model GCUPS"},
 	}
 	spec := synth.UniProt
-	model := r.dbModel(spec)
+	model := DBModel(spec)
 	sets := []struct {
 		name    string
 		queries synth.QuerySpec
@@ -305,6 +292,9 @@ func (r *Runner) Table5Figure9() *Table {
 	return t
 }
 
+// comparedPolicies are the sched.Algorithms the ablations compare.
+var comparedPolicies = []string{"dual-2approx", "self-scheduling", "eft", "proportional-power", "equal-power"}
+
 // AblationIdle supports the paper's §V.A claim that SWDUAL finishes "with
 // almost no idle time": idle fraction per allocation policy on UniProt
 // with 4 GPUs + 4 CPUs.
@@ -314,13 +304,9 @@ func (r *Runner) AblationIdle() *Table {
 		Title:   "Idle time per allocation policy (UniProt, 4 GPU + 4 CPU)",
 		Columns: []string{"Policy", "Makespan (s)", "Idle fraction %", "vs dual-approx"},
 	}
-	spec := synth.UniProt
-	queries := synth.StandardQueries()
-	p := platform.New(4, 4)
-	in := p.Instance(r.dbModel(spec), queries.Lengths)
-	names := []string{"dual-2approx", "self-scheduling", "eft", "proportional-power", "equal-power"}
+	in := platform.New(4, 4).Instance(DBModel(synth.UniProt), synth.StandardQueries().Lengths)
 	base := 0.0
-	for _, name := range names {
+	for _, name := range comparedPolicies {
 		s, err := sched.Algorithms[name](in)
 		if err != nil {
 			panic(err)
@@ -341,7 +327,7 @@ func (r *Runner) AblationSchedulers() *Table {
 	t := &Table{
 		ID:      "Ablation E-A2",
 		Title:   "Makespan / lower bound by algorithm and instance family (mean of 20)",
-		Columns: []string{"Family", "dual-2approx", "self-scheduling", "eft", "proportional-power", "equal-power"},
+		Columns: append([]string{"Family"}, comparedPolicies...),
 	}
 	families := []struct {
 		name string
@@ -365,7 +351,6 @@ func (r *Runner) AblationSchedulers() *Table {
 			return in
 		}},
 	}
-	algos := []string{"dual-2approx", "self-scheduling", "eft", "proportional-power", "equal-power"}
 	for _, fam := range families {
 		row := []string{fam.name}
 		ratios := map[string][]float64{}
@@ -373,7 +358,7 @@ func (r *Runner) AblationSchedulers() *Table {
 		for trial := 0; trial < 20; trial++ {
 			in := fam.gen(rng)
 			lb := sched.LowerBound(in)
-			for _, a := range algos {
+			for _, a := range comparedPolicies {
 				s, err := sched.Algorithms[a](in)
 				if err != nil {
 					panic(err)
@@ -381,7 +366,7 @@ func (r *Runner) AblationSchedulers() *Table {
 				ratios[a] = append(ratios[a], s.Makespan/lb)
 			}
 		}
-		for _, a := range algos {
+		for _, a := range comparedPolicies {
 			row = append(row, fmt.Sprintf("%.3f", stats.Mean(ratios[a])))
 		}
 		t.AddRow(row...)

@@ -25,7 +25,7 @@ func (r *Runner) AblationKepler() *Table {
 		Columns: []string{"Device", "Workers", "Makespan (s)", "GCUPS", "CPU tasks", "GPU tasks", "Idle %"},
 	}
 	queries := synth.StandardQueries()
-	lengths := r.dbLengths(synth.UniProt)
+	lengths := synth.UniProt.GenerateLengths()
 	devices := []struct {
 		name string
 		cfg  gpusim.DeviceConfig

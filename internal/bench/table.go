@@ -65,14 +65,12 @@ func (t *Table) Format() string {
 		}
 		sb.WriteByte('\n')
 	}
-	writeRow(t.Columns)
+	dashes := make([]string, len(widths))
 	for i, w := range widths {
-		if i > 0 {
-			sb.WriteString("  ")
-		}
-		sb.WriteString(strings.Repeat("-", w))
+		dashes[i] = strings.Repeat("-", w)
 	}
-	sb.WriteByte('\n')
+	writeRow(t.Columns)
+	writeRow(dashes)
 	for _, row := range t.Rows {
 		writeRow(row)
 	}

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"swdual/internal/alphabet"
+	"swdual/internal/enginetest"
 	"swdual/internal/master"
 	"swdual/internal/sched"
 	"swdual/internal/scoring"
@@ -201,19 +202,6 @@ func waitIdle(t *testing.T, s *Searcher, n int) {
 	}
 }
 
-// waitGoroutines waits until no more than n goroutines run.
-func waitGoroutines(t *testing.T, n int) {
-	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for runtime.NumGoroutine() > n {
-		if time.Now().After(deadline) {
-			buf := make([]byte, 1<<16)
-			t.Fatalf("%d goroutines, %d before:\n%s", runtime.NumGoroutine(), n, buf[:runtime.Stack(buf, true)])
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
 // TestSplitOnlyOnAnIdlePool: a lone request planned while one of three
 // workers is busy runs as one task, though the two idle ones could take
 // both its chunks; once the whole pool is idle a lone request runs as
@@ -260,7 +248,7 @@ func TestSplitOnlyOnAnIdlePool(t *testing.T) {
 // the context's error at once, the Searcher answers the next request,
 // and after Close no goroutine is left.
 func TestSplitCancelWhileAChunkRuns(t *testing.T) {
-	base := runtime.NumGoroutine()
+	check := enginetest.LeakCheck(t)
 	rig := newStepRig(t, stepWorker{name: "w0", rate: 1}, stepWorker{name: "w1", rate: 1})
 	ctx, cancel := context.WithCancel(context.Background())
 	outB := make(chan error, 1)
@@ -298,7 +286,7 @@ func TestSplitCancelWhileAChunkRuns(t *testing.T) {
 	if err := rig.s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	waitGoroutines(t, base)
+	check()
 }
 
 // TestSplitCloseInFlight closes the Searcher while both chunks of a

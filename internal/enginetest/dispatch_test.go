@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -39,7 +38,7 @@ func TestOverlappingWavesMatchOracle(t *testing.T) {
 			want[i] = append(want[i], res.Hits)
 		}
 	}
-	before := runtime.NumGoroutine()
+	check := LeakCheck(t)
 	for _, pool := range []master.PoolSpec{{CPU: 2}, {CPU: 2, GPU: 1}} {
 		for _, policy := range []master.Policy{master.PolicyDualApprox, master.PolicyRoundRobin, master.PolicySelfScheduling} {
 			s, err := engine.New(db, engine.Config{Params: params, Pool: pool, TopK: topK, Policy: policy})
@@ -78,13 +77,7 @@ func TestOverlappingWavesMatchOracle(t *testing.T) {
 			}
 		}
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > before {
-		if time.Now().After(deadline) {
-			t.Fatalf("goroutines outlived Close: %d before, %d after", before, runtime.NumGoroutine())
-		}
-		time.Sleep(time.Millisecond)
-	}
+	check()
 }
 
 // checkAnswer judges one Search outcome. canceled says the call's context

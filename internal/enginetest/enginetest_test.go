@@ -1,6 +1,3 @@
-// Package enginetest cross-checks every alignment engine in the module
-// against the scalar oracle on shared corpora: the central "all engines
-// compute the same science" guarantee behind the reproduction.
 package enginetest
 
 import (

@@ -4,13 +4,13 @@ import (
 	"context"
 	"errors"
 	"reflect"
-	"runtime"
 	"sync"
 	"testing"
 	"time"
 
 	"swdual/internal/alphabet"
 	"swdual/internal/engine"
+	"swdual/internal/enginetest"
 	"swdual/internal/master"
 	"swdual/internal/synth"
 )
@@ -152,14 +152,7 @@ func TestCancellationUnblocksParkedCall(t *testing.T) {
 // hung and parked calls all drain on Close (with engine.ErrClosed),
 // and the goroutine count settles back to where it started.
 func TestCloseUnblocksHangAndLeaksNothing(t *testing.T) {
-	baseline, prev := 0, -1
-	waitFor(t, "goroutine baseline to settle", func() bool {
-		runtime.GC()
-		n := runtime.NumGoroutine()
-		stable := n == prev
-		prev, baseline = n, n
-		return stable
-	})
+	check := enginetest.LeakCheck(t)
 
 	db := synth.RandomSet(alphabet.Protein, 20, 10, 60, 141)
 	inner, err := engine.New(db, engine.Config{Pool: master.PoolSpec{CPU: 1}, TopK: 5})
@@ -198,8 +191,5 @@ func TestCloseUnblocksHangAndLeaksNothing(t *testing.T) {
 			t.Fatalf("call released by Close: err = %v, want engine.ErrClosed", err)
 		}
 	}
-	waitFor(t, "goroutines back to baseline", func() bool {
-		runtime.GC()
-		return runtime.NumGoroutine() <= baseline
-	})
+	check()
 }

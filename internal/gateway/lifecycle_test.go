@@ -7,12 +7,12 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"runtime"
 	"sync"
 	"testing"
 	"time"
 
 	"swdual/internal/alphabet"
+	"swdual/internal/enginetest"
 	"swdual/internal/synth"
 )
 
@@ -225,14 +225,7 @@ func TestNoGoroutineLeakAfterBurst(t *testing.T) {
 		t.Fatalf("warm request: %d", code)
 	}
 	tr.CloseIdleConnections()
-	baseline, prev := 0, -1
-	waitFor(t, "goroutine baseline to settle", func() bool {
-		runtime.GC()
-		n := runtime.NumGoroutine()
-		stable := n == prev
-		prev, baseline = n, n
-		return stable // two consecutive equal readings
-	})
+	check := enginetest.LeakCheck(t)
 
 	var wg sync.WaitGroup
 	codes := make(chan int, 100)
@@ -262,8 +255,5 @@ func TestNoGoroutineLeakAfterBurst(t *testing.T) {
 	t.Logf("burst: %d completed, %d shed", ok, shed)
 
 	tr.CloseIdleConnections()
-	waitFor(t, "goroutines back to baseline", func() bool {
-		runtime.GC()
-		return runtime.NumGoroutine() <= baseline
-	})
+	check()
 }

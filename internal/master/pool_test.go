@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"swdual/internal/alphabet"
+	"swdual/internal/enginetest"
 	"swdual/internal/sched"
 	"swdual/internal/seq"
 	"swdual/internal/sw"
@@ -45,20 +46,12 @@ func TestPoolCloseIdempotent(t *testing.T) {
 }
 
 func TestPoolCloseDoesNotLeakGoroutines(t *testing.T) {
-	before := runtime.NumGoroutine()
+	check := enginetest.LeakCheck(t)
 	for i := 0; i < 5; i++ {
 		p := testPool(t, 2, 2)
 		p.Close()
 	}
-	// Give exited goroutines a moment to be reaped.
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		if runtime.NumGoroutine() <= before {
-			return
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	t.Fatalf("goroutines leaked: %d before, %d after", before, runtime.NumGoroutine())
+	check()
 }
 
 func TestPoolSubmitAfterCloseFails(t *testing.T) {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"net"
-	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -12,6 +11,7 @@ import (
 
 	"swdual/internal/alphabet"
 	"swdual/internal/engine"
+	"swdual/internal/enginetest"
 	"swdual/internal/master"
 	"swdual/internal/sched"
 	"swdual/internal/seq"
@@ -101,86 +101,6 @@ func (s *killableServer) kill() {
 	s.conns = nil
 }
 
-// TestCoordinatorSurvivesShardServerDeath pins a remote search in
-// flight, kills the shard server, and requires the coordinator Search
-// to fail fast with an error naming the lost connection — not hang —
-// while Close stays idempotent and the goroutine count returns to its
-// baseline.
-func TestCoordinatorSurvivesShardServerDeath(t *testing.T) {
-	before := runtime.NumGoroutine()
-	db := synth.RandomSet(alphabet.Protein, 16, 10, 60, 5001)
-	queries := synth.RandomSet(alphabet.Protein, 4, 20, 50, 5002)
-
-	gw := newGateWorker()
-	ranges := shard.RangesFor(db, 2, shard.BalancedResidues)
-	// Shard 0 is a healthy in-process engine; shard 1 is remote and will
-	// die mid-search, its gate worker pinning the request in flight.
-	eng0, err := engine.New(db.Slice(ranges[0].Lo, ranges[0].Hi), engine.Config{Pool: master.PoolSpec{CPU: 1}, TopK: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := startKillableServer(t, db.Slice(ranges[1].Lo, ranges[1].Hi), engine.Config{
-		Workers: []master.Worker{gw}, TopK: 3, Policy: master.PolicySelfScheduling,
-	})
-	rb, err := DialTimeout(srv.addr(), db.Slice(ranges[1].Lo, ranges[1].Hi).Checksum(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := shard.WithBackends(db, shard.BalancedResidues, ranges, []engine.Backend{eng0, rb}, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	done := make(chan error, 1)
-	go func() {
-		_, err := s.Search(context.Background(), queries, engine.SearchOptions{})
-		done <- err
-	}()
-	<-gw.started // the remote shard provably holds the search in flight
-	srv.kill()
-	select {
-	case err := <-done:
-		if err == nil {
-			t.Fatal("search succeeded though a shard server died mid-flight")
-		}
-		if !strings.Contains(err.Error(), "shard 1") || !strings.Contains(err.Error(), "connection lost") {
-			t.Fatalf("error does not describe the dead shard: %v", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("coordinator hung on a dead shard server")
-	}
-	close(gw.release) // let the pinned server-side task drain
-	srv.eng.Close()   // retire the dead server's pool before the leak check
-
-	// Close is idempotent and concurrent-safe even with a dead backend.
-	var wg sync.WaitGroup
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			s.Close()
-		}()
-	}
-	wg.Wait()
-	if err := s.Close(); err != nil {
-		t.Fatalf("close after close: %v", err)
-	}
-
-	// Searches on the closed coordinator fail, not hang.
-	if _, err := s.Search(context.Background(), queries, engine.SearchOptions{}); err == nil {
-		t.Fatal("search after close succeeded")
-	}
-
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if runtime.NumGoroutine() <= before {
-			return
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	t.Fatalf("goroutines leaked: %d before, %d after", before, runtime.NumGoroutine())
-}
-
 // TestRemoteSearchHonorsContext cancels a pinned remote search and
 // requires the prompt context error, the connection staying usable for
 // the next search, and the server-side request context being canceled.
@@ -261,7 +181,7 @@ func TestBackendCloseIsIdempotent(t *testing.T) {
 func TestDialBackendsDoNotLeakGoroutines(t *testing.T) {
 	db := synth.RandomSet(alphabet.Protein, 10, 10, 60, 5301)
 	srv := startKillableServer(t, db, engine.Config{Pool: master.PoolSpec{CPU: 1, GPU: 1}, TopK: 3})
-	before := runtime.NumGoroutine()
+	check := enginetest.LeakCheck(t)
 	for i := 0; i < 5; i++ {
 		b, err := DialTimeout(srv.addr(), db.Checksum(), 0)
 		if err != nil {
@@ -275,14 +195,7 @@ func TestDialBackendsDoNotLeakGoroutines(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if runtime.NumGoroutine() <= before {
-			return
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	t.Fatalf("goroutines leaked: %d before, %d after", before, runtime.NumGoroutine())
+	check()
 }
 
 // TestTwoShardDeathsAttributeTheRealCause kills two shard servers in

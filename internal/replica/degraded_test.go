@@ -5,12 +5,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"strings"
 	"testing"
 
 	"swdual/internal/alphabet"
 	"swdual/internal/engine"
+	"swdual/internal/enginetest"
 	"swdual/internal/faultinject"
 	"swdual/internal/master"
 	"swdual/internal/remote"
@@ -75,7 +75,7 @@ func TestIdleFaultInjectKeepsReplicaByteIdentical(t *testing.T) {
 // shard index, the replica count and the last cause — everything a
 // degraded coordinator needs without parsing strings.
 func TestExhaustedSetReturnsTypedRangeError(t *testing.T) {
-	before := runtime.NumGoroutine()
+	check := enginetest.LeakCheck(t)
 	set, wrappers, _ := faultedSet(t, "shard 3 [30,40)", 3)
 	queries := synth.RandomSet(alphabet.Protein, 2, 20, 50, 7402)
 	for i, w := range wrappers {
@@ -111,7 +111,7 @@ func TestExhaustedSetReturnsTypedRangeError(t *testing.T) {
 		}
 	}
 	set.Close()
-	waitNoLeak(t, before)
+	check()
 }
 
 // TestErrClosedCauseNeverLeaks scripts both replicas to fail with
@@ -146,7 +146,7 @@ func TestErrClosedCauseNeverLeaks(t *testing.T) {
 // caller's context error, never hanging on the schedule, and the gate
 // must not leak the parked goroutine.
 func TestParkedSearchHonorsCancellation(t *testing.T) {
-	before := runtime.NumGoroutine()
+	check := enginetest.LeakCheck(t)
 	set, wrappers, _ := faultedSet(t, "shard 0 [0,12)", 0)
 	queries := synth.RandomSet(alphabet.Protein, 2, 20, 50, 7404)
 	gate := faultinject.NewGate()
@@ -166,5 +166,5 @@ func TestParkedSearchHonorsCancellation(t *testing.T) {
 	}
 	gate.Release()
 	set.Close()
-	waitNoLeak(t, before)
+	check()
 }

@@ -128,10 +128,10 @@ func hitsSize(key string, hits [][]master.Hit) int64 {
 	return size
 }
 
-// CopyHits deep-copies per-query hit lists. Hit itself has no interior
+// copyHits deep-copies per-query hit lists. Hit itself has no interior
 // pointers beyond the immutable SeqID string, so copying the slices is
 // a full defensive copy.
-func CopyHits(hits [][]master.Hit) [][]master.Hit {
+func copyHits(hits [][]master.Hit) [][]master.Hit {
 	out := make([][]master.Hit, len(hits))
 	for i, hs := range hits {
 		if hs == nil {
@@ -160,7 +160,7 @@ func (c *Cache) Get(key string) ([][]master.Hit, bool) {
 	c.hits.Add(1)
 	// The cached slices are immutable once stored, so the copy can run
 	// outside the lock.
-	return CopyHits(hits), true
+	return copyHits(hits), true
 }
 
 // Put stores a defensive copy of hits under key and evicts from the
@@ -172,7 +172,7 @@ func (c *Cache) Put(key string, hits [][]master.Hit) {
 	if size > c.maxBytes {
 		return
 	}
-	stored := CopyHits(hits)
+	stored := copyHits(hits)
 	c.mu.Lock()
 	if el, ok := c.index[key]; ok {
 		// Replace in place (two concurrent misses on one key both

@@ -2,12 +2,11 @@ package seqdb
 
 import (
 	"os"
-	"runtime"
 	"sync"
 	"testing"
-	"time"
 
 	"swdual/internal/alphabet"
+	"swdual/internal/enginetest"
 	"swdual/internal/synth"
 )
 
@@ -157,7 +156,7 @@ func TestMappedCloseLifecycle(t *testing.T) {
 func TestMappedOpenLeaksNothing(t *testing.T) {
 	set := synth.RandomSet(alphabet.Protein, 30, 1, 120, 11)
 	path := tempDB(t, set)
-	before := runtime.NumGoroutine()
+	check := enginetest.LeakCheck(t)
 	for i := 0; i < 50; i++ {
 		m, err := Open(path)
 		if err != nil {
@@ -173,12 +172,7 @@ func TestMappedOpenLeaksNothing(t *testing.T) {
 			t.Fatal("mapping survived Close")
 		}
 	}
-	for i := 0; i < 20 && runtime.NumGoroutine() > before; i++ {
-		time.Sleep(10 * time.Millisecond)
-	}
-	if after := runtime.NumGoroutine(); after > before {
-		t.Fatalf("goroutines %d -> %d across 50 open/close cycles", before, after)
-	}
+	check()
 }
 
 // TestMappedEmptyDB: the degenerate file (header only, zero sequences)

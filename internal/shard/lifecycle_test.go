@@ -2,13 +2,13 @@ package shard
 
 import (
 	"context"
-	"runtime"
 	"sync"
 	"testing"
 	"time"
 
 	"swdual/internal/alphabet"
 	"swdual/internal/engine"
+	"swdual/internal/enginetest"
 	"swdual/internal/master"
 	"swdual/internal/sched"
 	"swdual/internal/seq"
@@ -48,7 +48,7 @@ func TestShardedCloseIdempotentAndConcurrent(t *testing.T) {
 // owning several dispatcher goroutines and worker pools — must return
 // the goroutine count to its baseline.
 func TestShardedCloseDoesNotLeakGoroutines(t *testing.T) {
-	before := runtime.NumGoroutine()
+	check := enginetest.LeakCheck(t)
 	for i := 0; i < 5; i++ {
 		s := testSharded(t, 16, 4)
 		queries := synth.RandomSet(alphabet.Protein, 2, 20, 60, int64(600+i))
@@ -59,14 +59,7 @@ func TestShardedCloseDoesNotLeakGoroutines(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		if runtime.NumGoroutine() <= before {
-			return
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	t.Fatalf("goroutines leaked: %d before, %d after", before, runtime.NumGoroutine())
+	check()
 }
 
 // gateWorker blocks in Run until released, so tests can hold a scatter

@@ -57,8 +57,13 @@ func newResidueSampler(a *alphabet.Alphabet) *residueSampler {
 	return s
 }
 
-func (s *residueSampler) draw(rng *rand.Rand) byte {
-	return s.grid[rng.Intn(len(s.grid))]
+// residues draws n residue codes.
+func (s *residueSampler) residues(rng *rand.Rand, n int) []byte {
+	r := make([]byte, n)
+	for j := range r {
+		r[j] = s.grid[rng.Intn(len(s.grid))]
+	}
+	return r
 }
 
 // DBSpec describes a synthetic database preset.
@@ -143,11 +148,7 @@ func (d DBSpec) Generate() *seq.Set {
 	set := seq.NewSet(alphabet.Protein)
 	set.Seqs = make([]seq.Sequence, 0, d.Count)
 	for i, l := range lengths {
-		r := make([]byte, l)
-		for j := range r {
-			r[j] = sampler.draw(rng)
-		}
-		set.AddEncoded(fmt.Sprintf("%s|%06d", shortName(d.Name), i), "", r)
+		set.AddEncoded(fmt.Sprintf("%s|%06d", shortName(d.Name), i), "", sampler.residues(rng, l))
 	}
 	return set
 }
@@ -213,11 +214,7 @@ func (q QuerySpec) Scaled(scale int) QuerySpec {
 	out := QuerySpec{Name: fmt.Sprintf("%s (1/%d)", q.Name, scale), Seed: q.Seed}
 	out.Lengths = make([]int, len(q.Lengths))
 	for i, l := range q.Lengths {
-		s := l / scale
-		if s < 4 {
-			s = 4
-		}
-		out.Lengths[i] = s
+		out.Lengths[i] = max(l/scale, 4)
 	}
 	return out
 }
@@ -228,11 +225,7 @@ func (q QuerySpec) Generate() *seq.Set {
 	sampler := newResidueSampler(alphabet.Protein)
 	set := seq.NewSet(alphabet.Protein)
 	for i, l := range q.Lengths {
-		r := make([]byte, l)
-		for j := range r {
-			r[j] = sampler.draw(rng)
-		}
-		set.AddEncoded(fmt.Sprintf("query|%02d|len%d", i, l), "", r)
+		set.AddEncoded(fmt.Sprintf("query|%02d|len%d", i, l), "", sampler.residues(rng, l))
 	}
 	return set
 }
@@ -240,12 +233,8 @@ func (q QuerySpec) Generate() *seq.Set {
 // linspace returns n integer points spread linearly over [lo, hi].
 func linspace(lo, hi, n int) []int {
 	out := make([]int, n)
-	if n == 1 {
-		out[0] = lo
-		return out
-	}
-	for i := 0; i < n; i++ {
-		out[i] = lo + (hi-lo)*i/(n-1)
+	for i := range out {
+		out[i] = lo + (hi-lo)*i/max(n-1, 1)
 	}
 	return out
 }
@@ -261,11 +250,7 @@ func RandomSet(a *alphabet.Alphabet, count, minLen, maxLen int, seed int64) *seq
 		if maxLen > minLen {
 			l += rng.Intn(maxLen - minLen + 1)
 		}
-		r := make([]byte, l)
-		for j := range r {
-			r[j] = sampler.draw(rng)
-		}
-		set.AddEncoded(fmt.Sprintf("rnd|%04d", i), "", r)
+		set.AddEncoded(fmt.Sprintf("rnd|%04d", i), "", sampler.residues(rng, l))
 	}
 	return set
 }

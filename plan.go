@@ -56,15 +56,14 @@ func Plan(db, queries *Database, opt Options) (*SchedulePlan, error) {
 	if err != nil {
 		return nil, err
 	}
-	return planModel(setLengths(db.set), setLengths(queries.set), pool, policy)
+	p := platform.New(pool.CPU, pool.GPU)
+	return planModel(p, p.ModelDB("db", setLengths(db.set)), setLengths(queries.set), policy)
 }
 
 // planModel is the one modeled planner behind Plan and PaperPlatformPlan:
-// model the database on the calibrated platform with the pool's CPU and
-// GPU counts, run the policy's scheduler, and render the plan.
-func planModel(dbLengths, queryLens []int, pool master.PoolSpec, policy master.Policy) (*SchedulePlan, error) {
-	p := platform.New(pool.CPU, pool.GPU)
-	model := p.ModelDB("db", dbLengths)
+// run the policy's scheduler over the database model on the calibrated
+// platform p, and render the plan.
+func planModel(p *platform.Platform, model *platform.DBModel, queryLens []int, policy master.Policy) (*SchedulePlan, error) {
 	in := p.Instance(model, queryLens)
 	s, err := policy.Schedule(in)
 	if err != nil {
@@ -114,5 +113,5 @@ func PaperPlatformPlan(preset, querySet string, workers int) (*SchedulePlan, err
 		return nil, err
 	}
 	gpus, cpus := bench.WorkerSplit(workers)
-	return planModel(spec.GenerateLengths(), qs.Lengths, master.PoolSpec{CPU: cpus, GPU: gpus}, master.PolicyDualApprox)
+	return planModel(platform.New(cpus, gpus), bench.DBModel(spec), qs.Lengths, master.PolicyDualApprox)
 }
