@@ -848,8 +848,8 @@ func (m *clusterModel) chaos() {
 }
 
 // close closes the coordinator from four goroutines at once, checks
-// that a search after Close fails with engine.ErrClosed, and kills
-// every server.
+// that a search after Close fails with engine.ErrClosed, a fresh one
+// and, with the cache on, one the cache holds, and kills every server.
 func (m *clusterModel) close() {
 	var wg sync.WaitGroup
 	errs := make([]error, 4)
@@ -864,8 +864,14 @@ func (m *clusterModel) close() {
 	if err := errors.Join(errs...); err != nil {
 		m.t.Fatalf("close: %v", err)
 	}
-	if _, err := m.search(m.fresh(), false); !errors.Is(err, engine.ErrClosed) {
-		m.t.Fatalf("search after Close: %v, want engine.ErrClosed", err)
+	after := []*modelQueries{m.fresh()}
+	if i := slices.IndexFunc(m.sets, func(q *modelQueries) bool { return q.cached }); i >= 0 {
+		after = append(after, m.sets[i])
+	}
+	for _, q := range after {
+		if _, err := m.search(q, false); !errors.Is(err, engine.ErrClosed) {
+			m.t.Fatalf("search after Close (cached %v): %v, want engine.ErrClosed", q.cached, err)
+		}
 	}
 	for _, reps := range m.reps {
 		for _, r := range reps {

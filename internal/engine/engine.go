@@ -450,6 +450,11 @@ func (s *Searcher) Stats() Stats {
 // wave under its own ctx and caches the answer, an error is never
 // cached. Hits are byte-identical to an uncached search either way.
 func (s *Searcher) Search(ctx context.Context, queries *seq.Set, opts SearchOptions) (*master.Report, error) {
+	select {
+	case <-s.quit: // before the cache and the empty set's shortcut
+		return nil, ErrClosed
+	default:
+	}
 	if queries == nil {
 		return nil, fmt.Errorf("engine: nil query set")
 	}

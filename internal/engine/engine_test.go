@@ -386,7 +386,8 @@ func TestCloseWithQueuedRequest(t *testing.T) {
 
 func TestCloseIdempotentAndFailsNewSearches(t *testing.T) {
 	db, queries := testSets(13, 14, 20, 4)
-	s, err := New(db, Config{Pool: master.PoolSpec{CPU: 1}})
+	_, fresh := testSets(13, 15, 20, 2)
+	s, err := New(db, Config{Pool: master.PoolSpec{CPU: 1}, Cache: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -398,8 +399,11 @@ func TestCloseIdempotentAndFailsNewSearches(t *testing.T) {
 			t.Fatalf("close %d: %v", i, err)
 		}
 	}
-	if _, err := s.Search(context.Background(), queries, SearchOptions{}); err != ErrClosed {
-		t.Fatalf("search after close returned %v, want ErrClosed", err)
+	// Neither the cache nor the empty set's shortcut answers after Close.
+	for name, q := range map[string]*seq.Set{"cached": queries, "fresh": fresh, "empty": seq.NewSet(db.Alpha)} {
+		if _, err := s.Search(context.Background(), q, SearchOptions{}); err != ErrClosed {
+			t.Fatalf("%s search after close returned %v, want ErrClosed", name, err)
+		}
 	}
 }
 

@@ -55,6 +55,7 @@ type Searcher struct {
 	// a hit is answered before the scatter.
 	cache *resultcache.Cache
 
+	closed    atomic.Bool // set by Close; Search checks it before the cache
 	closeOnce sync.Once
 	closeErr  error
 }
@@ -189,6 +190,9 @@ func (s *Searcher) Stats() engine.Stats {
 // answered before the scatter — no backend is touched — with the same
 // semantics as the engine-level cache.
 func (s *Searcher) Search(ctx context.Context, queries *seq.Set, opts engine.SearchOptions) (*master.Report, error) {
+	if s.closed.Load() {
+		return nil, engine.ErrClosed
+	}
 	if queries == nil {
 		return nil, fmt.Errorf("shard: nil query set")
 	}
@@ -383,6 +387,7 @@ func (s *Searcher) gather(queries *seq.Set, reps []*master.Report, topK int, sta
 // engine.ErrClosed.
 func (s *Searcher) Close() error {
 	s.closeOnce.Do(func() {
+		s.closed.Store(true)
 		for _, b := range s.backends {
 			if err := b.Close(); err != nil && s.closeErr == nil {
 				s.closeErr = err
