@@ -39,12 +39,14 @@ import (
 
 // ShardServer is a ServeShard goroutine whose accepted connections are
 // tracked, so a test can sever them all — the observable effect of the
-// server process dying. The swdual_test suite uses it too.
+// server process dying — or stop it as a server stops on purpose. The
+// swdual_test suite uses it too.
 type ShardServer struct {
 	net.Listener
 	mu     sync.Mutex
 	conns  []net.Conn
 	killed bool
+	done   chan struct{} // closed when the server has returned
 }
 
 func (s *ShardServer) Accept() (net.Conn, error) {
@@ -83,6 +85,21 @@ func (s *ShardServer) Kill() {
 	s.Listener.Close()
 }
 
+// Stop closes the listener alone and returns when the server has: it
+// drains its sessions, each answering what it holds before it closes.
+func (s *ShardServer) Stop() {
+	s.Listener.Close()
+	<-s.done
+}
+
+// run serves on s from a goroutine of its own.
+func (s *ShardServer) run(serve func()) {
+	go func() {
+		defer close(s.done)
+		serve()
+	}()
+}
+
 // listenShard listens on addr for a server that is killed at the
 // latest at test cleanup.
 func listenShard(t *testing.T, addr string) *ShardServer {
@@ -91,7 +108,7 @@ func listenShard(t *testing.T, addr string) *ShardServer {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := &ShardServer{Listener: l}
+	s := &ShardServer{Listener: l, done: make(chan struct{})}
 	t.Cleanup(s.Kill)
 	return s
 }
@@ -101,7 +118,7 @@ func listenShard(t *testing.T, addr string) *ShardServer {
 func StartShardServer(t *testing.T, addr string, db *Database, index, count int, opt Options) *ShardServer {
 	t.Helper()
 	s := listenShard(t, addr)
-	go ServeShard(s, db, index, count, opt)
+	s.run(func() { ServeShard(s, db, index, count, opt) })
 	return s
 }
 
@@ -195,8 +212,11 @@ func (r *modelReplica) target() string {
 func (r *modelReplica) stale() bool { return r.admitted != 0 && (r.srv == nil || r.admitted != r.gen) }
 
 type clusterModel struct {
-	t      *testing.T
-	rng    *rand.Rand
+	t   *testing.T
+	rng *rand.Rand
+	// stops says whether each server the script takes down is killed or
+	// stopped: a stream of its own, so the choice changes no other draw.
+	stops  *rand.Rand
 	db     [2]*Database
 	params sw.Params
 	opt    Options // the coordinator's
@@ -219,7 +239,7 @@ type clusterModel struct {
 // the script to start after the coordinator, some behind a fault
 // injector, and the coordinator's cache on or off.
 func newClusterModel(t *testing.T, seed uint64) *clusterModel {
-	m := &clusterModel{t: t, rng: rand.New(rand.NewPCG(seed, 0x5eed)), db: modelDBs()}
+	m := &clusterModel{t: t, rng: rand.New(rand.NewPCG(seed, 0x5eed)), stops: rand.New(rand.NewPCG(seed, 2)), db: modelDBs()}
 	var err error
 	if m.params, err = (Options{}).params(); err != nil {
 		t.Fatal(err)
@@ -296,11 +316,12 @@ func (m *clusterModel) start(r *modelReplica, how string) {
 		if err != nil {
 			m.t.Fatal(err)
 		}
-		r.srv, r.fi = listenShard(m.t, r.addr), faultinject.Wrap(eng)
-		go func(srv *ShardServer, fi *faultinject.Backend) {
+		srv, fi := listenShard(m.t, r.addr), faultinject.Wrap(eng)
+		srv.run(func() {
 			engine.Serve(srv, fi)
 			fi.Close()
-		}(r.srv, r.fi)
+		})
+		r.srv, r.fi = srv, fi
 	} else {
 		r.srv, r.fi = StartShardServer(m.t, r.addr, db, index, len(m.ranges), opt), nil
 	}
@@ -312,10 +333,32 @@ func (m *clusterModel) start(r *modelReplica, how string) {
 	m.note("start %v %s", r, cmp.Or(how, "serving"))
 }
 
-// kill kills r's server.
+// kill takes r's server down: killed, or stopped gracefully. With no
+// search on it the two look alike to the coordinator: every connection
+// closes, and the slot's next search fails over.
 func (m *clusterModel) kill(r *modelReplica) {
+	if m.graceful() {
+		m.note("stop %v", r)
+		r.srv.Stop()
+		m.gone(r)
+	} else {
+		m.sever(r)
+	}
+}
+
+// sever kills r's server.
+func (m *clusterModel) sever(r *modelReplica) {
 	m.note("kill %v", r)
 	r.srv.Kill()
+	m.gone(r)
+}
+
+// graceful draws whether the next server the script takes down stops
+// rather than dies.
+func (m *clusterModel) graceful() bool { return m.stops.IntN(2) == 0 }
+
+// gone records that r's server is down.
+func (m *clusterModel) gone(r *modelReplica) {
 	r.srv, r.fi = nil, nil
 	if r.admitted == 0 {
 		r.refused[""] = true
@@ -427,9 +470,11 @@ func (m *clusterModel) injectError(i int) {
 	m.note("failed: %v", err)
 }
 
-// parkAndKill parks r's next search on its server and kills the server
-// while the search waits there: the range fails over to its next live
-// replica, or goes dark naming the lost connection.
+// parkAndKill parks r's next search on its server and takes the server
+// down while the search waits there. Killed, it loses the search: the
+// range fails over to its next live replica, or goes dark naming the
+// lost connection. Stopped, it drains: the search answers in full from
+// r, and the slot's next search fails over.
 func (m *clusterModel) parkAndKill(r *modelReplica) {
 	m.note("park %v", r)
 	gate := faultinject.NewGate()
@@ -447,10 +492,31 @@ func (m *clusterModel) parkAndKill(r *modelReplica) {
 	case <-time.After(modelWait):
 		m.t.Fatalf("the search never reached %v", r)
 	}
-	m.kill(r)
+	if !m.graceful() {
+		m.sever(r)
+		want := m.expect(q)
+		<-done
+		gate.Release()
+		m.judge(q, want, rep, err)
+		return
+	}
+	m.note("stop %v", r)
 	want := m.expect(q)
-	<-done
+	srv, stopped := r.srv, make(chan struct{})
+	go func() {
+		defer close(stopped)
+		srv.Stop()
+	}()
+	// A server that returned at once has closed its engine under the
+	// parked search; one that drains holds until the search answers.
+	select {
+	case <-stopped:
+	case <-time.After(50 * time.Millisecond):
+	}
 	gate.Release()
+	<-done
+	<-stopped
+	m.gone(r)
 	m.judge(q, want, rep, err)
 }
 

@@ -62,21 +62,119 @@ type Backend interface {
 // Serve accepts connections on l and answers each over the wire
 // protocol until the listener is closed (use l.Close to stop). Each
 // connection's queries become Search calls on the backend, so
-// concurrent clients batch into waves. Serve returns nil when l closes.
-func Serve(l net.Listener, s Backend) error {
+// concurrent clients batch into waves. Serve returns nil when l closes,
+// once it has drained every session: a session stops reading, answers
+// the requests it has in flight and then closes its connection, so a
+// client sees each request either answered or its connection lost,
+// which a replica set fails over. A session still running drainGrace
+// after the close is severed: its connection closed, its requests
+// cancelled.
+func Serve(l net.Listener, s Backend) error { return serve(l, s, drainGrace) }
+
+// serve is Serve with the grace period given, for tests.
+func serve(l net.Listener, s Backend, grace time.Duration) error {
+	var (
+		mu       sync.Mutex
+		sessions = map[*session]bool{}
+		wg       sync.WaitGroup
+	)
+	each := func(f func(*session)) {
+		mu.Lock()
+		defer mu.Unlock()
+		for ss := range sessions {
+			f(ss)
+		}
+	}
 	for {
 		nc, err := l.Accept()
 		if err != nil {
+			each((*session).drain)
+			ended := make(chan struct{})
+			go func() {
+				wg.Wait()
+				close(ended)
+			}()
+			select {
+			case <-ended:
+			case <-time.After(grace):
+				each((*session).sever)
+				<-ended
+			}
 			if errors.Is(err, net.ErrClosed) {
 				return nil
 			}
 			return err
 		}
+		ss := newSession(nc)
+		mu.Lock()
+		sessions[ss] = true
+		mu.Unlock()
+		wg.Add(1)
 		go func() {
-			defer nc.Close()
-			serveConn(wire.NewConn(nc), s, handshakeTimeout)
+			defer wg.Done()
+			serveConn(ss, s, handshakeTimeout)
+			ss.sever()
+			mu.Lock()
+			delete(sessions, ss)
+			mu.Unlock()
 		}()
 	}
+}
+
+// drainGrace bounds how long Serve waits, after its listener closed, for
+// its sessions' requests in flight to answer.
+const drainGrace = 5 * time.Second
+
+// session is one accepted connection as Serve tracks it, to drain or
+// sever it when the listener closes.
+type session struct {
+	nc     net.Conn
+	ctx    context.Context // the parent of every request's context
+	cancel context.CancelFunc
+
+	mu       sync.Mutex
+	draining bool
+}
+
+func newSession(nc net.Conn) *session {
+	ss := &session{nc: nc}
+	ss.ctx, ss.cancel = context.WithCancel(context.Background())
+	return ss
+}
+
+// setDeadline sets the connection's deadline, unless the session is
+// draining: its reads must stay stopped.
+func (ss *session) setDeadline(t time.Time) error {
+	ss.mu.Lock()
+	defer ss.mu.Unlock()
+	if ss.draining {
+		return errDraining
+	}
+	return ss.nc.SetDeadline(t)
+}
+
+var errDraining = errors.New("engine: server stopping")
+
+// drain stops the session's reads — a frame in flight is cut off, and
+// the read loop ends — while its requests go on answering.
+func (ss *session) drain() {
+	ss.mu.Lock()
+	defer ss.mu.Unlock()
+	ss.draining = true
+	ss.nc.SetReadDeadline(time.Unix(1, 0))
+}
+
+func (ss *session) isDraining() bool {
+	ss.mu.Lock()
+	defer ss.mu.Unlock()
+	return ss.draining
+}
+
+// sever closes the connection, then cancels the session's requests: an
+// answer cut off this way is a lost connection, not an error frame.
+func (ss *session) sever() {
+	ss.nc.Close()
+	ss.cancel()
 }
 
 // checkResidues rejects out-of-range residue codes at the boundary: wire
@@ -100,9 +198,10 @@ const handshakeTimeout = 10 * time.Second
 // serveConn answers one client: the handshake, bounded by the handshake
 // timeout, then the multiplexed session. Protocol errors end the
 // connection; the client sees the ErrorMsg or the closed stream.
-func serveConn(c *wire.Conn, s Backend, handshake time.Duration) {
+func serveConn(ss *session, s Backend, handshake time.Duration) {
+	c := wire.NewConn(ss.nc)
 	fail := func(err error) { c.Send(&wire.ErrorMsg{Text: err.Error()}) }
-	if err := c.SetDeadline(time.Now().Add(handshake)); err != nil {
+	if err := ss.setDeadline(time.Now().Add(handshake)); err != nil {
 		return
 	}
 	msg, err := c.Recv()
@@ -135,10 +234,10 @@ func serveConn(c *wire.Conn, s Backend, handshake time.Duration) {
 	}
 	// A session lives arbitrarily long; per-request bounds come from the
 	// client's Cancel frames.
-	if err := c.SetDeadline(time.Time{}); err != nil {
+	if err := ss.setDeadline(time.Time{}); err != nil {
 		return
 	}
-	serveMux(c, s)
+	serveMux(c, ss, s)
 }
 
 // muxSession is one multiplexed connection: a read loop dispatching
@@ -171,13 +270,16 @@ func (m *muxSession) failReq(id uint64, err error) {
 // serveMux runs the session after the handshake. When the loop exits —
 // a protocol error, or a connection the client closed or lost — every in-flight
 // request is canceled and the session waits for its goroutines before
-// returning.
-func serveMux(c *wire.Conn, s Backend) {
+// returning; when Serve drained it, the requests answer first.
+func serveMux(c *wire.Conn, ss *session, s Backend) {
 	m := &muxSession{c: c, s: s, inflight: map[uint64]context.CancelFunc{}}
-	m.ctx, m.cancel = context.WithCancel(context.Background())
+	m.ctx, m.cancel = context.WithCancel(ss.ctx)
 	defer func() {
-		m.cancel()
+		if !ss.isDraining() {
+			m.cancel()
+		}
 		m.wg.Wait()
+		m.cancel()
 	}()
 	for {
 		msg, err := c.Recv()

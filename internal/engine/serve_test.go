@@ -325,6 +325,83 @@ func (b *stubBackend) Checksum() uint32             { return 7 }
 func (b *stubBackend) Alphabet() *alphabet.Alphabet { return alphabet.Protein }
 func (b *stubBackend) Close() error                 { return nil }
 
+// heldBackend is a stubBackend whose searches wait for release, not for
+// their context, then answer with no hits.
+type heldBackend struct {
+	*stubBackend
+	release chan struct{}
+}
+
+func (b heldBackend) Search(_ context.Context, queries *seq.Set, _ SearchOptions) (*master.Report, error) {
+	close(b.searchEntered)
+	<-b.release
+	return &master.Report{Results: make([]master.QueryResult, queries.Len())}, nil
+}
+
+// lostConnection fails the test unless c's next Recv finds the
+// connection closed rather than another frame.
+func lostConnection(t *testing.T, c *wire.Conn) {
+	t.Helper()
+	if msg, err := c.Recv(); err == nil {
+		t.Fatalf("expected the connection closed, got %#v", msg)
+	}
+}
+
+// TestServeDrainsOnListenerClose: closing the listener does not end a
+// session under its request. Serve waits while the search runs, the
+// search answers, and only then is the connection closed and Serve
+// returns.
+func TestServeDrainsOnListenerClose(t *testing.T) {
+	b := heldBackend{newStubBackend(), make(chan struct{})}
+	l, done := startServe(t, b)
+	c := openSession(t, l, 0)
+	if err := c.Send(&wire.SearchRequest{ID: 1, Queries: []wire.Query{{ID: "q", Residues: []byte{0, 1, 2}}}}); err != nil {
+		t.Fatal(err)
+	}
+	<-b.searchEntered
+	l.Close()
+	select {
+	case err := <-done:
+		t.Fatalf("Serve returned (%v) with a search in flight", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(b.release)
+	if msg, err := c.Recv(); err != nil {
+		t.Fatalf("the search in flight never answered: %v", err)
+	} else if res, ok := msg.(*wire.SearchResult); !ok || res.ID != 1 || len(res.Results) != 1 {
+		t.Fatalf("expected SearchResult{ID: 1} with one result, got %#v", msg)
+	}
+	lostConnection(t, c)
+	if err := <-done; err != nil {
+		t.Fatalf("Serve: %v", err)
+	}
+}
+
+// TestServeSeversAfterGrace: a search that outlives the grace period
+// after the listener closed is cut off with its connection — the client
+// sees a lost connection, which it fails over, not an error frame — and
+// Serve returns.
+func TestServeSeversAfterGrace(t *testing.T) {
+	b := newStubBackend()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- serve(l, b, 100*time.Millisecond) }()
+	c := openSession(t, l, 0)
+	if err := c.Send(&wire.SearchRequest{ID: 1, Queries: []wire.Query{{ID: "q", Residues: []byte{0, 1, 2}}}}); err != nil {
+		t.Fatal(err)
+	}
+	<-b.searchEntered
+	start := time.Now()
+	l.Close()
+	lostConnection(t, c)
+	if err := <-done; err != nil || time.Since(start) < 100*time.Millisecond {
+		t.Fatalf("Serve returned %v after %v, want nil after the 100ms grace", err, time.Since(start))
+	}
+}
+
 // badSearch is a request the read loop refuses itself — its residue code
 // is outside every alphabet — so it round-trips without the backend.
 func badSearch(id uint64) *wire.SearchRequest {
@@ -391,7 +468,7 @@ func TestServeHandshakeTimeoutOnSilentClient(t *testing.T) {
 	go func() {
 		defer close(done)
 		defer srv.Close()
-		serveConn(wire.NewConn(srv), newStubBackend(), 300*time.Millisecond)
+		serveConn(newSession(srv), newStubBackend(), 300*time.Millisecond)
 	}()
 	select {
 	case <-done:
@@ -422,7 +499,7 @@ func TestServeClearsHandshakeDeadline(t *testing.T) {
 	go func() {
 		defer close(done)
 		defer srv.Close()
-		serveConn(wire.NewConn(rec), newStubBackend(), time.Minute)
+		serveConn(newSession(rec), newStubBackend(), time.Minute)
 	}()
 	c := wire.NewConn(cli)
 	if msg, err := handshake(c, 0); err != nil {

@@ -297,6 +297,96 @@ func TestInterSeqBlocks(t *testing.T) {
 	})
 }
 
+// fragments returns a database of n subjects cut from query, 1 to maxLen
+// residues each at random offsets, and as many random ones of up to 60.
+// A fragment's best alignment takes its first residue, so it starts on
+// the column a lane's reset leaves: H = 0 there exactly, or the score
+// moves. There are more subjects than lanes, so lanes restart while
+// others carry on.
+func fragments(rng *rand.Rand, query []byte, n, maxLen int) *seq.Set {
+	db := seq.NewSet(alphabet.Protein)
+	for i := 0; i < n; i++ {
+		m := 1 + rng.Intn(min(maxLen, len(query)))
+		off := rng.Intn(len(query) - m + 1)
+		db.AddEncoded("fragment", "", query[off:off+m])
+		db.AddEncoded("random", "", randSeq(rng, 1+rng.Intn(60)))
+	}
+	return db
+}
+
+// restartsBeside reports whether some step of plan starts a lane while
+// another lane carries its subject on through the step.
+func restartsBeside(plan *lanePlan) bool {
+	running := 0 // lanes holding a subject before the step's starts
+	for _, st := range plan.steps {
+		if len(st.starts) > 0 && running > 0 {
+			return true
+		}
+		running += len(st.starts) - len(st.ends)
+	}
+	return false
+}
+
+// TestInterSeqQueryRows runs queries of 1 to 12 residues and of 5k + r
+// for r = 0...4 — the AVX2 column's five-row pass alone, its remainder
+// rows alone, and both — against fragments of them, whose lanes restart
+// beside lanes that carry on.
+func TestInterSeqQueryRows(t *testing.T) {
+	eachKernel(t, func(t *testing.T, newEngine func(sw.Params) *InterSeq) {
+		p := params()
+		rng := rand.New(rand.NewSource(127))
+		for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 100, 101, 102, 103, 104} {
+			q := randSeq(rng, n)
+			e := columnOnly(newEngine(p))
+			db := fragments(rng, q, 40, 24)
+			checkAgainstOracle(t, p, e, q, db)
+			if plan := planOf(e, db).plan; !restartsBeside(plan) {
+				t.Fatalf("|q|=%d: no step of %d starts a lane beside a running one", n, len(plan.steps))
+			}
+		}
+	})
+}
+
+// TestAVX2KernelReuse runs one kernel through queries that grow and shrink
+// and through gap models whose floors K - OpenCost differ — BLOSUM62 11/1
+// has floor 1 and 10/2 floor 2 — as the kernel pool hands a kernel from
+// task to task: its first task, and every one after the lower floor, would
+// start its lanes below H = 0 were its cells not filled with the floor.
+func TestAVX2KernelReuse(t *testing.T) {
+	skipWithoutAVX2(t)
+	rng := rand.New(rand.NewSource(131))
+	k := new(avx2Kernel)
+	for i, tc := range []struct {
+		gaps scoring.Gaps
+		n    int
+	}{
+		{scoring.Gaps{Start: 10, Extend: 2}, 150},
+		{scoring.Gaps{Start: 10, Extend: 2}, 37},
+		{scoring.Gaps{Start: 11, Extend: 1}, 90},
+		{scoring.Gaps{Start: 10, Extend: 2}, 120},
+		{scoring.Gaps{Start: 11, Extend: 1}, 203},
+		{scoring.Gaps{Start: 10, Extend: 2}, 64},
+	} {
+		p := sw.Params{Matrix: scoring.BLOSUM62, Gaps: tc.gaps}
+		q := randSeq(rng, tc.n)
+		db := fragments(rng, q, 40, 30)
+		tab := newAVX2Tables(p)
+		out, flagged := make([]int, db.Len()), []int(nil)
+		runLanes(k.load(tab, q), newLanePlan(db, avx2Lanes, avx2Block, false), out, &flagged)
+		ceiling := tab.limit - int(tab.consts[0])
+		for s := range db.Seqs {
+			want := sw.Score(p, q, db.Seqs[s].Residues)
+			if slices.Contains(flagged, s) {
+				if want <= ceiling {
+					t.Fatalf("task %d (%+v, |q|=%d): subject %d flagged at %d, inside the ceiling %d", i, tc.gaps, tc.n, s, want, ceiling)
+				}
+			} else if out[s] != want {
+				t.Fatalf("task %d (%+v, |q|=%d): subject %d scores %d, want %d", i, tc.gaps, tc.n, s, out[s], want)
+			}
+		}
+	}
+}
+
 // TestAVX2ColumnNeedsRoom walks the boundary K + max S = 254 | 255: the
 // last parameter set with a column (ceiling 1: only a subject scoring 0
 // stays in its lane) and the first without. Without a column — so with
@@ -626,8 +716,8 @@ func TestInterSeqPlanShapes(t *testing.T) {
 // 32. 51 uniform subjects of 1-120 residues, which only look ragged,
 // route nothing. The benchmark corpus plus one titin-length subject
 // routes that subject alone. A set built on the rule's tie — one subject of
-// 8 residues and 39 of 5, where leaving it in the lanes and routing it
-// both cost 256 slots — keeps it, while one residue more routes it.
+// 32 residues and 39 of 22, where leaving it in the lanes and routing it
+// both cost 1 024 slots — keeps it, while one residue more routes it.
 // Engines whose pair kernel cannot follow the column (SWAR, Gs == 0)
 // never route.
 func TestLanePlanRoute(t *testing.T) {
@@ -636,7 +726,7 @@ func TestLanePlanRoute(t *testing.T) {
 	tie := func(long int) *seq.Set {
 		db := seq.NewSet(alphabet.Protein)
 		for i := 0; i < 40; i++ {
-			n := 5
+			n := 22
 			if i == 17 {
 				n = long
 			}
@@ -653,8 +743,8 @@ func TestLanePlanRoute(t *testing.T) {
 		{"log-normal 60, two stragglers", synth.DBSpec{Name: "ln", Count: 60, MeanLen: 360, Sigma: 0.6, MinLen: 20, MaxLen: 4000, Seed: 7}.Generate(), []int{6, 10}},
 		{"uniform 51 of 1-120", synth.RandomSet(alphabet.Protein, 51, 1, 120, 48), nil},
 		{"corpus + titin", withTitin, []int{withTitin.Len() - 1}},
-		{"tie", tie(8), nil},
-		{"past the tie", tie(9), []int{17}},
+		{"tie", tie(32), nil},
+		{"past the tie", tie(33), []int{17}},
 	} {
 		if got := newLanePlan(tc.db, avx2Lanes, avx2Block, true).routed; !slices.Equal(got, tc.routed) {
 			t.Errorf("%s: routed %v, want %v", tc.name, got, tc.routed)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"sync"
 	"testing"
 
 	"swdual/internal/alphabet"
@@ -267,6 +268,34 @@ func BenchmarkInterSeq(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// BenchmarkInterSeqParallel is BenchmarkInterSeq as the benchmark's
+// pools run it: two goroutines share one engine, as two CPU workers share
+// their pool's, each taking every other call. MB/s reads as the pair's
+// Mcell/s; run it with GOMAXPROCS of at least 2.
+func BenchmarkInterSeqParallel(b *testing.B) {
+	p := params()
+	db := benchCorpus()
+	rng := rand.New(rand.NewSource(83))
+	for _, n := range []int{120, 270, 480} {
+		q := plantedQuery(rng, db, rng.Intn(db.Len()), n)
+		e := NewInterSeq(p)
+		b.Run(fmt.Sprintf("%s/q%d", e.Name(), n), func(b *testing.B) {
+			b.SetBytes(int64(n) * db.TotalResidues())
+			var wg sync.WaitGroup
+			for g := range 2 {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for range (b.N + 1 - g) / 2 {
+						e.Scores(q, db)
+					}
+				}()
+			}
+			wg.Wait()
+		})
 	}
 }
 

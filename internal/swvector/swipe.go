@@ -21,8 +21,12 @@ import (
 //   - interseq-avx2, on amd64 CPUs with AVX2: 32 byte lanes in a YMM
 //     register, offset by K like the SWAR lanes so that nothing in the
 //     column needs a saturating instruction, four database columns per
-//     pass over the query rows. A lane is exact for scores up to
-//     255 - max S - K (230 with BLOSUM62 and 10/2 gaps).
+//     pass over the query rows, five rows per unrolled pass. The lanes
+//     that take a new subject are reset together, by one vector pass
+//     over the rows at the next advance, to H = 0 and E at its floor:
+//     E = -inf, which is exact because E enters H only through a
+//     maximum with 0. A lane is exact for scores up to 255 - max S - K
+//     (230 with BLOSUM62 and 10/2 gaps).
 //   - interseq-swar, everywhere else: 8 lanes of 7-bit values offset by
 //     K = max(OpenCost+Extend, bias) under a guard bit in a uint64. A lane
 //     is exact up to 127-K (113 with BLOSUM62 and 10/2 gaps).
@@ -212,8 +216,11 @@ type laneKernel interface {
 	// block is the number of columns the kernel runs at a time: advance
 	// takes multiples of it, 1 if it runs them singly.
 	block() int
-	// reset gives lane l an empty DP column — H = E = 0 in every query
-	// row — and clears its running maximum and overflow flag.
+	// reset gives lane l an empty DP column — H = 0 in every query row,
+	// and E = 0 or, in the AVX2 kernel, E = -inf: the same column, as E
+	// enters H only through a maximum with 0 — and clears its running
+	// maximum and overflow flag. A kernel may defer the rows' writes to
+	// its next advance.
 	reset(l int)
 	// advance runs len(stream) / lanes() DP columns, a multiple of
 	// block(): lane l consumes stream[j*lanes() + l] in column j.
@@ -298,11 +305,11 @@ type laneSubject struct{ lane, subject int }
 // pairSlots is the pair kernel's cost per cell in column slots: the
 // column's rate over every slot it runs, idle ones included, over the
 // pair kernel's rate on one subject. BenchmarkLaneSlotRates, one thread
-// of a 2-vCPU Xeon, medians of 5 runs: the column 12.0 Gslot/s at 32
-// query residues and 14.8 at 270, the pair kernel 2.9 and 5.8 Gcell/s, so
-// 4.1 and 2.5. The short query's ratio is taken, rounded, so a short
+// of a 2-vCPU Xeon, medians of 11 runs: the column 19.4 Gslot/s at 32
+// query residues and 25.5 at 270, the pair kernel 4.0 and 8.1 Gcell/s, so
+// 4.9 and 3.2. The short query's ratio is taken, rounded, so a short
 // query seldom routes a subject its column would have scored sooner.
-const pairSlots = 4
+const pairSlots = 5
 
 // routeCount returns how many of the longest subjects the pair kernel
 // takes: order is db's non-empty subjects, longest first, and total

@@ -72,18 +72,29 @@ type avx2Kernel struct {
 	query []byte
 	codes int // rows of prof a block builds: 1 + the query's largest residue code
 	// One 64-byte row per query residue, a byte per lane: G = H' - OpenCost
-	// of the previous column, then E' of the current one.
+	// of the previous column, then E' of the current one. Both are at
+	// least the floor K - OpenCost in every lane: H' >= K, and E' is a
+	// maximum over G.
 	cells []byte
 	// prof[c][q][l] is byte(S(q, lane l's residue) + OpenCost) in column c
 	// of the current block.
 	prof    [avx2Block][32][32]byte
 	laneMax [avx2Lanes]byte // running maximum of H' per lane
+	// marks[l] is ^floor for a lane reset since the last advance, 0 for
+	// any other; marked says one is.
+	marks  [avx2Lanes]byte
+	marked bool
 }
 
 // avx2KernelPool recycles kernels across tasks, as swarKernelPool does.
 var avx2KernelPool = sync.Pool{New: func() any { return new(avx2Kernel) }}
 
 func newAVX2Kernel(t *avx2Tables, query []byte) *avx2Kernel {
+	return avx2KernelPool.Get().(*avx2Kernel).load(t, query)
+}
+
+// load readies k, fresh or used, for query under t.
+func (k *avx2Kernel) load(t *avx2Tables, query []byte) *avx2Kernel {
 	codes := 0
 	for _, q := range query {
 		codes = max(codes, int(q)+1)
@@ -92,13 +103,22 @@ func newAVX2Kernel(t *avx2Tables, query []byte) *avx2Kernel {
 		// avx2Columns indexes prof by query residue with no bounds check.
 		panic("swvector: query residue code out of range")
 	}
-	k := avx2KernelPool.Get().(*avx2Kernel)
 	k.tab = t
 	k.query = query
 	k.codes = codes
-	// reset arms a lane before the driver gives it a subject; until then
-	// it computes on zeros, outside the invariants, and nothing reads it.
-	k.cells = resizeCleared(k.cells, 2*avx2Lanes*len(query))
+	// reset lowers a lane's cells to the floor, so none may start below
+	// it; a pooled kernel's cells may hold another query's rows or another
+	// gap model's floor, so every byte is set to this one's, by doubling
+	// copies.
+	n := 2 * avx2Lanes * len(query)
+	if cap(k.cells) < n {
+		k.cells = make([]byte, n)
+	}
+	k.cells = k.cells[:n]
+	k.cells[0] = t.consts[0] - t.consts[1]
+	for i := 1; i < n; i *= 2 {
+		copy(k.cells[i:], k.cells[:i])
+	}
 	return k
 }
 
@@ -111,14 +131,17 @@ func (k *avx2Kernel) release() {
 	avx2KernelPool.Put(k)
 }
 
-// reset writes H = E = 0: lane l's G byte is at 64i + l and its E' byte 32
-// further on.
+// reset marks lane l for the next advance, which first sets the lane's G
+// and E' in every row to the floor K - OpenCost in one vector pass
+// (avx2ResetLanes: the minimum with the floor, which the cells never go
+// below). G = K - OpenCost is H = 0. E' at the floor is E = -inf, not
+// E = 0 as a fresh row would hold, but the two are the same column: E'
+// enters H' = max(K, ...) and anything at or below K leaves H' at K,
+// and E' - Extend below K stays below it.
 func (k *avx2Kernel) reset(l int) {
-	offset, open := k.tab.consts[0], k.tab.consts[1]
-	for i := l; i < len(k.cells); i += 2 * avx2Lanes {
-		k.cells[i], k.cells[i+avx2Lanes] = offset-open, offset
-	}
-	k.laneMax[l] = offset
+	k.marks[l] = ^(k.tab.consts[0] - k.tab.consts[1])
+	k.marked = true
+	k.laneMax[l] = k.tab.consts[0]
 }
 
 // score flags a lane whose maximum passed limit: the diagonal term H' + S
@@ -129,5 +152,9 @@ func (k *avx2Kernel) score(l int) (score int, overflow bool) {
 }
 
 func (k *avx2Kernel) advance(stream []byte) {
+	if k.marked {
+		avx2ResetLanes(&k.cells[0], len(k.query), &k.marks)
+		k.marks, k.marked = [avx2Lanes]byte{}, false
+	}
 	avx2Columns(&k.cells[0], &k.query[0], len(k.query), &k.tab.table, k.codes, &k.prof, &k.tab.consts, &k.laneMax, &stream[0], len(stream)/avx2Lanes)
 }

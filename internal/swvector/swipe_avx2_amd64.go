@@ -38,6 +38,14 @@ func xgetbv() (eax, edx uint32)
 //go:noescape
 func avx2Columns(cells, query *byte, rows int, table *[32][32]byte, codes int, prof *[avx2Block][32][32]byte, consts *[3]byte, laneMax *[32]byte, stream *byte, n int)
 
+// avx2ResetLanes lowers G and E' of each of the rows >= 1 64-byte rows of
+// cells to the floor in every lane l whose marks[l] is ^floor, and leaves
+// the lanes whose marks[l] is 0 as they are. Every cell must be at or
+// above its lane's floor.
+//
+//go:noescape
+func avx2ResetLanes(cells *byte, rows int, marks *[32]byte)
+
 // striped16Pair runs the 16-lane, 16-bit striped DP of one query, given
 // as its striped profile of segLen >= 1 vectors a residue code, against
 // the n >= 1 residues of subject, all below the profile's row count. rows

@@ -61,12 +61,31 @@ GLOBL x10<>(SB), RODATA|NOPTR, $8
 	VPMAXUB d, Y8, Y8;     \
 	VPMAXUB d, f, f
 
+// ROW is one query row of the block's four columns: a-d enter as G of
+// the diagonal neighbours in columns 0-3 and leave as this row's G, e
+// receives G of the previous block's last column in this row — the next
+// row's column-0 diagonal — before d is stored over it. q is the row's
+// residue offset from (DI)(CX*1), g and ep its G and E' offsets from R8.
+#define ROW(a, b, c, d, e, q, g, ep) \
+	MOVBLZX q(DI)(CX*1), DX; \
+	SHLQ    $5, DX;          \
+	VMOVDQU g(R8), e;        \
+	VMOVDQU ep(R8), Y8;      \
+	CELL(a, Y4, 0);          \
+	CELL(b, Y5, 1024);       \
+	CELL(c, Y6, 2048);       \
+	CELL(d, Y7, 3072);       \
+	VMOVDQU d, g(R8);        \
+	VMOVDQU Y8, ep(R8)
+
 // func avx2Columns(cells, query *byte, rows int, table *[32][32]byte, codes int, prof *[4][32][32]byte, consts *[3]byte, laneMax *[32]byte, stream *byte, n int)
 //
-// In the row loop: Y0-Y3 G of the diagonal neighbour in the block's four
-// columns, then t, H', G in place  Y4-Y7 F' of the four  Y8 E'  Y9 G of
-// the previous block  Y10 K  Y11 open  Y12 ext  Y13 max
-// AX column  BX n  CX row - rows  DX 32 * the row's residue  DI query + rows
+// In the row loop: Y0-Y3 and Y9 G, four of them of the diagonal
+// neighbours in the block's four columns (then t, H', G in place), the
+// fifth of the previous block  Y4-Y7 F' of the four  Y8 E'  Y10 K
+// Y11 open  Y12 ext  Y13 max
+// AX column  BX n  CX row - rows (+ 5 in the five-row passes)  DX 32 *
+// the row's residue  DI query + rows
 // R8 the row's cells  R9 prof  R11 the block's residues in stream
 TEXT ·avx2Columns(SB), NOSPLIT, $0-80
 	MOVQ n+72(FP), BX
@@ -129,17 +148,26 @@ profile:
 	VMOVDQA Y10, Y5
 	VMOVDQA Y10, Y6
 	VMOVDQA Y10, Y7
+	ADDQ $5, CX
+	JGT  rest
+rows5:
+	// Five rows a pass, the G registers rotating: each row loads the
+	// previous block's G into the register whose column-3 G it has just
+	// stored, so after five rows they are back in place with no copy.
+	ROW(Y0, Y1, Y2, Y3, Y9, -5, 0, 32)
+	ROW(Y9, Y0, Y1, Y2, Y3, -4, 64, 96)
+	ROW(Y3, Y9, Y0, Y1, Y2, -3, 128, 160)
+	ROW(Y2, Y3, Y9, Y0, Y1, -2, 192, 224)
+	ROW(Y1, Y2, Y3, Y9, Y0, -1, 256, 288)
+	ADDQ $320, R8
+	ADDQ $5, CX
+	JLE  rows5
+rest:
+	// The rows mod 5 left: one row a pass, the G registers copied back.
+	SUBQ $5, CX
+	JEQ  next
 row:
-	MOVBLZX (DI)(CX*1), DX
-	SHLQ $5, DX
-	VMOVDQU (R8), Y9
-	VMOVDQU 32(R8), Y8
-	CELL(Y0, Y4, 0)
-	CELL(Y1, Y5, 1024)
-	CELL(Y2, Y6, 2048)
-	CELL(Y3, Y7, 3072)
-	VMOVDQU Y3, (R8)
-	VMOVDQU Y8, 32(R8)
+	ROW(Y0, Y1, Y2, Y3, Y9, 0, 0, 32)
 	VMOVDQA Y2, Y3           // this row's G are the next row's diagonals
 	VMOVDQA Y1, Y2
 	VMOVDQA Y0, Y1
@@ -148,6 +176,7 @@ row:
 	INCQ CX
 	JNZ  row
 
+next:
 	ADDQ $4, AX
 	CMPQ AX, BX
 	JLT  block
@@ -156,4 +185,25 @@ row:
 	VMOVDQU Y13, (AX)
 	VZEROUPPER
 done:
+	RET
+
+// func avx2ResetLanes(cells *byte, rows int, marks *[32]byte)
+//
+// Sets G and E' of every row to min(value, ^marks[l]) in lane l: to the
+// floor in a marked lane, and unchanged where marks[l] is 0.
+TEXT ·avx2ResetLanes(SB), NOSPLIT, $0-24
+	MOVQ cells+0(FP), R8
+	MOVQ rows+8(FP), CX
+	MOVQ marks+16(FP), AX
+	VPCMPEQB Y0, Y0, Y0
+	VPXOR    (AX), Y0, Y0
+reset:
+	VPMINUB (R8), Y0, Y1
+	VPMINUB 32(R8), Y0, Y2
+	VMOVDQU Y1, (R8)
+	VMOVDQU Y2, 32(R8)
+	ADDQ    $64, R8
+	DECQ    CX
+	JNZ     reset
+	VZEROUPPER
 	RET

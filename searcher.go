@@ -149,7 +149,10 @@ func dialReplicaShards(db *Database, groups [][]string, cfg engine.Config, dialT
 }
 
 // ServeShard is the one wire server: it serves one range of db on l
-// for a cluster coordinator until the listener closes. The database is
+// for a cluster coordinator until the listener closes, then drains:
+// each connection stops taking requests, answers those in flight and
+// closes (a coordinator fails over what it sends after), and
+// ServeShard closes the engine and returns once all have. The database is
 // split into count ranges of balanced residues (the coordinator must
 // dial count ranges) and slice index gets its own persistent engine;
 // count == 1 serves the whole database. A coordinator built with
